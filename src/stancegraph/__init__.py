@@ -74,8 +74,6 @@ from .evaluate import (
     ground_truth_stance,
     holdout_split,
     kfold_split,
-    lightgcn_baseline,
-    mf_baseline,
     null_model,
     parse_annotations,
     run_protocol,

@@ -62,8 +62,6 @@ from .ingest import (
 from .model import (
     ChannelSet,
     ModelConfig,
-    build_operators,
-    forward,
     load_checkpoint,
     load_pretrained_vectors,
     save_checkpoint,
@@ -334,6 +332,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_report(result.report, out / "report.txt", out / "folds.csv")
     save_checkpoint(out / "checkpoint.bin", result.state, counts.users, counts.hashtags)
+    save_checkpoint(out / "propagated.bin", result.propagated, counts.users, counts.hashtags)
     _write_hidden(result.split, counts.users, counts.hashtags, out / "hidden.tsv")
     _write_pairs(result.fold0_val, counts.users, counts.hashtags, out / "val.tsv")
     r = result.report
@@ -345,12 +344,14 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 
 def cmd_curve(args, cfg: RunConfig) -> int:
-    counts, graph, channels = _load_dataset(args.data, cfg)
+    """The effort curve from the fold-0 embeddings an eval run wrote, so
+    it always reads the variant, graph and channels that eval used."""
+    counts = load_counts(Path(args.data) / "counts.json")
     annotations = _load_annotation_arg(args, counts)
     eval_dir = Path(args.eval_dir)
-    state, user_ids, tag_ids = load_checkpoint(eval_dir / "checkpoint.bin")
+    emb, user_ids, tag_ids = load_checkpoint(eval_dir / "propagated.bin")
     if user_ids != counts.users or tag_ids != counts.hashtags:
-        raise ShapeError("checkpoint index does not match the dataset")
+        raise ShapeError("propagated embedding index does not match the dataset")
 
     uidx = {u: i for i, u in enumerate(counts.users)}
     hidx = {h: j for j, h in enumerate(counts.hashtags)}
@@ -363,33 +364,8 @@ def cmd_curve(args, cfg: RunConfig) -> int:
             if parts[0] not in uidx or parts[1] not in hidx:
                 raise RecordError(f"unknown id in hidden edge {parts[:2]}", line_no)
             hidden.setdefault(uidx[parts[0]], {})[hidx[parts[1]]] = float(parts[2])
-    val_rows = []
-    with open(eval_dir / "val.tsv", "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2 or parts[0] not in uidx or parts[1] not in hidx:
-                raise RecordError("expected 'user<TAB>hashtag'", line_no)
-            val_rows.append((uidx[parts[0]], hidx[parts[1]]))
-
-    drop_pairs = np.array(
-        [(u, j) for u, cells in hidden.items() for j in cells], dtype=np.int64
-    )
-    split_graph = graph_without_edges(graph, drop_pairs)
-    split = HoldoutSplit(
-        train_graph=split_graph,
-        hidden=hidden,
-        holdout_users=tuple(sorted(hidden)),
-        n_eligible=len(hidden),
-    )
-    fold_graph = graph_without_edges(split_graph, np.array(val_rows, dtype=np.int64))
-    ops = build_operators(fold_graph, channels, _model_config(cfg))
-    out_emb = forward(state.stacked(), ops, _model_config(cfg))
     curve = annotation_curve(
-        out_emb.final_users,
-        out_emb.final_hashtags,
-        counts.hashtags,
-        split,
-        annotations,
+        emb.users, emb.hashtags, counts.hashtags, hidden, annotations,
         range(1, cfg.x_max + 1),
     )
     out_path = Path(args.out)

@@ -27,8 +27,6 @@ STAGE_INDEX = {
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
-    threads: int = 1
-    deterministic: bool = True
     strict_parse: bool = True
     # corpus filters
     max_outlets_followed: int = 10

@@ -14,6 +14,7 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,12 +35,20 @@ from .graphs import (
     build_interaction_graph,
     build_social_graph,
     compute_pathsim,
+    row_normalize,
     sparsify,
 )
 from .ingest import InteractionCounts, normalize_hashtag
 from .metrics import ranking_metrics
-from .model import ChannelSet, EmbeddingState, ModelConfig, build_operators, forward
-from .train import TrainConfig, train
+from .model import (
+    ChannelSet,
+    EmbeddingState,
+    ModelConfig,
+    PropagationOutput,
+    build_operators,
+    forward,
+)
+from .train import TrainConfig, _edge_keys, _is_member, train
 
 LOGGER = logging.getLogger(__name__)
 
@@ -197,28 +206,6 @@ class HoldoutSplit:
     n_eligible: int
 
 
-def _drop_and_renormalize(R: sp.csr_matrix, drop: set[tuple[int, int]]) -> sp.csr_matrix:
-    """Remove the given (row, col) entries and rescale affected rows so
-    remaining weights again sum to 1. Rows left empty stay zero."""
-    coo = R.tocoo()
-    keep = np.array(
-        [(int(r), int(c)) not in drop for r, c in zip(coo.row, coo.col)], dtype=bool
-    ) if coo.nnz else np.zeros(0, dtype=bool)
-    out = sp.csr_matrix(
-        (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=R.shape
-    )
-    touched = sorted({r for r, _ in drop})
-    sums = np.asarray(out.sum(axis=1)).ravel()
-    scale = np.ones(R.shape[0])
-    for r in touched:
-        if sums[r] > 0:
-            scale[r] = 1.0 / sums[r]
-    out = sp.diags(scale) @ out
-    out = sp.csr_matrix(out)
-    out.sort_indices()
-    return out
-
-
 def holdout_split(
     graph: BipartiteGraph,
     annotations: StanceAnnotation,
@@ -249,18 +236,14 @@ def holdout_split(
     holdout_users = tuple(sorted(eligible[k] for k in chosen))
 
     hidden: dict[int, dict[int, float]] = {}
-    drop: set[tuple[int, int]] = set()
     for u in holdout_users:
         row = graph.R[u].tocoo()
-        cells = {}
-        for j, w in zip(row.col, row.data):
-            if int(j) in annotated_cols:
-                cells[int(j)] = float(w)
-                drop.add((u, int(j)))
-        hidden[u] = cells
-    train_graph = BipartiteGraph(R=_drop_and_renormalize(graph.R, drop))
+        hidden[u] = {
+            int(j): float(w) for j, w in zip(row.col, row.data) if int(j) in annotated_cols
+        }
+    drop = np.array([(u, j) for u, cells in hidden.items() for j in cells], dtype=np.int64)
     return HoldoutSplit(
-        train_graph=train_graph,
+        train_graph=graph_without_edges(graph, drop),
         hidden=hidden,
         holdout_users=holdout_users,
         n_eligible=len(eligible),
@@ -288,9 +271,19 @@ def kfold_split(
 
 
 def graph_without_edges(graph: BipartiteGraph, removed: np.ndarray) -> BipartiteGraph:
-    """Training graph for one fold: validation edges removed, rows rescaled."""
-    drop = {(int(u), int(j)) for u, j in np.asarray(removed).reshape(-1, 2)}
-    return BipartiteGraph(R=_drop_and_renormalize(graph.R, drop))
+    """The graph with the given (user, hashtag) edges removed.
+
+    Only rows that lost an edge are rescaled to sum to 1 again; rows left
+    empty stay zero.
+    """
+    removed = np.asarray(removed, dtype=np.int64).reshape(-1, 2)
+    gone = _is_member(np.unique(removed[:, 0] * graph.n_hashtags + removed[:, 1]),
+                      _edge_keys(graph))
+    coo = graph.R.tocoo()
+    kept = sp.csr_matrix(
+        (coo.data[~gone], (coo.row[~gone], coo.col[~gone])), shape=graph.R.shape
+    )
+    return BipartiteGraph(R=row_normalize(kept, rows=np.unique(coo.row[gone])))
 
 
 def null_model(
@@ -306,42 +299,11 @@ def null_model(
         (np.ones(n_interactions), (users, tags)), shape=(n_users, n_hashtags)
     )
     T.sum_duplicates()
-    rowsum = np.asarray(T.sum(axis=1)).ravel()
-    scale = np.divide(1.0, rowsum, out=np.zeros_like(rowsum), where=rowsum > 0)
-    return BipartiteGraph(R=sp.diags(scale) @ T)
-
-
-def mf_baseline(
-    graph: BipartiteGraph,
-    model_cfg: ModelConfig,
-    train_cfg: TrainConfig,
-    val_edges: np.ndarray,
-    seed: int = 0,
-):
-    """Plain matrix factorization: zero propagation layers, no channels."""
-    cfg = replace(
-        model_cfg, n_layers=0, use_social=False, use_pathsim=False, include_layer0=True
-    )
-    return train(graph, None, cfg, train_cfg, val_edges, seed)
-
-
-def lightgcn_baseline(
-    graph: BipartiteGraph,
-    model_cfg: ModelConfig,
-    train_cfg: TrainConfig,
-    val_edges: np.ndarray,
-    seed: int = 0,
-):
-    """Unweighted variant: binarized interactions, no side channels."""
-    cfg = replace(model_cfg, use_social=False, use_pathsim=False)
-    return train(binarize(graph), None, cfg, train_cfg, val_edges, seed)
+    return BipartiteGraph(R=row_normalize(T))
 
 
 def _stance_predictions(
-    state: EmbeddingState,
-    graph: BipartiteGraph,
-    channels: ChannelSet | None,
-    model_cfg: ModelConfig,
+    out: PropagationOutput,
     split: HoldoutSplit,
     annotations: StanceAnnotation,
     hashtags: list[str],
@@ -357,8 +319,6 @@ def _stance_predictions(
         )
     index = {h: j for j, h in enumerate(hashtags)}
     scored_tags = [(t, index[t]) for t in sorted(ann.tags()) if t in index]
-    ops = build_operators(graph, channels, model_cfg)
-    out = forward(state.stacked(), ops, model_cfg)
     degrees = np.diff(split.train_graph.R.indptr)
 
     predicted, truth, cold = [], [], []
@@ -421,13 +381,43 @@ def write_report(report: EvalReport, report_path, folds_path) -> None:
             )
 
 
-VARIANTS = ("wlgcn", "mf", "lightgcn", "null")
+@dataclass(frozen=True)
+class Variant:
+    """One evaluated model: the graph it trains on, given the fold graph, a
+    null-model draw count and rng, and its model config. Only a variant
+    with `channels` sees the side channels and pretrained vectors."""
+
+    graph: Callable[[BipartiteGraph, int, np.random.Generator], BipartiteGraph]
+    model: Callable[[ModelConfig], ModelConfig]
+    channels: bool = False
+
+
+def _without_channels(cfg: ModelConfig) -> ModelConfig:
+    return replace(cfg, use_social=False, use_pathsim=False)
+
+
+# The weighted model and its baselines: plain matrix factorization (no
+# propagation), unweighted LightGCN (binarized interactions), and a null
+# model trained on a random graph but ranked on the real split.
+VARIANTS = {
+    "wlgcn": Variant(graph=lambda g, n, rng: g, model=lambda cfg: cfg, channels=True),
+    "mf": Variant(
+        graph=lambda g, n, rng: g,
+        model=lambda cfg: replace(_without_channels(cfg), n_layers=0, include_layer0=True),
+    ),
+    "lightgcn": Variant(graph=lambda g, n, rng: binarize(g), model=_without_channels),
+    "null": Variant(
+        graph=lambda g, n, rng: null_model(g.n_users, g.n_hashtags, n, rng),
+        model=_without_channels,
+    ),
+}
 
 
 @dataclass
 class ProtocolResult:
     report: EvalReport
     state: EmbeddingState  # first fold's model
+    propagated: EmbeddingState  # first fold's final embeddings
     split: HoldoutSplit
     fold0_val: np.ndarray  # first fold's validation edges
     fold0_history: list = field(default_factory=list)
@@ -449,13 +439,17 @@ def run_protocol(
 ) -> ProtocolResult:
     """Full two-level evaluation.
 
-    Per fold: train on the fold graph, rank validation edges against the
-    candidates outside the fold's training positives, and classify the
-    holdout users. Returns the averaged report plus the first fold's model
-    and the split, for downstream artifacts.
+    Per fold: train the variant on its graph for the fold, rank validation
+    edges against the candidates outside the fold's training positives, and
+    classify the holdout users, both from one forward pass. Returns the
+    averaged report plus the first fold's model, its final embeddings and
+    the split, for downstream artifacts.
     """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown model variant {variant!r}")
+    spec = VARIANTS[variant]
+    cfg = spec.model(model_cfg)
+    fold_channels = channels if spec.channels else None
     holdout_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     kfold_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
 
@@ -464,8 +458,7 @@ def run_protocol(
     fold_pairs = kfold_split(edges, folds, kfold_rng)
 
     fold_rows: list[FoldMetrics] = []
-    first_state: EmbeddingState | None = None
-    first_history: list = []
+    fold0: tuple[EmbeddingState, PropagationOutput, list] | None = None
     all_pred: list[str] = []
     all_truth: list[str] = []
     all_cold: list[bool] = []
@@ -474,41 +467,14 @@ def run_protocol(
         fold_seed = int(
             np.random.SeedSequence(seed, spawn_key=(2, f)).generate_state(1)[0]
         )
-        fold_channels = channels
-        cfg = model_cfg
-        if variant == "wlgcn":
-            state, history = train(fold_graph, channels, model_cfg, train_cfg, val_pairs, fold_seed)
-            train_graph_used = fold_graph
-        elif variant == "mf":
-            cfg = replace(
-                model_cfg, n_layers=0, use_social=False, use_pathsim=False,
-                include_layer0=True,
-            )
-            fold_channels = None
-            state, history = train(fold_graph, None, cfg, train_cfg, val_pairs, fold_seed)
-            train_graph_used = fold_graph
-        elif variant == "lightgcn":
-            cfg = replace(model_cfg, use_social=False, use_pathsim=False)
-            fold_channels = None
-            train_graph_used = binarize(fold_graph)
-            state, history = train(train_graph_used, None, cfg, train_cfg, val_pairs, fold_seed)
-        else:  # null
-            cfg = replace(model_cfg, use_social=False, use_pathsim=False)
-            fold_channels = None
-            null_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3, f)))
-            n_draws = null_interactions or max(int(fold_graph.R.nnz), 1)
-            train_graph_used = null_model(
-                graph.n_users, graph.n_hashtags, n_draws, null_rng
-            )
-            # The null model ranks the same task: scores come from its own
-            # random graph, candidates and relevants from the real split.
-            state, history = train(train_graph_used, None, cfg, train_cfg, val_pairs, fold_seed)
-        if first_state is None:
-            first_state = state
-            first_history = history
+        null_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3, f)))
+        n_draws = null_interactions or max(int(fold_graph.R.nnz), 1)
+        variant_graph = spec.graph(fold_graph, n_draws, null_rng)
+        state, history = train(variant_graph, fold_channels, cfg, train_cfg, val_pairs, fold_seed)
+        out = forward(state.stacked(), build_operators(variant_graph, fold_channels, cfg), cfg)
+        if f == 0:
+            fold0 = (state, out, history)
 
-        ops = build_operators(train_graph_used, fold_channels, cfg)
-        out = forward(state.stacked(), ops, cfg)
         relevant: dict[int, set[int]] = {}
         for u, j in val_pairs:
             relevant.setdefault(int(u), set()).add(int(j))
@@ -518,8 +484,7 @@ def run_protocol(
         )
 
         pred, truth, cold = _stance_predictions(
-            state, train_graph_used, fold_channels, cfg, split, annotations, hashtags,
-            binary=binary_stance,
+            out, split, annotations, hashtags, binary=binary_stance
         )
         accuracy, rmse = stance_metrics(pred, truth)
         all_pred.extend(pred)
@@ -549,10 +514,14 @@ def run_protocol(
         n_eligible=split.n_eligible,
         folds=fold_rows,
     )
-    assert first_state is not None
+    state, out, history = fold0
     return ProtocolResult(
-        report=report, state=first_state, split=split, fold0_val=fold_pairs[0][1],
-        fold0_history=first_history,
+        report=report,
+        state=state,
+        propagated=EmbeddingState(out.final_users, out.final_hashtags, state.seed),
+        split=split,
+        fold0_val=fold_pairs[0][1],
+        fold0_history=history,
     )
 
 
@@ -560,15 +529,16 @@ def annotation_curve(
     final_users: np.ndarray,
     final_hashtags: np.ndarray,
     hashtags: list[str],
-    split: HoldoutSplit,
+    hidden: dict[int, dict[int, float]],
     annotations: StanceAnnotation,
     x_values,
 ) -> list[tuple[int, float]]:
     """Stance accuracy when only the top-x most-used POS and NEG hashtags
     are treated as annotated.
 
-    Ground truth is fixed at the full two-class annotation; users with no
-    hidden POS or NEG usage are skipped. NEUTRAL never participates.
+    `hidden` maps each holdout user to their hidden edge weights by hashtag
+    column. Ground truth is fixed at the full two-class annotation; users
+    with no hidden POS or NEG usage are skipped. NEUTRAL never participates.
     """
     if not annotations.usage:
         raise ConfigError("annotation usage counts are required for the effort curve")
@@ -585,8 +555,8 @@ def annotation_curve(
     )
     index = {h: j for j, h in enumerate(hashtags)}
     users, truths = [], []
-    for u in split.holdout_users:
-        hidden_by_name = {hashtags[j]: w for j, w in split.hidden[u].items()}
+    for u in sorted(hidden):
+        hidden_by_name = {hashtags[j]: w for j, w in hidden[u].items()}
         if not any(hidden_by_name.get(t, 0.0) > 0 for t in full.tags()):
             continue
         users.append(u)

@@ -108,13 +108,27 @@ class MetaPathSpec:
                 raise ConfigError(f"unknown meta-path relation {name!r}")
 
 
+def row_normalize(M: sp.spmatrix, rows: np.ndarray | None = None) -> sp.csr_matrix:
+    """Scale rows to sum to 1; empty rows stay zero.
+
+    With `rows`, only those rows are rescaled and every other row keeps its
+    weights bit for bit.
+    """
+    M = M.tocsr().astype(np.float64)
+    rowsum = np.asarray(M.sum(axis=1)).ravel()
+    scale = np.divide(1.0, rowsum, out=np.zeros_like(rowsum), where=rowsum > 0)
+    if rows is not None:
+        untouched = np.ones(M.shape[0], dtype=bool)
+        untouched[rows] = False
+        scale[untouched] = 1.0
+    out = sp.csr_matrix(sp.diags(scale) @ M)
+    out.sort_indices()
+    return out
+
+
 def build_interaction_graph(counts: InteractionCounts) -> BipartiteGraph:
     """Row-normalize the usage counts T into edge weights."""
-    T = counts.T.tocsr().astype(np.float64)
-    rowsum = np.asarray(T.sum(axis=1)).ravel()
-    scale = np.divide(1.0, rowsum, out=np.zeros_like(rowsum), where=rowsum > 0)
-    R = sp.diags(scale) @ T
-    graph = BipartiteGraph(R=R)
+    graph = BipartiteGraph(R=row_normalize(counts.T))
     graph.validate_row_stochastic()
     return graph
 

@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateHashtag, EmptyCorpus, RecordError
+from .errors import DegenerateHashtag, EmptyCorpus, RecordError, ShapeError
 
 LOGGER = logging.getLogger(__name__)
 
@@ -284,13 +284,18 @@ class InteractionCounts:
     def validate(self) -> None:
         n, m = len(self.users), len(self.hashtags)
         for mat in (self.T, self.T_tweet, self.T_retweet, self.T_reply):
-            assert mat.shape == (n, m)
+            if mat.shape != (n, m):
+                raise ShapeError(f"hashtag count matrix is {mat.shape}, want {(n, m)}")
         for mat in (self.mention, self.reply, self.mutual_follow):
-            assert mat.shape == (n, n)
+            if mat.shape != (n, n):
+                raise ShapeError(f"user relation matrix is {mat.shape}, want {(n, n)}")
         total = self.T_tweet + self.T_retweet + self.T_reply
-        assert abs(self.T - total).sum() == 0.0
-        assert (self.T.data >= 0).all()
-        assert abs(self.mutual_follow - self.mutual_follow.T).sum() == 0.0
+        if abs(self.T - total).sum() != 0.0:
+            raise ShapeError("T is not the sum of T_tweet, T_retweet and T_reply")
+        if not (self.T.data >= 0).all():
+            raise ShapeError("negative interaction count")
+        if abs(self.mutual_follow - self.mutual_follow.T).sum() != 0.0:
+            raise ShapeError("mutual_follow is not symmetric")
 
 
 def _csr_from_counts(counter: dict[tuple[int, int], float], shape) -> sp.csr_matrix:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -209,7 +209,6 @@ def build_operators(
 class PropagationOutput:
     final_users: np.ndarray
     final_hashtags: np.ndarray
-    per_channel: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def forward(stacked: np.ndarray, ops: ChannelOperators, cfg: ModelConfig) -> PropagationOutput:
@@ -220,21 +219,12 @@ def forward(stacked: np.ndarray, ops: ChannelOperators, cfg: ModelConfig) -> Pro
     """
     n = ops.n_users
     bip = layer_averaged_propagate(ops.bipartite, stacked, cfg.n_layers, cfg.include_layer0)
-    per_channel = {"bipartite": bip}
     user_parts = [bip[:n]]
-    if ops.social is not None:
-        su = layer_averaged_propagate(ops.social, stacked[:n], cfg.n_layers, cfg.include_layer0)
-        per_channel["social"] = su
-        user_parts.append(su)
-    if ops.pathsim is not None:
-        pu = layer_averaged_propagate(ops.pathsim, stacked[:n], cfg.n_layers, cfg.include_layer0)
-        per_channel["pathsim"] = pu
-        user_parts.append(pu)
-    return PropagationOutput(
-        final_users=combine_channels(user_parts),
-        final_hashtags=bip[n:],
-        per_channel=per_channel,
-    )
+    for op in ops.user_channels():
+        user_parts.append(
+            layer_averaged_propagate(op, stacked[:n], cfg.n_layers, cfg.include_layer0)
+        )
+    return PropagationOutput(final_users=combine_channels(user_parts), final_hashtags=bip[n:])
 
 
 def affinity(user_vec: np.ndarray, hashtag_vec: np.ndarray) -> float:

@@ -372,7 +372,7 @@ def test_accept_6_accuracy_grows_with_annotation_effort(capfd, synth_runs):
         x_full = min(len(data.annotations.by_class["POS"]),
                      len(data.annotations.by_class["NEG"]))
         curve = annotation_curve(out.final_users, out.final_hashtags,
-                                 data.counts.hashtags, res.split,
+                                 data.counts.hashtags, res.split.hidden,
                                  data.annotations, [1, 5, x_full])
         curves.append([acc for _, acc in curve])
     mean = np.mean(curves, axis=0)
@@ -439,7 +439,7 @@ def run_pipeline(base):
         data / "bipartite.coo", data / "social.coo", data / "pathsim.coo",
         model / "checkpoint.bin",
         ev / "report.txt", ev / "folds.csv", ev / "checkpoint.bin",
-        ev / "hidden.tsv", ev / "val.tsv",
+        ev / "propagated.bin", ev / "hidden.tsv", ev / "val.tsv",
     ]
     # history.csv carries wall-clock timings and is deliberately left out
     return {p.name + ":" + p.parent.name: p.read_bytes() for p in tracked}

@@ -7,9 +7,10 @@ import json
 import numpy as np
 import pytest
 
-from stancegraph.cli import main
+from stancegraph.cli import _load_dataset, _model_config, _train_config, main
 from stancegraph.config import parse_config_file, resolve, stage_seed
 from stancegraph.errors import ConfigError
+from stancegraph.evaluate import annotation_curve, load_annotations, run_protocol, with_usage
 from stancegraph.ingest import load_counts
 from stancegraph.model import ModelConfig, init_embeddings, load_checkpoint
 
@@ -184,7 +185,8 @@ def test_eval_and_curve_pipeline(tmp_path):
     assert run(["eval", "--data", data, "--annotations", raw / "annotations.tsv",
                 "--out", eval_dir, "--max-epochs", "3", "--folds", "2",
                 "--holdout-fraction", "0.1", "--seed", "0", "--dim", "8"]) == 0
-    for name in ("report.txt", "folds.csv", "checkpoint.bin", "hidden.tsv", "val.tsv"):
+    for name in ("report.txt", "folds.csv", "checkpoint.bin", "propagated.bin", "hidden.tsv",
+                 "val.tsv"):
         assert (eval_dir / name).exists(), name
     report = (eval_dir / "report.txt").read_text(encoding="utf-8")
     assert "recall@20=" in report and "rmse=" in report
@@ -196,6 +198,45 @@ def test_eval_and_curve_pipeline(tmp_path):
     lines = curve_path.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "x,accuracy"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("variant, channel_flags", [
+    ("wlgcn", []),
+    ("mf", []),
+    ("lightgcn", []),
+    ("null", []),
+    ("wlgcn", ["--use-social", "--use-pathsim"]),
+])
+def test_curve_reads_the_model_eval_evaluated(tmp_path, variant, channel_flags):
+    # curve gets no model or channel flags: it must not need eval's to match
+    raw, data = synth_and_build(tmp_path, seed="3")
+    annotations_path = raw / "annotations.tsv"
+    eval_dir, curve_path = tmp_path / "eval", tmp_path / "curve.csv"
+    assert run(["eval", "--data", data, "--annotations", annotations_path,
+                "--out", eval_dir, "--seed", "3", "--dim", "8", "--max-epochs", "5",
+                "--folds", "2", "--holdout-fraction", "0.3", "--variant", variant,
+                *channel_flags]) == 0
+    assert run(["curve", "--data", data, "--eval-dir", eval_dir,
+                "--annotations", annotations_path, "--out", curve_path,
+                "--seed", "3", "--x-max", "5"]) == 0
+
+    cfg = resolve(None, {"seed": 3, "dim": 8, "max_epochs": 5, "folds": 2,
+                         "holdout_fraction": 0.3, "variant": variant,
+                         "use_social": bool(channel_flags), "use_pathsim": bool(channel_flags)})
+    counts, graph, channels = _load_dataset(data, cfg)
+    annotations = with_usage(load_annotations(annotations_path), counts)
+    res = run_protocol(
+        graph, channels, annotations, counts.hashtags, _model_config(cfg), _train_config(cfg),
+        seed=stage_seed(3, "eval"), holdout_fraction=0.3, folds=2, variant=variant,
+        null_interactions=int(counts.T.sum()),
+    )
+    want = annotation_curve(res.propagated.users, res.propagated.hashtags, counts.hashtags,
+                            res.split.hidden, annotations, range(1, 6))
+    assert curve_path.read_text(encoding="utf-8") == "x,accuracy\n" + "".join(
+        f"{x},{acc:.6f}\n" for x, acc in want)
+    saved, _, _ = load_checkpoint(eval_dir / "propagated.bin")
+    assert np.array_equal(saved.users, res.propagated.users)
+    assert np.array_equal(saved.hashtags, res.propagated.hashtags)
 
 
 def test_eval_variant_flag_runs_baselines(tmp_path):

@@ -31,8 +31,6 @@ from stancegraph.evaluate import (
     ground_truth_stance,
     holdout_split,
     kfold_split,
-    lightgcn_baseline,
-    mf_baseline,
     null_model,
     parse_annotations,
     run_protocol,
@@ -40,13 +38,14 @@ from stancegraph.evaluate import (
     stance_metrics,
     synth_generate,
     SynthConfig,
+    VARIANTS,
     with_usage,
     write_report,
 )
 from stancegraph.graphs import BipartiteGraph, binarize, build_adjacency
 from stancegraph.metrics import ndcg_at_k, recall_at_k, top_k_items
 from stancegraph.model import ModelConfig, build_operators, forward
-from stancegraph.train import TrainConfig
+from stancegraph.train import TrainConfig, train
 
 from conftest import counts_from, random_bipartite
 
@@ -347,6 +346,15 @@ def test_graph_without_edges_renormalizes():
     assert out.R[1, 0] == 1.0
 
 
+def test_graph_without_edges_rescales_only_rows_that_lost_an_edge():
+    # row 0 sums to 1 - 2**-53 in floating point, so rescaling it would
+    # change its bits; removing a pair that is not an edge must not
+    R = np.array([[0.1, 0.2, 0.7, 0.0], [0.5, 0.5, 0.0, 0.0]])
+    g = BipartiteGraph(R=sp.csr_matrix(R))
+    out = graph_without_edges(g, np.array([[0, 3], [1, 0]]))
+    assert out.R.toarray().tolist() == [[0.1, 0.2, 0.7, 0.0], [0.0, 1.0, 0.0, 0.0]]
+
+
 # null model -----------------------------------------------------------------
 
 def test_null_zero_interactions_is_empty():
@@ -387,8 +395,12 @@ def test_mf_baseline_scores_are_raw_inner_products():
     edges, _ = g.edges()
     train_pairs, val_pairs = kfold_split(edges, folds=4, rng=rng)[0]
     fold_graph = graph_without_edges(g, val_pairs)
-    state, _ = mf_baseline(fold_graph, ModelConfig(dim=3, n_layers=3), QUICK_TRAIN, val_pairs, seed=0)
-    cfg = ModelConfig(dim=3, n_layers=0)
+    mf = VARIANTS["mf"]
+    cfg = mf.model(ModelConfig(dim=3, n_layers=3, use_social=True))
+    assert cfg == ModelConfig(dim=3, n_layers=0) and not mf.channels
+    mf_graph = mf.graph(fold_graph, 1, rng)
+    assert mf_graph is fold_graph
+    state, _ = train(mf_graph, None, cfg, QUICK_TRAIN, val_pairs, seed=0)
     out = forward(state.stacked(), build_operators(fold_graph, None, cfg), cfg)
     assert np.array_equal(out.final_users, state.users)
     assert np.array_equal(out.final_hashtags, state.hashtags)
@@ -407,10 +419,12 @@ def test_lightgcn_baseline_trains_on_binary_graph():
     edges, _ = g.edges()
     _, val_pairs = kfold_split(edges, folds=4, rng=rng)[0]
     fold_graph = graph_without_edges(g, val_pairs)
-    state_b, _ = lightgcn_baseline(fold_graph, ModelConfig(dim=3), QUICK_TRAIN, val_pairs, seed=5)
-    from stancegraph.train import train as train_fn
+    lightgcn = VARIANTS["lightgcn"]
+    cfg = lightgcn.model(ModelConfig(dim=3, use_pathsim=True))
+    assert cfg == ModelConfig(dim=3) and not lightgcn.channels
+    state_b, _ = train(lightgcn.graph(fold_graph, 1, rng), None, cfg, QUICK_TRAIN, val_pairs, seed=5)
 
-    state_ref, _ = train_fn(binarize(fold_graph), None, ModelConfig(dim=3), QUICK_TRAIN, val_pairs, seed=5)
+    state_ref, _ = train(binarize(fold_graph), None, ModelConfig(dim=3), QUICK_TRAIN, val_pairs, seed=5)
     assert np.array_equal(state_b.users, state_ref.users)
     assert np.array_equal(state_b.hashtags, state_ref.hashtags)
 
@@ -575,9 +589,7 @@ def curve_setup():
     edges, _ = split.train_graph.edges()
     _, val_pairs = kfold_split(edges, folds=2, rng=np.random.default_rng(1))[0]
     fold_graph = graph_without_edges(split.train_graph, val_pairs)
-    from stancegraph.train import train as train_fn
-
-    state, _ = train_fn(fold_graph, None, mc, QUICK_TRAIN, val_pairs, seed=0)
+    state, _ = train(fold_graph, None, mc, QUICK_TRAIN, val_pairs, seed=0)
     out = forward(state.stacked(), build_operators(fold_graph, None, mc), mc)
     return out, data, split, cfg
 
@@ -586,7 +598,7 @@ def test_curve_full_x_matches_direct_two_class_eval():
     out, data, split, cfg = curve_setup()
     tags = data.counts.hashtags
     x_full = min(data.annotations.class_size("POS"), data.annotations.class_size("NEG"))
-    curve = annotation_curve(out.final_users, out.final_hashtags, tags, split,
+    curve = annotation_curve(out.final_users, out.final_hashtags, tags, split.hidden,
                              data.annotations, [x_full])
 
     two_class = StanceAnnotation(
@@ -610,7 +622,7 @@ def test_curve_full_x_matches_direct_two_class_eval():
 def test_curve_x_one_uses_two_hashtags():
     out, data, split, _ = curve_setup()
     tags = data.counts.hashtags
-    curve = annotation_curve(out.final_users, out.final_hashtags, tags, split,
+    curve = annotation_curve(out.final_users, out.final_hashtags, tags, split.hidden,
                              data.annotations, [1])
     assert curve[0][0] == 1
     assert 0.0 <= curve[0][1] <= 1.0
@@ -619,9 +631,9 @@ def test_curve_x_one_uses_two_hashtags():
 def test_curve_reproducible():
     out, data, split, _ = curve_setup()
     tags = data.counts.hashtags
-    a = annotation_curve(out.final_users, out.final_hashtags, tags, split,
+    a = annotation_curve(out.final_users, out.final_hashtags, tags, split.hidden,
                          data.annotations, [1, 2, 3])
-    b = annotation_curve(out.final_users, out.final_hashtags, tags, split,
+    b = annotation_curve(out.final_users, out.final_hashtags, tags, split.hidden,
                          data.annotations, [1, 2, 3])
     assert a == b
 
@@ -630,10 +642,10 @@ def test_curve_rejects_out_of_range_x():
     out, data, split, cfg = curve_setup()
     tags = data.counts.hashtags
     with pytest.raises(BoundsError):
-        annotation_curve(out.final_users, out.final_hashtags, tags, split,
+        annotation_curve(out.final_users, out.final_hashtags, tags, split.hidden,
                          data.annotations, [cfg.annotated_per_camp + 1])
     with pytest.raises(BoundsError):
-        annotation_curve(out.final_users, out.final_hashtags, tags, split,
+        annotation_curve(out.final_users, out.final_hashtags, tags, split.hidden,
                          data.annotations, [0])
 
 
@@ -642,4 +654,4 @@ def test_curve_requires_usage_ranks():
     bare = StanceAnnotation(by_class=dict(data.annotations.by_class))
     with pytest.raises(ConfigError):
         annotation_curve(out.final_users, out.final_hashtags, data.counts.hashtags,
-                         split, bare, [1])
+                         split.hidden, bare, [1])

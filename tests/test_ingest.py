@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from stancegraph.errors import DegenerateHashtag, EmptyCorpus, RecordError
+from stancegraph.errors import DegenerateHashtag, EmptyCorpus, RecordError, ShapeError
 from stancegraph.ingest import (
     Corpus,
     CorpusFilterConfig,
@@ -19,6 +21,8 @@ from stancegraph.ingest import (
     preprocess_text,
     save_counts,
 )
+
+from conftest import counts_from
 
 
 def tweet_line(tid, uid, ts="2022-09-04T12:00:00+00:00", text="", kind="original",
@@ -274,6 +278,25 @@ def test_extract_conserves_incidences():
     counts = extract_interactions(make_corpus(lines))
     assert counts.T.sum() == total
     counts.validate()
+
+
+def _valid_counts():
+    return counts_from(np.array([[1.0, 0.0], [2.0, 1.0]]),
+                       mutual=np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+# One broken invariant per bundle. Only pytest.raises checks here, so the
+# test still means something under `python -O`, which strips assert.
+@pytest.mark.parametrize("broken", [
+    lambda c: dataclasses.replace(c, T_reply=sp.csr_matrix((2, 3))),
+    lambda c: dataclasses.replace(c, T=c.T + sp.csr_matrix(np.eye(2))),
+    lambda c: counts_from(np.array([[-1.0, 0.0], [2.0, 1.0]])),
+    lambda c: dataclasses.replace(c, mutual_follow=sp.csr_matrix(np.triu(np.ones((2, 2)), 1))),
+], ids=["shape", "sum-of-parts", "negative", "asymmetric-follow"])
+def test_validate_raises_shape_error(broken):
+    _valid_counts().validate()
+    with pytest.raises(ShapeError):
+        broken(_valid_counts()).validate()
 
 
 def test_extract_index_order_is_lexicographic():
