@@ -39,7 +39,7 @@ from .graphs import (
     sparsify,
 )
 from .ingest import InteractionCounts, normalize_hashtag
-from .metrics import ranking_metrics
+from .metrics import EVAL_K, ranking_metrics
 from .model import (
     ChannelSet,
     EmbeddingState,
@@ -55,8 +55,6 @@ LOGGER = logging.getLogger(__name__)
 # Tie-breaks pick the LAST maximal class in this order.
 CLASS_ORDER = ("NEG", "NEUTRAL", "POS")
 STANCE_NUMERIC = {"NEG": 0.0, "NEUTRAL": 0.5, "POS": 1.0}
-
-EVAL_K = 20
 
 
 @dataclass
@@ -363,8 +361,8 @@ class EvalReport:
 
 def write_report(report: EvalReport, report_path, folds_path) -> None:
     with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(f"recall@20={report.recall:.6f}\n")
-        fh.write(f"ndcg@20={report.ndcg:.6f}\n")
+        fh.write(f"recall@{EVAL_K}={report.recall:.6f}\n")
+        fh.write(f"ndcg@{EVAL_K}={report.ndcg:.6f}\n")
         fh.write(f"accuracy={report.accuracy:.6f}\n")
         fh.write(f"rmse={report.rmse:.6f}\n")
         fh.write(f"accuracy_cold={report.accuracy_cold:.6f}\n")
@@ -373,7 +371,7 @@ def write_report(report: EvalReport, report_path, folds_path) -> None:
         fh.write(f"n_eligible={report.n_eligible}\n")
         fh.write(f"n_folds={len(report.folds)}\n")
     with open(folds_path, "w", encoding="utf-8") as fh:
-        fh.write("fold,recall@20,ndcg@20,accuracy,rmse\n")
+        fh.write(f"fold,recall@{EVAL_K},ndcg@{EVAL_K},accuracy,rmse\n")
         for row in report.folds:
             fh.write(
                 f"{row.fold},{row.recall:.6f},{row.ndcg:.6f},"
@@ -475,12 +473,8 @@ def run_protocol(
         if f == 0:
             fold0 = (state, out, history)
 
-        relevant: dict[int, set[int]] = {}
-        for u, j in val_pairs:
-            relevant.setdefault(int(u), set()).add(int(j))
-        exclude = lambda u: fold_graph.neighbors(u)  # noqa: E731
         recall, ndcg, _ = ranking_metrics(
-            out.final_users, out.final_hashtags, exclude, relevant, k=EVAL_K
+            out.final_users, out.final_hashtags, fold_graph.R, val_pairs
         )
 
         pred, truth, cold = _stance_predictions(

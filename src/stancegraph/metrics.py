@@ -3,8 +3,15 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigError
+
+# The cutoff of every ranking metric the pipeline reports or stops on.
+EVAL_K = 20
+
+# Cap on the entries of one block's user-by-hashtag score matrix.
+BLOCK_ENTRIES = 1 << 15
 
 
 def recall_at_k(top_items, relevant) -> float:
@@ -46,28 +53,77 @@ def top_k_items(scores: np.ndarray, exclude, k: int) -> np.ndarray:
 def ranking_metrics(
     final_users: np.ndarray,
     final_hashtags: np.ndarray,
-    exclude_by_user,
-    relevant_by_user: dict[int, set[int]],
-    k: int = 20,
+    exclude: sp.csr_matrix,
+    val_pairs: np.ndarray,
+    k: int = EVAL_K,
 ) -> tuple[float, float, int]:
-    """Mean recall@k and NDCG@k over users with a nonempty relevant set.
+    """Mean recall@k and NDCG@k over the users that have validation pairs.
 
-    exclude_by_user maps a user to the items removed from the candidate
-    pool (their training positives). Users whose pool is empty are skipped.
+    Row u of the CSR matrix `exclude` stores the hashtags removed from u's
+    candidate pool (their training positives); users whose pool is empty
+    are skipped. val_pairs holds (user, hashtag) rows; duplicates count
+    once. Users are ranked in blocks with the rules of `top_k_items`, and
+    the sums run in the order of `recall_at_k`/`ndcg_at_k`, so on equal
+    scores the result equals a per-user loop over those three functions
+    bit for bit.
     """
+    if k < 1:
+        raise ConfigError("k must be positive")
+    m = final_hashtags.shape[0]
+    pairs = np.asarray(val_pairs, dtype=np.int64).reshape(-1, 2)
+    keys = np.unique(pairs[:, 0] * m + pairs[:, 1])
+    users, n_relevant = np.unique(keys // m, return_counts=True)
+    keep = np.diff(exclude.indptr)[users] < m
+    users, n_relevant = users[keep], n_relevant[keep]
+    if len(users) == 0:
+        return 0.0, 0.0, 0
+    # The same scalar expressions as ndcg_at_k, so every term matches.
+    discount = np.array([1.0 / np.log2(pos + 1) for pos in range(1, k + 1)])
+    ideal_dcg = np.cumsum(discount)
+
+    excluded = exclude[users]
     recalls = []
     ndcgs = []
-    for u in sorted(relevant_by_user):
-        relevant = relevant_by_user[u]
-        if not relevant:
-            continue
-        exclude = exclude_by_user(u) if callable(exclude_by_user) else exclude_by_user[u]
-        if len(exclude) >= final_hashtags.shape[0]:
-            continue
-        scores = final_hashtags @ final_users[u]
-        top = top_k_items(scores, exclude, k)
-        recalls.append(recall_at_k(top, relevant))
-        ndcgs.append(ndcg_at_k(top, relevant))
-    if not recalls:
-        return 0.0, 0.0, 0
-    return float(np.mean(recalls)), float(np.mean(ndcgs)), len(recalls)
+    block_rows = max(1, BLOCK_ENTRIES // m)
+    for lo in range(0, len(users), block_rows):
+        block = users[lo:lo + block_rows]
+        b = len(block)
+        scores = (final_users[block] @ final_hashtags.T).astype(np.float64, copy=False)
+        indptr = excluded.indptr[lo:lo + b + 1]
+        scores[np.repeat(np.arange(b), np.diff(indptr)),
+               excluded.indices[indptr[0]:indptr[-1]]] = -np.inf
+        scores[~np.isfinite(scores)] = -np.inf
+
+        # Every candidate at or above the k-th best score, then sorted by
+        # score descending with ties in ascending hashtag index (lexsort is
+        # stable and nonzero lists columns in order); the first k stay.
+        candidate = scores > -np.inf
+        if k < m:
+            kth = np.partition(scores, m - k, axis=1)[:, m - k]
+            candidate &= scores >= kth[:, None]
+        rows, cols = np.nonzero(candidate)
+        order = np.lexsort((-scores[rows, cols], rows))
+        rows, cols = rows[order], cols[order]
+        n_candidates = np.bincount(rows, minlength=b)
+        pos = np.arange(len(rows)) - (np.cumsum(n_candidates) - n_candidates)[rows]
+        top = pos < k
+        rows, cols, pos = rows[top], cols[top], pos[top]
+        n_top = np.minimum(n_candidates, k)
+
+        queries = block[rows] * m + cols
+        at = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
+        hit = keys[at] == queries
+        gains = np.zeros((b, k))
+        gains[rows[hit], pos[hit]] = discount[pos[hit]]
+        dcg = np.cumsum(gains, axis=1)[:, -1]
+        hits = np.bincount(rows[hit], minlength=b)
+
+        relevant = n_relevant[lo:lo + block_rows]
+        ideal = np.minimum(n_top, relevant)
+        recalls.append(hits / relevant)
+        ndcgs.append(np.where(n_top > 0, dcg / ideal_dcg[np.maximum(ideal, 1) - 1], 0.0))
+    return (
+        float(np.mean(np.concatenate(recalls))),
+        float(np.mean(np.concatenate(ndcgs))),
+        len(users),
+    )

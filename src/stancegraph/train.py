@@ -18,7 +18,7 @@ from scipy.special import expit
 
 from .errors import ConfigError, NumericsError
 from .graphs import BipartiteGraph
-from .metrics import ranking_metrics
+from .metrics import EVAL_K, ranking_metrics
 from .model import (
     ChannelSet,
     EmbeddingState,
@@ -31,8 +31,6 @@ from .model import (
 )
 
 LOGGER = logging.getLogger(__name__)
-
-EVAL_K = 20
 
 
 @dataclass(frozen=True)
@@ -159,6 +157,17 @@ def bpr_loss(
     return float(np.logaddexp(0.0, -x).sum() + reg)
 
 
+def _scatter_rows(index: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """Rows of `values` summed by `index` into an (n_rows, d) array.
+
+    One flat bincount, which adds each bin's terms in input order, so the
+    result equals np.add.at on zeros bit for bit.
+    """
+    d = values.shape[1]
+    flat = (index[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=n_rows * d).reshape(n_rows, d)
+
+
 def grad_e0(
     triples: np.ndarray,
     out: PropagationOutput,
@@ -182,9 +191,11 @@ def grad_e0(
         eu = out.final_users[u]
         diff = out.final_hashtags[i] - out.final_hashtags[j]
         s = expit(-np.einsum("nd,nd->n", eu, diff))[:, None]
-        np.add.at(g_users, u, -s * diff)
-        np.add.at(g_items, i, -s * eu)
-        np.add.at(g_items, j, s * eu)
+        g_users = _scatter_rows(u, -s * diff, n)
+        # One scatter for both item sides keeps np.add.at's order: every i
+        # term, then every j term.
+        g_items = _scatter_rows(np.concatenate([i, j]), np.concatenate([-s * eu, s * eu]),
+                                n_items)
     n_channels = 1 + len(ops.user_channels())
     g_users /= n_channels
     grad = layer_averaged_propagate(
@@ -221,7 +232,7 @@ class HistoryRow:
 def save_history(rows: list[HistoryRow], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss", "recall@20", "ndcg@20", "elapsed_ms"])
+        writer.writerow(["epoch", "loss", f"recall@{EVAL_K}", f"ndcg@{EVAL_K}", "elapsed_ms"])
         for row in rows:
             writer.writerow([
                 row.epoch,
@@ -257,11 +268,6 @@ def train(
     adam = AdamState.for_shape(params.shape)
     rng = np.random.default_rng(seed)
 
-    relevant: dict[int, set[int]] = {}
-    for u, j in val_edges:
-        relevant.setdefault(int(u), set()).add(int(j))
-    exclude = lambda u: graph.neighbors(u)  # noqa: E731
-
     best_params = params.copy()
     best_recall = -np.inf
     best_epoch = 0
@@ -289,7 +295,7 @@ def train(
         if epoch % train_cfg.eval_every == 0:
             out = forward(params, ops, model_cfg)
             recall, ndcg, _ = ranking_metrics(
-                out.final_users, out.final_hashtags, exclude, relevant, k=EVAL_K
+                out.final_users, out.final_hashtags, graph.R, val_edges
             )
             if recall > best_recall:
                 best_recall = recall

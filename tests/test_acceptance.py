@@ -359,16 +359,13 @@ def generator_oracle_recall(data, res, cfg: SynthConfig, seed: int) -> float:
     scores = np.array([rows[camp] for camp in data.planted])
 
     fold_graph = graph_without_edges(res.split.train_graph, res.fold0_val)
-    relevant: dict[int, set[int]] = {}
-    for u, j in res.fold0_val:
-        relevant.setdefault(int(u), set()).add(int(j))
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(6,)))
     recalls = []
     for _ in range(ORACLE_TIE_DRAWS):
         jittered = scores + 1e-9 * rng.random(scores.shape)
         # One-hot users make row u of `jittered` user u's ranking scores.
         recall, _, _ = ranking_metrics(np.eye(len(scores)), jittered.T,
-                                       fold_graph.neighbors, relevant, k=EVAL_K)
+                                       fold_graph.R, res.fold0_val, k=EVAL_K)
         recalls.append(recall)
     return float(np.mean(recalls))
 

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from stancegraph import metrics
 from stancegraph.errors import (
     BoundsError,
     ConfigError,
@@ -43,7 +48,7 @@ from stancegraph.evaluate import (
     write_report,
 )
 from stancegraph.graphs import BipartiteGraph, binarize, build_adjacency
-from stancegraph.metrics import ndcg_at_k, recall_at_k, top_k_items
+from stancegraph.metrics import ndcg_at_k, ranking_metrics, recall_at_k, top_k_items
 from stancegraph.model import ModelConfig, build_operators, forward
 from stancegraph.train import TrainConfig, train
 
@@ -236,6 +241,68 @@ def test_top_k_excludes_and_orders():
     scores = np.array([0.1, 0.9, 0.5, 0.7])
     assert top_k_items(scores, {1}, 2).tolist() == [3, 2]
     assert top_k_items(scores, set(), 10).tolist() == [1, 3, 2, 0]
+
+
+def per_user_ranking_metrics(final_users, final_hashtags, exclude, val_pairs, k):
+    """The reference: one top_k_items ranking per user, scored one by one."""
+    relevant: dict[int, set[int]] = {}
+    for u, j in val_pairs:
+        relevant.setdefault(int(u), set()).add(int(j))
+    recalls, ndcgs = [], []
+    for u in sorted(relevant):
+        excluded = exclude.indices[exclude.indptr[u]:exclude.indptr[u + 1]]
+        if len(excluded) >= final_hashtags.shape[0]:
+            continue
+        top = top_k_items(final_hashtags @ final_users[u], excluded, k)
+        recalls.append(recall_at_k(top, relevant[u]))
+        ndcgs.append(ndcg_at_k(top, relevant[u]))
+    if not recalls:
+        return 0.0, 0.0, 0
+    return float(np.mean(recalls)), float(np.mean(ndcgs)), len(recalls)
+
+
+@st.composite
+def ranking_cases(draw):
+    # Integer embeddings keep every score exact whatever the BLAS summation
+    # order, and make ties at the k-th score common.
+    n, m, d = draw(st.integers(1, 9)), draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    grid = st.integers(-2, 2).map(float)
+    users = draw(hnp.arrays(np.float64, (n, d), elements=grid))
+    hashtags = draw(hnp.arrays(np.float64, (m, d), elements=grid))
+    for _ in range(draw(st.integers(0, 2))):
+        target = users if draw(st.booleans()) else hashtags
+        row = draw(st.integers(0, target.shape[0] - 1))
+        target[row, draw(st.integers(0, d - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    exclude = sp.csr_matrix(draw(hnp.arrays(bool, (n, m))))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
+                         min_size=1, max_size=3 * n))
+    k = draw(st.integers(1, m + 2))
+    # A few rows per block, so most cases span several blocks.
+    block_entries = draw(st.integers(1, 3 * m))
+    return users, hashtags, exclude, np.array(pairs, dtype=np.int64).reshape(-1, 2), k, block_entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranking_cases())
+def test_batched_ranking_metrics_equal_per_user_reference(case):
+    users, hashtags, exclude, pairs, k, block_entries = case
+    with np.errstate(invalid="ignore"), mock.patch.object(metrics, "BLOCK_ENTRIES", block_entries):
+        got = ranking_metrics(users, hashtags, exclude, pairs, k=k)
+        want = per_user_ranking_metrics(users, hashtags, exclude, pairs, k)
+    assert got == want
+
+
+def test_ranking_metrics_skips_users_without_candidates_and_dedupes_pairs():
+    users = np.ones((3, 1))
+    hashtags = np.array([[3.0], [2.0], [1.0]])
+    # User 1 has no candidates; user 2 ranks only hashtags 1 and 2.
+    exclude = sp.csr_matrix(np.array([[0, 0, 0], [1, 1, 1], [1, 0, 0]], dtype=float))
+    pairs = np.array([[0, 0], [0, 0], [0, 2], [1, 0], [2, 1]])
+    # User 0 hits 1 of {0, 2} at rank 1, user 2 hits 1 of {1}.
+    assert ranking_metrics(users, hashtags, exclude, pairs, k=1) == (0.75, 1.0, 2)
+    assert ranking_metrics(users, hashtags, exclude, pairs[:0]) == (0.0, 0.0, 0)
+    with pytest.raises(ConfigError):
+        ranking_metrics(users, hashtags, exclude, pairs, k=0)
 
 
 # holdout split --------------------------------------------------------------

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.special import expit
 
 from stancegraph.errors import ConfigError, NumericsError
 from stancegraph.evaluate import graph_without_edges, kfold_split
@@ -18,6 +19,7 @@ from stancegraph.model import (
     build_operators,
     forward,
     init_embeddings,
+    layer_averaged_propagate,
 )
 from stancegraph.train import (
     AdamState,
@@ -133,6 +135,46 @@ def test_grad_empty_batch_is_regularizer_derivative():
     out = forward(e0, ops, cfg)
     got = grad_e0(np.zeros((0, 3), dtype=np.int64), out, ops, cfg, e0, 0.05)
     assert np.abs(got - 2 * 0.05 * e0).max() <= 1e-15
+
+
+def add_at_grad(triples, out, ops, cfg, e0, lam):
+    """grad_e0 with the cotangents scattered by np.add.at, one side at a time."""
+    n = ops.n_users
+    g_users = np.zeros((n, e0.shape[1]))
+    g_items = np.zeros((e0.shape[0] - n, e0.shape[1]))
+    u, i, j = triples[:, 0], triples[:, 1], triples[:, 2]
+    eu = out.final_users[u]
+    diff = out.final_hashtags[i] - out.final_hashtags[j]
+    s = expit(-np.einsum("nd,nd->n", eu, diff))[:, None]
+    np.add.at(g_users, u, -s * diff)
+    np.add.at(g_items, i, -s * eu)
+    np.add.at(g_items, j, s * eu)
+    g_users /= 1 + len(ops.user_channels())
+    grad = layer_averaged_propagate(
+        ops.bipartite, np.concatenate([g_users, g_items]), cfg.n_layers, cfg.include_layer0
+    )
+    for op in ops.user_channels():
+        grad[:n] += layer_averaged_propagate(op, g_users, cfg.n_layers, cfg.include_layer0)
+    return grad + 2.0 * lam * e0
+
+
+def test_grad_scatter_is_bit_identical_to_add_at():
+    # Batches far longer than the graph repeat every user and hashtag, on
+    # both the positive and the negative side.
+    rng = np.random.default_rng(31)
+    n, m = 6, 5
+    g = random_bipartite(rng, n, m)
+    for channels in (None, ChannelSet(social=random_user_graph(rng, n))):
+        cfg = ModelConfig(dim=4, n_layers=2, use_social=channels is not None)
+        ops = build_operators(g, channels, cfg)
+        e0 = rng.standard_normal((n + m, 4))
+        out = forward(e0, ops, cfg)
+        for size in (1, 7, 300):
+            triples = np.column_stack([
+                rng.integers(0, n, size), rng.integers(0, m, size), rng.integers(0, m, size),
+            ])
+            got = grad_e0(triples, out, ops, cfg, e0, 0.01)
+            assert np.array_equal(got, add_at_grad(triples, out, ops, cfg, e0, 0.01))
 
 
 def test_grad_matches_finite_differences_all_channel_combos():
