@@ -31,6 +31,7 @@ from .graphs import (
     BipartiteGraph,
     MetaPathSpec,
     SocialWeights,
+    _is_member,
     binarize,
     build_interaction_graph,
     build_social_graph,
@@ -38,7 +39,7 @@ from .graphs import (
     row_normalize,
     sparsify,
 )
-from .ingest import InteractionCounts, normalize_hashtag
+from .ingest import InteractionCounts, _csr_from_counts, normalize_hashtag
 from .metrics import EVAL_K, ranking_metrics
 from .model import (
     ChannelSet,
@@ -48,7 +49,7 @@ from .model import (
     build_operators,
     forward,
 )
-from .train import TrainConfig, _edge_keys, _is_member, train
+from .train import TrainConfig, _edge_keys, train
 
 LOGGER = logging.getLogger(__name__)
 
@@ -222,24 +223,25 @@ def holdout_split(
     rng = rng or np.random.default_rng(0)
     if len(hashtags) != graph.n_hashtags:
         raise ShapeError("hashtag list does not match graph width")
-    annotated_cols = {j for j, h in enumerate(hashtags) if h in annotations.tags()}
-    eligible = [
-        u for u in range(graph.n_users)
-        if any(int(j) in annotated_cols for j in graph.neighbors(u))
-    ]
-    if not eligible:
+    tags = annotations.tags()
+    annotated = np.array([h in tags for h in hashtags], dtype=bool)
+    R = graph.R
+    rows = np.repeat(np.arange(graph.n_users, dtype=np.int64), np.diff(R.indptr))
+    on_annotated = annotated[R.indices]
+    eligible = np.unique(rows[on_annotated])
+    if not len(eligible):
         raise EmptyEligibleSet("no user interacts with an annotated hashtag")
     n_hold = int(np.ceil(fraction * len(eligible)))
     chosen = rng.choice(len(eligible), size=n_hold, replace=False)
-    holdout_users = tuple(sorted(eligible[k] for k in chosen))
+    holdout_users = tuple(int(u) for u in np.sort(eligible[chosen]))
 
-    hidden: dict[int, dict[int, float]] = {}
-    for u in holdout_users:
-        row = graph.R[u].tocoo()
-        hidden[u] = {
-            int(j): float(w) for j, w in zip(row.col, row.data) if int(j) in annotated_cols
-        }
-    drop = np.array([(u, j) for u, cells in hidden.items() for j in cells], dtype=np.int64)
+    held = np.zeros(graph.n_users, dtype=bool)
+    held[list(holdout_users)] = True
+    take = on_annotated & held[rows]
+    drop = np.column_stack([rows[take], R.indices[take].astype(np.int64)])
+    hidden: dict[int, dict[int, float]] = {u: {} for u in holdout_users}
+    for u, j, w in zip(drop[:, 0].tolist(), drop[:, 1].tolist(), R.data[take].tolist()):
+        hidden[u][j] = w
     return HoldoutSplit(
         train_graph=graph_without_edges(graph, drop),
         hidden=hidden,
@@ -675,21 +677,9 @@ def synth_generate(cfg: SynthConfig, rng: np.random.Generator) -> SynthData:
                 mutual[(i, j)] = 1.0
                 mutual[(j, i)] = 1.0
 
-    def _csr(counter, shape):
-        if not counter:
-            return sp.csr_matrix(shape, dtype=np.float64)
-        keys = sorted(counter)
-        return sp.csr_matrix(
-            (
-                np.array([counter[k] for k in keys]),
-                (np.array([k[0] for k in keys]), np.array([k[1] for k in keys])),
-            ),
-            shape=shape,
-        )
-
     n, m = cfg.n_users, cfg.n_hashtags
-    t_tweet = _csr(by_kind["original"], (n, m))
-    t_retweet = _csr(by_kind["retweet"], (n, m))
+    t_tweet = _csr_from_counts(by_kind["original"], (n, m))
+    t_retweet = _csr_from_counts(by_kind["retweet"], (n, m))
     counts = InteractionCounts(
         users=users,
         hashtags=tags,
@@ -699,7 +689,7 @@ def synth_generate(cfg: SynthConfig, rng: np.random.Generator) -> SynthData:
         T_reply=sp.csr_matrix((n, m), dtype=np.float64),
         mention=sp.csr_matrix((n, n), dtype=np.float64),
         reply=sp.csr_matrix((n, n), dtype=np.float64),
-        mutual_follow=_csr(mutual, (n, n)),
+        mutual_follow=_csr_from_counts(mutual, (n, n)),
     )
     counts.validate()
 

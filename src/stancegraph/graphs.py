@@ -8,19 +8,24 @@ symmetric propagation operator used by the embedding model.
 from __future__ import annotations
 
 import logging
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, EmptyChannel, EmptyCorpus, ShapeError
-from .ingest import InteractionCounts
+from .errors import ConfigError, EmptyChannel, EmptyCorpus, RecordError, ShapeError
+from .ingest import InteractionCounts, checked_csr
 
 LOGGER = logging.getLogger(__name__)
 
 ROW_SUM_TOL = 1e-9
 
 META_PATH_RELATIONS = ("tweet", "retweet", "reply")
+
+GRAPH_MAGIC = b"SGCSR\x00"
+GRAPH_VERSION = 1
+_GRAPH_HEADER = struct.Struct("<IQQQ")  # version, rows, cols, nnz
 
 
 @dataclass
@@ -236,27 +241,29 @@ def sparsify(graph: UserGraph, min_weight: float = 0.01, top_k: int | None = Non
     keep = W.data >= min_weight
     W = sp.csr_matrix((W.data[keep], (W.row[keep], W.col[keep])), shape=W.shape)
     if top_k is not None:
-        W.sort_indices()
-        kept = set()
-        indptr, indices, data = W.indptr, W.indices, W.data
-        for i in range(W.shape[0]):
-            lo, hi = indptr[i], indptr[i + 1]
-            if lo == hi:
-                continue
-            cols = indices[lo:hi]
-            vals = data[lo:hi]
-            # Ties break toward the smaller neighbor index.
-            order = np.lexsort((cols, -vals))[:top_k]
-            for j in cols[order]:
-                kept.add((i, int(j)))
-        coo = W.tocoo()
-        mask = np.array(
-            [(int(r), int(c)) in kept or (int(c), int(r)) in kept
-             for r, c in zip(coo.row, coo.col)],
-            dtype=bool,
-        ) if coo.nnz else np.zeros(0, dtype=bool)
-        W = sp.csr_matrix((coo.data[mask], (coo.row[mask], coo.col[mask])), shape=W.shape)
+        W.sum_duplicates()
+        n = W.shape[0]
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(W.indptr))
+        cols = W.indices.astype(np.int64)
+        # Rank each edge within its row, strongest first; ties break toward
+        # the smaller neighbor index.
+        order = np.lexsort((cols, -W.data, rows))
+        rank = np.empty(W.nnz, dtype=np.int64)
+        rank[order] = np.arange(W.nnz) - W.indptr[rows[order]]
+        keys = rows * n + cols  # row-major, hence sorted
+        top = rank < top_k
+        keep = top | _is_member(keys[top], cols * n + rows)
+        W = sp.csr_matrix((W.data[keep], (rows[keep], cols[keep])), shape=W.shape)
     return UserGraph(W=W, kind=graph.kind)
+
+
+def _is_member(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Which queries occur in sorted_keys, by binary search."""
+    if len(sorted_keys) == 0:
+        return np.zeros(len(queries), dtype=bool)
+    pos = np.searchsorted(sorted_keys, queries)
+    pos = np.minimum(pos, len(sorted_keys) - 1)
+    return sorted_keys[pos] == queries
 
 
 def propagate_once(adj: NormalizedAdjacency, H: np.ndarray) -> np.ndarray:
@@ -266,31 +273,54 @@ def propagate_once(adj: NormalizedAdjacency, H: np.ndarray) -> np.ndarray:
 
 
 def save_matrix_coo(mat: sp.spmatrix, path) -> None:
-    """Text coordinate format: 'rows cols nnz' header then one edge per
-    line with 17 significant digits for exact float64 round-trips."""
-    coo = sp.coo_matrix(mat)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for k in order:
-            fh.write(f"{coo.row[k]} {coo.col[k]} {coo.data[k]:.17g}\n")
+    """Binary CSR container (the `.coo` file names predate it): GRAPH_MAGIC,
+    a header (version, rows, cols, nnz), then indptr and indices as int64
+    and data as float64, all little-endian.
+
+    Duplicates are summed and column indices sorted before writing, so
+    equal matrices give equal bytes and save -> load -> save is exact.
+    """
+    csr = sp.csr_matrix(mat, dtype=np.float64, copy=True)
+    csr.sum_duplicates()
+    n, m = csr.shape
+    with open(path, "wb") as fh:
+        fh.write(GRAPH_MAGIC + _GRAPH_HEADER.pack(GRAPH_VERSION, n, m, csr.nnz))
+        fh.write(np.ascontiguousarray(csr.indptr, dtype="<i8").tobytes())
+        fh.write(np.ascontiguousarray(csr.indices, dtype="<i8").tobytes())
+        fh.write(np.ascontiguousarray(csr.data, dtype="<f8").tobytes())
 
 
 def load_matrix_coo(path) -> sp.csr_matrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ShapeError(f"bad coo header in {path}")
-        n, m, nnz = (int(x) for x in header)
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        data = np.empty(nnz, dtype=np.float64)
-        for k in range(nnz):
-            parts = fh.readline().split()
-            if len(parts) != 3:
-                raise ShapeError(f"truncated coo entry {k} in {path}")
-            rows[k], cols[k], data[k] = int(parts[0]), int(parts[1]), float(parts[2])
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, m))
+    """Read save_matrix_coo's container. A wrong magic or version, a size
+    that disagrees with the header, or arrays that are not a canonical CSR
+    matrix with finite values raise RecordError."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[: len(GRAPH_MAGIC)] != GRAPH_MAGIC:
+        raise RecordError(f"{path}: not a graph file (bad magic)")
+    offset = len(GRAPH_MAGIC) + _GRAPH_HEADER.size
+    if len(blob) < offset:
+        raise RecordError(f"{path}: truncated graph header")
+    version, n, m, nnz = _GRAPH_HEADER.unpack_from(blob, len(GRAPH_MAGIC))
+    if version != GRAPH_VERSION:
+        raise RecordError(f"{path}: unsupported graph file version {version}")
+    need = offset + 8 * (n + 1) + 16 * nnz
+    if len(blob) != need:
+        raise RecordError(f"{path}: size {len(blob)} does not match header ({need})")
+    if m > np.iinfo(np.int64).max:
+        raise RecordError(f"{path}: column count {m} out of range")
+    indptr = np.frombuffer(blob, "<i8", n + 1, offset).astype(np.int64)
+    offset += 8 * (n + 1)
+    indices = np.frombuffer(blob, "<i8", nnz, offset).astype(np.int64)
+    data = np.frombuffer(blob, "<f8", nnz, offset + 8 * nnz).astype(np.float64)
+    return checked_csr(indptr, indices, data, (n, m), path)
+
+
+def _load_weights(path) -> sp.csr_matrix:
+    mat = load_matrix_coo(path)
+    if mat.nnz and mat.data.min() < 0:
+        raise RecordError(f"{path}: negative edge weight")
+    return mat
 
 
 def save_bipartite(graph: BipartiteGraph, path) -> None:
@@ -298,7 +328,7 @@ def save_bipartite(graph: BipartiteGraph, path) -> None:
 
 
 def load_bipartite(path) -> BipartiteGraph:
-    return BipartiteGraph(R=load_matrix_coo(path))
+    return BipartiteGraph(R=_load_weights(path))
 
 
 def save_user_graph(graph: UserGraph, path) -> None:
@@ -306,4 +336,4 @@ def save_user_graph(graph: UserGraph, path) -> None:
 
 
 def load_user_graph(path, kind: str = "user") -> UserGraph:
-    return UserGraph(W=load_matrix_coo(path), kind=kind)
+    return UserGraph(W=_load_weights(path), kind=kind)

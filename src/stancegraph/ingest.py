@@ -360,56 +360,111 @@ def extract_interactions(corpus: Corpus) -> InteractionCounts:
     return counts
 
 
-def _triples(mat: sp.csr_matrix) -> list[list]:
-    coo = mat.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    return [[int(coo.row[k]), int(coo.col[k]), float(coo.data[k])] for k in order]
+COUNT_MATRICES = ("T_tweet", "T_retweet", "T_reply", "mention", "reply", "mutual_follow")
 
 
-def _from_triples(triples, shape) -> sp.csr_matrix:
-    if not triples:
-        return sp.csr_matrix(shape, dtype=np.float64)
-    rows = np.array([t[0] for t in triples], dtype=np.int64)
-    cols = np.array([t[1] for t in triples], dtype=np.int64)
-    data = np.array([t[2] for t in triples], dtype=np.float64)
-    return sp.csr_matrix((data, (rows, cols)), shape=shape)
+def checked_csr(indptr, indices, data, shape, source) -> sp.csr_matrix:
+    """CSR matrix from arrays read out of a file, refused with RecordError
+    unless they form a canonical matrix of `shape`.
+
+    indptr must run from 0 to nnz without decreasing, column indices must
+    lie in range and strictly increase within each row, and every value
+    must be finite. `source` names the file in the error message.
+    """
+    n, m = shape
+    nnz = len(indices)
+    if len(indptr) != n + 1 or len(data) != nnz:
+        raise RecordError(f"{source}: array lengths do not match the shape")
+    if indptr[0] != 0 or indptr[-1] != nnz or (np.diff(indptr) < 0).any():
+        raise RecordError(f"{source}: bad row pointers")
+    if nnz and (indices.min() < 0 or indices.max() >= m):
+        raise RecordError(f"{source}: column index out of range")
+    # A step between two entries of one row must move to a larger column.
+    row_start = np.zeros(nnz + 1, dtype=bool)
+    row_start[indptr] = True
+    if not (np.diff(indices) > 0)[~row_start[1:nnz]].all():
+        raise RecordError(f"{source}: column indices not sorted and unique within a row")
+    if not np.isfinite(data).all():
+        raise RecordError(f"{source}: non-finite value")
+    return sp.csr_matrix((data, indices, indptr), shape=shape)
+
+
+def _columns(mat: sp.spmatrix) -> dict:
+    csr = sp.csr_matrix(mat, dtype=np.float64, copy=True)
+    csr.sum_duplicates()
+    return {
+        "indptr": csr.indptr.tolist(),
+        "indices": csr.indices.tolist(),
+        "data": csr.data.tolist(),
+    }
+
+
+def _column_array(values, kinds: str, source: str) -> np.ndarray:
+    try:
+        arr = np.array(values)
+    except ValueError as exc:
+        raise RecordError(f"{source}: bad matrix columns") from exc
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in kinds):
+        raise RecordError(f"{source}: bad matrix columns")
+    return arr
+
+
+def _from_columns(columns, shape, source: str) -> sp.csr_matrix:
+    if not isinstance(columns, dict) or set(columns) != {"indptr", "indices", "data"}:
+        raise RecordError(f"{source}: bad matrix columns")
+    mat = checked_csr(
+        _column_array(columns["indptr"], "iu", source).astype(np.int64),
+        _column_array(columns["indices"], "iu", source).astype(np.int64),
+        _column_array(columns["data"], "iuf", source).astype(np.float64),
+        shape,
+        source,
+    )
+    if mat.nnz and mat.data.min() < 0:
+        raise RecordError(f"{source}: negative count")
+    return mat
 
 
 def save_counts(counts: InteractionCounts, path) -> None:
-    payload = {
-        "users": counts.users,
-        "hashtags": counts.hashtags,
-        "T_tweet": _triples(counts.T_tweet),
-        "T_retweet": _triples(counts.T_retweet),
-        "T_reply": _triples(counts.T_reply),
-        "mention": _triples(counts.mention),
-        "reply": _triples(counts.reply),
-        "mutual_follow": _triples(counts.mutual_follow),
-    }
+    """JSON with the id lists and each count matrix as CSR columns
+    {"indptr", "indices", "data"}; T is not stored, being the sum of the
+    three per-kind matrices."""
+    payload = {"users": counts.users, "hashtags": counts.hashtags}
+    for name in COUNT_MATRICES:
+        payload[name] = _columns(getattr(counts, name))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, ensure_ascii=False, separators=(",", ":"))
         fh.write("\n")
 
 
 def load_counts(path) -> InteractionCounts:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    users = [str(u) for u in payload["users"]]
-    tags = [str(h) for h in payload["hashtags"]]
+    """Read save_counts' file. Undecodable JSON, a missing key or id list,
+    bad matrix columns and negative or non-finite counts raise RecordError;
+    matrices that disagree with each other raise ShapeError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise RecordError(f"{path}: not a counts file ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise RecordError(f"{path}: not a counts file")
+    missing = [k for k in ("users", "hashtags") + COUNT_MATRICES if k not in payload]
+    if missing:
+        raise RecordError(f"{path}: missing key {missing[0]!r}")
+    users, tags = payload["users"], payload["hashtags"]
+    for ids in (users, tags):
+        if not isinstance(ids, list) or not all(isinstance(x, str) for x in ids):
+            raise RecordError(f"{path}: id lists must hold strings")
     n, m = len(users), len(tags)
-    t_tweet = _from_triples(payload["T_tweet"], (n, m))
-    t_retweet = _from_triples(payload["T_retweet"], (n, m))
-    t_reply = _from_triples(payload["T_reply"], (n, m))
+    mats = {
+        name: _from_columns(payload[name], (n, m) if name.startswith("T_") else (n, n),
+                            f"{path} {name}")
+        for name in COUNT_MATRICES
+    }
     counts = InteractionCounts(
         users=users,
         hashtags=tags,
-        T=(t_tweet + t_retweet + t_reply).tocsr(),
-        T_tweet=t_tweet,
-        T_retweet=t_retweet,
-        T_reply=t_reply,
-        mention=_from_triples(payload["mention"], (n, n)),
-        reply=_from_triples(payload["reply"], (n, n)),
-        mutual_follow=_from_triples(payload["mutual_follow"], (n, n)),
+        T=(mats["T_tweet"] + mats["T_retweet"] + mats["T_reply"]).tocsr(),
+        **mats,
     )
     counts.validate()
     return counts

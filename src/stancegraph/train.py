@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, NumericsError
-from .graphs import BipartiteGraph
+from .graphs import BipartiteGraph, _is_member
 from .metrics import EVAL_K, ranking_metrics
 from .model import (
     ChannelSet,
@@ -88,14 +88,6 @@ def _edge_keys(graph: BipartiteGraph) -> np.ndarray:
     R = graph.R
     rows = np.repeat(np.arange(graph.n_users, dtype=np.int64), np.diff(R.indptr))
     return rows * graph.n_hashtags + R.indices.astype(np.int64)
-
-
-def _is_member(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    if len(sorted_keys) == 0:
-        return np.zeros(len(queries), dtype=bool)
-    pos = np.searchsorted(sorted_keys, queries)
-    pos = np.minimum(pos, len(sorted_keys) - 1)
-    return sorted_keys[pos] == queries
 
 
 def sample_epoch(graph: BipartiteGraph, rng: np.random.Generator) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -52,3 +54,14 @@ def random_user_graph(rng: np.random.Generator, n: int, density: float = 0.4, ki
     W = np.triu((rng.random((n, n)) < density) * rng.random((n, n)), k=1)
     W = W + W.T
     return UserGraph(W=sp.csr_matrix(W), kind=kind)
+
+
+def write_graph_container(path, shape, indptr, indices, data) -> None:
+    """A graph file written straight from the documented layout, with no
+    canonicalizing or checking, so tests can build malformed ones."""
+    n, m = shape
+    with open(path, "wb") as fh:
+        fh.write(b"SGCSR\x00" + struct.pack("<IQQQ", 1, n, m, len(indices)))
+        fh.write(np.asarray(indptr, dtype="<i8").tobytes())
+        fh.write(np.asarray(indices, dtype="<i8").tobytes())
+        fh.write(np.asarray(data, dtype="<f8").tobytes())

@@ -12,7 +12,10 @@ from stancegraph.config import parse_config_file, resolve, stage_seed
 from stancegraph.errors import ConfigError
 from stancegraph.evaluate import annotation_curve, load_annotations, run_protocol, with_usage
 from stancegraph.ingest import load_counts
+from stancegraph.graphs import load_matrix_coo
 from stancegraph.model import ModelConfig, init_embeddings, load_checkpoint
+
+from conftest import write_graph_container
 
 
 def run(argv) -> int:
@@ -85,6 +88,54 @@ def test_bounds_error_exits_2(tmp_path, capsys):
                 "--out", tmp_path / "curve.csv", "--x-max", "99"])
     assert code == 2
     assert "kind=BoundsError" in capsys.readouterr().err
+
+
+def truncate_counts(data):
+    path = data / "counts.json"
+    path.write_bytes(path.read_bytes()[: len(path.read_bytes()) // 2])
+
+
+def old_text_bipartite(data):
+    coo = load_matrix_coo(data / "bipartite.coo").tocoo()
+    lines = [f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n"]
+    lines += [f"{r} {c} {v:.17g}\n" for r, c, v in zip(coo.row, coo.col, coo.data)]
+    (data / "bipartite.coo").write_text("".join(lines), encoding="utf-8")
+
+
+def rewrite_bipartite(data, column=None, value=None):
+    path = data / "bipartite.coo"
+    mat = load_matrix_coo(path)
+    indices, values = mat.indices.copy(), mat.data.copy()
+    if column is not None:
+        indices[-1] = column(mat.shape[1])
+    if value is not None:
+        values[0] = value
+    write_graph_container(path, mat.shape, mat.indptr, indices, values)
+
+
+def truncate_bipartite(data):
+    path = data / "bipartite.coo"
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+@pytest.mark.parametrize("damage", [
+    truncate_counts,
+    old_text_bipartite,
+    lambda data: rewrite_bipartite(data, column=lambda m: m),
+    lambda data: rewrite_bipartite(data, value=float("nan")),
+    truncate_bipartite,
+], ids=["truncated-counts", "old-text-bipartite", "column-out-of-range", "nan-weight",
+        "truncated-bipartite"])
+def test_malformed_dataset_file_exits_3(tmp_path, capsys, damage):
+    _, data = synth_and_build(tmp_path)
+    damage(data)
+    capsys.readouterr()
+    code = run(["train", "--data", data, "--out", tmp_path / "model", "--max-epochs", "1"])
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error ")]
+    assert code == 3
+    assert len(errors) == 1 and errors[0].startswith("error kind=RecordError exit=3: ")
+    assert "Traceback" not in err
 
 
 # config resolution ----------------------------------------------------------

@@ -47,7 +47,7 @@ from stancegraph.evaluate import (
     with_usage,
     write_report,
 )
-from stancegraph.graphs import BipartiteGraph, binarize, build_adjacency
+from stancegraph.graphs import BipartiteGraph, binarize, build_adjacency, build_interaction_graph
 from stancegraph.metrics import ndcg_at_k, ranking_metrics, recall_at_k, top_k_items
 from stancegraph.model import ModelConfig, build_operators, forward
 from stancegraph.train import TrainConfig, train
@@ -369,6 +369,50 @@ def test_holdout_no_eligible_users():
     ann = parse_annotations(["unused\tPOS"])
     with pytest.raises(EmptyEligibleSet):
         holdout_split(graph, ann, ["other"], 0.05, np.random.default_rng(0))
+
+
+def holdout_reference(graph, annotations, hashtags, fraction, rng):
+    """The set-scan split: eligibility and hidden weights per user."""
+    annotated_cols = {j for j, h in enumerate(hashtags) if h in annotations.tags()}
+    eligible = [u for u in range(graph.n_users)
+                if any(int(j) in annotated_cols for j in graph.neighbors(u))]
+    if not eligible:
+        raise EmptyEligibleSet("no eligible user")
+    chosen = rng.choice(len(eligible), size=int(np.ceil(fraction * len(eligible))),
+                        replace=False)
+    holdout_users = tuple(sorted(eligible[k] for k in chosen))
+    hidden = {}
+    for u in holdout_users:
+        row = graph.R[u].tocoo()
+        hidden[u] = {int(j): float(w) for j, w in zip(row.col, row.data)
+                     if int(j) in annotated_cols}
+    return holdout_users, hidden, len(eligible)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_holdout_split_equals_set_scan_reference(data):
+    n, m = data.draw(st.integers(1, 10), label="n"), data.draw(st.integers(1, 6), label="m")
+    T = data.draw(hnp.arrays(np.float64, (n, m), elements=st.sampled_from([0.0, 0.0, 1.0, 2.0])))
+    graph = build_interaction_graph(counts_from(T))
+    hashtags = [f"h{j:03d}" for j in range(m)]
+    marked = data.draw(st.lists(st.sampled_from(hashtags), min_size=1, max_size=m), label="ann")
+    ann = parse_annotations([f"{h}\tPOS" for h in marked])
+    fraction = data.draw(st.sampled_from([0.05, 0.3, 0.5, 1.0]), label="fraction")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        want = holdout_reference(graph, ann, hashtags, fraction, rng_want)
+    except EmptyEligibleSet:
+        with pytest.raises(EmptyEligibleSet):
+            holdout_split(graph, ann, hashtags, fraction, rng_got)
+        return
+    got = holdout_split(graph, ann, hashtags, fraction, rng_got)
+    assert got.holdout_users == want[0]
+    assert all(type(u) is int for u in got.holdout_users)
+    assert list(got.hidden.items()) == list(want[1].items())
+    assert got.n_eligible == want[2]
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
 
 # k-fold ---------------------------------------------------------------------

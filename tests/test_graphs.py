@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from stancegraph.errors import ConfigError, EmptyChannel, ShapeError
+from stancegraph.errors import ConfigError, EmptyChannel, RecordError, ShapeError
 from stancegraph.graphs import (
     BipartiteGraph,
     MetaPathSpec,
@@ -29,7 +35,7 @@ from stancegraph.graphs import (
     sparsify,
 )
 
-from conftest import counts_from, random_bipartite, random_user_graph
+from conftest import counts_from, random_bipartite, random_user_graph, write_graph_container
 
 
 def dense_sym_normalize(A: np.ndarray) -> np.ndarray:
@@ -300,6 +306,41 @@ def test_sparsify_result_is_symmetric():
         assert abs(out.W - out.W.T).max() <= 1e-12
 
 
+def sparsify_top_k_reference(W: sp.csr_matrix, top_k: int) -> sp.csr_matrix:
+    """Per-row loop: each row keeps its top_k columns in a set, then an
+    edge survives when either endpoint kept it."""
+    W = W.tocsr()
+    W.sort_indices()
+    kept = set()
+    for i in range(W.shape[0]):
+        cols = W.indices[W.indptr[i]:W.indptr[i + 1]]
+        vals = W.data[W.indptr[i]:W.indptr[i + 1]]
+        for j in cols[np.lexsort((cols, -vals))[:top_k]]:
+            kept.add((i, int(j)))
+    coo = W.tocoo()
+    mask = np.array([(int(r), int(c)) in kept or (int(c), int(r)) in kept
+                     for r, c in zip(coo.row, coo.col)], dtype=bool)
+    return sp.csr_matrix((coo.data[mask], (coo.row[mask], coo.col[mask])), shape=W.shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sparsify_top_k_equals_per_row_reference(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    # Few distinct weights, so ties inside a row are common.
+    W = data.draw(hnp.arrays(np.float64, (n, n), elements=st.sampled_from([0.0, 0.25, 0.5, 1.0])))
+    np.fill_diagonal(W, 0.0)
+    if data.draw(st.booleans(), label="symmetric"):
+        W = np.triu(W) + np.triu(W).T
+    min_weight = data.draw(st.sampled_from([0.0, 0.3, 0.6]), label="min_weight")
+    top_k = data.draw(st.integers(1, n + 1), label="top_k")
+    got = sparsify(UserGraph(W=sp.csr_matrix(W)), min_weight=min_weight, top_k=top_k).W
+    thresholded = sparsify(UserGraph(W=sp.csr_matrix(W)), min_weight=min_weight).W
+    want = sparsify_top_k_reference(thresholded, top_k)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 # user graph normalization ---------------------------------------------------
 
 def test_normalize_single_edge_is_unit():
@@ -432,3 +473,137 @@ def test_bipartite_and_user_graph_roundtrip(tmp_path):
     back_u = load_user_graph(tmp_path / "u.coo", kind="social")
     assert np.array_equal(back_u.W.toarray(), ug.W.toarray())
     assert back_u.kind == "social"
+
+
+def assert_canonical_finite(mat: sp.csr_matrix) -> None:
+    n, m = mat.shape
+    assert len(mat.indptr) == n + 1 and mat.indptr[0] == 0 and mat.indptr[-1] == mat.nnz
+    assert (np.diff(mat.indptr) >= 0).all()
+    assert ((mat.indices >= 0) & (mat.indices < m)).all()
+    assert mat.has_canonical_format
+    assert np.isfinite(mat.data).all()
+
+
+def explicit_zeros_matrix() -> sp.csr_matrix:
+    mat = sp.csr_matrix((np.array([0.0, 2.5, 0.0]), np.array([0, 2, 1]), np.array([0, 2, 2, 3])),
+                        shape=(3, 4))
+    assert mat.nnz == 3
+    return mat
+
+
+@pytest.mark.parametrize("mat", [
+    sp.random(6, 5, density=0.5, format="csr", random_state=np.random.default_rng(61)),
+    sp.csr_matrix((3, 4)),
+    sp.csr_matrix((0, 0)),
+    explicit_zeros_matrix(),
+], ids=["random", "empty", "no-rows", "explicit-zeros"])
+def test_matrix_file_roundtrip_is_byte_exact(tmp_path, mat):
+    first, second = tmp_path / "a.coo", tmp_path / "b.coo"
+    save_matrix_coo(mat, first)
+    back = load_matrix_coo(first)
+    save_matrix_coo(back, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert back.shape == mat.shape and back.nnz == mat.nnz
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(back, name), getattr(mat, name)), name
+
+
+def test_matrix_file_is_canonical_documented_layout(tmp_path):
+    # Duplicates and unsorted columns are summed and sorted before writing.
+    messy = sp.coo_matrix((np.array([1.0, 2.0, 0.5, 4.0]),
+                           (np.array([1, 0, 1, 1]), np.array([3, 2, 0, 3]))), shape=(2, 4))
+    save_matrix_coo(messy, tmp_path / "got.coo")
+    write_graph_container(tmp_path / "want.coo", (2, 4), [0, 1, 3], [2, 0, 3], [2.0, 0.5, 5.0])
+    assert (tmp_path / "got.coo").read_bytes() == (tmp_path / "want.coo").read_bytes()
+
+
+def good_arrays():
+    return {"shape": (2, 3), "indptr": [0, 2, 3], "indices": [0, 2, 1], "data": [0.5, 0.5, 1.0]}
+
+
+def malformed(**change):
+    arrays = good_arrays()
+    arrays.update(change)
+    return arrays
+
+
+@pytest.mark.parametrize("arrays", [
+    malformed(indptr=[1, 2, 3]),
+    malformed(indptr=[0, 3, 2], indices=[0, 1, 2]),
+    malformed(indptr=[0, 2, 2]),
+    malformed(indices=[0, 3, 1]),
+    malformed(indices=[0, -1, 1]),
+    malformed(indices=[2, 0, 1]),
+    malformed(indices=[1, 1, 1]),
+    malformed(data=[0.5, np.nan, 1.0]),
+    malformed(data=[0.5, np.inf, 1.0]),
+], ids=["indptr-start", "indptr-decreasing", "indptr-end", "column-too-large",
+        "column-negative", "columns-unsorted", "column-repeated", "nan", "inf"])
+def test_matrix_loader_rejects_bad_arrays(tmp_path, arrays):
+    path = tmp_path / "bad.coo"
+    write_graph_container(path, arrays["shape"], arrays["indptr"], arrays["indices"],
+                          arrays["data"])
+    with pytest.raises(RecordError):
+        load_matrix_coo(path)
+
+
+def test_matrix_loader_rejects_bad_container(tmp_path):
+    path = tmp_path / "m.coo"
+    write_graph_container(path, (2, 3), [0, 2, 3], [0, 2, 1], [0.5, 0.5, 1.0])
+    good = path.read_bytes()
+    assert load_matrix_coo(path).nnz == 3
+    cases = {
+        "old text format": b"2 3 3\n0 0 0.5\n0 2 0.5\n1 1 1\n",
+        "empty file": b"",
+        "bad magic": b"SGEMB\x00" + good[6:],
+        "bad version": good[:6] + (2).to_bytes(4, "little") + good[10:],
+        "truncated header": good[:20],
+        "truncated arrays": good[:-8],
+        "trailing bytes": good + b"\x00",
+    }
+    for k, (name, blob) in enumerate(cases.items()):
+        bad = tmp_path / f"bad{k}.coo"
+        bad.write_bytes(blob)
+        with pytest.raises(RecordError):
+            load_matrix_coo(bad)
+            pytest.fail(name)
+
+
+def test_graph_loaders_reject_negative_weights(tmp_path):
+    path = tmp_path / "neg.coo"
+    write_graph_container(path, (2, 2), [0, 1, 2], [1, 0], [-0.5, -0.5])
+    assert load_matrix_coo(path).nnz == 2
+    with pytest.raises(RecordError):
+        load_bipartite(path)
+    with pytest.raises(RecordError):
+        load_user_graph(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dense=st.integers(0, 4).flatmap(lambda n: st.integers(1, 4).flatmap(lambda m: hnp.arrays(
+        np.float64, (n, m), elements=st.sampled_from([0.0, 0.25, 1.0, 3.5])))),
+    data=st.data(),
+)
+def test_matrix_loader_fuzz_returns_checked_matrix_or_record_error(dense, data):
+    # Every write goes to a new file: truncating an existing one can be slow.
+    with tempfile.TemporaryDirectory() as tmp:
+        valid = Path(tmp) / "valid.coo"
+        save_matrix_coo(sp.csr_matrix(dense), valid)
+        blob = valid.read_bytes()
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            pos = data.draw(st.integers(0, len(blob) - 1), label="position")
+            value = data.draw(st.integers(0, 255).filter(lambda b: b != blob[pos]), label="byte")
+            blob = blob[:pos] + bytes([value]) + blob[pos + 1:]
+        path = Path(tmp) / "corrupt.coo"
+        path.write_bytes(blob)
+        try:
+            mat = load_matrix_coo(path)
+        except (RecordError, ShapeError):
+            return
+        assert_canonical_finite(mat)
+        again = Path(tmp) / "again.coo"
+        save_matrix_coo(mat, again)
+        assert again.read_bytes() == blob

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stancegraph.errors import DegenerateHashtag, EmptyCorpus, RecordError, ShapeError
 from stancegraph.ingest import (
@@ -334,3 +338,130 @@ def test_counts_roundtrip_identical(tmp_path):
     for name in ("T", "T_tweet", "T_retweet", "T_reply", "mention", "reply", "mutual_follow"):
         a, b = getattr(counts, name), getattr(back, name)
         assert np.array_equal(a.toarray(), b.toarray())
+
+
+def small_counts(rng: np.random.Generator, n: int = 4, m: int = 3):
+    T = rng.integers(0, 3, size=(n, m)) * (rng.random((n, m)) < 0.6)
+    follow = np.triu(rng.random((n, n)) < 0.5, k=1)
+    mention = rng.integers(0, 2, size=(n, n)) * (1 - np.eye(n))
+    return counts_from(T, T_retweet=np.eye(n, m), mention=mention,
+                       mutual=(follow | follow.T).astype(float))
+
+
+def test_counts_file_is_csr_columns(tmp_path):
+    counts = small_counts(np.random.default_rng(3))
+    path = tmp_path / "counts.json"
+    save_counts(counts, path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert set(payload) == {"users", "hashtags", "T_tweet", "T_retweet", "T_reply",
+                            "mention", "reply", "mutual_follow"}
+    for name in ("T_tweet", "mention", "mutual_follow"):
+        mat = getattr(counts, name)
+        assert payload[name] == {"indptr": mat.indptr.tolist(), "indices": mat.indices.tolist(),
+                                 "data": mat.data.tolist()}
+
+
+def test_counts_roundtrip_is_byte_exact(tmp_path):
+    for seed, n, m in ((5, 4, 3), (6, 1, 1), (7, 6, 2)):
+        counts = small_counts(np.random.default_rng(seed), n, m)
+        first, second = tmp_path / f"a{seed}.json", tmp_path / f"b{seed}.json"
+        save_counts(counts, first)
+        save_counts(load_counts(first), second)
+        assert first.read_bytes() == second.read_bytes()
+    # a bundle with no interactions of some kinds keeps its empty matrices
+    assert load_counts(second).T_reply.nnz == 0
+
+
+def counts_payload(tmp_path) -> dict:
+    path = tmp_path / "good.json"
+    save_counts(small_counts(np.random.default_rng(9)), path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert payload["T_tweet"]["data"] and payload["mention"]["data"]
+    return payload
+
+
+def without(payload: dict, key: str) -> dict:
+    del payload[key]
+    return payload
+
+
+def corrupt(payload: dict, name: str, column: str, values) -> dict:
+    payload[name][column] = values
+    return payload
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: without(p, "mention"),
+    lambda p: without(p, "users"),
+    lambda p: dict(p, users="u000"),
+    lambda p: dict(p, hashtags=[1, 2, 3]),
+    lambda p: dict(p, T_tweet=[[0, 0, 1.0]]),
+    lambda p: dict(p, T_tweet={"indptr": [0, 0, 0, 0, 0]}),
+    lambda p: corrupt(p, "T_tweet", "indices", [[0]] * len(p["T_tweet"]["indices"])),
+    lambda p: corrupt(p, "T_tweet", "indices", [0.5] * len(p["T_tweet"]["indices"])),
+    lambda p: corrupt(p, "T_tweet", "indices", [True] * len(p["T_tweet"]["indices"])),
+    lambda p: corrupt(p, "T_tweet", "indices", [3] * len(p["T_tweet"]["indices"])),
+    lambda p: corrupt(p, "mention", "indptr", [0, 0, 0, 0]),
+    lambda p: corrupt(p, "mention", "indptr", [1] + p["mention"]["indptr"][1:]),
+    lambda p: corrupt(p, "mention", "data", [-1.0] * len(p["mention"]["data"])),
+    lambda p: corrupt(p, "mention", "data", ["1"] * len(p["mention"]["data"])),
+    lambda p: corrupt(p, "mention", "data", [float("nan")] * len(p["mention"]["data"])),
+    lambda p: corrupt(p, "mention", "data", [float("inf")] * len(p["mention"]["data"])),
+    lambda p: [p],
+], ids=["missing-matrix", "missing-users", "users-not-list", "hashtag-not-string",
+        "old-triples", "missing-columns", "nested-indices", "float-indices", "bool-indices",
+        "index-out-of-range", "short-indptr", "indptr-start", "negative-count",
+        "string-count", "nan-count", "inf-count", "not-an-object"])
+def test_load_counts_rejects_malformed(tmp_path, edit):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edit(counts_payload(tmp_path))), encoding="utf-8")
+    with pytest.raises(RecordError):
+        load_counts(path)
+
+
+def test_load_counts_rejects_truncated_and_non_utf8(tmp_path):
+    path = tmp_path / "counts.json"
+    save_counts(small_counts(np.random.default_rng(11)), path)
+    blob = path.read_bytes()
+    for k, bad in enumerate((blob[: len(blob) // 2], b"", b"\xff" + blob[1:])):
+        bad_path = tmp_path / f"bad{k}.json"
+        bad_path.write_bytes(bad)
+        with pytest.raises(RecordError):
+            load_counts(bad_path)
+
+
+def test_load_counts_inconsistent_matrices_raise_shape_error(tmp_path):
+    payload = counts_payload(tmp_path)
+    # An asymmetric mutual-follow matrix parses but fails validate().
+    payload["mutual_follow"] = {"indptr": [0, 1, 1, 1, 1], "indices": [1], "data": [1.0]}
+    path = tmp_path / "asym.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ShapeError):
+        load_counts(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**16), n=st.integers(1, 4), m=st.integers(1, 3), data=st.data())
+def test_counts_loader_fuzz_returns_valid_counts_or_typed_error(seed, n, m, data):
+    # Every write goes to a new file: truncating an existing one can be slow.
+    with tempfile.TemporaryDirectory() as tmp:
+        valid = Path(tmp) / "valid.json"
+        save_counts(small_counts(np.random.default_rng(seed), n, m), valid)
+        blob = valid.read_bytes()
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            pos = data.draw(st.integers(0, len(blob) - 1), label="position")
+            value = data.draw(st.integers(0, 255).filter(lambda b: b != blob[pos]), label="byte")
+            blob = blob[:pos] + bytes([value]) + blob[pos + 1:]
+        path = Path(tmp) / "corrupt.json"
+        path.write_bytes(blob)
+        try:
+            counts = load_counts(path)
+        except (RecordError, ShapeError):
+            return
+        counts.validate()
+        for name in ("T_tweet", "T_retweet", "T_reply", "mention", "reply", "mutual_follow"):
+            mat = getattr(counts, name)
+            assert mat.has_canonical_format
+            assert np.isfinite(mat.data).all() and (mat.data >= 0).all()
