@@ -22,7 +22,6 @@ from .ingest import (
     extract_interactions,
     normalize_hashtag,
     parse_corpus,
-    preprocess_text,
 )
 from .graphs import (
     BipartiteGraph,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import shutil
 import sys
 from pathlib import Path
 
@@ -253,7 +254,11 @@ def cmd_build(args, cfg: RunConfig) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     graph = build_interaction_graph(counts)
-    save_counts(counts, out / "counts.json")
+    # load_counts validated the file, so its bytes are copied, not re-encoded.
+    try:
+        shutil.copyfile(args.counts, out / "counts.json")
+    except shutil.SameFileError:
+        pass
     save_bipartite(graph, out / "bipartite.coo")
     social = _build_social(counts, cfg)
     save_user_graph(social, out / "social.coo")

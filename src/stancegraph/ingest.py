@@ -26,21 +26,7 @@ KINDS = ("original", "retweet", "reply")
 
 SECONDS_PER_DAY = 86400.0
 
-URL_RE = re.compile(r"\b\w+://\S+")
-EMAIL_RE = re.compile(r"\S+@\S+\.\S+")
-MENTION_RE = re.compile(r"@\w+")
 HASHTAG_RE = re.compile(r"#(\w+)")
-TOKEN_RE = re.compile(r"\w+")
-# Pragmatic emoji coverage: pictographs, symbols, dingbats, arrows.
-EMOJI_RE = re.compile(
-    "["
-    "\U0001f000-\U0001faff"
-    "☀-➿"
-    "⬀-⯿"
-    "←-⇿"
-    "︎️"
-    "]+"
-)
 
 
 def _fold_chars(s: str) -> str:
@@ -66,25 +52,6 @@ def normalize_hashtag(raw: str) -> str:
     if not s:
         raise DegenerateHashtag(f"hashtag {raw!r} normalizes to empty")
     return s
-
-
-def preprocess_text(text, stopwords=frozenset(), stemmer=None):
-    """Tokenize tweet text for bag-of-words style consumers.
-
-    URLs, email addresses, and @-mentions are removed before folding so
-    their fragments never leak into tokens; emoji and punctuation are
-    dropped afterwards. The optional stemmer is applied last.
-    """
-    s = URL_RE.sub(" ", text)
-    s = EMAIL_RE.sub(" ", s)
-    s = MENTION_RE.sub(" ", s)
-    s = _fold_chars(s)
-    s = EMOJI_RE.sub(" ", s)
-    tokens = [t for t in TOKEN_RE.findall(s) if t not in stopwords]
-    if stemmer is not None:
-        tokens = [stemmer(t) for t in tokens]
-        tokens = [t for t in tokens if t]
-    return tokens
 
 
 @dataclass(frozen=True)

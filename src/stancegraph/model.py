@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,14 @@ LOGGER = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"SGEMB\x00"
 CHECKPOINT_VERSION = 1
+_CHECKPOINT_HEADER = struct.Struct("<IQQQq")  # version, users, hashtags, dim, seed
+
+# Largest dense user-channel polynomial kept, in bytes (n_users**2 * 8).
+# Above it the user channels stay sparse and are applied layer by layer.
+DENSE_POLY_BYTES = 1 << 27
+# Identity columns pushed through the sparse operators per step while the
+# dense polynomial is built; bounds the temporaries to n_users * 64 floats.
+POLY_BLOCK_COLUMNS = 64
 
 
 @dataclass(frozen=True)
@@ -66,11 +74,34 @@ class EmbeddingState:
 
 @dataclass
 class ChannelSet:
-    """Optional side channels next to the bipartite graph."""
+    """Optional side channels next to the bipartite graph.
+
+    The channel graphs do not depend on the training fold, so the dense
+    user polynomial of each model shape is built once per instance and
+    reused until one of the graphs it was built from is replaced.
+    """
 
     social: UserGraph | None = None
     pathsim: UserGraph | None = None
     pretrained: dict[int, np.ndarray] | None = None
+    # (n_layers, include_layer0, use_social, use_pathsim) -> (graphs, P).
+    # Each entry holds its graphs, so an identity test cannot alias.
+    _polys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def user_graphs(self, cfg: ModelConfig) -> tuple[UserGraph, ...]:
+        """The user graphs cfg enables, social first."""
+        return tuple(g for use, g in ((cfg.use_social, self.social),
+                                      (cfg.use_pathsim, self.pathsim)) if use)
+
+    def user_polynomial(self, cfg: ModelConfig) -> np.ndarray:
+        """Memoized dense_user_polynomial of the enabled graphs."""
+        graphs = self.user_graphs(cfg)
+        key = (cfg.n_layers, cfg.include_layer0, cfg.use_social, cfg.use_pathsim)
+        hit = self._polys.get(key)
+        if hit is None or any(old is not new for old, new in zip(hit[0], graphs)):
+            hit = (graphs, dense_user_polynomial(graphs, cfg.n_layers, cfg.include_layer0))
+            self._polys[key] = hit
+        return hit[1]
 
 
 def init_embeddings(
@@ -168,41 +199,69 @@ def combine_channels(user_embeddings: list[np.ndarray]) -> np.ndarray:
     return sum(user_embeddings) / len(user_embeddings)
 
 
+def dense_user_polynomial(
+    graphs: tuple[UserGraph, ...], n_layers: int, include_layer0: bool = True
+) -> np.ndarray:
+    """Sum over the graphs of each normalized operator's layer-average
+    polynomial, as one dense (n_users, n_users) array.
+
+    Column block b is the sparse layer_averaged_propagate of the identity's
+    columns b, so P @ X equals the sum of the sparse channel outputs up to
+    rounding. The normalized operators are dropped once P is built.
+    """
+    ops = [normalize_user_graph(g) for g in graphs]
+    n = ops[0].size
+    P = np.zeros((n, n))
+    for start in range(0, n, POLY_BLOCK_COLUMNS):
+        stop = min(start + POLY_BLOCK_COLUMNS, n)
+        E = np.zeros((n, stop - start))
+        E[np.arange(start, stop), np.arange(stop - start)] = 1.0
+        for op in ops:
+            P[:, start:stop] += layer_averaged_propagate(op, E, n_layers, include_layer0)
+    return P
+
+
 @dataclass
 class ChannelOperators:
-    """Normalized operators for every enabled channel."""
+    """Propagation operators for every enabled channel.
+
+    The user channels take one of two forms. `user_poly` is the sum of
+    their layer-average polynomials as one dense (n_users, n_users) array,
+    fixed for the model shape given to build_operators. When that array
+    would exceed DENSE_POLY_BYTES, `user_ops` holds their sparse normalized
+    operators instead, applied layer by layer.
+    """
 
     bipartite: NormalizedAdjacency
     n_users: int
-    social: NormalizedAdjacency | None = None
-    pathsim: NormalizedAdjacency | None = None
-
-    def user_channels(self) -> list[NormalizedAdjacency]:
-        return [op for op in (self.social, self.pathsim) if op is not None]
+    n_channels: int = 1  # the bipartite channel plus the enabled user channels
+    user_poly: np.ndarray | None = None
+    user_ops: tuple[NormalizedAdjacency, ...] = ()
 
 
 def build_operators(
     graph: BipartiteGraph, channels: ChannelSet | None, cfg: ModelConfig
 ) -> ChannelOperators:
-    social = pathsim = None
     if cfg.use_social:
         if channels is None or channels.social is None:
             raise ConfigError("use_social is set but no social graph was given")
         if channels.social.n_users != graph.n_users:
             raise ShapeError("social graph size does not match user count")
-        social = normalize_user_graph(channels.social)
     if cfg.use_pathsim:
         if channels is None or channels.pathsim is None:
             raise ConfigError("use_pathsim is set but no meta-path graph was given")
         if channels.pathsim.n_users != graph.n_users:
             raise ShapeError("meta-path graph size does not match user count")
-        pathsim = normalize_user_graph(channels.pathsim)
-    return ChannelOperators(
-        bipartite=build_adjacency(graph),
-        n_users=graph.n_users,
-        social=social,
-        pathsim=pathsim,
+    n = graph.n_users
+    n_user_channels = int(cfg.use_social) + int(cfg.use_pathsim)
+    ops = ChannelOperators(
+        bipartite=build_adjacency(graph), n_users=n, n_channels=1 + n_user_channels
     )
+    if n_user_channels and n * n * 8 <= DENSE_POLY_BYTES:
+        ops.user_poly = channels.user_polynomial(cfg)
+    elif n_user_channels:
+        ops.user_ops = tuple(normalize_user_graph(g) for g in channels.user_graphs(cfg))
+    return ops
 
 
 @dataclass
@@ -215,16 +274,19 @@ def forward(stacked: np.ndarray, ops: ChannelOperators, cfg: ModelConfig) -> Pro
     """Run every enabled channel and average the user sides.
 
     Hashtag embeddings come from the bipartite channel alone; user-user
-    channels have no hashtag nodes.
+    channels have no hashtag nodes. On the dense path all user channels
+    together cost one product with `ops.user_poly`.
     """
     n = ops.n_users
     bip = layer_averaged_propagate(ops.bipartite, stacked, cfg.n_layers, cfg.include_layer0)
-    user_parts = [bip[:n]]
-    for op in ops.user_channels():
-        user_parts.append(
+    if ops.user_poly is not None:
+        users = (bip[:n] + ops.user_poly @ stacked[:n]) / ops.n_channels
+    else:
+        users = combine_channels([bip[:n]] + [
             layer_averaged_propagate(op, stacked[:n], cfg.n_layers, cfg.include_layer0)
-        )
-    return PropagationOutput(final_users=combine_channels(user_parts), final_hashtags=bip[n:])
+            for op in ops.user_ops
+        ])
+    return PropagationOutput(final_users=users, final_hashtags=bip[n:])
 
 
 def affinity(user_vec: np.ndarray, hashtag_vec: np.ndarray) -> float:
@@ -244,7 +306,7 @@ def save_checkpoint(path, state: EmbeddingState, users: list[str], hashtags: lis
         raise ShapeError("user and hashtag embedding widths differ")
     if len(users) != n or len(hashtags) != m:
         raise ShapeError("id lists do not match embedding shapes")
-    header = CHECKPOINT_MAGIC + struct.pack("<IQQQq", CHECKPOINT_VERSION, n, m, d, state.seed)
+    header = CHECKPOINT_MAGIC + _CHECKPOINT_HEADER.pack(CHECKPOINT_VERSION, n, m, d, state.seed)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(state.users, dtype="<f8").tobytes())
@@ -262,14 +324,15 @@ def load_checkpoint(path) -> tuple[EmbeddingState, list[str], list[str]]:
     magic = blob[: len(CHECKPOINT_MAGIC)]
     if magic != CHECKPOINT_MAGIC:
         raise RecordError("not an embedding checkpoint (bad magic)")
-    offset = len(CHECKPOINT_MAGIC)
-    version, n, m, d, seed = struct.unpack_from("<IQQQq", blob, offset)
+    offset = len(CHECKPOINT_MAGIC) + _CHECKPOINT_HEADER.size
+    if len(blob) < offset:
+        raise RecordError(f"checkpoint truncated inside its header ({len(blob)} bytes)")
+    version, n, m, d, seed = _CHECKPOINT_HEADER.unpack_from(blob, len(CHECKPOINT_MAGIC))
     if version != CHECKPOINT_VERSION:
         raise RecordError(f"unsupported checkpoint version {version}")
-    offset += struct.calcsize("<IQQQq")
     need = offset + (n + m) * d * 8
     if len(blob) != need:
-        raise ShapeError(f"checkpoint size {len(blob)} does not match header ({need})")
+        raise RecordError(f"checkpoint size {len(blob)} does not match header ({need})")
     flat = np.frombuffer(blob, dtype="<f8", offset=offset)
     users_mat = flat[: n * d].reshape(n, d).astype(np.float64)
     tags_mat = flat[n * d:].reshape(m, d).astype(np.float64)

@@ -20,6 +20,7 @@ from .errors import ConfigError, NumericsError
 from .graphs import BipartiteGraph, _is_member
 from .metrics import EVAL_K, ranking_metrics
 from .model import (
+    ChannelOperators,
     ChannelSet,
     EmbeddingState,
     ModelConfig,
@@ -129,10 +130,21 @@ def sample_epoch(graph: BipartiteGraph, rng: np.random.Generator) -> np.ndarray:
     return np.column_stack([users, positives, negatives])
 
 
-def _pair_scores(triples: np.ndarray, out: PropagationOutput) -> np.ndarray:
+@dataclass
+class PairScores:
+    """One batch's gathered final user rows, positive-minus-negative
+    hashtag rows and score gaps; the loss and its gradient share them."""
+
+    users: np.ndarray  # (b, d)
+    diff: np.ndarray  # (b, d)
+    gaps: np.ndarray  # (b,)
+
+
+def pair_scores(triples: np.ndarray, out: PropagationOutput) -> PairScores:
     u, i, j = triples[:, 0], triples[:, 1], triples[:, 2]
+    eu = out.final_users[u]
     diff = out.final_hashtags[i] - out.final_hashtags[j]
-    return np.einsum("nd,nd->n", out.final_users[u], diff)
+    return PairScores(eu, diff, np.einsum("nd,nd->n", eu, diff))
 
 
 def bpr_loss(
@@ -140,13 +152,18 @@ def bpr_loss(
     out: PropagationOutput,
     e0_stacked: np.ndarray,
     lambda_reg: float,
+    scores: PairScores | None = None,
 ) -> float:
-    """Sum of -log sigmoid(positive - negative) plus L2 on E0."""
+    """Sum of -log sigmoid(positive - negative) plus L2 on E0.
+
+    `scores`, when given, must be pair_scores(triples, out).
+    """
     reg = lambda_reg * float(np.sum(e0_stacked * e0_stacked))
     if triples.shape[0] == 0:
         return reg
-    x = _pair_scores(triples, out)
-    return float(np.logaddexp(0.0, -x).sum() + reg)
+    if scores is None:
+        scores = pair_scores(triples, out)
+    return float(np.logaddexp(0.0, -scores.gaps).sum() + reg)
 
 
 def _scatter_rows(index: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
@@ -163,16 +180,20 @@ def _scatter_rows(index: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndar
 def grad_e0(
     triples: np.ndarray,
     out: PropagationOutput,
-    ops,
+    ops: ChannelOperators,
     cfg: ModelConfig,
     e0_stacked: np.ndarray,
     lambda_reg: float,
+    scores: PairScores | None = None,
 ) -> np.ndarray:
     """Exact loss gradient with respect to the initial embeddings.
 
-    The final embeddings are a fixed linear operator applied to E0, and the
-    operator is symmetric, so the pull-back is the same layer-averaged
-    propagation applied to the cotangent matrix.
+    The final embeddings are a fixed linear operator applied to E0, so the
+    pull-back applies its adjoint to the cotangent matrix. The sparse
+    operators are symmetric and are their own adjoints; the dense user
+    polynomial is pulled back through its transpose, the exact adjoint of
+    the product forward computed. `scores`, when given, must be
+    pair_scores(triples, out).
     """
     n = ops.n_users
     n_items = e0_stacked.shape[0] - n
@@ -180,21 +201,23 @@ def grad_e0(
     g_items = np.zeros((n_items, e0_stacked.shape[1]))
     if triples.shape[0] > 0:
         u, i, j = triples[:, 0], triples[:, 1], triples[:, 2]
-        eu = out.final_users[u]
-        diff = out.final_hashtags[i] - out.final_hashtags[j]
-        s = expit(-np.einsum("nd,nd->n", eu, diff))[:, None]
+        if scores is None:
+            scores = pair_scores(triples, out)
+        eu, diff = scores.users, scores.diff
+        s = expit(-scores.gaps)[:, None]
         g_users = _scatter_rows(u, -s * diff, n)
         # One scatter for both item sides keeps np.add.at's order: every i
         # term, then every j term.
         g_items = _scatter_rows(np.concatenate([i, j]), np.concatenate([-s * eu, s * eu]),
                                 n_items)
-    n_channels = 1 + len(ops.user_channels())
-    g_users /= n_channels
+    g_users /= ops.n_channels
     grad = layer_averaged_propagate(
         ops.bipartite, np.concatenate([g_users, g_items], axis=0),
         cfg.n_layers, cfg.include_layer0,
     )
-    for op in ops.user_channels():
+    if ops.user_poly is not None:
+        grad[:n] += ops.user_poly.T @ g_users
+    for op in ops.user_ops:
         grad[:n] += layer_averaged_propagate(op, g_users, cfg.n_layers, cfg.include_layer0)
     grad += 2.0 * lambda_reg * e0_stacked
     return grad
@@ -276,8 +299,9 @@ def train(
             batch = triples[start:start + train_cfg.batch_size]
             if out is None or batch_index % train_cfg.refresh_every == 0:
                 out = forward(params, ops, model_cfg)
-            bpr_sum += bpr_loss(batch, out, params, 0.0)
-            grad = grad_e0(batch, out, ops, model_cfg, params, train_cfg.lambda_reg)
+            scores = pair_scores(batch, out)
+            bpr_sum += bpr_loss(batch, out, params, 0.0, scores)
+            grad = grad_e0(batch, out, ops, model_cfg, params, train_cfg.lambda_reg, scores)
             adam_step(adam, params, grad, train_cfg.learning_rate)
             batch_index += 1
         reg = train_cfg.lambda_reg * float(np.sum(params * params))

@@ -138,6 +138,25 @@ def test_malformed_dataset_file_exits_3(tmp_path, capsys, damage):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("keep", [10, -8], ids=["cut-in-header", "cut-in-body"])
+def test_curve_on_truncated_embeddings_exits_3(tmp_path, capsys, keep):
+    raw, data = synth_and_build(tmp_path)
+    eval_dir = tmp_path / "eval"
+    assert run(["eval", "--data", data, "--annotations", raw / "annotations.tsv",
+                "--out", eval_dir, "--max-epochs", "1", "--folds", "2",
+                "--holdout-fraction", "0.1", "--dim", "4"]) == 0
+    propagated = eval_dir / "propagated.bin"
+    propagated.write_bytes(propagated.read_bytes()[:keep])
+    capsys.readouterr()
+    code = run(["curve", "--data", data, "--eval-dir", eval_dir,
+                "--annotations", raw / "annotations.tsv", "--out", tmp_path / "curve.csv"])
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error ")]
+    assert code == 3
+    assert len(errors) == 1 and errors[0].startswith("error kind=RecordError exit=3: ")
+    assert "Traceback" not in err
+
+
 # config resolution ----------------------------------------------------------
 
 def test_config_file_parsing(tmp_path):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from stancegraph import metrics
+from stancegraph import metrics, model
 from stancegraph.errors import (
     BoundsError,
     ConfigError,
@@ -49,10 +49,10 @@ from stancegraph.evaluate import (
 )
 from stancegraph.graphs import BipartiteGraph, binarize, build_adjacency, build_interaction_graph
 from stancegraph.metrics import ndcg_at_k, ranking_metrics, recall_at_k, top_k_items
-from stancegraph.model import ModelConfig, build_operators, forward
+from stancegraph.model import ChannelSet, ModelConfig, build_operators, forward
 from stancegraph.train import TrainConfig, train
 
-from conftest import counts_from, random_bipartite
+from conftest import counts_from, random_bipartite, random_user_graph
 
 QUICK_TRAIN = TrainConfig(max_epochs=3, patience=5)
 
@@ -618,6 +618,27 @@ def protocol_fixture(variant="wlgcn", seed=0):
         ModelConfig(dim=8), QUICK_TRAIN,
         seed=seed, holdout_fraction=0.1, folds=2, variant=variant,
     )
+
+
+def test_protocol_builds_user_polynomial_once():
+    # Each fold trains and re-propagates, but the channel graphs are the
+    # same, so the polynomial and the normalized user graphs are built once.
+    data, _ = small_synth(seed=1)
+    rng = np.random.default_rng(7)
+    channels = ChannelSet(social=random_user_graph(rng, 40),
+                          pathsim=random_user_graph(rng, 40, kind="pathsim"))
+    builds, normalized = mock.Mock(wraps=model.dense_user_polynomial), \
+        mock.Mock(wraps=model.normalize_user_graph)
+    with mock.patch.object(model, "dense_user_polynomial", builds), \
+            mock.patch.object(model, "normalize_user_graph", normalized):
+        res = run_protocol(
+            data.graph, channels, data.annotations, data.counts.hashtags,
+            ModelConfig(dim=8, use_social=True, use_pathsim=True), QUICK_TRAIN,
+            seed=0, holdout_fraction=0.1, folds=2,
+        )
+    assert len(res.report.folds) == 2
+    assert builds.call_count == 1
+    assert normalized.call_count == 2
 
 
 def test_protocol_produces_reasonable_report():

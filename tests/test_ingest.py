@@ -22,7 +22,6 @@ from stancegraph.ingest import (
     load_counts,
     normalize_hashtag,
     parse_corpus,
-    preprocess_text,
     save_counts,
 )
 
@@ -75,30 +74,6 @@ def test_normalize_empty_result_raises():
         normalize_hashtag("#")
     with pytest.raises(DegenerateHashtag):
         normalize_hashtag("   ")
-
-
-# text preprocessing ---------------------------------------------------------
-
-def test_preprocess_removes_urls_and_punctuation():
-    assert preprocess_text("Vota YA! https://t.co/x") == ["vota", "ya"]
-
-
-def test_preprocess_empty_text():
-    assert preprocess_text("") == []
-
-
-def test_preprocess_accents_and_email():
-    assert preprocess_text("Más info vía email a@b.cl") == ["mas", "info", "via", "email"]
-
-
-def test_preprocess_drops_mentions_and_emoji():
-    assert preprocess_text("oye @pedro vamos \U0001F600 ahora") == ["oye", "vamos", "ahora"]
-
-
-def test_preprocess_stopwords_and_stemmer():
-    tokens = preprocess_text("la marcha grande", stopwords=frozenset({"la"}),
-                             stemmer=lambda t: t[:4])
-    assert tokens == ["marc", "gran"]
 
 
 # corpus parsing -------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from stancegraph import model
 from stancegraph.errors import ConfigError, RecordError, ShapeError
 from stancegraph.graphs import (
     BipartiteGraph,
@@ -29,6 +32,8 @@ from stancegraph.model import (
     score_all,
     EmbeddingState,
 )
+
+from stancegraph.train import grad_e0
 
 from conftest import random_bipartite, random_user_graph
 
@@ -247,10 +252,105 @@ def test_forward_with_social_channel_averages_users():
     state = init_embeddings(4, 3, cfg, seed=1)
     out = forward(state.stacked(), ops, cfg)
     bip = layer_averaged_propagate(ops.bipartite, state.stacked(), 1)
-    soc = layer_averaged_propagate(ops.social, state.stacked()[:4], 1)
+    soc = layer_averaged_propagate(normalize_user_graph(social), state.stacked()[:4], 1)
     assert np.abs(out.final_users - (bip[:4] + soc) / 2).max() <= 1e-15
     # hashtags never mix with user-graph channels
     assert np.array_equal(out.final_hashtags, bip[4:])
+
+
+CHANNEL_COMBOS = [(True, False), (False, True), (True, True)]
+
+
+def sparse_channel_oracle(g, channels, cfg, X):
+    """Forward's user side and the user-channel pull-back of X, from the
+    sparse layer_averaged_propagate of each normalized user graph."""
+    n = g.n_users
+    bip = layer_averaged_propagate(build_adjacency(g), X, cfg.n_layers, cfg.include_layer0)
+    parts = [
+        layer_averaged_propagate(normalize_user_graph(graph), X[:n], cfg.n_layers,
+                                 cfg.include_layer0)
+        for graph in channels.user_graphs(cfg)
+    ]
+    return (bip[:n] + sum(parts)) / (1 + len(parts)), parts
+
+
+@pytest.mark.parametrize("include_layer0", [True, False])
+@pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
+@pytest.mark.parametrize("use_social, use_pathsim", CHANNEL_COMBOS)
+def test_dense_user_polynomial_matches_sparse_oracle(use_social, use_pathsim, n_layers,
+                                                     include_layer0):
+    # 70 users span two polynomial column blocks, the second one partial.
+    rng = np.random.default_rng(1000 + 8 * n_layers + 2 * use_social + use_pathsim)
+    n, m, d = 70, 9, 3
+    g = random_bipartite(rng, n, m)
+    channels = ChannelSet(social=random_user_graph(rng, n, density=0.1),
+                          pathsim=random_user_graph(rng, n, density=0.6, kind="pathsim"))
+    cfg = ModelConfig(dim=d, n_layers=n_layers, use_social=use_social,
+                      use_pathsim=use_pathsim, include_layer0=include_layer0)
+    ops = build_operators(g, channels, cfg)
+    assert ops.user_poly is not None and ops.user_ops == ()
+    X = rng.standard_normal((n + m, d))
+    out = forward(X, ops, cfg)
+    want_users, _ = sparse_channel_oracle(g, channels, cfg, X)
+    assert np.abs(out.final_users - want_users).max() <= 1e-12
+
+    # The gradient against the sparse path, whose pull-back is the oracle's
+    # layer_averaged_propagate of each channel.
+    with mock.patch.object(model, "DENSE_POLY_BYTES", 0):
+        sparse_ops = build_operators(g, ChannelSet(social=channels.social,
+                                                   pathsim=channels.pathsim), cfg)
+    triples = np.column_stack([rng.integers(0, n, 200), rng.integers(0, m, 200),
+                               rng.integers(0, m, 200)])
+    got = grad_e0(triples, out, ops, cfg, X, 0.01)
+    want = grad_e0(triples, out, sparse_ops, cfg, X, 0.01)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("use_social, use_pathsim", CHANNEL_COMBOS)
+def test_user_channels_above_byte_cap_stay_sparse(use_social, use_pathsim):
+    rng = np.random.default_rng(4242)
+    n, m = 8, 5
+    g = random_bipartite(rng, n, m)
+    channels = ChannelSet(social=random_user_graph(rng, n),
+                          pathsim=random_user_graph(rng, n, kind="pathsim"))
+    cfg = ModelConfig(dim=2, n_layers=2, use_social=use_social, use_pathsim=use_pathsim)
+    # One byte under the 8 * n * n bytes the polynomial would take.
+    with mock.patch.object(model, "DENSE_POLY_BYTES", 8 * n * n - 1):
+        ops = build_operators(g, channels, cfg)
+    assert ops.user_poly is None and channels._polys == {}
+    assert len(ops.user_ops) == use_social + use_pathsim
+    X = rng.standard_normal((n + m, 2))
+    out = forward(X, ops, cfg)
+    # Today's layer-by-layer path: the oracle's parts, summed in channel order.
+    bip = layer_averaged_propagate(build_adjacency(g), X, 2)
+    _, parts = sparse_channel_oracle(g, channels, cfg, X)
+    assert np.array_equal(out.final_users, sum([bip[:n]] + parts) / (1 + len(parts)))
+    assert np.array_equal(out.final_hashtags, bip[n:])
+    with mock.patch.object(model, "DENSE_POLY_BYTES", 8 * n * n):
+        assert build_operators(g, channels, cfg).user_poly is not None
+
+
+def test_user_polynomial_memo_follows_shape_and_graphs():
+    rng = np.random.default_rng(515)
+    n = 6
+    g = random_bipartite(rng, n, 4)
+    channels = ChannelSet(social=random_user_graph(rng, n),
+                          pathsim=random_user_graph(rng, n, kind="pathsim"))
+    cfg = ModelConfig(dim=2, n_layers=2, use_social=True, use_pathsim=True)
+    first = build_operators(g, channels, cfg).user_poly
+    assert build_operators(random_bipartite(rng, n, 4), channels, cfg).user_poly is first
+    for other in (ModelConfig(dim=2, n_layers=1, use_social=True, use_pathsim=True),
+                  ModelConfig(dim=2, n_layers=2, use_social=True, use_pathsim=True,
+                              include_layer0=False),
+                  ModelConfig(dim=2, n_layers=2, use_social=True)):
+        assert build_operators(g, channels, other).user_poly is not first
+    channels.social = random_user_graph(rng, n)
+    rebuilt = build_operators(g, channels, cfg).user_poly
+    assert rebuilt is not first
+    X = rng.standard_normal((n, 2))
+    want = sum(layer_averaged_propagate(normalize_user_graph(graph), X, 2)
+               for graph in (channels.social, channels.pathsim))
+    assert np.abs(rebuilt @ X - want).max() <= 1e-12
 
 
 def test_forward_missing_channel_rejected():
@@ -305,6 +405,18 @@ def test_checkpoint_corrupt_magic(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_cut_inside_header(tmp_path):
+    cfg = ModelConfig(dim=2)
+    state = init_embeddings(2, 2, cfg, seed=0)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, state, ["a", "b"], ["x", "y"])
+    raw = path.read_bytes()
+    for size in (10, 6 + 35):  # magic is 6 bytes, the header after it 36
+        path.write_bytes(raw[:size])
+        with pytest.raises(RecordError):
+            load_checkpoint(path)
+
+
 def test_checkpoint_truncated(tmp_path):
     cfg = ModelConfig(dim=2)
     state = init_embeddings(2, 2, cfg, seed=0)
@@ -312,5 +424,5 @@ def test_checkpoint_truncated(tmp_path):
     save_checkpoint(path, state, ["a", "b"], ["x", "y"])
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) - 8])
-    with pytest.raises(ShapeError):
+    with pytest.raises(RecordError):
         load_checkpoint(path)

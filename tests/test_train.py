@@ -149,11 +149,13 @@ def add_at_grad(triples, out, ops, cfg, e0, lam):
     np.add.at(g_users, u, -s * diff)
     np.add.at(g_items, i, -s * eu)
     np.add.at(g_items, j, s * eu)
-    g_users /= 1 + len(ops.user_channels())
+    g_users /= ops.n_channels
     grad = layer_averaged_propagate(
         ops.bipartite, np.concatenate([g_users, g_items]), cfg.n_layers, cfg.include_layer0
     )
-    for op in ops.user_channels():
+    if ops.user_poly is not None:
+        grad[:n] += ops.user_poly.T @ g_users
+    for op in ops.user_ops:
         grad[:n] += layer_averaged_propagate(op, g_users, cfg.n_layers, cfg.include_layer0)
     return grad + 2.0 * lam * e0
 
@@ -221,6 +223,22 @@ def test_grad_with_layer0_excluded():
     analytic = grad_e0(triples, out, ops, cfg, e0, 0.01)
     numeric = finite_difference_grad(e0, triples, ops, cfg, 0.01)
     assert_grad_close(analytic, numeric)
+
+
+def test_grad_pulls_back_through_user_poly_transpose():
+    # The computed polynomial is symmetric only up to rounding; with a
+    # clearly non-symmetric one, only the transpose matches the forward.
+    rng = np.random.default_rng(404)
+    n, m = 5, 4
+    g = random_bipartite(rng, n, m)
+    cfg = ModelConfig(dim=2, n_layers=2, use_social=True)
+    ops = build_operators(g, ChannelSet(social=random_user_graph(rng, n)), cfg)
+    assert ops.user_poly is not None
+    ops.user_poly = rng.standard_normal((n, n))
+    triples = sample_epoch(g, rng)
+    e0 = 0.5 * rng.standard_normal((n + m, 2))
+    analytic = grad_e0(triples, forward(e0, ops, cfg), ops, cfg, e0, 0.01)
+    assert_grad_close(analytic, finite_difference_grad(e0, triples, ops, cfg, 0.01))
 
 
 # adam -----------------------------------------------------------------------
