@@ -156,41 +156,16 @@ def _train_config(cfg: RunConfig) -> TrainConfig:
     )
 
 
-def _build_social(counts, cfg: RunConfig):
-    weights = SocialWeights(
-        follow=cfg.social_c_follow,
-        mention=cfg.social_c_mention,
-        reply=cfg.social_c_reply,
-    )
-    return build_social_graph(counts, weights)
-
-
-def _build_pathsim(counts, cfg: RunConfig):
-    spec = MetaPathSpec(left=cfg.pathsim_left, right=cfg.pathsim_right)
-    top_k = cfg.pathsim_top_k if cfg.pathsim_top_k > 0 else None
-    return sparsify(compute_pathsim(counts, spec), cfg.pathsim_min_weight, top_k)
-
-
 def _load_dataset(data_dir, cfg: RunConfig, pretrained_path=None):
-    """Counts plus graphs; serialized graphs are used when present,
-    otherwise they are derived from the counts."""
+    """Counts plus the graphs `build` wrote; a missing graph file is a
+    missing input (exit 4), never rebuilt here."""
     data = Path(data_dir)
     counts = load_counts(data / "counts.json")
-    bipartite_path = data / "bipartite.coo"
-    if bipartite_path.exists():
-        graph = load_bipartite(bipartite_path)
-        if graph.n_users != len(counts.users) or graph.n_hashtags != len(counts.hashtags):
-            raise ShapeError("bipartite.coo does not match counts.json")
-    else:
-        graph = build_interaction_graph(counts)
-
-    social = pathsim = None
-    if cfg.use_social:
-        path = data / "social.coo"
-        social = load_user_graph(path, kind="social") if path.exists() else _build_social(counts, cfg)
-    if cfg.use_pathsim:
-        path = data / "pathsim.coo"
-        pathsim = load_user_graph(path, kind="pathsim") if path.exists() else _build_pathsim(counts, cfg)
+    graph = load_bipartite(data / "bipartite.coo")
+    if graph.n_users != len(counts.users) or graph.n_hashtags != len(counts.hashtags):
+        raise ShapeError("bipartite.coo does not match counts.json")
+    social = load_user_graph(data / "social.coo", kind="social") if cfg.use_social else None
+    pathsim = load_user_graph(data / "pathsim.coo", kind="pathsim") if cfg.use_pathsim else None
     pretrained = None
     if cfg.use_pretrained:
         if pretrained_path is None:
@@ -260,14 +235,13 @@ def cmd_build(args, cfg: RunConfig) -> int:
     except shutil.SameFileError:
         pass
     save_bipartite(graph, out / "bipartite.coo")
-    social = _build_social(counts, cfg)
+    social = build_social_graph(counts, SocialWeights(
+        follow=cfg.social_c_follow, mention=cfg.social_c_mention, reply=cfg.social_c_reply))
     save_user_graph(social, out / "social.coo")
-    pathsim = _build_pathsim(counts, cfg)
+    spec = MetaPathSpec(left=cfg.pathsim_left, right=cfg.pathsim_right)
+    top_k = cfg.pathsim_top_k if cfg.pathsim_top_k > 0 else None
+    pathsim = sparsify(compute_pathsim(counts, spec), cfg.pathsim_min_weight, top_k)
     save_user_graph(pathsim, out / "pathsim.coo")
-    with open(out / "users.txt", "w", encoding="utf-8") as fh:
-        fh.writelines(u + "\n" for u in counts.users)
-    with open(out / "hashtags.txt", "w", encoding="utf-8") as fh:
-        fh.writelines(h + "\n" for h in counts.hashtags)
     print(
         f"build: bipartite {graph.R.nnz} edges, social {social.W.nnz} edges, "
         f"pathsim {pathsim.W.nnz} edges -> {out}"
@@ -368,7 +342,14 @@ def cmd_curve(args, cfg: RunConfig) -> int:
                 raise RecordError("expected 'user<TAB>hashtag<TAB>weight'", line_no)
             if parts[0] not in uidx or parts[1] not in hidx:
                 raise RecordError(f"unknown id in hidden edge {parts[:2]}", line_no)
-            hidden.setdefault(uidx[parts[0]], {})[hidx[parts[1]]] = float(parts[2])
+            try:
+                weight = float(parts[2])
+            except ValueError:
+                weight = np.nan
+            if not 0 <= weight < np.inf:
+                raise RecordError(f"hidden edge weight {parts[2]!r} is not finite and >= 0",
+                                  line_no)
+            hidden.setdefault(uidx[parts[0]], {})[hidx[parts[1]]] = weight
     curve = annotation_curve(
         emb.users, emb.hashtags, counts.hashtags, hidden, annotations,
         range(1, cfg.x_max + 1),

@@ -27,18 +27,7 @@ from .errors import (
     RecordError,
     ShapeError,
 )
-from .graphs import (
-    BipartiteGraph,
-    MetaPathSpec,
-    SocialWeights,
-    _is_member,
-    binarize,
-    build_interaction_graph,
-    build_social_graph,
-    compute_pathsim,
-    row_normalize,
-    sparsify,
-)
+from .graphs import BipartiteGraph, _is_member, binarize, row_normalize
 from .ingest import InteractionCounts, _csr_from_counts, normalize_hashtag
 from .metrics import EVAL_K, ranking_metrics
 from .model import (
@@ -624,8 +613,6 @@ class SynthConfig:
 @dataclass
 class SynthData:
     counts: InteractionCounts
-    graph: BipartiteGraph
-    channels: ChannelSet
     annotations: StanceAnnotation
     planted: list[str]  # per-user true camp, index-aligned with counts.users
 
@@ -701,17 +688,7 @@ def synth_generate(cfg: SynthConfig, rng: np.random.Generator) -> SynthData:
     )
     annotations = with_usage(annotations, counts)
 
-    graph = build_interaction_graph(counts)
-    social = build_social_graph(counts, SocialWeights())
-    pathsim = sparsify(
-        compute_pathsim(counts, MetaPathSpec(left="retweet", right="tweet")),
-        min_weight=0.01,
-    )
-    channels = ChannelSet(social=social, pathsim=pathsim)
-    return SynthData(
-        counts=counts, graph=graph, channels=channels,
-        annotations=annotations, planted=planted,
-    )
+    return SynthData(counts=counts, annotations=annotations, planted=planted)
 
 
 def save_annotations(annotations: StanceAnnotation, path) -> None:

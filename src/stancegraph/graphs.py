@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 import struct
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,9 +24,64 @@ ROW_SUM_TOL = 1e-9
 
 META_PATH_RELATIONS = ("tweet", "retweet", "reply")
 
-GRAPH_MAGIC = b"SGCSR\x00"
-GRAPH_VERSION = 1
-_GRAPH_HEADER = struct.Struct("<IQQQ")  # version, rows, cols, nnz
+
+@dataclass(frozen=True)
+class Container:
+    """One kind of binary file: magic bytes, a little-endian struct header
+    whose first field is the format version, then the arrays that `layout`
+    sizes from the other header fields, each as little-endian bytes."""
+
+    name: str
+    magic: bytes
+    header: struct.Struct
+    version: int
+    layout: Callable[..., list[tuple[str, int]]]  # header fields -> [(dtype, count)]
+
+
+# Header: version, rows, cols, nnz. Arrays: indptr, indices, data.
+GRAPH = Container("graph file", b"SGCSR\x00", struct.Struct("<IQQQ"), 1,
+                  lambda n, m, nnz: [("<i8", n + 1), ("<i8", nnz), ("<f8", nnz)])
+# Header: version, users, hashtags, dim, seed, id bytes. Arrays: user rows,
+# hashtag rows, then the ids as a UTF-8 JSON block [users, hashtags].
+CHECKPOINT = Container("checkpoint", b"SGEMB\x00", struct.Struct("<IQQQqQ"), 2,
+                       lambda n, m, d, seed, id_bytes: [("<f8", n * d), ("<f8", m * d),
+                                                        ("u1", id_bytes)])
+
+
+def write_container(path, kind: Container, fields: tuple, arrays) -> None:
+    """Write `kind`'s magic, its header with `fields` after the version, and
+    `arrays` in the dtypes of its layout."""
+    with open(path, "wb") as fh:
+        fh.write(kind.magic + kind.header.pack(kind.version, *fields))
+        for (dtype, _), arr in zip(kind.layout(*fields), arrays):
+            fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+
+
+def read_container(path, kind: Container) -> tuple[tuple, list[np.ndarray]]:
+    """The header fields after the version, and the arrays, of a file that
+    write_container wrote. A wrong magic or version, a file cut inside its
+    header and a size other than the one the header implies raise
+    RecordError. The size is computed in Python ints, so no header value
+    can overflow it or cause an allocation before it matches."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[: len(kind.magic)] != kind.magic:
+        raise RecordError(f"{path}: not a {kind.name} (bad magic)")
+    offset = len(kind.magic) + kind.header.size
+    if len(blob) < offset:
+        raise RecordError(f"{path}: truncated {kind.name} header")
+    version, *fields = kind.header.unpack_from(blob, len(kind.magic))
+    if version != kind.version:
+        raise RecordError(f"{path}: unsupported {kind.name} version {version}")
+    layout = [(np.dtype(dtype), count) for dtype, count in kind.layout(*fields)]
+    need = offset + sum(dtype.itemsize * count for dtype, count in layout)
+    if len(blob) != need:
+        raise RecordError(f"{path}: size {len(blob)} does not match header ({need})")
+    arrays = []
+    for dtype, count in layout:
+        arrays.append(np.frombuffer(blob, dtype, count, offset).astype(dtype.newbyteorder("=")))
+        offset += dtype.itemsize * count
+    return tuple(fields), arrays
 
 
 @dataclass
@@ -273,46 +329,23 @@ def propagate_once(adj: NormalizedAdjacency, H: np.ndarray) -> np.ndarray:
 
 
 def save_matrix_coo(mat: sp.spmatrix, path) -> None:
-    """Binary CSR container (the `.coo` file names predate it): GRAPH_MAGIC,
-    a header (version, rows, cols, nnz), then indptr and indices as int64
-    and data as float64, all little-endian.
+    """Write `mat` as a GRAPH container (the `.coo` file names predate it).
 
     Duplicates are summed and column indices sorted before writing, so
     equal matrices give equal bytes and save -> load -> save is exact.
     """
     csr = sp.csr_matrix(mat, dtype=np.float64, copy=True)
     csr.sum_duplicates()
-    n, m = csr.shape
-    with open(path, "wb") as fh:
-        fh.write(GRAPH_MAGIC + _GRAPH_HEADER.pack(GRAPH_VERSION, n, m, csr.nnz))
-        fh.write(np.ascontiguousarray(csr.indptr, dtype="<i8").tobytes())
-        fh.write(np.ascontiguousarray(csr.indices, dtype="<i8").tobytes())
-        fh.write(np.ascontiguousarray(csr.data, dtype="<f8").tobytes())
+    write_container(path, GRAPH, (*csr.shape, csr.nnz), [csr.indptr, csr.indices, csr.data])
 
 
 def load_matrix_coo(path) -> sp.csr_matrix:
-    """Read save_matrix_coo's container. A wrong magic or version, a size
-    that disagrees with the header, or arrays that are not a canonical CSR
-    matrix with finite values raise RecordError."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(GRAPH_MAGIC)] != GRAPH_MAGIC:
-        raise RecordError(f"{path}: not a graph file (bad magic)")
-    offset = len(GRAPH_MAGIC) + _GRAPH_HEADER.size
-    if len(blob) < offset:
-        raise RecordError(f"{path}: truncated graph header")
-    version, n, m, nnz = _GRAPH_HEADER.unpack_from(blob, len(GRAPH_MAGIC))
-    if version != GRAPH_VERSION:
-        raise RecordError(f"{path}: unsupported graph file version {version}")
-    need = offset + 8 * (n + 1) + 16 * nnz
-    if len(blob) != need:
-        raise RecordError(f"{path}: size {len(blob)} does not match header ({need})")
+    """Read save_matrix_coo's file. Besides read_container's refusals,
+    arrays that are not a canonical CSR matrix with finite values raise
+    RecordError."""
+    (n, m, _), (indptr, indices, data) = read_container(path, GRAPH)
     if m > np.iinfo(np.int64).max:
         raise RecordError(f"{path}: column count {m} out of range")
-    indptr = np.frombuffer(blob, "<i8", n + 1, offset).astype(np.int64)
-    offset += 8 * (n + 1)
-    indices = np.frombuffer(blob, "<i8", nnz, offset).astype(np.int64)
-    data = np.frombuffer(blob, "<f8", nnz, offset + 8 * nnz).astype(np.float64)
     return checked_csr(indptr, indices, data, (n, m), path)
 
 

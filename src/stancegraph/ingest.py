@@ -28,6 +28,11 @@ SECONDS_PER_DAY = 86400.0
 
 HASHTAG_RE = re.compile(r"#(\w+)")
 
+# User ids and hashtags become fields of line-based TSV outputs, so they may
+# not hold a field or line separator; nor a lone surrogate, which has no
+# UTF-8 encoding.
+BAD_ID_CHARS = re.compile("[\t\r\n\ud800-\udfff]")
+
 
 def _fold_chars(s: str) -> str:
     # Compatibility-decompose, drop combining marks, then casefold.
@@ -120,6 +125,8 @@ def _parse_tweet_line(line: str, line_no: int) -> tuple[TweetRecord, str | None]
             tags.append(normalize_hashtag(str(raw)))
         except DegenerateHashtag as exc:
             raise RecordError(str(exc), line_no) from exc
+
+    checked_ids([user_id, *tags], "record", line_no)
 
     ref = obj.get("ref_user_id")
     mentions = tuple(str(m) for m in obj.get("mentions", ()) or ())
@@ -330,6 +337,19 @@ def extract_interactions(corpus: Corpus) -> InteractionCounts:
 COUNT_MATRICES = ("T_tweet", "T_retweet", "T_reply", "mention", "reply", "mutual_follow")
 
 
+def checked_ids(ids, source, line_no: int | None = None) -> list[str]:
+    """`ids` if it is a list of strings none of which holds a tab, CR, LF or
+    lone surrogate; RecordError otherwise. `source` names the file in the
+    error message."""
+    if not isinstance(ids, list) or not all(isinstance(x, str) for x in ids):
+        raise RecordError(f"{source}: id lists must hold strings", line_no)
+    for x in ids:
+        if BAD_ID_CHARS.search(x):
+            raise RecordError(f"{source}: id {x!r} holds a tab, line break or surrogate",
+                              line_no)
+    return ids
+
+
 def checked_csr(indptr, indices, data, shape, source) -> sp.csr_matrix:
     """CSR matrix from arrays read out of a file, refused with RecordError
     unless they form a canonical matrix of `shape`.
@@ -404,9 +424,10 @@ def save_counts(counts: InteractionCounts, path) -> None:
 
 
 def load_counts(path) -> InteractionCounts:
-    """Read save_counts' file. Undecodable JSON, a missing key or id list,
-    bad matrix columns and negative or non-finite counts raise RecordError;
-    matrices that disagree with each other raise ShapeError."""
+    """Read save_counts' file. Undecodable JSON, a missing key, an id list
+    that checked_ids refuses, bad matrix columns and negative or non-finite
+    counts raise RecordError; matrices that disagree with each other raise
+    ShapeError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -417,10 +438,8 @@ def load_counts(path) -> InteractionCounts:
     missing = [k for k in ("users", "hashtags") + COUNT_MATRICES if k not in payload]
     if missing:
         raise RecordError(f"{path}: missing key {missing[0]!r}")
-    users, tags = payload["users"], payload["hashtags"]
-    for ids in (users, tags):
-        if not isinstance(ids, list) or not all(isinstance(x, str) for x in ids):
-            raise RecordError(f"{path}: id lists must hold strings")
+    users = checked_ids(payload["users"], path)
+    tags = checked_ids(payload["hashtags"], path)
     n, m = len(users), len(tags)
     mats = {
         name: _from_columns(payload[name], (n, m) if name.startswith("T_") else (n, n),

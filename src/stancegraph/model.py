@@ -7,26 +7,26 @@ across channels, and affinity is an inner product.
 
 from __future__ import annotations
 
+import json
 import logging
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, RecordError, ShapeError
 from .graphs import (
+    CHECKPOINT,
     BipartiteGraph,
     NormalizedAdjacency,
     UserGraph,
     build_adjacency,
     normalize_user_graph,
+    read_container,
+    write_container,
 )
+from .ingest import checked_ids
 
 LOGGER = logging.getLogger(__name__)
-
-CHECKPOINT_MAGIC = b"SGEMB\x00"
-CHECKPOINT_VERSION = 1
-_CHECKPOINT_HEADER = struct.Struct("<IQQQq")  # version, users, hashtags, dim, seed
 
 # Largest dense user-channel polynomial kept, in bytes (n_users**2 * 8).
 # Above it the user channels stay sparse and are applied layer by layer.
@@ -299,59 +299,44 @@ def score_all(final_users: np.ndarray, final_hashtags: np.ndarray, u: int) -> np
 
 
 def save_checkpoint(path, state: EmbeddingState, users: list[str], hashtags: list[str]) -> None:
-    """Binary embedding dump plus a text index mapping rows to ids."""
+    """Write the embeddings and the ids of their rows as one CHECKPOINT
+    container."""
     n, d = state.users.shape
     m = state.hashtags.shape[0]
     if state.hashtags.shape[1] != d:
         raise ShapeError("user and hashtag embedding widths differ")
     if len(users) != n or len(hashtags) != m:
         raise ShapeError("id lists do not match embedding shapes")
-    header = CHECKPOINT_MAGIC + _CHECKPOINT_HEADER.pack(CHECKPOINT_VERSION, n, m, d, state.seed)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(state.users, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(state.hashtags, dtype="<f8").tobytes())
-    with open(str(path) + ".idx", "w", encoding="utf-8") as fh:
-        for uid in users:
-            fh.write(f"u\t{uid}\n")
-        for tag in hashtags:
-            fh.write(f"h\t{tag}\n")
+    ids = _id_block(users, hashtags)
+    write_container(path, CHECKPOINT, (n, m, d, state.seed, len(ids)),
+                    [state.users, state.hashtags, np.frombuffer(ids, np.uint8)])
+
+
+def _id_block(users: list[str], hashtags: list[str]) -> bytes:
+    return json.dumps([users, hashtags], ensure_ascii=False, separators=(",", ":")).encode()
 
 
 def load_checkpoint(path) -> tuple[EmbeddingState, list[str], list[str]]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    magic = blob[: len(CHECKPOINT_MAGIC)]
-    if magic != CHECKPOINT_MAGIC:
-        raise RecordError("not an embedding checkpoint (bad magic)")
-    offset = len(CHECKPOINT_MAGIC) + _CHECKPOINT_HEADER.size
-    if len(blob) < offset:
-        raise RecordError(f"checkpoint truncated inside its header ({len(blob)} bytes)")
-    version, n, m, d, seed = _CHECKPOINT_HEADER.unpack_from(blob, len(CHECKPOINT_MAGIC))
-    if version != CHECKPOINT_VERSION:
-        raise RecordError(f"unsupported checkpoint version {version}")
-    need = offset + (n + m) * d * 8
-    if len(blob) != need:
-        raise RecordError(f"checkpoint size {len(blob)} does not match header ({need})")
-    flat = np.frombuffer(blob, dtype="<f8", offset=offset)
-    users_mat = flat[: n * d].reshape(n, d).astype(np.float64)
-    tags_mat = flat[n * d:].reshape(m, d).astype(np.float64)
-
-    user_ids: list[str] = []
-    tag_ids: list[str] = []
-    with open(str(path) + ".idx", "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            kind, _, name = line.partition("\t")
-            if kind == "u":
-                user_ids.append(name)
-            elif kind == "h":
-                tag_ids.append(name)
-            else:
-                raise RecordError(f"bad index row {line!r}", line_no)
-    if len(user_ids) != n or len(tag_ids) != m:
-        raise ShapeError("index row counts do not match checkpoint header")
-    state = EmbeddingState(users=users_mat, hashtags=tags_mat, seed=int(seed))
+    """Read save_checkpoint's file. Besides read_container's refusals, a
+    dimension below 1 or too large for an array, a non-finite value, ids
+    that checked_ids refuses, and an id block that is not the canonical
+    JSON [users, hashtags] of the header's lengths raise RecordError."""
+    (n, m, d, seed, _), (users, tags, block) = read_container(path, CHECKPOINT)
+    # With no rows the file size does not bound d, so numpy's limit must.
+    if not 1 <= d <= np.iinfo(np.intp).max // 8:
+        raise RecordError(f"{path}: embedding dimension {d} out of range")
+    if not (np.isfinite(users).all() and np.isfinite(tags).all()):
+        raise RecordError(f"{path}: non-finite embedding value")
+    raw = block.tobytes()
+    try:
+        user_ids, tag_ids = json.loads(raw.decode("utf-8"))
+    except (ValueError, TypeError) as exc:
+        raise RecordError(f"{path}: bad id block ({exc})") from exc
+    checked_ids(user_ids, path)
+    checked_ids(tag_ids, path)
+    if (len(user_ids), len(tag_ids)) != (n, m):
+        raise RecordError(f"{path}: id counts do not match the header")
+    if _id_block(user_ids, tag_ids) != raw:
+        raise RecordError(f"{path}: id block is not canonical JSON")
+    state = EmbeddingState(users=users.reshape(n, d), hashtags=tags.reshape(m, d), seed=seed)
     return state, user_ids, tag_ids

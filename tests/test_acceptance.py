@@ -307,10 +307,11 @@ def synth_runs():
         rng = np.random.default_rng(np.random.SeedSequence(s, spawn_key=(5,)))
         data = synth_generate(SynthConfig(), rng)
         volume = int(data.counts.T.sum())
+        graph = build_interaction_graph(data.counts)
         common = dict(seed=s, holdout_fraction=0.05, folds=2)
-        real = run_protocol(data.graph, None, data.annotations, data.counts.hashtags,
+        real = run_protocol(graph, None, data.annotations, data.counts.hashtags,
                             ModelConfig(), TrainConfig(), variant="wlgcn", **common)
-        null = run_protocol(data.graph, None, data.annotations, data.counts.hashtags,
+        null = run_protocol(graph, None, data.annotations, data.counts.hashtags,
                             ModelConfig(), TrainConfig(), variant="null",
                             null_interactions=volume, **common)
         runs.append({"data": data, "real": real, "null": null})

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -138,15 +139,46 @@ def test_malformed_dataset_file_exits_3(tmp_path, capsys, damage):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("keep", [10, -8], ids=["cut-in-header", "cut-in-body"])
-def test_curve_on_truncated_embeddings_exits_3(tmp_path, capsys, keep):
+def cut_propagated(keep):
+    def damage(eval_dir):
+        path = eval_dir / "propagated.bin"
+        path.write_bytes(path.read_bytes()[:keep])
+    return damage
+
+
+def bare_checkpoint(header):
+    """A propagated.bin that is magic and header only: no rows, no ids."""
+    def damage(eval_dir):
+        (eval_dir / "propagated.bin").write_bytes(b"SGEMB\x00" + header)
+    return damage
+
+
+def hidden_weight(text):
+    def damage(eval_dir):
+        path = eval_dir / "hidden.tsv"
+        first, rest = path.read_text(encoding="utf-8").split("\n", 1)
+        path.write_text(first.rsplit("\t", 1)[0] + "\t" + text + "\n" + rest, encoding="utf-8")
+    return damage
+
+
+@pytest.mark.parametrize("damage", [
+    cut_propagated(10),
+    cut_propagated(-8),
+    # 2**62 users, 0 hashtags, dim 0: the body is empty whatever the user count
+    bare_checkpoint(struct.pack("<IQQQqQ", 2, 2**62, 0, 0, 0, 0)),
+    bare_checkpoint(struct.pack("<IQQQq", 1, 2**62, 0, 0, 0)),  # the version-1 layout
+    hidden_weight("abc"),
+    hidden_weight("-0.5"),
+    hidden_weight("inf"),
+], ids=["cut-in-header", "cut-in-body", "dim-0", "version-1", "weight-not-a-number",
+        "weight-negative", "weight-infinite"])
+def test_curve_on_truncated_embeddings_exits_3(tmp_path, capsys, damage):
     raw, data = synth_and_build(tmp_path)
     eval_dir = tmp_path / "eval"
     assert run(["eval", "--data", data, "--annotations", raw / "annotations.tsv",
                 "--out", eval_dir, "--max-epochs", "1", "--folds", "2",
                 "--holdout-fraction", "0.1", "--dim", "4"]) == 0
-    propagated = eval_dir / "propagated.bin"
-    propagated.write_bytes(propagated.read_bytes()[:keep])
+    damage(eval_dir)
     capsys.readouterr()
     code = run(["curve", "--data", data, "--eval-dir", eval_dir,
                 "--annotations", raw / "annotations.tsv", "--out", tmp_path / "curve.csv"])
@@ -155,6 +187,18 @@ def test_curve_on_truncated_embeddings_exits_3(tmp_path, capsys, keep):
     assert code == 3
     assert len(errors) == 1 and errors[0].startswith("error kind=RecordError exit=3: ")
     assert "Traceback" not in err
+
+
+def test_train_on_unbuilt_dataset_exits_4(tmp_path, capsys):
+    # synth writes counts.json but no graph files; train does not derive them
+    raw, _ = synth_and_build(tmp_path)
+    capsys.readouterr()
+    code = run(["train", "--data", raw, "--out", tmp_path / "model", "--max-epochs", "1"])
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error ")]
+    assert code == 4
+    assert len(errors) == 1 and "bipartite.coo" in errors[0]
+    assert not (tmp_path / "model").exists()
 
 
 # config resolution ----------------------------------------------------------
@@ -204,9 +248,8 @@ def test_synth_writes_dataset(tmp_path):
 
 def test_build_writes_graph_files(tmp_path):
     _, data = synth_and_build(tmp_path)
-    for name in ("counts.json", "bipartite.coo", "social.coo", "pathsim.coo",
-                 "users.txt", "hashtags.txt"):
-        assert (data / name).exists(), name
+    assert sorted(p.name for p in data.iterdir()) == [
+        "bipartite.coo", "counts.json", "pathsim.coo", "social.coo"]
 
 
 def test_ingest_command_roundtrip(tmp_path):

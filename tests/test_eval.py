@@ -568,7 +568,7 @@ def test_synth_camps_are_balanced():
 
 def test_synth_disconnected_blocks_without_leakage():
     data, cfg = small_synth(p_in=1.0, p_out=0.0, n_neutral=0)
-    R = data.graph.R.toarray()
+    R = build_interaction_graph(data.counts).R.toarray()
     half_tags = (cfg.n_hashtags - cfg.n_neutral) // 2
     for u, camp in enumerate(data.planted):
         own = slice(0, half_tags) if camp == "POS" else slice(half_tags, None)
@@ -587,7 +587,8 @@ def test_synth_annotations_cover_both_camps_with_usage():
 def test_synth_deterministic_output(tmp_path):
     a, _ = small_synth(seed=9)
     b, _ = small_synth(seed=9)
-    assert np.array_equal(a.graph.R.toarray(), b.graph.R.toarray())
+    assert np.array_equal(build_interaction_graph(a.counts).R.toarray(),
+                          build_interaction_graph(b.counts).R.toarray())
     assert a.planted == b.planted
     pa, pb = tmp_path / "a.tsv", tmp_path / "b.tsv"
     save_annotations(a.annotations, pa)
@@ -614,7 +615,7 @@ def test_synth_counts_match_interaction_budget():
 def protocol_fixture(variant="wlgcn", seed=0):
     data, _ = small_synth(seed=1)
     return run_protocol(
-        data.graph, None, data.annotations, data.counts.hashtags,
+        build_interaction_graph(data.counts), None, data.annotations, data.counts.hashtags,
         ModelConfig(dim=8), QUICK_TRAIN,
         seed=seed, holdout_fraction=0.1, folds=2, variant=variant,
     )
@@ -632,7 +633,7 @@ def test_protocol_builds_user_polynomial_once():
     with mock.patch.object(model, "dense_user_polynomial", builds), \
             mock.patch.object(model, "normalize_user_graph", normalized):
         res = run_protocol(
-            data.graph, channels, data.annotations, data.counts.hashtags,
+            build_interaction_graph(data.counts), channels, data.annotations, data.counts.hashtags,
             ModelConfig(dim=8, use_social=True, use_pathsim=True), QUICK_TRAIN,
             seed=0, holdout_fraction=0.1, folds=2,
         )
@@ -681,7 +682,7 @@ def test_null_recall_within_sanity_bound_of_chance():
     recalls, chances = [], []
     for seed in range(10):
         res = run_protocol(
-            data.graph, None, data.annotations, data.counts.hashtags,
+            build_interaction_graph(data.counts), None, data.annotations, data.counts.hashtags,
             ModelConfig(dim=8), QUICK_TRAIN,
             seed=seed, holdout_fraction=0.1, folds=2, variant="null",
         )
@@ -714,7 +715,7 @@ def test_write_report_format(tmp_path):
 def curve_setup():
     data, cfg = small_synth(seed=3)
     split = holdout_split(
-        data.graph, data.annotations, data.counts.hashtags, 0.1,
+        build_interaction_graph(data.counts), data.annotations, data.counts.hashtags, 0.1,
         np.random.default_rng(0),
     )
     mc = ModelConfig(dim=8)

@@ -34,6 +34,7 @@ from stancegraph.graphs import (
     save_user_graph,
     sparsify,
 )
+from stancegraph.model import EmbeddingState, load_checkpoint, save_checkpoint
 
 from conftest import counts_from, random_bipartite, random_user_graph, write_graph_container
 
@@ -579,6 +580,15 @@ def test_graph_loaders_reject_negative_weights(tmp_path):
         load_user_graph(path)
 
 
+def corrupted(blob: bytes, data) -> bytes:
+    """`blob` cut short or with one byte replaced, as hypothesis draws."""
+    if data.draw(st.booleans(), label="truncate"):
+        return blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+    pos = data.draw(st.integers(0, len(blob) - 1), label="position")
+    value = data.draw(st.integers(0, 255).filter(lambda b: b != blob[pos]), label="byte")
+    return blob[:pos] + bytes([value]) + blob[pos + 1:]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     dense=st.integers(0, 4).flatmap(lambda n: st.integers(1, 4).flatmap(lambda m: hnp.arrays(
@@ -590,13 +600,7 @@ def test_matrix_loader_fuzz_returns_checked_matrix_or_record_error(dense, data):
     with tempfile.TemporaryDirectory() as tmp:
         valid = Path(tmp) / "valid.coo"
         save_matrix_coo(sp.csr_matrix(dense), valid)
-        blob = valid.read_bytes()
-        if data.draw(st.booleans(), label="truncate"):
-            blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
-        else:
-            pos = data.draw(st.integers(0, len(blob) - 1), label="position")
-            value = data.draw(st.integers(0, 255).filter(lambda b: b != blob[pos]), label="byte")
-            blob = blob[:pos] + bytes([value]) + blob[pos + 1:]
+        blob = corrupted(valid.read_bytes(), data)
         path = Path(tmp) / "corrupt.coo"
         path.write_bytes(blob)
         try:
@@ -606,4 +610,29 @@ def test_matrix_loader_fuzz_returns_checked_matrix_or_record_error(dense, data):
         assert_canonical_finite(mat)
         again = Path(tmp) / "again.coo"
         save_matrix_coo(mat, again)
+        assert again.read_bytes() == blob
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 3)),
+       seed=st.integers(-2**63, 2**63 - 1), data=st.data())
+def test_checkpoint_loader_fuzz_returns_checked_state_or_record_error(shape, seed, data):
+    n, m, d = shape
+    rng = np.random.default_rng(abs(seed))
+    state = EmbeddingState(users=rng.standard_normal((n, d)),
+                           hashtags=rng.standard_normal((m, d)), seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        valid = Path(tmp) / "valid.bin"
+        save_checkpoint(valid, state, [f"u{i}" for i in range(n)], [f"más{j}" for j in range(m)])
+        blob = corrupted(valid.read_bytes(), data)
+        path = Path(tmp) / "corrupt.bin"
+        path.write_bytes(blob)
+        try:
+            back, users, tags = load_checkpoint(path)
+        except (RecordError, ShapeError):
+            return
+        assert (len(back.users), len(back.hashtags)) == (len(users), len(tags))
+        assert np.isfinite(back.users).all() and np.isfinite(back.hashtags).all()
+        again = Path(tmp) / "again.bin"
+        save_checkpoint(again, back, users, tags)
         assert again.read_bytes() == blob

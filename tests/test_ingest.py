@@ -84,17 +84,29 @@ def test_parse_three_valid_lines():
     assert len(corpus.tweets) == 3
 
 
+# Ids with a tab or line break would split the lines of hidden.tsv, val.tsv
+# and planted.tsv, so records holding one are malformed.
+MALFORMED_LINES = [
+    "{not json",
+    tweet_line("t9", "user\nzero", text="#a"),
+    tweet_line("t9", "user\rzero", text="#a"),
+    tweet_line("t9", "carol", hashtags=["#a\tb"]),
+]
+
+
 def test_parse_malformed_line_strict():
-    lines = [tweet_line("t1", "alice"), "{not json", tweet_line("t2", "bob")]
-    with pytest.raises(RecordError) as err:
-        parse_corpus(lines, strict=True)
-    assert "line 2" in str(err.value)
+    for bad in MALFORMED_LINES:
+        lines = [tweet_line("t1", "alice"), bad, tweet_line("t2", "bob")]
+        with pytest.raises(RecordError) as err:
+            parse_corpus(lines, strict=True)
+        assert "line 2" in str(err.value)
 
 
 def test_parse_malformed_line_lenient_skips():
-    lines = [tweet_line("t1", "alice"), "{not json", tweet_line("t2", "bob")]
-    corpus = parse_corpus(lines, strict=False)
-    assert len(corpus.tweets) == 2
+    for bad in MALFORMED_LINES:
+        lines = [tweet_line("t1", "alice"), bad, tweet_line("t2", "bob")]
+        corpus = parse_corpus(lines, strict=False)
+        assert [t.tweet_id for t in corpus.tweets] == ["t1", "t2"]
 
 
 def test_parse_duplicate_tweet_id_last_wins(caplog):
@@ -383,10 +395,15 @@ def corrupt(payload: dict, name: str, column: str, values) -> dict:
     lambda p: corrupt(p, "mention", "data", [float("nan")] * len(p["mention"]["data"])),
     lambda p: corrupt(p, "mention", "data", [float("inf")] * len(p["mention"]["data"])),
     lambda p: [p],
+    lambda p: dict(p, users=["user\nzero"] + p["users"][1:]),
+    lambda p: dict(p, users=p["users"][:-1] + ["user\rlast"]),
+    lambda p: dict(p, hashtags=["a\tb"] + p["hashtags"][1:]),
+    lambda p: dict(p, users=["\ud800"] + p["users"][1:]),
 ], ids=["missing-matrix", "missing-users", "users-not-list", "hashtag-not-string",
         "old-triples", "missing-columns", "nested-indices", "float-indices", "bool-indices",
         "index-out-of-range", "short-indptr", "indptr-start", "negative-count",
-        "string-count", "nan-count", "inf-count", "not-an-object"])
+        "string-count", "nan-count", "inf-count", "not-an-object", "user-with-newline",
+        "user-with-cr", "hashtag-with-tab", "user-lone-surrogate"])
 def test_load_counts_rejects_malformed(tmp_path, edit):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(edit(counts_payload(tmp_path))), encoding="utf-8")

@@ -411,7 +411,7 @@ def test_checkpoint_cut_inside_header(tmp_path):
     path = tmp_path / "ck.bin"
     save_checkpoint(path, state, ["a", "b"], ["x", "y"])
     raw = path.read_bytes()
-    for size in (10, 6 + 35):  # magic is 6 bytes, the header after it 36
+    for size in (10, 6 + 43):  # magic is 6 bytes, the header after it 44
         path.write_bytes(raw[:size])
         with pytest.raises(RecordError):
             load_checkpoint(path)
