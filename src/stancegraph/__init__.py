@@ -43,7 +43,6 @@ from .model import (
     EmbeddingState,
     ModelConfig,
     affinity,
-    combine_channels,
     forward,
     init_embeddings,
     layer_averaged_propagate,

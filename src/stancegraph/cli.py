@@ -60,6 +60,7 @@ from .ingest import (
     parse_corpus,
     save_counts,
 )
+from .metrics import EVAL_K
 from .model import (
     ChannelSet,
     ModelConfig,
@@ -137,9 +138,6 @@ def _model_config(cfg: RunConfig) -> ModelConfig:
     return ModelConfig(
         dim=cfg.dim,
         n_layers=cfg.n_layers,
-        use_social=cfg.use_social,
-        use_pathsim=cfg.use_pathsim,
-        use_pretrained=cfg.use_pretrained,
         include_layer0=cfg.include_layer0,
     )
 
@@ -151,14 +149,14 @@ def _train_config(cfg: RunConfig) -> TrainConfig:
         batch_size=cfg.batch_size,
         max_epochs=cfg.max_epochs,
         patience=cfg.patience,
-        eval_every=cfg.eval_every,
-        refresh_every=cfg.refresh_every,
     )
 
 
 def _load_dataset(data_dir, cfg: RunConfig, pretrained_path=None):
-    """Counts plus the graphs `build` wrote; a missing graph file is a
-    missing input (exit 4), never rebuilt here."""
+    """Counts plus the graphs `build` wrote, and the pretrained hashtag
+    vectors when a file is given. `use_social`/`use_pathsim` choose the
+    user graphs loaded; a missing graph file is a missing input (exit 4),
+    never rebuilt here."""
     data = Path(data_dir)
     counts = load_counts(data / "counts.json")
     graph = load_bipartite(data / "bipartite.coo")
@@ -167,9 +165,7 @@ def _load_dataset(data_dir, cfg: RunConfig, pretrained_path=None):
     social = load_user_graph(data / "social.coo", kind="social") if cfg.use_social else None
     pathsim = load_user_graph(data / "pathsim.coo", kind="pathsim") if cfg.use_pathsim else None
     pretrained = None
-    if cfg.use_pretrained:
-        if pretrained_path is None:
-            raise ConfigError("use_pretrained is set but --pretrained was not given")
+    if pretrained_path is not None:
         pretrained = load_pretrained_vectors(pretrained_path, counts.hashtags, cfg.dim)
     channels = ChannelSet(social=social, pathsim=pathsim, pretrained=pretrained)
     return counts, graph, channels
@@ -257,7 +253,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     folds = max(2, round(1.0 / cfg.val_fraction))
     train_pairs, val_pairs = kfold_split(edges, folds, stage_rng(cfg.seed, "train"))[0]
     train_graph = graph_without_edges(graph, val_pairs)
-    state, history = train(
+    state, history, _ = train(
         train_graph,
         channels,
         _model_config(cfg),
@@ -271,7 +267,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     save_history(history, out / "history.csv")
     best = max((r.recall for r in history if np.isfinite(r.recall)), default=float("nan"))
     print(
-        f"train: {len(history)} epochs, best recall@20 {best:.4f} -> {out}"
+        f"train: {len(history)} epochs, best recall@{EVAL_K} {best:.4f} -> {out}"
     )
     return 0
 
@@ -316,7 +312,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     _write_pairs(result.fold0_val, counts.users, counts.hashtags, out / "val.tsv")
     r = result.report
     print(
-        f"eval[{cfg.variant}]: recall@20 {r.recall:.4f} ndcg@20 {r.ndcg:.4f} "
+        f"eval[{cfg.variant}]: recall@{EVAL_K} {r.recall:.4f} ndcg@{EVAL_K} {r.ndcg:.4f} "
         f"accuracy {r.accuracy:.4f} rmse {r.rmse:.4f} -> {out}"
     )
     return 0

@@ -32,12 +32,11 @@ class RunConfig:
     max_outlets_followed: int = 10
     max_avg_daily_tweets: float = 3.0
     location_allowlist: str = ""  # comma-separated; empty disables the filter
-    # model
+    # model; use_social/use_pathsim choose which user graphs are loaded
     dim: int = 16
     n_layers: int = 3
     use_social: bool = False
     use_pathsim: bool = False
-    use_pretrained: bool = False
     include_layer0: bool = True
     # channel construction
     social_c_follow: float = 1.0
@@ -53,8 +52,6 @@ class RunConfig:
     batch_size: int = 1024
     max_epochs: int = 1000
     patience: int = 50
-    eval_every: int = 1
-    refresh_every: int = 1
     val_fraction: float = 0.2
     # evaluation protocol
     holdout_fraction: float = 0.05

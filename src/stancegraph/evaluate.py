@@ -30,14 +30,7 @@ from .errors import (
 from .graphs import BipartiteGraph, _is_member, binarize, row_normalize
 from .ingest import InteractionCounts, _csr_from_counts, normalize_hashtag
 from .metrics import EVAL_K, ranking_metrics
-from .model import (
-    ChannelSet,
-    EmbeddingState,
-    ModelConfig,
-    PropagationOutput,
-    build_operators,
-    forward,
-)
+from .model import ChannelSet, EmbeddingState, ModelConfig, PropagationOutput
 from .train import TrainConfig, _edge_keys, train
 
 LOGGER = logging.getLogger(__name__)
@@ -377,28 +370,21 @@ class Variant:
     with `channels` sees the side channels and pretrained vectors."""
 
     graph: Callable[[BipartiteGraph, int, np.random.Generator], BipartiteGraph]
-    model: Callable[[ModelConfig], ModelConfig]
+    model: Callable[[ModelConfig], ModelConfig] = lambda cfg: cfg
     channels: bool = False
-
-
-def _without_channels(cfg: ModelConfig) -> ModelConfig:
-    return replace(cfg, use_social=False, use_pathsim=False)
 
 
 # The weighted model and its baselines: plain matrix factorization (no
 # propagation), unweighted LightGCN (binarized interactions), and a null
 # model trained on a random graph but ranked on the real split.
 VARIANTS = {
-    "wlgcn": Variant(graph=lambda g, n, rng: g, model=lambda cfg: cfg, channels=True),
+    "wlgcn": Variant(graph=lambda g, n, rng: g, channels=True),
     "mf": Variant(
         graph=lambda g, n, rng: g,
-        model=lambda cfg: replace(_without_channels(cfg), n_layers=0, include_layer0=True),
+        model=lambda cfg: replace(cfg, n_layers=0, include_layer0=True),
     ),
-    "lightgcn": Variant(graph=lambda g, n, rng: binarize(g), model=_without_channels),
-    "null": Variant(
-        graph=lambda g, n, rng: null_model(g.n_users, g.n_hashtags, n, rng),
-        model=_without_channels,
-    ),
+    "lightgcn": Variant(graph=lambda g, n, rng: binarize(g)),
+    "null": Variant(graph=lambda g, n, rng: null_model(g.n_users, g.n_hashtags, n, rng)),
 }
 
 
@@ -430,9 +416,10 @@ def run_protocol(
 
     Per fold: train the variant on its graph for the fold, rank validation
     edges against the candidates outside the fold's training positives, and
-    classify the holdout users, both from one forward pass. Returns the
-    averaged report plus the first fold's model, its final embeddings and
-    the split, for downstream artifacts.
+    classify the holdout users, both from the final embeddings train
+    returns with its model. Returns the averaged report plus the first
+    fold's model, its final embeddings and the split, for downstream
+    artifacts.
     """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown model variant {variant!r}")
@@ -459,8 +446,8 @@ def run_protocol(
         null_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3, f)))
         n_draws = null_interactions or max(int(fold_graph.R.nnz), 1)
         variant_graph = spec.graph(fold_graph, n_draws, null_rng)
-        state, history = train(variant_graph, fold_channels, cfg, train_cfg, val_pairs, fold_seed)
-        out = forward(state.stacked(), build_operators(variant_graph, fold_channels, cfg), cfg)
+        state, history, out = train(variant_graph, fold_channels, cfg, train_cfg, val_pairs,
+                                    fold_seed)
         if f == 0:
             fold0 = (state, out, history)
 

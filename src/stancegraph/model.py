@@ -40,9 +40,6 @@ POLY_BLOCK_COLUMNS = 64
 class ModelConfig:
     dim: int = 16
     n_layers: int = 3
-    use_social: bool = False
-    use_pathsim: bool = False
-    use_pretrained: bool = False
     # The layer average includes the initial embeddings by default; turning
     # this off keeps the same divisor but drops the k=0 term.
     include_layer0: bool = True
@@ -74,33 +71,35 @@ class EmbeddingState:
 
 @dataclass
 class ChannelSet:
-    """Optional side channels next to the bipartite graph.
+    """Optional side channels next to the bipartite graph. A channel is on
+    when it is given: every user graph here joins the user average, and
+    pretrained vectors, when present, pin their hashtag rows.
 
-    The channel graphs do not depend on the training fold, so the dense
-    user polynomial of each model shape is built once per instance and
-    reused until one of the graphs it was built from is replaced.
+    The channel graphs do not depend on the training fold, so the user
+    operator of each model shape is built once per instance and reused
+    until one of the graphs it was built from is replaced.
     """
 
     social: UserGraph | None = None
     pathsim: UserGraph | None = None
     pretrained: dict[int, np.ndarray] | None = None
-    # (n_layers, include_layer0, use_social, use_pathsim) -> (graphs, P).
-    # Each entry holds its graphs, so an identity test cannot alias.
-    _polys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (n_layers, include_layer0) -> (graphs, build_user_operator of them).
+    # Each entry holds its graphs, so their ids cannot be reused.
+    _users: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def user_graphs(self, cfg: ModelConfig) -> tuple[UserGraph, ...]:
-        """The user graphs cfg enables, social first."""
-        return tuple(g for use, g in ((cfg.use_social, self.social),
-                                      (cfg.use_pathsim, self.pathsim)) if use)
+    def user_graphs(self) -> tuple[UserGraph, ...]:
+        """The given user graphs, social first."""
+        return tuple(g for g in (self.social, self.pathsim) if g is not None)
 
-    def user_polynomial(self, cfg: ModelConfig) -> np.ndarray:
-        """Memoized dense_user_polynomial of the enabled graphs."""
-        graphs = self.user_graphs(cfg)
-        key = (cfg.n_layers, cfg.include_layer0, cfg.use_social, cfg.use_pathsim)
-        hit = self._polys.get(key)
-        if hit is None or any(old is not new for old, new in zip(hit[0], graphs)):
-            hit = (graphs, dense_user_polynomial(graphs, cfg.n_layers, cfg.include_layer0))
-            self._polys[key] = hit
+    def user_operator(self, cfg: ModelConfig):
+        """Memoized build_user_operator of the given graphs; there must be
+        at least one."""
+        graphs = self.user_graphs()
+        key = (cfg.n_layers, cfg.include_layer0)
+        hit = self._users.get(key)
+        if hit is None or list(map(id, hit[0])) != list(map(id, graphs)):
+            hit = (graphs, build_user_operator(graphs, cfg.n_layers, cfg.include_layer0))
+            self._users[key] = hit
         return hit[1]
 
 
@@ -121,24 +120,23 @@ def init_embeddings(
     users = rng.uniform(-bound_u, bound_u, size=(n_users, cfg.dim))
     bound_h = np.sqrt(6.0 / (n_hashtags + cfg.dim))
     hashtags = rng.uniform(-bound_h, bound_h, size=(n_hashtags, cfg.dim))
-    if cfg.use_pretrained:
-        if pretrained is None:
-            raise ConfigError("use_pretrained is set but no vectors were given")
-        for idx, vec in pretrained.items():
-            vec = np.asarray(vec, dtype=np.float64)
-            if not (0 <= idx < n_hashtags):
-                raise ShapeError(f"pretrained row {idx} out of range")
-            if vec.shape != (cfg.dim,):
-                raise ShapeError(
-                    f"pretrained vector for row {idx} has shape {vec.shape}, want ({cfg.dim},)"
-                )
-            hashtags[idx] = vec
+    for idx, vec in (pretrained or {}).items():
+        vec = np.asarray(vec, dtype=np.float64)
+        if not (0 <= idx < n_hashtags):
+            raise ShapeError(f"pretrained row {idx} out of range")
+        if vec.shape != (cfg.dim,):
+            raise ShapeError(
+                f"pretrained vector for row {idx} has shape {vec.shape}, want ({cfg.dim},)"
+            )
+        hashtags[idx] = vec
     return EmbeddingState(users=users, hashtags=hashtags, seed=seed)
 
 
 def load_pretrained_vectors(path, hashtags: list[str], dim: int) -> dict[int, np.ndarray]:
     """Read whitespace-separated 'hashtag v1 .. vd' lines; tags absent from
-    the corpus are skipped with a warning."""
+    the corpus are skipped with a warning. A line with other than `dim`
+    components, or with a component that is not a finite float, raises
+    RecordError."""
     index = {h: j for j, h in enumerate(hashtags)}
     out: dict[int, np.ndarray] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -148,13 +146,13 @@ def load_pretrained_vectors(path, hashtags: list[str], dim: int) -> dict[int, np
                 continue
             tag, values = parts[0], parts[1:]
             if len(values) != dim:
-                raise ShapeError(
-                    f"line {line_no}: expected {dim} components, got {len(values)}"
-                )
+                raise RecordError(f"expected {dim} components, got {len(values)}", line_no)
             try:
                 vec = np.array([float(v) for v in values], dtype=np.float64)
             except ValueError as exc:
                 raise RecordError(f"bad float: {exc}", line_no) from exc
+            if not np.isfinite(vec).all():
+                raise RecordError("non-finite component", line_no)
             if tag not in index:
                 LOGGER.warning("pretrained vector for unknown hashtag %r skipped", tag)
                 continue
@@ -188,80 +186,81 @@ def layer_averaged_propagate(
     return acc / (n_layers + 1)
 
 
-def combine_channels(user_embeddings: list[np.ndarray]) -> np.ndarray:
-    """Arithmetic mean of per-channel user embeddings."""
-    if not user_embeddings:
-        raise ConfigError("no channels to combine")
-    shape = user_embeddings[0].shape
-    for e in user_embeddings[1:]:
-        if e.shape != shape:
-            raise ShapeError("channel embedding shapes differ")
-    return sum(user_embeddings) / len(user_embeddings)
+@dataclass(frozen=True)
+class UserChannelSum:
+    """The sum of the layer-average polynomials of normalized user graphs,
+    applied sparse, layer by layer: `S @ X` is the sum of each graph's
+    layer_averaged_propagate of X. Each term is symmetric, so `S.T` is S."""
+
+    ops: tuple[NormalizedAdjacency, ...]
+    n_layers: int
+    include_layer0: bool = True
+
+    @property
+    def T(self) -> "UserChannelSum":
+        return self
+
+    def __matmul__(self, X: np.ndarray) -> np.ndarray:
+        return sum(layer_averaged_propagate(op, X, self.n_layers, self.include_layer0)
+                   for op in self.ops)
 
 
-def dense_user_polynomial(
-    graphs: tuple[UserGraph, ...], n_layers: int, include_layer0: bool = True
-) -> np.ndarray:
-    """Sum over the graphs of each normalized operator's layer-average
-    polynomial, as one dense (n_users, n_users) array.
+def dense_user_polynomial(users: UserChannelSum) -> np.ndarray:
+    """The sum as one dense (n_users, n_users) array P.
 
-    Column block b is the sparse layer_averaged_propagate of the identity's
-    columns b, so P @ X equals the sum of the sparse channel outputs up to
-    rounding. The normalized operators are dropped once P is built.
+    Column block b is `users` applied to the identity's columns b, so P @ X
+    equals `users @ X` up to rounding.
     """
-    ops = [normalize_user_graph(g) for g in graphs]
-    n = ops[0].size
+    n = users.ops[0].size
     P = np.zeros((n, n))
     for start in range(0, n, POLY_BLOCK_COLUMNS):
         stop = min(start + POLY_BLOCK_COLUMNS, n)
         E = np.zeros((n, stop - start))
         E[np.arange(start, stop), np.arange(stop - start)] = 1.0
-        for op in ops:
-            P[:, start:stop] += layer_averaged_propagate(op, E, n_layers, include_layer0)
+        P[:, start:stop] = users @ E
     return P
+
+
+def build_user_operator(graphs: tuple[UserGraph, ...], n_layers: int,
+                        include_layer0: bool = True):
+    """The summed layer-average polynomial of the user graphs: a dense
+    array up to DENSE_POLY_BYTES, else the sparse UserChannelSum. Either
+    answers `@` and `.T`; the normalized graphs are dropped once a dense
+    array is built."""
+    users = UserChannelSum(tuple(normalize_user_graph(g) for g in graphs), n_layers,
+                           include_layer0)
+    n = graphs[0].n_users
+    return dense_user_polynomial(users) if n * n * 8 <= DENSE_POLY_BYTES else users
 
 
 @dataclass
 class ChannelOperators:
-    """Propagation operators for every enabled channel.
+    """Propagation operators for every given channel.
 
-    The user channels take one of two forms. `user_poly` is the sum of
-    their layer-average polynomials as one dense (n_users, n_users) array,
-    fixed for the model shape given to build_operators. When that array
-    would exceed DENSE_POLY_BYTES, `user_ops` holds their sparse normalized
-    operators instead, applied layer by layer.
+    `users` is the user channels' summed layer-average polynomial, fixed
+    for the model shape given to build_operators (see build_user_operator), or
+    None without user channels.
     """
 
     bipartite: NormalizedAdjacency
     n_users: int
-    n_channels: int = 1  # the bipartite channel plus the enabled user channels
-    user_poly: np.ndarray | None = None
-    user_ops: tuple[NormalizedAdjacency, ...] = ()
+    n_channels: int = 1  # the bipartite channel plus the user channels
+    users: np.ndarray | UserChannelSum | None = None
 
 
 def build_operators(
     graph: BipartiteGraph, channels: ChannelSet | None, cfg: ModelConfig
 ) -> ChannelOperators:
-    if cfg.use_social:
-        if channels is None or channels.social is None:
-            raise ConfigError("use_social is set but no social graph was given")
-        if channels.social.n_users != graph.n_users:
-            raise ShapeError("social graph size does not match user count")
-    if cfg.use_pathsim:
-        if channels is None or channels.pathsim is None:
-            raise ConfigError("use_pathsim is set but no meta-path graph was given")
-        if channels.pathsim.n_users != graph.n_users:
-            raise ShapeError("meta-path graph size does not match user count")
-    n = graph.n_users
-    n_user_channels = int(cfg.use_social) + int(cfg.use_pathsim)
-    ops = ChannelOperators(
-        bipartite=build_adjacency(graph), n_users=n, n_channels=1 + n_user_channels
+    graphs = channels.user_graphs() if channels is not None else ()
+    for g in graphs:
+        if g.n_users != graph.n_users:
+            raise ShapeError(f"{g.kind} graph size does not match user count")
+    return ChannelOperators(
+        bipartite=build_adjacency(graph),
+        n_users=graph.n_users,
+        n_channels=1 + len(graphs),
+        users=channels.user_operator(cfg) if graphs else None,
     )
-    if n_user_channels and n * n * 8 <= DENSE_POLY_BYTES:
-        ops.user_poly = channels.user_polynomial(cfg)
-    elif n_user_channels:
-        ops.user_ops = tuple(normalize_user_graph(g) for g in channels.user_graphs(cfg))
-    return ops
 
 
 @dataclass
@@ -271,22 +270,16 @@ class PropagationOutput:
 
 
 def forward(stacked: np.ndarray, ops: ChannelOperators, cfg: ModelConfig) -> PropagationOutput:
-    """Run every enabled channel and average the user sides.
+    """Run every channel and average the user sides.
 
     Hashtag embeddings come from the bipartite channel alone; user-user
-    channels have no hashtag nodes. On the dense path all user channels
-    together cost one product with `ops.user_poly`.
+    channels have no hashtag nodes. All user channels together cost one
+    product with `ops.users`.
     """
     n = ops.n_users
     bip = layer_averaged_propagate(ops.bipartite, stacked, cfg.n_layers, cfg.include_layer0)
-    if ops.user_poly is not None:
-        users = (bip[:n] + ops.user_poly @ stacked[:n]) / ops.n_channels
-    else:
-        users = combine_channels([bip[:n]] + [
-            layer_averaged_propagate(op, stacked[:n], cfg.n_layers, cfg.include_layer0)
-            for op in ops.user_ops
-        ])
-    return PropagationOutput(final_users=users, final_hashtags=bip[n:])
+    users = bip[:n] if ops.users is None else bip[:n] + ops.users @ stacked[:n]
+    return PropagationOutput(final_users=users / ops.n_channels, final_hashtags=bip[n:])
 
 
 def affinity(user_vec: np.ndarray, hashtag_vec: np.ndarray) -> float:

@@ -41,17 +41,14 @@ class TrainConfig:
     batch_size: int = 1024
     max_epochs: int = 1000
     patience: int = 50
-    eval_every: int = 1
-    # How many batches may reuse one forward pass; 1 means exact.
-    refresh_every: int = 1
 
     def __post_init__(self):
         # learning_rate 0 is allowed: it freezes the parameters, which is
         # useful for no-op checks.
         if self.learning_rate < 0 or self.lambda_reg < 0:
             raise ConfigError("learning_rate and lambda_reg must be nonnegative")
-        if self.batch_size < 1 or self.eval_every < 1 or self.refresh_every < 1:
-            raise ConfigError("batch_size, eval_every, refresh_every must be positive")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be positive")
         if self.max_epochs < 0:
             raise ConfigError("max_epochs must be nonnegative")
         if self.patience < 1:
@@ -189,10 +186,10 @@ def grad_e0(
     """Exact loss gradient with respect to the initial embeddings.
 
     The final embeddings are a fixed linear operator applied to E0, so the
-    pull-back applies its adjoint to the cotangent matrix. The sparse
-    operators are symmetric and are their own adjoints; the dense user
-    polynomial is pulled back through its transpose, the exact adjoint of
-    the product forward computed. `scores`, when given, must be
+    pull-back applies its adjoint to the cotangent matrix. The bipartite
+    operator is symmetric and is its own adjoint; the user operator is
+    pulled back through its transpose, the exact adjoint of the product
+    forward computed. `scores`, when given, must be
     pair_scores(triples, out).
     """
     n = ops.n_users
@@ -215,10 +212,8 @@ def grad_e0(
         ops.bipartite, np.concatenate([g_users, g_items], axis=0),
         cfg.n_layers, cfg.include_layer0,
     )
-    if ops.user_poly is not None:
-        grad[:n] += ops.user_poly.T @ g_users
-    for op in ops.user_ops:
-        grad[:n] += layer_averaged_propagate(op, g_users, cfg.n_layers, cfg.include_layer0)
+    if ops.users is not None:
+        grad[:n] += ops.users.T @ g_users
     grad += 2.0 * lambda_reg * e0_stacked
     return grad
 
@@ -265,12 +260,12 @@ def train(
     train_cfg: TrainConfig,
     val_edges: np.ndarray,
     seed: int = 0,
-) -> tuple[EmbeddingState, list[HistoryRow]]:
+) -> tuple[EmbeddingState, list[HistoryRow], PropagationOutput]:
     """Fit embeddings on the graph, early-stopping on validation recall.
 
     val_edges is an array of (user, hashtag) pairs hidden from the graph.
-    Returns the best checkpoint by validation recall@20 and the per-epoch
-    history.
+    Returns the best checkpoint by validation recall@EVAL_K, the per-epoch
+    history, and the forward output of that checkpoint.
     """
     val_edges = np.asarray(val_edges, dtype=np.int64).reshape(-1, 2)
     if val_edges.shape[0] == 0 and train_cfg.max_epochs > 0:
@@ -284,6 +279,7 @@ def train(
     rng = np.random.default_rng(seed)
 
     best_params = params.copy()
+    best_out = None
     best_recall = -np.inf
     best_epoch = 0
     evals_since_best = 0
@@ -293,33 +289,26 @@ def train(
         t0 = time.perf_counter()
         triples = sample_epoch(graph, rng)
         bpr_sum = 0.0
-        batch_index = 0
-        out = None
         for start in range(0, triples.shape[0], train_cfg.batch_size):
             batch = triples[start:start + train_cfg.batch_size]
-            if out is None or batch_index % train_cfg.refresh_every == 0:
-                out = forward(params, ops, model_cfg)
+            out = forward(params, ops, model_cfg)
             scores = pair_scores(batch, out)
             bpr_sum += bpr_loss(batch, out, params, 0.0, scores)
             grad = grad_e0(batch, out, ops, model_cfg, params, train_cfg.lambda_reg, scores)
             adam_step(adam, params, grad, train_cfg.learning_rate)
-            batch_index += 1
         reg = train_cfg.lambda_reg * float(np.sum(params * params))
         epoch_loss = bpr_sum / triples.shape[0] + reg
 
-        recall = ndcg = float("nan")
-        if epoch % train_cfg.eval_every == 0:
-            out = forward(params, ops, model_cfg)
-            recall, ndcg, _ = ranking_metrics(
-                out.final_users, out.final_hashtags, graph.R, val_edges
-            )
-            if recall > best_recall:
-                best_recall = recall
-                best_params = params.copy()
-                best_epoch = epoch
-                evals_since_best = 0
-            else:
-                evals_since_best += 1
+        out = forward(params, ops, model_cfg)
+        recall, ndcg, _ = ranking_metrics(out.final_users, out.final_hashtags, graph.R, val_edges)
+        if recall > best_recall:
+            best_recall = recall
+            best_params = params.copy()
+            best_out = out
+            best_epoch = epoch
+            evals_since_best = 0
+        else:
+            evals_since_best += 1
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
         history.append(HistoryRow(epoch, epoch_loss, recall, ndcg, elapsed_ms))
         LOGGER.debug(
@@ -332,5 +321,6 @@ def train(
             )
             break
 
-    best = EmbeddingState.from_stacked(best_params, n, seed)
-    return best, history
+    if best_out is None:  # no epoch improved on the initialization
+        best_out = forward(best_params, ops, model_cfg)
+    return EmbeddingState.from_stacked(best_params, n, seed), history, best_out

@@ -86,9 +86,7 @@ def test_accept_1_gradients_match_finite_differences(capfd):
                     social=random_user_graph(rng, n) if use_social else None,
                     pathsim=random_user_graph(rng, n, kind="pathsim") if use_pathsim else None,
                 )
-                cfg = ModelConfig(
-                    dim=d, n_layers=K, use_social=use_social, use_pathsim=use_pathsim
-                )
+                cfg = ModelConfig(dim=d, n_layers=K)
                 ops = build_operators(g, channels, cfg)
                 try:
                     triples = sample_epoch(g, rng)

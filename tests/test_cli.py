@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stancegraph.cli import _load_dataset, _model_config, _train_config, main
-from stancegraph.config import parse_config_file, resolve, stage_seed
+from stancegraph.config import RunConfig, parse_config_file, resolve, stage_seed
 from stancegraph.errors import ConfigError
 from stancegraph.evaluate import annotation_curve, load_annotations, run_protocol, with_usage
 from stancegraph.ingest import load_counts
@@ -201,7 +204,80 @@ def test_train_on_unbuilt_dataset_exits_4(tmp_path, capsys):
     assert not (tmp_path / "model").exists()
 
 
+def write_vectors(path, tags, dim, bad_line=None):
+    """A pretrained vector file: row j of the tags gets j + 0.25 * k in
+    component k, then an optional malformed line."""
+    lines = [" ".join([tag] + [repr(j + 0.25 * k) for k in range(dim)])
+             for j, tag in enumerate(tags)]
+    if bad_line is not None:
+        lines.append(bad_line)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return {tag: [j + 0.25 * k for k in range(dim)] for j, tag in enumerate(tags)}
+
+
+@pytest.mark.parametrize("bad_line", [
+    "ht00003 0.5 0.5 0.5", "ht00003 0.5 0.5 0.5 0.5 0.5", "ht00003 0.5 nan 0.5 0.5",
+    "ht00003 0.5 0.5 inf 0.5", "ht00003 0.5 0.5 0.5 zero",
+], ids=["too-few", "too-many", "nan", "inf", "not-a-number"])
+def test_malformed_pretrained_vectors_exit_3(tmp_path, capsys, bad_line):
+    _, data = synth_and_build(tmp_path)
+    vectors = tmp_path / "vectors.txt"
+    write_vectors(vectors, ["ht00001", "ht00002"], 4, bad_line)
+    capsys.readouterr()
+    code = run(["train", "--data", data, "--out", tmp_path / "model", "--max-epochs", "1",
+                "--dim", "4", "--pretrained", vectors])
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error ")]
+    assert code == 3
+    assert len(errors) == 1 and errors[0].startswith("error kind=RecordError exit=3: line 3: ")
+    assert "Traceback" not in err
+
+
+def test_train_zero_epochs_pins_pretrained_rows(tmp_path):
+    _, data = synth_and_build(tmp_path)
+    vectors = tmp_path / "vectors.txt"
+    want = write_vectors(vectors, ["ht00007", "ht00002", "ht00019"], 4)
+    out = tmp_path / "model"
+    assert run(["train", "--data", data, "--out", out, "--max-epochs", "0", "--seed", "0",
+                "--dim", "4", "--pretrained", vectors]) == 0
+    state, _, tags = load_checkpoint(out / "checkpoint.bin")
+    for tag, vec in want.items():
+        assert np.array_equal(state.hashtags[tags.index(tag)], vec)
+    init = init_embeddings(40, 20, ModelConfig(dim=4), stage_seed(0, "train"))
+    pinned = [tags.index(tag) for tag in want]
+    assert np.array_equal(np.delete(state.hashtags, pinned, axis=0),
+                          np.delete(init.hashtags, pinned, axis=0))
+    assert np.array_equal(state.users, init.users)
+
+
+@pytest.mark.parametrize("variant", ["wlgcn", "mf", "lightgcn", "null"])
+def test_eval_variant_with_pretrained_vectors(tmp_path, variant):
+    raw, data = synth_and_build(tmp_path)
+    vectors = tmp_path / "vectors.txt"
+    write_vectors(vectors, ["ht00001", "ht00005"], 4)
+    assert run(["eval", "--data", data, "--annotations", raw / "annotations.tsv",
+                "--out", tmp_path / "eval", "--max-epochs", "2", "--folds", "2",
+                "--holdout-fraction", "0.1", "--dim", "4", "--variant", variant,
+                "--pretrained", vectors]) == 0
+
+
 # config resolution ----------------------------------------------------------
+
+@pytest.mark.parametrize("key", ["use_pretrained", "eval_every", "refresh_every"])
+def test_removed_config_key_exits_2(tmp_path, capsys, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}=1\n", encoding="utf-8")
+    code = run(["synth", "--out", tmp_path / "out", "--config", cfg])
+    assert code == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    # The bullet list that follows the "Keys, by group" line.
+    listing = readme.split("Keys, by group", 1)[1].split("\n\n")[1]
+    keys = re.findall(r"`(\w+)`", listing)
+    assert sorted(keys) == sorted(f.name for f in dataclasses.fields(RunConfig))
 
 def test_config_file_parsing(tmp_path):
     cfg_path = tmp_path / "run.cfg"

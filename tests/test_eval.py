@@ -507,11 +507,11 @@ def test_mf_baseline_scores_are_raw_inner_products():
     train_pairs, val_pairs = kfold_split(edges, folds=4, rng=rng)[0]
     fold_graph = graph_without_edges(g, val_pairs)
     mf = VARIANTS["mf"]
-    cfg = mf.model(ModelConfig(dim=3, n_layers=3, use_social=True))
+    cfg = mf.model(ModelConfig(dim=3, n_layers=3))
     assert cfg == ModelConfig(dim=3, n_layers=0) and not mf.channels
     mf_graph = mf.graph(fold_graph, 1, rng)
     assert mf_graph is fold_graph
-    state, _ = train(mf_graph, None, cfg, QUICK_TRAIN, val_pairs, seed=0)
+    state, _, _ = train(mf_graph, None, cfg, QUICK_TRAIN, val_pairs, seed=0)
     out = forward(state.stacked(), build_operators(fold_graph, None, cfg), cfg)
     assert np.array_equal(out.final_users, state.users)
     assert np.array_equal(out.final_hashtags, state.hashtags)
@@ -531,11 +531,13 @@ def test_lightgcn_baseline_trains_on_binary_graph():
     _, val_pairs = kfold_split(edges, folds=4, rng=rng)[0]
     fold_graph = graph_without_edges(g, val_pairs)
     lightgcn = VARIANTS["lightgcn"]
-    cfg = lightgcn.model(ModelConfig(dim=3, use_pathsim=True))
+    cfg = lightgcn.model(ModelConfig(dim=3))
     assert cfg == ModelConfig(dim=3) and not lightgcn.channels
-    state_b, _ = train(lightgcn.graph(fold_graph, 1, rng), None, cfg, QUICK_TRAIN, val_pairs, seed=5)
+    state_b, _, _ = train(lightgcn.graph(fold_graph, 1, rng), None, cfg, QUICK_TRAIN,
+                          val_pairs, seed=5)
 
-    state_ref, _ = train(binarize(fold_graph), None, ModelConfig(dim=3), QUICK_TRAIN, val_pairs, seed=5)
+    state_ref, _, _ = train(binarize(fold_graph), None, ModelConfig(dim=3), QUICK_TRAIN,
+                            val_pairs, seed=5)
     assert np.array_equal(state_b.users, state_ref.users)
     assert np.array_equal(state_b.hashtags, state_ref.hashtags)
 
@@ -622,24 +624,28 @@ def protocol_fixture(variant="wlgcn", seed=0):
 
 
 def test_protocol_builds_user_polynomial_once():
-    # Each fold trains and re-propagates, but the channel graphs are the
-    # same, so the polynomial and the normalized user graphs are built once.
+    # Each fold trains on its own graph, but the channel graphs are the
+    # same, so the polynomial and the normalized user graphs are built once;
+    # the fold's bipartite operator is built once, by train, and its final
+    # embeddings come from train too.
     data, _ = small_synth(seed=1)
     rng = np.random.default_rng(7)
     channels = ChannelSet(social=random_user_graph(rng, 40),
                           pathsim=random_user_graph(rng, 40, kind="pathsim"))
-    builds, normalized = mock.Mock(wraps=model.dense_user_polynomial), \
-        mock.Mock(wraps=model.normalize_user_graph)
+    builds, normalized, adjacency = mock.Mock(wraps=model.dense_user_polynomial), \
+        mock.Mock(wraps=model.normalize_user_graph), mock.Mock(wraps=model.build_adjacency)
     with mock.patch.object(model, "dense_user_polynomial", builds), \
-            mock.patch.object(model, "normalize_user_graph", normalized):
+            mock.patch.object(model, "normalize_user_graph", normalized), \
+            mock.patch.object(model, "build_adjacency", adjacency):
         res = run_protocol(
             build_interaction_graph(data.counts), channels, data.annotations, data.counts.hashtags,
-            ModelConfig(dim=8, use_social=True, use_pathsim=True), QUICK_TRAIN,
+            ModelConfig(dim=8), QUICK_TRAIN,
             seed=0, holdout_fraction=0.1, folds=2,
         )
     assert len(res.report.folds) == 2
     assert builds.call_count == 1
     assert normalized.call_count == 2
+    assert adjacency.call_count == 2
 
 
 def test_protocol_produces_reasonable_report():
@@ -722,8 +728,7 @@ def curve_setup():
     edges, _ = split.train_graph.edges()
     _, val_pairs = kfold_split(edges, folds=2, rng=np.random.default_rng(1))[0]
     fold_graph = graph_without_edges(split.train_graph, val_pairs)
-    state, _ = train(fold_graph, None, mc, QUICK_TRAIN, val_pairs, seed=0)
-    out = forward(state.stacked(), build_operators(fold_graph, None, mc), mc)
+    _, _, out = train(fold_graph, None, mc, QUICK_TRAIN, val_pairs, seed=0)
     return out, data, split, cfg
 
 

@@ -21,7 +21,6 @@ from stancegraph.model import (
     ModelConfig,
     affinity,
     build_operators,
-    combine_channels,
     forward,
     init_embeddings,
     layer_averaged_propagate,
@@ -70,7 +69,7 @@ def test_init_xavier_bound():
 
 
 def test_init_pretrained_rows_copied_exactly():
-    cfg = ModelConfig(dim=3, use_pretrained=True)
+    cfg = ModelConfig(dim=3)
     v = np.array([0.25, -1.5, 3.0])
     state = init_embeddings(4, 6, cfg, seed=0, pretrained={2: v})
     assert np.array_equal(state.hashtags[2], v)
@@ -79,7 +78,7 @@ def test_init_pretrained_rows_copied_exactly():
 
 
 def test_init_pretrained_dim_mismatch():
-    cfg = ModelConfig(dim=3, use_pretrained=True)
+    cfg = ModelConfig(dim=3)
     with pytest.raises(ShapeError):
         init_embeddings(4, 6, cfg, seed=0, pretrained={0: np.zeros(2)})
 
@@ -90,6 +89,17 @@ def test_load_pretrained_vectors(tmp_path):
     vecs = load_pretrained_vectors(path, ["apruebo", "rechazo"], dim=2)
     assert set(vecs) == {0}
     assert np.array_equal(vecs[0], [0.5, 1.5])
+
+
+@pytest.mark.parametrize("line", [
+    "rechazo 0.5", "rechazo 0.5 1.5 2.5", "rechazo 0.5 abc", "rechazo nan 1.5",
+    "rechazo 0.5 inf", "unknown -inf 1.0",
+], ids=["too-few", "too-many", "not-a-number", "nan", "inf", "unknown-tag-inf"])
+def test_load_pretrained_vectors_rejects_malformed_line(tmp_path, line):
+    path = tmp_path / "vec.tsv"
+    path.write_text(f"apruebo 0.5 1.5\n{line}\n", encoding="utf-8")
+    with pytest.raises(RecordError, match="^line 2: "):
+        load_pretrained_vectors(path, ["apruebo", "rechazo"], dim=2)
 
 
 def test_stacked_roundtrip():
@@ -167,37 +177,6 @@ def test_propagate_shape_mismatch():
         propagate(adj, np.zeros((5, 2)), 1)
 
 
-# channel combination --------------------------------------------------------
-
-def test_combine_single_channel_is_identity():
-    x = np.array([[1.0, 2.0]])
-    assert np.array_equal(combine_channels([x]), x)
-
-
-def test_combine_two_channels_means():
-    a = np.array([[1.0, 1.0]])
-    b = np.array([[3.0, 3.0]])
-    assert np.array_equal(combine_channels([a, b]), [[2.0, 2.0]])
-
-
-def test_combine_is_commutative():
-    rng = np.random.default_rng(71)
-    x, y, z = (rng.standard_normal((4, 2)) for _ in range(3))
-    forward_order = combine_channels([x, y, z])
-    reverse_order = combine_channels([z, y, x])
-    assert np.abs(forward_order - reverse_order).max() <= 1e-15
-
-
-def test_combine_shape_mismatch():
-    with pytest.raises(ShapeError):
-        combine_channels([np.zeros((2, 2)), np.zeros((3, 2))])
-
-
-def test_combine_empty_rejected():
-    with pytest.raises(ConfigError):
-        combine_channels([])
-
-
 # scoring --------------------------------------------------------------------
 
 def test_affinity_examples():
@@ -247,7 +226,7 @@ def test_forward_with_social_channel_averages_users():
     rng = np.random.default_rng(83)
     g = random_bipartite(rng, 4, 3)
     social = random_user_graph(rng, 4)
-    cfg = ModelConfig(dim=2, n_layers=1, use_social=True)
+    cfg = ModelConfig(dim=2, n_layers=1)
     ops = build_operators(g, ChannelSet(social=social), cfg)
     state = init_embeddings(4, 3, cfg, seed=1)
     out = forward(state.stacked(), ops, cfg)
@@ -261,6 +240,12 @@ def test_forward_with_social_channel_averages_users():
 CHANNEL_COMBOS = [(True, False), (False, True), (True, True)]
 
 
+def chosen(channels, use_social, use_pathsim):
+    """A fresh ChannelSet with the chosen graphs of `channels`."""
+    return ChannelSet(social=channels.social if use_social else None,
+                      pathsim=channels.pathsim if use_pathsim else None)
+
+
 def sparse_channel_oracle(g, channels, cfg, X):
     """Forward's user side and the user-channel pull-back of X, from the
     sparse layer_averaged_propagate of each normalized user graph."""
@@ -269,7 +254,7 @@ def sparse_channel_oracle(g, channels, cfg, X):
     parts = [
         layer_averaged_propagate(normalize_user_graph(graph), X[:n], cfg.n_layers,
                                  cfg.include_layer0)
-        for graph in channels.user_graphs(cfg)
+        for graph in channels.user_graphs()
     ]
     return (bip[:n] + sum(parts)) / (1 + len(parts)), parts
 
@@ -283,12 +268,12 @@ def test_dense_user_polynomial_matches_sparse_oracle(use_social, use_pathsim, n_
     rng = np.random.default_rng(1000 + 8 * n_layers + 2 * use_social + use_pathsim)
     n, m, d = 70, 9, 3
     g = random_bipartite(rng, n, m)
-    channels = ChannelSet(social=random_user_graph(rng, n, density=0.1),
-                          pathsim=random_user_graph(rng, n, density=0.6, kind="pathsim"))
-    cfg = ModelConfig(dim=d, n_layers=n_layers, use_social=use_social,
-                      use_pathsim=use_pathsim, include_layer0=include_layer0)
+    channels = chosen(ChannelSet(social=random_user_graph(rng, n, density=0.1),
+                                 pathsim=random_user_graph(rng, n, density=0.6, kind="pathsim")),
+                      use_social, use_pathsim)
+    cfg = ModelConfig(dim=d, n_layers=n_layers, include_layer0=include_layer0)
     ops = build_operators(g, channels, cfg)
-    assert ops.user_poly is not None and ops.user_ops == ()
+    assert isinstance(ops.users, np.ndarray)
     X = rng.standard_normal((n + m, d))
     out = forward(X, ops, cfg)
     want_users, _ = sparse_channel_oracle(g, channels, cfg, X)
@@ -297,8 +282,7 @@ def test_dense_user_polynomial_matches_sparse_oracle(use_social, use_pathsim, n_
     # The gradient against the sparse path, whose pull-back is the oracle's
     # layer_averaged_propagate of each channel.
     with mock.patch.object(model, "DENSE_POLY_BYTES", 0):
-        sparse_ops = build_operators(g, ChannelSet(social=channels.social,
-                                                   pathsim=channels.pathsim), cfg)
+        sparse_ops = build_operators(g, chosen(channels, True, True), cfg)
     triples = np.column_stack([rng.integers(0, n, 200), rng.integers(0, m, 200),
                                rng.integers(0, m, 200)])
     got = grad_e0(triples, out, ops, cfg, X, 0.01)
@@ -311,23 +295,29 @@ def test_user_channels_above_byte_cap_stay_sparse(use_social, use_pathsim):
     rng = np.random.default_rng(4242)
     n, m = 8, 5
     g = random_bipartite(rng, n, m)
-    channels = ChannelSet(social=random_user_graph(rng, n),
-                          pathsim=random_user_graph(rng, n, kind="pathsim"))
-    cfg = ModelConfig(dim=2, n_layers=2, use_social=use_social, use_pathsim=use_pathsim)
+    channels = chosen(ChannelSet(social=random_user_graph(rng, n),
+                                 pathsim=random_user_graph(rng, n, kind="pathsim")),
+                      use_social, use_pathsim)
+    cfg = ModelConfig(dim=2, n_layers=2)
     # One byte under the 8 * n * n bytes the polynomial would take.
-    with mock.patch.object(model, "DENSE_POLY_BYTES", 8 * n * n - 1):
+    normalized = mock.Mock(wraps=model.normalize_user_graph)
+    with mock.patch.object(model, "DENSE_POLY_BYTES", 8 * n * n - 1), \
+            mock.patch.object(model, "normalize_user_graph", normalized):
         ops = build_operators(g, channels, cfg)
-    assert ops.user_poly is None and channels._polys == {}
-    assert len(ops.user_ops) == use_social + use_pathsim
+        # The memo keeps the sparse form too: a second fold normalizes nothing.
+        assert build_operators(g, channels, cfg).users is ops.users
+    assert isinstance(ops.users, model.UserChannelSum) and ops.users.T is ops.users
+    assert len(ops.users.ops) == normalized.call_count == use_social + use_pathsim
     X = rng.standard_normal((n + m, 2))
     out = forward(X, ops, cfg)
-    # Today's layer-by-layer path: the oracle's parts, summed in channel order.
+    # The layer-by-layer path: the oracle's parts, summed in channel order.
+    want_users, _ = sparse_channel_oracle(g, channels, cfg, X)
+    assert np.array_equal(out.final_users, want_users)
     bip = layer_averaged_propagate(build_adjacency(g), X, 2)
-    _, parts = sparse_channel_oracle(g, channels, cfg, X)
-    assert np.array_equal(out.final_users, sum([bip[:n]] + parts) / (1 + len(parts)))
     assert np.array_equal(out.final_hashtags, bip[n:])
     with mock.patch.object(model, "DENSE_POLY_BYTES", 8 * n * n):
-        assert build_operators(g, channels, cfg).user_poly is not None
+        dense = build_operators(g, chosen(channels, True, True), cfg).users
+    assert isinstance(dense, np.ndarray)
 
 
 def test_user_polynomial_memo_follows_shape_and_graphs():
@@ -336,16 +326,17 @@ def test_user_polynomial_memo_follows_shape_and_graphs():
     g = random_bipartite(rng, n, 4)
     channels = ChannelSet(social=random_user_graph(rng, n),
                           pathsim=random_user_graph(rng, n, kind="pathsim"))
-    cfg = ModelConfig(dim=2, n_layers=2, use_social=True, use_pathsim=True)
-    first = build_operators(g, channels, cfg).user_poly
-    assert build_operators(random_bipartite(rng, n, 4), channels, cfg).user_poly is first
-    for other in (ModelConfig(dim=2, n_layers=1, use_social=True, use_pathsim=True),
-                  ModelConfig(dim=2, n_layers=2, use_social=True, use_pathsim=True,
-                              include_layer0=False),
-                  ModelConfig(dim=2, n_layers=2, use_social=True)):
-        assert build_operators(g, channels, other).user_poly is not first
+    cfg = ModelConfig(dim=2, n_layers=2)
+    first = build_operators(g, channels, cfg).users
+    assert build_operators(random_bipartite(rng, n, 4), channels, cfg).users is first
+    for other in (ModelConfig(dim=2, n_layers=1),
+                  ModelConfig(dim=2, n_layers=2, include_layer0=False)):
+        assert build_operators(g, channels, other).users is not first
+    pathsim, channels.pathsim = channels.pathsim, None
+    assert build_operators(g, channels, cfg).users is not first
+    channels.pathsim = pathsim
     channels.social = random_user_graph(rng, n)
-    rebuilt = build_operators(g, channels, cfg).user_poly
+    rebuilt = build_operators(g, channels, cfg).users
     assert rebuilt is not first
     X = rng.standard_normal((n, 2))
     want = sum(layer_averaged_propagate(normalize_user_graph(graph), X, 2)
@@ -353,19 +344,11 @@ def test_user_polynomial_memo_follows_shape_and_graphs():
     assert np.abs(rebuilt @ X - want).max() <= 1e-12
 
 
-def test_forward_missing_channel_rejected():
-    rng = np.random.default_rng(89)
-    g = random_bipartite(rng, 3, 3)
-    cfg = ModelConfig(use_social=True)
-    with pytest.raises(ConfigError):
-        build_operators(g, None, cfg)
-
-
 def test_forward_channel_size_mismatch_rejected():
     rng = np.random.default_rng(97)
     g = random_bipartite(rng, 3, 3)
     social = random_user_graph(rng, 4)
-    cfg = ModelConfig(use_social=True)
+    cfg = ModelConfig()
     with pytest.raises(ShapeError):
         build_operators(g, ChannelSet(social=social), cfg)
 

@@ -153,10 +153,8 @@ def add_at_grad(triples, out, ops, cfg, e0, lam):
     grad = layer_averaged_propagate(
         ops.bipartite, np.concatenate([g_users, g_items]), cfg.n_layers, cfg.include_layer0
     )
-    if ops.user_poly is not None:
-        grad[:n] += ops.user_poly.T @ g_users
-    for op in ops.user_ops:
-        grad[:n] += layer_averaged_propagate(op, g_users, cfg.n_layers, cfg.include_layer0)
+    if ops.users is not None:
+        grad[:n] += ops.users.T @ g_users
     return grad + 2.0 * lam * e0
 
 
@@ -167,7 +165,7 @@ def test_grad_scatter_is_bit_identical_to_add_at():
     n, m = 6, 5
     g = random_bipartite(rng, n, m)
     for channels in (None, ChannelSet(social=random_user_graph(rng, n))):
-        cfg = ModelConfig(dim=4, n_layers=2, use_social=channels is not None)
+        cfg = ModelConfig(dim=4, n_layers=2)
         ops = build_operators(g, channels, cfg)
         e0 = rng.standard_normal((n + m, 4))
         out = forward(e0, ops, cfg)
@@ -194,9 +192,7 @@ def test_grad_matches_finite_differences_all_channel_combos():
                     social=random_user_graph(rng, n) if use_social else None,
                     pathsim=random_user_graph(rng, n, kind="pathsim") if use_pathsim else None,
                 )
-                cfg = ModelConfig(
-                    dim=d, n_layers=K, use_social=use_social, use_pathsim=use_pathsim
-                )
+                cfg = ModelConfig(dim=d, n_layers=K)
                 ops = build_operators(g, channels, cfg)
                 try:
                     triples = sample_epoch(g, rng)
@@ -231,10 +227,10 @@ def test_grad_pulls_back_through_user_poly_transpose():
     rng = np.random.default_rng(404)
     n, m = 5, 4
     g = random_bipartite(rng, n, m)
-    cfg = ModelConfig(dim=2, n_layers=2, use_social=True)
+    cfg = ModelConfig(dim=2, n_layers=2)
     ops = build_operators(g, ChannelSet(social=random_user_graph(rng, n)), cfg)
-    assert ops.user_poly is not None
-    ops.user_poly = rng.standard_normal((n, n))
+    assert isinstance(ops.users, np.ndarray)
+    ops.users = rng.standard_normal((n, n))
     triples = sample_epoch(g, rng)
     e0 = 0.5 * rng.standard_normal((n + m, 2))
     analytic = grad_e0(triples, forward(e0, ops, cfg), ops, cfg, e0, 0.01)
@@ -356,7 +352,7 @@ def test_train_zero_epochs_returns_initial_state():
     graph, val = two_block_setup()
     cfg = ModelConfig(dim=4, n_layers=1)
     tcfg = TrainConfig(max_epochs=0)
-    state, history = train(graph, None, cfg, tcfg, val, seed=3)
+    state, history, _ = train(graph, None, cfg, tcfg, val, seed=3)
     init = init_embeddings(graph.n_users, graph.n_hashtags, cfg, 3)
     assert history == []
     assert np.array_equal(state.users, init.users)
@@ -374,7 +370,7 @@ def test_train_zero_learning_rate_freezes_params():
     graph, val = two_block_setup()
     cfg = ModelConfig(dim=4, n_layers=1)
     tcfg = TrainConfig(learning_rate=0.0, max_epochs=4, patience=10)
-    state, history = train(graph, None, cfg, tcfg, val, seed=3)
+    state, history, _ = train(graph, None, cfg, tcfg, val, seed=3)
     init = init_embeddings(graph.n_users, graph.n_hashtags, cfg, 3)
     assert np.array_equal(state.users, init.users)
     assert np.array_equal(state.hashtags, init.hashtags)
@@ -386,7 +382,7 @@ def test_train_patience_one_stops_after_two_evaluations():
     cfg = ModelConfig(dim=4, n_layers=1)
     # frozen parameters keep validation recall constant forever
     tcfg = TrainConfig(learning_rate=0.0, max_epochs=100, patience=1)
-    _, history = train(graph, None, cfg, tcfg, val, seed=3)
+    _, history, _ = train(graph, None, cfg, tcfg, val, seed=3)
     assert len(history) == 2
 
 
@@ -394,21 +390,36 @@ def test_train_deterministic_under_seed():
     graph, val = two_block_setup()
     cfg = ModelConfig(dim=4, n_layers=2)
     tcfg = TrainConfig(max_epochs=6, patience=10)
-    state_a, hist_a = train(graph, None, cfg, tcfg, val, seed=11)
-    state_b, hist_b = train(graph, None, cfg, tcfg, val, seed=11)
+    state_a, hist_a, _ = train(graph, None, cfg, tcfg, val, seed=11)
+    state_b, hist_b, _ = train(graph, None, cfg, tcfg, val, seed=11)
     assert np.array_equal(state_a.users, state_b.users)
     assert np.array_equal(state_a.hashtags, state_b.hashtags)
     assert [h.loss for h in hist_a] == [h.loss for h in hist_b]
 
-    state_c, _ = train(graph, None, cfg, tcfg, val, seed=12)
+    state_c, _, _ = train(graph, None, cfg, tcfg, val, seed=12)
     assert not np.array_equal(state_a.users, state_c.users)
+
+
+@pytest.mark.parametrize("max_epochs", [0, 6])
+@pytest.mark.parametrize("with_social", [False, True])
+def test_train_returns_forward_output_of_its_state(max_epochs, with_social):
+    # Callers score this output instead of propagating the state again.
+    graph, val = two_block_setup()
+    channels = ChannelSet(social=random_user_graph(np.random.default_rng(9), graph.n_users)) \
+        if with_social else None
+    cfg = ModelConfig(dim=4, n_layers=2)
+    tcfg = TrainConfig(learning_rate=0.05, max_epochs=max_epochs, patience=2)
+    state, _, out = train(graph, channels, cfg, tcfg, val, seed=5)
+    want = forward(state.stacked(), build_operators(graph, channels, cfg), cfg)
+    assert np.array_equal(out.final_users, want.final_users)
+    assert np.array_equal(out.final_hashtags, want.final_hashtags)
 
 
 def test_train_loss_decreases_on_planted_graph():
     graph, val = two_block_setup()
     cfg = ModelConfig(dim=8, n_layers=2)
     tcfg = TrainConfig(learning_rate=0.05, max_epochs=40, patience=100)
-    _, history = train(graph, None, cfg, tcfg, val, seed=0)
+    _, history, _ = train(graph, None, cfg, tcfg, val, seed=0)
     assert history[-1].loss < history[0].loss
 
 
