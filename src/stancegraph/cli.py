@@ -26,6 +26,7 @@ from .errors import (
     StanceGraphError,
 )
 from .evaluate import (
+    VARIANTS,
     HoldoutSplit,
     SynthConfig,
     annotation_curve,
@@ -287,7 +288,18 @@ def _write_pairs(pairs, users, hashtags, path) -> None:
 
 
 def cmd_eval(args, cfg: RunConfig) -> int:
-    counts, graph, channels = _load_dataset(args.data, cfg, args.pretrained)
+    if cfg.variant not in VARIANTS:
+        raise ConfigError(f"unknown model variant {cfg.variant!r}")
+    pretrained = args.pretrained
+    ignored = [name for name, given in (("social.coo", cfg.use_social),
+                                        ("pathsim.coo", cfg.use_pathsim),
+                                        (f"--pretrained {pretrained}", pretrained)) if given]
+    if ignored and not VARIANTS[cfg.variant].channels:
+        # a warning, not an error: a baseline table passes one flag set to every variant
+        LOGGER.warning("variant %s uses no side channels; ignoring %s",
+                       cfg.variant, ", ".join(ignored))
+        cfg, pretrained = dataclasses.replace(cfg, use_social=False, use_pathsim=False), None
+    counts, graph, channels = _load_dataset(args.data, cfg, pretrained)
     annotations = _load_annotation_arg(args, counts)
     result = run_protocol(
         graph,

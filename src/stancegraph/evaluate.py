@@ -52,24 +52,11 @@ class StanceAnnotation:
     by_class: dict[str, tuple[str, ...]]
     usage: dict[str, float] = field(default_factory=dict)
 
-    def classes(self) -> tuple[str, ...]:
-        return tuple(c for c in CLASS_ORDER if self.by_class.get(c))
-
     def tags(self) -> set[str]:
         return {t for tags in self.by_class.values() for t in tags}
 
     def class_size(self, cls: str) -> int:
         return len(self.by_class.get(cls, ()))
-
-    def overlapping_tags(self) -> set[str]:
-        seen: set[str] = set()
-        overlap: set[str] = set()
-        for cls in CLASS_ORDER:
-            for t in self.by_class.get(cls, ()):
-                if t in seen:
-                    overlap.add(t)
-                seen.add(t)
-        return overlap
 
 
 def parse_annotations(lines) -> StanceAnnotation:
@@ -89,14 +76,12 @@ def parse_annotations(lines) -> StanceAnnotation:
         tag = normalize_hashtag(tag)
         if tag not in by_class[cls]:
             by_class[cls].append(tag)
-    ann = StanceAnnotation(by_class={c: tuple(v) for c, v in by_class.items() if v})
-    overlap = ann.overlapping_tags()
+    listed = [t for tags in by_class.values() for t in tags]  # unique within a class
+    overlap = sorted({t for t in listed if listed.count(t) > 1})
     if overlap:
         LOGGER.warning(
-            "%d hashtags appear in more than one class: %s",
-            len(overlap), ", ".join(sorted(overlap)),
-        )
-    return ann
+            "%d hashtags appear in more than one class: %s", len(overlap), ", ".join(overlap))
+    return StanceAnnotation(by_class={c: tuple(v) for c, v in by_class.items() if v})
 
 
 def load_annotations(path) -> StanceAnnotation:
@@ -117,10 +102,8 @@ def bundled_annotations(name: str) -> StanceAnnotation:
 def with_usage(annotations: StanceAnnotation, counts: InteractionCounts) -> StanceAnnotation:
     """Attach total usage counts from a corpus to each annotated hashtag."""
     totals = np.asarray(counts.T.sum(axis=0)).ravel()
-    usage = {}
     index = {h: j for j, h in enumerate(counts.hashtags)}
-    for tag in annotations.tags():
-        usage[tag] = float(totals[index[tag]]) if tag in index else 0.0
+    usage = {t: float(totals[index[t]]) if t in index else 0.0 for t in annotations.tags()}
     return StanceAnnotation(by_class=dict(annotations.by_class), usage=usage)
 
 
@@ -284,41 +267,61 @@ def null_model(
     return BipartiteGraph(R=row_normalize(T))
 
 
-def _stance_predictions(
-    out: PropagationOutput,
-    split: HoldoutSplit,
-    annotations: StanceAnnotation,
-    hashtags: list[str],
-    binary: bool = False,
-) -> tuple[list[str], list[str], list[bool]]:
-    """Predicted and true stances for every holdout user, plus a cold flag
-    for users left with no training edges."""
-    ann = annotations
-    if binary:
-        ann = StanceAnnotation(
-            by_class={c: v for c, v in annotations.by_class.items() if c != "NEUTRAL"},
-            usage=annotations.usage,
-        )
-    index = {h: j for j, h in enumerate(hashtags)}
-    scored_tags = [(t, index[t]) for t in sorted(ann.tags()) if t in index]
-    degrees = np.diff(split.train_graph.R.indptr)
+def _stances(values: np.ndarray, annotations: StanceAnnotation, index: dict[str, int],
+             full_lists: bool) -> list[str]:
+    """Each row's class: the highest mean over a class's hashtags present in
+    `index` (columns of `values`), ties to the later class in CLASS_ORDER.
+    With `full_lists`, as in ground_truth_stance, a class divides by its
+    full list size, so absent hashtags count 0; without, as in
+    classify_stance, it divides by its present hashtags and one with none is
+    left out. Each sum adds one column at a time from 0.0 in annotation
+    order, so every mean equals the per-user reference's bit for bit."""
+    classes = []
+    for cls in CLASS_ORDER:
+        tags = annotations.by_class.get(cls, ())
+        columns = [index[t] for t in tags if t in index]
+        if full_lists and tags or columns:
+            classes.append((cls, columns, len(tags) if full_lists else len(columns)))
+        elif tags:
+            LOGGER.warning("class %s has no scored hashtags; excluded", cls)
+    if not classes:
+        raise EmptyEvaluation("no class has a scored hashtag")
+    best = np.full(len(values), -np.inf)
+    label = np.empty(len(values), dtype=object)
+    for cls, columns, divisor in classes:
+        total = np.zeros(len(values))
+        for j in columns:
+            total += values[:, j]
+        mean = total / divisor
+        win = mean >= best
+        best[win], label[win] = mean[win], cls
+    return label.tolist()
 
-    predicted, truth, cold = [], [], []
-    for u in split.holdout_users:
-        hidden_by_name = {
-            hashtags[j]: w for j, w in split.hidden[u].items()
-        }
-        true_cls = ground_truth_stance(hidden_by_name, ann)
-        if binary and not any(
-            hidden_by_name.get(t, 0.0) > 0 for c in ann.by_class for t in ann.by_class[c]
-        ):
-            continue
-        scores = out.final_hashtags @ out.final_users[u]
-        affinities = {t: float(scores[j]) for t, j in scored_tags}
-        predicted.append(classify_stance(affinities, ann))
-        truth.append(true_cls)
-        cold.append(bool(degrees[u] == 0))
-    return predicted, truth, cold
+
+def true_stances(
+    hidden: dict[int, dict[int, float]], annotations: StanceAnnotation, hashtags: list[str]
+) -> tuple[list[int], list[str]]:
+    """The users of `hidden` with positive hidden weight on an annotated
+    hashtag, in order, and the stance ground_truth_stance gives each."""
+    index = {h: j for j, h in enumerate(hashtags)}
+    users = sorted(hidden)
+    weights = np.zeros((len(users), len(hashtags)))
+    for row, u in enumerate(users):
+        weights[row, list(hidden[u])] = list(hidden[u].values())
+    annotated = [index[t] for t in annotations.tags() if t in index]
+    scored = (weights[:, annotated] > 0).any(axis=1)
+    return ([u for u, s in zip(users, scored) if s],
+            _stances(weights[scored], annotations, index, full_lists=True))
+
+
+def predicted_stances(final_users: np.ndarray, final_hashtags: np.ndarray, users: list[int],
+                      annotations: StanceAnnotation, hashtags: list[str]) -> list[str]:
+    """The stance classify_stance gives each of `users` from its affinities."""
+    # Stacked matrix-vector products: numpy runs one gemv per user, the
+    # kernel of `final_hashtags @ final_users[u]`, so every score equals the
+    # per-user one bit for bit; a single gemm sums in another order.
+    scores = (final_hashtags @ final_users[users][:, :, None])[:, :, 0]
+    return _stances(scores, annotations, {h: j for j, h in enumerate(hashtags)}, full_lists=False)
 
 
 @dataclass
@@ -417,9 +420,11 @@ def run_protocol(
     Per fold: train the variant on its graph for the fold, rank validation
     edges against the candidates outside the fold's training positives, and
     classify the holdout users, both from the final embeddings train
-    returns with its model. Returns the averaged report plus the first
-    fold's model, its final embeddings and the split, for downstream
-    artifacts.
+    returns with its model. The holdout users' true stances and cold flags
+    are fixed per split; `binary_stance` drops the NEUTRAL class, so users
+    with NEUTRAL-only hidden usage are not scored. Returns the averaged
+    report plus the first fold's model, its final embeddings and the split,
+    for downstream artifacts.
     """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown model variant {variant!r}")
@@ -432,12 +437,15 @@ def run_protocol(
     split = holdout_split(graph, annotations, hashtags, holdout_fraction, holdout_rng)
     edges, _ = split.train_graph.edges()
     fold_pairs = kfold_split(edges, folds, kfold_rng)
+    if binary_stance:
+        annotations = StanceAnnotation(
+            by_class={c: v for c, v in annotations.by_class.items() if c != "NEUTRAL"})
+    users, truth = true_stances(split.hidden, annotations, hashtags)
+    cold = (np.diff(split.train_graph.R.indptr)[users] == 0).tolist()
 
     fold_rows: list[FoldMetrics] = []
     fold0: tuple[EmbeddingState, PropagationOutput, list] | None = None
     all_pred: list[str] = []
-    all_truth: list[str] = []
-    all_cold: list[bool] = []
     for f, (train_pairs, val_pairs) in enumerate(fold_pairs):
         fold_graph = graph_without_edges(split.train_graph, val_pairs)
         fold_seed = int(
@@ -455,33 +463,27 @@ def run_protocol(
             out.final_users, out.final_hashtags, fold_graph.R, val_pairs
         )
 
-        pred, truth, cold = _stance_predictions(
-            out, split, annotations, hashtags, binary=binary_stance
-        )
+        pred = predicted_stances(out.final_users, out.final_hashtags, users, annotations,
+                                 hashtags)
         accuracy, rmse = stance_metrics(pred, truth)
         all_pred.extend(pred)
-        all_truth.extend(truth)
-        all_cold.extend(cold)
         fold_rows.append(FoldMetrics(f, recall, ndcg, accuracy, rmse))
         LOGGER.info(
             "fold %d: recall %.4f ndcg %.4f accuracy %.4f rmse %.4f",
             f, recall, ndcg, accuracy, rmse,
         )
 
+    all_truth = truth * len(fold_rows)
     accuracy, rmse = stance_metrics(all_pred, all_truth)
-    cold_pairs = [(p, t) for p, t, c in zip(all_pred, all_truth, all_cold) if c]
-    if cold_pairs:
-        acc_cold, _ = stance_metrics([p for p, _ in cold_pairs], [t for _, t in cold_pairs])
-    else:
-        acc_cold = float("nan")
+    cold_pairs = [(p, t) for p, t, c in zip(all_pred, all_truth, cold * len(fold_rows)) if c]
+    acc_cold = stance_metrics(*zip(*cold_pairs))[0] if cold_pairs else float("nan")
     report = EvalReport(
         recall=float(np.mean([r.recall for r in fold_rows])),
         ndcg=float(np.mean([r.ndcg for r in fold_rows])),
         accuracy=accuracy,
         rmse=rmse,
         accuracy_cold=acc_cold,
-        # Cold flags repeat across folds; report the per-split count.
-        n_cold=len(cold_pairs) // max(len(fold_rows), 1),
+        n_cold=sum(cold),
         n_holdout_users=len(split.holdout_users),
         n_eligible=split.n_eligible,
         folds=fold_rows,
@@ -514,25 +516,15 @@ def annotation_curve(
     """
     if not annotations.usage:
         raise ConfigError("annotation usage counts are required for the effort curve")
-    ranked: dict[str, list[str]] = {}
+    ranked: dict[str, tuple[str, ...]] = {}
     for cls in ("POS", "NEG"):
         tags = annotations.by_class.get(cls, ())
         if not tags:
             raise ConfigError(f"annotation set has no {cls} hashtags")
-        ranked[cls] = sorted(tags, key=lambda t: (-annotations.usage.get(t, 0.0), t))
-    max_x = min(len(ranked["POS"]), len(ranked["NEG"]))
+        ranked[cls] = tuple(sorted(tags, key=lambda t: (-annotations.usage.get(t, 0.0), t)))
+    max_x = min(len(tags) for tags in ranked.values())
 
-    full = StanceAnnotation(
-        by_class={"POS": tuple(ranked["POS"]), "NEG": tuple(ranked["NEG"])}
-    )
-    index = {h: j for j, h in enumerate(hashtags)}
-    users, truths = [], []
-    for u in sorted(hidden):
-        hidden_by_name = {hashtags[j]: w for j, w in hidden[u].items()}
-        if not any(hidden_by_name.get(t, 0.0) > 0 for t in full.tags()):
-            continue
-        users.append(u)
-        truths.append(ground_truth_stance(hidden_by_name, full))
+    users, truths = true_stances(hidden, StanceAnnotation(by_class=ranked), hashtags)
     if not users:
         raise EmptyEvaluation("no holdout user has POS or NEG usage")
 
@@ -541,20 +533,9 @@ def annotation_curve(
         x = int(x)
         if x < 1 or x > max_x:
             raise BoundsError(f"x={x} outside [1, {max_x}]")
-        restricted = StanceAnnotation(
-            by_class={
-                "POS": tuple(ranked["POS"][:x]),
-                "NEG": tuple(ranked["NEG"][:x]),
-            }
-        )
-        scored = [(t, index[t]) for t in sorted(restricted.tags()) if t in index]
-        predicted = []
-        for u in users:
-            scores = final_hashtags @ final_users[u]
-            affinities = {t: float(scores[j]) for t, j in scored}
-            predicted.append(classify_stance(affinities, restricted))
-        accuracy, _ = stance_metrics(predicted, truths)
-        curve.append((x, accuracy))
+        top_x = StanceAnnotation(by_class={cls: tags[:x] for cls, tags in ranked.items()})
+        predicted = predicted_stances(final_users, final_hashtags, users, top_x, hashtags)
+        curve.append((x, stance_metrics(predicted, truths)[0]))
     return curve
 
 

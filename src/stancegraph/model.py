@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, RecordError, ShapeError
+from .errors import ConfigError, DegenerateHashtag, RecordError, ShapeError
 from .graphs import (
     CHECKPOINT,
     BipartiteGraph,
@@ -24,7 +24,7 @@ from .graphs import (
     read_container,
     write_container,
 )
-from .ingest import checked_ids
+from .ingest import checked_ids, normalize_hashtag
 
 LOGGER = logging.getLogger(__name__)
 
@@ -133,9 +133,10 @@ def init_embeddings(
 
 
 def load_pretrained_vectors(path, hashtags: list[str], dim: int) -> dict[int, np.ndarray]:
-    """Read whitespace-separated 'hashtag v1 .. vd' lines; tags absent from
-    the corpus are skipped with a warning. A line with other than `dim`
-    components, or with a component that is not a finite float, raises
+    """Read whitespace-separated 'hashtag v1 .. vd' lines. Each hashtag is
+    normalized as in ingest, and tags absent from the corpus are skipped
+    with a warning. A hashtag that normalizes to empty, a line with other
+    than `dim` components, or a component that is not a finite float raises
     RecordError."""
     index = {h: j for j, h in enumerate(hashtags)}
     out: dict[int, np.ndarray] = {}
@@ -144,7 +145,11 @@ def load_pretrained_vectors(path, hashtags: list[str], dim: int) -> dict[int, np
             parts = line.split()
             if not parts:
                 continue
-            tag, values = parts[0], parts[1:]
+            try:
+                tag = normalize_hashtag(parts[0])
+            except DegenerateHashtag as exc:
+                raise RecordError(str(exc), line_no) from exc
+            values = parts[1:]
             if len(values) != dim:
                 raise RecordError(f"expected {dim} components, got {len(values)}", line_no)
             try:

@@ -217,8 +217,8 @@ def write_vectors(path, tags, dim, bad_line=None):
 
 @pytest.mark.parametrize("bad_line", [
     "ht00003 0.5 0.5 0.5", "ht00003 0.5 0.5 0.5 0.5 0.5", "ht00003 0.5 nan 0.5 0.5",
-    "ht00003 0.5 0.5 inf 0.5", "ht00003 0.5 0.5 0.5 zero",
-], ids=["too-few", "too-many", "nan", "inf", "not-a-number"])
+    "ht00003 0.5 0.5 inf 0.5", "ht00003 0.5 0.5 0.5 zero", "## 0.5 0.5 0.5 0.5",
+], ids=["too-few", "too-many", "nan", "inf", "not-a-number", "empty-hashtag"])
 def test_malformed_pretrained_vectors_exit_3(tmp_path, capsys, bad_line):
     _, data = synth_and_build(tmp_path)
     vectors = tmp_path / "vectors.txt"
@@ -259,6 +259,33 @@ def test_eval_variant_with_pretrained_vectors(tmp_path, variant):
                 "--out", tmp_path / "eval", "--max-epochs", "2", "--folds", "2",
                 "--holdout-fraction", "0.1", "--dim", "4", "--variant", variant,
                 "--pretrained", vectors]) == 0
+
+
+def test_eval_pretrained_vectors_match_normalized_hashtags(tmp_path):
+    # '#HT00002' names the corpus hashtag 'ht00002', as it would in a tweet
+    raw, data = synth_and_build(tmp_path)
+    vectors = tmp_path / "vectors.txt"
+    want = write_vectors(vectors, ["#HT00002", "ht00007"], 4)
+    out = tmp_path / "eval"
+    assert run(["eval", "--data", data, "--annotations", raw / "annotations.tsv",
+                "--out", out, "--max-epochs", "0", "--folds", "2",
+                "--holdout-fraction", "0.1", "--dim", "4", "--pretrained", vectors]) == 0
+    state, _, tags = load_checkpoint(out / "checkpoint.bin")
+    assert np.array_equal(state.hashtags[tags.index("ht00002")], want["#HT00002"])
+    assert np.array_equal(state.hashtags[tags.index("ht00007")], want["ht00007"])
+
+
+def test_baseline_eval_skips_channel_inputs(tmp_path, caplog):
+    raw, data = synth_and_build(tmp_path)
+    (data / "social.coo").unlink()
+    argv = ["eval", "--data", data, "--annotations", raw / "annotations.tsv",
+            "--max-epochs", "1", "--folds", "2", "--holdout-fraction", "0.1", "--use-social"]
+    with caplog.at_level("WARNING"):
+        assert run(argv + ["--out", tmp_path / "mf", "--variant", "mf"]) == 0
+    assert [r.getMessage() for r in caplog.records if "side channels" in r.getMessage()] == [
+        "variant mf uses no side channels; ignoring social.coo"]
+    assert run(argv + ["--out", tmp_path / "boosted", "--variant", "boosted"]) == 2
+    assert run(argv + ["--out", tmp_path / "wlgcn", "--variant", "wlgcn"]) == 4
 
 
 # config resolution ----------------------------------------------------------

@@ -9,11 +9,11 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from stancegraph import metrics, model
+from stancegraph import evaluate, metrics, model
 from stancegraph.errors import (
     BoundsError,
     ConfigError,
@@ -38,11 +38,13 @@ from stancegraph.evaluate import (
     kfold_split,
     null_model,
     parse_annotations,
+    predicted_stances,
     run_protocol,
     save_annotations,
     stance_metrics,
     synth_generate,
     SynthConfig,
+    true_stances,
     VARIANTS,
     with_usage,
     write_report,
@@ -196,6 +198,68 @@ def test_stance_numeric_mapping_is_increasing():
     values = [STANCE_NUMERIC[c] for c in CLASS_ORDER]
     assert values == sorted(values)
     assert values[0] < values[1] < values[2]
+
+
+def per_user_stances(final_users, final_hashtags, hashtags, hidden, ann):
+    """The scored users, their truths and their predictions, one user at a
+    time through ground_truth_stance and classify_stance."""
+    index = {h: j for j, h in enumerate(hashtags)}
+    users, truth, pred = [], [], []
+    for u in sorted(hidden):
+        by_name = {hashtags[j]: w for j, w in hidden[u].items()}
+        if not any(by_name.get(t, 0.0) > 0 for t in ann.tags()):
+            continue
+        scores = final_hashtags @ final_users[u]
+        users.append(u)
+        truth.append(ground_truth_stance(by_name, ann))
+        pred.append(classify_stance(
+            {t: float(scores[index[t]]) for t in ann.tags() if t in index}, ann))
+    return users, truth, pred
+
+
+@st.composite
+def stance_cases(draw):
+    # Integer embeddings and quarter weights keep every class sum exact
+    # whatever the order, and make exact ties common. The tag pool holds
+    # two tags absent from the corpus, and each class draws from all of it,
+    # so a tag can sit in two classes and a class can have no scored tag.
+    n, m, d = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    grid = st.integers(-2, 2).map(float)
+    final_users = draw(hnp.arrays(np.float64, (n, d), elements=grid))
+    final_hashtags = draw(hnp.arrays(np.float64, (m, d), elements=grid))
+    hashtags = [f"h{j}" for j in range(m)]
+    pool = st.sampled_from(hashtags + ["absent0", "absent1"])
+    by_class = {cls: tuple(draw(st.lists(pool, unique=True, max_size=4))) for cls in CLASS_ORDER}
+    by_class = {cls: tags for cls, tags in by_class.items() if tags}
+    if not by_class:
+        by_class = {draw(st.sampled_from(CLASS_ORDER)): (draw(pool),)}
+    weight = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+    hidden = draw(st.dictionaries(
+        st.integers(0, n - 1), st.dictionaries(st.integers(0, m - 1), weight), max_size=n))
+    return final_users, final_hashtags, hashtags, hidden, StanceAnnotation(by_class=by_class)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stance_cases())
+# Summed in annotation order, NEG's 0.3 + 0.2 + 0.1 equals POS's 0.6, so
+# truth and prediction tie; summed in column order it is one ulp larger.
+@example((np.ones((1, 1)), np.array([[0.1], [0.2], [0.3], [0.6], [0.0], [0.0]]),
+          [f"h{j}" for j in range(6)], {0: {0: 0.1, 1: 0.2, 2: 0.3, 3: 0.6}},
+          StanceAnnotation(by_class={"NEG": ("h2", "h1", "h0"), "POS": ("h3", "h4", "h5")})))
+def test_array_scorer_equals_per_user_reference(case):
+    final_users, final_hashtags, hashtags, hidden, ann = case
+    # With no annotated tag in the corpus no user is scored, and the scorer
+    # raises where classify_stance would.
+    scoreable = any(t in hashtags for t in ann.tags())
+    want_users, want_truth, want_pred = per_user_stances(
+        final_users, final_hashtags, hashtags, hidden, ann)
+    users, truth = true_stances(hidden, ann, hashtags)
+    assert (users, truth) == (want_users, want_truth)
+    if scoreable:
+        assert predicted_stances(final_users, final_hashtags, users, ann, hashtags) == want_pred
+    else:
+        with pytest.raises(EmptyEvaluation):
+            predicted_stances(final_users, final_hashtags, users, ann, hashtags)
 
 
 # ranking metrics ------------------------------------------------------------
@@ -679,6 +743,38 @@ def test_protocol_null_variant_runs():
 def test_protocol_rejects_unknown_variant():
     with pytest.raises(ConfigError):
         protocol_fixture(variant="boosted")
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_protocol_binary_stance_skips_neutral_only_users(binary):
+    # Few annotated camp tags and many neutral draws, so some holdout users
+    # hide only NEUTRAL edges.
+    data, cfg = small_synth(seed=5, n_users=60, n_hashtags=30, n_neutral=10, p_in=0.5,
+                            p_out=0.1, interactions_per_user=6, annotated_per_camp=2)
+    tags = data.counts.hashtags
+    two_class = data.annotations
+    ann = with_usage(StanceAnnotation(by_class={**two_class.by_class,
+                                                "NEUTRAL": tuple(tags[20:25])}), data.counts)
+    scorer = mock.Mock(wraps=evaluate.predicted_stances)
+    with mock.patch.object(evaluate, "predicted_stances", scorer):
+        res = run_protocol(build_interaction_graph(data.counts), None, ann, tags,
+                           ModelConfig(dim=8), QUICK_TRAIN, seed=0, holdout_fraction=0.5,
+                           folds=2, binary_stance=binary)
+    neutral_only = {u for u in res.split.holdout_users
+                    if not {tags[j] for j in res.split.hidden[u]} & two_class.tags()}
+    assert neutral_only and len(neutral_only) < len(res.split.holdout_users)
+    reference = two_class if binary else ann
+    preds, truths = [], []
+    for call in scorer.call_args_list:
+        final_users, final_hashtags, users = call.args[:3]
+        want_users, truth, pred = per_user_stances(final_users, final_hashtags, tags,
+                                                   res.split.hidden, reference)
+        assert users == want_users
+        assert neutral_only.isdisjoint(users) if binary else neutral_only < set(users)
+        preds += pred
+        truths += truth
+    assert len(scorer.call_args_list) == 2
+    assert res.report.accuracy == stance_metrics(preds, truths)[0]
 
 
 def test_null_recall_within_sanity_bound_of_chance():
