@@ -22,13 +22,14 @@ import scipy.sparse as sp
 from .errors import (
     BoundsError,
     ConfigError,
+    DegenerateHashtag,
     EmptyEligibleSet,
     EmptyEvaluation,
     RecordError,
     ShapeError,
 )
 from .graphs import BipartiteGraph, _is_member, binarize, row_normalize
-from .ingest import InteractionCounts, _csr_from_counts, normalize_hashtag
+from .ingest import InteractionCounts, normalize_hashtag
 from .metrics import EVAL_K, ranking_metrics
 from .model import ChannelSet, EmbeddingState, ModelConfig, PropagationOutput
 from .train import TrainConfig, _edge_keys, train
@@ -73,7 +74,10 @@ def parse_annotations(lines) -> StanceAnnotation:
         tag, cls = parts[0].strip(), parts[1].strip().upper()
         if cls not in CLASS_ORDER:
             raise RecordError(f"unknown stance class {parts[1]!r}", line_no)
-        tag = normalize_hashtag(tag)
+        try:
+            tag = normalize_hashtag(tag)
+        except DegenerateHashtag as exc:
+            raise RecordError(str(exc), line_no) from exc
         if tag not in by_class[cls]:
             by_class[cls].append(tag)
     listed = [t for tags in by_class.values() for t in tags]  # unique within a class
@@ -585,6 +589,14 @@ class SynthData:
     planted: list[str]  # per-user true camp, index-aligned with counts.users
 
 
+def _unit_counts(rows: np.ndarray, cols: np.ndarray, shape) -> sp.csr_matrix:
+    """CSR with one count per (row, col) pair, duplicates summed and
+    indices sorted."""
+    mat = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape)
+    mat.sum_duplicates()
+    return mat
+
+
 def synth_generate(cfg: SynthConfig, rng: np.random.Generator) -> SynthData:
     """Generate a two-camp corpus.
 
@@ -594,47 +606,52 @@ def synth_generate(cfg: SynthConfig, rng: np.random.Generator) -> SynthData:
     homophily factor inside a camp. Only the first annotated_per_camp
     hashtags of each camp are labeled, so holdout users keep unannotated
     own-camp edges.
+
+    Draw order, a contract that fixes the corpus for a seed: for each user
+    in turn, random(k) for the categories, random(k) for the kinds, then
+    one integers(0, pool size) offset per interaction (k =
+    interactions_per_user); then random(n - 1 - i) for each follow row i of
+    the upper triangle, rows in order. That array draws give the values of
+    the scalar draws they replace is a numpy implementation property;
+    tests/test_eval.py compares against a scalar-loop reference, and that
+    test is what catches a numpy release that breaks it.
     """
-    n_pos_users = (cfg.n_users + 1) // 2
-    camp_tags = cfg.n_hashtags - cfg.n_neutral
+    n, m, k = cfg.n_users, cfg.n_hashtags, cfg.interactions_per_user
+    n_pos_users = (n + 1) // 2
+    camp_tags = m - cfg.n_neutral
     n_pos_tags = (camp_tags + 1) // 2
-    users = [f"u{i:05d}" for i in range(cfg.n_users)]
-    tags = [f"ht{j:05d}" for j in range(cfg.n_hashtags)]
-    planted = ["POS" if i < n_pos_users else "NEG" for i in range(cfg.n_users)]
-    pos_tags = list(range(0, n_pos_tags))
-    neg_tags = list(range(n_pos_tags, camp_tags))
-    neutral_tags = list(range(camp_tags, cfg.n_hashtags))
+    users = [f"u{i:05d}" for i in range(n)]
+    tags = [f"ht{j:05d}" for j in range(m)]
+    planted = ["POS" if i < n_pos_users else "NEG" for i in range(n)]
+    camp = (np.arange(n) >= n_pos_users).astype(np.intp)  # 0 POS, 1 NEG
 
-    by_kind = {"original": {}, "retweet": {}}
-    for i in range(cfg.n_users):
-        own = pos_tags if planted[i] == "POS" else neg_tags
-        other = neg_tags if planted[i] == "POS" else pos_tags
-        cats = rng.random(cfg.interactions_per_user)
-        kinds = rng.random(cfg.interactions_per_user) < cfg.retweet_rate
-        for k in range(cfg.interactions_per_user):
-            if cats[k] < cfg.p_in:
-                pool = own
-            elif cats[k] < cfg.p_in + cfg.p_out:
-                pool = other
-            else:
-                pool = neutral_tags
-            j = pool[int(rng.integers(0, len(pool)))]
-            bucket = by_kind["retweet" if kinds[k] else "original"]
-            key = (i, j)
-            bucket[key] = bucket.get(key, 0.0) + 1.0
+    # [start, stop) of each camp's pools, in category order own, other, neutral
+    pos, neg, neutral = (0, n_pos_tags), (n_pos_tags, camp_tags), (camp_tags, m)
+    pools = np.array([[pos, neg, neutral], [neg, pos, neutral]], dtype=np.int64)
+    pool_sizes = pools[..., 1] - pools[..., 0]
+    cuts = np.array([cfg.p_in, cfg.p_in + cfg.p_out])
+    category = np.empty((n, k), dtype=np.intp)
+    offset = np.empty((n, k), dtype=np.int64)
+    retweet = np.empty((n, k), dtype=bool)
+    for i in range(n):
+        category[i] = np.searchsorted(cuts, rng.random(k), side="right")
+        retweet[i] = rng.random(k) < cfg.retweet_rate
+        offset[i] = rng.integers(0, pool_sizes[camp[i], category[i]])
+    rows = np.repeat(np.arange(n), k)
+    cols = (pools[camp[:, None], category, 0] + offset).ravel()
+    retweet = retweet.ravel()
 
-    mutual: dict[tuple[int, int], float] = {}
-    for i in range(cfg.n_users):
-        for j in range(i + 1, cfg.n_users):
-            same = (i < n_pos_users) == (j < n_pos_users)
-            p = cfg.social_base_rate * (cfg.homophily if same else 1.0)
-            if rng.random() < min(p, 1.0):
-                mutual[(i, j)] = 1.0
-                mutual[(j, i)] = 1.0
+    # threshold[c, j]: follow probability between a camp-c user and user j
+    same = camp[None, :] == np.arange(2)[:, None]
+    threshold = np.where(same, min(cfg.social_base_rate * cfg.homophily, 1.0),
+                         min(cfg.social_base_rate, 1.0))
+    followed = [np.flatnonzero(rng.random(n - 1 - i) < threshold[camp[i], i + 1:]) + (i + 1)
+                for i in range(n - 1)]
+    f_rows = np.repeat(np.arange(n - 1), [f.size for f in followed])
+    f_cols = np.concatenate(followed)
 
-    n, m = cfg.n_users, cfg.n_hashtags
-    t_tweet = _csr_from_counts(by_kind["original"], (n, m))
-    t_retweet = _csr_from_counts(by_kind["retweet"], (n, m))
+    t_tweet = _unit_counts(rows[~retweet], cols[~retweet], (n, m))
+    t_retweet = _unit_counts(rows[retweet], cols[retweet], (n, m))
     counts = InteractionCounts(
         users=users,
         hashtags=tags,
@@ -644,14 +661,15 @@ def synth_generate(cfg: SynthConfig, rng: np.random.Generator) -> SynthData:
         T_reply=sp.csr_matrix((n, m), dtype=np.float64),
         mention=sp.csr_matrix((n, n), dtype=np.float64),
         reply=sp.csr_matrix((n, n), dtype=np.float64),
-        mutual_follow=_csr_from_counts(mutual, (n, n)),
+        mutual_follow=_unit_counts(np.concatenate([f_rows, f_cols]),
+                                   np.concatenate([f_cols, f_rows]), (n, n)),
     )
     counts.validate()
 
     annotations = StanceAnnotation(
         by_class={
-            "POS": tuple(tags[j] for j in pos_tags[: cfg.annotated_per_camp]),
-            "NEG": tuple(tags[j] for j in neg_tags[: cfg.annotated_per_camp]),
+            "POS": tuple(tags[:n_pos_tags][: cfg.annotated_per_camp]),
+            "NEG": tuple(tags[n_pos_tags:camp_tags][: cfg.annotated_per_camp]),
         }
     )
     annotations = with_usage(annotations, counts)

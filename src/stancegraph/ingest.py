@@ -14,6 +14,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -415,12 +416,14 @@ def save_counts(counts: InteractionCounts, path) -> None:
     """JSON with the id lists and each count matrix as CSR columns
     {"indptr", "indices", "data"}; T is not stored, being the sum of the
     three per-kind matrices."""
-    payload = {"users": counts.users, "hashtags": counts.hashtags}
-    for name in COUNT_MATRICES:
-        payload[name] = _columns(getattr(counts, name))
+    dumps = partial(json.dumps, ensure_ascii=False, separators=(",", ":"))
+    # One json.dumps per entry: that runs the C encoder (json.dump to a file
+    # runs the pure-Python one) without holding the whole document in memory.
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False, separators=(",", ":"))
-        fh.write("\n")
+        fh.write('{"users":' + dumps(counts.users) + ',"hashtags":' + dumps(counts.hashtags))
+        for name in COUNT_MATRICES:
+            fh.write(f',"{name}":' + dumps(_columns(getattr(counts, name))))
+        fh.write("}\n")
 
 
 def load_counts(path) -> InteractionCounts:

@@ -81,6 +81,29 @@ def test_empty_annotation_file_exits_2(tmp_path, capsys):
     assert "kind=ConfigError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "curve"])
+def test_degenerate_annotation_hashtag_exits_3(tmp_path, capsys, command):
+    raw, data = synth_and_build(tmp_path)
+    eval_dir = tmp_path / "eval"
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("#\tPOS\nht00001\tNEG\n", encoding="utf-8")
+    if command == "eval":
+        args = ["eval", "--data", data, "--annotations", bad, "--out", eval_dir]
+    else:
+        assert run(["eval", "--data", data, "--annotations", raw / "annotations.tsv",
+                    "--out", eval_dir, "--max-epochs", "1", "--folds", "2",
+                    "--holdout-fraction", "0.1", "--dim", "4"]) == 0
+        args = ["curve", "--data", data, "--eval-dir", eval_dir, "--annotations", bad,
+                "--out", tmp_path / "curve.csv"]
+    capsys.readouterr()
+    code = run(args)
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error ")]
+    assert code == 3
+    assert len(errors) == 1 and errors[0].startswith("error kind=RecordError exit=3: line 1: ")
+    assert "Traceback" not in err
+
+
 def test_bounds_error_exits_2(tmp_path, capsys):
     _, data = synth_and_build(tmp_path)
     eval_dir = tmp_path / "eval"

@@ -50,6 +50,7 @@ from stancegraph.evaluate import (
     write_report,
 )
 from stancegraph.graphs import BipartiteGraph, binarize, build_adjacency, build_interaction_graph
+from stancegraph.ingest import InteractionCounts, _csr_from_counts, save_counts
 from stancegraph.metrics import ndcg_at_k, ranking_metrics, recall_at_k, top_k_items
 from stancegraph.model import ChannelSet, ModelConfig, build_operators, forward
 from stancegraph.train import TrainConfig, train
@@ -614,13 +615,12 @@ def test_binarize_idempotent_reduction():
 
 # synthetic generator --------------------------------------------------------
 
+SMALL = dict(n_users=40, n_hashtags=20, n_neutral=4, interactions_per_user=10,
+             annotated_per_camp=5)
+
+
 def small_synth(seed=0, **kw):
-    defaults = dict(
-        n_users=40, n_hashtags=20, n_neutral=4, interactions_per_user=10,
-        annotated_per_camp=5,
-    )
-    defaults.update(kw)
-    cfg = SynthConfig(**defaults)
+    cfg = SynthConfig(**dict(SMALL, **kw))
     return synth_generate(cfg, np.random.default_rng(seed)), cfg
 
 
@@ -674,6 +674,92 @@ def test_synth_validates_probabilities():
 def test_synth_counts_match_interaction_budget():
     data, cfg = small_synth()
     assert data.counts.T.sum() == cfg.n_users * cfg.interactions_per_user
+
+
+def synth_reference(cfg, rng):
+    """The scalar-loop generator: one integers() call per interaction and
+    one random() call per user pair, counts gathered in dicts."""
+    n_pos_users = (cfg.n_users + 1) // 2
+    camp_tags = cfg.n_hashtags - cfg.n_neutral
+    n_pos_tags = (camp_tags + 1) // 2
+    users = [f"u{i:05d}" for i in range(cfg.n_users)]
+    tags = [f"ht{j:05d}" for j in range(cfg.n_hashtags)]
+    planted = ["POS" if i < n_pos_users else "NEG" for i in range(cfg.n_users)]
+    pos_tags = list(range(0, n_pos_tags))
+    neg_tags = list(range(n_pos_tags, camp_tags))
+    neutral_tags = list(range(camp_tags, cfg.n_hashtags))
+
+    by_kind = {"original": {}, "retweet": {}}
+    for i in range(cfg.n_users):
+        own = pos_tags if planted[i] == "POS" else neg_tags
+        other = neg_tags if planted[i] == "POS" else pos_tags
+        cats = rng.random(cfg.interactions_per_user)
+        kinds = rng.random(cfg.interactions_per_user) < cfg.retweet_rate
+        for k in range(cfg.interactions_per_user):
+            if cats[k] < cfg.p_in:
+                pool = own
+            elif cats[k] < cfg.p_in + cfg.p_out:
+                pool = other
+            else:
+                pool = neutral_tags
+            j = pool[int(rng.integers(0, len(pool)))]
+            bucket = by_kind["retweet" if kinds[k] else "original"]
+            bucket[(i, j)] = bucket.get((i, j), 0.0) + 1.0
+
+    mutual = {}
+    for i in range(cfg.n_users):
+        for j in range(i + 1, cfg.n_users):
+            same = (i < n_pos_users) == (j < n_pos_users)
+            p = cfg.social_base_rate * (cfg.homophily if same else 1.0)
+            if rng.random() < min(p, 1.0):
+                mutual[(i, j)] = 1.0
+                mutual[(j, i)] = 1.0
+
+    n, m = cfg.n_users, cfg.n_hashtags
+    t_tweet = _csr_from_counts(by_kind["original"], (n, m))
+    t_retweet = _csr_from_counts(by_kind["retweet"], (n, m))
+    counts = InteractionCounts(
+        users=users, hashtags=tags, T=(t_tweet + t_retweet).tocsr(),
+        T_tweet=t_tweet, T_retweet=t_retweet,
+        T_reply=sp.csr_matrix((n, m)), mention=sp.csr_matrix((n, n)),
+        reply=sp.csr_matrix((n, n)), mutual_follow=_csr_from_counts(mutual, (n, n)),
+    )
+    annotations = StanceAnnotation(by_class={
+        "POS": tuple(tags[j] for j in pos_tags[: cfg.annotated_per_camp]),
+        "NEG": tuple(tags[j] for j in neg_tags[: cfg.annotated_per_camp]),
+    })
+    return evaluate.SynthData(counts=counts, annotations=with_usage(annotations, counts),
+                              planted=planted)
+
+
+
+@pytest.mark.parametrize("kw", [
+    {},
+    dict(n_users=500, n_hashtags=300, n_neutral=30, interactions_per_user=30),
+    dict(SMALL, n_neutral=0, p_in=0.75, p_out=0.25),
+    dict(SMALL, p_out=0.0),
+    dict(SMALL, retweet_rate=0.0),
+    dict(SMALL, retweet_rate=1.0),
+    dict(SMALL, social_base_rate=0.0),
+    dict(SMALL, social_base_rate=1.0),
+    dict(SMALL, homophily=0.0),
+    dict(SMALL, n_users=41),
+    dict(SMALL, n_users=2),
+    dict(SMALL, n_hashtags=5, n_neutral=3, annotated_per_camp=1),
+], ids=["default", "benchmark", "no-neutral", "p-out-0", "retweet-0", "retweet-1",
+        "social-0", "social-1", "homophily-0", "odd-users", "two-users", "pools-of-one"])
+def test_synth_generate_equals_scalar_loop_reference(kw, tmp_path):
+    cfg = SynthConfig(**kw)
+    for seed in range(5):
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = synth_generate(cfg, rng_got), synth_reference(cfg, rng_want)
+        save_counts(got.counts, tmp_path / "got.json")
+        save_counts(want.counts, tmp_path / "want.json")
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+        assert got.planted == want.planted
+        assert got.annotations == want.annotations
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+        assert rng_got.random() == rng_want.random()
 
 
 # protocol and reports -------------------------------------------------------

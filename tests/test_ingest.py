@@ -359,6 +359,20 @@ def test_counts_roundtrip_is_byte_exact(tmp_path):
     assert load_counts(second).T_reply.nnz == 0
 
 
+def test_counts_file_is_one_compact_json_document(tmp_path):
+    counts = small_counts(np.random.default_rng(5), 5, 4)
+    counts = dataclasses.replace(counts, users=["usér", "ü2", "u3", "u4", "u5"],
+                                 T_tweet=counts.T_tweet * 0.1)
+    path = tmp_path / "counts.json"
+    save_counts(counts, path)
+    text = path.read_text(encoding="utf-8")
+    payload = json.loads(text)
+    assert list(payload) == ["users", "hashtags", "T_tweet", "T_retweet", "T_reply",
+                             "mention", "reply", "mutual_follow"]
+    assert text == json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n"
+    assert "usér" in text
+
+
 def counts_payload(tmp_path) -> dict:
     path = tmp_path / "good.json"
     save_counts(small_counts(np.random.default_rng(9)), path)
