@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import logging
 import shutil
 import sys
@@ -415,6 +416,14 @@ def _fail(exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
+    # Move the ~40k objects the imports left tracked into the permanent
+    # generation: the full collections during the run and the one at
+    # interpreter exit then skip them, which saves ~20 ms per stage process.
+    # Only the first call freezes. Frozen cyclic garbage is never freed, and
+    # a process that calls main again (a test run) would freeze what each
+    # earlier call left behind.
+    if not gc.get_freeze_count():
+        gc.freeze()
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"

@@ -346,6 +346,7 @@ class EvalReport:
     accuracy_cold: float
     n_cold: int
     n_holdout_users: int
+    n_scored: int
     n_eligible: int
     folds: list[FoldMetrics] = field(default_factory=list)
 
@@ -359,6 +360,7 @@ def write_report(report: EvalReport, report_path, folds_path) -> None:
         fh.write(f"accuracy_cold={report.accuracy_cold:.6f}\n")
         fh.write(f"n_cold={report.n_cold}\n")
         fh.write(f"n_holdout_users={report.n_holdout_users}\n")
+        fh.write(f"n_scored={report.n_scored}\n")
         fh.write(f"n_eligible={report.n_eligible}\n")
         fh.write(f"n_folds={len(report.folds)}\n")
     with open(folds_path, "w", encoding="utf-8") as fh:
@@ -489,6 +491,7 @@ def run_protocol(
         accuracy_cold=acc_cold,
         n_cold=sum(cold),
         n_holdout_users=len(split.holdout_users),
+        n_scored=len(users),
         n_eligible=split.n_eligible,
         folds=fold_rows,
     )

@@ -336,6 +336,8 @@ def extract_interactions(corpus: Corpus) -> InteractionCounts:
 
 
 COUNT_MATRICES = ("T_tweet", "T_retweet", "T_reply", "mention", "reply", "mutual_follow")
+# Array entries per json.dumps call in save_counts.
+JSON_SLICE = 65536
 
 
 def checked_ids(ids, source, line_no: int | None = None) -> list[str]:
@@ -377,14 +379,20 @@ def checked_csr(indptr, indices, data, shape, source) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 
-def _columns(mat: sp.spmatrix) -> dict:
+def _write_columns(fh, mat: sp.spmatrix, dumps) -> None:
+    """Write mat as the CSR columns object {"indptr", "indices", "data"}.
+
+    Each array goes out JSON_SLICE entries at a time, so only one slice is
+    ever a Python list; the bytes equal dumps() of the whole-array lists."""
     csr = sp.csr_matrix(mat, dtype=np.float64, copy=True)
     csr.sum_duplicates()
-    return {
-        "indptr": csr.indptr.tolist(),
-        "indices": csr.indices.tolist(),
-        "data": csr.data.tolist(),
-    }
+    for sep, key in (("{", "indptr"), (",", "indices"), (",", "data")):
+        arr = getattr(csr, key)
+        fh.write(f'{sep}"{key}":[')
+        for start in range(0, arr.size, JSON_SLICE):
+            fh.write(("," if start else "") + dumps(arr[start:start + JSON_SLICE].tolist())[1:-1])
+        fh.write("]")
+    fh.write("}")
 
 
 def _column_array(values, kinds: str, source: str) -> np.ndarray:
@@ -417,12 +425,14 @@ def save_counts(counts: InteractionCounts, path) -> None:
     {"indptr", "indices", "data"}; T is not stored, being the sum of the
     three per-kind matrices."""
     dumps = partial(json.dumps, ensure_ascii=False, separators=(",", ":"))
-    # One json.dumps per entry: that runs the C encoder (json.dump to a file
-    # runs the pure-Python one) without holding the whole document in memory.
+    # One json.dumps per id list and per array slice: that runs the C encoder
+    # (json.dump to a file runs the pure-Python one) without holding the
+    # whole document, or a whole array as Python objects, in memory.
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{"users":' + dumps(counts.users) + ',"hashtags":' + dumps(counts.hashtags))
         for name in COUNT_MATRICES:
-            fh.write(f',"{name}":' + dumps(_columns(getattr(counts, name))))
+            fh.write(f',"{name}":')
+            _write_columns(fh, getattr(counts, name), dumps)
         fh.write("}\n")
 
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError, NumericsError
 from .graphs import BipartiteGraph, _is_member
@@ -174,6 +174,30 @@ def _scatter_rows(index: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndar
     return np.bincount(flat, weights=values.ravel(), minlength=n_rows * d).reshape(n_rows, d)
 
 
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def sigmoid_of_negated(gaps: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(g)) for each g in a 1-D array, with libm's exp.
+
+    This is how scipy.special.expit(-g) computes it, so the two agree bit
+    for bit; np.exp does not (its SIMD loops differ from libm in the last
+    bit on some inputs), and importing scipy.special costs every stage
+    process ~20 ms. Where exp(g) overflows, libm gives inf and the result
+    is 0.
+    """
+    values = gaps.tolist()
+    try:
+        e = np.fromiter(map(math.exp, values), np.float64, len(values))
+    except OverflowError:  # math.exp raises where libm returns inf
+        e = np.fromiter(map(_exp_or_inf, values), np.float64, len(values))
+    return 1.0 / (1.0 + e)
+
+
 def grad_e0(
     triples: np.ndarray,
     out: PropagationOutput,
@@ -201,7 +225,7 @@ def grad_e0(
         if scores is None:
             scores = pair_scores(triples, out)
         eu, diff = scores.users, scores.diff
-        s = expit(-scores.gaps)[:, None]
+        s = sigmoid_of_negated(scores.gaps)[:, None]
         g_users = _scatter_rows(u, -s * diff, n)
         # One scatter for both item sides keeps np.add.at's order: every i
         # term, then every j term.

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +25,19 @@ from stancegraph.model import ModelConfig, init_embeddings, load_checkpoint
 
 from conftest import write_graph_container
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def run(argv) -> int:
     return main([str(a) for a in argv])
+
+
+def fresh_python(args, cwd) -> subprocess.CompletedProcess:
+    """Run the interpreter in a new process with the package on its path."""
+    path = os.pathsep.join([str(SRC)] + ([os.environ["PYTHONPATH"]]
+                                         if os.environ.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
 
 
 def synth_and_build(tmp_path, seed="0"):
@@ -36,6 +50,47 @@ def synth_and_build(tmp_path, seed="0"):
     assert run(["build", "--counts", raw / "counts.json", "--out", data,
                 "--seed", seed]) == 0
     return raw, data
+
+
+# process entry --------------------------------------------------------------
+
+def test_cli_import_leaves_scipy_special_out(tmp_path):
+    code = ("import sys, stancegraph.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))")
+    proc = fresh_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_module_entry_runs_synth(tmp_path):
+    proc = fresh_python(["-m", "stancegraph.cli", "synth", "--out", str(tmp_path / "raw"),
+                         "--n-users", "20", "--n-hashtags", "10", "--n-neutral", "2",
+                         "--interactions-per-user", "4", "--annotated-per-camp", "2"],
+                        tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("synth: 20 users, 10 hashtags")
+    assert (tmp_path / "raw" / "counts.json").is_file()
+
+
+def test_main_freezes_the_heap_once(tmp_path):
+    argv = ["synth", "--out", tmp_path / "raw", "--n-users", "20", "--n-hashtags", "10",
+            "--n-neutral", "2", "--interactions-per-user", "4", "--annotated-per-camp", "2"]
+    assert run(argv) == 0
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+    assert run(argv) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_module_entry_bad_key_exits_2(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("no_such_knob=1\n", encoding="utf-8")
+    proc = fresh_python(["-m", "stancegraph.cli", "synth", "--out", str(tmp_path / "raw"),
+                         "--config", str(cfg)], tmp_path)
+    assert proc.returncode == 2
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error ")]
+    assert len(errors) == 1 and errors[0].startswith("error kind=ConfigError exit=2: ")
+    assert "Traceback" not in proc.stderr
 
 
 # exit codes -----------------------------------------------------------------

@@ -861,6 +861,9 @@ def test_protocol_binary_stance_skips_neutral_only_users(binary):
         truths += truth
     assert len(scorer.call_args_list) == 2
     assert res.report.accuracy == stance_metrics(preds, truths)[0]
+    assert all(res.report.n_scored == len(call.args[2]) for call in scorer.call_args_list)
+    if binary:
+        assert res.report.n_scored < res.report.n_holdout_users
 
 
 def test_null_recall_within_sanity_bound_of_chance():
@@ -885,7 +888,7 @@ def test_null_recall_within_sanity_bound_of_chance():
 def test_write_report_format(tmp_path):
     report = EvalReport(
         recall=0.5, ndcg=0.25, accuracy=0.75, rmse=0.125,
-        accuracy_cold=0.0, n_cold=0, n_holdout_users=4, n_eligible=40,
+        accuracy_cold=0.0, n_cold=0, n_holdout_users=4, n_scored=3, n_eligible=40,
         folds=[FoldMetrics(fold=0, recall=0.5, ndcg=0.25, accuracy=0.75, rmse=0.125)],
     )
     rp, fp = tmp_path / "report.txt", tmp_path / "folds.csv"
@@ -893,6 +896,7 @@ def test_write_report_format(tmp_path):
     text = rp.read_text(encoding="utf-8")
     assert "recall@20=0.500000" in text
     assert "accuracy=0.750000" in text
+    assert "\nn_holdout_users=4\nn_scored=3\nn_eligible=40\n" in text
     lines = fp.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "fold,recall@20,ndcg@20,accuracy,rmse"
     assert lines[1].startswith("0,0.500000")

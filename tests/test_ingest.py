@@ -13,6 +13,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stancegraph import ingest
 from stancegraph.errors import DegenerateHashtag, EmptyCorpus, RecordError, ShapeError
 from stancegraph.ingest import (
     Corpus,
@@ -371,6 +372,43 @@ def test_counts_file_is_one_compact_json_document(tmp_path):
                              "mention", "reply", "mutual_follow"]
     assert text == json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n"
     assert "usér" in text
+
+
+def compact(payload: dict) -> str:
+    return json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("slice_size", [1, 2, 5, None])
+def test_counts_arrays_written_in_slices_keep_their_bytes(tmp_path, monkeypatch, slice_size):
+    if slice_size is None:
+        # 300 users who all follow each other: 89,700 entries, two default slices
+        rng = np.random.default_rng(6)
+        counts = counts_from(rng.integers(0, 3, size=(300, 4)), mutual=1 - np.eye(300))
+        assert counts.mutual_follow.nnz > ingest.JSON_SLICE
+    else:
+        monkeypatch.setattr(ingest, "JSON_SLICE", slice_size)
+        counts = small_counts(np.random.default_rng(7), 12, 9)
+        counts = dataclasses.replace(counts, T_tweet=counts.T_tweet * 0.1)
+    path = tmp_path / "counts.json"
+    save_counts(counts, path)
+    text = path.read_text(encoding="utf-8")
+    payload = json.loads(text)
+    assert text == compact(payload)
+    for name in ("T_tweet", "mention", "mutual_follow"):
+        mat = getattr(counts, name)
+        assert payload[name] == {"indptr": mat.indptr.tolist(), "indices": mat.indices.tolist(),
+                                 "data": mat.data.tolist()}
+
+
+def test_counts_file_with_empty_matrices(tmp_path):
+    counts = counts_from(np.zeros((3, 2)))
+    path = tmp_path / "counts.json"
+    save_counts(counts, path)
+    text = path.read_text(encoding="utf-8")
+    assert text == compact(json.loads(text))
+    assert '"mention":{"indptr":[0,0,0,0],"indices":[],"data":[]}' in text
+    loaded = load_counts(path)
+    assert loaded.T_tweet.shape == (3, 2) and loaded.T.nnz == 0 and loaded.mutual_follow.nnz == 0
 
 
 def counts_payload(tmp_path) -> dict:

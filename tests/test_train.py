@@ -29,6 +29,7 @@ from stancegraph.train import (
     evaluate_loss,
     grad_e0,
     sample_epoch,
+    sigmoid_of_negated,
     train,
 )
 
@@ -156,6 +157,24 @@ def add_at_grad(triples, out, ops, cfg, e0, lam):
     if ops.users is not None:
         grad[:n] += ops.users.T @ g_users
     return grad + 2.0 * lam * e0
+
+
+def test_sigmoid_of_negated_equals_expit_bit_for_bit():
+    # scipy.special stays the oracle here; the package no longer imports it.
+    rng = np.random.default_rng(17)
+    scales = np.geomspace(1e-8, 300.0, 12)
+    random_gaps = (rng.standard_normal((12, 83_334)) * scales[:, None]).ravel()
+    log_max = math.log(np.finfo(np.float64).max)
+    edges = [0.0, -0.0, math.inf, -math.inf, math.nan, 709.78, -709.78, 709.79, -709.79,
+             745.0, -745.0, 1e308, -1e308, log_max, np.nextafter(log_max, math.inf),
+             np.nextafter(log_max, 0.0), -log_max]
+    gaps = np.concatenate([random_gaps, edges])
+    got = sigmoid_of_negated(gaps)
+    want = expit(-gaps)
+    assert got.dtype == np.float64 and got.shape == gaps.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert sigmoid_of_negated(np.array([710.0, 1.0]))[0] == 0.0
+    assert sigmoid_of_negated(np.zeros(0)).shape == (0,)
 
 
 def test_grad_scatter_is_bit_identical_to_add_at():

@@ -60,14 +60,14 @@ def summary(pairs: list[tuple[dict, dict]], name: str, end_to_end: dict) -> dict
     }
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--claim", required=True, help="WORKLOAD:METRIC")
     parser.add_argument("--meta", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     parent, change = records(args.parent), records(args.change)
     end_to_end = {m["name"]: m for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
     result = json.loads(args.meta.read_text(encoding="utf-8"))
