@@ -137,11 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _model_config(cfg: RunConfig) -> ModelConfig:
-    return ModelConfig(
-        dim=cfg.dim,
-        n_layers=cfg.n_layers,
-        include_layer0=cfg.include_layer0,
-    )
+    return ModelConfig(dim=cfg.dim, n_layers=cfg.n_layers)
 
 
 def _train_config(cfg: RunConfig) -> TrainConfig:
@@ -224,21 +220,22 @@ def cmd_ingest(args, cfg: RunConfig) -> int:
 
 def cmd_build(args, cfg: RunConfig) -> int:
     counts = load_counts(args.counts)
+    # Every graph is built first, so a refused key writes no file.
+    graph = build_interaction_graph(counts)
+    social = build_social_graph(counts, SocialWeights(
+        follow=cfg.social_c_follow, mention=cfg.social_c_mention, reply=cfg.social_c_reply))
+    spec = MetaPathSpec(left=cfg.pathsim_left, right=cfg.pathsim_right)
+    pathsim = sparsify(compute_pathsim(counts, spec), cfg.pathsim_min_weight,
+                       cfg.pathsim_top_k or None)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    graph = build_interaction_graph(counts)
     # load_counts validated the file, so its bytes are copied, not re-encoded.
     try:
         shutil.copyfile(args.counts, out / "counts.json")
     except shutil.SameFileError:
         pass
     save_bipartite(graph, out / "bipartite.coo")
-    social = build_social_graph(counts, SocialWeights(
-        follow=cfg.social_c_follow, mention=cfg.social_c_mention, reply=cfg.social_c_reply))
     save_user_graph(social, out / "social.coo")
-    spec = MetaPathSpec(left=cfg.pathsim_left, right=cfg.pathsim_right)
-    top_k = cfg.pathsim_top_k if cfg.pathsim_top_k > 0 else None
-    pathsim = sparsify(compute_pathsim(counts, spec), cfg.pathsim_min_weight, top_k)
     save_user_graph(pathsim, out / "pathsim.coo")
     print(
         f"build: bipartite {graph.R.nnz} edges, social {social.W.nnz} edges, "
@@ -358,7 +355,10 @@ def cmd_curve(args, cfg: RunConfig) -> int:
             if not 0 <= weight < np.inf:
                 raise RecordError(f"hidden edge weight {parts[2]!r} is not finite and >= 0",
                                   line_no)
-            hidden.setdefault(uidx[parts[0]], {})[hidx[parts[1]]] = weight
+            row, j = hidden.setdefault(uidx[parts[0]], {}), hidx[parts[1]]
+            if j in row:
+                raise RecordError(f"repeated hidden edge {parts[:2]}", line_no)
+            row[j] = weight
     curve = annotation_curve(
         emb.users, emb.hashtags, counts.hashtags, hidden, annotations,
         range(1, cfg.x_max + 1),

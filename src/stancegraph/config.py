@@ -37,7 +37,6 @@ class RunConfig:
     n_layers: int = 3
     use_social: bool = False
     use_pathsim: bool = False
-    include_layer0: bool = True
     # channel construction
     social_c_follow: float = 1.0
     social_c_mention: float = 1.0

@@ -11,7 +11,6 @@ two-camp generator with planted stances.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Callable
@@ -55,9 +54,6 @@ class StanceAnnotation:
 
     def tags(self) -> set[str]:
         return {t for tags in self.by_class.values() for t in tags}
-
-    def class_size(self, cls: str) -> int:
-        return len(self.by_class.get(cls, ()))
 
 
 def parse_annotations(lines) -> StanceAnnotation:
@@ -109,45 +105,6 @@ def with_usage(annotations: StanceAnnotation, counts: InteractionCounts) -> Stan
     index = {h: j for j, h in enumerate(counts.hashtags)}
     usage = {t: float(totals[index[t]]) if t in index else 0.0 for t in annotations.tags()}
     return StanceAnnotation(by_class=dict(annotations.by_class), usage=usage)
-
-
-def classify_stance(affinities: dict[str, float], annotations: StanceAnnotation) -> str:
-    """Argmax over class-mean affinities.
-
-    Classes with no hashtag in the affinity map are excluded with a
-    warning; ties go to the last maximal class in CLASS_ORDER.
-    """
-    best_cls = None
-    best_mean = -math.inf
-    for cls in CLASS_ORDER:
-        tags = [t for t in annotations.by_class.get(cls, ()) if t in affinities]
-        if not tags:
-            if annotations.by_class.get(cls):
-                LOGGER.warning("class %s has no scored hashtags; excluded", cls)
-            continue
-        mean = sum(affinities[t] for t in tags) / len(tags)
-        if mean >= best_mean:
-            best_cls, best_mean = cls, mean
-    if best_cls is None:
-        raise EmptyEvaluation("no class has a scored hashtag")
-    return best_cls
-
-
-def ground_truth_stance(hidden_weights: dict[str, float], annotations: StanceAnnotation) -> str:
-    """Stance implied by hidden edge weights: argmax of per-class mean
-    weight, dividing by the full class size (absent hashtags count 0)."""
-    best_cls = None
-    best_mean = -math.inf
-    for cls in CLASS_ORDER:
-        tags = annotations.by_class.get(cls, ())
-        if not tags:
-            continue
-        mean = sum(hidden_weights.get(t, 0.0) for t in tags) / len(tags)
-        if mean >= best_mean:
-            best_cls, best_mean = cls, mean
-    if best_cls is None:
-        raise EmptyEvaluation("annotation set has no classes")
-    return best_cls
 
 
 def stance_metrics(predicted: list[str], truth: list[str]) -> tuple[float, float]:
@@ -275,11 +232,11 @@ def _stances(values: np.ndarray, annotations: StanceAnnotation, index: dict[str,
              full_lists: bool) -> list[str]:
     """Each row's class: the highest mean over a class's hashtags present in
     `index` (columns of `values`), ties to the later class in CLASS_ORDER.
-    With `full_lists`, as in ground_truth_stance, a class divides by its
-    full list size, so absent hashtags count 0; without, as in
-    classify_stance, it divides by its present hashtags and one with none is
-    left out. Each sum adds one column at a time from 0.0 in annotation
-    order, so every mean equals the per-user reference's bit for bit."""
+    With `full_lists`, as in the truth rule, a class divides by its full
+    list size, so absent hashtags count 0; without, it divides by its
+    present hashtags and one with none is left out. Each sum adds one
+    column at a time from 0.0 in annotation order, so every mean equals
+    tests/reference.py's per-user one bit for bit."""
     classes = []
     for cls in CLASS_ORDER:
         tags = annotations.by_class.get(cls, ())
@@ -306,7 +263,8 @@ def true_stances(
     hidden: dict[int, dict[int, float]], annotations: StanceAnnotation, hashtags: list[str]
 ) -> tuple[list[int], list[str]]:
     """The users of `hidden` with positive hidden weight on an annotated
-    hashtag, in order, and the stance ground_truth_stance gives each."""
+    hashtag, in order, and each one's class by tests/reference.py's
+    ground_truth_stance."""
     index = {h: j for j, h in enumerate(hashtags)}
     users = sorted(hidden)
     weights = np.zeros((len(users), len(hashtags)))
@@ -320,7 +278,7 @@ def true_stances(
 
 def predicted_stances(final_users: np.ndarray, final_hashtags: np.ndarray, users: list[int],
                       annotations: StanceAnnotation, hashtags: list[str]) -> list[str]:
-    """The stance classify_stance gives each of `users` from its affinities."""
+    """Each of `users`' class by tests/reference.py's classify_stance."""
     # Stacked matrix-vector products: numpy runs one gemv per user, the
     # kernel of `final_hashtags @ final_users[u]`, so every score equals the
     # per-user one bit for bit; a single gemm sums in another order.
@@ -388,10 +346,7 @@ class Variant:
 # model trained on a random graph but ranked on the real split.
 VARIANTS = {
     "wlgcn": Variant(graph=lambda g, n, rng: g, channels=True),
-    "mf": Variant(
-        graph=lambda g, n, rng: g,
-        model=lambda cfg: replace(cfg, n_layers=0, include_layer0=True),
-    ),
+    "mf": Variant(graph=lambda g, n, rng: g, model=lambda cfg: replace(cfg, n_layers=0)),
     "lightgcn": Variant(graph=lambda g, n, rng: binarize(g)),
     "null": Variant(graph=lambda g, n, rng: null_model(g.n_users, g.n_hashtags, n, rng)),
 }
@@ -530,6 +485,9 @@ def annotation_curve(
             raise ConfigError(f"annotation set has no {cls} hashtags")
         ranked[cls] = tuple(sorted(tags, key=lambda t: (-annotations.usage.get(t, 0.0), t)))
     max_x = min(len(tags) for tags in ranked.values())
+    x_values = [int(x) for x in x_values]
+    if not x_values:
+        raise BoundsError(f"no x given; x must be in [1, {max_x}]")
 
     users, truths = true_stances(hidden, StanceAnnotation(by_class=ranked), hashtags)
     if not users:
@@ -537,7 +495,6 @@ def annotation_curve(
 
     curve = []
     for x in x_values:
-        x = int(x)
         if x < 1 or x > max_x:
             raise BoundsError(f"x={x} outside [1, {max_x}]")
         top_x = StanceAnnotation(by_class={cls: tags[:x] for cls, tags in ranked.items()})

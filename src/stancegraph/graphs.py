@@ -108,9 +108,6 @@ class BipartiteGraph:
     def n_hashtags(self) -> int:
         return self.R.shape[1]
 
-    def neighbors(self, u: int) -> np.ndarray:
-        return self.R.indices[self.R.indptr[u]:self.R.indptr[u + 1]]
-
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """All (user, hashtag) pairs with positive weight, row-major order."""
         coo = self.R.tocoo()

@@ -14,42 +14,6 @@ EVAL_K = 20
 BLOCK_ENTRIES = 1 << 15
 
 
-def recall_at_k(top_items, relevant) -> float:
-    """Fraction of the relevant items that appear in the recommended list."""
-    if not relevant:
-        raise ConfigError("recall needs a nonempty relevant set")
-    hits = sum(1 for item in top_items if item in relevant)
-    return hits / len(relevant)
-
-
-def ndcg_at_k(top_items, relevant) -> float:
-    """Binary-relevance NDCG; the ideal list front-loads all relevant items."""
-    if not relevant:
-        raise ConfigError("ndcg needs a nonempty relevant set")
-    dcg = 0.0
-    for pos, item in enumerate(top_items, 1):
-        if item in relevant:
-            dcg += 1.0 / np.log2(pos + 1)
-    ideal = min(len(top_items), len(relevant))
-    if len(top_items) == 0:
-        return 0.0
-    idcg = sum(1.0 / np.log2(pos + 1) for pos in range(1, ideal + 1))
-    return dcg / idcg if idcg > 0 else 0.0
-
-
-def top_k_items(scores: np.ndarray, exclude, k: int) -> np.ndarray:
-    """Indices of the k highest scores outside the excluded set.
-
-    Ties break toward the smaller index so rankings are deterministic.
-    """
-    masked = scores.astype(np.float64, copy=True)
-    if len(exclude):
-        masked[np.asarray(list(exclude), dtype=np.int64)] = -np.inf
-    order = np.argsort(-masked, kind="stable")
-    order = order[np.isfinite(masked[order])]
-    return order[:k]
-
-
 def ranking_metrics(
     final_users: np.ndarray,
     final_hashtags: np.ndarray,
@@ -62,10 +26,10 @@ def ranking_metrics(
     Row u of the CSR matrix `exclude` stores the hashtags removed from u's
     candidate pool (their training positives); users whose pool is empty
     are skipped. val_pairs holds (user, hashtag) rows; duplicates count
-    once. Users are ranked in blocks with the rules of `top_k_items`, and
-    the sums run in the order of `recall_at_k`/`ndcg_at_k`, so on equal
-    scores the result equals a per-user loop over those three functions
-    bit for bit.
+    once. Users are ranked in blocks with the rules of `top_k_items` in
+    tests/reference.py, and the sums run in the order of its
+    `recall_at_k`/`ndcg_at_k`, so on equal scores the result equals a
+    per-user loop over those three functions bit for bit.
     """
     if k < 1:
         raise ConfigError("k must be positive")
@@ -77,7 +41,7 @@ def ranking_metrics(
     users, n_relevant = users[keep], n_relevant[keep]
     if len(users) == 0:
         return 0.0, 0.0, 0
-    # The same scalar expressions as ndcg_at_k, so every term matches.
+    # The same scalar expressions as the reference ndcg_at_k.
     discount = np.array([1.0 / np.log2(pos + 1) for pos in range(1, k + 1)])
     ideal_dcg = np.cumsum(discount)
 

@@ -40,9 +40,6 @@ POLY_BLOCK_COLUMNS = 64
 class ModelConfig:
     dim: int = 16
     n_layers: int = 3
-    # The layer average includes the initial embeddings by default; turning
-    # this off keeps the same divisor but drops the k=0 term.
-    include_layer0: bool = True
 
     def __post_init__(self):
         if self.dim < 1:
@@ -69,22 +66,20 @@ class EmbeddingState:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelSet:
     """Optional side channels next to the bipartite graph. A channel is on
     when it is given: every user graph here joins the user average, and
     pretrained vectors, when present, pin their hashtag rows.
 
     The channel graphs do not depend on the training fold, so the user
-    operator of each model shape is built once per instance and reused
-    until one of the graphs it was built from is replaced.
+    operator of each layer count is built once per (frozen) set and reused.
     """
 
     social: UserGraph | None = None
     pathsim: UserGraph | None = None
     pretrained: dict[int, np.ndarray] | None = None
-    # (n_layers, include_layer0) -> (graphs, build_user_operator of them).
-    # Each entry holds its graphs, so their ids cannot be reused.
+    # n_layers -> build_user_operator of the given graphs.
     _users: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def user_graphs(self) -> tuple[UserGraph, ...]:
@@ -94,13 +89,9 @@ class ChannelSet:
     def user_operator(self, cfg: ModelConfig):
         """Memoized build_user_operator of the given graphs; there must be
         at least one."""
-        graphs = self.user_graphs()
-        key = (cfg.n_layers, cfg.include_layer0)
-        hit = self._users.get(key)
-        if hit is None or list(map(id, hit[0])) != list(map(id, graphs)):
-            hit = (graphs, build_user_operator(graphs, cfg.n_layers, cfg.include_layer0))
-            self._users[key] = hit
-        return hit[1]
+        if cfg.n_layers not in self._users:
+            self._users[cfg.n_layers] = build_user_operator(self.user_graphs(), cfg.n_layers)
+        return self._users[cfg.n_layers]
 
 
 def init_embeddings(
@@ -165,25 +156,11 @@ def load_pretrained_vectors(path, hashtags: list[str], dim: int) -> dict[int, np
     return out
 
 
-def propagate(adj: NormalizedAdjacency, E0: np.ndarray, n_layers: int) -> list[np.ndarray]:
-    """All layer outputs H^0 .. H^K of repeated operator application."""
-    if E0.shape[0] != adj.size:
-        raise ShapeError(f"embedding rows {E0.shape[0]} do not match operator size {adj.size}")
-    layers = [E0]
-    H = E0
-    for _ in range(n_layers):
-        H = adj.matrix @ H
-        layers.append(H)
-    return layers
-
-
-def layer_averaged_propagate(
-    adj: NormalizedAdjacency, X: np.ndarray, n_layers: int, include_layer0: bool = True
-) -> np.ndarray:
-    """Average of layer outputs; the divisor is always n_layers + 1."""
+def layer_averaged_propagate(adj: NormalizedAdjacency, X: np.ndarray, n_layers: int) -> np.ndarray:
+    """The mean of the layer outputs X, A X, .., A^K X with K = n_layers."""
     if X.shape[0] != adj.size:
         raise ShapeError(f"embedding rows {X.shape[0]} do not match operator size {adj.size}")
-    acc = X.copy() if include_layer0 else np.zeros_like(X)
+    acc = X.copy()
     H = X
     for _ in range(n_layers):
         H = adj.matrix @ H
@@ -199,15 +176,13 @@ class UserChannelSum:
 
     ops: tuple[NormalizedAdjacency, ...]
     n_layers: int
-    include_layer0: bool = True
 
     @property
     def T(self) -> "UserChannelSum":
         return self
 
     def __matmul__(self, X: np.ndarray) -> np.ndarray:
-        return sum(layer_averaged_propagate(op, X, self.n_layers, self.include_layer0)
-                   for op in self.ops)
+        return sum(layer_averaged_propagate(op, X, self.n_layers) for op in self.ops)
 
 
 def dense_user_polynomial(users: UserChannelSum) -> np.ndarray:
@@ -226,14 +201,12 @@ def dense_user_polynomial(users: UserChannelSum) -> np.ndarray:
     return P
 
 
-def build_user_operator(graphs: tuple[UserGraph, ...], n_layers: int,
-                        include_layer0: bool = True):
+def build_user_operator(graphs: tuple[UserGraph, ...], n_layers: int):
     """The summed layer-average polynomial of the user graphs: a dense
     array up to DENSE_POLY_BYTES, else the sparse UserChannelSum. Either
     answers `@` and `.T`; the normalized graphs are dropped once a dense
     array is built."""
-    users = UserChannelSum(tuple(normalize_user_graph(g) for g in graphs), n_layers,
-                           include_layer0)
+    users = UserChannelSum(tuple(normalize_user_graph(g) for g in graphs), n_layers)
     n = graphs[0].n_users
     return dense_user_polynomial(users) if n * n * 8 <= DENSE_POLY_BYTES else users
 
@@ -243,7 +216,7 @@ class ChannelOperators:
     """Propagation operators for every given channel.
 
     `users` is the user channels' summed layer-average polynomial, fixed
-    for the model shape given to build_operators (see build_user_operator), or
+    for the n_layers given to build_operators (see build_user_operator), or
     None without user channels.
     """
 
@@ -282,18 +255,9 @@ def forward(stacked: np.ndarray, ops: ChannelOperators, cfg: ModelConfig) -> Pro
     product with `ops.users`.
     """
     n = ops.n_users
-    bip = layer_averaged_propagate(ops.bipartite, stacked, cfg.n_layers, cfg.include_layer0)
+    bip = layer_averaged_propagate(ops.bipartite, stacked, cfg.n_layers)
     users = bip[:n] if ops.users is None else bip[:n] + ops.users @ stacked[:n]
     return PropagationOutput(final_users=users / ops.n_channels, final_hashtags=bip[n:])
-
-
-def affinity(user_vec: np.ndarray, hashtag_vec: np.ndarray) -> float:
-    return float(np.dot(user_vec, hashtag_vec))
-
-
-def score_all(final_users: np.ndarray, final_hashtags: np.ndarray, u: int) -> np.ndarray:
-    """Affinity of user u to every hashtag."""
-    return final_hashtags @ final_users[u]
 
 
 def save_checkpoint(path, state: EmbeddingState, users: list[str], hashtags: list[str]) -> None:

@@ -233,25 +233,12 @@ def grad_e0(
                                 n_items)
     g_users /= ops.n_channels
     grad = layer_averaged_propagate(
-        ops.bipartite, np.concatenate([g_users, g_items], axis=0),
-        cfg.n_layers, cfg.include_layer0,
+        ops.bipartite, np.concatenate([g_users, g_items], axis=0), cfg.n_layers
     )
     if ops.users is not None:
         grad[:n] += ops.users.T @ g_users
     grad += 2.0 * lambda_reg * e0_stacked
     return grad
-
-
-def evaluate_loss(
-    e0_stacked: np.ndarray,
-    triples: np.ndarray,
-    ops,
-    cfg: ModelConfig,
-    lambda_reg: float,
-) -> float:
-    """Full forward pass plus loss; the function finite differences probe."""
-    out = forward(e0_stacked, ops, cfg)
-    return bpr_loss(triples, out, e0_stacked, lambda_reg)
 
 
 @dataclass

@@ -1,0 +1,125 @@
+"""Per-user and per-layer references that the tests hold the package's
+array code to. The pipeline never calls them."""
+
+from __future__ import annotations
+
+import logging
+import math
+
+import numpy as np
+
+from stancegraph.errors import ConfigError, EmptyEvaluation, ShapeError
+from stancegraph.evaluate import CLASS_ORDER, StanceAnnotation
+from stancegraph.graphs import BipartiteGraph, NormalizedAdjacency
+from stancegraph.model import ModelConfig, forward
+from stancegraph.train import bpr_loss
+
+LOGGER = logging.getLogger(__name__)
+
+
+def neighbors(graph: BipartiteGraph, u: int) -> np.ndarray:
+    """The hashtag columns of user u's edges, ascending."""
+    return graph.R.indices[graph.R.indptr[u]:graph.R.indptr[u + 1]]
+
+
+def propagate(adj: NormalizedAdjacency, E0: np.ndarray, n_layers: int) -> list[np.ndarray]:
+    """All layer outputs H^0 .. H^K of repeated operator application."""
+    if E0.shape[0] != adj.size:
+        raise ShapeError(f"embedding rows {E0.shape[0]} do not match operator size {adj.size}")
+    layers = [E0]
+    H = E0
+    for _ in range(n_layers):
+        H = adj.matrix @ H
+        layers.append(H)
+    return layers
+
+
+def affinity(user_vec: np.ndarray, hashtag_vec: np.ndarray) -> float:
+    return float(np.dot(user_vec, hashtag_vec))
+
+
+def score_all(final_users: np.ndarray, final_hashtags: np.ndarray, u: int) -> np.ndarray:
+    """Affinity of user u to every hashtag."""
+    return final_hashtags @ final_users[u]
+
+
+def evaluate_loss(e0_stacked: np.ndarray, triples: np.ndarray, ops, cfg: ModelConfig,
+                  lambda_reg: float) -> float:
+    """Full forward pass plus loss; the function finite differences probe."""
+    out = forward(e0_stacked, ops, cfg)
+    return bpr_loss(triples, out, e0_stacked, lambda_reg)
+
+
+def recall_at_k(top_items, relevant) -> float:
+    """Fraction of the relevant items that appear in the recommended list."""
+    if not relevant:
+        raise ConfigError("recall needs a nonempty relevant set")
+    hits = sum(1 for item in top_items if item in relevant)
+    return hits / len(relevant)
+
+
+def ndcg_at_k(top_items, relevant) -> float:
+    """Binary-relevance NDCG; the ideal list front-loads all relevant items."""
+    if not relevant:
+        raise ConfigError("ndcg needs a nonempty relevant set")
+    dcg = 0.0
+    for pos, item in enumerate(top_items, 1):
+        if item in relevant:
+            dcg += 1.0 / np.log2(pos + 1)
+    ideal = min(len(top_items), len(relevant))
+    if len(top_items) == 0:
+        return 0.0
+    idcg = sum(1.0 / np.log2(pos + 1) for pos in range(1, ideal + 1))
+    return dcg / idcg if idcg > 0 else 0.0
+
+
+def top_k_items(scores: np.ndarray, exclude, k: int) -> np.ndarray:
+    """Indices of the k highest scores outside the excluded set.
+
+    Ties break toward the smaller index so rankings are deterministic.
+    """
+    masked = scores.astype(np.float64, copy=True)
+    if len(exclude):
+        masked[np.asarray(list(exclude), dtype=np.int64)] = -np.inf
+    order = np.argsort(-masked, kind="stable")
+    order = order[np.isfinite(masked[order])]
+    return order[:k]
+
+
+def classify_stance(affinities: dict[str, float], annotations: StanceAnnotation) -> str:
+    """Argmax over class-mean affinities.
+
+    Classes with no hashtag in the affinity map are excluded with a
+    warning; ties go to the last maximal class in CLASS_ORDER.
+    """
+    best_cls = None
+    best_mean = -math.inf
+    for cls in CLASS_ORDER:
+        tags = [t for t in annotations.by_class.get(cls, ()) if t in affinities]
+        if not tags:
+            if annotations.by_class.get(cls):
+                LOGGER.warning("class %s has no scored hashtags; excluded", cls)
+            continue
+        mean = sum(affinities[t] for t in tags) / len(tags)
+        if mean >= best_mean:
+            best_cls, best_mean = cls, mean
+    if best_cls is None:
+        raise EmptyEvaluation("no class has a scored hashtag")
+    return best_cls
+
+
+def ground_truth_stance(hidden_weights: dict[str, float], annotations: StanceAnnotation) -> str:
+    """Stance implied by hidden edge weights: argmax of per-class mean
+    weight, dividing by the full class size (absent hashtags count 0)."""
+    best_cls = None
+    best_mean = -math.inf
+    for cls in CLASS_ORDER:
+        tags = annotations.by_class.get(cls, ())
+        if not tags:
+            continue
+        mean = sum(hidden_weights.get(t, 0.0) for t in tags) / len(tags)
+        if mean >= best_mean:
+            best_cls, best_mean = cls, mean
+    if best_cls is None:
+        raise EmptyEvaluation("annotation set has no classes")
+    return best_cls

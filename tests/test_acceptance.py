@@ -31,7 +31,7 @@ from stancegraph.graphs import (
     build_interaction_graph,
     compute_pathsim,
 )
-from stancegraph.metrics import ndcg_at_k, ranking_metrics, recall_at_k
+from stancegraph.metrics import ranking_metrics
 from stancegraph.evaluate import stance_metrics
 from stancegraph.model import (
     ChannelSet,
@@ -40,11 +40,11 @@ from stancegraph.model import (
     forward,
     init_embeddings,
     layer_averaged_propagate,
-    score_all,
 )
-from stancegraph.train import TrainConfig, evaluate_loss, grad_e0, sample_epoch
+from stancegraph.train import TrainConfig, grad_e0, sample_epoch
 
 from conftest import counts_from, random_bipartite, random_user_graph
+from reference import evaluate_loss, ndcg_at_k, recall_at_k, score_all
 
 
 def verdict(capfd, label: str, ok: bool, detail: str = "") -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import gc
 import json
@@ -52,6 +53,16 @@ def synth_and_build(tmp_path, seed="0"):
     return raw, data
 
 
+def synth_build_eval(tmp_path):
+    """synth_and_build, then a one-epoch eval into tmp_path / "eval"."""
+    raw, data = synth_and_build(tmp_path)
+    eval_dir = tmp_path / "eval"
+    assert run(["eval", "--data", data, "--annotations", raw / "annotations.tsv",
+                "--out", eval_dir, "--max-epochs", "1", "--folds", "2",
+                "--holdout-fraction", "0.1", "--dim", "4"]) == 0
+    return raw, data, eval_dir
+
+
 # process entry --------------------------------------------------------------
 
 def test_cli_import_leaves_scipy_special_out(tmp_path):
@@ -91,6 +102,41 @@ def test_module_entry_bad_key_exits_2(tmp_path):
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error ")]
     assert len(errors) == 1 and errors[0].startswith("error kind=ConfigError exit=2: ")
     assert "Traceback" not in proc.stderr
+
+
+# package layout -------------------------------------------------------------
+
+def test_every_package_definition_is_used_by_the_pipeline():
+    """Every top-level function and class and every public method in the
+    package is named somewhere in its own modules (the empty __init__.py
+    aside) or in perfbench, which names its traced targets as strings.
+    References that only tests call belong in tests/reference.py."""
+    root = SRC.parent
+    package = [p for p in sorted((SRC / "stancegraph").glob("*.py")) if p.name != "__init__.py"]
+    used: set[str] = set()
+    defined: dict[str, str] = {}
+    for path in package + sorted((root / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.update(node.name.split("."))
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value.isidentifier()):
+                used.add(node.value)
+        if path not in package:
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[f"{path.stem}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        defined[f"{path.stem}.{node.name}.{item.name}"] = item.name
+    assert sorted(q for q, name in defined.items() if name not in used) == []
 
 
 # exit codes -----------------------------------------------------------------
@@ -170,6 +216,28 @@ def test_bounds_error_exits_2(tmp_path, capsys):
                 "--out", tmp_path / "curve.csv", "--x-max", "99"])
     assert code == 2
     assert "kind=BoundsError" in capsys.readouterr().err
+
+
+def test_curve_without_x_exits_2(tmp_path, capsys):
+    raw, data, eval_dir = synth_build_eval(tmp_path)
+    capsys.readouterr()
+    code = run(["curve", "--data", data, "--eval-dir", eval_dir,
+                "--annotations", raw / "annotations.tsv",
+                "--out", tmp_path / "curve.csv", "--x-max", "0"])
+    assert code == 2
+    assert "error kind=BoundsError exit=2: no x given" in capsys.readouterr().err
+    assert not (tmp_path / "curve.csv").exists()
+
+
+def test_negative_pathsim_top_k_exits_2(tmp_path, capsys):
+    raw, _ = synth_and_build(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "capped"
+    code = run(["build", "--counts", raw / "counts.json", "--out", out,
+                "--pathsim-top-k", "-3"])
+    assert code == 2
+    assert "error kind=ConfigError exit=2: top_k must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def truncate_counts(data):
@@ -254,11 +322,7 @@ def hidden_weight(text):
 ], ids=["cut-in-header", "cut-in-body", "dim-0", "version-1", "weight-not-a-number",
         "weight-negative", "weight-infinite"])
 def test_curve_on_truncated_embeddings_exits_3(tmp_path, capsys, damage):
-    raw, data = synth_and_build(tmp_path)
-    eval_dir = tmp_path / "eval"
-    assert run(["eval", "--data", data, "--annotations", raw / "annotations.tsv",
-                "--out", eval_dir, "--max-epochs", "1", "--folds", "2",
-                "--holdout-fraction", "0.1", "--dim", "4"]) == 0
+    raw, data, eval_dir = synth_build_eval(tmp_path)
     damage(eval_dir)
     capsys.readouterr()
     code = run(["curve", "--data", data, "--eval-dir", eval_dir,
@@ -268,6 +332,22 @@ def test_curve_on_truncated_embeddings_exits_3(tmp_path, capsys, damage):
     assert code == 3
     assert len(errors) == 1 and errors[0].startswith("error kind=RecordError exit=3: ")
     assert "Traceback" not in err
+
+
+def test_curve_names_the_repeated_hidden_line(tmp_path, capsys):
+    raw, data, eval_dir = synth_build_eval(tmp_path)
+    # The first line's user and hashtag again, with another weight.
+    path = eval_dir / "hidden.tsv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines + [lines[0].rsplit("\t", 1)[0] + "\t0.0"]) + "\n",
+                    encoding="utf-8")
+    capsys.readouterr()
+    assert run(["curve", "--data", data, "--eval-dir", eval_dir,
+                "--annotations", raw / "annotations.tsv", "--out", tmp_path / "curve.csv"]) == 3
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error ")]
+    assert len(errors) == 1
+    assert errors[0].startswith(
+        f"error kind=RecordError exit=3: line {len(lines) + 1}: repeated hidden edge")
 
 
 def test_train_on_unbuilt_dataset_exits_4(tmp_path, capsys):
@@ -368,7 +448,8 @@ def test_baseline_eval_skips_channel_inputs(tmp_path, caplog):
 
 # config resolution ----------------------------------------------------------
 
-@pytest.mark.parametrize("key", ["use_pretrained", "eval_every", "refresh_every"])
+@pytest.mark.parametrize("key", ["use_pretrained", "eval_every", "refresh_every",
+                                 "include_layer0"])
 def test_removed_config_key_exits_2(tmp_path, capsys, key):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key}=1\n", encoding="utf-8")

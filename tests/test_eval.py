@@ -31,9 +31,7 @@ from stancegraph.evaluate import (
     StanceAnnotation,
     annotation_curve,
     bundled_annotations,
-    classify_stance,
     graph_without_edges,
-    ground_truth_stance,
     holdout_split,
     kfold_split,
     null_model,
@@ -51,13 +49,26 @@ from stancegraph.evaluate import (
 )
 from stancegraph.graphs import BipartiteGraph, binarize, build_adjacency, build_interaction_graph
 from stancegraph.ingest import InteractionCounts, _csr_from_counts, save_counts
-from stancegraph.metrics import ndcg_at_k, ranking_metrics, recall_at_k, top_k_items
+from stancegraph.metrics import ranking_metrics
 from stancegraph.model import ChannelSet, ModelConfig, build_operators, forward
 from stancegraph.train import TrainConfig, train
 
 from conftest import counts_from, random_bipartite, random_user_graph
+from reference import (
+    classify_stance,
+    ground_truth_stance,
+    ndcg_at_k,
+    neighbors,
+    recall_at_k,
+    score_all,
+    top_k_items,
+)
 
 QUICK_TRAIN = TrainConfig(max_epochs=3, patience=5)
+
+
+def class_size(ann: StanceAnnotation, cls: str) -> int:
+    return len(ann.by_class.get(cls, ()))
 
 
 # annotations ----------------------------------------------------------------
@@ -66,7 +77,7 @@ def test_parse_annotations_basic():
     ann = parse_annotations(["#Apruebo\tPOS", "rechazo\tNEG", "plebiscito\tNEUTRAL"])
     assert ann.by_class["POS"] == ("apruebo",)
     assert ann.by_class["NEG"] == ("rechazo",)
-    assert ann.class_size("NEUTRAL") == 1
+    assert class_size(ann, "NEUTRAL") == 1
 
 
 def test_parse_annotations_dedupes_within_class():
@@ -88,9 +99,9 @@ def test_parse_annotations_rejects_unknown_class():
 
 def test_bundled_fixture_class_sizes():
     entry = bundled_annotations("entry")
-    assert (entry.class_size("POS"), entry.class_size("NEG"), entry.class_size("NEUTRAL")) == (14, 21, 5)
+    assert tuple(class_size(entry, c) for c in ("POS", "NEG", "NEUTRAL")) == (14, 21, 5)
     exit_ann = bundled_annotations("exit")
-    assert (exit_ann.class_size("POS"), exit_ann.class_size("NEG"), exit_ann.class_size("NEUTRAL")) == (26, 25, 4)
+    assert tuple(class_size(exit_ann, c) for c in ("POS", "NEG", "NEUTRAL")) == (26, 25, 4)
 
 
 def test_with_usage_counts_column_mass():
@@ -440,7 +451,7 @@ def holdout_reference(graph, annotations, hashtags, fraction, rng):
     """The set-scan split: eligibility and hidden weights per user."""
     annotated_cols = {j for j, h in enumerate(hashtags) if h in annotations.tags()}
     eligible = [u for u in range(graph.n_users)
-                if any(int(j) in annotated_cols for j in graph.neighbors(u))]
+                if any(int(j) in annotated_cols for j in neighbors(graph, u))]
     if not eligible:
         raise EmptyEligibleSet("no eligible user")
     chosen = rng.choice(len(eligible), size=int(np.ceil(fraction * len(eligible))),
@@ -580,8 +591,6 @@ def test_mf_baseline_scores_are_raw_inner_products():
     out = forward(state.stacked(), build_operators(fold_graph, None, cfg), cfg)
     assert np.array_equal(out.final_users, state.users)
     assert np.array_equal(out.final_hashtags, state.hashtags)
-    from stancegraph.model import score_all
-
     for u in range(6):
         assert np.array_equal(
             score_all(out.final_users, out.final_hashtags, u),
@@ -645,8 +654,8 @@ def test_synth_disconnected_blocks_without_leakage():
 
 def test_synth_annotations_cover_both_camps_with_usage():
     data, cfg = small_synth()
-    assert data.annotations.class_size("POS") == cfg.annotated_per_camp
-    assert data.annotations.class_size("NEG") == cfg.annotated_per_camp
+    assert class_size(data.annotations, "POS") == cfg.annotated_per_camp
+    assert class_size(data.annotations, "NEG") == cfg.annotated_per_camp
     assert data.annotations.usage  # effort curve needs usage ranks
 
 
@@ -921,7 +930,7 @@ def curve_setup():
 def test_curve_full_x_matches_direct_two_class_eval():
     out, data, split, cfg = curve_setup()
     tags = data.counts.hashtags
-    x_full = min(data.annotations.class_size("POS"), data.annotations.class_size("NEG"))
+    x_full = min(class_size(data.annotations, "POS"), class_size(data.annotations, "NEG"))
     curve = annotation_curve(out.final_users, out.final_hashtags, tags, split.hidden,
                              data.annotations, [x_full])
 
@@ -971,6 +980,9 @@ def test_curve_rejects_out_of_range_x():
     with pytest.raises(BoundsError):
         annotation_curve(out.final_users, out.final_hashtags, tags, split.hidden,
                          data.annotations, [0])
+    with pytest.raises(BoundsError, match="no x given"):
+        annotation_curve(out.final_users, out.final_hashtags, tags, split.hidden,
+                         data.annotations, range(1, 1))
 
 
 def test_curve_requires_usage_ranks():

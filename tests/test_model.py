@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -19,22 +20,20 @@ from stancegraph.graphs import (
 from stancegraph.model import (
     ChannelSet,
     ModelConfig,
-    affinity,
     build_operators,
     forward,
     init_embeddings,
     layer_averaged_propagate,
     load_checkpoint,
     load_pretrained_vectors,
-    propagate,
     save_checkpoint,
-    score_all,
     EmbeddingState,
 )
 
 from stancegraph.train import grad_e0
 
 from conftest import random_bipartite, random_user_graph
+from reference import affinity, propagate, score_all
 
 
 def swap_adjacency():
@@ -152,14 +151,6 @@ def test_propagate_matches_dense_powers():
             assert np.abs(layers[k] - want).max() <= 1e-10
 
 
-def test_layer_average_excluding_layer0():
-    adj = swap_adjacency()
-    E0 = np.array([[2.0], [4.0]])
-    # K=1 without the identity term: only H1/(K+1) = (4,2)/2 remains
-    out = layer_averaged_propagate(adj, E0, 1, include_layer0=False)
-    assert np.allclose(out, [[2.0], [1.0]], atol=1e-15)
-
-
 def test_propagation_linear_in_e0():
     rng = np.random.default_rng(67)
     g = random_bipartite(rng, 5, 4)
@@ -250,20 +241,15 @@ def sparse_channel_oracle(g, channels, cfg, X):
     """Forward's user side and the user-channel pull-back of X, from the
     sparse layer_averaged_propagate of each normalized user graph."""
     n = g.n_users
-    bip = layer_averaged_propagate(build_adjacency(g), X, cfg.n_layers, cfg.include_layer0)
-    parts = [
-        layer_averaged_propagate(normalize_user_graph(graph), X[:n], cfg.n_layers,
-                                 cfg.include_layer0)
-        for graph in channels.user_graphs()
-    ]
+    bip = layer_averaged_propagate(build_adjacency(g), X, cfg.n_layers)
+    parts = [layer_averaged_propagate(normalize_user_graph(graph), X[:n], cfg.n_layers)
+             for graph in channels.user_graphs()]
     return (bip[:n] + sum(parts)) / (1 + len(parts)), parts
 
 
-@pytest.mark.parametrize("include_layer0", [True, False])
 @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
 @pytest.mark.parametrize("use_social, use_pathsim", CHANNEL_COMBOS)
-def test_dense_user_polynomial_matches_sparse_oracle(use_social, use_pathsim, n_layers,
-                                                     include_layer0):
+def test_dense_user_polynomial_matches_sparse_oracle(use_social, use_pathsim, n_layers):
     # 70 users span two polynomial column blocks, the second one partial.
     rng = np.random.default_rng(1000 + 8 * n_layers + 2 * use_social + use_pathsim)
     n, m, d = 70, 9, 3
@@ -271,7 +257,7 @@ def test_dense_user_polynomial_matches_sparse_oracle(use_social, use_pathsim, n_
     channels = chosen(ChannelSet(social=random_user_graph(rng, n, density=0.1),
                                  pathsim=random_user_graph(rng, n, density=0.6, kind="pathsim")),
                       use_social, use_pathsim)
-    cfg = ModelConfig(dim=d, n_layers=n_layers, include_layer0=include_layer0)
+    cfg = ModelConfig(dim=d, n_layers=n_layers)
     ops = build_operators(g, channels, cfg)
     assert isinstance(ops.users, np.ndarray)
     X = rng.standard_normal((n + m, d))
@@ -329,18 +315,19 @@ def test_user_polynomial_memo_follows_shape_and_graphs():
     cfg = ModelConfig(dim=2, n_layers=2)
     first = build_operators(g, channels, cfg).users
     assert build_operators(random_bipartite(rng, n, 4), channels, cfg).users is first
-    for other in (ModelConfig(dim=2, n_layers=1),
-                  ModelConfig(dim=2, n_layers=2, include_layer0=False)):
-        assert build_operators(g, channels, other).users is not first
-    pathsim, channels.pathsim = channels.pathsim, None
-    assert build_operators(g, channels, cfg).users is not first
-    channels.pathsim = pathsim
-    channels.social = random_user_graph(rng, n)
-    rebuilt = build_operators(g, channels, cfg).users
+    assert build_operators(g, channels, ModelConfig(dim=3, n_layers=2)).users is first
+    assert build_operators(g, channels, ModelConfig(dim=2, n_layers=1)).users is not first
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        channels.pathsim = None
+    without_pathsim = dataclasses.replace(channels, pathsim=None)
+    assert build_operators(g, without_pathsim, cfg).users is not first
+    rebuilt_channels = dataclasses.replace(channels, social=random_user_graph(rng, n))
+    rebuilt = build_operators(g, rebuilt_channels, cfg).users
     assert rebuilt is not first
+    assert build_operators(g, channels, cfg).users is first
     X = rng.standard_normal((n, 2))
     want = sum(layer_averaged_propagate(normalize_user_graph(graph), X, 2)
-               for graph in (channels.social, channels.pathsim))
+               for graph in rebuilt_channels.user_graphs())
     assert np.abs(rebuilt @ X - want).max() <= 1e-12
 
 

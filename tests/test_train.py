@@ -26,7 +26,6 @@ from stancegraph.train import (
     TrainConfig,
     adam_step,
     bpr_loss,
-    evaluate_loss,
     grad_e0,
     sample_epoch,
     sigmoid_of_negated,
@@ -34,6 +33,7 @@ from stancegraph.train import (
 )
 
 from conftest import random_bipartite, random_user_graph
+from reference import evaluate_loss, neighbors
 
 
 def single_pair_output(user_vec, pos_vec, neg_vec) -> PropagationOutput:
@@ -151,9 +151,8 @@ def add_at_grad(triples, out, ops, cfg, e0, lam):
     np.add.at(g_items, i, -s * eu)
     np.add.at(g_items, j, s * eu)
     g_users /= ops.n_channels
-    grad = layer_averaged_propagate(
-        ops.bipartite, np.concatenate([g_users, g_items]), cfg.n_layers, cfg.include_layer0
-    )
+    grad = layer_averaged_propagate(ops.bipartite, np.concatenate([g_users, g_items]),
+                                    cfg.n_layers)
     if ops.users is not None:
         grad[:n] += ops.users.T @ g_users
     return grad + 2.0 * lam * e0
@@ -225,19 +224,6 @@ def test_grad_matches_finite_differences_all_channel_combos():
                 assert_grad_close(analytic, numeric)
                 checked += 1
     assert checked >= 20
-
-
-def test_grad_with_layer0_excluded():
-    rng = np.random.default_rng(303)
-    g = random_bipartite(rng, 4, 4)
-    cfg = ModelConfig(dim=2, n_layers=2, include_layer0=False)
-    ops = build_operators(g, None, cfg)
-    triples = sample_epoch(g, rng)
-    e0 = 0.5 * rng.standard_normal((8, 2))
-    out = forward(e0, ops, cfg)
-    analytic = grad_e0(triples, out, ops, cfg, e0, 0.01)
-    numeric = finite_difference_grad(e0, triples, ops, cfg, 0.01)
-    assert_grad_close(analytic, numeric)
 
 
 def test_grad_pulls_back_through_user_poly_transpose():
@@ -322,7 +308,7 @@ def test_sample_negatives_avoid_neighbors():
         g = random_bipartite(rng, int(rng.integers(2, 7)), int(rng.integers(2, 7)))
         triples = sample_epoch(g, rng)
         for u, i, j in triples:
-            neigh = set(g.neighbors(int(u)).tolist())
+            neigh = set(neighbors(g, int(u)).tolist())
             assert int(i) in neigh
             assert int(j) not in neigh
 
