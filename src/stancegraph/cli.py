@@ -29,16 +29,15 @@ from .errors import (
 from .evaluate import (
     VARIANTS,
     HoldoutSplit,
-    SynthConfig,
     annotation_curve,
     bundled_annotations,
     graph_without_edges,
-    kfold_split,
     load_annotations,
     run_protocol,
     save_annotations,
     save_planted,
     synth_generate,
+    validation_edges,
     with_usage,
     write_report,
 )
@@ -55,7 +54,6 @@ from .graphs import (
     sparsify,
 )
 from .ingest import (
-    CorpusFilterConfig,
     apply_filters,
     extract_interactions,
     load_counts,
@@ -63,14 +61,8 @@ from .ingest import (
     save_counts,
 )
 from .metrics import EVAL_K
-from .model import (
-    ChannelSet,
-    ModelConfig,
-    load_checkpoint,
-    load_pretrained_vectors,
-    save_checkpoint,
-)
-from .train import TrainConfig, save_history, train
+from .model import ChannelSet, load_checkpoint, load_pretrained_vectors, save_checkpoint
+from .train import save_history, train
 
 LOGGER = logging.getLogger(__name__)
 
@@ -136,20 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _model_config(cfg: RunConfig) -> ModelConfig:
-    return ModelConfig(dim=cfg.dim, n_layers=cfg.n_layers)
-
-
-def _train_config(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=cfg.learning_rate,
-        lambda_reg=cfg.lambda_reg,
-        batch_size=cfg.batch_size,
-        max_epochs=cfg.max_epochs,
-        patience=cfg.patience,
-    )
-
-
 def _load_dataset(data_dir, cfg: RunConfig, pretrained_path=None):
     """Counts plus the graphs `build` wrote, and the pretrained hashtag
     vectors when a file is given. `use_social`/`use_pathsim` choose the
@@ -184,14 +162,6 @@ def _load_annotation_arg(args, counts):
 
 
 def cmd_ingest(args, cfg: RunConfig) -> int:
-    allow = frozenset(
-        s.strip() for s in cfg.location_allowlist.split(",") if s.strip()
-    ) or None
-    filter_cfg = CorpusFilterConfig(
-        max_outlets_followed=cfg.max_outlets_followed,
-        max_avg_daily_tweets=cfg.max_avg_daily_tweets,
-        location_allowlist=allow,
-    )
     with open(args.tweets, "r", encoding="utf-8") as tweets_fh:
         follows_fh = open(args.follows, "r", encoding="utf-8") if args.follows else None
         outlets_fh = open(args.outlets, "r", encoding="utf-8") if args.outlets else None
@@ -207,7 +177,7 @@ def cmd_ingest(args, cfg: RunConfig) -> int:
                 follows_fh.close()
             if outlets_fh is not None:
                 outlets_fh.close()
-    corpus = apply_filters(corpus, filter_cfg)
+    corpus = apply_filters(corpus, cfg)
     counts = extract_interactions(corpus)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     save_counts(counts, args.out)
@@ -249,17 +219,10 @@ def cmd_train(args, cfg: RunConfig) -> int:
         raise ConfigError("val_fraction must be in (0, 0.5]")
     counts, graph, channels = _load_dataset(args.data, cfg, args.pretrained)
     edges, _ = graph.edges()
-    folds = max(2, round(1.0 / cfg.val_fraction))
-    train_pairs, val_pairs = kfold_split(edges, folds, stage_rng(cfg.seed, "train"))[0]
+    val_pairs = validation_edges(edges, cfg.val_fraction, stage_rng(cfg.seed, "train"))
     train_graph = graph_without_edges(graph, val_pairs)
-    state, history, _ = train(
-        train_graph,
-        channels,
-        _model_config(cfg),
-        _train_config(cfg),
-        val_pairs,
-        seed=stage_seed(cfg.seed, "train"),
-    )
+    state, history, _ = train(train_graph, channels, cfg, cfg, val_pairs,
+                              seed=stage_seed(cfg.seed, "train"))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.bin", state, counts.users, counts.hashtags)
@@ -304,8 +267,8 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         channels,
         annotations,
         counts.hashtags,
-        _model_config(cfg),
-        _train_config(cfg),
+        cfg,
+        cfg,
         seed=stage_seed(cfg.seed, "eval"),
         holdout_fraction=cfg.holdout_fraction,
         folds=cfg.folds,
@@ -374,19 +337,7 @@ def cmd_curve(args, cfg: RunConfig) -> int:
 
 
 def cmd_synth(args, cfg: RunConfig) -> int:
-    synth_cfg = SynthConfig(
-        n_users=cfg.n_users,
-        n_hashtags=cfg.n_hashtags,
-        n_neutral=cfg.n_neutral,
-        p_in=cfg.p_in,
-        p_out=cfg.p_out,
-        interactions_per_user=cfg.interactions_per_user,
-        homophily=cfg.homophily,
-        social_base_rate=cfg.social_base_rate,
-        annotated_per_camp=cfg.annotated_per_camp,
-        retweet_rate=cfg.retweet_rate,
-    )
-    data = synth_generate(synth_cfg, stage_rng(cfg.seed, "synth"))
+    data = synth_generate(cfg, stage_rng(cfg.seed, "synth"))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_counts(data.counts, out / "counts.json")

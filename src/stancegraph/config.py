@@ -1,8 +1,9 @@
 """Run configuration: defaults, key=value files, per-stage seeds.
 
-Every tunable has a default here. A config file overrides defaults, command
-line flags override the file, and unknown keys are rejected so typos fail
-loudly.
+Every tunable is declared once here, with its default: each stage config
+holds its stage's keys, and RunConfig inherits them all. A config file
+overrides defaults, command line flags override the file, and unknown keys
+are rejected so typos fail loudly.
 """
 
 from __future__ import annotations
@@ -25,40 +26,51 @@ STAGE_INDEX = {
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    seed: int = 0
-    strict_parse: bool = True
-    # corpus filters
+class CorpusFilterConfig:
+    """Thresholds for dropping bot-like or out-of-scope accounts."""
+
     max_outlets_followed: int = 10
     max_avg_daily_tweets: float = 3.0
     location_allowlist: str = ""  # comma-separated; empty disables the filter
-    # model; use_social/use_pathsim choose which user graphs are loaded
+
+
+@dataclass(frozen=True)
+class ModelConfig:
     dim: int = 16
     n_layers: int = 3
-    use_social: bool = False
-    use_pathsim: bool = False
-    # channel construction
-    social_c_follow: float = 1.0
-    social_c_mention: float = 1.0
-    social_c_reply: float = 1.0
-    pathsim_left: str = "retweet"
-    pathsim_right: str = "tweet"
-    pathsim_min_weight: float = 0.01
-    pathsim_top_k: int = 0  # 0 disables the per-node cap
-    # training
+
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ConfigError("dim must be at least 1")
+        if self.n_layers < 0:
+            raise ConfigError("n_layers must be nonnegative")
+
+
+@dataclass(frozen=True)
+class TrainConfig:
     learning_rate: float = 1e-3
     lambda_reg: float = 1e-4
     batch_size: int = 1024
     max_epochs: int = 1000
     patience: int = 50
-    val_fraction: float = 0.2
-    # evaluation protocol
-    holdout_fraction: float = 0.05
-    folds: int = 5
-    variant: str = "wlgcn"
-    binary_stance: bool = False
-    x_max: int = 5
-    # synthetic generator
+
+    def __post_init__(self):
+        # learning_rate 0 is allowed: it freezes the parameters, which is
+        # useful for no-op checks.
+        if self.learning_rate < 0 or self.lambda_reg < 0:
+            raise ConfigError("learning_rate and lambda_reg must be nonnegative")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be positive")
+        if self.max_epochs < 0:
+            raise ConfigError("max_epochs must be nonnegative")
+        if self.patience < 1:
+            raise ConfigError("patience must be at least 1")
+
+
+@dataclass(frozen=True)
+class SynthConfig:
+    """Two-camp synthetic corpus with planted stances."""
+
     n_users: int = 200
     n_hashtags: int = 100
     n_neutral: int = 10
@@ -69,6 +81,64 @@ class RunConfig:
     social_base_rate: float = 0.02
     annotated_per_camp: int = 15
     retweet_rate: float = 0.5
+
+    def __post_init__(self):
+        if self.n_users < 2:
+            raise ConfigError("need at least two users")
+        if not (0 <= self.p_out < self.p_in <= 1):
+            raise ConfigError("need 0 <= p_out < p_in <= 1")
+        if self.p_in + self.p_out > 1:
+            raise ConfigError("p_in + p_out must not exceed 1")
+        if self.n_neutral < 0 or self.n_neutral >= self.n_hashtags:
+            raise ConfigError("n_neutral must leave at least one camp hashtag")
+        if self.n_neutral == 0 and self.p_in + self.p_out != 1:
+            raise ConfigError("without neutral hashtags p_in + p_out must equal 1")
+        if self.n_hashtags - self.n_neutral < 2:
+            raise ConfigError("need at least one hashtag per camp")
+        camp = (self.n_hashtags - self.n_neutral + 1) // 2
+        if not (1 <= self.annotated_per_camp <= camp):
+            raise ConfigError("annotated_per_camp must fit inside each camp")
+        if self.interactions_per_user < 1:
+            raise ConfigError("interactions_per_user must be positive")
+        if not (0 <= self.social_base_rate <= 1) or self.homophily < 0:
+            raise ConfigError("bad social edge rates")
+        if not (0 <= self.retweet_rate <= 1):
+            raise ConfigError("retweet_rate must be a probability")
+
+
+@dataclass(frozen=True)
+class RunConfig(SynthConfig, TrainConfig, ModelConfig, CorpusFilterConfig):
+    """Every key of a run: the stage configs' fields, inherited in reverse
+    MRO order (filters, model, training, synthetic corpus), then the keys
+    below, which only the CLI reads."""
+
+    seed: int = 0
+    strict_parse: bool = True
+    # which user graphs train and eval load
+    use_social: bool = False
+    use_pathsim: bool = False
+    # channel construction
+    social_c_follow: float = 1.0
+    social_c_mention: float = 1.0
+    social_c_reply: float = 1.0
+    pathsim_left: str = "retweet"
+    pathsim_right: str = "tweet"
+    pathsim_min_weight: float = 0.01
+    pathsim_top_k: int = 0  # 0 disables the per-node cap
+    # share of the edges train holds out for early stopping
+    val_fraction: float = 0.2
+    # evaluation protocol
+    holdout_fraction: float = 0.05
+    folds: int = 5
+    variant: str = "wlgcn"
+    binary_stance: bool = False
+    x_max: int = 5
+
+    def __post_init__(self):
+        # A dataclass __post_init__ does not chain: call each base's check.
+        ModelConfig.__post_init__(self)
+        TrainConfig.__post_init__(self)
+        SynthConfig.__post_init__(self)
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}

@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
+from .config import ModelConfig, SynthConfig, TrainConfig
 from .errors import (
     BoundsError,
     ConfigError,
@@ -30,8 +31,8 @@ from .errors import (
 from .graphs import BipartiteGraph, _is_member, binarize, row_normalize
 from .ingest import InteractionCounts, normalize_hashtag
 from .metrics import EVAL_K, ranking_metrics
-from .model import ChannelSet, EmbeddingState, ModelConfig, PropagationOutput
-from .train import TrainConfig, _edge_keys, train
+from .model import ChannelSet, EmbeddingState, PropagationOutput
+from .train import _edge_keys, train
 
 LOGGER = logging.getLogger(__name__)
 
@@ -194,6 +195,20 @@ def kfold_split(
         train_idx = np.concatenate([parts[g] for g in range(folds) if g != f])
         out.append((edges[np.sort(train_idx)], edges[np.sort(val_idx)]))
     return out
+
+
+def validation_edges(
+    edges: np.ndarray, fraction: float, rng: np.random.Generator
+) -> np.ndarray:
+    """The first ceil(fraction * n) of a random permutation of the n edges,
+    in edge order. At fraction 0.2 this is kfold_split's fold 0 for 5
+    folds under the same generator state."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    n = edges.shape[0]
+    count = int(np.ceil(fraction * n))
+    if count >= n:
+        raise ConfigError(f"holding out {count} of {n} edges leaves none to train on")
+    return edges[np.sort(rng.permutation(n)[:count])]
 
 
 def graph_without_edges(graph: BipartiteGraph, removed: np.ndarray) -> BipartiteGraph:
@@ -501,45 +516,6 @@ def annotation_curve(
         predicted = predicted_stances(final_users, final_hashtags, users, top_x, hashtags)
         curve.append((x, stance_metrics(predicted, truths)[0]))
     return curve
-
-
-@dataclass(frozen=True)
-class SynthConfig:
-    """Two-camp synthetic corpus with planted stances."""
-
-    n_users: int = 200
-    n_hashtags: int = 100
-    n_neutral: int = 10
-    p_in: float = 0.8
-    p_out: float = 0.1
-    interactions_per_user: int = 20
-    homophily: float = 5.0
-    social_base_rate: float = 0.02
-    annotated_per_camp: int = 15
-    retweet_rate: float = 0.5
-
-    def __post_init__(self):
-        if self.n_users < 2:
-            raise ConfigError("need at least two users")
-        if not (0 <= self.p_out < self.p_in <= 1):
-            raise ConfigError("need 0 <= p_out < p_in <= 1")
-        if self.p_in + self.p_out > 1:
-            raise ConfigError("p_in + p_out must not exceed 1")
-        if self.n_neutral < 0 or self.n_neutral >= self.n_hashtags:
-            raise ConfigError("n_neutral must leave at least one camp hashtag")
-        if self.n_neutral == 0 and self.p_in + self.p_out != 1:
-            raise ConfigError("without neutral hashtags p_in + p_out must equal 1")
-        if self.n_hashtags - self.n_neutral < 2:
-            raise ConfigError("need at least one hashtag per camp")
-        camp = (self.n_hashtags - self.n_neutral + 1) // 2
-        if not (1 <= self.annotated_per_camp <= camp):
-            raise ConfigError("annotated_per_camp must fit inside each camp")
-        if self.interactions_per_user < 1:
-            raise ConfigError("interactions_per_user must be positive")
-        if not (0 <= self.social_base_rate <= 1) or self.homophily < 0:
-            raise ConfigError("bad social edge rates")
-        if not (0 <= self.retweet_rate <= 1):
-            raise ConfigError("retweet_rate must be a probability")
 
 
 @dataclass

@@ -262,8 +262,9 @@ def pathsim_scores(M1: sp.csr_matrix, M2: sp.csr_matrix) -> sp.csr_matrix:
     """
     if M1.shape != M2.shape:
         raise ShapeError(f"relation shapes differ: {M1.shape} vs {M2.shape}")
-    C = (M1 @ M2.T).tocoo()
-    diag = (M1 @ M2.T).diagonal()
+    product = M1 @ M2.T
+    diag = product.diagonal()
+    C = product.tocoo()
     den = diag[C.row] + diag[C.col]
     with np.errstate(divide="ignore", invalid="ignore"):
         data = np.where(den > 0, 2.0 * C.data / np.where(den > 0, den, 1.0), 0.0)

@@ -19,6 +19,7 @@ from functools import partial
 import numpy as np
 import scipy.sparse as sp
 
+from .config import CorpusFilterConfig
 from .errors import DegenerateHashtag, EmptyCorpus, RecordError, ShapeError
 
 LOGGER = logging.getLogger(__name__)
@@ -65,20 +66,10 @@ class TweetRecord:
     tweet_id: str
     user_id: str
     timestamp: float  # UTC seconds
-    text: str
     kind: str
     hashtags: tuple[str, ...] = ()
     ref_user_id: str | None = None
     mentions: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class CorpusFilterConfig:
-    """Thresholds for dropping bot-like or out-of-scope accounts."""
-
-    max_outlets_followed: int = 10
-    max_avg_daily_tweets: float = 3.0
-    location_allowlist: frozenset[str] | None = None
 
 
 @dataclass
@@ -135,7 +126,6 @@ def _parse_tweet_line(line: str, line_no: int) -> tuple[TweetRecord, str | None]
         tweet_id=tweet_id,
         user_id=user_id,
         timestamp=timestamp,
-        text=text,
         kind=kind,
         hashtags=tuple(tags),
         ref_user_id=None if ref is None else str(ref),
@@ -188,8 +178,9 @@ def parse_corpus(tweet_lines, follow_lines=(), outlet_lines=(), strict=True) -> 
 
 def apply_filters(corpus: Corpus, cfg: CorpusFilterConfig) -> Corpus:
     """Drop users that exceed rate or outlet thresholds, or sit outside the
-    location allowlist when one is set. Tweets of dropped users are removed;
-    follow edges touching them are pruned."""
+    location allowlist when one is set (comma-separated; "" disables it).
+    Tweets of dropped users are removed; follow edges touching them are
+    pruned."""
     first_ts: dict[str, float] = {}
     last_ts: dict[str, float] = {}
     n_tweets: dict[str, int] = {}
@@ -204,9 +195,8 @@ def apply_filters(corpus: Corpus, cfg: CorpusFilterConfig) -> Corpus:
             if followee in corpus.outlets:
                 outlets_followed[follower] = outlets_followed.get(follower, 0) + 1
 
-    allow = None
-    if cfg.location_allowlist is not None:
-        allow = {_fold_chars(loc) for loc in cfg.location_allowlist}
+    names = [s.strip() for s in cfg.location_allowlist.split(",")]
+    allow = {_fold_chars(s) for s in names if s} or None
 
     removed: set[str] = set()
     for user, count in n_tweets.items():

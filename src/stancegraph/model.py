@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateHashtag, RecordError, ShapeError
+from .config import ModelConfig
+from .errors import DegenerateHashtag, RecordError, ShapeError
 from .graphs import (
     CHECKPOINT,
     BipartiteGraph,
@@ -34,18 +35,6 @@ DENSE_POLY_BYTES = 1 << 27
 # Identity columns pushed through the sparse operators per step while the
 # dense polynomial is built; bounds the temporaries to n_users * 64 floats.
 POLY_BLOCK_COLUMNS = 64
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    dim: int = 16
-    n_layers: int = 3
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ConfigError("dim must be at least 1")
-        if self.n_layers < 0:
-            raise ConfigError("n_layers must be nonnegative")
 
 
 @dataclass
@@ -126,11 +115,12 @@ def init_embeddings(
 def load_pretrained_vectors(path, hashtags: list[str], dim: int) -> dict[int, np.ndarray]:
     """Read whitespace-separated 'hashtag v1 .. vd' lines. Each hashtag is
     normalized as in ingest, and tags absent from the corpus are skipped
-    with a warning. A hashtag that normalizes to empty, a line with other
-    than `dim` components, or a component that is not a finite float raises
-    RecordError."""
+    with a warning. A hashtag that normalizes to empty or repeats an earlier
+    line's, a line with other than `dim` components, or a component that is
+    not a finite float raises RecordError."""
     index = {h: j for j, h in enumerate(hashtags)}
     out: dict[int, np.ndarray] = {}
+    seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             parts = line.split()
@@ -140,6 +130,9 @@ def load_pretrained_vectors(path, hashtags: list[str], dim: int) -> dict[int, np
                 tag = normalize_hashtag(parts[0])
             except DegenerateHashtag as exc:
                 raise RecordError(str(exc), line_no) from exc
+            if tag in seen:
+                raise RecordError(f"repeated hashtag {tag!r}", line_no)
+            seen.add(tag)
             values = parts[1:]
             if len(values) != dim:
                 raise RecordError(f"expected {dim} components, got {len(values)}", line_no)

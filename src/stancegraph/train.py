@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ModelConfig, TrainConfig
 from .errors import ConfigError, NumericsError
 from .graphs import BipartiteGraph, _is_member
 from .metrics import EVAL_K, ranking_metrics
@@ -23,7 +24,6 @@ from .model import (
     ChannelOperators,
     ChannelSet,
     EmbeddingState,
-    ModelConfig,
     PropagationOutput,
     build_operators,
     forward,
@@ -32,27 +32,6 @@ from .model import (
 )
 
 LOGGER = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 1e-3
-    lambda_reg: float = 1e-4
-    batch_size: int = 1024
-    max_epochs: int = 1000
-    patience: int = 50
-
-    def __post_init__(self):
-        # learning_rate 0 is allowed: it freezes the parameters, which is
-        # useful for no-op checks.
-        if self.learning_rate < 0 or self.lambda_reg < 0:
-            raise ConfigError("learning_rate and lambda_reg must be nonnegative")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be positive")
-        if self.max_epochs < 0:
-            raise ConfigError("max_epochs must be nonnegative")
-        if self.patience < 1:
-            raise ConfigError("patience must be at least 1")
 
 
 @dataclass

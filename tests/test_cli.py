@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import gc
+import inspect
 import json
 import os
 import re
@@ -16,12 +17,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stancegraph.cli import _load_dataset, _model_config, _train_config, main
-from stancegraph.config import RunConfig, parse_config_file, resolve, stage_seed
+from stancegraph.cli import _load_dataset, main
+from stancegraph.config import (
+    CorpusFilterConfig,
+    RunConfig,
+    SynthConfig,
+    TrainConfig,
+    parse_config_file,
+    resolve,
+    stage_seed,
+)
 from stancegraph.errors import ConfigError
-from stancegraph.evaluate import annotation_curve, load_annotations, run_protocol, with_usage
+from stancegraph.evaluate import (
+    annotation_curve,
+    holdout_split,
+    kfold_split,
+    load_annotations,
+    run_protocol,
+    with_usage,
+)
 from stancegraph.ingest import load_counts
-from stancegraph.graphs import load_matrix_coo
+from stancegraph.graphs import MetaPathSpec, SocialWeights, load_matrix_coo, sparsify
 from stancegraph.model import ModelConfig, init_embeddings, load_checkpoint
 
 from conftest import write_graph_container
@@ -376,7 +392,9 @@ def write_vectors(path, tags, dim, bad_line=None):
 @pytest.mark.parametrize("bad_line", [
     "ht00003 0.5 0.5 0.5", "ht00003 0.5 0.5 0.5 0.5 0.5", "ht00003 0.5 nan 0.5 0.5",
     "ht00003 0.5 0.5 inf 0.5", "ht00003 0.5 0.5 0.5 zero", "## 0.5 0.5 0.5 0.5",
-], ids=["too-few", "too-many", "nan", "inf", "not-a-number", "empty-hashtag"])
+    "#HT00002 0.5 0.5 0.5 0.5",
+], ids=["too-few", "too-many", "nan", "inf", "not-a-number", "empty-hashtag",
+        "repeated-hashtag"])
 def test_malformed_pretrained_vectors_exit_3(tmp_path, capsys, bad_line):
     _, data = synth_and_build(tmp_path)
     vectors = tmp_path / "vectors.txt"
@@ -456,6 +474,53 @@ def test_removed_config_key_exits_2(tmp_path, capsys, key):
     code = run(["synth", "--out", tmp_path / "out", "--config", cfg])
     assert code == 2
     assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
+def test_run_config_declares_no_stage_key_again():
+    # A stage field declared again in RunConfig would silently override
+    # the stage config's default.
+    own = set(inspect.get_annotations(RunConfig))
+    for stage in (ModelConfig, TrainConfig, SynthConfig, CorpusFilterConfig):
+        stage_keys = {f.name for f in dataclasses.fields(stage)}
+        assert not own & stage_keys, stage.__name__
+        assert stage_keys <= {f.name for f in dataclasses.fields(RunConfig)}
+    assert len(own) == 17 and len(dataclasses.fields(RunConfig)) == 37
+
+
+def default_of(func, name):
+    return inspect.signature(func).parameters[name].default
+
+
+def test_repeated_defaults_equal_the_config_keys():
+    cfg = RunConfig()
+    pairs = [
+        (default_of(SocialWeights, "follow"), cfg.social_c_follow),
+        (default_of(SocialWeights, "mention"), cfg.social_c_mention),
+        (default_of(SocialWeights, "reply"), cfg.social_c_reply),
+        (default_of(MetaPathSpec, "left"), cfg.pathsim_left),
+        (default_of(MetaPathSpec, "right"), cfg.pathsim_right),
+        (default_of(sparsify, "min_weight"), cfg.pathsim_min_weight),
+        (default_of(holdout_split, "fraction"), cfg.holdout_fraction),
+        (default_of(run_protocol, "holdout_fraction"), cfg.holdout_fraction),
+        (default_of(kfold_split, "folds"), cfg.folds),
+        (default_of(run_protocol, "folds"), cfg.folds),
+        (default_of(run_protocol, "variant"), cfg.variant),
+        (default_of(run_protocol, "binary_stance"), cfg.binary_stance),
+    ]
+    for got, want in pairs:
+        assert got == want and type(got) is type(want)
+
+
+def test_every_command_runs_the_stage_checks(tmp_path, capsys):
+    # build reads no synthetic key, yet resolving its config checks them
+    out = tmp_path / "data"
+    code = run(["build", "--counts", tmp_path / "counts.json", "--out", out, "--n-users", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert [line for line in err.splitlines() if line.startswith("error ")] == [
+        "error kind=ConfigError exit=2: need at least two users"]
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_readme_lists_every_config_key():
@@ -601,7 +666,7 @@ def test_curve_reads_the_model_eval_evaluated(tmp_path, variant, channel_flags):
     counts, graph, channels = _load_dataset(data, cfg)
     annotations = with_usage(load_annotations(annotations_path), counts)
     res = run_protocol(
-        graph, channels, annotations, counts.hashtags, _model_config(cfg), _train_config(cfg),
+        graph, channels, annotations, counts.hashtags, cfg, cfg,
         seed=stage_seed(3, "eval"), holdout_fraction=0.3, folds=2, variant=variant,
         null_interactions=int(counts.T.sum()),
     )

@@ -43,6 +43,7 @@ from stancegraph.evaluate import (
     synth_generate,
     SynthConfig,
     true_stances,
+    validation_edges,
     VARIANTS,
     with_usage,
     write_report,
@@ -522,6 +523,35 @@ def test_kfold_rejects_bad_configs():
         kfold_split(edges, folds=1)
     with pytest.raises(ConfigError):
         kfold_split(edges, folds=3)
+
+
+def test_validation_edges_at_one_fifth_are_kfold_fold_0():
+    # ceil(0.2 * n) is exact in floating point: for n = 1..10,000 the
+    # held-out edges are fold 0 of kfold_split(..., 5) from the same state.
+    all_edges = np.column_stack([np.arange(10_000), np.arange(10_000) % 7])
+    for n in range(1, 10_001):
+        assert math.ceil(0.2 * n) == -(-n // 5)
+        if n < 5:
+            continue
+        edges = all_edges[:n]
+        got = validation_edges(edges, 0.2, np.random.default_rng(n))
+        want = kfold_split(edges, 5, np.random.default_rng(n))[0][1]
+        assert np.array_equal(got, want), n
+
+
+@pytest.mark.parametrize("fraction", [0.1, 0.3, 0.4, 0.45, 0.5])
+@pytest.mark.parametrize("n", [2, 7, 100, 12_890])
+def test_validation_edges_hold_out_the_fraction(fraction, n):
+    edges = np.column_stack([np.arange(n), np.zeros(n, dtype=np.int64)])
+    val = validation_edges(edges, fraction, np.random.default_rng(3))
+    assert fraction * n <= len(val) < fraction * n + 1
+    assert len(np.unique(val[:, 0])) == len(val)
+    assert np.array_equal(val, edges[np.sort(val[:, 0])])
+
+
+def test_validation_edges_leave_an_edge_to_train_on():
+    with pytest.raises(ConfigError, match="holding out 1 of 1 edges"):
+        validation_edges(np.array([[0, 0]]), 0.2, np.random.default_rng(0))
 
 
 def test_graph_without_edges_renormalizes():

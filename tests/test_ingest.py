@@ -212,7 +212,7 @@ def test_filter_location_allowlist_folds_accents():
     ]
     out = apply_filters(
         make_corpus(lines),
-        CorpusFilterConfig(location_allowlist=frozenset({"santiago"})),
+        CorpusFilterConfig(location_allowlist="santiago"),
     )
     assert {t.user_id for t in out.tweets} == {"stgo"}
 

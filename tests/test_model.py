@@ -101,6 +101,15 @@ def test_load_pretrained_vectors_rejects_malformed_line(tmp_path, line):
         load_pretrained_vectors(path, ["apruebo", "rechazo"], dim=2)
 
 
+@pytest.mark.parametrize("tag", ["rechazo", "unknown"])
+def test_load_pretrained_vectors_refuses_a_repeated_hashtag(tmp_path, tag):
+    # whether or not the corpus has the hashtag
+    path = tmp_path / "vec.tsv"
+    path.write_text(f"{tag} 1 1\napruebo 0.5 1.5\n#{tag.upper()} 2 2\n", encoding="utf-8")
+    with pytest.raises(RecordError, match=f"^line 3: repeated hashtag '{tag}'$"):
+        load_pretrained_vectors(path, ["apruebo", "rechazo"], dim=2)
+
+
 def test_stacked_roundtrip():
     cfg = ModelConfig(dim=2)
     state = init_embeddings(3, 2, cfg, seed=4)
