@@ -11,6 +11,7 @@ two-camp generator with planted stances.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Callable
@@ -29,7 +30,7 @@ from .errors import (
     ShapeError,
 )
 from .graphs import BipartiteGraph, _is_member, binarize, row_normalize
-from .ingest import InteractionCounts, normalize_hashtag
+from .ingest import InteractionCounts, _unit_counts, normalize_hashtag
 from .metrics import EVAL_K, ranking_metrics
 from .model import ChannelSet, EmbeddingState, PropagationOutput
 from .train import _edge_keys, train
@@ -197,15 +198,26 @@ def kfold_split(
     return out
 
 
+def held_out_count(fraction: float, n: int) -> int:
+    """ceil(fraction * n), taken in exact arithmetic on the fraction's
+    decimal form (its shortest repr): 0.07 of 100 edges is 7, where the
+    float product 7.000000000000001 would round up to 8."""
+    # Imported here: only train holds edges out, and fractions pulls in
+    # decimal, which no other stage process needs.
+    from fractions import Fraction
+
+    return math.ceil(Fraction(repr(float(fraction))) * n)
+
+
 def validation_edges(
     edges: np.ndarray, fraction: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """The first ceil(fraction * n) of a random permutation of the n edges,
-    in edge order. At fraction 0.2 this is kfold_split's fold 0 for 5
-    folds under the same generator state."""
+    """The first held_out_count(fraction, n) of a random permutation of the
+    n edges, in edge order. At fraction 0.2 this is kfold_split's fold 0
+    for 5 folds under the same generator state."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     n = edges.shape[0]
-    count = int(np.ceil(fraction * n))
+    count = held_out_count(fraction, n)
     if count >= n:
         raise ConfigError(f"holding out {count} of {n} edges leaves none to train on")
     return edges[np.sort(rng.permutation(n)[:count])]
@@ -525,12 +537,15 @@ class SynthData:
     planted: list[str]  # per-user true camp, index-aligned with counts.users
 
 
-def _unit_counts(rows: np.ndarray, cols: np.ndarray, shape) -> sp.csr_matrix:
-    """CSR with one count per (row, col) pair, duplicates summed and
-    indices sorted."""
-    mat = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape)
-    mat.sum_duplicates()
-    return mat
+def _symmetric_unit_counts(rows: np.ndarray, cols: np.ndarray, n: int) -> sp.csr_matrix:
+    """Symmetric n x n CSR with a 1 at (r, c) and (c, r) for each pair,
+    indices sorted. The pairs must be unique, lie above the diagonal
+    (r < c) and come in row-major order, so the pairs as a CSR matrix U are
+    canonical and U and U.T share no entry."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    upper = sp.csr_matrix((np.ones(len(rows)), cols, indptr), shape=(n, n))
+    return upper + upper.T
 
 
 def synth_generate(cfg: SynthConfig, rng: np.random.Generator) -> SynthData:
@@ -597,8 +612,7 @@ def synth_generate(cfg: SynthConfig, rng: np.random.Generator) -> SynthData:
         T_reply=sp.csr_matrix((n, m), dtype=np.float64),
         mention=sp.csr_matrix((n, n), dtype=np.float64),
         reply=sp.csr_matrix((n, n), dtype=np.float64),
-        mutual_follow=_unit_counts(np.concatenate([f_rows, f_cols]),
-                                   np.concatenate([f_cols, f_rows]), (n, n)),
+        mutual_follow=_symmetric_unit_counts(f_rows, f_cols, n),
     )
     counts.validate()
 

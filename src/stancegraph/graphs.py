@@ -22,6 +22,9 @@ LOGGER = logging.getLogger(__name__)
 
 ROW_SUM_TOL = 1e-9
 
+# Array entries per write in write_container.
+WRITE_SLICE = 1 << 20
+
 META_PATH_RELATIONS = ("tweet", "retweet", "reply")
 
 
@@ -50,11 +53,18 @@ CHECKPOINT = Container("checkpoint", b"SGEMB\x00", struct.Struct("<IQQQqQ"), 2,
 
 def write_container(path, kind: Container, fields: tuple, arrays) -> None:
     """Write `kind`'s magic, its header with `fields` after the version, and
-    `arrays` in the dtypes of its layout."""
+    `arrays` in the dtypes of its layout.
+
+    Each array goes out WRITE_SLICE entries at a time, straight from its
+    buffer: an array already in its layout dtype is never copied, and one
+    that must be converted (int32 indices to "<i8") is converted one slice
+    at a time. A zero-length array writes nothing."""
     with open(path, "wb") as fh:
         fh.write(kind.magic + kind.header.pack(kind.version, *fields))
         for (dtype, _), arr in zip(kind.layout(*fields), arrays):
-            fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+            flat = np.ravel(arr)
+            for start in range(0, flat.size, WRITE_SLICE):
+                fh.write(np.ascontiguousarray(flat[start:start + WRITE_SLICE], dtype=dtype))
 
 
 def read_container(path, kind: Container) -> tuple[tuple, list[np.ndarray]]:
@@ -87,13 +97,17 @@ def read_container(path, kind: Container) -> tuple[tuple, list[np.ndarray]]:
 @dataclass
 class BipartiteGraph:
     """Weighted user-hashtag graph. R rows are usage distributions: row i
-    holds user i's interaction counts divided by the user's total."""
+    holds user i's interaction counts divided by the user's total.
+
+    The graph owns the matrix it is given: a float64 CSR matrix is kept as
+    it is, not copied, and is put in canonical form (sorted column indices,
+    duplicates summed) in place. Any other matrix is converted first."""
 
     R: sp.csr_matrix
 
     def __post_init__(self):
-        self.R = self.R.tocsr().astype(np.float64)
-        self.R.sort_indices()
+        self.R = self.R.tocsr().astype(np.float64, copy=False)
+        self.R.sum_duplicates()
         n, m = self.R.shape
         if n < 1 or m < 1:
             raise EmptyCorpus("bipartite graph needs at least one user and one hashtag")
@@ -123,14 +137,17 @@ class BipartiteGraph:
 
 @dataclass
 class UserGraph:
-    """Symmetric nonnegative user-user graph with zero diagonal."""
+    """Symmetric nonnegative user-user graph with zero diagonal.
+
+    Like BipartiteGraph, it owns the matrix it is given: a float64 CSR
+    matrix is kept, not copied, and made canonical in place."""
 
     W: sp.csr_matrix
     kind: str = "user"
 
     def __post_init__(self):
-        self.W = self.W.tocsr().astype(np.float64)
-        self.W.sort_indices()
+        self.W = self.W.tocsr().astype(np.float64, copy=False)
+        self.W.sum_duplicates()
         n, m = self.W.shape
         if n != m:
             raise ShapeError(f"user graph must be square, got {self.W.shape}")
@@ -247,40 +264,46 @@ def build_social_graph(counts: InteractionCounts, weights: SocialWeights = Socia
         + weights.mention * (counts.mention + counts.mention.T)
         + weights.reply * (counts.reply + counts.reply.T)
     )
-    W = (W + W.T) * 0.5
-    W = sp.csr_matrix(W)
-    W.setdiag(0.0)
+    return UserGraph(W=_symmetrized(W), kind="social")
+
+
+def _symmetrized(W: sp.csr_matrix) -> sp.csr_matrix:
+    """(W + W.T) * 0.5 without its diagonal, halved in place: the sum is the
+    only new matrix."""
+    W = W + W.T
+    W.data *= 0.5
+    on_diagonal = np.repeat(np.arange(W.shape[0], dtype=W.indices.dtype),
+                            np.diff(W.indptr)) == W.indices
+    W.data[on_diagonal] = 0.0
     W.eliminate_zeros()
-    return UserGraph(W=W, kind="social")
+    return W
 
 
 def pathsim_scores(M1: sp.csr_matrix, M2: sp.csr_matrix) -> sp.csr_matrix:
     """Meta-path similarity before symmetrization.
 
     s(i, j) = 2*C[i, j] / (C[i, i] + C[j, j]) with C = M1 @ M2.T; pairs
-    whose diagonal mass is zero get similarity 0.
+    whose diagonal mass is zero get similarity 0. The product's own data
+    array is rescaled, so C is the only matrix built.
     """
     if M1.shape != M2.shape:
         raise ShapeError(f"relation shapes differ: {M1.shape} vs {M2.shape}")
-    product = M1 @ M2.T
-    diag = product.diagonal()
-    C = product.tocoo()
-    den = diag[C.row] + diag[C.col]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = np.where(den > 0, 2.0 * C.data / np.where(den > 0, den, 1.0), 0.0)
-    out = sp.csr_matrix((data, (C.row, C.col)), shape=C.shape)
-    out.eliminate_zeros()
-    return out
+    C = M1 @ M2.T
+    diag = C.diagonal()
+    den = np.repeat(diag, np.diff(C.indptr))  # C[i, i] for each entry of row i
+    den += diag[C.indices]
+    C.data *= 2.0
+    np.divide(C.data, den, out=C.data, where=den > 0)
+    C.data[den <= 0] = 0.0
+    C.eliminate_zeros()
+    C.sort_indices()
+    return C
 
 
 def compute_pathsim(counts: InteractionCounts, spec: MetaPathSpec = MetaPathSpec()) -> UserGraph:
     """PathSim user graph for a user -> hashtag -> user meta-path."""
     S = pathsim_scores(counts.relation(spec.left), counts.relation(spec.right))
-    W = (S + S.T) * 0.5
-    W = sp.csr_matrix(W)
-    W.setdiag(0.0)
-    W.eliminate_zeros()
-    return UserGraph(W=W, kind=f"pathsim:{spec.left}-{spec.right}")
+    return UserGraph(W=_symmetrized(S), kind=f"pathsim:{spec.left}-{spec.right}")
 
 
 def sparsify(graph: UserGraph, min_weight: float = 0.01, top_k: int | None = None) -> UserGraph:
@@ -291,11 +314,8 @@ def sparsify(graph: UserGraph, min_weight: float = 0.01, top_k: int | None = Non
         raise ConfigError("min_weight must be nonnegative")
     if top_k is not None and top_k < 1:
         raise ConfigError("top_k must be at least 1")
-    W = graph.W.tocoo()
-    keep = W.data >= min_weight
-    W = sp.csr_matrix((W.data[keep], (W.row[keep], W.col[keep])), shape=W.shape)
+    W = _kept(graph.W, graph.W.data >= min_weight)
     if top_k is not None:
-        W.sum_duplicates()
         n = W.shape[0]
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(W.indptr))
         cols = W.indices.astype(np.int64)
@@ -306,9 +326,16 @@ def sparsify(graph: UserGraph, min_weight: float = 0.01, top_k: int | None = Non
         rank[order] = np.arange(W.nnz) - W.indptr[rows[order]]
         keys = rows * n + cols  # row-major, hence sorted
         top = rank < top_k
-        keep = top | _is_member(keys[top], cols * n + rows)
-        W = sp.csr_matrix((W.data[keep], (rows[keep], cols[keep])), shape=W.shape)
+        W = _kept(W, top | _is_member(keys[top], cols * n + rows))
     return UserGraph(W=W, kind=graph.kind)
+
+
+def _kept(W: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:
+    """The entries of the canonical CSR matrix W where `keep` is true. Each
+    row's new extent comes from the running count of kept entries."""
+    kept_before = np.zeros(W.nnz + 1, dtype=W.indptr.dtype)
+    np.cumsum(keep, out=kept_before[1:])
+    return sp.csr_matrix((W.data[keep], W.indices[keep], kept_before[W.indptr]), shape=W.shape)
 
 
 def _is_member(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -330,10 +357,14 @@ def save_matrix_coo(mat: sp.spmatrix, path) -> None:
     """Write `mat` as a GRAPH container (the `.coo` file names predate it).
 
     Duplicates are summed and column indices sorted before writing, so
-    equal matrices give equal bytes and save -> load -> save is exact.
+    equal matrices give equal bytes and save -> load -> save is exact. A
+    float64 CSR matrix already in that form is written from its own arrays;
+    any other is converted or copied first, never changed in place.
     """
-    csr = sp.csr_matrix(mat, dtype=np.float64, copy=True)
-    csr.sum_duplicates()
+    csr = sp.csr_matrix(mat, dtype=np.float64)
+    if not csr.has_canonical_format:
+        csr = csr.copy()
+        csr.sum_duplicates()
     write_container(path, GRAPH, (*csr.shape, csr.nnz), [csr.indptr, csr.indices, csr.data])
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import sys
 import unicodedata
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -61,7 +62,7 @@ def normalize_hashtag(raw: str) -> str:
     return s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TweetRecord:
     tweet_id: str
     user_id: str
@@ -88,7 +89,12 @@ def _parse_timestamp(value: str) -> float:
     return dt.timestamp()
 
 
-def _parse_tweet_line(line: str, line_no: int) -> tuple[TweetRecord, str | None]:
+def _parse_tweet_line(line: str, line_no: int,
+                      normalized: dict[str, str]) -> tuple[TweetRecord, str | None]:
+    """One record and its location. `normalized` maps each raw hashtag seen
+    so far to its normalized form and is extended here, so each distinct raw
+    hashtag is normalized once and the records share one string per
+    hashtag. User ids and kinds are interned, so they are shared too."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -97,10 +103,10 @@ def _parse_tweet_line(line: str, line_no: int) -> tuple[TweetRecord, str | None]
         raise RecordError("record is not an object", line_no)
     try:
         tweet_id = str(obj["tweet_id"])
-        user_id = str(obj["user_id"])
+        user_id = sys.intern(str(obj["user_id"]))
         timestamp = _parse_timestamp(str(obj["timestamp"]))
         text = str(obj["text"])
-        kind = str(obj["kind"])
+        kind = sys.intern(str(obj["kind"]))
     except KeyError as exc:
         raise RecordError(f"missing key {exc.args[0]!r}", line_no) from exc
     except ValueError as exc:
@@ -113,22 +119,26 @@ def _parse_tweet_line(line: str, line_no: int) -> tuple[TweetRecord, str | None]
         raw_tags = HASHTAG_RE.findall(text)
     tags = []
     for raw in raw_tags:
-        try:
-            tags.append(normalize_hashtag(str(raw)))
-        except DegenerateHashtag as exc:
-            raise RecordError(str(exc), line_no) from exc
+        raw = str(raw)
+        tag = normalized.get(raw)
+        if tag is None:
+            try:
+                tag = normalized[raw] = normalize_hashtag(raw)
+            except DegenerateHashtag as exc:
+                raise RecordError(str(exc), line_no) from exc
+        tags.append(tag)
 
     checked_ids([user_id, *tags], "record", line_no)
 
     ref = obj.get("ref_user_id")
-    mentions = tuple(str(m) for m in obj.get("mentions", ()) or ())
+    mentions = tuple(sys.intern(str(m)) for m in obj.get("mentions", ()) or ())
     record = TweetRecord(
         tweet_id=tweet_id,
         user_id=user_id,
         timestamp=timestamp,
         kind=kind,
         hashtags=tuple(tags),
-        ref_user_id=None if ref is None else str(ref),
+        ref_user_id=None if ref is None else sys.intern(str(ref)),
         mentions=mentions,
     )
     location = obj.get("location")
@@ -144,11 +154,12 @@ def parse_corpus(tweet_lines, follow_lines=(), outlet_lines=(), strict=True) -> 
     """
     by_id: dict[str, TweetRecord] = {}
     locations: dict[str, str] = {}
+    normalized: dict[str, str] = {}
     for line_no, line in enumerate(tweet_lines, 1):
         if not line.strip():
             continue
         try:
-            record, location = _parse_tweet_line(line, line_no)
+            record, location = _parse_tweet_line(line, line_no, normalized)
         except RecordError as exc:
             if strict:
                 raise
@@ -263,18 +274,20 @@ class InteractionCounts:
             raise ShapeError("mutual_follow is not symmetric")
 
 
-def _csr_from_counts(counter: dict[tuple[int, int], float], shape) -> sp.csr_matrix:
-    if not counter:
-        return sp.csr_matrix(shape, dtype=np.float64)
-    keys = sorted(counter)
-    rows = np.array([k[0] for k in keys], dtype=np.int64)
-    cols = np.array([k[1] for k in keys], dtype=np.int64)
-    data = np.array([counter[k] for k in keys], dtype=np.float64)
-    return sp.csr_matrix((data, (rows, cols)), shape=shape)
+def _unit_counts(rows, cols, shape) -> sp.csr_matrix:
+    """CSR with one count per (row, col) pair, duplicates summed and
+    indices sorted."""
+    mat = sp.csr_matrix((np.ones(len(rows)), (np.asarray(rows, dtype=np.int64),
+                                              np.asarray(cols, dtype=np.int64))), shape=shape)
+    mat.sum_duplicates()
+    return mat
 
 
 def extract_interactions(corpus: Corpus) -> InteractionCounts:
-    """Count hashtag usages per user and kind, plus user-user relations."""
+    """Count hashtag usages per user and kind, plus user-user relations.
+
+    Each usage or relation is one (row, column) pair in a flat index list;
+    _unit_counts sums the repeats."""
     if not corpus.tweets:
         raise EmptyCorpus("no tweets to extract interactions from")
     users = sorted({t.user_id for t in corpus.tweets})
@@ -284,32 +297,33 @@ def extract_interactions(corpus: Corpus) -> InteractionCounts:
     uidx = {u: i for i, u in enumerate(users)}
     hidx = {h: j for j, h in enumerate(tags)}
 
-    by_kind = {kind: {} for kind in KINDS}
-    mention: dict[tuple[int, int], float] = {}
-    reply_edges: dict[tuple[int, int], float] = {}
+    by_kind = {kind: ([], []) for kind in KINDS}
+    mention: tuple[list[int], list[int]] = ([], [])
+    reply_edges: tuple[list[int], list[int]] = ([], [])
     for t in corpus.tweets:
         i = uidx[t.user_id]
-        bucket = by_kind[t.kind]
+        rows, cols = by_kind[t.kind]
         for h in t.hashtags:
-            key = (i, hidx[h])
-            bucket[key] = bucket.get(key, 0.0) + 1.0
+            rows.append(i)
+            cols.append(hidx[h])
         for m in t.mentions:
             if m in uidx:
-                key = (i, uidx[m])
-                mention[key] = mention.get(key, 0.0) + 1.0
+                mention[0].append(i)
+                mention[1].append(uidx[m])
         if t.kind == "reply" and t.ref_user_id in uidx:
-            key = (i, uidx[t.ref_user_id])
-            reply_edges[key] = reply_edges.get(key, 0.0) + 1.0
+            reply_edges[0].append(i)
+            reply_edges[1].append(uidx[t.ref_user_id])
 
-    mutual: dict[tuple[int, int], float] = {}
+    mutual: tuple[list[int], list[int]] = ([], [])
     for a, b in corpus.follows:
         if a in uidx and b in uidx and (b, a) in corpus.follows and a != b:
-            mutual[(uidx[a], uidx[b])] = 1.0
+            mutual[0].append(uidx[a])
+            mutual[1].append(uidx[b])
 
     n, m = len(users), len(tags)
-    t_tweet = _csr_from_counts(by_kind["original"], (n, m))
-    t_retweet = _csr_from_counts(by_kind["retweet"], (n, m))
-    t_reply = _csr_from_counts(by_kind["reply"], (n, m))
+    t_tweet = _unit_counts(*by_kind["original"], (n, m))
+    t_retweet = _unit_counts(*by_kind["retweet"], (n, m))
+    t_reply = _unit_counts(*by_kind["reply"], (n, m))
     counts = InteractionCounts(
         users=users,
         hashtags=tags,
@@ -317,9 +331,9 @@ def extract_interactions(corpus: Corpus) -> InteractionCounts:
         T_tweet=t_tweet,
         T_retweet=t_retweet,
         T_reply=t_reply,
-        mention=_csr_from_counts(mention, (n, n)),
-        reply=_csr_from_counts(reply_edges, (n, n)),
-        mutual_follow=_csr_from_counts(mutual, (n, n)),
+        mention=_unit_counts(*mention, (n, n)),
+        reply=_unit_counts(*reply_edges, (n, n)),
+        mutual_follow=_unit_counts(*mutual, (n, n)),
     )
     counts.validate()
     return counts

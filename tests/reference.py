@@ -7,10 +7,19 @@ import logging
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from stancegraph.errors import ConfigError, EmptyEvaluation, ShapeError
 from stancegraph.evaluate import CLASS_ORDER, StanceAnnotation
-from stancegraph.graphs import BipartiteGraph, NormalizedAdjacency
+from stancegraph.graphs import (
+    BipartiteGraph,
+    MetaPathSpec,
+    NormalizedAdjacency,
+    SocialWeights,
+    UserGraph,
+    _is_member,
+)
+from stancegraph.ingest import InteractionCounts
 from stancegraph.model import ModelConfig, forward
 from stancegraph.train import bpr_loss
 
@@ -123,3 +132,77 @@ def ground_truth_stance(hidden_weights: dict[str, float], annotations: StanceAnn
     if best_cls is None:
         raise EmptyEvaluation("annotation set has no classes")
     return best_cls
+
+
+def csr_from_counts(counter: dict[tuple[int, int], float], shape) -> sp.csr_matrix:
+    """CSR from a {(row, col): count} dict, keys in sorted order."""
+    if not counter:
+        return sp.csr_matrix(shape, dtype=np.float64)
+    keys = sorted(counter)
+    rows = np.array([k[0] for k in keys], dtype=np.int64)
+    cols = np.array([k[1] for k in keys], dtype=np.int64)
+    data = np.array([counter[k] for k in keys], dtype=np.float64)
+    return sp.csr_matrix((data, (rows, cols)), shape=shape)
+
+
+# The COO pipeline that graphs.build_social_graph, pathsim_scores,
+# compute_pathsim and sparsify replaced: each step converts to COO or copies,
+# and builds a new CSR matrix.
+
+def build_social_graph(counts: InteractionCounts, weights: SocialWeights = SocialWeights()) -> UserGraph:
+    W = (
+        weights.follow * counts.mutual_follow
+        + weights.mention * (counts.mention + counts.mention.T)
+        + weights.reply * (counts.reply + counts.reply.T)
+    )
+    W = (W + W.T) * 0.5
+    W = sp.csr_matrix(W)
+    W.setdiag(0.0)
+    W.eliminate_zeros()
+    return UserGraph(W=W, kind="social")
+
+
+def pathsim_scores(M1: sp.csr_matrix, M2: sp.csr_matrix) -> sp.csr_matrix:
+    if M1.shape != M2.shape:
+        raise ShapeError(f"relation shapes differ: {M1.shape} vs {M2.shape}")
+    product = M1 @ M2.T
+    diag = product.diagonal()
+    C = product.tocoo()
+    den = diag[C.row] + diag[C.col]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        data = np.where(den > 0, 2.0 * C.data / np.where(den > 0, den, 1.0), 0.0)
+    out = sp.csr_matrix((data, (C.row, C.col)), shape=C.shape)
+    out.eliminate_zeros()
+    return out
+
+
+def compute_pathsim(counts: InteractionCounts, spec: MetaPathSpec = MetaPathSpec()) -> UserGraph:
+    S = pathsim_scores(counts.relation(spec.left), counts.relation(spec.right))
+    W = (S + S.T) * 0.5
+    W = sp.csr_matrix(W)
+    W.setdiag(0.0)
+    W.eliminate_zeros()
+    return UserGraph(W=W, kind=f"pathsim:{spec.left}-{spec.right}")
+
+
+def sparsify(graph: UserGraph, min_weight: float = 0.01, top_k: int | None = None) -> UserGraph:
+    if min_weight < 0:
+        raise ConfigError("min_weight must be nonnegative")
+    if top_k is not None and top_k < 1:
+        raise ConfigError("top_k must be at least 1")
+    W = graph.W.tocoo()
+    keep = W.data >= min_weight
+    W = sp.csr_matrix((W.data[keep], (W.row[keep], W.col[keep])), shape=W.shape)
+    if top_k is not None:
+        W.sum_duplicates()
+        n = W.shape[0]
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(W.indptr))
+        cols = W.indices.astype(np.int64)
+        order = np.lexsort((cols, -W.data, rows))
+        rank = np.empty(W.nnz, dtype=np.int64)
+        rank[order] = np.arange(W.nnz) - W.indptr[rows[order]]
+        keys = rows * n + cols
+        top = rank < top_k
+        keep = top | _is_member(keys[top], cols * n + rows)
+        W = sp.csr_matrix((W.data[keep], (rows[keep], cols[keep])), shape=W.shape)
+    return UserGraph(W=W, kind=graph.kind)

@@ -43,13 +43,14 @@ from stancegraph.evaluate import (
     synth_generate,
     SynthConfig,
     true_stances,
+    held_out_count,
     validation_edges,
     VARIANTS,
     with_usage,
     write_report,
 )
 from stancegraph.graphs import BipartiteGraph, binarize, build_adjacency, build_interaction_graph
-from stancegraph.ingest import InteractionCounts, _csr_from_counts, save_counts
+from stancegraph.ingest import InteractionCounts, save_counts
 from stancegraph.metrics import ranking_metrics
 from stancegraph.model import ChannelSet, ModelConfig, build_operators, forward
 from stancegraph.train import TrainConfig, train
@@ -57,6 +58,7 @@ from stancegraph.train import TrainConfig, train
 from conftest import counts_from, random_bipartite, random_user_graph
 from reference import (
     classify_stance,
+    csr_from_counts,
     ground_truth_stance,
     ndcg_at_k,
     neighbors,
@@ -549,6 +551,16 @@ def test_validation_edges_hold_out_the_fraction(fraction, n):
     assert np.array_equal(val, edges[np.sort(val[:, 0])])
 
 
+def test_held_out_count_is_the_exact_decimal_ceil():
+    # 0.07 * 100 is 7.000000000000001 in floating point; the count reads
+    # 0.07 as 7/100, for every n up to 200,000.
+    assert 0.07 * 100 > 7
+    assert [held_out_count(0.07, n) for n in range(1, 200_001)] == [
+        -(-7 * n // 100) for n in range(1, 200_001)]
+    edges = np.column_stack([np.arange(100), np.zeros(100, dtype=np.int64)])
+    assert len(validation_edges(edges, 0.07, np.random.default_rng(0))) == 7
+
+
 def test_validation_edges_leave_an_edge_to_train_on():
     with pytest.raises(ConfigError, match="holding out 1 of 1 edges"):
         validation_edges(np.array([[0, 0]]), 0.2, np.random.default_rng(0))
@@ -755,13 +767,13 @@ def synth_reference(cfg, rng):
                 mutual[(j, i)] = 1.0
 
     n, m = cfg.n_users, cfg.n_hashtags
-    t_tweet = _csr_from_counts(by_kind["original"], (n, m))
-    t_retweet = _csr_from_counts(by_kind["retweet"], (n, m))
+    t_tweet = csr_from_counts(by_kind["original"], (n, m))
+    t_retweet = csr_from_counts(by_kind["retweet"], (n, m))
     counts = InteractionCounts(
         users=users, hashtags=tags, T=(t_tweet + t_retweet).tocsr(),
         T_tweet=t_tweet, T_retweet=t_retweet,
         T_reply=sp.csr_matrix((n, m)), mention=sp.csr_matrix((n, n)),
-        reply=sp.csr_matrix((n, n)), mutual_follow=_csr_from_counts(mutual, (n, n)),
+        reply=sp.csr_matrix((n, n)), mutual_follow=csr_from_counts(mutual, (n, n)),
     )
     annotations = StanceAnnotation(by_class={
         "POS": tuple(tags[j] for j in pos_tags[: cfg.annotated_per_camp]),

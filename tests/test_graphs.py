@@ -8,12 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from stancegraph.errors import ConfigError, EmptyChannel, RecordError, ShapeError
+import stancegraph.graphs as graphs
 from stancegraph.graphs import (
+    CHECKPOINT,
+    GRAPH,
     BipartiteGraph,
     MetaPathSpec,
     SocialWeights,
@@ -29,14 +32,17 @@ from stancegraph.graphs import (
     normalize_user_graph,
     pathsim_scores,
     propagate_once,
+    read_container,
     save_bipartite,
     save_matrix_coo,
     save_user_graph,
     sparsify,
+    write_container,
 )
 from stancegraph.model import EmbeddingState, load_checkpoint, save_checkpoint
 
 from conftest import counts_from, random_bipartite, random_user_graph, write_graph_container
+import reference
 from reference import neighbors
 
 
@@ -437,6 +443,124 @@ def test_binarize_idempotent():
     once = binarize(g)
     twice = binarize(once)
     assert np.array_equal(once.R.toarray(), twice.R.toarray())
+
+
+# the in-place pipeline against the COO reference ----------------------------
+
+def assert_same_csr(got: sp.csr_matrix, want: sp.csr_matrix) -> None:
+    """Equal shape, indptr and indices, and data equal bit for bit."""
+    assert got.shape == want.shape
+    for name in ("indptr", "indices"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.data.dtype == want.data.dtype == np.float64
+    assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64)), "data"
+
+
+@st.composite
+def relation_pairs(draw):
+    """Two small integer count matrices with empty rows, trailing empty
+    rows and users whose two relations share no hashtag (zero diagonal
+    mass in C = M1 @ M2.T)."""
+    n = draw(st.integers(1, 9), label="n")
+    m = draw(st.integers(1, 6), label="m")
+    counts = st.sampled_from([0, 0, 0, 1, 2, 5])
+    M1 = draw(hnp.arrays(np.int64, (n, m), elements=counts)).astype(np.float64)
+    M2 = draw(hnp.arrays(np.int64, (n, m), elements=counts)).astype(np.float64)
+    tail = draw(st.integers(0, n), label="trailing empty rows")
+    M1[n - tail:] = M2[n - tail:] = 0.0
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=n), label="disjoint rows"):
+        M2[i, M1[i] > 0] = 0.0
+    return M1, M2
+
+
+@settings(max_examples=300, deadline=None)
+@given(relation_pairs(), st.sampled_from([0.0, 0.01, 0.3, 0.6]),
+       st.none() | st.integers(1, 10), st.booleans())
+def test_pathsim_pipeline_equals_coo_reference(pair, min_weight, top_k, same_relation):
+    M1, M2 = pair
+    assert_same_csr(pathsim_scores(sp.csr_matrix(M1), sp.csr_matrix(M2)),
+                    reference.pathsim_scores(sp.csr_matrix(M1), sp.csr_matrix(M2)))
+    counts = counts_from(M2, T_retweet=M1)
+    spec = MetaPathSpec("tweet", "tweet") if same_relation else MetaPathSpec()
+    got, want = compute_pathsim(counts, spec), reference.compute_pathsim(counts, spec)
+    assert_same_csr(got.W, want.W)
+    assert got.kind == want.kind
+    assert_same_csr(sparsify(got, min_weight, top_k).W,
+                    reference.sparsify(want, min_weight, top_k).W)
+
+
+@settings(max_examples=200, deadline=None)
+@given(relation_pairs(), st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]), min_size=3, max_size=3))
+def test_social_graph_equals_coo_reference(pair, coefficients):
+    assume(any(coefficients))
+    M1, M2 = pair
+    # Directed mention and reply counts, with self-relations on the diagonal.
+    mutual = np.triu(M1 @ M2.T > 0, k=1)
+    counts = counts_from(M1, mention=M1 @ M1.T, reply=M2 @ M1.T,
+                         mutual=(mutual | mutual.T) * 1.0)
+    weights = SocialWeights(*coefficients)
+    assert_same_csr(build_social_graph(counts, weights).W,
+                    reference.build_social_graph(counts, weights).W)
+
+
+def test_graphs_keep_the_float64_csr_they_are_given():
+    W = random_user_graph(np.random.default_rng(7), 6).W
+    assert W.has_canonical_format
+    assert UserGraph(W=W).W is W
+    R = random_bipartite(np.random.default_rng(8), 4, 3).R
+    assert BipartiteGraph(R=R).R is R
+    # Any other matrix is converted, and the input is left as it was.
+    ints = sp.csr_matrix(np.array([[0, 2], [2, 0]]))
+    graph = UserGraph(W=ints)
+    assert graph.W is not ints and graph.W.dtype == np.float64
+    assert ints.dtype == np.int64
+
+
+def test_save_matrix_coo_leaves_a_non_canonical_input_as_it_was(tmp_path):
+    messy = sp.csr_matrix((np.array([1.0, 2.0, 4.0]), np.array([3, 0, 3]), np.array([0, 3, 3])),
+                          shape=(2, 4))
+    before = [a.copy() for a in (messy.indptr, messy.indices, messy.data)]
+    save_matrix_coo(messy, tmp_path / "m.coo")
+    for a, b in zip((messy.indptr, messy.indices, messy.data), before):
+        assert np.array_equal(a, b)
+    back = load_matrix_coo(tmp_path / "m.coo")
+    assert np.array_equal(back.toarray(), messy.toarray())
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (3, 4)])
+def test_container_with_zero_length_arrays_round_trips(tmp_path, shape):
+    n, m = shape
+    write_container(tmp_path / "got.coo", GRAPH, (n, m, 0),
+                    [np.zeros(n + 1, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0)])
+    write_graph_container(tmp_path / "want.coo", shape, [0] * (n + 1), [], [])
+    assert (tmp_path / "got.coo").read_bytes() == (tmp_path / "want.coo").read_bytes()
+    fields, (indptr, indices, data) = read_container(tmp_path / "got.coo", GRAPH)
+    assert fields == (n, m, 0) and len(indptr) == n + 1 and len(indices) == len(data) == 0
+
+
+def test_checkpoint_container_with_no_user_rows_round_trips(tmp_path):
+    # The user array is 0 x d: zero-length, and two-dimensional.
+    ids = b'[[],["h0","h1"]]'
+    hashtags = np.arange(6.0).reshape(2, 3)
+    write_container(tmp_path / "c.bin", CHECKPOINT, (0, 2, 3, -1, len(ids)),
+                    [np.zeros((0, 3)), hashtags, np.frombuffer(ids, np.uint8)])
+    fields, (users, tags, block) = read_container(tmp_path / "c.bin", CHECKPOINT)
+    assert fields == (0, 2, 3, -1, len(ids))
+    assert len(users) == 0 and np.array_equal(tags, hashtags.ravel())
+    assert block.tobytes() == ids
+
+
+def test_container_writes_in_slices_with_the_same_bytes(tmp_path, monkeypatch):
+    # int32 indices are converted to "<i8" one slice at a time; a slice
+    # size that splits every array must give the whole-array bytes.
+    mat = sp.random(7, 9, density=0.5, format="csr", random_state=np.random.default_rng(5))
+    assert mat.indices.dtype == np.int32
+    save_matrix_coo(mat, tmp_path / "whole.coo")
+    monkeypatch.setattr(graphs, "WRITE_SLICE", 3)
+    save_matrix_coo(mat, tmp_path / "sliced.coo")
+    write_graph_container(tmp_path / "want.coo", mat.shape, mat.indptr, mat.indices, mat.data)
+    assert (tmp_path / "sliced.coo").read_bytes() == (tmp_path / "want.coo").read_bytes()
+    assert (tmp_path / "whole.coo").read_bytes() == (tmp_path / "want.coo").read_bytes()
 
 
 def test_uniform_weights_match_binarized_adjacency():

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stancegraph import ingest
@@ -27,6 +27,7 @@ from stancegraph.ingest import (
 )
 
 from conftest import counts_from
+from reference import csr_from_counts
 
 
 def tweet_line(tid, uid, ts="2022-09-04T12:00:00+00:00", text="", kind="original",
@@ -270,6 +271,71 @@ def test_extract_conserves_incidences():
     counts = extract_interactions(make_corpus(lines))
     assert counts.T.sum() == total
     counts.validate()
+
+
+def extract_reference(corpus: Corpus) -> dict[str, sp.csr_matrix]:
+    """The dict-counting extraction: one {(row, col): count} dict per
+    matrix, each count a running float sum."""
+    users = sorted({t.user_id for t in corpus.tweets})
+    tags = sorted({h for t in corpus.tweets for h in t.hashtags})
+    uidx = {u: i for i, u in enumerate(users)}
+    hidx = {h: j for j, h in enumerate(tags)}
+    dicts = {name: {} for name in ("original", "retweet", "reply", "mention", "reply_edges")}
+
+    def bump(name, key):
+        dicts[name][key] = dicts[name].get(key, 0.0) + 1.0
+
+    for t in corpus.tweets:
+        i = uidx[t.user_id]
+        for h in t.hashtags:
+            bump(t.kind, (i, hidx[h]))
+        for m in t.mentions:
+            if m in uidx:
+                bump("mention", (i, uidx[m]))
+        if t.kind == "reply" and t.ref_user_id in uidx:
+            bump("reply_edges", (i, uidx[t.ref_user_id]))
+    mutual = {(uidx[a], uidx[b]): 1.0 for a, b in corpus.follows
+              if a in uidx and b in uidx and (b, a) in corpus.follows and a != b}
+    n, m = len(users), len(tags)
+    return {
+        "T_tweet": csr_from_counts(dicts["original"], (n, m)),
+        "T_retweet": csr_from_counts(dicts["retweet"], (n, m)),
+        "T_reply": csr_from_counts(dicts["reply"], (n, m)),
+        "mention": csr_from_counts(dicts["mention"], (n, n)),
+        "reply": csr_from_counts(dicts["reply_edges"], (n, n)),
+        "mutual_follow": csr_from_counts(mutual, (n, n)),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.sampled_from(["original", "retweet", "reply"]),
+                          st.lists(st.sampled_from(["#t0", "#T0", "#t1", "#tÀ", "#ta", "#t2"]),
+                                   max_size=4),
+                          st.lists(st.integers(0, 7), max_size=3), st.integers(0, 7)),
+                min_size=1, max_size=30),
+       st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=20))
+def test_extract_equals_dict_count_reference(tweets, follows):
+    # Users 6 and 7 never tweet: their mentions, replies and follows drop.
+    lines = [tweet_line(f"t{k}", f"u{u}", kind=kind, hashtags=tags,
+                        mentions=[f"u{x}" for x in mentions], ref=f"u{ref}")
+             for k, (u, kind, tags, mentions, ref) in enumerate(tweets)]
+    corpus = parse_corpus(lines, [f"u{a}\tu{b}" for a, b in follows])
+    assume(any(t.hashtags for t in corpus.tweets))
+    counts = extract_interactions(corpus)
+    for name, want in extract_reference(corpus).items():
+        got = getattr(counts, name)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, part), getattr(want, part)), (name, part)
+    # Records share one string per distinct user id and kind, and one per
+    # distinct raw hashtag spelling.
+    for field in ("user_id", "kind"):
+        assert len({id(getattr(t, field)) for t in corpus.tweets}) == len(
+            {getattr(t, field) for t in corpus.tweets})
+    objects: dict[str, set[int]] = {}
+    for (_, _, raw_tags, _, _), record in zip(tweets, corpus.tweets, strict=True):
+        for raw, tag in zip(raw_tags, record.hashtags, strict=True):
+            objects.setdefault(raw, set()).add(id(tag))
+    assert all(len(ids) == 1 for ids in objects.values())
 
 
 def _valid_counts():

@@ -1,0 +1,168 @@
+"""Record wall time and peak RSS of CLI stages at M scale, for this tree and
+optionally a parent tree.
+
+Usage:
+  python3 tools/mscale.py [--parent DIR] [--runs 3] [--n-users 4000] \
+      [--n-hashtags 1000] [--interactions-per-user 30] [--out M.json]
+
+A run of a tree runs every stage of STAGES in pipeline order, one stage
+process each (`python -m stancegraph.cli` with the tree's `src` on
+PYTHONPATH), in a fresh directory that is removed after the run. A
+file that was written a moment ago can take 70-140 ms to reopen while
+the kernel writes it back, so no run reuses another's files. With
+--parent, this tree ("change") and the parent alternate run by run, and
+so does which of them goes first. Each stage records its wall time, its peak RSS (`ru_maxrss` from
+`wait4`) and the sha256 of every file it wrote. The files are hashed
+1 MiB at a time, because on Linux a child's `ru_maxrss` is at least the
+peak RSS its parent had reached when it started the child (the kernel
+keeps that mark across vfork and exec): reading an 87 MB graph whole
+would raise every later stage's reading to this tool's own peak.
+
+This is not a benchmark harness: the committed workloads are
+perfbench/run.py's. It records the sizes those workloads do not reach,
+and its summary is marked not claimed. The summary gives, per stage and
+tree, the median and quartiles of wall time and peak RSS, the change's
+delta against the parent, and whether both trees wrote the same bytes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 1
+
+
+def _synth(run: Path, size: list[str]) -> list[str]:
+    return ["synth", "--out", str(run / "synth"), "--seed", str(SEED), *size]
+
+
+def _build(run: Path, size: list[str]) -> list[str]:
+    return ["build", "--counts", str(run / "synth" / "counts.json"), "--out", str(run / "data")]
+
+
+# Stage name -> (argv for a run directory and the size flags, directory of
+# its outputs), in pipeline order.
+STAGES = {
+    "synth": (_synth, "synth"),
+    "build": (_build, "data"),
+}
+
+
+def run_stage(tree: Path, argv: list[str], run: Path, out_dir: str) -> dict:
+    """One stage process: wall time, peak RSS and the hashes of its outputs."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    log = run / "stage.log"
+    with open(log, "wb") as out:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "stancegraph.cli", *argv],
+                                stdout=out, stderr=subprocess.STDOUT, cwd=run, env=env)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - t0
+    rc = os.waitstatus_to_exitcode(status)
+    if rc != 0:
+        sys.stderr.write(log.read_text(encoding="utf-8", errors="replace"))
+    outputs = {}
+    for path in sorted((run / out_dir).glob("*")) if rc == 0 else ():
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+        outputs[path.name] = digest.hexdigest()
+    # ru_maxrss is in KiB on Linux.
+    return {"wall_s": round(wall, 4), "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 1),
+            "rc": rc, "outputs": outputs}
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def summary(records: list[dict]) -> dict:
+    """Per stage and tree, the spread of wall time and peak RSS over the
+    runs that exited 0; with both trees, the change's median delta in
+    percent and whether every run of both trees wrote the same bytes."""
+    out = {}
+    for stage in dict.fromkeys(r["stage"] for r in records):
+        mine = [r for r in records if r["stage"] == stage]
+        entry = {"failed": sum(r["rc"] != 0 for r in mine)}
+        for tree in dict.fromkeys(r["tree"] for r in mine):
+            ok = [r for r in mine if r["tree"] == tree and r["rc"] == 0]
+            if ok:
+                entry[tree] = {"runs": len(ok),
+                               "wall_s": spread([r["wall_s"] for r in ok]),
+                               "peak_rss_mb": spread([r["peak_rss_mb"] for r in ok])}
+        if "parent" in entry and "change" in entry:
+            for metric in ("wall_s", "peak_rss_mb"):
+                before = entry["parent"][metric]["median"]
+                after = entry["change"][metric]["median"]
+                entry[f"{metric}_delta_pct"] = round(100 * (after / before - 1), 1)
+            entry["outputs_identical"] = (
+                entry["failed"] == 0
+                and len({json.dumps(r["outputs"], sort_keys=True) for r in mine}) == 1)
+        out[stage] = entry
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, help="source tree to compare against")
+    parser.add_argument("--runs", type=int, default=3, help="runs per tree")
+    parser.add_argument("--n-users", type=int, default=4000)
+    parser.add_argument("--n-hashtags", type=int, default=1000)
+    parser.add_argument("--interactions-per-user", type=int, default=30)
+    parser.add_argument("--out", type=Path, help="write the records and summary here as JSON")
+    args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
+    trees = {"change": ROOT}
+    if args.parent is not None:
+        trees = {"parent": args.parent.resolve(), **trees}
+    size = ["--n-users", str(args.n_users), "--n-hashtags", str(args.n_hashtags),
+            "--interactions-per-user", str(args.interactions_per_user)]
+
+    records = []
+    with tempfile.TemporaryDirectory(prefix="mscale-") as work:
+        for k in range(args.runs):
+            order = list(trees) if k % 2 == 0 else list(reversed(trees))
+            for tree in order:
+                run = Path(work) / f"run{k}-{tree}"
+                run.mkdir()
+                for stage, (make_argv, out_dir) in STAGES.items():
+                    result = run_stage(trees[tree], make_argv(run, size), run, out_dir)
+                    records.append({"tree": tree, "run": k, "stage": stage, **result})
+                    print(f"run {k} {tree} {stage}: {result['wall_s']:.3f} s, "
+                          f"{result['peak_rss_mb']:.1f} MB peak RSS, exit {result['rc']}",
+                          flush=True)
+                    if result["rc"] != 0:
+                        break
+                shutil.rmtree(run)
+
+    result = {
+        "claimed": False,
+        "method": f"tools/mscale.py, {args.runs} run(s) per tree, trees alternating",
+        "size": {"n_users": args.n_users, "n_hashtags": args.n_hashtags,
+                 "interactions_per_user": args.interactions_per_user},
+        "summary": summary(records),
+        "records": records,
+    }
+    print(json.dumps(result["summary"], indent=1))
+    if args.out is not None:
+        args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    return 1 if any(r["rc"] != 0 for r in records) else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
