@@ -8,6 +8,7 @@ symmetric propagation operator used by the embedding model.
 from __future__ import annotations
 
 import logging
+import os
 import struct
 from dataclasses import dataclass
 from typing import Callable
@@ -71,26 +72,33 @@ def read_container(path, kind: Container) -> tuple[tuple, list[np.ndarray]]:
     """The header fields after the version, and the arrays, of a file that
     write_container wrote. A wrong magic or version, a file cut inside its
     header and a size other than the one the header implies raise
-    RecordError. The size is computed in Python ints, so no header value
-    can overflow it or cause an allocation before it matches."""
+    RecordError. The size is computed in Python ints and compared with the
+    file's, so no header value can overflow it or cause an allocation
+    before it matches. Each array is then read from the file straight into
+    its own native-order array; nothing else holds the file's bytes."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(kind.magic)] != kind.magic:
-        raise RecordError(f"{path}: not a {kind.name} (bad magic)")
-    offset = len(kind.magic) + kind.header.size
-    if len(blob) < offset:
-        raise RecordError(f"{path}: truncated {kind.name} header")
-    version, *fields = kind.header.unpack_from(blob, len(kind.magic))
-    if version != kind.version:
-        raise RecordError(f"{path}: unsupported {kind.name} version {version}")
-    layout = [(np.dtype(dtype), count) for dtype, count in kind.layout(*fields)]
-    need = offset + sum(dtype.itemsize * count for dtype, count in layout)
-    if len(blob) != need:
-        raise RecordError(f"{path}: size {len(blob)} does not match header ({need})")
-    arrays = []
-    for dtype, count in layout:
-        arrays.append(np.frombuffer(blob, dtype, count, offset).astype(dtype.newbyteorder("=")))
-        offset += dtype.itemsize * count
+        size = os.fstat(fh.fileno()).st_size
+        offset = len(kind.magic) + kind.header.size
+        head = fh.read(offset)
+        if head[: len(kind.magic)] != kind.magic:
+            raise RecordError(f"{path}: not a {kind.name} (bad magic)")
+        if len(head) < offset:
+            raise RecordError(f"{path}: truncated {kind.name} header")
+        version, *fields = kind.header.unpack_from(head, len(kind.magic))
+        if version != kind.version:
+            raise RecordError(f"{path}: unsupported {kind.name} version {version}")
+        layout = [(np.dtype(dtype), count) for dtype, count in kind.layout(*fields)]
+        need = offset + sum(dtype.itemsize * count for dtype, count in layout)
+        if size != need:
+            raise RecordError(f"{path}: size {size} does not match header ({need})")
+        arrays = []
+        for dtype, count in layout:
+            arr = np.empty(count, dtype)
+            if fh.readinto(arr) != arr.nbytes:
+                raise RecordError(f"{path}: file shrank while it was read")
+            if not dtype.isnative:
+                arr = arr.byteswap(inplace=True).view(dtype.newbyteorder("="))
+            arrays.append(arr)
     return tuple(fields), arrays
 
 

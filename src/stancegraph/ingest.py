@@ -270,8 +270,26 @@ class InteractionCounts:
             raise ShapeError("T is not the sum of T_tweet, T_retweet and T_reply")
         if not (self.T.data >= 0).all():
             raise ShapeError("negative interaction count")
-        if abs(self.mutual_follow - self.mutual_follow.T).sum() != 0.0:
+        if not is_symmetric(self.mutual_follow):
             raise ShapeError("mutual_follow is not symmetric")
+
+
+def is_symmetric(M: sp.csr_matrix) -> bool:
+    """Whether the square matrix M equals its transpose, by the verdict of
+    abs(M - M.T).sum() == 0: a stored zero counts as absent and a
+    non-finite value (once duplicates are summed) as asymmetric. Only the
+    transpose is formed, and compared with M array by array; M is copied
+    first only if it holds duplicates, unsorted indices or stored zeros."""
+    M = sp.csr_matrix(M)
+    if not M.has_canonical_format or not M.data.all():
+        M = M.copy()
+        M.sum_duplicates()
+        M.eliminate_zeros()
+    if not np.isfinite(M.data).all():
+        return False
+    T = M.T.tocsr()
+    return (np.array_equal(M.indptr, T.indptr) and np.array_equal(M.indices, T.indices)
+            and np.array_equal(M.data, T.data))
 
 
 def _unit_counts(rows, cols, shape) -> sp.csr_matrix:
@@ -376,7 +394,7 @@ def checked_csr(indptr, indices, data, shape, source) -> sp.csr_matrix:
     # A step between two entries of one row must move to a larger column.
     row_start = np.zeros(nnz + 1, dtype=bool)
     row_start[indptr] = True
-    if not (np.diff(indices) > 0)[~row_start[1:nnz]].all():
+    if not (indices[1:] > indices[:-1])[~row_start[1:nnz]].all():
         raise RecordError(f"{source}: column indices not sorted and unique within a row")
     if not np.isfinite(data).all():
         raise RecordError(f"{source}: non-finite value")

@@ -32,8 +32,8 @@ LOGGER = logging.getLogger(__name__)
 # Largest dense user-channel polynomial kept, in bytes (n_users**2 * 8).
 # Above it the user channels stay sparse and are applied layer by layer.
 DENSE_POLY_BYTES = 1 << 27
-# Identity columns pushed through the sparse operators per step while the
-# dense polynomial is built; bounds the temporaries to n_users * 64 floats.
+# Columns of the dense polynomial built per Horner step; bounds the two
+# block buffers to n_users * 64 floats each.
 POLY_BLOCK_COLUMNS = 64
 
 
@@ -178,30 +178,60 @@ class UserChannelSum:
         return sum(layer_averaged_propagate(op, X, self.n_layers) for op in self.ops)
 
 
-def dense_user_polynomial(users: UserChannelSum) -> np.ndarray:
-    """The sum as one dense (n_users, n_users) array P.
+def dense_user_polynomial(ops: list[NormalizedAdjacency], n_layers: int) -> np.ndarray:
+    """The sum of the layer-average polynomials of the normalized user
+    graphs `ops` as one dense (n_users, n_users) array P, so that P @ X
+    equals UserChannelSum(ops, n_layers) @ X up to rounding.
 
-    Column block b is `users` applied to the identity's columns b, so P @ X
-    equals `users @ X` up to rounding.
+    `ops` is emptied, largest graph first, so that the memory held stays
+    near P plus one dense adjacency A: the largest graph is densified into
+    A and its sparse form dropped before P is allocated, and each later
+    graph is densified into the same A.
     """
-    n = users.ops[0].size
+    ops.sort(key=lambda op: op.matrix.nnz)
+    n = ops[0].size
+    A = ops.pop().matrix.toarray()
     P = np.zeros((n, n))
+    blocks = np.empty((2, n, POLY_BLOCK_COLUMNS))
+    _add_horner_polynomial(P, A, n_layers, blocks)
+    while ops:
+        A.fill(0.0)
+        ops.pop().matrix.toarray(out=A)
+        _add_horner_polynomial(P, A, n_layers, blocks)
+    return P
+
+
+def _add_horner_polynomial(P: np.ndarray, A: np.ndarray, n_layers: int,
+                           blocks: np.ndarray) -> None:
+    """P += (I + A(I + A(.. (I + A))))/(K + 1) with K = n_layers, by Horner's
+    rule, POLY_BLOCK_COLUMNS columns at a time: the first step is A's
+    columns plus I's, and each of the K - 1 others is one gemm into the
+    other of the two block buffers."""
+    n = A.shape[0]
     for start in range(0, n, POLY_BLOCK_COLUMNS):
         stop = min(start + POLY_BLOCK_COLUMNS, n)
-        E = np.zeros((n, stop - start))
-        E[np.arange(start, stop), np.arange(stop - start)] = 1.0
-        P[:, start:stop] = users @ E
-    return P
+        H, spare = blocks[:, :, : stop - start]
+        diagonal = (np.arange(start, stop), np.arange(stop - start))
+        H[...] = A[:, start:stop] if n_layers else 0.0
+        H[diagonal] += 1.0
+        for _ in range(n_layers - 1):
+            np.matmul(A, H, out=spare)
+            spare[diagonal] += 1.0
+            H, spare = spare, H
+        H /= n_layers + 1
+        P[:, start:stop] += H
 
 
 def build_user_operator(graphs: tuple[UserGraph, ...], n_layers: int):
     """The summed layer-average polynomial of the user graphs: a dense
     array up to DENSE_POLY_BYTES, else the sparse UserChannelSum. Either
-    answers `@` and `.T`; the normalized graphs are dropped once a dense
-    array is built."""
-    users = UserChannelSum(tuple(normalize_user_graph(g) for g in graphs), n_layers)
+    answers `@` and `.T`; on the dense path no normalized graph outlives
+    the build."""
+    ops = [normalize_user_graph(g) for g in graphs]
     n = graphs[0].n_users
-    return dense_user_polynomial(users) if n * n * 8 <= DENSE_POLY_BYTES else users
+    if n * n * 8 <= DENSE_POLY_BYTES:
+        return dense_user_polynomial(ops, n_layers)
+    return UserChannelSum(tuple(ops), n_layers)
 
 
 @dataclass

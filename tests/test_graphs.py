@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -548,6 +549,26 @@ def test_checkpoint_container_with_no_user_rows_round_trips(tmp_path):
     assert fields == (0, 2, 3, -1, len(ids))
     assert len(users) == 0 and np.array_equal(tags, hashtags.ravel())
     assert block.tobytes() == ids
+
+
+def test_container_arrays_are_read_straight_into_their_own_buffers(tmp_path):
+    # The arrays are all that a read allocates: no whole-file bytes object,
+    # no second copy per array.
+    mat = sp.random(300, 400, density=0.5, format="csr", random_state=np.random.default_rng(8))
+    path = tmp_path / "m.coo"
+    save_matrix_coo(mat, path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        _, arrays = read_container(path, GRAPH)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(arr.nbytes for arr in arrays) == size - len(GRAPH.magic) - GRAPH.header.size
+    assert peak < 1.1 * size
+    for arr in arrays:
+        assert arr.dtype.isnative and arr.flags.owndata and arr.flags.writeable
+    assert np.array_equal(arrays[2], mat.data) and np.array_equal(arrays[1], mat.indices)
 
 
 def test_container_writes_in_slices_with_the_same_bytes(tmp_path, monkeypatch):

@@ -357,6 +357,44 @@ def test_validate_raises_shape_error(broken):
         broken(_valid_counts()).validate()
 
 
+# Values whose sums are exact in any order, so that summing duplicates
+# cannot depend on which copy comes first; canonical matrices also get
+# values at the ends of the float range.
+EXACT_VALUES = [0.0, -0.0, 0.5, 1.0, 2.0, -1.0, 3.0, np.inf, -np.inf, np.nan]
+EXTREME_VALUES = [1e308, -1e308, 5e-324, -5e-324]
+
+
+@settings(max_examples=500, deadline=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_symmetry_check_gives_the_verdict_of_the_difference_sum(n, data):
+    canonical = data.draw(st.booleans(), label="canonical")
+    values = EXACT_VALUES + (EXTREME_VALUES if canonical else [])
+    entries = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                           st.sampled_from(values)), max_size=2 * n * n),
+                        label="entries")
+    if data.draw(st.booleans(), label="mirrored"):
+        # Each entry also at its mirror position: symmetric unless a later
+        # entry overrides one side, or duplicates sum unevenly.
+        entries += [(c, r, v) for r, c, v in entries]
+    if canonical:
+        cells = {(r, c): v for r, c, v in entries}  # the last value of a cell wins
+        entries = [(r, c, cells[r, c]) for r, c in sorted(cells)]
+    else:
+        entries = sorted(entries, key=lambda e: e[0])  # stable: a row keeps its order
+    rows = np.array([r for r, _, _ in entries], dtype=np.int64)
+    M = sp.csr_matrix((np.array([v for _, _, v in entries], dtype=np.float64),
+                       np.array([c for _, c, _ in entries], dtype=np.int32),
+                       np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
+    if canonical:
+        assert M.has_canonical_format
+    before = (M.indptr.copy(), M.indices.copy(), M.data.copy())
+    with np.errstate(all="ignore"):
+        want = not abs(M - M.T).sum() != 0.0
+    assert ingest.is_symmetric(M) == want
+    for got, was in zip((M.indptr, M.indices, M.data), before):
+        assert np.array_equal(got, was, equal_nan=True)
+
+
 def test_extract_index_order_is_lexicographic():
     corpus = make_corpus([
         tweet_line("t1", "zed", text="#beta"),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -283,6 +284,41 @@ def test_dense_user_polynomial_matches_sparse_oracle(use_social, use_pathsim, n_
     got = grad_e0(triples, out, ops, cfg, X, 0.01)
     want = grad_e0(triples, out, sparse_ops, cfg, X, 0.01)
     assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
+@pytest.mark.parametrize("use_social, use_pathsim", CHANNEL_COMBOS)
+def test_horner_polynomial_equals_sparse_sum_of_identity(use_social, use_pathsim, n_layers):
+    # Two full column blocks and a partial third. Horner's rule sums the
+    # powers in another order than the layer-by-layer operator, so the two
+    # may differ in the last bits of entries below 1 in size.
+    rng = np.random.default_rng(2000 + 8 * n_layers + 2 * use_social + use_pathsim)
+    n = 2 * model.POLY_BLOCK_COLUMNS + 5
+    graphs = chosen(ChannelSet(social=random_user_graph(rng, n, density=0.1),
+                               pathsim=random_user_graph(rng, n, density=0.6, kind="pathsim")),
+                    use_social, use_pathsim).user_graphs()
+    P = model.build_user_operator(graphs, n_layers)
+    assert isinstance(P, np.ndarray) and P.shape == (n, n)
+    sparse = model.UserChannelSum(tuple(normalize_user_graph(g) for g in graphs), n_layers)
+    assert np.abs(P - sparse @ np.eye(n)).max() <= 1e-13
+
+
+def test_no_normalized_user_graph_outlives_the_dense_build():
+    rng = np.random.default_rng(77)
+    n = 30
+    channels = ChannelSet(social=random_user_graph(rng, n, density=0.1),
+                          pathsim=random_user_graph(rng, n, density=0.6, kind="pathsim"))
+    alive = []
+
+    def normalize(graph):
+        adj = normalize_user_graph(graph)
+        alive.extend((weakref.ref(adj), weakref.ref(adj.matrix)))
+        return adj
+
+    with mock.patch.object(model, "normalize_user_graph", normalize):
+        ops = build_operators(random_bipartite(rng, n, 5), channels, ModelConfig(dim=2))
+    assert isinstance(ops.users, np.ndarray) and len(alive) == 4
+    assert [ref() for ref in alive] == [None] * 4
 
 
 @pytest.mark.parametrize("use_social, use_pathsim", CHANNEL_COMBOS)

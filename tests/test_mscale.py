@@ -68,20 +68,24 @@ def test_one_tree_has_no_delta():
     assert got["change"]["runs"] == 3
 
 
-def test_one_small_run_records_both_stages(tmp_path, capsys):
+def test_one_small_run_records_every_stage(tmp_path, capsys):
     out = tmp_path / "m.json"
     assert mscale.main(["--runs", "1", "--n-users", "40", "--n-hashtags", "60",
                         "--interactions-per-user", "5", "--out", str(out)]) == 0
     result = json.loads(out.read_text(encoding="utf-8"))
     assert result["claimed"] is False
+    stages = ["synth", "build", "train", "train-channels", "eval-channels"]
     assert [(r["tree"], r["stage"], r["rc"]) for r in result["records"]] == [
-        ("change", "synth", 0), ("change", "build", 0)]
-    assert set(result["records"][0]["outputs"]) == {"annotations.tsv", "counts.json",
-                                                    "planted.tsv"}
-    assert set(result["records"][1]["outputs"]) == {"bipartite.coo", "counts.json",
-                                                    "pathsim.coo", "social.coo"}
+        ("change", stage, 0) for stage in stages]
+    synth, build, train, train_channels, eval_channels = result["records"]
+    assert set(synth["outputs"]) == {"annotations.tsv", "counts.json", "planted.tsv"}
+    assert set(build["outputs"]) == {"bipartite.coo", "counts.json", "pathsim.coo", "social.coo"}
     # build copies the counts file it read.
-    assert (result["records"][0]["outputs"]["counts.json"]
-            == result["records"][1]["outputs"]["counts.json"])
+    assert synth["outputs"]["counts.json"] == build["outputs"]["counts.json"]
+    assert set(train["outputs"]) == set(train_channels["outputs"]) == {
+        "checkpoint.bin", "history.csv"}
+    # The channels change what is trained.
+    assert train["outputs"]["checkpoint.bin"] != train_channels["outputs"]["checkpoint.bin"]
+    assert "report.txt" in eval_channels["outputs"]
     assert all(r["peak_rss_mb"] > 0 and r["wall_s"] > 0 for r in result["records"])
-    assert "run 0 change build" in capsys.readouterr().out
+    assert "run 0 change eval-channels" in capsys.readouterr().out

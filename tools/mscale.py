@@ -1,6 +1,9 @@
 """Record wall time and peak RSS of CLI stages at M scale, for this tree and
 optionally a parent tree.
 
+The stages are synth, build, a 1-epoch train without and with the social
+and PathSim channels, and a 2-fold, 1-epoch eval with both channels.
+
 Usage:
   python3 tools/mscale.py [--parent DIR] [--runs 3] [--n-users 4000] \
       [--n-hashtags 1000] [--interactions-per-user 30] [--out M.json]
@@ -51,11 +54,35 @@ def _build(run: Path, size: list[str]) -> list[str]:
     return ["build", "--counts", str(run / "synth" / "counts.json"), "--out", str(run / "data")]
 
 
+ONE_EPOCH = ["--seed", str(SEED), "--max-epochs", "1"]
+CHANNELS = ["--use-social", "--use-pathsim"]
+
+
+def _train(run: Path, size: list[str]) -> list[str]:
+    return ["train", "--data", str(run / "data"), "--out", str(run / "model"), *ONE_EPOCH]
+
+
+def _train_channels(run: Path, size: list[str]) -> list[str]:
+    return ["train", "--data", str(run / "data"), "--out", str(run / "model-channels"),
+            *ONE_EPOCH, *CHANNELS]
+
+
+def _eval_channels(run: Path, size: list[str]) -> list[str]:
+    return ["eval", "--data", str(run / "data"), "--out", str(run / "eval-channels"),
+            "--annotations", str(run / "synth" / "annotations.tsv"), "--folds", "2",
+            *ONE_EPOCH, *CHANNELS]
+
+
 # Stage name -> (argv for a run directory and the size flags, directory of
-# its outputs), in pipeline order.
+# its outputs), in pipeline order. Training stages run one epoch, so that
+# the one-off work before it, such as building the user-channel
+# polynomial, shows next to an epoch's cost.
 STAGES = {
     "synth": (_synth, "synth"),
     "build": (_build, "data"),
+    "train": (_train, "model"),
+    "train-channels": (_train_channels, "model-channels"),
+    "eval-channels": (_eval_channels, "eval-channels"),
 }
 
 
