@@ -27,7 +27,6 @@ from .errors import (
     StanceGraphError,
 )
 from .evaluate import (
-    VARIANTS,
     HoldoutSplit,
     annotation_curve,
     bundled_annotations,
@@ -38,12 +37,11 @@ from .evaluate import (
     save_planted,
     synth_generate,
     validation_edges,
+    variant_spec,
     with_usage,
     write_report,
 )
 from .graphs import (
-    MetaPathSpec,
-    SocialWeights,
     build_interaction_graph,
     build_social_graph,
     compute_pathsim,
@@ -192,11 +190,8 @@ def cmd_build(args, cfg: RunConfig) -> int:
     counts = load_counts(args.counts)
     # Every graph is built first, so a refused key writes no file.
     graph = build_interaction_graph(counts)
-    social = build_social_graph(counts, SocialWeights(
-        follow=cfg.social_c_follow, mention=cfg.social_c_mention, reply=cfg.social_c_reply))
-    spec = MetaPathSpec(left=cfg.pathsim_left, right=cfg.pathsim_right)
-    pathsim = sparsify(compute_pathsim(counts, spec), cfg.pathsim_min_weight,
-                       cfg.pathsim_top_k or None)
+    social = build_social_graph(counts, cfg)
+    pathsim = sparsify(compute_pathsim(counts, cfg), cfg.pathsim_min_weight, cfg.pathsim_top_k)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # load_counts validated the file, so its bytes are copied, not re-encoded.
@@ -215,11 +210,8 @@ def cmd_build(args, cfg: RunConfig) -> int:
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
-    if not (0 < cfg.val_fraction <= 0.5):
-        raise ConfigError("val_fraction must be in (0, 0.5]")
     counts, graph, channels = _load_dataset(args.data, cfg, args.pretrained)
-    edges, _ = graph.edges()
-    val_pairs = validation_edges(edges, cfg.val_fraction, stage_rng(cfg.seed, "train"))
+    val_pairs = validation_edges(graph.edges(), cfg.val_fraction, stage_rng(cfg.seed, "train"))
     train_graph = graph_without_edges(graph, val_pairs)
     state, history, _ = train(train_graph, channels, cfg, cfg, val_pairs,
                               seed=stage_seed(cfg.seed, "train"))
@@ -249,33 +241,20 @@ def _write_pairs(pairs, users, hashtags, path) -> None:
 
 
 def cmd_eval(args, cfg: RunConfig) -> int:
-    if cfg.variant not in VARIANTS:
-        raise ConfigError(f"unknown model variant {cfg.variant!r}")
+    spec = variant_spec(cfg.variant)
     pretrained = args.pretrained
     ignored = [name for name, given in (("social.coo", cfg.use_social),
                                         ("pathsim.coo", cfg.use_pathsim),
                                         (f"--pretrained {pretrained}", pretrained)) if given]
-    if ignored and not VARIANTS[cfg.variant].channels:
+    if ignored and not spec.channels:
         # a warning, not an error: a baseline table passes one flag set to every variant
         LOGGER.warning("variant %s uses no side channels; ignoring %s",
                        cfg.variant, ", ".join(ignored))
         cfg, pretrained = dataclasses.replace(cfg, use_social=False, use_pathsim=False), None
     counts, graph, channels = _load_dataset(args.data, cfg, pretrained)
     annotations = _load_annotation_arg(args, counts)
-    result = run_protocol(
-        graph,
-        channels,
-        annotations,
-        counts.hashtags,
-        cfg,
-        cfg,
-        seed=stage_seed(cfg.seed, "eval"),
-        holdout_fraction=cfg.holdout_fraction,
-        folds=cfg.folds,
-        variant=cfg.variant,
-        binary_stance=cfg.binary_stance,
-        null_interactions=int(counts.T.sum()),
-    )
+    result = run_protocol(graph, channels, annotations, counts.hashtags, cfg,
+                          stage_seed(cfg.seed, "eval"), null_interactions=int(counts.T.sum()))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_report(result.report, out / "report.txt", out / "folds.csv")

@@ -106,18 +106,15 @@ class SynthConfig:
             raise ConfigError("retweet_rate must be a probability")
 
 
-@dataclass(frozen=True)
-class RunConfig(SynthConfig, TrainConfig, ModelConfig, CorpusFilterConfig):
-    """Every key of a run: the stage configs' fields, inherited in reverse
-    MRO order (filters, model, training, synthetic corpus), then the keys
-    below, which only the CLI reads."""
+# The relations a user -> hashtag -> user meta-path can take at either end.
+META_PATH_RELATIONS = ("tweet", "retweet", "reply")
 
-    seed: int = 0
-    strict_parse: bool = True
-    # which user graphs train and eval load
-    use_social: bool = False
-    use_pathsim: bool = False
-    # channel construction
+
+@dataclass(frozen=True)
+class GraphConfig:
+    """How build weighs the social relations into one user graph, and which
+    meta-path PathSim follows and how its graph is sparsified."""
+
     social_c_follow: float = 1.0
     social_c_mention: float = 1.0
     social_c_reply: float = 1.0
@@ -125,13 +122,52 @@ class RunConfig(SynthConfig, TrainConfig, ModelConfig, CorpusFilterConfig):
     pathsim_right: str = "tweet"
     pathsim_min_weight: float = 0.01
     pathsim_top_k: int = 0  # 0 disables the per-node cap
-    # share of the edges train holds out for early stopping
-    val_fraction: float = 0.2
-    # evaluation protocol
+
+    def __post_init__(self):
+        if min(self.social_c_follow, self.social_c_mention, self.social_c_reply) < 0:
+            raise ConfigError("social coefficients must be nonnegative")
+        for name in (self.pathsim_left, self.pathsim_right):
+            if name not in META_PATH_RELATIONS:
+                raise ConfigError(f"unknown meta-path relation {name!r}")
+        if self.pathsim_min_weight < 0:
+            raise ConfigError("pathsim_min_weight must be nonnegative")
+        if self.pathsim_top_k < 0:
+            raise ConfigError("pathsim_top_k must be nonnegative (0 disables the cap)")
+
+
+@dataclass(frozen=True)
+class EvalConfig:
+    """The evaluation protocol: a user holdout, then k-fold edge
+    cross-validation."""
+
     holdout_fraction: float = 0.05
     folds: int = 5
+    binary_stance: bool = False  # drop the NEUTRAL class
+
+    def __post_init__(self):
+        if not (0 < self.holdout_fraction <= 1):
+            raise ConfigError("holdout fraction must be in (0, 1]")
+        if self.folds < 2:
+            raise ConfigError("need at least 2 folds")
+
+
+@dataclass(frozen=True)
+class RunConfig(EvalConfig, GraphConfig, SynthConfig, TrainConfig, ModelConfig,
+                CorpusFilterConfig):
+    """Every key of a run: the stage configs' fields, inherited in reverse
+    MRO order (filters, model, training, synthetic corpus, graphs,
+    evaluation protocol), then the keys below, which only the CLI reads.
+    Building one runs every range check but `variant`'s, which evaluate
+    makes against its variant table."""
+
+    seed: int = 0
+    strict_parse: bool = True
+    # which user graphs train and eval load
+    use_social: bool = False
+    use_pathsim: bool = False
+    # share of the edges train holds out for early stopping
+    val_fraction: float = 0.2
     variant: str = "wlgcn"
-    binary_stance: bool = False
     x_max: int = 5
 
     def __post_init__(self):
@@ -139,6 +175,10 @@ class RunConfig(SynthConfig, TrainConfig, ModelConfig, CorpusFilterConfig):
         ModelConfig.__post_init__(self)
         TrainConfig.__post_init__(self)
         SynthConfig.__post_init__(self)
+        GraphConfig.__post_init__(self)
+        EvalConfig.__post_init__(self)
+        if not (0 < self.val_fraction <= 0.5):
+            raise ConfigError("val_fraction must be in (0, 0.5]")
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}

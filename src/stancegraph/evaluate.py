@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .config import ModelConfig, SynthConfig, TrainConfig
+from .config import ModelConfig, RunConfig, SynthConfig
 from .errors import (
     BoundsError,
     ConfigError,
@@ -29,11 +29,11 @@ from .errors import (
     RecordError,
     ShapeError,
 )
-from .graphs import BipartiteGraph, _is_member, binarize, row_normalize
+from .graphs import BipartiteGraph, _edge_keys, _is_member, binarize, row_normalize
 from .ingest import InteractionCounts, _unit_counts, normalize_hashtag
 from .metrics import EVAL_K, ranking_metrics
 from .model import ChannelSet, EmbeddingState, PropagationOutput
-from .train import _edge_keys, train
+from .train import train
 
 LOGGER = logging.getLogger(__name__)
 
@@ -137,8 +137,8 @@ def holdout_split(
     graph: BipartiteGraph,
     annotations: StanceAnnotation,
     hashtags: list[str],
-    fraction: float = 0.05,
-    rng: np.random.Generator | None = None,
+    fraction: float,
+    rng: np.random.Generator,
 ) -> HoldoutSplit:
     """Hide all annotated-hashtag edges of a random user fraction.
 
@@ -146,9 +146,6 @@ def holdout_split(
     of them are selected. Hidden weights keep their pre-split values; the
     remaining rows of selected users are renormalized.
     """
-    if not (0 < fraction <= 1):
-        raise ConfigError("holdout fraction must be in (0, 1]")
-    rng = rng or np.random.default_rng(0)
     if len(hashtags) != graph.n_hashtags:
         raise ShapeError("hashtag list does not match graph width")
     tags = annotations.tags()
@@ -179,15 +176,12 @@ def holdout_split(
 
 
 def kfold_split(
-    edges: np.ndarray, folds: int = 5, rng: np.random.Generator | None = None
+    edges: np.ndarray, folds: int, rng: np.random.Generator
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Random edge partition into (train, validation) pairs, one per fold."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if folds < 2:
-        raise ConfigError("need at least 2 folds")
     if edges.shape[0] < folds:
         raise ConfigError(f"{edges.shape[0]} edges cannot fill {folds} folds")
-    rng = rng or np.random.default_rng(0)
     perm = rng.permutation(edges.shape[0])
     parts = np.array_split(perm, folds)
     out = []
@@ -246,12 +240,7 @@ def null_model(
     if n_interactions < 0:
         raise ConfigError("interaction count cannot be negative")
     flat = rng.integers(0, n_users * n_hashtags, size=n_interactions)
-    users = (flat // n_hashtags).astype(np.int64)
-    tags = (flat % n_hashtags).astype(np.int64)
-    T = sp.csr_matrix(
-        (np.ones(n_interactions), (users, tags)), shape=(n_users, n_hashtags)
-    )
-    T.sum_duplicates()
+    T = _unit_counts(flat // n_hashtags, flat % n_hashtags, (n_users, n_hashtags))
     return BipartiteGraph(R=row_normalize(T))
 
 
@@ -333,7 +322,7 @@ class EvalReport:
     n_holdout_users: int
     n_scored: int
     n_eligible: int
-    folds: list[FoldMetrics] = field(default_factory=list)
+    folds: list[FoldMetrics]
 
 
 def write_report(report: EvalReport, report_path, folds_path) -> None:
@@ -379,6 +368,13 @@ VARIANTS = {
 }
 
 
+def variant_spec(name: str) -> Variant:
+    """The variant the `variant` key names; the one check of that key."""
+    if name not in VARIANTS:
+        raise ConfigError(f"unknown model variant {name!r}")
+    return VARIANTS[name]
+
+
 @dataclass
 class ProtocolResult:
     report: EvalReport
@@ -394,38 +390,31 @@ def run_protocol(
     channels: ChannelSet | None,
     annotations: StanceAnnotation,
     hashtags: list[str],
-    model_cfg: ModelConfig,
-    train_cfg: TrainConfig,
-    seed: int = 0,
-    holdout_fraction: float = 0.05,
-    folds: int = 5,
-    variant: str = "wlgcn",
-    binary_stance: bool = False,
+    cfg: RunConfig,
+    seed: int,
     null_interactions: int | None = None,
 ) -> ProtocolResult:
     """Full two-level evaluation.
 
-    Per fold: train the variant on its graph for the fold, rank validation
+    Per fold: train `cfg.variant` on its graph for the fold, rank validation
     edges against the candidates outside the fold's training positives, and
     classify the holdout users, both from the final embeddings train
     returns with its model. The holdout users' true stances and cold flags
-    are fixed per split; `binary_stance` drops the NEUTRAL class, so users
+    are fixed per split; `cfg.binary_stance` drops the NEUTRAL class, so users
     with NEUTRAL-only hidden usage are not scored. Returns the averaged
     report plus the first fold's model, its final embeddings and the split,
-    for downstream artifacts.
+    for downstream artifacts. `seed` is the eval stage's seed, derived from
+    `cfg.seed` by the caller.
     """
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown model variant {variant!r}")
-    spec = VARIANTS[variant]
-    cfg = spec.model(model_cfg)
+    spec = variant_spec(cfg.variant)
+    model_cfg = spec.model(cfg)
     fold_channels = channels if spec.channels else None
     holdout_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     kfold_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
 
-    split = holdout_split(graph, annotations, hashtags, holdout_fraction, holdout_rng)
-    edges, _ = split.train_graph.edges()
-    fold_pairs = kfold_split(edges, folds, kfold_rng)
-    if binary_stance:
+    split = holdout_split(graph, annotations, hashtags, cfg.holdout_fraction, holdout_rng)
+    fold_pairs = kfold_split(split.train_graph.edges(), cfg.folds, kfold_rng)
+    if cfg.binary_stance:
         annotations = StanceAnnotation(
             by_class={c: v for c, v in annotations.by_class.items() if c != "NEUTRAL"})
     users, truth = true_stances(split.hidden, annotations, hashtags)
@@ -442,7 +431,7 @@ def run_protocol(
         null_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3, f)))
         n_draws = null_interactions or max(int(fold_graph.R.nnz), 1)
         variant_graph = spec.graph(fold_graph, n_draws, null_rng)
-        state, history, out = train(variant_graph, fold_channels, cfg, train_cfg, val_pairs,
+        state, history, out = train(variant_graph, fold_channels, model_cfg, cfg, val_pairs,
                                     fold_seed)
         if f == 0:
             fold0 = (state, out, history)

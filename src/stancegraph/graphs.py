@@ -16,7 +16,8 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, EmptyChannel, EmptyCorpus, RecordError, ShapeError
+from .config import GraphConfig
+from .errors import EmptyChannel, EmptyCorpus, RecordError, ShapeError
 from .ingest import InteractionCounts, checked_csr
 
 LOGGER = logging.getLogger(__name__)
@@ -25,8 +26,6 @@ ROW_SUM_TOL = 1e-9
 
 # Array entries per write in write_container.
 WRITE_SLICE = 1 << 20
-
-META_PATH_RELATIONS = ("tweet", "retweet", "reply")
 
 
 @dataclass(frozen=True)
@@ -130,11 +129,10 @@ class BipartiteGraph:
     def n_hashtags(self) -> int:
         return self.R.shape[1]
 
-    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+    def edges(self) -> np.ndarray:
         """All (user, hashtag) pairs with positive weight, row-major order."""
         coo = self.R.tocoo()
-        pairs = np.column_stack([coo.row, coo.col]).astype(np.int64)
-        return pairs, coo.data.copy()
+        return np.column_stack([coo.row, coo.col]).astype(np.int64)
 
     def validate_row_stochastic(self) -> None:
         sums = np.asarray(self.R.sum(axis=1)).ravel()
@@ -176,19 +174,6 @@ class NormalizedAdjacency:
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class MetaPathSpec:
-    """User -> hashtag -> user meta-path named by its two relations."""
-
-    left: str = "retweet"
-    right: str = "tweet"
-
-    def __post_init__(self):
-        for name in (self.left, self.right):
-            if name not in META_PATH_RELATIONS:
-                raise ConfigError(f"unknown meta-path relation {name!r}")
 
 
 def row_normalize(M: sp.spmatrix, rows: np.ndarray | None = None) -> sp.csr_matrix:
@@ -253,24 +238,15 @@ def normalize_user_graph(graph: UserGraph) -> NormalizedAdjacency:
     return NormalizedAdjacency(matrix=_symmetric_normalize(W))
 
 
-@dataclass(frozen=True)
-class SocialWeights:
-    follow: float = 1.0
-    mention: float = 1.0
-    reply: float = 1.0
-
-
-def build_social_graph(counts: InteractionCounts, weights: SocialWeights = SocialWeights()) -> UserGraph:
-    """Combine mutual-follow, mention, and reply relations into one
-    symmetric user graph."""
-    if weights.follow == 0.0 and weights.mention == 0.0 and weights.reply == 0.0:
+def build_social_graph(counts: InteractionCounts, cfg: GraphConfig) -> UserGraph:
+    """Combine mutual-follow, mention, and reply relations, weighted by the
+    social_c_* keys, into one symmetric user graph."""
+    if cfg.social_c_follow == cfg.social_c_mention == cfg.social_c_reply == 0.0:
         raise EmptyChannel("all social coefficients are zero")
-    if min(weights.follow, weights.mention, weights.reply) < 0:
-        raise ConfigError("social coefficients must be nonnegative")
     W = (
-        weights.follow * counts.mutual_follow
-        + weights.mention * (counts.mention + counts.mention.T)
-        + weights.reply * (counts.reply + counts.reply.T)
+        cfg.social_c_follow * counts.mutual_follow
+        + cfg.social_c_mention * (counts.mention + counts.mention.T)
+        + cfg.social_c_reply * (counts.reply + counts.reply.T)
     )
     return UserGraph(W=_symmetrized(W), kind="social")
 
@@ -308,22 +284,20 @@ def pathsim_scores(M1: sp.csr_matrix, M2: sp.csr_matrix) -> sp.csr_matrix:
     return C
 
 
-def compute_pathsim(counts: InteractionCounts, spec: MetaPathSpec = MetaPathSpec()) -> UserGraph:
-    """PathSim user graph for a user -> hashtag -> user meta-path."""
-    S = pathsim_scores(counts.relation(spec.left), counts.relation(spec.right))
-    return UserGraph(W=_symmetrized(S), kind=f"pathsim:{spec.left}-{spec.right}")
+def compute_pathsim(counts: InteractionCounts, cfg: GraphConfig) -> UserGraph:
+    """PathSim user graph for the user -> hashtag -> user meta-path whose
+    relations pathsim_left and pathsim_right name."""
+    left, right = cfg.pathsim_left, cfg.pathsim_right
+    S = pathsim_scores(counts.relation(left), counts.relation(right))
+    return UserGraph(W=_symmetrized(S), kind=f"pathsim:{left}-{right}")
 
 
-def sparsify(graph: UserGraph, min_weight: float = 0.01, top_k: int | None = None) -> UserGraph:
-    """Drop edges below min_weight, then optionally keep only each node's
-    top_k strongest edges. An edge survives the top_k pass if either
+def sparsify(graph: UserGraph, min_weight: float, top_k: int) -> UserGraph:
+    """Drop edges below min_weight, then, unless top_k is 0, keep only each
+    node's top_k strongest edges. An edge survives the top_k pass if either
     endpoint keeps it, so the result stays symmetric."""
-    if min_weight < 0:
-        raise ConfigError("min_weight must be nonnegative")
-    if top_k is not None and top_k < 1:
-        raise ConfigError("top_k must be at least 1")
     W = _kept(graph.W, graph.W.data >= min_weight)
-    if top_k is not None:
+    if top_k:
         n = W.shape[0]
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(W.indptr))
         cols = W.indices.astype(np.int64)
@@ -344,6 +318,14 @@ def _kept(W: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:
     kept_before = np.zeros(W.nnz + 1, dtype=W.indptr.dtype)
     np.cumsum(keep, out=kept_before[1:])
     return sp.csr_matrix((W.data[keep], W.indices[keep], kept_before[W.indptr]), shape=W.shape)
+
+
+def _edge_keys(graph: BipartiteGraph) -> np.ndarray:
+    """Row-major flat keys of the graph's edges; sorted because CSR indices
+    are sorted per row."""
+    R = graph.R
+    rows = np.repeat(np.arange(graph.n_users, dtype=np.int64), np.diff(R.indptr))
+    return rows * graph.n_hashtags + R.indices.astype(np.int64)
 
 
 def _is_member(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:

@@ -145,7 +145,7 @@ def _parse_tweet_line(line: str, line_no: int,
     return record, None if location is None else str(location)
 
 
-def parse_corpus(tweet_lines, follow_lines=(), outlet_lines=(), strict=True) -> Corpus:
+def parse_corpus(tweet_lines, follow_lines=(), outlet_lines=(), *, strict: bool) -> Corpus:
     """Parse raw input streams into a Corpus.
 
     Malformed lines raise RecordError with their line number when strict,

@@ -6,6 +6,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError
+from .graphs import _is_member
 
 # The cutoff of every ranking metric the pipeline reports or stops on.
 EVAL_K = 20
@@ -75,8 +76,7 @@ def ranking_metrics(
         n_top = np.minimum(n_candidates, k)
 
         queries = block[rows] * m + cols
-        at = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
-        hit = keys[at] == queries
+        hit = _is_member(keys, queries)
         gains = np.zeros((b, k))
         gains[rows[hit], pos[hit]] = discount[pos[hit]]
         dcg = np.cumsum(gains, axis=1)[:, -1]

@@ -41,13 +41,13 @@ POLY_BLOCK_COLUMNS = 64
 class EmbeddingState:
     users: np.ndarray  # (n_users, dim)
     hashtags: np.ndarray  # (n_hashtags, dim)
-    seed: int = 0
+    seed: int
 
     def stacked(self) -> np.ndarray:
         return np.concatenate([self.users, self.hashtags], axis=0)
 
     @staticmethod
-    def from_stacked(stacked: np.ndarray, n_users: int, seed: int = 0) -> "EmbeddingState":
+    def from_stacked(stacked: np.ndarray, n_users: int, seed: int) -> "EmbeddingState":
         return EmbeddingState(
             users=stacked[:n_users].copy(),
             hashtags=stacked[n_users:].copy(),

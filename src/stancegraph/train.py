@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import ModelConfig, TrainConfig
 from .errors import ConfigError, NumericsError
-from .graphs import BipartiteGraph, _is_member
+from .graphs import BipartiteGraph, _edge_keys, _is_member
 from .metrics import EVAL_K, ranking_metrics
 from .model import (
     ChannelOperators,
@@ -60,13 +60,6 @@ def adam_step(adam: AdamState, params: np.ndarray, grad: np.ndarray, lr: float) 
     params -= lr * m_hat / (np.sqrt(v_hat) + adam.eps)
 
 
-def _edge_keys(graph: BipartiteGraph) -> np.ndarray:
-    # Row-major flat keys; sorted because csr indices are sorted per row.
-    R = graph.R
-    rows = np.repeat(np.arange(graph.n_users, dtype=np.int64), np.diff(R.indptr))
-    return rows * graph.n_hashtags + R.indices.astype(np.int64)
-
-
 def sample_epoch(graph: BipartiteGraph, rng: np.random.Generator) -> np.ndarray:
     """One (user, positive, negative) triple per edge, shuffled.
 
@@ -74,7 +67,7 @@ def sample_epoch(graph: BipartiteGraph, rng: np.random.Generator) -> np.ndarray:
     user's observed hashtags. Users connected to every hashtag cannot be
     sampled and are skipped.
     """
-    pairs, _ = graph.edges()
+    pairs = graph.edges()
     if pairs.shape[0] == 0:
         raise ConfigError("graph has no edges to sample from")
     m = graph.n_hashtags
@@ -249,7 +242,7 @@ def train(
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
     val_edges: np.ndarray,
-    seed: int = 0,
+    seed: int,
 ) -> tuple[EmbeddingState, list[HistoryRow], PropagationOutput]:
     """Fit embeddings on the graph, early-stopping on validation recall.
 

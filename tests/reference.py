@@ -11,11 +11,10 @@ import scipy.sparse as sp
 
 from stancegraph.errors import ConfigError, EmptyEvaluation, ShapeError
 from stancegraph.evaluate import CLASS_ORDER, StanceAnnotation
+from stancegraph.config import GraphConfig
 from stancegraph.graphs import (
     BipartiteGraph,
-    MetaPathSpec,
     NormalizedAdjacency,
-    SocialWeights,
     UserGraph,
     _is_member,
 )
@@ -149,11 +148,11 @@ def csr_from_counts(counter: dict[tuple[int, int], float], shape) -> sp.csr_matr
 # compute_pathsim and sparsify replaced: each step converts to COO or copies,
 # and builds a new CSR matrix.
 
-def build_social_graph(counts: InteractionCounts, weights: SocialWeights = SocialWeights()) -> UserGraph:
+def build_social_graph(counts: InteractionCounts, cfg: GraphConfig) -> UserGraph:
     W = (
-        weights.follow * counts.mutual_follow
-        + weights.mention * (counts.mention + counts.mention.T)
-        + weights.reply * (counts.reply + counts.reply.T)
+        cfg.social_c_follow * counts.mutual_follow
+        + cfg.social_c_mention * (counts.mention + counts.mention.T)
+        + cfg.social_c_reply * (counts.reply + counts.reply.T)
     )
     W = (W + W.T) * 0.5
     W = sp.csr_matrix(W)
@@ -176,24 +175,20 @@ def pathsim_scores(M1: sp.csr_matrix, M2: sp.csr_matrix) -> sp.csr_matrix:
     return out
 
 
-def compute_pathsim(counts: InteractionCounts, spec: MetaPathSpec = MetaPathSpec()) -> UserGraph:
-    S = pathsim_scores(counts.relation(spec.left), counts.relation(spec.right))
+def compute_pathsim(counts: InteractionCounts, cfg: GraphConfig) -> UserGraph:
+    S = pathsim_scores(counts.relation(cfg.pathsim_left), counts.relation(cfg.pathsim_right))
     W = (S + S.T) * 0.5
     W = sp.csr_matrix(W)
     W.setdiag(0.0)
     W.eliminate_zeros()
-    return UserGraph(W=W, kind=f"pathsim:{spec.left}-{spec.right}")
+    return UserGraph(W=W, kind=f"pathsim:{cfg.pathsim_left}-{cfg.pathsim_right}")
 
 
-def sparsify(graph: UserGraph, min_weight: float = 0.01, top_k: int | None = None) -> UserGraph:
-    if min_weight < 0:
-        raise ConfigError("min_weight must be nonnegative")
-    if top_k is not None and top_k < 1:
-        raise ConfigError("top_k must be at least 1")
+def sparsify(graph: UserGraph, min_weight: float, top_k: int) -> UserGraph:
     W = graph.W.tocoo()
     keep = W.data >= min_weight
     W = sp.csr_matrix((W.data[keep], (W.row[keep], W.col[keep])), shape=W.shape)
-    if top_k is not None:
+    if top_k:
         W.sum_duplicates()
         n = W.shape[0]
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(W.indptr))

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from stancegraph.cli import main
+from stancegraph.config import GraphConfig, RunConfig
 from stancegraph.errors import ConfigError
 from stancegraph.evaluate import (
     EVAL_K,
@@ -25,7 +26,6 @@ from stancegraph.evaluate import (
 )
 from stancegraph.graphs import (
     BipartiteGraph,
-    MetaPathSpec,
     binarize,
     build_adjacency,
     build_interaction_graph,
@@ -41,7 +41,7 @@ from stancegraph.model import (
     init_embeddings,
     layer_averaged_propagate,
 )
-from stancegraph.train import TrainConfig, grad_e0, sample_epoch
+from stancegraph.train import grad_e0, sample_epoch
 
 from conftest import counts_from, random_bipartite, random_user_graph
 from reference import evaluate_loss, ndcg_at_k, recall_at_k, score_all
@@ -171,12 +171,12 @@ def enumerated_pathsim(L: np.ndarray, R: np.ndarray) -> np.ndarray:
 def test_accept_3_pathsim_matches_instance_enumeration(capfd):
     rng = np.random.default_rng(33)
     specs = [
-        MetaPathSpec(left="retweet", right="tweet"),
-        MetaPathSpec(left="tweet", right="tweet"),
-        MetaPathSpec(left="retweet", right="retweet"),
-        MetaPathSpec(left="tweet", right="retweet"),
-        MetaPathSpec(left="reply", right="reply"),
-        MetaPathSpec(left="reply", right="tweet"),
+        GraphConfig(pathsim_left="retweet", pathsim_right="tweet"),
+        GraphConfig(pathsim_left="tweet", pathsim_right="tweet"),
+        GraphConfig(pathsim_left="retweet", pathsim_right="retweet"),
+        GraphConfig(pathsim_left="tweet", pathsim_right="retweet"),
+        GraphConfig(pathsim_left="reply", pathsim_right="reply"),
+        GraphConfig(pathsim_left="reply", pathsim_right="tweet"),
     ]
     cases = 0
     worst = 0.0
@@ -189,8 +189,8 @@ def test_accept_3_pathsim_matches_instance_enumeration(capfd):
             counts = counts_from(T_tweet=draw(), T_retweet=draw(), T_reply=draw())
             got = compute_pathsim(counts, spec).W.toarray()
             want = enumerated_pathsim(
-                counts.relation(spec.left).toarray(),
-                counts.relation(spec.right).toarray(),
+                counts.relation(spec.pathsim_left).toarray(),
+                counts.relation(spec.pathsim_right).toarray(),
             )
             worst = max(worst, float(np.abs(got - want).max()))
             cases += 1
@@ -306,12 +306,12 @@ def synth_runs():
         data = synth_generate(SynthConfig(), rng)
         volume = int(data.counts.T.sum())
         graph = build_interaction_graph(data.counts)
-        common = dict(seed=s, holdout_fraction=0.05, folds=2)
+        common = dict(holdout_fraction=0.05, folds=2)
         real = run_protocol(graph, None, data.annotations, data.counts.hashtags,
-                            ModelConfig(), TrainConfig(), variant="wlgcn", **common)
+                            RunConfig(variant="wlgcn", **common), s)
         null = run_protocol(graph, None, data.annotations, data.counts.hashtags,
-                            ModelConfig(), TrainConfig(), variant="null",
-                            null_interactions=volume, **common)
+                            RunConfig(variant="null", **common), s,
+                            null_interactions=volume)
         runs.append({"data": data, "real": real, "null": null})
     return runs, time.perf_counter() - start
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import gc
+import importlib
 import inspect
 import json
 import os
@@ -20,6 +21,9 @@ import pytest
 from stancegraph.cli import _load_dataset, main
 from stancegraph.config import (
     CorpusFilterConfig,
+    EvalConfig,
+    GraphConfig,
+    ModelConfig,
     RunConfig,
     SynthConfig,
     TrainConfig,
@@ -30,15 +34,13 @@ from stancegraph.config import (
 from stancegraph.errors import ConfigError
 from stancegraph.evaluate import (
     annotation_curve,
-    holdout_split,
-    kfold_split,
     load_annotations,
     run_protocol,
     with_usage,
 )
 from stancegraph.ingest import load_counts
-from stancegraph.graphs import MetaPathSpec, SocialWeights, load_matrix_coo, sparsify
-from stancegraph.model import ModelConfig, init_embeddings, load_checkpoint
+from stancegraph.graphs import load_matrix_coo
+from stancegraph.model import init_embeddings, load_checkpoint
 
 from conftest import write_graph_container
 
@@ -252,7 +254,8 @@ def test_negative_pathsim_top_k_exits_2(tmp_path, capsys):
     code = run(["build", "--counts", raw / "counts.json", "--out", out,
                 "--pathsim-top-k", "-3"])
     assert code == 2
-    assert "error kind=ConfigError exit=2: top_k must be at least 1" in capsys.readouterr().err
+    assert ("error kind=ConfigError exit=2: pathsim_top_k must be nonnegative (0 disables the cap)"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -478,37 +481,98 @@ def test_removed_config_key_exits_2(tmp_path, capsys, key):
 
 def test_run_config_declares_no_stage_key_again():
     # A stage field declared again in RunConfig would silently override
-    # the stage config's default.
+    # the stage config's default; a key in two stage configs would be two
+    # declarations of one default.
+    stages = (ModelConfig, TrainConfig, SynthConfig, CorpusFilterConfig, GraphConfig, EvalConfig)
     own = set(inspect.get_annotations(RunConfig))
-    for stage in (ModelConfig, TrainConfig, SynthConfig, CorpusFilterConfig):
-        stage_keys = {f.name for f in dataclasses.fields(stage)}
-        assert not own & stage_keys, stage.__name__
-        assert stage_keys <= {f.name for f in dataclasses.fields(RunConfig)}
-    assert len(own) == 17 and len(dataclasses.fields(RunConfig)) == 37
+    declared = [set(inspect.get_annotations(stage)) for stage in stages] + [own]
+    for stage, keys in zip(stages, declared):
+        assert keys == {f.name for f in dataclasses.fields(stage)}, stage.__name__
+        assert keys <= {f.name for f in dataclasses.fields(RunConfig)}, stage.__name__
+    assert sum(map(len, declared)) == len(set().union(*declared)) == 37
+    assert len(own) == 7 and len(dataclasses.fields(RunConfig)) == 37
 
 
-def default_of(func, name):
-    return inspect.signature(func).parameters[name].default
+# Names the package gives a config key's value in a signature, besides the
+# key's own name.
+KEY_ALIASES = {
+    "strict": "strict_parse",
+    "follow": "social_c_follow",
+    "mention": "social_c_mention",
+    "reply": "social_c_reply",
+    "left": "pathsim_left",
+    "right": "pathsim_right",
+    "min_weight": "pathsim_min_weight",
+    "top_k": "pathsim_top_k",
+    "fraction": "holdout_fraction",
+}
 
 
-def test_repeated_defaults_equal_the_config_keys():
-    cfg = RunConfig()
-    pairs = [
-        (default_of(SocialWeights, "follow"), cfg.social_c_follow),
-        (default_of(SocialWeights, "mention"), cfg.social_c_mention),
-        (default_of(SocialWeights, "reply"), cfg.social_c_reply),
-        (default_of(MetaPathSpec, "left"), cfg.pathsim_left),
-        (default_of(MetaPathSpec, "right"), cfg.pathsim_right),
-        (default_of(sparsify, "min_weight"), cfg.pathsim_min_weight),
-        (default_of(holdout_split, "fraction"), cfg.holdout_fraction),
-        (default_of(run_protocol, "holdout_fraction"), cfg.holdout_fraction),
-        (default_of(kfold_split, "folds"), cfg.folds),
-        (default_of(run_protocol, "folds"), cfg.folds),
-        (default_of(run_protocol, "variant"), cfg.variant),
-        (default_of(run_protocol, "binary_stance"), cfg.binary_stance),
-    ]
-    for got, want in pairs:
-        assert got == want and type(got) is type(want)
+def package_signatures():
+    """(qualified name, callable) for every function and class of the
+    package and every method those classes define, except the config
+    dataclasses of config.py, which are where the defaults belong."""
+    for path in sorted((SRC / "stancegraph").glob("*.py")):
+        module = importlib.import_module(f"stancegraph.{path.stem}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                if path.stem == "config" and dataclasses.is_dataclass(obj):
+                    continue
+                yield f"{path.stem}.{name}", obj
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", member)
+                    if inspect.isfunction(member):
+                        yield f"{path.stem}.{name}.{attr}", member
+            elif inspect.isfunction(obj):
+                yield f"{path.stem}.{name}", obj
+
+
+def repeated_config_defaults() -> list[str]:
+    """Each parameter of the package that declares a default for a config
+    key's value: named as the key or one of KEY_ALIASES, or defaulting to a
+    dataclass with such a field."""
+    carried = {f.name for f in dataclasses.fields(RunConfig)} | set(KEY_ALIASES)
+    found = []
+    for qualname, obj in package_signatures():
+        try:
+            params = inspect.signature(obj).parameters.values()
+        except ValueError:  # an exception class, whose signature is a builtin's
+            continue
+        for param in params:
+            default = param.default
+            if default is inspect.Parameter.empty:
+                continue
+            fields = ({f.name for f in dataclasses.fields(default)}
+                      if dataclasses.is_dataclass(default) else set())
+            if param.name in carried or fields & carried:
+                found.append(f"{qualname}({param.name})")
+    return found
+
+
+def test_no_signature_repeats_a_config_default():
+    assert repeated_config_defaults() == []
+
+
+def test_repeated_default_check_finds_a_copy(monkeypatch):
+    from stancegraph import evaluate, graphs
+
+    def copied(graph, min_weight=0.01, top_k=0):
+        return graph
+
+    @dataclasses.dataclass(frozen=True)
+    class Weights:
+        follow: float = 1.0
+
+    def weighted(counts, weights=Weights()):
+        return counts
+
+    for module, func in ((graphs, copied), (evaluate, weighted)):
+        func.__module__ = module.__name__
+        monkeypatch.setattr(module, func.__name__, func, raising=False)
+    assert repeated_config_defaults() == [
+        "evaluate.weighted(weights)", "graphs.copied(min_weight)", "graphs.copied(top_k)"]
 
 
 def test_every_command_runs_the_stage_checks(tmp_path, capsys):
@@ -520,6 +584,62 @@ def test_every_command_runs_the_stage_checks(tmp_path, capsys):
     assert [line for line in err.splitlines() if line.startswith("error ")] == [
         "error kind=ConfigError exit=2: need at least two users"]
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+# One refused value per checked build and protocol key, with its message.
+REFUSED_VALUES = [
+    ("--pathsim-left", "bogus", "unknown meta-path relation 'bogus'"),
+    ("--social-c-follow", "-1", "social coefficients must be nonnegative"),
+    ("--pathsim-min-weight", "-1", "pathsim_min_weight must be nonnegative"),
+    ("--pathsim-top-k", "-1", "pathsim_top_k must be nonnegative (0 disables the cap)"),
+    ("--folds", "1", "need at least 2 folds"),
+    ("--holdout-fraction", "0", "holdout fraction must be in (0, 1]"),
+    ("--val-fraction", "0.6", "val_fraction must be in (0, 0.5]"),
+]
+
+
+def stage_argv(command, tmp_path, out):
+    """build, train or eval on inputs that do not exist: a command that
+    resolved its config without refusing it would exit 4, not 2."""
+    if command == "build":
+        return ["build", "--counts", tmp_path / "counts.json", "--out", out]
+    if command == "train":
+        return ["train", "--data", tmp_path / "data", "--out", out]
+    return ["eval", "--data", tmp_path / "data", "--annotations", tmp_path / "ann.tsv",
+            "--out", out]
+
+
+@pytest.mark.parametrize("command", ["build", "train", "eval"])
+@pytest.mark.parametrize("flag, value, message", REFUSED_VALUES,
+                         ids=[f"{flag[2:]}={value}" for flag, value, _ in REFUSED_VALUES])
+def test_every_command_refuses_bad_graph_and_protocol_keys(tmp_path, capsys, command, flag,
+                                                           value, message):
+    out = tmp_path / "out"
+    assert run(stage_argv(command, tmp_path, out) + [flag, value]) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error ")] == [
+        f"error kind=ConfigError exit=2: {message}"]
+    assert not out.exists()
+
+
+def test_eval_refuses_an_unknown_variant(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(stage_argv("eval", tmp_path, out) + ["--variant", "bogus"]) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error ")] == [
+        "error kind=ConfigError exit=2: unknown model variant 'bogus'"]
+    assert not out.exists()
+
+
+def test_build_with_every_social_coefficient_zero_exits_5(tmp_path, capsys):
+    raw, _ = synth_and_build(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "no-social"
+    assert run(["build", "--counts", raw / "counts.json", "--out", out, "--social-c-follow", "0",
+                "--social-c-mention", "0", "--social-c-reply", "0"]) == 5
+    assert ("error kind=EmptyChannel exit=5: all social coefficients are zero"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -665,11 +785,8 @@ def test_curve_reads_the_model_eval_evaluated(tmp_path, variant, channel_flags):
                          "use_social": bool(channel_flags), "use_pathsim": bool(channel_flags)})
     counts, graph, channels = _load_dataset(data, cfg)
     annotations = with_usage(load_annotations(annotations_path), counts)
-    res = run_protocol(
-        graph, channels, annotations, counts.hashtags, cfg, cfg,
-        seed=stage_seed(3, "eval"), holdout_fraction=0.3, folds=2, variant=variant,
-        null_interactions=int(counts.T.sum()),
-    )
+    res = run_protocol(graph, channels, annotations, counts.hashtags, cfg, stage_seed(3, "eval"),
+                       null_interactions=int(counts.T.sum()))
     want = annotation_curve(res.propagated.users, res.propagated.hashtags, counts.hashtags,
                             res.split.hidden, annotations, range(1, 6))
     assert curve_path.read_text(encoding="utf-8") == "x,accuracy\n" + "".join(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from unittest import mock
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from stancegraph import evaluate, metrics, model
+from stancegraph.config import EvalConfig, RunConfig
 from stancegraph.errors import (
     BoundsError,
     ConfigError,
@@ -68,6 +70,11 @@ from reference import (
 )
 
 QUICK_TRAIN = TrainConfig(max_epochs=3, patience=5)
+
+
+def protocol_cfg(**keys) -> RunConfig:
+    """A run config with dim 8 and QUICK_TRAIN's training keys."""
+    return RunConfig(dim=8, **dataclasses.asdict(QUICK_TRAIN), **keys)
 
 
 def class_size(ann: StanceAnnotation, cls: str) -> int:
@@ -521,10 +528,10 @@ def test_kfold_is_a_partition():
 
 def test_kfold_rejects_bad_configs():
     edges = np.array([[0, 0], [1, 1]])
-    with pytest.raises(ConfigError):
-        kfold_split(edges, folds=1)
-    with pytest.raises(ConfigError):
-        kfold_split(edges, folds=3)
+    with pytest.raises(ConfigError, match="need at least 2 folds"):
+        EvalConfig(folds=1)
+    with pytest.raises(ConfigError, match="2 edges cannot fill 3 folds"):
+        kfold_split(edges, folds=3, rng=np.random.default_rng(0))
 
 
 def test_validation_edges_at_one_fifth_are_kfold_fold_0():
@@ -621,7 +628,7 @@ def test_null_rows_are_stochastic():
 def test_mf_baseline_scores_are_raw_inner_products():
     rng = np.random.default_rng(31)
     g = random_bipartite(rng, 6, 5)
-    edges, _ = g.edges()
+    edges = g.edges()
     train_pairs, val_pairs = kfold_split(edges, folds=4, rng=rng)[0]
     fold_graph = graph_without_edges(g, val_pairs)
     mf = VARIANTS["mf"]
@@ -643,7 +650,7 @@ def test_mf_baseline_scores_are_raw_inner_products():
 def test_lightgcn_baseline_trains_on_binary_graph():
     rng = np.random.default_rng(37)
     g = random_bipartite(rng, 6, 5)
-    edges, _ = g.edges()
+    edges = g.edges()
     _, val_pairs = kfold_split(edges, folds=4, rng=rng)[0]
     fold_graph = graph_without_edges(g, val_pairs)
     lightgcn = VARIANTS["lightgcn"]
@@ -819,8 +826,7 @@ def protocol_fixture(variant="wlgcn", seed=0):
     data, _ = small_synth(seed=1)
     return run_protocol(
         build_interaction_graph(data.counts), None, data.annotations, data.counts.hashtags,
-        ModelConfig(dim=8), QUICK_TRAIN,
-        seed=seed, holdout_fraction=0.1, folds=2, variant=variant,
+        protocol_cfg(holdout_fraction=0.1, folds=2, variant=variant), seed,
     )
 
 
@@ -840,8 +846,7 @@ def test_protocol_builds_user_polynomial_once():
             mock.patch.object(model, "build_adjacency", adjacency):
         res = run_protocol(
             build_interaction_graph(data.counts), channels, data.annotations, data.counts.hashtags,
-            ModelConfig(dim=8), QUICK_TRAIN,
-            seed=0, holdout_fraction=0.1, folds=2,
+            protocol_cfg(holdout_fraction=0.1, folds=2), 0,
         )
     assert len(res.report.folds) == 2
     assert builds.call_count == 1
@@ -895,8 +900,8 @@ def test_protocol_binary_stance_skips_neutral_only_users(binary):
     scorer = mock.Mock(wraps=evaluate.predicted_stances)
     with mock.patch.object(evaluate, "predicted_stances", scorer):
         res = run_protocol(build_interaction_graph(data.counts), None, ann, tags,
-                           ModelConfig(dim=8), QUICK_TRAIN, seed=0, holdout_fraction=0.5,
-                           folds=2, binary_stance=binary)
+                           protocol_cfg(holdout_fraction=0.5, folds=2, binary_stance=binary),
+                           0)
     neutral_only = {u for u in res.split.holdout_users
                     if not {tags[j] for j in res.split.hidden[u]} & two_class.tags()}
     assert neutral_only and len(neutral_only) < len(res.split.holdout_users)
@@ -925,8 +930,7 @@ def test_null_recall_within_sanity_bound_of_chance():
     for seed in range(10):
         res = run_protocol(
             build_interaction_graph(data.counts), None, data.annotations, data.counts.hashtags,
-            ModelConfig(dim=8), QUICK_TRAIN,
-            seed=seed, holdout_fraction=0.1, folds=2, variant="null",
+            protocol_cfg(holdout_fraction=0.1, folds=2, variant="null"), seed,
         )
         recalls.append(res.report.recall)
         per_user_rel: dict[int, int] = {}
@@ -962,7 +966,7 @@ def curve_setup():
         np.random.default_rng(0),
     )
     mc = ModelConfig(dim=8)
-    edges, _ = split.train_graph.edges()
+    edges = split.train_graph.edges()
     _, val_pairs = kfold_split(edges, folds=2, rng=np.random.default_rng(1))[0]
     fold_graph = graph_without_edges(split.train_graph, val_pairs)
     _, _, out = train(fold_graph, None, mc, QUICK_TRAIN, val_pairs, seed=0)

@@ -13,14 +13,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from stancegraph.config import GraphConfig
 from stancegraph.errors import ConfigError, EmptyChannel, RecordError, ShapeError
 import stancegraph.graphs as graphs
 from stancegraph.graphs import (
     CHECKPOINT,
     GRAPH,
     BipartiteGraph,
-    MetaPathSpec,
-    SocialWeights,
     UserGraph,
     binarize,
     build_adjacency,
@@ -156,11 +155,19 @@ def test_adjacency_exactly_symmetric():
 
 # social graph ---------------------------------------------------------------
 
+def social(follow, mention, reply) -> GraphConfig:
+    return GraphConfig(social_c_follow=follow, social_c_mention=mention, social_c_reply=reply)
+
+
+def metapath(left, right) -> GraphConfig:
+    return GraphConfig(pathsim_left=left, pathsim_right=right)
+
+
 def test_social_mutual_follow_pair():
     mutual = np.zeros((3, 3))
     mutual[0, 1] = mutual[1, 0] = 1
     counts = counts_from(np.ones((3, 1)), mutual=mutual)
-    W = build_social_graph(counts, SocialWeights(follow=1, mention=0, reply=0)).W.toarray()
+    W = build_social_graph(counts, social(1, 0, 0)).W.toarray()
     assert W[0, 1] == 1.0 and W[1, 0] == 1.0
     assert W.sum() == 2.0
 
@@ -170,7 +177,7 @@ def test_social_mentions_symmetrize_to_full_count():
     mention = np.zeros((2, 2))
     mention[0, 1] = 3
     counts = counts_from(np.ones((2, 1)), mention=mention)
-    W = build_social_graph(counts, SocialWeights(follow=0, mention=1, reply=0)).W.toarray()
+    W = build_social_graph(counts, social(0, 1, 0)).W.toarray()
     assert W[0, 1] == 3.0 and W[1, 0] == 3.0
 
 
@@ -178,20 +185,19 @@ def test_social_self_reply_dropped():
     reply = np.zeros((2, 2))
     reply[0, 0] = 5
     counts = counts_from(np.ones((2, 1)), reply=reply)
-    W = build_social_graph(counts, SocialWeights(follow=0, mention=0, reply=1)).W.toarray()
+    W = build_social_graph(counts, social(0, 0, 1)).W.toarray()
     assert W.sum() == 0.0
 
 
 def test_social_all_zero_coefficients_rejected():
     counts = counts_from(np.ones((2, 1)))
     with pytest.raises(EmptyChannel):
-        build_social_graph(counts, SocialWeights(follow=0, mention=0, reply=0))
+        build_social_graph(counts, social(0, 0, 0))
 
 
 def test_social_negative_coefficient_rejected():
-    counts = counts_from(np.ones((2, 1)))
-    with pytest.raises(ConfigError):
-        build_social_graph(counts, SocialWeights(follow=-1, mention=0, reply=0))
+    with pytest.raises(ConfigError, match="social coefficients must be nonnegative"):
+        social(-1, 0, 0)
 
 
 def test_social_graph_is_symmetric_zero_diagonal():
@@ -204,7 +210,7 @@ def test_social_graph_is_symmetric_zero_diagonal():
             reply=rng.integers(0, 3, size=(n, n)),
             mutual=np.zeros((n, n)),
         )
-        W = build_social_graph(counts).W
+        W = build_social_graph(counts, GraphConfig()).W
         assert abs(W - W.T).max() <= 1e-12
         assert W.diagonal().sum() == 0.0
 
@@ -223,7 +229,7 @@ def test_pathsim_equal_diagonal_gives_one():
 def test_pathsim_three_user_example():
     M = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     counts = counts_from(M)
-    W = compute_pathsim(counts, MetaPathSpec(left="tweet", right="tweet")).W.toarray()
+    W = compute_pathsim(counts, metapath("tweet", "tweet")).W.toarray()
     assert W[0, 1] == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert W[0, 2] == 0.0
     assert W[1, 2] == pytest.approx(2.0 / 3.0, abs=1e-12)
@@ -245,7 +251,7 @@ def test_pathsim_matches_instance_enumeration():
         M1 = rng.integers(0, 3, size=(n, m)).astype(np.float64)
         M2 = rng.integers(0, 3, size=(n, m)).astype(np.float64)
         counts = counts_from(M1, T_retweet=M2)
-        got = compute_pathsim(counts, MetaPathSpec(left="tweet", right="retweet")).W.toarray()
+        got = compute_pathsim(counts, metapath("tweet", "retweet")).W.toarray()
         want = brute_force_pathsim(M1, M2)
         assert np.abs(got - want).max() <= 1e-12
 
@@ -260,11 +266,11 @@ def test_pathsim_output_range_and_symmetry():
         m = int(rng.integers(1, 6))
         M = rng.integers(0, 4, size=(n, m))
         counts = counts_from(M, T_retweet=rng.integers(0, 4, size=(n, m)))
-        W_sym = compute_pathsim(counts, MetaPathSpec(left="tweet", right="tweet")).W.toarray()
+        W_sym = compute_pathsim(counts, metapath("tweet", "tweet")).W.toarray()
         assert np.array_equal(W_sym, W_sym.T)
         assert W_sym.min() >= 0.0 and W_sym.max() <= 1.0 + 1e-12
         assert np.diag(W_sym).sum() == 0.0
-        W_mixed = compute_pathsim(counts).W.toarray()
+        W_mixed = compute_pathsim(counts, GraphConfig()).W.toarray()
         assert np.array_equal(W_mixed, W_mixed.T)
         assert W_mixed.min() >= 0.0
         assert np.diag(W_mixed).sum() == 0.0
@@ -272,7 +278,7 @@ def test_pathsim_output_range_and_symmetry():
 
 def test_metapath_spec_rejects_unknown_relation():
     with pytest.raises(ConfigError):
-        MetaPathSpec(left="quote", right="tweet")
+        metapath("quote", "tweet")
 
 
 # sparsify -------------------------------------------------------------------
@@ -286,17 +292,17 @@ def star_graph() -> UserGraph:
 
 def test_sparsify_zero_threshold_is_identity():
     g = star_graph()
-    out = sparsify(g, min_weight=0.0)
+    out = sparsify(g, min_weight=0.0, top_k=0)
     assert np.array_equal(out.W.toarray(), g.W.toarray())
 
 
 def test_sparsify_threshold_above_max_empties():
-    out = sparsify(star_graph(), min_weight=0.95)
+    out = sparsify(star_graph(), min_weight=0.95, top_k=0)
     assert out.W.nnz == 0
 
 
 def test_sparsify_drops_edges_below_threshold():
-    out = sparsify(star_graph(), min_weight=0.3).W.toarray()
+    out = sparsify(star_graph(), min_weight=0.3, top_k=0).W.toarray()
     assert out[0, 1] == 0.9 and out[0, 2] == 0.5 and out[0, 3] == 0.0
 
 
@@ -344,7 +350,7 @@ def test_sparsify_top_k_equals_per_row_reference(data):
     min_weight = data.draw(st.sampled_from([0.0, 0.3, 0.6]), label="min_weight")
     top_k = data.draw(st.integers(1, n + 1), label="top_k")
     got = sparsify(UserGraph(W=sp.csr_matrix(W)), min_weight=min_weight, top_k=top_k).W
-    thresholded = sparsify(UserGraph(W=sp.csr_matrix(W)), min_weight=min_weight).W
+    thresholded = sparsify(UserGraph(W=sp.csr_matrix(W)), min_weight=min_weight, top_k=0).W
     want = sparsify_top_k_reference(thresholded, top_k)
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -476,13 +482,13 @@ def relation_pairs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(relation_pairs(), st.sampled_from([0.0, 0.01, 0.3, 0.6]),
-       st.none() | st.integers(1, 10), st.booleans())
+       st.just(0) | st.integers(1, 10), st.booleans())
 def test_pathsim_pipeline_equals_coo_reference(pair, min_weight, top_k, same_relation):
     M1, M2 = pair
     assert_same_csr(pathsim_scores(sp.csr_matrix(M1), sp.csr_matrix(M2)),
                     reference.pathsim_scores(sp.csr_matrix(M1), sp.csr_matrix(M2)))
     counts = counts_from(M2, T_retweet=M1)
-    spec = MetaPathSpec("tweet", "tweet") if same_relation else MetaPathSpec()
+    spec = metapath("tweet", "tweet") if same_relation else GraphConfig()
     got, want = compute_pathsim(counts, spec), reference.compute_pathsim(counts, spec)
     assert_same_csr(got.W, want.W)
     assert got.kind == want.kind
@@ -499,9 +505,9 @@ def test_social_graph_equals_coo_reference(pair, coefficients):
     mutual = np.triu(M1 @ M2.T > 0, k=1)
     counts = counts_from(M1, mention=M1 @ M1.T, reply=M2 @ M1.T,
                          mutual=(mutual | mutual.T) * 1.0)
-    weights = SocialWeights(*coefficients)
-    assert_same_csr(build_social_graph(counts, weights).W,
-                    reference.build_social_graph(counts, weights).W)
+    cfg = social(*coefficients)
+    assert_same_csr(build_social_graph(counts, cfg).W,
+                    reference.build_social_graph(counts, cfg).W)
 
 
 def test_graphs_keep_the_float64_csr_they_are_given():

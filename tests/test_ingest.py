@@ -82,7 +82,7 @@ def test_normalize_empty_result_raises():
 
 def test_parse_three_valid_lines():
     lines = [tweet_line(f"t{i}", "alice", text=f"hola #tag{i}") for i in range(3)]
-    corpus = parse_corpus(lines)
+    corpus = parse_corpus(lines, strict=True)
     assert len(corpus.tweets) == 3
 
 
@@ -117,19 +117,19 @@ def test_parse_duplicate_tweet_id_last_wins(caplog):
         tweet_line("t1", "alice", text="second #b"),
     ]
     with caplog.at_level("WARNING"):
-        corpus = parse_corpus(lines)
+        corpus = parse_corpus(lines, strict=True)
     assert len(corpus.tweets) == 1
     assert corpus.tweets[0].hashtags == ("b",)
     assert any("duplicate" in rec.message.lower() for rec in caplog.records)
 
 
 def test_parse_extracts_hashtags_from_text_when_absent():
-    corpus = parse_corpus([tweet_line("t1", "alice", text="vamos #Apruebo #YA")])
+    corpus = parse_corpus([tweet_line("t1", "alice", text="vamos #Apruebo #YA")], strict=True)
     assert corpus.tweets[0].hashtags == ("apruebo", "ya")
 
 
 def test_parse_explicit_hashtags_override_text():
-    corpus = parse_corpus([tweet_line("t1", "alice", text="#ignored", hashtags=["#Dado"])])
+    corpus = parse_corpus([tweet_line("t1", "alice", text="#ignored", hashtags=["#Dado"])], strict=True)
     assert corpus.tweets[0].hashtags == ("dado",)
 
 
@@ -138,6 +138,7 @@ def test_parse_follow_and_outlet_streams():
         [tweet_line("t1", "alice")],
         follow_lines=["alice\tbob", "bob\talice"],
         outlet_lines=["pressdesk"],
+        strict=True,
     )
     assert ("alice", "bob") in corpus.follows and ("bob", "alice") in corpus.follows
     assert "pressdesk" in corpus.outlets
@@ -146,13 +147,13 @@ def test_parse_follow_and_outlet_streams():
 def test_parse_bad_kind_rejected():
     line = tweet_line("t1", "alice", kind="quote")
     with pytest.raises(RecordError):
-        parse_corpus([line])
+        parse_corpus([line], strict=True)
 
 
 # filters --------------------------------------------------------------------
 
 def make_corpus(lines, follows=(), outlets=()):
-    return parse_corpus(lines, follow_lines=follows, outlet_lines=outlets)
+    return parse_corpus(lines, follow_lines=follows, outlet_lines=outlets, strict=True)
 
 
 def test_filter_rate_over_span():
@@ -319,7 +320,7 @@ def test_extract_equals_dict_count_reference(tweets, follows):
     lines = [tweet_line(f"t{k}", f"u{u}", kind=kind, hashtags=tags,
                         mentions=[f"u{x}" for x in mentions], ref=f"u{ref}")
              for k, (u, kind, tags, mentions, ref) in enumerate(tweets)]
-    corpus = parse_corpus(lines, [f"u{a}\tu{b}" for a, b in follows])
+    corpus = parse_corpus(lines, [f"u{a}\tu{b}" for a, b in follows], strict=True)
     assume(any(t.hashtags for t in corpus.tweets))
     counts = extract_interactions(corpus)
     for name, want in extract_reference(corpus).items():

@@ -15,7 +15,9 @@ file that was written a moment ago can take 70-140 ms to reopen while
 the kernel writes it back, so no run reuses another's files. With
 --parent, this tree ("change") and the parent alternate run by run, and
 so does which of them goes first. Each stage records its wall time, its peak RSS (`ru_maxrss` from
-`wait4`) and the sha256 of every file it wrote. The files are hashed
+`wait4`) and the sha256 of every file it wrote; `history.csv` is hashed
+without its `elapsed_ms` column, a timing that differs on every run. The
+files are hashed
 1 MiB at a time, because on Linux a child's `ru_maxrss` is at least the
 peak RSS its parent had reached when it started the child (the kernel
 keeps that mark across vfork and exec): reading an 87 MB graph whole
@@ -31,7 +33,9 @@ delta against the parent, and whether both trees wrote the same bytes.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -86,6 +90,22 @@ STAGES = {
 }
 
 
+def file_digest(path: Path) -> str:
+    """sha256 of a file, read 1 MiB at a time; of a history.csv, the
+    sha256 of its rows without the elapsed_ms column."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        if path.name == "history.csv":
+            rows = list(csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline="")))
+            keep = [i for i, name in enumerate(rows[0] if rows else ()) if name != "elapsed_ms"]
+            for row in rows:
+                digest.update((",".join(row[i] for i in keep) + "\n").encode("utf-8"))
+        else:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+    return digest.hexdigest()
+
+
 def run_stage(tree: Path, argv: list[str], run: Path, out_dir: str) -> dict:
     """One stage process: wall time, peak RSS and the hashes of its outputs."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
@@ -99,13 +119,8 @@ def run_stage(tree: Path, argv: list[str], run: Path, out_dir: str) -> dict:
     rc = os.waitstatus_to_exitcode(status)
     if rc != 0:
         sys.stderr.write(log.read_text(encoding="utf-8", errors="replace"))
-    outputs = {}
-    for path in sorted((run / out_dir).glob("*")) if rc == 0 else ():
-        digest = hashlib.sha256()
-        with open(path, "rb") as fh:
-            for block in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(block)
-        outputs[path.name] = digest.hexdigest()
+    outputs = {path.name: file_digest(path)
+               for path in (sorted((run / out_dir).glob("*")) if rc == 0 else ())}
     # ru_maxrss is in KiB on Linux.
     return {"wall_s": round(wall, 4), "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 1),
             "rc": rc, "outputs": outputs}
