@@ -27,6 +27,7 @@ from .errors import (
     StanceGraphError,
 )
 from .evaluate import (
+    VARIANTS,
     HoldoutSplit,
     annotation_curve,
     bundled_annotations,
@@ -37,7 +38,6 @@ from .evaluate import (
     save_planted,
     synth_generate,
     validation_edges,
-    variant_spec,
     with_usage,
     write_report,
 )
@@ -181,7 +181,7 @@ def cmd_ingest(args, cfg: RunConfig) -> int:
     save_counts(counts, args.out)
     print(
         f"ingest: {len(counts.users)} users, {len(counts.hashtags)} hashtags, "
-        f"{int(counts.T.sum())} interactions -> {args.out}"
+        f"{int(counts.T.data.sum())} interactions -> {args.out}"
     )
     return 0
 
@@ -233,15 +233,16 @@ def _write_hidden(split: HoldoutSplit, users, hashtags, path) -> None:
                 fh.write(f"{users[u]}\t{hashtags[j]}\t{split.hidden[u][j]:.17g}\n")
 
 
-def _write_pairs(pairs, users, hashtags, path) -> None:
-    rows = sorted((int(u), int(j)) for u, j in pairs)
+def _write_pairs(pairs: np.ndarray, users, hashtags, path) -> None:
+    """The (user, hashtag) rows of `pairs` as id lines, by user then hashtag index."""
+    rows = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].tolist()
     with open(path, "w", encoding="utf-8") as fh:
         for u, j in rows:
             fh.write(f"{users[u]}\t{hashtags[j]}\n")
 
 
 def cmd_eval(args, cfg: RunConfig) -> int:
-    spec = variant_spec(cfg.variant)
+    spec = VARIANTS[cfg.variant]
     pretrained = args.pretrained
     ignored = [name for name, given in (("social.coo", cfg.use_social),
                                         ("pathsim.coo", cfg.use_pathsim),
@@ -254,7 +255,8 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     counts, graph, channels = _load_dataset(args.data, cfg, pretrained)
     annotations = _load_annotation_arg(args, counts)
     result = run_protocol(graph, channels, annotations, counts.hashtags, cfg,
-                          stage_seed(cfg.seed, "eval"), null_interactions=int(counts.T.sum()))
+                          stage_seed(cfg.seed, "eval"),
+                          null_interactions=int(counts.T.data.sum()))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_report(result.report, out / "report.txt", out / "folds.csv")
@@ -324,7 +326,7 @@ def cmd_synth(args, cfg: RunConfig) -> int:
     save_planted(data.planted, data.counts.users, out / "planted.tsv")
     print(
         f"synth: {len(data.counts.users)} users, {len(data.counts.hashtags)} hashtags, "
-        f"{int(data.counts.T.sum())} interactions -> {out}"
+        f"{int(data.counts.T.data.sum())} interactions -> {out}"
     )
     return 0
 
@@ -346,7 +348,14 @@ def _fail(exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    # Move the ~40k objects the imports left tracked into the permanent
+    args = build_parser().parse_args(argv)
+    if args.command in ("build", "train", "eval"):
+        # These commands build, load or train on graphs, and graphs.py
+        # imports scipy.sparse on first use. Imported here, before the
+        # freeze, its objects are frozen with the others; imported after
+        # it, every later collection would scan them.
+        import scipy.sparse  # noqa: F401
+    # Move the objects the imports left tracked into the permanent
     # generation: the full collections during the run and the one at
     # interpreter exit then skip them, which saves ~20 ms per stage process.
     # Only the first call freezes. Frozen cyclic garbage is never freed, and
@@ -354,7 +363,6 @@ def main(argv=None) -> int:
     # earlier call left behind.
     if not gc.get_freeze_count():
         gc.freeze()
-    args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
     )

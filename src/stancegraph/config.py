@@ -151,14 +151,18 @@ class EvalConfig:
             raise ConfigError("need at least 2 folds")
 
 
+# The evaluated models: the weighted model and its baselines, which
+# evaluate.VARIANTS defines under these names.
+VARIANT_NAMES = ("wlgcn", "mf", "lightgcn", "null")
+
+
 @dataclass(frozen=True)
 class RunConfig(EvalConfig, GraphConfig, SynthConfig, TrainConfig, ModelConfig,
                 CorpusFilterConfig):
     """Every key of a run: the stage configs' fields, inherited in reverse
     MRO order (filters, model, training, synthetic corpus, graphs,
     evaluation protocol), then the keys below, which only the CLI reads.
-    Building one runs every range check but `variant`'s, which evaluate
-    makes against its variant table."""
+    Building one runs every range check."""
 
     seed: int = 0
     strict_parse: bool = True
@@ -179,6 +183,8 @@ class RunConfig(EvalConfig, GraphConfig, SynthConfig, TrainConfig, ModelConfig,
         EvalConfig.__post_init__(self)
         if not (0 < self.val_fraction <= 0.5):
             raise ConfigError("val_fraction must be in (0, 0.5]")
+        if self.variant not in VARIANT_NAMES:
+            raise ConfigError(f"unknown model variant {self.variant!r}")
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}

@@ -17,7 +17,6 @@ from importlib import resources
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .config import ModelConfig, RunConfig, SynthConfig
 from .errors import (
@@ -29,8 +28,8 @@ from .errors import (
     RecordError,
     ShapeError,
 )
-from .graphs import BipartiteGraph, _edge_keys, _is_member, binarize, row_normalize
-from .ingest import InteractionCounts, _unit_counts, normalize_hashtag
+from .graphs import BipartiteGraph, _is_member, _kept, binarize, row_normalize, to_scipy
+from .ingest import InteractionCounts, _flat_keys, _unit_counts, normalize_hashtag
 from .metrics import EVAL_K, ranking_metrics
 from .model import ChannelSet, EmbeddingState, PropagationOutput
 from .train import train
@@ -103,7 +102,8 @@ def bundled_annotations(name: str) -> StanceAnnotation:
 
 def with_usage(annotations: StanceAnnotation, counts: InteractionCounts) -> StanceAnnotation:
     """Attach total usage counts from a corpus to each annotated hashtag."""
-    totals = np.asarray(counts.T.sum(axis=0)).ravel()
+    T = counts.T
+    totals = np.bincount(T.indices, weights=T.data, minlength=len(counts.hashtags))
     index = {h: j for j, h in enumerate(counts.hashtags)}
     usage = {t: float(totals[index[t]]) if t in index else 0.0 for t in annotations.tags()}
     return StanceAnnotation(by_class=dict(annotations.by_class), usage=usage)
@@ -224,13 +224,10 @@ def graph_without_edges(graph: BipartiteGraph, removed: np.ndarray) -> Bipartite
     empty stay zero.
     """
     removed = np.asarray(removed, dtype=np.int64).reshape(-1, 2)
-    gone = _is_member(np.unique(removed[:, 0] * graph.n_hashtags + removed[:, 1]),
-                      _edge_keys(graph))
-    coo = graph.R.tocoo()
-    kept = sp.csr_matrix(
-        (coo.data[~gone], (coo.row[~gone], coo.col[~gone])), shape=graph.R.shape
-    )
-    return BipartiteGraph(R=row_normalize(kept, rows=np.unique(coo.row[gone])))
+    keys = _flat_keys(graph.R)
+    gone = _is_member(np.unique(removed[:, 0] * graph.n_hashtags + removed[:, 1]), keys)
+    return BipartiteGraph(R=row_normalize(_kept(graph.R, ~gone),
+                                          rows=np.unique(keys[gone] // graph.n_hashtags)))
 
 
 def null_model(
@@ -241,7 +238,7 @@ def null_model(
         raise ConfigError("interaction count cannot be negative")
     flat = rng.integers(0, n_users * n_hashtags, size=n_interactions)
     T = _unit_counts(flat // n_hashtags, flat % n_hashtags, (n_users, n_hashtags))
-    return BipartiteGraph(R=row_normalize(T))
+    return BipartiteGraph(R=row_normalize(to_scipy(T)))
 
 
 def _stances(values: np.ndarray, annotations: StanceAnnotation, index: dict[str, int],
@@ -359,20 +356,14 @@ class Variant:
 
 # The weighted model and its baselines: plain matrix factorization (no
 # propagation), unweighted LightGCN (binarized interactions), and a null
-# model trained on a random graph but ranked on the real split.
+# model trained on a random graph but ranked on the real split. The keys
+# are config.VARIANT_NAMES, the names RunConfig accepts.
 VARIANTS = {
     "wlgcn": Variant(graph=lambda g, n, rng: g, channels=True),
     "mf": Variant(graph=lambda g, n, rng: g, model=lambda cfg: replace(cfg, n_layers=0)),
     "lightgcn": Variant(graph=lambda g, n, rng: binarize(g)),
     "null": Variant(graph=lambda g, n, rng: null_model(g.n_users, g.n_hashtags, n, rng)),
 }
-
-
-def variant_spec(name: str) -> Variant:
-    """The variant the `variant` key names; the one check of that key."""
-    if name not in VARIANTS:
-        raise ConfigError(f"unknown model variant {name!r}")
-    return VARIANTS[name]
 
 
 @dataclass
@@ -406,7 +397,7 @@ def run_protocol(
     for downstream artifacts. `seed` is the eval stage's seed, derived from
     `cfg.seed` by the caller.
     """
-    spec = variant_spec(cfg.variant)
+    spec = VARIANTS[cfg.variant]
     model_cfg = spec.model(cfg)
     fold_channels = channels if spec.channels else None
     holdout_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
@@ -526,17 +517,6 @@ class SynthData:
     planted: list[str]  # per-user true camp, index-aligned with counts.users
 
 
-def _symmetric_unit_counts(rows: np.ndarray, cols: np.ndarray, n: int) -> sp.csr_matrix:
-    """Symmetric n x n CSR with a 1 at (r, c) and (c, r) for each pair,
-    indices sorted. The pairs must be unique, lie above the diagonal
-    (r < c) and come in row-major order, so the pairs as a CSR matrix U are
-    canonical and U and U.T share no entry."""
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    upper = sp.csr_matrix((np.ones(len(rows)), cols, indptr), shape=(n, n))
-    return upper + upper.T
-
-
 def synth_generate(cfg: SynthConfig, rng: np.random.Generator) -> SynthData:
     """Generate a two-camp corpus.
 
@@ -590,18 +570,18 @@ def synth_generate(cfg: SynthConfig, rng: np.random.Generator) -> SynthData:
     f_rows = np.repeat(np.arange(n - 1), [f.size for f in followed])
     f_cols = np.concatenate(followed)
 
-    t_tweet = _unit_counts(rows[~retweet], cols[~retweet], (n, m))
-    t_retweet = _unit_counts(rows[retweet], cols[retweet], (n, m))
+    none = np.empty(0, dtype=np.int64)
     counts = InteractionCounts(
         users=users,
         hashtags=tags,
-        T=(t_tweet + t_retweet).tocsr(),
-        T_tweet=t_tweet,
-        T_retweet=t_retweet,
-        T_reply=sp.csr_matrix((n, m), dtype=np.float64),
-        mention=sp.csr_matrix((n, n), dtype=np.float64),
-        reply=sp.csr_matrix((n, n), dtype=np.float64),
-        mutual_follow=_symmetric_unit_counts(f_rows, f_cols, n),
+        T_tweet=_unit_counts(rows[~retweet], cols[~retweet], (n, m)),
+        T_retweet=_unit_counts(rows[retweet], cols[retweet], (n, m)),
+        T_reply=_unit_counts(none, none, (n, m)),
+        mention=_unit_counts(none, none, (n, n)),
+        reply=_unit_counts(none, none, (n, n)),
+        # each follow pair (r < c) at (r, c) and at (c, r)
+        mutual_follow=_unit_counts(np.concatenate([f_rows, f_cols]),
+                                   np.concatenate([f_cols, f_rows]), (n, n)),
     )
     counts.validate()
 

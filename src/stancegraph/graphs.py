@@ -3,6 +3,11 @@
 Builds the weighted user-hashtag bipartite graph, the social user graph,
 and meta-path similarity user graphs, and normalizes each into the
 symmetric propagation operator used by the embedding model.
+
+This is the one module that needs scipy.sparse. Each function that calls
+it imports it, so a process that builds no graph (ingest, synth, curve)
+never pays for the import; cli.main imports it up front for the commands
+that do.
 """
 
 from __future__ import annotations
@@ -11,14 +16,16 @@ import logging
 import os
 import struct
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .config import GraphConfig
 from .errors import EmptyChannel, EmptyCorpus, RecordError, ShapeError
-from .ingest import InteractionCounts, checked_csr
+from .ingest import CSRArrays, InteractionCounts, checked_csr
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 LOGGER = logging.getLogger(__name__)
 
@@ -176,12 +183,21 @@ class NormalizedAdjacency:
         return self.matrix.shape[0]
 
 
+def to_scipy(mat: CSRArrays) -> sp.csr_matrix:
+    """The scipy CSR matrix over mat's own arrays, not a copy of them."""
+    import scipy.sparse as sp
+
+    return sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
+
+
 def row_normalize(M: sp.spmatrix, rows: np.ndarray | None = None) -> sp.csr_matrix:
     """Scale rows to sum to 1; empty rows stay zero.
 
     With `rows`, only those rows are rescaled and every other row keeps its
     weights bit for bit.
     """
+    import scipy.sparse as sp
+
     M = M.tocsr().astype(np.float64)
     rowsum = np.asarray(M.sum(axis=1)).ravel()
     scale = np.divide(1.0, rowsum, out=np.zeros_like(rowsum), where=rowsum > 0)
@@ -196,7 +212,7 @@ def row_normalize(M: sp.spmatrix, rows: np.ndarray | None = None) -> sp.csr_matr
 
 def build_interaction_graph(counts: InteractionCounts) -> BipartiteGraph:
     """Row-normalize the usage counts T into edge weights."""
-    graph = BipartiteGraph(R=row_normalize(counts.T))
+    graph = BipartiteGraph(R=row_normalize(to_scipy(counts.T)))
     graph.validate_row_stochastic()
     return graph
 
@@ -209,6 +225,8 @@ def binarize(graph: BipartiteGraph) -> BipartiteGraph:
 
 
 def _symmetric_normalize(A: sp.coo_matrix) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     deg = np.asarray(A.sum(axis=1)).ravel()
     with np.errstate(divide="ignore"):
         dinv = np.power(deg, -0.5)
@@ -227,6 +245,8 @@ def build_adjacency(graph: BipartiteGraph) -> NormalizedAdjacency:
     Isolated nodes keep zero rows: a zero degree maps to a zero scale
     factor instead of a division error.
     """
+    import scipy.sparse as sp
+
     A = sp.bmat([[None, graph.R], [graph.R.T, None]], format="coo")
     return NormalizedAdjacency(matrix=_symmetric_normalize(A))
 
@@ -243,10 +263,11 @@ def build_social_graph(counts: InteractionCounts, cfg: GraphConfig) -> UserGraph
     social_c_* keys, into one symmetric user graph."""
     if cfg.social_c_follow == cfg.social_c_mention == cfg.social_c_reply == 0.0:
         raise EmptyChannel("all social coefficients are zero")
+    mention, reply = to_scipy(counts.mention), to_scipy(counts.reply)
     W = (
-        cfg.social_c_follow * counts.mutual_follow
-        + cfg.social_c_mention * (counts.mention + counts.mention.T)
-        + cfg.social_c_reply * (counts.reply + counts.reply.T)
+        cfg.social_c_follow * to_scipy(counts.mutual_follow)
+        + cfg.social_c_mention * (mention + mention.T)
+        + cfg.social_c_reply * (reply + reply.T)
     )
     return UserGraph(W=_symmetrized(W), kind="social")
 
@@ -288,7 +309,7 @@ def compute_pathsim(counts: InteractionCounts, cfg: GraphConfig) -> UserGraph:
     """PathSim user graph for the user -> hashtag -> user meta-path whose
     relations pathsim_left and pathsim_right name."""
     left, right = cfg.pathsim_left, cfg.pathsim_right
-    S = pathsim_scores(counts.relation(left), counts.relation(right))
+    S = pathsim_scores(to_scipy(counts.relation(left)), to_scipy(counts.relation(right)))
     return UserGraph(W=_symmetrized(S), kind=f"pathsim:{left}-{right}")
 
 
@@ -315,17 +336,11 @@ def sparsify(graph: UserGraph, min_weight: float, top_k: int) -> UserGraph:
 def _kept(W: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:
     """The entries of the canonical CSR matrix W where `keep` is true. Each
     row's new extent comes from the running count of kept entries."""
+    import scipy.sparse as sp
+
     kept_before = np.zeros(W.nnz + 1, dtype=W.indptr.dtype)
     np.cumsum(keep, out=kept_before[1:])
     return sp.csr_matrix((W.data[keep], W.indices[keep], kept_before[W.indptr]), shape=W.shape)
-
-
-def _edge_keys(graph: BipartiteGraph) -> np.ndarray:
-    """Row-major flat keys of the graph's edges; sorted because CSR indices
-    are sorted per row."""
-    R = graph.R
-    rows = np.repeat(np.arange(graph.n_users, dtype=np.int64), np.diff(R.indptr))
-    return rows * graph.n_hashtags + R.indices.astype(np.int64)
 
 
 def _is_member(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -351,6 +366,8 @@ def save_matrix_coo(mat: sp.spmatrix, path) -> None:
     float64 CSR matrix already in that form is written from its own arrays;
     any other is converted or copied first, never changed in place.
     """
+    import scipy.sparse as sp
+
     csr = sp.csr_matrix(mat, dtype=np.float64)
     if not csr.has_canonical_format:
         csr = csr.copy()
@@ -365,7 +382,7 @@ def load_matrix_coo(path) -> sp.csr_matrix:
     (n, m, _), (indptr, indices, data) = read_container(path, GRAPH)
     if m > np.iinfo(np.int64).max:
         raise RecordError(f"{path}: column count {m} out of range")
-    return checked_csr(indptr, indices, data, (n, m), path)
+    return to_scipy(checked_csr(indptr, indices, data, (n, m), path))
 
 
 def _load_weights(path) -> sp.csr_matrix:

@@ -15,10 +15,9 @@ import sys
 import unicodedata
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
-import scipy.sparse as sp
 
 from .config import CorpusFilterConfig
 from .errors import DegenerateHashtag, EmptyCorpus, RecordError, ShapeError
@@ -89,12 +88,15 @@ def _parse_timestamp(value: str) -> float:
     return dt.timestamp()
 
 
-def _parse_tweet_line(line: str, line_no: int,
-                      normalized: dict[str, str]) -> tuple[TweetRecord, str | None]:
+def _parse_tweet_line(line: str, line_no: int, normalized: dict[str, str],
+                      checked: set[str]) -> tuple[TweetRecord, str | None]:
     """One record and its location. `normalized` maps each raw hashtag seen
     so far to its normalized form and is extended here, so each distinct raw
     hashtag is normalized once and the records share one string per
-    hashtag. User ids and kinds are interned, so they are shared too."""
+    hashtag. User ids and kinds are interned, so they are shared too.
+    `checked` holds the user ids and hashtags that checked_ids passed on
+    earlier lines; an id is checked until it passes, so a bad one is
+    refused on every line it appears on."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -128,7 +130,9 @@ def _parse_tweet_line(line: str, line_no: int,
                 raise RecordError(str(exc), line_no) from exc
         tags.append(tag)
 
-    checked_ids([user_id, *tags], "record", line_no)
+    fresh = [x for x in (user_id, *tags) if x not in checked]
+    if fresh:
+        checked.update(checked_ids(fresh, "record", line_no))
 
     ref = obj.get("ref_user_id")
     mentions = tuple(sys.intern(str(m)) for m in obj.get("mentions", ()) or ())
@@ -155,11 +159,12 @@ def parse_corpus(tweet_lines, follow_lines=(), outlet_lines=(), *, strict: bool)
     by_id: dict[str, TweetRecord] = {}
     locations: dict[str, str] = {}
     normalized: dict[str, str] = {}
+    checked: set[str] = set()
     for line_no, line in enumerate(tweet_lines, 1):
         if not line.strip():
             continue
         try:
-            record, location = _parse_tweet_line(line, line_no, normalized)
+            record, location = _parse_tweet_line(line, line_no, normalized, checked)
         except RecordError as exc:
             if strict:
                 raise
@@ -232,26 +237,113 @@ def apply_filters(corpus: Corpus, cfg: CorpusFilterConfig) -> Corpus:
     return Corpus(tweets=tweets, follows=follows, outlets=corpus.outlets, locations=locations)
 
 
-@dataclass
+@dataclass(frozen=True)
+class CSRArrays:
+    """A sparse matrix as its CSR arrays: row i holds the columns
+    indices[indptr[i]:indptr[i + 1]] with the values at the same slice of
+    data. The count matrices are canonical (column indices strictly
+    increase within a row) with float64 data, the form counts.json stores.
+    Their index arrays are int32 when every index and offset fits, so that
+    graphs.to_scipy wraps them without a copy, as scipy keeps that dtype."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+
+def _csr_arrays(indptr, indices, data, shape) -> CSRArrays:
+    """CSRArrays with the index dtype scipy would choose for them."""
+    small = max(*shape, len(indices)) <= np.iinfo(np.int32).max
+    dtype = np.int32 if small else np.int64
+    return CSRArrays(indptr.astype(dtype, copy=False), indices.astype(dtype, copy=False),
+                     data, tuple(shape))
+
+
+def _flat_keys(mat) -> np.ndarray:
+    """Row-major int64 keys row * width + column of a CSR matrix's entries,
+    in storage order; sorted and unique when the matrix is canonical."""
+    n, m = mat.shape
+    keys = np.repeat(np.arange(n, dtype=np.int64) * m, np.diff(mat.indptr))
+    keys += mat.indices
+    return keys
+
+
+def _sorted_within_rows(indptr, indices) -> bool:
+    """Whether column indices strictly increase within every row, that is
+    are sorted and unique: a step between two entries of one row must move
+    to a larger column."""
+    nnz = len(indices)
+    row_start = np.zeros(nnz + 1, dtype=bool)
+    row_start[indptr] = True
+    return bool((indices[1:] > indices[:-1])[~row_start[1:nnz]].all())
+
+
+def _from_keys(keys: np.ndarray, data: np.ndarray, shape) -> CSRArrays:
+    """The canonical CSR arrays of entries at sorted, unique row-major int64
+    keys. Row i starts at the first key at or past i * width. `keys` is
+    consumed: its entries become the column indices in place."""
+    n, m = shape
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * m)
+    np.remainder(keys, m, out=keys)
+    return _csr_arrays(indptr, keys, data, shape)
+
+
+def _unit_counts(rows, cols, shape) -> CSRArrays:
+    """CSR with one count per (row, col) pair, repeats summed and indices
+    sorted: the pairs' row-major keys are sorted in place, and each run of
+    equal keys is one entry."""
+    keys = np.asarray(rows, dtype=np.int64) * shape[1]
+    keys += np.asarray(cols, dtype=np.int64)
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    if first.all():  # no repeats, as for mutual follows: skip the run lengths
+        return _from_keys(keys, np.ones(len(keys)), shape)
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=len(keys)).astype(np.float64)
+    return _from_keys(keys[starts], counts, shape)
+
+
+def _summed_entries(mats) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted row-major keys and values of the entrywise sum of CSR
+    matrices of one shape, as scipy's `+` gives it: repeats of an entry are
+    added in the order of `mats` and of their storage, and sums equal to
+    zero are dropped."""
+    keys = np.concatenate([_flat_keys(mat) for mat in mats])
+    data = np.concatenate([mat.data for mat in mats]).astype(np.float64, copy=False)
+    if not (keys[1:] > keys[:-1]).all():
+        keys, inverse = np.unique(keys, return_inverse=True)
+        data = np.bincount(inverse, weights=data, minlength=len(keys))
+    nonzero = data != 0
+    return keys[nonzero], data[nonzero]
+
+
+@dataclass(frozen=True)
 class InteractionCounts:
     """Count matrices extracted from a corpus.
 
-    T splits by tweet kind: T = T_tweet + T_retweet + T_reply. The user-user
-    matrices hold directed mention and reply counts and the symmetric 0/1
-    mutual-follow indicator, all restricted to in-corpus users.
+    T splits by tweet kind: T = T_tweet + T_retweet + T_reply, derived on
+    first use. The user-user matrices hold directed mention and reply
+    counts and the symmetric 0/1 mutual-follow indicator, all restricted to
+    in-corpus users.
     """
 
     users: list[str]
     hashtags: list[str]
-    T: sp.csr_matrix
-    T_tweet: sp.csr_matrix
-    T_retweet: sp.csr_matrix
-    T_reply: sp.csr_matrix
-    mention: sp.csr_matrix
-    reply: sp.csr_matrix
-    mutual_follow: sp.csr_matrix
+    T_tweet: CSRArrays
+    T_retweet: CSRArrays
+    T_reply: CSRArrays
+    mention: CSRArrays
+    reply: CSRArrays
+    mutual_follow: CSRArrays
 
-    def relation(self, name: str) -> sp.csr_matrix:
+    @cached_property
+    def T(self) -> CSRArrays:
+        parts = (self.T_tweet, self.T_retweet, self.T_reply)
+        return _from_keys(*_summed_entries(parts), self.T_tweet.shape)
+
+    def relation(self, name: str) -> CSRArrays:
         table = {"tweet": self.T_tweet, "retweet": self.T_retweet, "reply": self.T_reply}
         if name not in table:
             raise KeyError(f"unknown relation {name!r}")
@@ -259,46 +351,38 @@ class InteractionCounts:
 
     def validate(self) -> None:
         n, m = len(self.users), len(self.hashtags)
-        for mat in (self.T, self.T_tweet, self.T_retweet, self.T_reply):
+        for mat in (self.T_tweet, self.T_retweet, self.T_reply):
             if mat.shape != (n, m):
                 raise ShapeError(f"hashtag count matrix is {mat.shape}, want {(n, m)}")
         for mat in (self.mention, self.reply, self.mutual_follow):
             if mat.shape != (n, n):
                 raise ShapeError(f"user relation matrix is {mat.shape}, want {(n, n)}")
-        total = self.T_tweet + self.T_retweet + self.T_reply
-        if abs(self.T - total).sum() != 0.0:
-            raise ShapeError("T is not the sum of T_tweet, T_retweet and T_reply")
+        if not np.isfinite(self.T.data).all():
+            raise ShapeError("T_tweet + T_retweet + T_reply overflows")
         if not (self.T.data >= 0).all():
             raise ShapeError("negative interaction count")
         if not is_symmetric(self.mutual_follow):
             raise ShapeError("mutual_follow is not symmetric")
 
 
-def is_symmetric(M: sp.csr_matrix) -> bool:
+def is_symmetric(M: CSRArrays) -> bool:
     """Whether the square matrix M equals its transpose, by the verdict of
-    abs(M - M.T).sum() == 0: a stored zero counts as absent and a
-    non-finite value (once duplicates are summed) as asymmetric. Only the
-    transpose is formed, and compared with M array by array; M is copied
-    first only if it holds duplicates, unsorted indices or stored zeros."""
-    M = sp.csr_matrix(M)
-    if not M.has_canonical_format or not M.data.all():
-        M = M.copy()
-        M.sum_duplicates()
-        M.eliminate_zeros()
+    abs(M - M.T).sum() == 0: repeated entries are summed, a stored zero
+    counts as absent and a non-finite value as asymmetric. M is not
+    changed; a copy in canonical form is made only if it holds repeats,
+    unsorted indices or stored zeros. The transpose's arrays are then
+    those of M's entries in column order, which a stable sort of the
+    column indices gives, and are compared with M's."""
+    if not (_sorted_within_rows(M.indptr, M.indices) and M.data.all()):
+        M = _from_keys(*_summed_entries((M,)), M.shape)
     if not np.isfinite(M.data).all():
         return False
-    T = M.T.tocsr()
-    return (np.array_equal(M.indptr, T.indptr) and np.array_equal(M.indices, T.indices)
-            and np.array_equal(M.data, T.data))
-
-
-def _unit_counts(rows, cols, shape) -> sp.csr_matrix:
-    """CSR with one count per (row, col) pair, duplicates summed and
-    indices sorted."""
-    mat = sp.csr_matrix((np.ones(len(rows)), (np.asarray(rows, dtype=np.int64),
-                                              np.asarray(cols, dtype=np.int64))), shape=shape)
-    mat.sum_duplicates()
-    return mat
+    n = M.shape[0]
+    if not np.array_equal(np.bincount(M.indices, minlength=n), np.diff(M.indptr)):
+        return False
+    order = np.argsort(M.indices, kind="stable")
+    rows = np.repeat(np.arange(n, dtype=M.indices.dtype), np.diff(M.indptr))
+    return np.array_equal(rows[order], M.indices) and np.array_equal(M.data[order], M.data)
 
 
 def extract_interactions(corpus: Corpus) -> InteractionCounts:
@@ -339,16 +423,12 @@ def extract_interactions(corpus: Corpus) -> InteractionCounts:
             mutual[1].append(uidx[b])
 
     n, m = len(users), len(tags)
-    t_tweet = _unit_counts(*by_kind["original"], (n, m))
-    t_retweet = _unit_counts(*by_kind["retweet"], (n, m))
-    t_reply = _unit_counts(*by_kind["reply"], (n, m))
     counts = InteractionCounts(
         users=users,
         hashtags=tags,
-        T=(t_tweet + t_retweet + t_reply).tocsr(),
-        T_tweet=t_tweet,
-        T_retweet=t_retweet,
-        T_reply=t_reply,
+        T_tweet=_unit_counts(*by_kind["original"], (n, m)),
+        T_retweet=_unit_counts(*by_kind["retweet"], (n, m)),
+        T_reply=_unit_counts(*by_kind["reply"], (n, m)),
         mention=_unit_counts(*mention, (n, n)),
         reply=_unit_counts(*reply_edges, (n, n)),
         mutual_follow=_unit_counts(*mutual, (n, n)),
@@ -375,9 +455,9 @@ def checked_ids(ids, source, line_no: int | None = None) -> list[str]:
     return ids
 
 
-def checked_csr(indptr, indices, data, shape, source) -> sp.csr_matrix:
-    """CSR matrix from arrays read out of a file, refused with RecordError
-    unless they form a canonical matrix of `shape`.
+def checked_csr(indptr, indices, data, shape, source) -> CSRArrays:
+    """CSR arrays read out of a file, refused with RecordError unless they
+    form a canonical matrix of `shape`.
 
     indptr must run from 0 to nnz without decreasing, column indices must
     lie in range and strictly increase within each row, and every value
@@ -391,25 +471,23 @@ def checked_csr(indptr, indices, data, shape, source) -> sp.csr_matrix:
         raise RecordError(f"{source}: bad row pointers")
     if nnz and (indices.min() < 0 or indices.max() >= m):
         raise RecordError(f"{source}: column index out of range")
-    # A step between two entries of one row must move to a larger column.
-    row_start = np.zeros(nnz + 1, dtype=bool)
-    row_start[indptr] = True
-    if not (indices[1:] > indices[:-1])[~row_start[1:nnz]].all():
+    if not _sorted_within_rows(indptr, indices):
         raise RecordError(f"{source}: column indices not sorted and unique within a row")
     if not np.isfinite(data).all():
         raise RecordError(f"{source}: non-finite value")
-    return sp.csr_matrix((data, indices, indptr), shape=shape)
+    return _csr_arrays(indptr, indices, data, shape)
 
 
-def _write_columns(fh, mat: sp.spmatrix, dumps) -> None:
-    """Write mat as the CSR columns object {"indptr", "indices", "data"}.
+def _write_columns(fh, mat: CSRArrays, dumps) -> None:
+    """Write the canonical mat as the CSR columns object {"indptr",
+    "indices", "data"}, its values as floats.
 
     Each array goes out JSON_SLICE entries at a time, so only one slice is
     ever a Python list; the bytes equal dumps() of the whole-array lists."""
-    csr = sp.csr_matrix(mat, dtype=np.float64, copy=True)
-    csr.sum_duplicates()
+    columns = {"indptr": mat.indptr, "indices": mat.indices,
+               "data": mat.data.astype(np.float64, copy=False)}
     for sep, key in (("{", "indptr"), (",", "indices"), (",", "data")):
-        arr = getattr(csr, key)
+        arr = columns[key]
         fh.write(f'{sep}"{key}":[')
         for start in range(0, arr.size, JSON_SLICE):
             fh.write(("," if start else "") + dumps(arr[start:start + JSON_SLICE].tolist())[1:-1])
@@ -427,7 +505,7 @@ def _column_array(values, kinds: str, source: str) -> np.ndarray:
     return arr
 
 
-def _from_columns(columns, shape, source: str) -> sp.csr_matrix:
+def _from_columns(columns, shape, source: str) -> CSRArrays:
     if not isinstance(columns, dict) or set(columns) != {"indptr", "indices", "data"}:
         raise RecordError(f"{source}: bad matrix columns")
     mat = checked_csr(
@@ -437,7 +515,7 @@ def _from_columns(columns, shape, source: str) -> sp.csr_matrix:
         shape,
         source,
     )
-    if mat.nnz and mat.data.min() < 0:
+    if (mat.data < 0).any():
         raise RecordError(f"{source}: negative count")
     return mat
 
@@ -481,11 +559,9 @@ def load_counts(path) -> InteractionCounts:
                             f"{path} {name}")
         for name in COUNT_MATRICES
     }
-    counts = InteractionCounts(
-        users=users,
-        hashtags=tags,
-        T=(mats["T_tweet"] + mats["T_retweet"] + mats["T_reply"]).tocsr(),
-        **mats,
-    )
+    # The decoded array lists go before validate's arrays are allocated,
+    # so that those reuse their memory instead of adding to it.
+    del payload
+    counts = InteractionCounts(users=users, hashtags=tags, **mats)
     counts.validate()
     return counts

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError
 from .graphs import _is_member
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # The cutoff of every ranking metric the pipeline reports or stops on.
 EVAL_K = 20

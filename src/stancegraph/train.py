@@ -18,7 +18,8 @@ import numpy as np
 
 from .config import ModelConfig, TrainConfig
 from .errors import ConfigError, NumericsError
-from .graphs import BipartiteGraph, _edge_keys, _is_member
+from .graphs import BipartiteGraph, _is_member
+from .ingest import _flat_keys
 from .metrics import EVAL_K, ranking_metrics
 from .model import (
     ChannelOperators,
@@ -86,7 +87,7 @@ def sample_epoch(graph: BipartiteGraph, rng: np.random.Generator) -> np.ndarray:
     pairs = pairs[rng.permutation(pairs.shape[0])]
     users = pairs[:, 0]
     positives = pairs[:, 1]
-    keys = _edge_keys(graph)
+    keys = _flat_keys(graph.R)
     negatives = rng.integers(0, m, size=len(users), dtype=np.int64)
     bad = _is_member(keys, users * m + negatives)
     while bad.any():
@@ -267,6 +268,7 @@ def train(
     best_epoch = 0
     evals_since_best = 0
     history: list[HistoryRow] = []
+    out = None  # forward(params), while no step has changed params since
 
     for epoch in range(1, train_cfg.max_epochs + 1):
         t0 = time.perf_counter()
@@ -274,11 +276,13 @@ def train(
         bpr_sum = 0.0
         for start in range(0, triples.shape[0], train_cfg.batch_size):
             batch = triples[start:start + train_cfg.batch_size]
-            out = forward(params, ops, model_cfg)
+            if out is None:
+                out = forward(params, ops, model_cfg)
             scores = pair_scores(batch, out)
             bpr_sum += bpr_loss(batch, out, params, 0.0, scores)
             grad = grad_e0(batch, out, ops, model_cfg, params, train_cfg.lambda_reg, scores)
             adam_step(adam, params, grad, train_cfg.learning_rate)
+            out = None
         reg = train_cfg.lambda_reg * float(np.sum(params * params))
         epoch_loss = bpr_sum / triples.shape[0] + reg
 

@@ -7,8 +7,20 @@ import struct
 import numpy as np
 import scipy.sparse as sp
 
-from stancegraph.graphs import BipartiteGraph, UserGraph
-from stancegraph.ingest import InteractionCounts
+from stancegraph.graphs import BipartiteGraph, UserGraph, to_scipy
+from stancegraph.ingest import CSRArrays, InteractionCounts
+
+
+def count_matrix(M) -> CSRArrays:
+    """The canonical CSR arrays of a dense array or scipy matrix, as scipy
+    builds them."""
+    M = sp.csr_matrix(M, dtype=np.float64)
+    M.sum_duplicates()
+    return CSRArrays(M.indptr, M.indices, M.data, M.shape)
+
+
+def dense(mat: CSRArrays) -> np.ndarray:
+    return to_scipy(mat).toarray()
 
 
 def counts_from(
@@ -24,18 +36,15 @@ def counts_from(
     n, m = T_tweet.shape
     zero_nm = np.zeros((n, m))
     zero_nn = np.zeros((n, n))
-    T_retweet = zero_nm if T_retweet is None else np.asarray(T_retweet, dtype=np.float64)
-    T_reply = zero_nm if T_reply is None else np.asarray(T_reply, dtype=np.float64)
     return InteractionCounts(
         users=[f"u{i:03d}" for i in range(n)],
         hashtags=[f"h{j:03d}" for j in range(m)],
-        T=sp.csr_matrix(T_tweet + T_retweet + T_reply),
-        T_tweet=sp.csr_matrix(T_tweet),
-        T_retweet=sp.csr_matrix(T_retweet),
-        T_reply=sp.csr_matrix(T_reply),
-        mention=sp.csr_matrix(zero_nn if mention is None else mention),
-        reply=sp.csr_matrix(zero_nn if reply is None else reply),
-        mutual_follow=sp.csr_matrix(zero_nn if mutual is None else mutual),
+        T_tweet=count_matrix(T_tweet),
+        T_retweet=count_matrix(zero_nm if T_retweet is None else T_retweet),
+        T_reply=count_matrix(zero_nm if T_reply is None else T_reply),
+        mention=count_matrix(zero_nn if mention is None else mention),
+        reply=count_matrix(zero_nn if reply is None else reply),
+        mutual_follow=count_matrix(zero_nn if mutual is None else mutual),
     )
 
 

@@ -17,8 +17,9 @@ from stancegraph.graphs import (
     NormalizedAdjacency,
     UserGraph,
     _is_member,
+    to_scipy,
 )
-from stancegraph.ingest import InteractionCounts
+from stancegraph.ingest import CSRArrays, InteractionCounts
 from stancegraph.model import ModelConfig, forward
 from stancegraph.train import bpr_loss
 
@@ -133,15 +134,14 @@ def ground_truth_stance(hidden_weights: dict[str, float], annotations: StanceAnn
     return best_cls
 
 
-def csr_from_counts(counter: dict[tuple[int, int], float], shape) -> sp.csr_matrix:
-    """CSR from a {(row, col): count} dict, keys in sorted order."""
-    if not counter:
-        return sp.csr_matrix(shape, dtype=np.float64)
+def csr_from_counts(counter: dict[tuple[int, int], float], shape) -> CSRArrays:
+    """CSR arrays from a {(row, col): count} dict, keys in sorted order."""
     keys = sorted(counter)
     rows = np.array([k[0] for k in keys], dtype=np.int64)
     cols = np.array([k[1] for k in keys], dtype=np.int64)
     data = np.array([counter[k] for k in keys], dtype=np.float64)
-    return sp.csr_matrix((data, (rows, cols)), shape=shape)
+    M = sp.csr_matrix((data, (rows, cols)), shape=shape)
+    return CSRArrays(M.indptr, M.indices, M.data, M.shape)
 
 
 # The COO pipeline that graphs.build_social_graph, pathsim_scores,
@@ -149,10 +149,11 @@ def csr_from_counts(counter: dict[tuple[int, int], float], shape) -> sp.csr_matr
 # and builds a new CSR matrix.
 
 def build_social_graph(counts: InteractionCounts, cfg: GraphConfig) -> UserGraph:
+    mention, reply = to_scipy(counts.mention), to_scipy(counts.reply)
     W = (
-        cfg.social_c_follow * counts.mutual_follow
-        + cfg.social_c_mention * (counts.mention + counts.mention.T)
-        + cfg.social_c_reply * (counts.reply + counts.reply.T)
+        cfg.social_c_follow * to_scipy(counts.mutual_follow)
+        + cfg.social_c_mention * (mention + mention.T)
+        + cfg.social_c_reply * (reply + reply.T)
     )
     W = (W + W.T) * 0.5
     W = sp.csr_matrix(W)
@@ -176,7 +177,8 @@ def pathsim_scores(M1: sp.csr_matrix, M2: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def compute_pathsim(counts: InteractionCounts, cfg: GraphConfig) -> UserGraph:
-    S = pathsim_scores(counts.relation(cfg.pathsim_left), counts.relation(cfg.pathsim_right))
+    S = pathsim_scores(to_scipy(counts.relation(cfg.pathsim_left)),
+                       to_scipy(counts.relation(cfg.pathsim_right)))
     W = (S + S.T) * 0.5
     W = sp.csr_matrix(W)
     W.setdiag(0.0)

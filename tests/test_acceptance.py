@@ -43,7 +43,7 @@ from stancegraph.model import (
 )
 from stancegraph.train import grad_e0, sample_epoch
 
-from conftest import counts_from, random_bipartite, random_user_graph
+from conftest import counts_from, dense, random_bipartite, random_user_graph
 from reference import evaluate_loss, ndcg_at_k, recall_at_k, score_all
 
 
@@ -189,8 +189,8 @@ def test_accept_3_pathsim_matches_instance_enumeration(capfd):
             counts = counts_from(T_tweet=draw(), T_retweet=draw(), T_reply=draw())
             got = compute_pathsim(counts, spec).W.toarray()
             want = enumerated_pathsim(
-                counts.relation(spec.pathsim_left).toarray(),
-                counts.relation(spec.pathsim_right).toarray(),
+                dense(counts.relation(spec.pathsim_left)),
+                dense(counts.relation(spec.pathsim_right)),
             )
             worst = max(worst, float(np.abs(got - want).max()))
             cases += 1
@@ -304,7 +304,7 @@ def synth_runs():
     for s in range(N_SEEDS):
         rng = np.random.default_rng(np.random.SeedSequence(s, spawn_key=(5,)))
         data = synth_generate(SynthConfig(), rng)
-        volume = int(data.counts.T.sum())
+        volume = int(data.counts.T.data.sum())
         graph = build_interaction_graph(data.counts)
         common = dict(holdout_fraction=0.05, folds=2)
         real = run_protocol(graph, None, data.annotations, data.counts.hashtags,

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stancegraph.cli import _load_dataset, main
+from stancegraph.cli import _load_dataset, _write_pairs, main
 from stancegraph.config import (
     CorpusFilterConfig,
     EvalConfig,
@@ -51,10 +51,11 @@ def run(argv) -> int:
     return main([str(a) for a in argv])
 
 
-def fresh_python(args, cwd) -> subprocess.CompletedProcess:
-    """Run the interpreter in a new process with the package on its path."""
-    path = os.pathsep.join([str(SRC)] + ([os.environ["PYTHONPATH"]]
-                                         if os.environ.get("PYTHONPATH") else []))
+def fresh_python(args, cwd, *paths) -> subprocess.CompletedProcess:
+    """Run the interpreter in a new process with `paths`, then the package,
+    on its path."""
+    path = os.pathsep.join([*map(str, paths), str(SRC)] + ([os.environ["PYTHONPATH"]]
+                                                           if os.environ.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), timeout=120)
 
@@ -89,6 +90,68 @@ def test_cli_import_leaves_scipy_special_out(tmp_path):
     proc = fresh_python(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# The modules perfbench/tracer.py wraps, which `import stancegraph.cli` must load.
+TRACED_MODULES = ["config", "ingest", "graphs", "model", "train", "metrics", "evaluate"]
+
+
+def test_cli_import_loads_the_traced_modules_but_not_scipy_sparse(tmp_path):
+    code = ("import json, sys, stancegraph.cli; print(json.dumps(["
+            "[m[len('stancegraph.'):] for m in sys.modules if m.startswith('stancegraph.')], "
+            "'scipy.sparse' in sys.modules]))")
+    proc = fresh_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded, scipy_loaded = json.loads(proc.stdout)
+    assert set(TRACED_MODULES) <= set(loaded)
+    assert scipy_loaded is False
+
+
+# A sitecustomize module, which an interpreter imports at start-up when it
+# is on the path: it records whether scipy.sparse was loaded when gc.freeze
+# ran, and prints that and the scipy modules loaded at exit.
+SCIPY_PROBE = """import atexit, gc, json, sys
+freeze, at_freeze = gc.freeze, []
+def recording_freeze():
+    at_freeze.append("scipy.sparse" in sys.modules)
+    freeze()
+gc.freeze = recording_freeze
+atexit.register(lambda: print(json.dumps(
+    [at_freeze, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")])))
+"""
+
+
+@pytest.mark.parametrize("command, sparse", [
+    ("ingest", False), ("synth", False), ("curve", False),
+    ("build", True), ("train", True), ("eval", True),
+])
+def test_only_graph_commands_load_scipy_and_before_the_freeze(tmp_path, command, sparse):
+    raw, data, eval_dir = synth_build_eval(tmp_path)
+    tweets = tmp_path / "tweets.jsonl"
+    tweets.write_text(json.dumps({"tweet_id": "t1", "user_id": "u1", "kind": "original",
+                                  "timestamp": "2022-09-04T12:00:00Z", "text": "#a #b"}) + "\n",
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {
+        "ingest": ["--tweets", tweets, "--out", out / "counts.json"],
+        "synth": ["--out", out, "--n-users", "20", "--n-hashtags", "10", "--n-neutral", "2",
+                  "--interactions-per-user", "4", "--annotated-per-camp", "2"],
+        "curve": ["--data", data, "--eval-dir", eval_dir, "--annotations",
+                  raw / "annotations.tsv", "--out", out / "curve.csv", "--x-max", "2"],
+        "build": ["--counts", raw / "counts.json", "--out", out],
+        "train": ["--data", data, "--out", out, "--max-epochs", "1", "--dim", "4"],
+        "eval": ["--data", data, "--annotations", raw / "annotations.tsv", "--out", out,
+                 "--max-epochs", "1", "--folds", "2", "--holdout-fraction", "0.1",
+                 "--dim", "4"],
+    }[command]
+    probe = tmp_path / "probe"
+    probe.mkdir()
+    (probe / "sitecustomize.py").write_text(SCIPY_PROBE, encoding="utf-8")
+    proc = fresh_python(["-m", "stancegraph.cli", command, *map(str, argv)], tmp_path, probe)
+    assert proc.returncode == 0, proc.stderr
+    at_freeze, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert at_freeze == [sparse]
+    assert "scipy.sparse" in scipy_modules if sparse else scipy_modules == []
 
 
 def test_module_entry_runs_synth(tmp_path):
@@ -624,12 +687,20 @@ def test_every_command_refuses_bad_graph_and_protocol_keys(tmp_path, capsys, com
 
 
 def test_eval_refuses_an_unknown_variant(tmp_path, capsys):
+    # Every command refuses it, not only eval, which reads it: on inputs
+    # that do not exist, a command that took the name would exit 4, or 0.
     out = tmp_path / "out"
-    assert run(stage_argv("eval", tmp_path, out) + ["--variant", "bogus"]) == 2
-    err = capsys.readouterr().err
-    assert [line for line in err.splitlines() if line.startswith("error ")] == [
-        "error kind=ConfigError exit=2: unknown model variant 'bogus'"]
-    assert not out.exists()
+    for argv in (stage_argv("build", tmp_path, out), stage_argv("train", tmp_path, out),
+                 stage_argv("eval", tmp_path, out),
+                 ["ingest", "--tweets", tmp_path / "tweets.jsonl", "--out", out],
+                 ["curve", "--data", tmp_path / "data", "--eval-dir", tmp_path / "eval",
+                  "--annotations", tmp_path / "ann.tsv", "--out", out],
+                 ["synth", "--out", out]):
+        assert run(argv + ["--variant", "bogus"]) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error ")] == [
+            "error kind=ConfigError exit=2: unknown model variant 'bogus'"], argv[0]
+        assert not out.exists()
 
 
 def test_build_with_every_social_coefficient_zero_exits_5(tmp_path, capsys):
@@ -712,7 +783,7 @@ def test_ingest_command_roundtrip(tmp_path):
     out = tmp_path / "counts.json"
     assert run(["ingest", "--tweets", tweets, "--out", out]) == 0
     counts = load_counts(out)
-    assert counts.T.sum() == 9
+    assert counts.T.data.sum() == 9
 
 
 def test_train_zero_epochs_checkpoint_is_initialization(tmp_path):
@@ -737,6 +808,15 @@ def test_train_writes_history(tmp_path):
     lines = (out / "history.csv").read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "epoch,loss,recall@20,ndcg@20,elapsed_ms"
     assert len(lines) == 4
+
+
+def test_val_pairs_are_written_in_sorted_tuple_order(tmp_path):
+    rng = np.random.default_rng(4)
+    pairs = rng.integers(0, 12, size=(300, 2))  # unsorted, with repeats
+    users, hashtags = [f"u{i}" for i in range(12)], [f"h{j}" for j in range(12)]
+    _write_pairs(pairs, users, hashtags, tmp_path / "val.tsv")
+    want = "".join(f"{users[u]}\t{hashtags[j]}\n" for u, j in sorted(map(tuple, pairs.tolist())))
+    assert (tmp_path / "val.tsv").read_text(encoding="utf-8") == want
 
 
 def test_eval_and_curve_pipeline(tmp_path):
@@ -786,7 +866,7 @@ def test_curve_reads_the_model_eval_evaluated(tmp_path, variant, channel_flags):
     counts, graph, channels = _load_dataset(data, cfg)
     annotations = with_usage(load_annotations(annotations_path), counts)
     res = run_protocol(graph, channels, annotations, counts.hashtags, cfg, stage_seed(3, "eval"),
-                       null_interactions=int(counts.T.sum()))
+                       null_interactions=int(counts.T.data.sum()))
     want = annotation_curve(res.propagated.users, res.propagated.hashtags, counts.hashtags,
                             res.split.hidden, annotations, range(1, 6))
     assert curve_path.read_text(encoding="utf-8") == "x,accuracy\n" + "".join(

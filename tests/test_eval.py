@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from stancegraph import evaluate, metrics, model
-from stancegraph.config import EvalConfig, RunConfig
+from stancegraph.config import VARIANT_NAMES, EvalConfig, RunConfig
 from stancegraph.errors import (
     BoundsError,
     ConfigError,
@@ -731,7 +731,7 @@ def test_synth_validates_probabilities():
 
 def test_synth_counts_match_interaction_budget():
     data, cfg = small_synth()
-    assert data.counts.T.sum() == cfg.n_users * cfg.interactions_per_user
+    assert data.counts.T.data.sum() == cfg.n_users * cfg.interactions_per_user
 
 
 def synth_reference(cfg, rng):
@@ -777,10 +777,9 @@ def synth_reference(cfg, rng):
     t_tweet = csr_from_counts(by_kind["original"], (n, m))
     t_retweet = csr_from_counts(by_kind["retweet"], (n, m))
     counts = InteractionCounts(
-        users=users, hashtags=tags, T=(t_tweet + t_retweet).tocsr(),
-        T_tweet=t_tweet, T_retweet=t_retweet,
-        T_reply=sp.csr_matrix((n, m)), mention=sp.csr_matrix((n, n)),
-        reply=sp.csr_matrix((n, n)), mutual_follow=csr_from_counts(mutual, (n, n)),
+        users=users, hashtags=tags, T_tweet=t_tweet, T_retweet=t_retweet,
+        T_reply=csr_from_counts({}, (n, m)), mention=csr_from_counts({}, (n, n)),
+        reply=csr_from_counts({}, (n, n)), mutual_follow=csr_from_counts(mutual, (n, n)),
     )
     annotations = StanceAnnotation(by_class={
         "POS": tuple(tags[j] for j in pos_tags[: cfg.annotated_per_camp]),
@@ -818,6 +817,14 @@ def test_synth_generate_equals_scalar_loop_reference(kw, tmp_path):
         assert got.annotations == want.annotations
         assert rng_got.bit_generator.state == rng_want.bit_generator.state
         assert rng_got.random() == rng_want.random()
+
+
+def test_variant_table_holds_exactly_the_configured_names():
+    assert set(VARIANTS) == set(VARIANT_NAMES)
+    for name in VARIANT_NAMES:
+        assert RunConfig(variant=name).variant == name
+    with pytest.raises(ConfigError, match="unknown model variant 'bogus'"):
+        RunConfig(variant="bogus")
 
 
 # protocol and reports -------------------------------------------------------

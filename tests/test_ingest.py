@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from stancegraph import ingest
 from stancegraph.errors import DegenerateHashtag, EmptyCorpus, RecordError, ShapeError
+from stancegraph.graphs import to_scipy
 from stancegraph.ingest import (
+    CSRArrays,
     Corpus,
     CorpusFilterConfig,
     apply_filters,
@@ -26,7 +28,7 @@ from stancegraph.ingest import (
     save_counts,
 )
 
-from conftest import counts_from
+from conftest import count_matrix, counts_from, dense
 from reference import csr_from_counts
 
 
@@ -109,6 +111,57 @@ def test_parse_malformed_line_lenient_skips():
         lines = [tweet_line("t1", "alice"), bad, tweet_line("t2", "bob")]
         corpus = parse_corpus(lines, strict=False)
         assert [t.tweet_id for t in corpus.tweets] == ["t1", "t2"]
+
+
+@pytest.mark.parametrize("bad", [
+    tweet_line("t3", "user\nzero", text="#a"),
+    tweet_line("t3", "carol", hashtags=["#a", "#b\tc"]),
+], ids=["user-id", "hashtag"])
+def test_bad_id_first_seen_on_a_later_line_is_refused_on_every_line(bad):
+    # Each id is checked until it passes once; the good ids of lines 1-2
+    # pass before the bad one first appears on line 3, and again on line 5.
+    good = [tweet_line("t1", "carol", hashtags=["#a"]), tweet_line("t2", "carol", text="#a")]
+    lines = good + [bad, tweet_line("t4", "carol", text="#a"), bad.replace("t3", "t5")]
+    with pytest.raises(RecordError) as err:
+        parse_corpus(lines, strict=True)
+    assert err.value.line_no == 3 and "holds a tab, line break or surrogate" in str(err.value)
+    with pytest.raises(RecordError) as err:
+        parse_corpus(lines[:2] + lines[3:], strict=True)
+    assert err.value.line_no == 4
+    corpus = parse_corpus(lines, strict=False)
+    assert [t.tweet_id for t in corpus.tweets] == ["t1", "t2", "t4"]
+
+
+ID_SPELLINGS = st.sampled_from(["ana", "Más", "x\ty", "u\nv", "c\rd", "\ud800", "#", " "])
+RECORD_LINES = st.one_of(
+    st.builds(lambda tid, uid, tags: tweet_line(tid, uid, hashtags=tags),
+              st.sampled_from(["t1", "t2", "t3"]), ID_SPELLINGS, st.lists(ID_SPELLINGS, max_size=3)),
+    st.sampled_from(["{not json", "[]", '{"tweet_id": "t9"}']),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(RECORD_LINES, min_size=1, max_size=8), strict=st.booleans())
+def test_parse_gives_the_verdict_of_each_line_parsed_alone(lines, strict):
+    # What parse_corpus keeps across lines (the normalized hashtags, the ids
+    # that passed their check) changes no line's verdict.
+    alone = []
+    for k, line in enumerate(lines, 1):
+        try:
+            alone.append(parse_corpus([line], strict=True).tweets[0])
+        except RecordError as exc:
+            alone.append(f"line {k}:" + str(exc).removeprefix("line 1:"))
+    errors = [verdict for verdict in alone if isinstance(verdict, str)]
+    if strict and errors:
+        with pytest.raises(RecordError) as err:
+            parse_corpus(lines, strict=True)
+        assert str(err.value) == errors[0]
+        return
+    last = {}
+    for verdict in alone:
+        if not isinstance(verdict, str):
+            last[verdict.tweet_id] = verdict
+    assert parse_corpus(lines, strict=strict).tweets == list(last.values())
 
 
 def test_parse_duplicate_tweet_id_last_wins(caplog):
@@ -225,7 +278,7 @@ def test_extract_counts_repeated_hashtag():
     corpus = make_corpus([tweet_line("t1", "alice", text="hola #a #a")])
     counts = extract_interactions(corpus)
     j = counts.hashtags.index("a")
-    assert counts.T[0, j] == 2.0
+    assert dense(counts.T)[0, j] == 2.0
 
 
 def test_extract_retweet_populates_both_matrices():
@@ -233,8 +286,8 @@ def test_extract_retweet_populates_both_matrices():
     counts = extract_interactions(corpus)
     j = counts.hashtags.index("b")
     i = counts.users.index("alice")
-    assert counts.T_retweet[i, j] == 1.0
-    assert counts.T[i, j] == 1.0
+    assert dense(counts.T_retweet)[i, j] == 1.0
+    assert dense(counts.T)[i, j] == 1.0
 
 
 def test_extract_mutual_follow_is_symmetric():
@@ -244,8 +297,8 @@ def test_extract_mutual_follow_is_symmetric():
     )
     counts = extract_interactions(corpus)
     i, j = counts.users.index("p"), counts.users.index("q")
-    assert counts.mutual_follow[i, j] == 1.0
-    assert counts.mutual_follow[j, i] == 1.0
+    assert dense(counts.mutual_follow)[i, j] == 1.0
+    assert dense(counts.mutual_follow)[j, i] == 1.0
 
 
 def test_extract_one_way_follow_is_not_mutual():
@@ -254,7 +307,7 @@ def test_extract_one_way_follow_is_not_mutual():
         follows=["p\tq"],
     )
     counts = extract_interactions(corpus)
-    assert counts.mutual_follow.nnz == 0
+    assert len(counts.mutual_follow.data) == 0
 
 
 def test_extract_conserves_incidences():
@@ -270,7 +323,7 @@ def test_extract_conserves_incidences():
                                 text=f"texto {tags}", kind=kind, ref=ref))
         total += n_tags
     counts = extract_interactions(make_corpus(lines))
-    assert counts.T.sum() == total
+    assert counts.T.data.sum() == total
     counts.validate()
 
 
@@ -347,10 +400,13 @@ def _valid_counts():
 # One broken invariant per bundle. Only pytest.raises checks here, so the
 # test still means something under `python -O`, which strips assert.
 @pytest.mark.parametrize("broken", [
-    lambda c: dataclasses.replace(c, T_reply=sp.csr_matrix((2, 3))),
-    lambda c: dataclasses.replace(c, T=c.T + sp.csr_matrix(np.eye(2))),
+    lambda c: dataclasses.replace(c, T_reply=count_matrix(np.zeros((2, 3)))),
+    # T is derived from its parts, so the only sum that can fail is one
+    # past the float range
+    lambda c: dataclasses.replace(c, T_tweet=count_matrix([[1e308, 0.0], [2.0, 1.0]]),
+                                  T_retweet=count_matrix([[1e308, 0.0], [0.0, 0.0]])),
     lambda c: counts_from(np.array([[-1.0, 0.0], [2.0, 1.0]])),
-    lambda c: dataclasses.replace(c, mutual_follow=sp.csr_matrix(np.triu(np.ones((2, 2)), 1))),
+    lambda c: dataclasses.replace(c, mutual_follow=count_matrix(np.triu(np.ones((2, 2)), 1))),
 ], ids=["shape", "sum-of-parts", "negative", "asymmetric-follow"])
 def test_validate_raises_shape_error(broken):
     _valid_counts().validate()
@@ -391,7 +447,7 @@ def test_symmetry_check_gives_the_verdict_of_the_difference_sum(n, data):
     before = (M.indptr.copy(), M.indices.copy(), M.data.copy())
     with np.errstate(all="ignore"):
         want = not abs(M - M.T).sum() != 0.0
-    assert ingest.is_symmetric(M) == want
+    assert ingest.is_symmetric(CSRArrays(M.indptr, M.indices, M.data, M.shape)) == want
     for got, was in zip((M.indptr, M.indices, M.data), before):
         assert np.array_equal(got, was, equal_nan=True)
 
@@ -430,7 +486,11 @@ def test_counts_roundtrip_identical(tmp_path):
     assert back.hashtags == counts.hashtags
     for name in ("T", "T_tweet", "T_retweet", "T_reply", "mention", "reply", "mutual_follow"):
         a, b = getattr(counts, name), getattr(back, name)
-        assert np.array_equal(a.toarray(), b.toarray())
+        assert np.array_equal(dense(a), dense(b))
+
+
+def scaled(mat: CSRArrays, factor: float) -> CSRArrays:
+    return dataclasses.replace(mat, data=mat.data * factor)
 
 
 def small_counts(rng: np.random.Generator, n: int = 4, m: int = 3):
@@ -462,13 +522,13 @@ def test_counts_roundtrip_is_byte_exact(tmp_path):
         save_counts(load_counts(first), second)
         assert first.read_bytes() == second.read_bytes()
     # a bundle with no interactions of some kinds keeps its empty matrices
-    assert load_counts(second).T_reply.nnz == 0
+    assert len(load_counts(second).T_reply.data) == 0
 
 
 def test_counts_file_is_one_compact_json_document(tmp_path):
     counts = small_counts(np.random.default_rng(5), 5, 4)
     counts = dataclasses.replace(counts, users=["usér", "ü2", "u3", "u4", "u5"],
-                                 T_tweet=counts.T_tweet * 0.1)
+                                 T_tweet=scaled(counts.T_tweet, 0.1))
     path = tmp_path / "counts.json"
     save_counts(counts, path)
     text = path.read_text(encoding="utf-8")
@@ -489,11 +549,11 @@ def test_counts_arrays_written_in_slices_keep_their_bytes(tmp_path, monkeypatch,
         # 300 users who all follow each other: 89,700 entries, two default slices
         rng = np.random.default_rng(6)
         counts = counts_from(rng.integers(0, 3, size=(300, 4)), mutual=1 - np.eye(300))
-        assert counts.mutual_follow.nnz > ingest.JSON_SLICE
+        assert len(counts.mutual_follow.data) > ingest.JSON_SLICE
     else:
         monkeypatch.setattr(ingest, "JSON_SLICE", slice_size)
         counts = small_counts(np.random.default_rng(7), 12, 9)
-        counts = dataclasses.replace(counts, T_tweet=counts.T_tweet * 0.1)
+        counts = dataclasses.replace(counts, T_tweet=scaled(counts.T_tweet, 0.1))
     path = tmp_path / "counts.json"
     save_counts(counts, path)
     text = path.read_text(encoding="utf-8")
@@ -513,7 +573,8 @@ def test_counts_file_with_empty_matrices(tmp_path):
     assert text == compact(json.loads(text))
     assert '"mention":{"indptr":[0,0,0,0],"indices":[],"data":[]}' in text
     loaded = load_counts(path)
-    assert loaded.T_tweet.shape == (3, 2) and loaded.T.nnz == 0 and loaded.mutual_follow.nnz == 0
+    assert loaded.T_tweet.shape == (3, 2)
+    assert len(loaded.T.data) == 0 and len(loaded.mutual_follow.data) == 0
 
 
 def counts_payload(tmp_path) -> dict:
@@ -612,5 +673,5 @@ def test_counts_loader_fuzz_returns_valid_counts_or_typed_error(seed, n, m, data
         counts.validate()
         for name in ("T_tweet", "T_retweet", "T_reply", "mention", "reply", "mutual_follow"):
             mat = getattr(counts, name)
-            assert mat.has_canonical_format
+            assert to_scipy(mat).has_canonical_format
             assert np.isfinite(mat.data).all() and (mat.data >= 0).all()

@@ -4,14 +4,22 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "mscale.py"
-_spec = importlib.util.spec_from_file_location("mscale", TOOL)
-mscale = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(mscale)
-
 HASHES = {"counts.json": "aa", "pathsim.coo": "bb"}
+
+
+def load(name: str, path: Path):
+    """The module at `path`, registered as `name` (its dataclasses look it up)."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ROOT = Path(__file__).resolve().parents[1]
+mscale = load("mscale", ROOT / "tools" / "mscale.py")
 
 
 def record(tree: str, run: int, stage: str, wall_s: float, peak_rss_mb: float, rc: int = 0,
@@ -96,10 +104,13 @@ def test_one_small_run_records_every_stage(tmp_path, capsys):
                         "--interactions-per-user", "5", "--out", str(out)]) == 0
     result = json.loads(out.read_text(encoding="utf-8"))
     assert result["claimed"] is False
-    stages = ["synth", "build", "train", "train-channels", "eval-channels"]
+    stages = ["ingest", "synth", "build", "train", "train-channels", "eval-channels", "curve"]
     assert [(r["tree"], r["stage"], r["rc"]) for r in result["records"]] == [
         ("change", stage, 0) for stage in stages]
-    synth, build, train, train_channels, eval_channels = result["records"]
+    ingest, synth, build, train, train_channels, eval_channels, curve = result["records"]
+    assert set(ingest["outputs"]) == {"counts.json"}
+    assert ingest["outputs"]["counts.json"] != synth["outputs"]["counts.json"]
+    assert result["size"]["corpus_tweets"] == 25 * 40 and result["size"]["corpus_seed"] == 7
     assert set(synth["outputs"]) == {"annotations.tsv", "counts.json", "planted.tsv"}
     assert set(build["outputs"]) == {"bipartite.coo", "counts.json", "pathsim.coo", "social.coo"}
     # build copies the counts file it read.
@@ -109,5 +120,17 @@ def test_one_small_run_records_every_stage(tmp_path, capsys):
     # The channels change what is trained.
     assert train["outputs"]["checkpoint.bin"] != train_channels["outputs"]["checkpoint.bin"]
     assert "report.txt" in eval_channels["outputs"]
+    assert set(curve["outputs"]) == {"curve.csv"}
     assert all(r["peak_rss_mb"] > 0 and r["wall_s"] > 0 for r in result["records"])
-    assert "run 0 change eval-channels" in capsys.readouterr().out
+    assert "run 0 change curve" in capsys.readouterr().out
+
+
+def test_ingest_corpus_is_perfbench_corpus_from_seed_7(tmp_path):
+    corpus = load("perfbench_corpus", ROOT / "perfbench" / "corpus.py")
+    mscale.generate_corpus(tmp_path / "tool", 40, 60)
+    corpus.generate(corpus.CorpusSpec(n_users=40, n_hashtags=60, n_tweets=1000), 7,
+                    tmp_path / "want")
+    names = sorted(p.name for p in (tmp_path / "want").iterdir())
+    assert sorted(p.name for p in (tmp_path / "tool").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "tool" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()

@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.special import expit
 
+from stancegraph import train as train_module
 from stancegraph.errors import ConfigError, NumericsError
 from stancegraph.evaluate import graph_without_edges, kfold_split
 from stancegraph.graphs import BipartiteGraph
@@ -418,6 +419,27 @@ def test_train_returns_forward_output_of_its_state(max_epochs, with_social):
     want = forward(state.stacked(), build_operators(graph, channels, cfg), cfg)
     assert np.array_equal(out.final_users, want.final_users)
     assert np.array_equal(out.final_hashtags, want.final_hashtags)
+
+
+@pytest.mark.parametrize("max_epochs", [0, 1, 5])
+def test_train_propagates_once_per_step_and_once_more(monkeypatch, max_epochs):
+    # Each batch's forward is that of the params as they stand, and the
+    # end-of-epoch forward is reused for the next epoch's first batch, so
+    # a run makes one forward per step plus one, and the same after 0 epochs.
+    calls = {"forward": 0, "adam_step": 0}
+    for name in calls:
+        original = getattr(train_module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(train_module, name, counted)
+    graph, val = two_block_setup()
+    tcfg = TrainConfig(learning_rate=0.05, max_epochs=max_epochs, patience=10, batch_size=4)
+    _, history, _ = train(graph, None, ModelConfig(dim=4, n_layers=1), tcfg, val, seed=5)
+    assert len(history) == max_epochs
+    assert calls["adam_step"] == max_epochs * -(-graph.R.nnz // 4)
+    assert calls["forward"] == calls["adam_step"] + 1
 
 
 def test_train_loss_decreases_on_planted_graph():

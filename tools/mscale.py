@@ -1,8 +1,12 @@
 """Record wall time and peak RSS of CLI stages at M scale, for this tree and
 optionally a parent tree.
 
-The stages are synth, build, a 1-epoch train without and with the social
-and PathSim channels, and a 2-fold, 1-epoch eval with both channels.
+The stages are ingest of a perfbench/corpus.py corpus, synth, build, a
+1-epoch train without and with the social and PathSim channels, a 2-fold,
+1-epoch eval with both channels, and curve on that eval's output. Every
+stage after ingest reads synth's dataset. The corpus has --n-users users,
+--n-hashtags hashtags and 25 tweets per user, from seed 7: at the default
+size, CorpusSpec(n_users=4000, n_hashtags=1000, n_tweets=100000).
 
 Usage:
   python3 tools/mscale.py [--parent DIR] [--runs 3] [--n-users 4000] \
@@ -12,7 +16,9 @@ A run of a tree runs every stage of STAGES in pipeline order, one stage
 process each (`python -m stancegraph.cli` with the tree's `src` on
 PYTHONPATH), in a fresh directory that is removed after the run. A
 file that was written a moment ago can take 70-140 ms to reopen while
-the kernel writes it back, so no run reuses another's files. With
+the kernel writes it back, so no run reuses another's files: each run
+generates its own corpus, before its first stage and untimed, in a
+child process (see below for why not in this one). With
 --parent, this tree ("change") and the parent alternate run by run, and
 so does which of them goes first. Each stage records its wall time, its peak RSS (`ru_maxrss` from
 `wait4`) and the sha256 of every file it wrote; `history.csv` is hashed
@@ -48,6 +54,28 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
+# The ingest stage's corpus: its seed, and tweets per user.
+CORPUS_SEED = 7
+TWEETS_PER_USER = 25
+
+
+def generate_corpus(out: Path, n_users: int, n_hashtags: int) -> None:
+    """perfbench/corpus.py's corpus for the ingest stage, generated in a
+    child process: generating 100k tweets takes a process to ~63 MB, which
+    would become the floor of every later stage's ru_maxrss here."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from corpus import CorpusSpec, generate; "
+            "generate(CorpusSpec(n_users=int(sys.argv[3]), n_hashtags=int(sys.argv[4]), "
+            "n_tweets=int(sys.argv[5])), int(sys.argv[6]), sys.argv[2])")
+    args = (ROOT / "perfbench", out, n_users, n_hashtags, TWEETS_PER_USER * n_users, CORPUS_SEED)
+    subprocess.run([sys.executable, "-c", code, *map(str, args)], check=True)
+
+
+def _ingest(run: Path, size: list[str]) -> list[str]:
+    corpus = run / "corpus"
+    return ["ingest", "--tweets", str(corpus / "tweets.jsonl"),
+            "--follows", str(corpus / "follows.tsv"), "--outlets", str(corpus / "outlets.txt"),
+            "--out", str(run / "ingest" / "counts.json")]
 
 
 def _synth(run: Path, size: list[str]) -> list[str]:
@@ -77,16 +105,24 @@ def _eval_channels(run: Path, size: list[str]) -> list[str]:
             *ONE_EPOCH, *CHANNELS]
 
 
+def _curve(run: Path, size: list[str]) -> list[str]:
+    return ["curve", "--data", str(run / "data"), "--eval-dir", str(run / "eval-channels"),
+            "--annotations", str(run / "synth" / "annotations.tsv"),
+            "--out", str(run / "curve" / "curve.csv")]
+
+
 # Stage name -> (argv for a run directory and the size flags, directory of
 # its outputs), in pipeline order. Training stages run one epoch, so that
 # the one-off work before it, such as building the user-channel
 # polynomial, shows next to an epoch's cost.
 STAGES = {
+    "ingest": (_ingest, "ingest"),
     "synth": (_synth, "synth"),
     "build": (_build, "data"),
     "train": (_train, "model"),
     "train-channels": (_train_channels, "model-channels"),
     "eval-channels": (_eval_channels, "eval-channels"),
+    "curve": (_curve, "curve"),
 }
 
 
@@ -182,6 +218,7 @@ def main(argv: list[str] | None = None) -> int:
             for tree in order:
                 run = Path(work) / f"run{k}-{tree}"
                 run.mkdir()
+                generate_corpus(run / "corpus", args.n_users, args.n_hashtags)
                 for stage, (make_argv, out_dir) in STAGES.items():
                     result = run_stage(trees[tree], make_argv(run, size), run, out_dir)
                     records.append({"tree": tree, "run": k, "stage": stage, **result})
@@ -196,7 +233,8 @@ def main(argv: list[str] | None = None) -> int:
         "claimed": False,
         "method": f"tools/mscale.py, {args.runs} run(s) per tree, trees alternating",
         "size": {"n_users": args.n_users, "n_hashtags": args.n_hashtags,
-                 "interactions_per_user": args.interactions_per_user},
+                 "interactions_per_user": args.interactions_per_user,
+                 "corpus_tweets": TWEETS_PER_USER * args.n_users, "corpus_seed": CORPUS_SEED},
         "summary": summary(records),
         "records": records,
     }
