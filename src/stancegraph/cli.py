@@ -47,8 +47,7 @@ from .graphs import (
     compute_pathsim,
     load_bipartite,
     load_user_graph,
-    save_bipartite,
-    save_user_graph,
+    save_matrix_coo,
     sparsify,
 )
 from .ingest import (
@@ -199,9 +198,9 @@ def cmd_build(args, cfg: RunConfig) -> int:
         shutil.copyfile(args.counts, out / "counts.json")
     except shutil.SameFileError:
         pass
-    save_bipartite(graph, out / "bipartite.coo")
-    save_user_graph(social, out / "social.coo")
-    save_user_graph(pathsim, out / "pathsim.coo")
+    save_matrix_coo(graph.R, out / "bipartite.coo")
+    save_matrix_coo(social.W, out / "social.coo")
+    save_matrix_coo(pathsim.W, out / "pathsim.coo")
     print(
         f"build: bipartite {graph.R.nnz} edges, social {social.W.nnz} edges, "
         f"pathsim {pathsim.W.nnz} edges -> {out}"

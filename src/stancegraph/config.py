@@ -203,11 +203,15 @@ def _coerce(name: str, raw: str):
     try:
         if kind == "int":
             return int(text)
-        if kind == "float":
-            return float(text)
+        if kind != "float":
+            return text
+        value = float(text)
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
-    return text
+    # A range check such as `value < 0` lets nan through: no comparison holds.
+    if not np.isfinite(value):
+        raise ConfigError(f"{name}: expected a finite number, got {raw!r}")
+    return value
 
 
 def parse_config_file(path) -> dict:

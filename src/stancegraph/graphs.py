@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import GraphConfig
 from .errors import EmptyChannel, EmptyCorpus, RecordError, ShapeError
-from .ingest import CSRArrays, InteractionCounts, checked_csr
+from .ingest import CSR_DTYPES, CSRArrays, InteractionCounts, checked_csr
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -48,9 +48,10 @@ class Container:
     layout: Callable[..., list[tuple[str, int]]]  # header fields -> [(dtype, count)]
 
 
-# Header: version, rows, cols, nnz. Arrays: indptr, indices, data.
+# Header: version, rows, cols, nnz. Arrays: indptr, indices, data, in the
+# dtypes counts.json stores them in.
 GRAPH = Container("graph file", b"SGCSR\x00", struct.Struct("<IQQQ"), 1,
-                  lambda n, m, nnz: [("<i8", n + 1), ("<i8", nnz), ("<f8", nnz)])
+                  lambda n, m, nnz: list(zip(CSR_DTYPES, (n + 1, nnz, nnz))))
 # Header: version, users, hashtags, dim, seed, id bytes. Arrays: user rows,
 # hashtag rows, then the ids as a UTF-8 JSON block [users, hashtags].
 CHECKPOINT = Container("checkpoint", b"SGEMB\x00", struct.Struct("<IQQQqQ"), 2,
@@ -224,19 +225,23 @@ def binarize(graph: BipartiteGraph) -> BipartiteGraph:
     return BipartiteGraph(R=R)
 
 
-def _symmetric_normalize(A: sp.coo_matrix) -> sp.csr_matrix:
+def _symmetric_normalize(A: sp.csr_matrix) -> NormalizedAdjacency:
+    """D^-1/2 A D^-1/2 of the canonical CSR matrix A, in A's sparsity
+    pattern; ShapeError if A has a diagonal entry. The degrees are summed
+    in storage order, and the factor dinv[r] * dinv[c] is computed
+    identically for (r, c) and (c, r), so a symmetric A gives an exactly
+    symmetric result."""
     import scipy.sparse as sp
 
-    deg = np.asarray(A.sum(axis=1)).ravel()
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    if (rows == A.indices).any():
+        raise ShapeError("graph has diagonal entries")
+    deg = np.bincount(rows, weights=A.data, minlength=A.shape[0])
     with np.errstate(divide="ignore"):
         dinv = np.power(deg, -0.5)
     dinv[np.isinf(dinv)] = 0.0
-    # Scaling COO entries keeps the result exactly symmetric: the factor
-    # dinv[r]*dinv[c] is computed identically for (r,c) and (c,r).
-    data = dinv[A.row] * dinv[A.col] * A.data
-    out = sp.csr_matrix((data, (A.row, A.col)), shape=A.shape)
-    out.sort_indices()
-    return out
+    data = dinv[rows] * dinv[A.indices] * A.data
+    return NormalizedAdjacency(sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape))
 
 
 def build_adjacency(graph: BipartiteGraph) -> NormalizedAdjacency:
@@ -247,15 +252,11 @@ def build_adjacency(graph: BipartiteGraph) -> NormalizedAdjacency:
     """
     import scipy.sparse as sp
 
-    A = sp.bmat([[None, graph.R], [graph.R.T, None]], format="coo")
-    return NormalizedAdjacency(matrix=_symmetric_normalize(A))
+    return _symmetric_normalize(sp.bmat([[None, graph.R], [graph.R.T, None]], format="csr"))
 
 
 def normalize_user_graph(graph: UserGraph) -> NormalizedAdjacency:
-    W = graph.W.tocoo()
-    if (W.row == W.col).any():
-        raise ShapeError("user graph has diagonal entries")
-    return NormalizedAdjacency(matrix=_symmetric_normalize(W))
+    return _symmetric_normalize(graph.W)
 
 
 def build_social_graph(counts: InteractionCounts, cfg: GraphConfig) -> UserGraph:
@@ -392,16 +393,8 @@ def _load_weights(path) -> sp.csr_matrix:
     return mat
 
 
-def save_bipartite(graph: BipartiteGraph, path) -> None:
-    save_matrix_coo(graph.R, path)
-
-
 def load_bipartite(path) -> BipartiteGraph:
     return BipartiteGraph(R=_load_weights(path))
-
-
-def save_user_graph(graph: UserGraph, path) -> None:
-    save_matrix_coo(graph.W, path)
 
 
 def load_user_graph(path, kind: str = "user") -> UserGraph:

@@ -8,6 +8,7 @@ everything downstream is built from.
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import re
@@ -88,6 +89,16 @@ def _parse_timestamp(value: str) -> float:
     return dt.timestamp()
 
 
+def _string_list(obj: dict, key: str, line_no: int) -> list[str] | None:
+    """obj[key] if it is a list of strings, None if it is absent or null;
+    RecordError otherwise."""
+    value = obj.get(key)
+    if value is not None and not (isinstance(value, list)
+                                  and all(isinstance(x, str) for x in value)):
+        raise RecordError(f"{key} must be a list of strings", line_no)
+    return value
+
+
 def _parse_tweet_line(line: str, line_no: int, normalized: dict[str, str],
                       checked: set[str]) -> tuple[TweetRecord, str | None]:
     """One record and its location. `normalized` maps each raw hashtag seen
@@ -116,12 +127,11 @@ def _parse_tweet_line(line: str, line_no: int, normalized: dict[str, str],
     if kind not in KINDS:
         raise RecordError(f"unknown kind {kind!r}", line_no)
 
-    raw_tags = obj.get("hashtags")
+    raw_tags = _string_list(obj, "hashtags", line_no)
     if raw_tags is None:
         raw_tags = HASHTAG_RE.findall(text)
     tags = []
     for raw in raw_tags:
-        raw = str(raw)
         tag = normalized.get(raw)
         if tag is None:
             try:
@@ -135,7 +145,7 @@ def _parse_tweet_line(line: str, line_no: int, normalized: dict[str, str],
         checked.update(checked_ids(fresh, "record", line_no))
 
     ref = obj.get("ref_user_id")
-    mentions = tuple(sys.intern(str(m)) for m in obj.get("mentions", ()) or ())
+    mentions = tuple(map(sys.intern, _string_list(obj, "mentions", line_no) or ()))
     record = TweetRecord(
         tweet_id=tweet_id,
         user_id=user_id,
@@ -250,6 +260,12 @@ class CSRArrays:
     indices: np.ndarray
     data: np.ndarray
     shape: tuple[int, int]
+
+
+# A stored CSR matrix's arrays and their on-disk dtypes, in counts.json and
+# in the graph files (graphs.GRAPH).
+CSR_COLUMNS = ("indptr", "indices", "data")
+CSR_DTYPES = ("<i8", "<i8", "<f8")
 
 
 def _csr_arrays(indptr, indices, data, shape) -> CSRArrays:
@@ -438,8 +454,6 @@ def extract_interactions(corpus: Corpus) -> InteractionCounts:
 
 
 COUNT_MATRICES = ("T_tweet", "T_retweet", "T_reply", "mention", "reply", "mutual_follow")
-# Array entries per json.dumps call in save_counts.
-JSON_SLICE = 65536
 
 
 def checked_ids(ids, source, line_no: int | None = None) -> list[str]:
@@ -478,43 +492,28 @@ def checked_csr(indptr, indices, data, shape, source) -> CSRArrays:
     return _csr_arrays(indptr, indices, data, shape)
 
 
-def _write_columns(fh, mat: CSRArrays, dumps) -> None:
-    """Write the canonical mat as the CSR columns object {"indptr",
-    "indices", "data"}, its values as floats.
-
-    Each array goes out JSON_SLICE entries at a time, so only one slice is
-    ever a Python list; the bytes equal dumps() of the whole-array lists."""
-    columns = {"indptr": mat.indptr, "indices": mat.indices,
-               "data": mat.data.astype(np.float64, copy=False)}
-    for sep, key in (("{", "indptr"), (",", "indices"), (",", "data")):
-        arr = columns[key]
-        fh.write(f'{sep}"{key}":[')
-        for start in range(0, arr.size, JSON_SLICE):
-            fh.write(("," if start else "") + dumps(arr[start:start + JSON_SLICE].tolist())[1:-1])
-        fh.write("]")
-    fh.write("}")
-
-
-def _column_array(values, kinds: str, source: str) -> np.ndarray:
+def _column_array(value, dtype: str, source: str) -> np.ndarray:
+    """The writable native-order array that a base64 column of `dtype`
+    items holds; RecordError unless value is an ASCII base64 string of a
+    whole number of items."""
+    if not isinstance(value, str):
+        raise RecordError(f"{source}: bad matrix columns (not a base64 string)")
     try:
-        arr = np.array(values)
-    except ValueError as exc:
-        raise RecordError(f"{source}: bad matrix columns") from exc
-    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in kinds):
-        raise RecordError(f"{source}: bad matrix columns")
-    return arr
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII string
+        raise RecordError(f"{source}: bad matrix columns (invalid base64)") from exc
+    dtype = np.dtype(dtype)
+    if len(raw) % dtype.itemsize:
+        raise RecordError(f"{source}: bad matrix columns ({len(raw)} bytes is not a whole "
+                          f"number of {dtype.itemsize}-byte items)")
+    return np.frombuffer(raw, dtype).astype(dtype.newbyteorder("="))
 
 
 def _from_columns(columns, shape, source: str) -> CSRArrays:
-    if not isinstance(columns, dict) or set(columns) != {"indptr", "indices", "data"}:
+    if not isinstance(columns, dict) or set(columns) != set(CSR_COLUMNS):
         raise RecordError(f"{source}: bad matrix columns")
-    mat = checked_csr(
-        _column_array(columns["indptr"], "iu", source).astype(np.int64),
-        _column_array(columns["indices"], "iu", source).astype(np.int64),
-        _column_array(columns["data"], "iuf", source).astype(np.float64),
-        shape,
-        source,
-    )
+    mat = checked_csr(*(_column_array(columns[key], dtype, f"{source} {key}")
+                        for key, dtype in zip(CSR_COLUMNS, CSR_DTYPES)), shape, source)
     if (mat.data < 0).any():
         raise RecordError(f"{source}: negative count")
     return mat
@@ -522,18 +521,24 @@ def _from_columns(columns, shape, source: str) -> CSRArrays:
 
 def save_counts(counts: InteractionCounts, path) -> None:
     """JSON with the id lists and each count matrix as CSR columns
-    {"indptr", "indices", "data"}; T is not stored, being the sum of the
-    three per-kind matrices."""
+    {"indptr", "indices", "data"}, each the base64 of its array's bytes in
+    CSR_DTYPES; T is not stored, being the sum of the three per-kind
+    matrices. Each array is encoded and written on its own, so no more
+    than one is ever held as base64 bytes."""
     dumps = partial(json.dumps, ensure_ascii=False, separators=(",", ":"))
-    # One json.dumps per id list and per array slice: that runs the C encoder
-    # (json.dump to a file runs the pure-Python one) without holding the
-    # whole document, or a whole array as Python objects, in memory.
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{"users":' + dumps(counts.users) + ',"hashtags":' + dumps(counts.hashtags))
+    with open(path, "wb") as fh:
+        fh.write(f'{{"users":{dumps(counts.users)},"hashtags":{dumps(counts.hashtags)}'
+                 .encode("utf-8"))
         for name in COUNT_MATRICES:
-            fh.write(f',"{name}":')
-            _write_columns(fh, getattr(counts, name), dumps)
-        fh.write("}\n")
+            mat = getattr(counts, name)
+            fh.write(f',"{name}":'.encode("ascii"))
+            arrays = (mat.indptr, mat.indices, mat.data)
+            for sep, key, arr, dtype in zip(("{", ",", ","), CSR_COLUMNS, arrays, CSR_DTYPES):
+                fh.write(f'{sep}"{key}":"'.encode("ascii"))
+                fh.write(base64.b64encode(np.ascontiguousarray(arr, dtype)))
+                fh.write(b'"')
+            fh.write(b"}")
+        fh.write(b"}\n")
 
 
 def load_counts(path) -> InteractionCounts:
@@ -554,14 +559,12 @@ def load_counts(path) -> InteractionCounts:
     users = checked_ids(payload["users"], path)
     tags = checked_ids(payload["hashtags"], path)
     n, m = len(users), len(tags)
+    # Each matrix's base64 text is dropped once its arrays are decoded.
     mats = {
-        name: _from_columns(payload[name], (n, m) if name.startswith("T_") else (n, n),
+        name: _from_columns(payload.pop(name), (n, m) if name.startswith("T_") else (n, n),
                             f"{path} {name}")
         for name in COUNT_MATRICES
     }
-    # The decoded array lists go before validate's arrays are allocated,
-    # so that those reuse their memory instead of adding to it.
-    del payload
     counts = InteractionCounts(users=users, hashtags=tags, **mats)
     counts.validate()
     return counts

@@ -686,6 +686,33 @@ def test_every_command_refuses_bad_graph_and_protocol_keys(tmp_path, capsys, com
     assert not out.exists()
 
 
+FLOAT_KEYS = [f.name for f in dataclasses.fields(RunConfig) if f.type == "float"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_every_float_key_refuses_a_non_finite_value(tmp_path, capsys, key, value):
+    # A range check such as `x < 0` passes nan; on inputs that do not
+    # exist, a command that took the value would exit 4, not 2.
+    out = tmp_path / "out"
+    flag = "--" + key.replace("_", "-")
+    assert run(stage_argv("build", tmp_path, out) + [f"{flag}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error ")] == [
+        f"error kind=ConfigError exit=2: {key}: expected a finite number, got {value!r}"]
+    assert not out.exists()
+
+
+def test_config_file_refuses_a_non_finite_value(tmp_path):
+    assert {"learning_rate", "homophily", "pathsim_min_weight"} <= set(FLOAT_KEYS)
+    for text in ("homophily=nan", "pathsim_min_weight = inf", "learning_rate=-Infinity",
+                 "p_in=1e400"):
+        path = tmp_path / "run.cfg"
+        path.write_text(text + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="expected a finite number"):
+            resolve(path)
+
+
 def test_eval_refuses_an_unknown_variant(tmp_path, capsys):
     # Every command refuses it, not only eval, which reads it: on inputs
     # that do not exist, a command that took the name would exit 4, or 0.
@@ -784,6 +811,45 @@ def test_ingest_command_roundtrip(tmp_path):
     assert run(["ingest", "--tweets", tweets, "--out", out]) == 0
     counts = load_counts(out)
     assert counts.T.data.sum() == 9
+
+
+def test_ingest_refuses_hashtags_that_are_not_a_list(tmp_path, capsys):
+    tweets = tmp_path / "tweets.jsonl"
+    rows = [{"tweet_id": "t1", "user_id": "u1", "timestamp": "2022-09-04T12:00:00+00:00",
+             "text": "#uno", "kind": "original"},
+            {"tweet_id": "t2", "user_id": "u2", "timestamp": "2022-09-04T12:00:00+00:00",
+             "text": "#dos", "kind": "original", "hashtags": 5}]
+    tweets.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+    out = tmp_path / "counts.json"
+    assert run(["ingest", "--tweets", tweets, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error ")] == [
+        "error kind=RecordError exit=3: line 2: hashtags must be a list of strings"]
+    assert "Traceback" not in err and not out.exists()
+    # Without strict parsing the record is skipped with a warning.
+    assert run(["ingest", "--tweets", tweets, "--out", out, "--no-strict-parse"]) == 0
+    assert load_counts(out).users == ["u1"]
+
+
+def test_build_refuses_a_counts_file_with_number_lists(tmp_path, capsys):
+    # counts.json as written before its arrays became base64 columns
+    raw, _ = synth_and_build(tmp_path)
+    payload = json.loads((raw / "counts.json").read_text(encoding="utf-8"))
+    counts = load_counts(raw / "counts.json")
+    for name in ("T_tweet", "T_retweet", "T_reply", "mention", "reply", "mutual_follow"):
+        mat = getattr(counts, name)
+        payload[name] = {"indptr": mat.indptr.tolist(), "indices": mat.indices.tolist(),
+                         "data": mat.data.tolist()}
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(payload, separators=(",", ":")), encoding="utf-8")
+    out = tmp_path / "rebuilt"
+    capsys.readouterr()
+    assert run(["build", "--counts", old, "--out", out]) == 3
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.startswith("error ")]
+    assert len(lines) == 1 and lines[0].startswith("error kind=RecordError exit=3: ")
+    assert "T_tweet indptr: bad matrix columns (not a base64 string)" in lines[0]
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_train_zero_epochs_checkpoint_is_initialization(tmp_path):

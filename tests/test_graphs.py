@@ -33,9 +33,7 @@ from stancegraph.graphs import (
     pathsim_scores,
     propagate_once,
     read_container,
-    save_bipartite,
     save_matrix_coo,
-    save_user_graph,
     sparsify,
     write_container,
 )
@@ -617,12 +615,12 @@ def test_matrix_coo_roundtrip_exact(tmp_path):
 def test_bipartite_and_user_graph_roundtrip(tmp_path):
     rng = np.random.default_rng(59)
     g = random_bipartite(rng, 4, 3)
-    save_bipartite(g, tmp_path / "g.coo")
+    save_matrix_coo(g.R, tmp_path / "g.coo")
     back = load_bipartite(tmp_path / "g.coo")
     assert np.array_equal(back.R.toarray(), g.R.toarray())
 
     ug = random_user_graph(rng, 5)
-    save_user_graph(ug, tmp_path / "u.coo")
+    save_matrix_coo(ug.W, tmp_path / "u.coo")
     back_u = load_user_graph(tmp_path / "u.coo", kind="social")
     assert np.array_equal(back_u.W.toarray(), ug.W.toarray())
     assert back_u.kind == "social"

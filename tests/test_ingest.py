@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import tempfile
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 
 from stancegraph import ingest
 from stancegraph.errors import DegenerateHashtag, EmptyCorpus, RecordError, ShapeError
-from stancegraph.graphs import to_scipy
+from stancegraph.graphs import GRAPH, to_scipy
 from stancegraph.ingest import (
+    COUNT_MATRICES,
     CSRArrays,
     Corpus,
     CorpusFilterConfig,
@@ -184,6 +186,27 @@ def test_parse_extracts_hashtags_from_text_when_absent():
 def test_parse_explicit_hashtags_override_text():
     corpus = parse_corpus([tweet_line("t1", "alice", text="#ignored", hashtags=["#Dado"])], strict=True)
     assert corpus.tweets[0].hashtags == ("dado",)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("hashtags", 5), ("hashtags", "abc"), ("hashtags", {"a": 1}), ("hashtags", ["#a", 7]),
+    ("mentions", 7), ("mentions", "bob"), ("mentions", ["bob", None]),
+], ids=["hashtags-number", "hashtags-string", "hashtags-object", "hashtags-with-number",
+        "mentions-number", "mentions-string", "mentions-with-null"])
+def test_parse_refuses_hashtags_or_mentions_that_are_not_a_list_of_strings(key, value):
+    bad = json.dumps(dict(json.loads(tweet_line("t2", "bob", text="#x")), **{key: value}))
+    lines = [tweet_line("t1", "alice", text="#a"), bad, tweet_line("t3", "carol", text="#b")]
+    with pytest.raises(RecordError) as err:
+        parse_corpus(lines, strict=True)
+    assert err.value.line_no == 2 and f"{key} must be a list of strings" in str(err.value)
+    assert [t.tweet_id for t in parse_corpus(lines, strict=False).tweets] == ["t1", "t3"]
+
+
+def test_parse_null_hashtags_and_mentions_count_as_absent():
+    record = json.loads(tweet_line("t1", "alice", text="#Uno"))
+    record.update(hashtags=None, mentions=None)
+    (tweet,) = parse_corpus([json.dumps(record)], strict=True).tweets
+    assert tweet.hashtags == ("uno",) and tweet.mentions == ()
 
 
 def test_parse_follow_and_outlet_streams():
@@ -501,28 +524,45 @@ def small_counts(rng: np.random.Generator, n: int = 4, m: int = 3):
                        mutual=(follow | follow.T).astype(float))
 
 
+def b64(values, dtype: str) -> str:
+    """The base64 text of `values` as little-endian `dtype` bytes, the form
+    counts.json stores each CSR array in."""
+    return base64.b64encode(np.asarray(values, dtype).tobytes()).decode("ascii")
+
+
 def test_counts_file_is_csr_columns(tmp_path):
     counts = small_counts(np.random.default_rng(3))
     path = tmp_path / "counts.json"
     save_counts(counts, path)
     payload = json.loads(path.read_text(encoding="utf-8"))
-    assert set(payload) == {"users", "hashtags", "T_tweet", "T_retweet", "T_reply",
-                            "mention", "reply", "mutual_follow"}
-    for name in ("T_tweet", "mention", "mutual_follow"):
+    assert set(payload) == {"users", "hashtags", *COUNT_MATRICES}
+    for name in COUNT_MATRICES:
         mat = getattr(counts, name)
-        assert payload[name] == {"indptr": mat.indptr.tolist(), "indices": mat.indices.tolist(),
-                                 "data": mat.data.tolist()}
+        assert payload[name] == {"indptr": b64(mat.indptr, "<i8"),
+                                 "indices": b64(mat.indices, "<i8"),
+                                 "data": b64(mat.data, "<f8")}
+        column = payload[name]["indices"]
+        assert np.array_equal(np.frombuffer(base64.b64decode(column), "<i8"), mat.indices)
+
+
+def test_counts_and_graph_files_share_the_array_dtypes():
+    assert ingest.CSR_DTYPES == ("<i8", "<i8", "<f8")
+    assert GRAPH.layout(3, 4, 5) == [("<i8", 4), ("<i8", 5), ("<f8", 5)]
 
 
 def test_counts_roundtrip_is_byte_exact(tmp_path):
-    for seed, n, m in ((5, 4, 3), (6, 1, 1), (7, 6, 2)):
-        counts = small_counts(np.random.default_rng(seed), n, m)
-        first, second = tmp_path / f"a{seed}.json", tmp_path / f"b{seed}.json"
+    bundles = [small_counts(np.random.default_rng(seed), n, m)
+               for seed, n, m in ((5, 4, 3), (6, 1, 1), (7, 6, 2))]
+    # a bundle with no interactions at all: every matrix is empty
+    bundles.append(counts_from(np.zeros((3, 2))))
+    for k, counts in enumerate(bundles):
+        first, second = tmp_path / f"a{k}.json", tmp_path / f"b{k}.json"
         save_counts(counts, first)
         save_counts(load_counts(first), second)
         assert first.read_bytes() == second.read_bytes()
     # a bundle with no interactions of some kinds keeps its empty matrices
-    assert len(load_counts(second).T_reply.data) == 0
+    assert len(load_counts(tmp_path / "b0.json").T_reply.data) == 0
+    assert all(len(getattr(load_counts(second), name).data) == 0 for name in COUNT_MATRICES)
 
 
 def test_counts_file_is_one_compact_json_document(tmp_path):
@@ -543,46 +583,44 @@ def compact(payload: dict) -> str:
     return json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
-@pytest.mark.parametrize("slice_size", [1, 2, 5, None])
-def test_counts_arrays_written_in_slices_keep_their_bytes(tmp_path, monkeypatch, slice_size):
-    if slice_size is None:
-        # 300 users who all follow each other: 89,700 entries, two default slices
-        rng = np.random.default_rng(6)
-        counts = counts_from(rng.integers(0, 3, size=(300, 4)), mutual=1 - np.eye(300))
-        assert len(counts.mutual_follow.data) > ingest.JSON_SLICE
-    else:
-        monkeypatch.setattr(ingest, "JSON_SLICE", slice_size)
-        counts = small_counts(np.random.default_rng(7), 12, 9)
-        counts = dataclasses.replace(counts, T_tweet=scaled(counts.T_tweet, 0.1))
-    path = tmp_path / "counts.json"
-    save_counts(counts, path)
-    text = path.read_text(encoding="utf-8")
-    payload = json.loads(text)
-    assert text == compact(payload)
-    for name in ("T_tweet", "mention", "mutual_follow"):
-        mat = getattr(counts, name)
-        assert payload[name] == {"indptr": mat.indptr.tolist(), "indices": mat.indices.tolist(),
-                                 "data": mat.data.tolist()}
-
-
 def test_counts_file_with_empty_matrices(tmp_path):
     counts = counts_from(np.zeros((3, 2)))
     path = tmp_path / "counts.json"
     save_counts(counts, path)
     text = path.read_text(encoding="utf-8")
     assert text == compact(json.loads(text))
-    assert '"mention":{"indptr":[0,0,0,0],"indices":[],"data":[]}' in text
+    assert f'"mention":{{"indptr":"{b64([0, 0, 0, 0], "<i8")}","indices":"","data":""}}' in text
     loaded = load_counts(path)
     assert loaded.T_tweet.shape == (3, 2)
     assert len(loaded.T.data) == 0 and len(loaded.mutual_follow.data) == 0
+
+
+def test_loaded_count_arrays_are_writable_native_arrays(tmp_path):
+    path = tmp_path / "counts.json"
+    save_counts(small_counts(np.random.default_rng(13), 5, 4), path)
+    counts = load_counts(path)
+    for name in COUNT_MATRICES:
+        mat = getattr(counts, name)
+        for arr in (mat.indptr, mat.indices, mat.data):
+            assert arr.flags.writeable and arr.flags.c_contiguous and arr.dtype.isnative
+        assert mat.data.dtype == np.float64
+        np.multiply(mat.data, 2.0, out=mat.data)
 
 
 def counts_payload(tmp_path) -> dict:
     path = tmp_path / "good.json"
     save_counts(small_counts(np.random.default_rng(9)), path)
     payload = json.loads(path.read_text(encoding="utf-8"))
-    assert payload["T_tweet"]["data"] and payload["mention"]["data"]
+    assert nnz(payload, "T_tweet") and nnz(payload, "mention")
     return payload
+
+
+def nnz(payload: dict, name: str) -> int:
+    return len(base64.b64decode(payload[name]["data"])) // 8
+
+
+def indptr(payload: dict, name: str) -> list[int]:
+    return np.frombuffer(base64.b64decode(payload[name]["indptr"]), "<i8").tolist()
 
 
 def without(payload: dict, key: str) -> dict:
@@ -590,8 +628,18 @@ def without(payload: dict, key: str) -> dict:
     return payload
 
 
-def corrupt(payload: dict, name: str, column: str, values) -> dict:
-    payload[name][column] = values
+def corrupt(payload: dict, name: str, column: str, value) -> dict:
+    payload[name][column] = value
+    return payload
+
+
+def list_format(payload: dict) -> dict:
+    """The payload as files before the base64 columns held it: each array a
+    JSON number list."""
+    for name in COUNT_MATRICES:
+        for key, dtype in zip(("indptr", "indices", "data"), ingest.CSR_DTYPES):
+            payload[name][key] = np.frombuffer(base64.b64decode(payload[name][key]),
+                                               dtype).tolist()
     return payload
 
 
@@ -602,16 +650,16 @@ def corrupt(payload: dict, name: str, column: str, values) -> dict:
     lambda p: dict(p, hashtags=[1, 2, 3]),
     lambda p: dict(p, T_tweet=[[0, 0, 1.0]]),
     lambda p: dict(p, T_tweet={"indptr": [0, 0, 0, 0, 0]}),
-    lambda p: corrupt(p, "T_tweet", "indices", [[0]] * len(p["T_tweet"]["indices"])),
-    lambda p: corrupt(p, "T_tweet", "indices", [0.5] * len(p["T_tweet"]["indices"])),
-    lambda p: corrupt(p, "T_tweet", "indices", [True] * len(p["T_tweet"]["indices"])),
-    lambda p: corrupt(p, "T_tweet", "indices", [3] * len(p["T_tweet"]["indices"])),
-    lambda p: corrupt(p, "mention", "indptr", [0, 0, 0, 0]),
-    lambda p: corrupt(p, "mention", "indptr", [1] + p["mention"]["indptr"][1:]),
-    lambda p: corrupt(p, "mention", "data", [-1.0] * len(p["mention"]["data"])),
-    lambda p: corrupt(p, "mention", "data", ["1"] * len(p["mention"]["data"])),
-    lambda p: corrupt(p, "mention", "data", [float("nan")] * len(p["mention"]["data"])),
-    lambda p: corrupt(p, "mention", "data", [float("inf")] * len(p["mention"]["data"])),
+    lambda p: corrupt(p, "T_tweet", "indices", [[0]] * nnz(p, "T_tweet")),
+    lambda p: corrupt(p, "T_tweet", "indices", 0.5),
+    lambda p: corrupt(p, "T_tweet", "indices", True),
+    lambda p: corrupt(p, "T_tweet", "indices", b64([3] * nnz(p, "T_tweet"), "<i8")),
+    lambda p: corrupt(p, "mention", "indptr", b64([0, 0, 0, 0], "<i8")),
+    lambda p: corrupt(p, "mention", "indptr", b64([1] + indptr(p, "mention")[1:], "<i8")),
+    lambda p: corrupt(p, "mention", "data", b64([-1.0] * nnz(p, "mention"), "<f8")),
+    lambda p: corrupt(p, "mention", "data", "1"),
+    lambda p: corrupt(p, "mention", "data", b64([np.nan] * nnz(p, "mention"), "<f8")),
+    lambda p: corrupt(p, "mention", "data", b64([np.inf] * nnz(p, "mention"), "<f8")),
     lambda p: [p],
     lambda p: dict(p, users=["user\nzero"] + p["users"][1:]),
     lambda p: dict(p, users=p["users"][:-1] + ["user\rlast"]),
@@ -629,6 +677,28 @@ def test_load_counts_rejects_malformed(tmp_path, edit):
         load_counts(path)
 
 
+@pytest.mark.parametrize("edit, reason", [
+    (list_format, "not a base64 string"),
+    (lambda p: corrupt(p, "reply", "indptr", None), "not a base64 string"),
+    (lambda p: corrupt(p, "reply", "data", 7), "not a base64 string"),
+    (lambda p: corrupt(p, "T_tweet", "data", "AAAAAAAAAAé="), "invalid base64"),
+    (lambda p: corrupt(p, "T_tweet", "data", "AAAA!AAAAAA="), "invalid base64"),
+    (lambda p: corrupt(p, "T_tweet", "data", "AAAAAAAAAAA"), "invalid base64"),
+    (lambda p: corrupt(p, "T_tweet", "data", "AAAAAAAA\nAAA="), "invalid base64"),
+    (lambda p: corrupt(p, "mention", "indptr", base64.b64encode(bytes(12)).decode()),
+     "12 bytes is not a whole number of 8-byte items"),
+], ids=["list-format", "null", "number", "non-ascii", "bad-character", "missing-padding",
+        "line-break", "ragged-bytes"])
+def test_load_counts_refuses_a_column_that_is_not_base64_items(tmp_path, edit, reason):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edit(counts_payload(tmp_path)), ensure_ascii=False),
+                    encoding="utf-8")
+    with pytest.raises(RecordError) as err:
+        load_counts(path)
+    message = str(err.value)
+    assert "bad matrix columns" in message and reason in message and "\n" not in message
+
+
 def test_load_counts_rejects_truncated_and_non_utf8(tmp_path):
     path = tmp_path / "counts.json"
     save_counts(small_counts(np.random.default_rng(11)), path)
@@ -643,7 +713,8 @@ def test_load_counts_rejects_truncated_and_non_utf8(tmp_path):
 def test_load_counts_inconsistent_matrices_raise_shape_error(tmp_path):
     payload = counts_payload(tmp_path)
     # An asymmetric mutual-follow matrix parses but fails validate().
-    payload["mutual_follow"] = {"indptr": [0, 1, 1, 1, 1], "indices": [1], "data": [1.0]}
+    payload["mutual_follow"] = {"indptr": b64([0, 1, 1, 1, 1], "<i8"),
+                                "indices": b64([1], "<i8"), "data": b64([1.0], "<f8")}
     path = tmp_path / "asym.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(ShapeError):
@@ -653,17 +724,35 @@ def test_load_counts_inconsistent_matrices_raise_shape_error(tmp_path):
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**16), n=st.integers(1, 4), m=st.integers(1, 3), data=st.data())
 def test_counts_loader_fuzz_returns_valid_counts_or_typed_error(seed, n, m, data):
+    # A file byte is cut or replaced, or one array's decoded bytes are, and
+    # the array re-encoded: that reaches the checks behind the base64 one.
     # Every write goes to a new file: truncating an existing one can be slow.
     with tempfile.TemporaryDirectory() as tmp:
         valid = Path(tmp) / "valid.json"
         save_counts(small_counts(np.random.default_rng(seed), n, m), valid)
         blob = valid.read_bytes()
-        if data.draw(st.booleans(), label="truncate"):
+        how = data.draw(st.sampled_from(["cut-file", "replace-file-byte", "cut-array",
+                                         "replace-array-byte"]), label="how")
+        if how.endswith("file"):
             blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
-        else:
+        elif how.endswith("file-byte"):
             pos = data.draw(st.integers(0, len(blob) - 1), label="position")
             value = data.draw(st.integers(0, 255).filter(lambda b: b != blob[pos]), label="byte")
             blob = blob[:pos] + bytes([value]) + blob[pos + 1:]
+        else:
+            payload = json.loads(blob)
+            name = data.draw(st.sampled_from(COUNT_MATRICES), label="matrix")
+            key = data.draw(st.sampled_from(["indptr", "indices", "data"]), label="column")
+            raw = base64.b64decode(payload[name][key])
+            if how == "cut-array" or not raw:
+                raw = raw[: data.draw(st.integers(0, max(len(raw) - 1, 0)), label="length")]
+            else:
+                pos = data.draw(st.integers(0, len(raw) - 1), label="position")
+                value = data.draw(st.integers(0, 255).filter(lambda b: b != raw[pos]),
+                                  label="byte")
+                raw = raw[:pos] + bytes([value]) + raw[pos + 1:]
+            payload[name][key] = base64.b64encode(raw).decode("ascii")
+            blob = compact(payload).encode("utf-8")
         path = Path(tmp) / "corrupt.json"
         path.write_bytes(blob)
         try:
@@ -671,7 +760,12 @@ def test_counts_loader_fuzz_returns_valid_counts_or_typed_error(seed, n, m, data
         except (RecordError, ShapeError):
             return
         counts.validate()
-        for name in ("T_tweet", "T_retweet", "T_reply", "mention", "reply", "mutual_follow"):
+        for name in COUNT_MATRICES:
             mat = getattr(counts, name)
             assert to_scipy(mat).has_canonical_format
             assert np.isfinite(mat.data).all() and (mat.data >= 0).all()
+        if "array" in how:
+            # An accepted file in the writer's own encoding is written back as it was.
+            again = Path(tmp) / "again.json"
+            save_counts(counts, again)
+            assert again.read_bytes() == blob

@@ -23,8 +23,9 @@ mscale = load("mscale", ROOT / "tools" / "mscale.py")
 
 
 def record(tree: str, run: int, stage: str, wall_s: float, peak_rss_mb: float, rc: int = 0,
-           outputs: dict | None = None) -> dict:
+           outputs: dict | None = None, scaled_s: float | None = None) -> dict:
     return {"tree": tree, "run": run, "stage": stage, "wall_s": wall_s,
+            "scaled_s": wall_s if scaled_s is None else scaled_s,
             "peak_rss_mb": peak_rss_mb, "rc": rc,
             "outputs": dict(HASHES) if outputs is None else outputs}
 
@@ -47,6 +48,42 @@ def test_summary_gives_medians_quartiles_and_deltas():
     assert got["peak_rss_mb_delta_pct"] == round(100 * (275 / 330 - 1), 1)
     assert got["wall_s_delta_pct"] == round(100 * (0.51 / 0.71 - 1), 1)
     assert got["outputs_identical"] is True
+
+
+class StubClock:
+    """A host clock whose factor is fixed; it records the spans asked for."""
+
+    def __init__(self, factor: float):
+        self._factor = factor
+        self.spans = []
+
+    def factor(self, start: float, end: float) -> float:
+        self.spans.append((start, end))
+        return self._factor
+
+
+def test_stage_wall_time_is_scaled_by_the_host_clock_over_the_stage(tmp_path):
+    clock = StubClock(0.5)
+    got = mscale.run_stage(ROOT, ["--help"], tmp_path, "out", clock)
+    assert got["rc"] == 0 and got["outputs"] == {}
+    ((start, end),) = clock.spans
+    assert got["wall_s"] == round(end - start, 4) > 0
+    assert got["scaled_s"] == round((end - start) * 0.5, 4)
+
+
+def test_summary_spreads_and_compares_the_scaled_times():
+    # A slow host state during the change's runs doubles their raw times;
+    # the scaled times show no change.
+    records = []
+    for run in range(3):
+        records.append(record("parent", run, "build", 1.0 + run / 10, 300.0))
+        records.append(record("change", run, "build", 2.0 + run / 5, 300.0,
+                              scaled_s=1.0 + run / 10))
+    got = mscale.summary(records)["build"]
+    assert got["change"]["wall_s"]["median"] == 2.2
+    assert got["change"]["scaled_s"] == {"median": 1.1, "q1": 1.05, "q3": 1.15}
+    assert got["wall_s_delta_pct"] == 100.0
+    assert got["scaled_s_delta_pct"] == 0.0
 
 
 def test_summary_keeps_stages_apart_in_pipeline_order():
@@ -121,7 +158,8 @@ def test_one_small_run_records_every_stage(tmp_path, capsys):
     assert train["outputs"]["checkpoint.bin"] != train_channels["outputs"]["checkpoint.bin"]
     assert "report.txt" in eval_channels["outputs"]
     assert set(curve["outputs"]) == {"curve.csv"}
-    assert all(r["peak_rss_mb"] > 0 and r["wall_s"] > 0 for r in result["records"])
+    assert all(r["peak_rss_mb"] > 0 and r["wall_s"] > 0 and r["scaled_s"] > 0
+               for r in result["records"])
     assert "run 0 change curve" in capsys.readouterr().out
 
 

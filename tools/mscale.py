@@ -20,7 +20,10 @@ the kernel writes it back, so no run reuses another's files: each run
 generates its own corpus, before its first stage and untimed, in a
 child process (see below for why not in this one). With
 --parent, this tree ("change") and the parent alternate run by run, and
-so does which of them goes first. Each stage records its wall time, its peak RSS (`ru_maxrss` from
+so does which of them goes first. Each stage records its wall time, that
+time scaled to the reference host speed by perfbench/run.py's HostClock
+(the factor the benchmark applies to its stage times, from a probe loop
+timed in a thread of this process), its peak RSS (`ru_maxrss` from
 `wait4`) and the sha256 of every file it wrote; `history.csv` is hashed
 without its `elapsed_ms` column, a timing that differs on every run. The
 files are hashed
@@ -32,8 +35,9 @@ would raise every later stage's reading to this tool's own peak.
 This is not a benchmark harness: the committed workloads are
 perfbench/run.py's. It records the sizes those workloads do not reach,
 and its summary is marked not claimed. The summary gives, per stage and
-tree, the median and quartiles of wall time and peak RSS, the change's
-delta against the parent, and whether both trees wrote the same bytes.
+tree, the median and quartiles of the raw and the scaled wall time and
+of peak RSS, the change's delta against the parent, and whether both
+trees wrote the same bytes.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -53,6 +58,19 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _perfbench_run():
+    """perfbench/run.py, whose HostClock compensates stage times for the
+    host's speed; it imports perfbench/corpus.py by its bare name."""
+    sys.path.append(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+HostClock = _perfbench_run().HostClock
 SEED = 1
 # The ingest stage's corpus: its seed, and tweets per user.
 CORPUS_SEED = 7
@@ -142,8 +160,9 @@ def file_digest(path: Path) -> str:
     return digest.hexdigest()
 
 
-def run_stage(tree: Path, argv: list[str], run: Path, out_dir: str) -> dict:
-    """One stage process: wall time, peak RSS and the hashes of its outputs."""
+def run_stage(tree: Path, argv: list[str], run: Path, out_dir: str, clock) -> dict:
+    """One stage process: wall time, the wall time scaled by the host clock's
+    factor over it, peak RSS and the hashes of its outputs."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     log = run / "stage.log"
     with open(log, "wb") as out:
@@ -151,15 +170,16 @@ def run_stage(tree: Path, argv: list[str], run: Path, out_dir: str) -> dict:
         proc = subprocess.Popen([sys.executable, "-m", "stancegraph.cli", *argv],
                                 stdout=out, stderr=subprocess.STDOUT, cwd=run, env=env)
         _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - t0
+        t1 = time.perf_counter()
+    wall = t1 - t0
     rc = os.waitstatus_to_exitcode(status)
     if rc != 0:
         sys.stderr.write(log.read_text(encoding="utf-8", errors="replace"))
     outputs = {path.name: file_digest(path)
                for path in (sorted((run / out_dir).glob("*")) if rc == 0 else ())}
     # ru_maxrss is in KiB on Linux.
-    return {"wall_s": round(wall, 4), "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 1),
-            "rc": rc, "outputs": outputs}
+    return {"wall_s": round(wall, 4), "scaled_s": round(wall * clock.factor(t0, t1), 4),
+            "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 1), "rc": rc, "outputs": outputs}
 
 
 def spread(values: list[float]) -> dict:
@@ -168,9 +188,12 @@ def spread(values: list[float]) -> dict:
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
+METRICS = ("wall_s", "scaled_s", "peak_rss_mb")
+
+
 def summary(records: list[dict]) -> dict:
-    """Per stage and tree, the spread of wall time and peak RSS over the
-    runs that exited 0; with both trees, the change's median delta in
+    """Per stage and tree, the spread of each of METRICS over the runs
+    that exited 0; with both trees, the change's median delta in
     percent and whether every run of both trees wrote the same bytes."""
     out = {}
     for stage in dict.fromkeys(r["stage"] for r in records):
@@ -180,10 +203,9 @@ def summary(records: list[dict]) -> dict:
             ok = [r for r in mine if r["tree"] == tree and r["rc"] == 0]
             if ok:
                 entry[tree] = {"runs": len(ok),
-                               "wall_s": spread([r["wall_s"] for r in ok]),
-                               "peak_rss_mb": spread([r["peak_rss_mb"] for r in ok])}
+                               **{metric: spread([r[metric] for r in ok]) for metric in METRICS}}
         if "parent" in entry and "change" in entry:
-            for metric in ("wall_s", "peak_rss_mb"):
+            for metric in METRICS:
                 before = entry["parent"][metric]["median"]
                 after = entry["change"][metric]["median"]
                 entry[f"{metric}_delta_pct"] = round(100 * (after / before - 1), 1)
@@ -212,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
             "--interactions-per-user", str(args.interactions_per_user)]
 
     records = []
-    with tempfile.TemporaryDirectory(prefix="mscale-") as work:
+    with tempfile.TemporaryDirectory(prefix="mscale-") as work, HostClock() as clock:
         for k in range(args.runs):
             order = list(trees) if k % 2 == 0 else list(reversed(trees))
             for tree in order:
@@ -220,9 +242,10 @@ def main(argv: list[str] | None = None) -> int:
                 run.mkdir()
                 generate_corpus(run / "corpus", args.n_users, args.n_hashtags)
                 for stage, (make_argv, out_dir) in STAGES.items():
-                    result = run_stage(trees[tree], make_argv(run, size), run, out_dir)
+                    result = run_stage(trees[tree], make_argv(run, size), run, out_dir, clock)
                     records.append({"tree": tree, "run": k, "stage": stage, **result})
-                    print(f"run {k} {tree} {stage}: {result['wall_s']:.3f} s, "
+                    print(f"run {k} {tree} {stage}: {result['wall_s']:.3f} s "
+                          f"({result['scaled_s']:.3f} s scaled), "
                           f"{result['peak_rss_mb']:.1f} MB peak RSS, exit {result['rc']}",
                           flush=True)
                     if result["rc"] != 0:
