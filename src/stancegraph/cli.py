@@ -9,11 +9,13 @@ domain errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import gc
 import logging
 import shutil
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -159,21 +161,10 @@ def _load_annotation_arg(args, counts):
 
 
 def cmd_ingest(args, cfg: RunConfig) -> int:
-    with open(args.tweets, "r", encoding="utf-8") as tweets_fh:
-        follows_fh = open(args.follows, "r", encoding="utf-8") if args.follows else None
-        outlets_fh = open(args.outlets, "r", encoding="utf-8") if args.outlets else None
-        try:
-            corpus = parse_corpus(
-                tweets_fh,
-                follows_fh if follows_fh is not None else (),
-                outlets_fh if outlets_fh is not None else (),
-                strict=cfg.strict_parse,
-            )
-        finally:
-            if follows_fh is not None:
-                follows_fh.close()
-            if outlets_fh is not None:
-                outlets_fh.close()
+    with contextlib.ExitStack() as stack:
+        lines = [stack.enter_context(open(path, "r", encoding="utf-8")) if path else ()
+                 for path in (args.tweets, args.follows, args.outlets)]
+        corpus = parse_corpus(*lines, strict=cfg.strict_parse)
     corpus = apply_filters(corpus, cfg)
     counts = extract_interactions(corpus)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -212,15 +203,18 @@ def cmd_train(args, cfg: RunConfig) -> int:
     counts, graph, channels = _load_dataset(args.data, cfg, args.pretrained)
     val_pairs = validation_edges(graph.edges(), cfg.val_fraction, stage_rng(cfg.seed, "train"))
     train_graph = graph_without_edges(graph, val_pairs)
+    t0 = time.perf_counter()
     state, history, _ = train(train_graph, channels, cfg, cfg, val_pairs,
                               seed=stage_seed(cfg.seed, "train"))
+    train_s = time.perf_counter() - t0
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.bin", state, counts.users, counts.hashtags)
     save_history(history, out / "history.csv")
     best = max((r.recall for r in history if np.isfinite(r.recall)), default=float("nan"))
     print(
-        f"train: {len(history)} epochs, best recall@{EVAL_K} {best:.4f} -> {out}"
+        f"train: {len(history)} epochs in {train_s:.2f} s, best recall@{EVAL_K} {best:.4f} "
+        f"-> {out}"
     )
     return 0
 

@@ -9,6 +9,7 @@ are rejected so typos fail loudly.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,13 @@ STAGE_INDEX = {
 }
 
 
+def _require_finite(cfg, cls) -> None:
+    """Refuse a non-finite float key of `cls`: range checks such as `x < 0` let nan through."""
+    for name, kind in cls.__annotations__.items():
+        if kind == "float" and not math.isfinite(value := getattr(cfg, name)):
+            raise ConfigError(f"{name}: expected a finite number, got {value}")
+
+
 @dataclass(frozen=True)
 class CorpusFilterConfig:
     """Thresholds for dropping bot-like or out-of-scope accounts."""
@@ -32,6 +40,9 @@ class CorpusFilterConfig:
     max_outlets_followed: int = 10
     max_avg_daily_tweets: float = 3.0
     location_allowlist: str = ""  # comma-separated; empty disables the filter
+
+    def __post_init__(self):
+        _require_finite(self, CorpusFilterConfig)
 
 
 @dataclass(frozen=True)
@@ -55,6 +66,7 @@ class TrainConfig:
     patience: int = 50
 
     def __post_init__(self):
+        _require_finite(self, TrainConfig)
         # learning_rate 0 is allowed: it freezes the parameters, which is
         # useful for no-op checks.
         if self.learning_rate < 0 or self.lambda_reg < 0:
@@ -83,6 +95,7 @@ class SynthConfig:
     retweet_rate: float = 0.5
 
     def __post_init__(self):
+        _require_finite(self, SynthConfig)
         if self.n_users < 2:
             raise ConfigError("need at least two users")
         if not (0 <= self.p_out < self.p_in <= 1):
@@ -124,6 +137,7 @@ class GraphConfig:
     pathsim_top_k: int = 0  # 0 disables the per-node cap
 
     def __post_init__(self):
+        _require_finite(self, GraphConfig)
         if min(self.social_c_follow, self.social_c_mention, self.social_c_reply) < 0:
             raise ConfigError("social coefficients must be nonnegative")
         for name in (self.pathsim_left, self.pathsim_right):
@@ -145,6 +159,7 @@ class EvalConfig:
     binary_stance: bool = False  # drop the NEUTRAL class
 
     def __post_init__(self):
+        _require_finite(self, EvalConfig)
         if not (0 < self.holdout_fraction <= 1):
             raise ConfigError("holdout fraction must be in (0, 1]")
         if self.folds < 2:
@@ -176,11 +191,13 @@ class RunConfig(EvalConfig, GraphConfig, SynthConfig, TrainConfig, ModelConfig,
 
     def __post_init__(self):
         # A dataclass __post_init__ does not chain: call each base's check.
+        CorpusFilterConfig.__post_init__(self)
         ModelConfig.__post_init__(self)
         TrainConfig.__post_init__(self)
         SynthConfig.__post_init__(self)
         GraphConfig.__post_init__(self)
         EvalConfig.__post_init__(self)
+        _require_finite(self, RunConfig)
         if not (0 < self.val_fraction <= 0.5):
             raise ConfigError("val_fraction must be in (0, 0.5]")
         if self.variant not in VARIANT_NAMES:
@@ -203,15 +220,9 @@ def _coerce(name: str, raw: str):
     try:
         if kind == "int":
             return int(text)
-        if kind != "float":
-            return text
-        value = float(text)
+        return float(text) if kind == "float" else text
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
-    # A range check such as `value < 0` lets nan through: no comparison holds.
-    if not np.isfinite(value):
-        raise ConfigError(f"{name}: expected a finite number, got {raw!r}")
-    return value
 
 
 def parse_config_file(path) -> dict:

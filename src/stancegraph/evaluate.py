@@ -175,21 +175,13 @@ def holdout_split(
     )
 
 
-def kfold_split(
-    edges: np.ndarray, folds: int, rng: np.random.Generator
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Random edge partition into (train, validation) pairs, one per fold."""
+def kfold_split(edges: np.ndarray, folds: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Random edge partition into validation folds, in edge order; each fold trains on the rest."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.shape[0] < folds:
         raise ConfigError(f"{edges.shape[0]} edges cannot fill {folds} folds")
     perm = rng.permutation(edges.shape[0])
-    parts = np.array_split(perm, folds)
-    out = []
-    for f in range(folds):
-        val_idx = parts[f]
-        train_idx = np.concatenate([parts[g] for g in range(folds) if g != f])
-        out.append((edges[np.sort(train_idx)], edges[np.sort(val_idx)]))
-    return out
+    return [edges[np.sort(part)] for part in np.array_split(perm, folds)]
 
 
 def held_out_count(fraction: float, n: int) -> int:
@@ -404,7 +396,7 @@ def run_protocol(
     kfold_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
 
     split = holdout_split(graph, annotations, hashtags, cfg.holdout_fraction, holdout_rng)
-    fold_pairs = kfold_split(split.train_graph.edges(), cfg.folds, kfold_rng)
+    val_folds = kfold_split(split.train_graph.edges(), cfg.folds, kfold_rng)
     if cfg.binary_stance:
         annotations = StanceAnnotation(
             by_class={c: v for c, v in annotations.by_class.items() if c != "NEUTRAL"})
@@ -414,7 +406,7 @@ def run_protocol(
     fold_rows: list[FoldMetrics] = []
     fold0: tuple[EmbeddingState, PropagationOutput, list] | None = None
     all_pred: list[str] = []
-    for f, (train_pairs, val_pairs) in enumerate(fold_pairs):
+    for f, val_pairs in enumerate(val_folds):
         fold_graph = graph_without_edges(split.train_graph, val_pairs)
         fold_seed = int(
             np.random.SeedSequence(seed, spawn_key=(2, f)).generate_state(1)[0]
@@ -463,7 +455,7 @@ def run_protocol(
         state=state,
         propagated=EmbeddingState(out.final_users, out.final_hashtags, state.seed),
         split=split,
-        fold0_val=fold_pairs[0][1],
+        fold0_val=val_folds[0],
         fold0_history=history,
     )
 

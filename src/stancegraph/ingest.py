@@ -99,6 +99,15 @@ def _string_list(obj: dict, key: str, line_no: int) -> list[str] | None:
     return value
 
 
+def _string(obj: dict, key: str, line_no: int, *, ids: bool = False) -> str:
+    """obj[key] if it is a string; with `ids`, an integer (not a boolean)
+    too, as its decimal string. RecordError for any other value."""
+    value = obj[key]
+    if isinstance(value, str) or ids and type(value) is int:
+        return str(value)
+    raise RecordError(f"{key} must be a string{' or an integer' if ids else ''}", line_no)
+
+
 def _parse_tweet_line(line: str, line_no: int, normalized: dict[str, str],
                       checked: set[str]) -> tuple[TweetRecord, str | None]:
     """One record and its location. `normalized` maps each raw hashtag seen
@@ -110,16 +119,16 @@ def _parse_tweet_line(line: str, line_no: int, normalized: dict[str, str],
     refused on every line it appears on."""
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also a 5,000-digit integer, deep nesting
         raise RecordError(f"invalid JSON: {exc}", line_no) from exc
     if not isinstance(obj, dict):
         raise RecordError("record is not an object", line_no)
     try:
-        tweet_id = str(obj["tweet_id"])
-        user_id = sys.intern(str(obj["user_id"]))
-        timestamp = _parse_timestamp(str(obj["timestamp"]))
-        text = str(obj["text"])
-        kind = sys.intern(str(obj["kind"]))
+        tweet_id = _string(obj, "tweet_id", line_no, ids=True)
+        user_id = sys.intern(_string(obj, "user_id", line_no, ids=True))
+        timestamp = _parse_timestamp(_string(obj, "timestamp", line_no))
+        text = _string(obj, "text", line_no)
+        kind = sys.intern(_string(obj, "kind", line_no))
     except KeyError as exc:
         raise RecordError(f"missing key {exc.args[0]!r}", line_no) from exc
     except ValueError as exc:
@@ -145,6 +154,8 @@ def _parse_tweet_line(line: str, line_no: int, normalized: dict[str, str],
         checked.update(checked_ids(fresh, "record", line_no))
 
     ref = obj.get("ref_user_id")
+    if ref is not None:
+        ref = sys.intern(_string(obj, "ref_user_id", line_no, ids=True))
     mentions = tuple(map(sys.intern, _string_list(obj, "mentions", line_no) or ()))
     record = TweetRecord(
         tweet_id=tweet_id,
@@ -152,11 +163,11 @@ def _parse_tweet_line(line: str, line_no: int, normalized: dict[str, str],
         timestamp=timestamp,
         kind=kind,
         hashtags=tuple(tags),
-        ref_user_id=None if ref is None else sys.intern(str(ref)),
+        ref_user_id=ref,
         mentions=mentions,
     )
     location = obj.get("location")
-    return record, None if location is None else str(location)
+    return record, None if location is None else _string(obj, "location", line_no)
 
 
 def parse_corpus(tweet_lines, follow_lines=(), outlet_lines=(), *, strict: bool) -> Corpus:
@@ -549,7 +560,7 @@ def load_counts(path) -> InteractionCounts:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # undecodable, too many digits, too deep
         raise RecordError(f"{path}: not a counts file ({exc})") from exc
     if not isinstance(payload, dict):
         raise RecordError(f"{path}: not a counts file")

@@ -315,7 +315,7 @@ def load_checkpoint(path) -> tuple[EmbeddingState, list[str], list[str]]:
     raw = block.tobytes()
     try:
         user_ids, tag_ids = json.loads(raw.decode("utf-8"))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise RecordError(f"{path}: bad id block ({exc})") from exc
     checked_ids(user_ids, path)
     checked_ids(tag_ids, path)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,21 +219,15 @@ class HistoryRow:
     loss: float
     recall: float
     ndcg: float
-    elapsed_ms: float
 
 
 def save_history(rows: list[HistoryRow], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss", f"recall@{EVAL_K}", f"ndcg@{EVAL_K}", "elapsed_ms"])
+        writer.writerow(["epoch", "loss", f"recall@{EVAL_K}", f"ndcg@{EVAL_K}"])
         for row in rows:
-            writer.writerow([
-                row.epoch,
-                f"{row.loss:.10g}",
-                f"{row.recall:.6f}",
-                f"{row.ndcg:.6f}",
-                f"{row.elapsed_ms:.1f}",
-            ])
+            writer.writerow([row.epoch, f"{row.loss:.10g}", f"{row.recall:.6f}",
+                             f"{row.ndcg:.6f}"])
 
 
 def train(
@@ -271,7 +264,6 @@ def train(
     out = None  # forward(params), while no step has changed params since
 
     for epoch in range(1, train_cfg.max_epochs + 1):
-        t0 = time.perf_counter()
         triples = sample_epoch(graph, rng)
         bpr_sum = 0.0
         for start in range(0, triples.shape[0], train_cfg.batch_size):
@@ -296,8 +288,7 @@ def train(
             evals_since_best = 0
         else:
             evals_since_best += 1
-        elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        history.append(HistoryRow(epoch, epoch_loss, recall, ndcg, elapsed_ms))
+        history.append(HistoryRow(epoch, epoch_loss, recall, ndcg))
         LOGGER.debug(
             "epoch %d loss %.6f recall %.4f ndcg %.4f", epoch, epoch_loss, recall, ndcg
         )

@@ -6,8 +6,11 @@ stdout (bypassing capture) so a plain verbose run shows the verdicts.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -475,9 +478,35 @@ def test_accept_8_metric_hand_examples(capfd):
 
 # 9: end-to-end determinism ----------------------------------------------------
 
-def run_pipeline(base):
+def perfbench_corpus():
+    """perfbench/corpus.py, the benchmark's raw corpus generator."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Every file each command of run_pipeline writes, by its path under the run.
+PIPELINE_FILES = [
+    "ingest/counts.json",
+    "raw/counts.json", "raw/annotations.tsv", "raw/planted.tsv",
+    "data/counts.json", "data/bipartite.coo", "data/social.coo", "data/pathsim.coo",
+    "model/checkpoint.bin", "model/history.csv",
+    "eval/report.txt", "eval/folds.csv", "eval/checkpoint.bin", "eval/propagated.bin",
+    "eval/hidden.tsv", "eval/val.tsv",
+    "curve/curve.csv",
+]
+
+
+def run_pipeline(corpus, base):
+    """Every command, from the raw corpus and from synth; the bytes of
+    every file the run wrote, by path."""
     raw, data, model, ev = base / "raw", base / "data", base / "model", base / "eval"
     argv_sets = [
+        ["ingest", "--tweets", corpus / "tweets.jsonl", "--follows", corpus / "follows.tsv",
+         "--outlets", corpus / "outlets.txt", "--out", base / "ingest" / "counts.json",
+         "--seed", "3"],
         ["synth", "--out", raw, "--seed", "3", "--n-users", "40", "--n-hashtags", "20",
          "--n-neutral", "4", "--interactions-per-user", "10", "--annotated-per-camp", "5"],
         ["build", "--counts", raw / "counts.json", "--out", data, "--seed", "3"],
@@ -486,23 +515,22 @@ def run_pipeline(base):
         ["eval", "--data", data, "--annotations", raw / "annotations.tsv",
          "--out", ev, "--seed", "3", "--dim", "8", "--max-epochs", "40",
          "--folds", "2", "--holdout-fraction", "0.1"],
+        ["curve", "--data", data, "--eval-dir", ev, "--annotations", raw / "annotations.tsv",
+         "--out", base / "curve" / "curve.csv", "--seed", "3"],
     ]
     for argv in argv_sets:
         assert main([str(a) for a in argv]) == 0
-    tracked = [
-        raw / "counts.json", raw / "annotations.tsv", raw / "planted.tsv",
-        data / "bipartite.coo", data / "social.coo", data / "pathsim.coo",
-        model / "checkpoint.bin",
-        ev / "report.txt", ev / "folds.csv", ev / "checkpoint.bin",
-        ev / "propagated.bin", ev / "hidden.tsv", ev / "val.tsv",
-    ]
-    # history.csv carries wall-clock timings and is deliberately left out
-    return {p.name + ":" + p.parent.name: p.read_bytes() for p in tracked}
+    return {p.relative_to(base).as_posix(): p.read_bytes()
+            for p in sorted(base.rglob("*")) if p.is_file()}
 
 
 def test_accept_9_pipeline_is_byte_deterministic(capfd, tmp_path):
-    first = run_pipeline(tmp_path / "a")
-    second = run_pipeline(tmp_path / "b")
+    corpus = tmp_path / "corpus"
+    gen = perfbench_corpus()
+    gen.generate(gen.CorpusSpec(n_users=60, n_hashtags=40, n_tweets=600), 3, corpus)
+    first = run_pipeline(corpus, tmp_path / "a")
+    second = run_pipeline(corpus, tmp_path / "b")
+    assert sorted(first) == sorted(second) == sorted(PIPELINE_FILES)
     same = {k for k in first if first[k] == second[k]}
     ok = same == set(first)
     verdict(capfd, "9 pipeline outputs byte-identical across runs",

@@ -699,8 +699,28 @@ def test_every_float_key_refuses_a_non_finite_value(tmp_path, capsys, key, value
     assert run(stage_argv("build", tmp_path, out) + [f"{flag}={value}"]) == 2
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if line.startswith("error ")] == [
-        f"error kind=ConfigError exit=2: {key}: expected a finite number, got {value!r}"]
+        f"error kind=ConfigError exit=2: {key}: expected a finite number, got {value}"]
     assert not out.exists()
+
+
+# The stage config that declares each float key.
+FLOAT_KEY_OWNERS = {name: cls for cls in RunConfig.__mro__ if dataclasses.is_dataclass(cls)
+                    for name in cls.__annotations__ if name in FLOAT_KEYS}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_every_float_key_refuses_a_non_finite_value_from_python(key, value):
+    # Python callers hit the check that files and flags hit: before, only
+    # the string path refused these.
+    message = f"^{key}: expected a finite number, got {value}$"
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(**{key: value})
+    with pytest.raises(ConfigError, match=message):
+        resolve(overrides={key: value})
+    with pytest.raises(ConfigError, match=message):
+        FLOAT_KEY_OWNERS[key](**{key: value})
 
 
 def test_config_file_refuses_a_non_finite_value(tmp_path):
@@ -831,6 +851,24 @@ def test_ingest_refuses_hashtags_that_are_not_a_list(tmp_path, capsys):
     assert load_counts(out).users == ["u1"]
 
 
+def test_ingest_refuses_a_null_tweet_id(tmp_path, capsys):
+    # Before, str() made both ids "None", and one record was dropped as a
+    # duplicate of the other.
+    tweets = tmp_path / "tweets.jsonl"
+    rows = [{"tweet_id": tid, "user_id": uid, "timestamp": "2022-09-04T12:00:00+00:00",
+             "text": "#uno", "kind": "original"} for tid, uid in (("t1", "u1"), (None, "u2"),
+                                                                  (None, "u3"))]
+    tweets.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+    out = tmp_path / "counts.json"
+    assert run(["ingest", "--tweets", tweets, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error ")] == [
+        "error kind=RecordError exit=3: line 2: tweet_id must be a string or an integer"]
+    assert "Traceback" not in err and not out.exists()
+    assert run(["ingest", "--tweets", tweets, "--out", out, "--no-strict-parse"]) == 0
+    assert load_counts(out).users == ["u1"]
+
+
 def test_build_refuses_a_counts_file_with_number_lists(tmp_path, capsys):
     # counts.json as written before its arrays became base64 columns
     raw, _ = synth_and_build(tmp_path)
@@ -863,17 +901,22 @@ def test_train_zero_epochs_checkpoint_is_initialization(tmp_path):
     assert np.array_equal(state.users, init.users)
     assert np.array_equal(state.hashtags, init.hashtags)
     history = (out / "history.csv").read_text(encoding="utf-8").strip().splitlines()
-    assert history == ["epoch,loss,recall@20,ndcg@20,elapsed_ms"]
+    assert history == ["epoch,loss,recall@20,ndcg@20"]
 
 
-def test_train_writes_history(tmp_path):
+def test_train_writes_history(tmp_path, capsys):
     _, data = synth_and_build(tmp_path)
     out = tmp_path / "model"
+    capsys.readouterr()
     assert run(["train", "--data", data, "--out", out,
                 "--max-epochs", "3", "--seed", "1", "--dim", "8"]) == 0
     lines = (out / "history.csv").read_text(encoding="utf-8").strip().splitlines()
-    assert lines[0] == "epoch,loss,recall@20,ndcg@20,elapsed_ms"
-    assert len(lines) == 4
+    assert lines[0] == "epoch,loss,recall@20,ndcg@20"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3"]
+    # The wall time is logged, not written to a file.
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    assert re.fullmatch(r"train: 3 epochs in \d+\.\d\d s, best recall@20 \d\.\d{4} -> .*",
+                        last), last
 
 
 def test_val_pairs_are_written_in_sorted_tuple_order(tmp_path):

@@ -209,6 +209,65 @@ def test_parse_null_hashtags_and_mentions_count_as_absent():
     assert tweet.hashtags == ("uno",) and tweet.mentions == ()
 
 
+NON_STRINGS = {"null": None, "true": True, "float": 1.5, "list": [1], "object": {}}
+ID_KEYS = ("tweet_id", "user_id", "ref_user_id")
+STRING_KEYS = ("timestamp", "text", "kind", "location")
+OPTIONAL_KEYS = ("ref_user_id", "location")
+
+
+@pytest.mark.parametrize("key, value", [
+    pytest.param(key, value, id=f"{key}-{name}")
+    for key in ID_KEYS + STRING_KEYS for name, value in NON_STRINGS.items()
+    # a null optional key is absent: test_parse_null_ref_user_id_and_location_count_as_absent
+    if not (value is None and key in OPTIONAL_KEYS)
+])
+def test_parse_refuses_a_field_of_the_wrong_type(key, value):
+    # Before, str() made null the id or text "None", and an object the
+    # user "{'x': 1}".
+    bad = json.dumps(dict(json.loads(tweet_line("t2", "bob", text="#x")), **{key: value}))
+    lines = [tweet_line("t1", "alice", text="#a"), bad, tweet_line("t3", "carol", text="#b")]
+    with pytest.raises(RecordError) as err:
+        parse_corpus(lines, strict=True)
+    kinds = "a string or an integer" if key in ID_KEYS else "a string"
+    assert str(err.value) == f"line 2: {key} must be {kinds}"
+    assert [t.tweet_id for t in parse_corpus(lines, strict=False).tweets] == ["t1", "t3"]
+
+
+@pytest.mark.parametrize("key", STRING_KEYS)
+def test_parse_refuses_an_integer_where_only_a_string_is_allowed(key):
+    bad = json.dumps(dict(json.loads(tweet_line("t1", "bob")), **{key: 7}))
+    with pytest.raises(RecordError, match=f"^line 1: {key} must be a string$"):
+        parse_corpus([bad], strict=True)
+
+
+def test_parse_integer_ids_are_their_decimal_strings():
+    line = tweet_line(12, 345, kind="retweet", ref=-6, location="Santiago")
+    corpus = parse_corpus([line, tweet_line("12", "345", text="later")], strict=True)
+    (tweet,) = corpus.tweets  # tweet_id 12 and "12" are the same record
+    assert (tweet.tweet_id, tweet.user_id) == ("12", "345") and tweet.hashtags == ()
+    assert parse_corpus([line], strict=True).tweets[0].ref_user_id == "-6"
+    assert parse_corpus([line], strict=True).locations == {"345": "Santiago"}
+
+
+def test_parse_null_ref_user_id_and_location_count_as_absent():
+    (tweet,) = parse_corpus([tweet_line("t1", "alice", ref=None, location=None)],
+                            strict=True).tweets
+    assert tweet.ref_user_id is None
+    assert parse_corpus([tweet_line("t1", "alice", location=None)], strict=True).locations == {}
+
+
+@pytest.mark.parametrize("bad", [
+    '{"tweet_id": ' + "1" * 5000 + "}",
+    "[" * 100_000,
+], ids=["integer-too-long", "nested-too-deep"])
+def test_parse_refuses_json_the_decoder_cannot_hold(bad):
+    # Before, these raised a ValueError or RecursionError traceback.
+    lines = [tweet_line("t1", "alice"), bad]
+    with pytest.raises(RecordError, match="^line 2: invalid JSON: "):
+        parse_corpus(lines, strict=True)
+    assert [t.tweet_id for t in parse_corpus(lines, strict=False).tweets] == ["t1"]
+
+
 def test_parse_follow_and_outlet_streams():
     corpus = parse_corpus(
         [tweet_line("t1", "alice")],
@@ -674,6 +733,19 @@ def test_load_counts_rejects_malformed(tmp_path, edit):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(edit(counts_payload(tmp_path))), encoding="utf-8")
     with pytest.raises(RecordError):
+        load_counts(path)
+
+
+@pytest.mark.parametrize("text", [
+    '{"users": [' + "1" * 5000 + "]}",
+    "[" * 100_000,
+    "\udcff",
+], ids=["integer-too-long", "nested-too-deep", "not-utf-8"])
+def test_load_counts_refuses_json_the_decoder_cannot_hold(tmp_path, text):
+    # Before, the first two raised a ValueError or RecursionError traceback.
+    path = tmp_path / "bad.json"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    with pytest.raises(RecordError, match="not a counts file"):
         load_counts(path)
 
 

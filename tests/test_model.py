@@ -13,10 +13,12 @@ import scipy.sparse as sp
 from stancegraph import model
 from stancegraph.errors import ConfigError, RecordError, ShapeError
 from stancegraph.graphs import (
+    CHECKPOINT,
     BipartiteGraph,
     UserGraph,
     build_adjacency,
     normalize_user_graph,
+    write_container,
 )
 from stancegraph.model import (
     ChannelSet,
@@ -430,6 +432,17 @@ def test_checkpoint_cut_inside_header(tmp_path):
         path.write_bytes(raw[:size])
         with pytest.raises(RecordError):
             load_checkpoint(path)
+
+
+@pytest.mark.parametrize("ids", [b"[" * 100_000, b"[" + b"1" * 5000 + b"]", b"\xff"],
+                         ids=["nested-too-deep", "integer-too-long", "not-utf-8"])
+def test_checkpoint_id_block_the_decoder_cannot_hold(tmp_path, ids):
+    # Before, the first raised a RecursionError traceback.
+    path = tmp_path / "ck.bin"
+    write_container(path, CHECKPOINT, (1, 1, 1, 0, len(ids)),
+                    [np.zeros((1, 1)), np.zeros((1, 1)), np.frombuffer(ids, np.uint8)])
+    with pytest.raises(RecordError, match="bad id block"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_truncated(tmp_path):

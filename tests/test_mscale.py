@@ -107,28 +107,6 @@ def test_different_bytes_or_a_failed_run_are_not_identical():
     assert got["outputs_identical"] is False
 
 
-def test_history_elapsed_ms_alone_leaves_outputs_identical(tmp_path):
-    header = "epoch,loss,recall@20,ndcg@20,elapsed_ms\n"
-    digests = {}
-    for tree, (first, second) in (("parent", ("12.5", "30.1")), ("change", ("9.0", "18.7"))):
-        path = tmp_path / tree / "history.csv"
-        path.parent.mkdir()
-        path.write_text(header + f"1,0.69,0.1,0.05,{first}\n2,0.6,0.2,0.1,{second}\n",
-                        encoding="utf-8")
-        digests[tree] = mscale.file_digest(path)
-    records = [record(tree, 0, "train", 1.0, 100.0, outputs={"history.csv": digest})
-               for tree, digest in digests.items()]
-    assert mscale.summary(records)["train"]["outputs_identical"] is True
-
-    # Any other column still counts.
-    path.write_text(header + "1,0.70,0.1,0.05,9.0\n2,0.6,0.2,0.1,18.7\n", encoding="utf-8")
-    assert mscale.file_digest(path) != digests["parent"]
-    # Other files are hashed whole.
-    other = tmp_path / "report.txt"
-    other.write_bytes(b"elapsed_ms=1\n")
-    assert mscale.file_digest(other) == mscale.hashlib.sha256(b"elapsed_ms=1\n").hexdigest()
-
-
 def test_one_tree_has_no_delta():
     got = mscale.summary([r for r in three_pairs() if r["tree"] == "change"])["build"]
     assert set(got) == {"failed", "change"}

@@ -350,7 +350,7 @@ def two_block_setup(seed=0):
         R[u, list(block)] = counts / counts.sum()
     graph = BipartiteGraph(R=sp.csr_matrix(R))
     edges = graph.edges()
-    train_pairs, val_pairs = kfold_split(edges, folds=4, rng=rng)[0]
+    val_pairs = kfold_split(edges, folds=4, rng=rng)[0]
     return graph_without_edges(graph, val_pairs), val_pairs
 
 

@@ -24,13 +24,12 @@ so does which of them goes first. Each stage records its wall time, that
 time scaled to the reference host speed by perfbench/run.py's HostClock
 (the factor the benchmark applies to its stage times, from a probe loop
 timed in a thread of this process), its peak RSS (`ru_maxrss` from
-`wait4`) and the sha256 of every file it wrote; `history.csv` is hashed
-without its `elapsed_ms` column, a timing that differs on every run. The
-files are hashed
-1 MiB at a time, because on Linux a child's `ru_maxrss` is at least the
-peak RSS its parent had reached when it started the child (the kernel
-keeps that mark across vfork and exec): reading an 87 MB graph whole
-would raise every later stage's reading to this tool's own peak.
+`wait4`) and the sha256 of every file it wrote, whole. perfbench/run.py's
+sha256 reads a file 1 MiB at a time, because on Linux a child's
+`ru_maxrss` is at least the peak RSS its parent had reached when it
+started the child (the kernel keeps that mark across vfork and exec):
+reading an 87 MB graph whole would raise every later stage's reading to
+this tool's own peak.
 
 This is not a benchmark harness: the committed workloads are
 perfbench/run.py's. It records the sizes those workloads do not reach,
@@ -43,10 +42,7 @@ trees wrote the same bytes.
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
 import importlib.util
-import io
 import json
 import os
 import shutil
@@ -62,7 +58,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def _perfbench_run():
     """perfbench/run.py, whose HostClock compensates stage times for the
-    host's speed; it imports perfbench/corpus.py by its bare name."""
+    host's speed and whose sha256 hashes the outputs; it imports
+    perfbench/corpus.py by its bare name."""
     sys.path.append(str(ROOT / "perfbench"))
     spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
@@ -70,7 +67,8 @@ def _perfbench_run():
     return module
 
 
-HostClock = _perfbench_run().HostClock
+_RUN = _perfbench_run()
+HostClock, sha256 = _RUN.HostClock, _RUN.sha256
 SEED = 1
 # The ingest stage's corpus: its seed, and tweets per user.
 CORPUS_SEED = 7
@@ -144,22 +142,6 @@ STAGES = {
 }
 
 
-def file_digest(path: Path) -> str:
-    """sha256 of a file, read 1 MiB at a time; of a history.csv, the
-    sha256 of its rows without the elapsed_ms column."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        if path.name == "history.csv":
-            rows = list(csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline="")))
-            keep = [i for i, name in enumerate(rows[0] if rows else ()) if name != "elapsed_ms"]
-            for row in rows:
-                digest.update((",".join(row[i] for i in keep) + "\n").encode("utf-8"))
-        else:
-            for block in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(block)
-    return digest.hexdigest()
-
-
 def run_stage(tree: Path, argv: list[str], run: Path, out_dir: str, clock) -> dict:
     """One stage process: wall time, the wall time scaled by the host clock's
     factor over it, peak RSS and the hashes of its outputs."""
@@ -175,7 +157,7 @@ def run_stage(tree: Path, argv: list[str], run: Path, out_dir: str, clock) -> di
     rc = os.waitstatus_to_exitcode(status)
     if rc != 0:
         sys.stderr.write(log.read_text(encoding="utf-8", errors="replace"))
-    outputs = {path.name: file_digest(path)
+    outputs = {path.name: sha256(path)
                for path in (sorted((run / out_dir).glob("*")) if rc == 0 else ())}
     # ru_maxrss is in KiB on Linux.
     return {"wall_s": round(wall, 4), "scaled_s": round(wall * clock.factor(t0, t1), 4),
