@@ -9,7 +9,7 @@ are rejected so typos fail loudly.
 from __future__ import annotations
 
 import dataclasses
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +26,23 @@ STAGE_INDEX = {
 }
 
 
-def _require_finite(cfg, cls) -> None:
-    """Refuse a non-finite float key of `cls`: range checks such as `x < 0` let nan through."""
+# The values a key of each annotated type takes, and their name. A float key
+# takes an int too, and NumPy's float64, which is a float; no NumPy integer
+# is an int, and a bool, though an int, fits only a bool key.
+_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+          "bool": ((bool,), "a boolean"), "str": ((str,), "a string")}
+
+
+def _check_types(cfg, cls) -> None:
+    """Refuse a key of `cls` whose value has the wrong type, or a float key
+    whose value is not finite: range checks such as `x < 0` let nan through."""
     for name, kind in cls.__annotations__.items():
-        if kind == "float" and not math.isfinite(value := getattr(cfg, name)):
+        value = getattr(cfg, name)
+        types, expected = _TYPES[kind]
+        if not isinstance(value, types) or isinstance(value, bool) != (kind == "bool"):
+            raise ConfigError(f"{name}: expected {expected}, got {value!r}")
+        # false for nan and the infinities, and for an int beyond the float range
+        if kind == "float" and not abs(value) <= sys.float_info.max:
             raise ConfigError(f"{name}: expected a finite number, got {value}")
 
 
@@ -42,7 +55,7 @@ class CorpusFilterConfig:
     location_allowlist: str = ""  # comma-separated; empty disables the filter
 
     def __post_init__(self):
-        _require_finite(self, CorpusFilterConfig)
+        _check_types(self, CorpusFilterConfig)
 
 
 @dataclass(frozen=True)
@@ -51,6 +64,7 @@ class ModelConfig:
     n_layers: int = 3
 
     def __post_init__(self):
+        _check_types(self, ModelConfig)
         if self.dim < 1:
             raise ConfigError("dim must be at least 1")
         if self.n_layers < 0:
@@ -66,7 +80,7 @@ class TrainConfig:
     patience: int = 50
 
     def __post_init__(self):
-        _require_finite(self, TrainConfig)
+        _check_types(self, TrainConfig)
         # learning_rate 0 is allowed: it freezes the parameters, which is
         # useful for no-op checks.
         if self.learning_rate < 0 or self.lambda_reg < 0:
@@ -95,7 +109,7 @@ class SynthConfig:
     retweet_rate: float = 0.5
 
     def __post_init__(self):
-        _require_finite(self, SynthConfig)
+        _check_types(self, SynthConfig)
         if self.n_users < 2:
             raise ConfigError("need at least two users")
         if not (0 <= self.p_out < self.p_in <= 1):
@@ -137,7 +151,7 @@ class GraphConfig:
     pathsim_top_k: int = 0  # 0 disables the per-node cap
 
     def __post_init__(self):
-        _require_finite(self, GraphConfig)
+        _check_types(self, GraphConfig)
         if min(self.social_c_follow, self.social_c_mention, self.social_c_reply) < 0:
             raise ConfigError("social coefficients must be nonnegative")
         for name in (self.pathsim_left, self.pathsim_right):
@@ -159,7 +173,7 @@ class EvalConfig:
     binary_stance: bool = False  # drop the NEUTRAL class
 
     def __post_init__(self):
-        _require_finite(self, EvalConfig)
+        _check_types(self, EvalConfig)
         if not (0 < self.holdout_fraction <= 1):
             raise ConfigError("holdout fraction must be in (0, 1]")
         if self.folds < 2:
@@ -197,7 +211,9 @@ class RunConfig(EvalConfig, GraphConfig, SynthConfig, TrainConfig, ModelConfig,
         SynthConfig.__post_init__(self)
         GraphConfig.__post_init__(self)
         EvalConfig.__post_init__(self)
-        _require_finite(self, RunConfig)
+        _check_types(self, RunConfig)
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if not (0 < self.val_fraction <= 0.5):
             raise ConfigError("val_fraction must be in (0, 0.5]")
         if self.variant not in VARIANT_NAMES:

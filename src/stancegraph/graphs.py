@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import GraphConfig
 from .errors import EmptyChannel, EmptyCorpus, RecordError, ShapeError
-from .ingest import CSR_DTYPES, CSRArrays, InteractionCounts, checked_csr
+from .ingest import CSR_DTYPES, CSRArrays, InteractionCounts, check_index_range, checked_csr
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -30,9 +30,6 @@ if TYPE_CHECKING:
 LOGGER = logging.getLogger(__name__)
 
 ROW_SUM_TOL = 1e-9
-
-# Array entries per write in write_container.
-WRITE_SLICE = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -50,7 +47,7 @@ class Container:
 
 # Header: version, rows, cols, nnz. Arrays: indptr, indices, data, in the
 # dtypes counts.json stores them in.
-GRAPH = Container("graph file", b"SGCSR\x00", struct.Struct("<IQQQ"), 1,
+GRAPH = Container("graph file", b"SGCSR\x00", struct.Struct("<IQQQ"), 2,
                   lambda n, m, nnz: list(zip(CSR_DTYPES, (n + 1, nnz, nnz))))
 # Header: version, users, hashtags, dim, seed, id bytes. Arrays: user rows,
 # hashtag rows, then the ids as a UTF-8 JSON block [users, hashtags].
@@ -61,18 +58,13 @@ CHECKPOINT = Container("checkpoint", b"SGEMB\x00", struct.Struct("<IQQQqQ"), 2,
 
 def write_container(path, kind: Container, fields: tuple, arrays) -> None:
     """Write `kind`'s magic, its header with `fields` after the version, and
-    `arrays` in the dtypes of its layout.
-
-    Each array goes out WRITE_SLICE entries at a time, straight from its
-    buffer: an array already in its layout dtype is never copied, and one
-    that must be converted (int32 indices to "<i8") is converted one slice
-    at a time. A zero-length array writes nothing."""
+    `arrays` in the dtypes of its layout. Each array goes out in one write,
+    straight from its buffer when it is contiguous and in its layout dtype;
+    a zero-length array writes nothing."""
     with open(path, "wb") as fh:
         fh.write(kind.magic + kind.header.pack(kind.version, *fields))
         for (dtype, _), arr in zip(kind.layout(*fields), arrays):
-            flat = np.ravel(arr)
-            for start in range(0, flat.size, WRITE_SLICE):
-                fh.write(np.ascontiguousarray(flat[start:start + WRITE_SLICE], dtype=dtype))
+            fh.write(np.ascontiguousarray(arr, dtype=dtype))
 
 
 def read_container(path, kind: Container) -> tuple[tuple, list[np.ndarray]]:
@@ -373,16 +365,17 @@ def save_matrix_coo(mat: sp.spmatrix, path) -> None:
     if not csr.has_canonical_format:
         csr = csr.copy()
         csr.sum_duplicates()
+    check_index_range(csr.shape, csr.nnz)
     write_container(path, GRAPH, (*csr.shape, csr.nnz), [csr.indptr, csr.indices, csr.data])
 
 
 def load_matrix_coo(path) -> sp.csr_matrix:
-    """Read save_matrix_coo's file. Besides read_container's refusals,
-    arrays that are not a canonical CSR matrix with finite values raise
-    RecordError."""
+    """Read save_matrix_coo's file. Besides read_container's refusals, a
+    row or column count beyond the int32 indices and arrays that are not
+    a canonical CSR matrix with finite values raise RecordError."""
     (n, m, _), (indptr, indices, data) = read_container(path, GRAPH)
-    if m > np.iinfo(np.int64).max:
-        raise RecordError(f"{path}: column count {m} out of range")
+    if max(n, m) > np.iinfo(np.int32).max:
+        raise RecordError(f"{path}: shape {n} x {m} out of range")
     return to_scipy(checked_csr(indptr, indices, data, (n, m), path))
 
 

@@ -263,9 +263,9 @@ class CSRArrays:
     """A sparse matrix as its CSR arrays: row i holds the columns
     indices[indptr[i]:indptr[i + 1]] with the values at the same slice of
     data. The count matrices are canonical (column indices strictly
-    increase within a row) with float64 data, the form counts.json stores.
-    Their index arrays are int32 when every index and offset fits, so that
-    graphs.to_scipy wraps them without a copy, as scipy keeps that dtype."""
+    increase within a row) with int32 indices and float64 data, the form
+    counts.json stores; graphs.to_scipy wraps them without a copy, as scipy
+    keeps that index dtype."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -273,17 +273,23 @@ class CSRArrays:
     shape: tuple[int, int]
 
 
-# A stored CSR matrix's arrays and their on-disk dtypes, in counts.json and
-# in the graph files (graphs.GRAPH).
+# A CSR matrix's arrays and their dtypes, in memory, in counts.json and in
+# the graph files (graphs.GRAPH).
 CSR_COLUMNS = ("indptr", "indices", "data")
-CSR_DTYPES = ("<i8", "<i8", "<f8")
+CSR_DTYPES = ("<i4", "<i4", "<f8")
+
+
+def check_index_range(shape, nnz: int) -> None:
+    """ShapeError unless a `shape` matrix with `nnz` entries fits int32 indices."""
+    if max(*shape, nnz) > np.iinfo(np.int32).max:
+        raise ShapeError(f"a {shape[0]} x {shape[1]} matrix with {nnz} entries "
+                         "does not fit int32 indices")
 
 
 def _csr_arrays(indptr, indices, data, shape) -> CSRArrays:
-    """CSRArrays with the index dtype scipy would choose for them."""
-    small = max(*shape, len(indices)) <= np.iinfo(np.int32).max
-    dtype = np.int32 if small else np.int64
-    return CSRArrays(indptr.astype(dtype, copy=False), indices.astype(dtype, copy=False),
+    """CSRArrays with int32 index arrays; see check_index_range."""
+    check_index_range(shape, len(indices))
+    return CSRArrays(indptr.astype(np.int32, copy=False), indices.astype(np.int32, copy=False),
                      data, tuple(shape))
 
 

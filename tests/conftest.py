@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 import scipy.sparse as sp
 
-from stancegraph.graphs import BipartiteGraph, UserGraph, to_scipy
-from stancegraph.ingest import CSRArrays, InteractionCounts
+from stancegraph.graphs import GRAPH, BipartiteGraph, UserGraph, to_scipy
+from stancegraph.ingest import CSR_DTYPES, CSRArrays, InteractionCounts
+
+
+# CSR_DTYPES as the native-order dtypes of arrays in memory, and the largest
+# index or entry count their int32 indices hold.
+NATIVE_CSR_DTYPES = tuple(np.dtype(d).newbyteorder("=") for d in CSR_DTYPES)
+INDEX_MAX = 2**31 - 1
+
+
+def csr_dtypes(mat) -> tuple:
+    """The dtypes of a CSR matrix's indptr, indices and data."""
+    return mat.indptr.dtype, mat.indices.dtype, mat.data.dtype
 
 
 def count_matrix(M) -> CSRArrays:
@@ -66,11 +75,11 @@ def random_user_graph(rng: np.random.Generator, n: int, density: float = 0.4, ki
 
 
 def write_graph_container(path, shape, indptr, indices, data) -> None:
-    """A graph file written straight from the documented layout, with no
+    """A graph file written straight from the documented layout (the magic,
+    the header "<IQQQ" and the arrays in CSR_DTYPES), with no
     canonicalizing or checking, so tests can build malformed ones."""
     n, m = shape
     with open(path, "wb") as fh:
-        fh.write(b"SGCSR\x00" + struct.pack("<IQQQ", 1, n, m, len(indices)))
-        fh.write(np.asarray(indptr, dtype="<i8").tobytes())
-        fh.write(np.asarray(indices, dtype="<i8").tobytes())
-        fh.write(np.asarray(data, dtype="<f8").tobytes())
+        fh.write(b"SGCSR\x00" + GRAPH.header.pack(GRAPH.version, n, m, len(indices)))
+        for values, dtype in zip((indptr, indices, data), CSR_DTYPES):
+            fh.write(np.asarray(values, dtype=dtype).tobytes())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import base64
 import dataclasses
 import gc
 import importlib
@@ -370,6 +371,55 @@ def test_malformed_dataset_file_exits_3(tmp_path, capsys, damage):
     assert "Traceback" not in err
 
 
+def version_1_bipartite(data):
+    """bipartite.coo as a version-1 graph file held it: int64 indices."""
+    path = data / "bipartite.coo"
+    mat = load_matrix_coo(path)
+    blob = b"SGCSR\x00" + struct.pack("<IQQQ", 1, *mat.shape, mat.nnz)
+    for arr, dtype in ((mat.indptr, "<i8"), (mat.indices, "<i8"), (mat.data, "<f8")):
+        blob += np.asarray(arr, dtype).tobytes()
+    path.write_bytes(blob)
+
+
+def wide_bipartite(data):
+    path = data / "bipartite.coo"
+    mat = load_matrix_coo(path)
+    write_graph_container(path, (mat.shape[0], 2**31), mat.indptr, mat.indices, mat.data)
+
+
+def int64_counts(data):
+    """counts.json as it was written with "<i8" index columns."""
+    path = data / "counts.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    for columns in payload.values():
+        if isinstance(columns, dict):
+            for key in ("indptr", "indices"):
+                values = np.frombuffer(base64.b64decode(columns[key]), "<i4").astype("<i8")
+                columns[key] = base64.b64encode(values.tobytes()).decode("ascii")
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+@pytest.mark.parametrize("command, damage, message", [
+    ("train", version_1_bipartite, r"bipartite\.coo: unsupported graph file version 1"),
+    ("train", wide_bipartite, r"bipartite\.coo: shape 40 x 2147483648 out of range"),
+    ("train", int64_counts, r"counts\.json T_tweet: array lengths do not match the shape"),
+    ("build", int64_counts, r"counts\.json T_tweet: array lengths do not match the shape"),
+], ids=["version-1-graph", "columns-beyond-int32", "int64-counts", "int64-counts-build"])
+def test_dataset_in_an_earlier_layout_exits_3_naming_the_refusal(tmp_path, capsys, command,
+                                                                 damage, message):
+    _, data = synth_and_build(tmp_path)
+    damage(data)
+    capsys.readouterr()
+    argv = (["build", "--counts", data / "counts.json", "--out", tmp_path / "again"]
+            if command == "build" else
+            ["train", "--data", data, "--out", tmp_path / "model", "--max-epochs", "1"])
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error ")]
+    assert len(errors) == 1 and "Traceback" not in err
+    assert re.fullmatch(f"error kind=RecordError exit=3: .*{message}", errors[0]), errors
+
+
 def cut_propagated(keep):
     def damage(eval_dir):
         path = eval_dir / "propagated.bin"
@@ -673,6 +723,16 @@ def stage_argv(command, tmp_path, out):
             "--out", out]
 
 
+def every_command_argv(tmp_path, out) -> list[list]:
+    """Each command on inputs that do not exist, writing to `out`."""
+    return [stage_argv("build", tmp_path, out), stage_argv("train", tmp_path, out),
+            stage_argv("eval", tmp_path, out),
+            ["ingest", "--tweets", tmp_path / "tweets.jsonl", "--out", out],
+            ["curve", "--data", tmp_path / "data", "--eval-dir", tmp_path / "eval",
+             "--annotations", tmp_path / "ann.tsv", "--out", out],
+            ["synth", "--out", out]]
+
+
 @pytest.mark.parametrize("command", ["build", "train", "eval"])
 @pytest.mark.parametrize("flag, value, message", REFUSED_VALUES,
                          ids=[f"{flag[2:]}={value}" for flag, value, _ in REFUSED_VALUES])
@@ -703,9 +763,9 @@ def test_every_float_key_refuses_a_non_finite_value(tmp_path, capsys, key, value
     assert not out.exists()
 
 
-# The stage config that declares each float key.
-FLOAT_KEY_OWNERS = {name: cls for cls in RunConfig.__mro__ if dataclasses.is_dataclass(cls)
-                    for name in cls.__annotations__ if name in FLOAT_KEYS}
+# The stage config that declares each key, RunConfig for its own seven.
+KEY_OWNERS = {name: cls for cls in RunConfig.__mro__ if dataclasses.is_dataclass(cls)
+              for name in cls.__annotations__}
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
@@ -720,7 +780,66 @@ def test_every_float_key_refuses_a_non_finite_value_from_python(key, value):
     with pytest.raises(ConfigError, match=message):
         resolve(overrides={key: value})
     with pytest.raises(ConfigError, match=message):
-        FLOAT_KEY_OWNERS[key](**{key: value})
+        KEY_OWNERS[key](**{key: value})
+
+
+# Values of the wrong type for each key type, with the name the message
+# gives the expected type. A bool is no int, a NumPy integer is no int and
+# no float, and np.bool_ is no bool.
+WRONG_TYPES = {
+    "int": ("an integer", [2.5, True, np.int64(3), None, "3"]),
+    "float": ("a number", [False, np.int64(1), None, "0.5", [0.5]]),
+    "bool": ("a boolean", [1, 0, np.True_, None, "no"]),
+    "str": ("a string", [1, None, True, b"wlgcn", ["tweet"]]),
+}
+KEY_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+WRONG_TYPED = [(key, value) for key, kind in KEY_TYPES.items() for value in WRONG_TYPES[kind][1]]
+
+
+@pytest.mark.parametrize("key, value", WRONG_TYPED,
+                         ids=[f"{key}={value!r}" for key, value in WRONG_TYPED])
+def test_every_key_refuses_a_value_of_the_wrong_type_from_python(key, value):
+    # Before, only the string path checked types: RunConfig(dim=2.5) was
+    # accepted, and use_social="no" turned the social channel on.
+    expected = WRONG_TYPES[KEY_TYPES[key]][0]
+    message = f"^{re.escape(f'{key}: expected {expected}, got {value!r}')}$"
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(**{key: value})
+    with pytest.raises(ConfigError, match=message):
+        KEY_OWNERS[key](**{key: value})
+    if not isinstance(value, str):  # a string takes the file and flag path
+        with pytest.raises(ConfigError, match=message):
+            resolve(overrides={key: value})
+
+
+def test_float_keys_take_ints_and_numpy_floats_and_no_numpy_integers():
+    cfg = RunConfig(homophily=np.float64(2.5), p_in=1, p_out=0, dim=8)
+    assert cfg.homophily == 2.5 and (cfg.p_in, cfg.p_out) == (1, 0)
+    assert resolve(overrides={"learning_rate": np.float64(0.01)}).learning_rate == 0.01
+    with pytest.raises(ConfigError, match="^homophily: expected a finite number, got nan$"):
+        RunConfig(homophily=np.float64("nan"))
+    int64 = re.escape(repr(np.int64(8)))
+    with pytest.raises(ConfigError, match=f"^dim: expected an integer, got {int64}$"):
+        RunConfig(dim=np.int64(8))
+    with pytest.raises(ConfigError, match="^use_social: expected a boolean, got"):
+        RunConfig(use_social=np.True_)
+    with pytest.raises(ConfigError, match="^homophily: expected a finite number, got 1000"):
+        RunConfig(homophily=10**400)
+
+
+@pytest.mark.parametrize("command", range(6),
+                         ids=["build", "train", "eval", "ingest", "curve", "synth"])
+def test_a_negative_seed_exits_2_on_every_command(tmp_path, command):
+    # Before, every command died in np.random.SeedSequence with a traceback
+    # and exit 1.
+    out = tmp_path / "out"
+    argv = every_command_argv(tmp_path, out)[command]
+    proc = fresh_python(["-m", "stancegraph.cli", *map(str, argv), "--seed=-1"], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert [line for line in proc.stderr.splitlines() if line.startswith("error ")] == [
+        "error kind=ConfigError exit=2: seed must be nonnegative"]
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_config_file_refuses_a_non_finite_value(tmp_path):
@@ -737,12 +856,7 @@ def test_eval_refuses_an_unknown_variant(tmp_path, capsys):
     # Every command refuses it, not only eval, which reads it: on inputs
     # that do not exist, a command that took the name would exit 4, or 0.
     out = tmp_path / "out"
-    for argv in (stage_argv("build", tmp_path, out), stage_argv("train", tmp_path, out),
-                 stage_argv("eval", tmp_path, out),
-                 ["ingest", "--tweets", tmp_path / "tweets.jsonl", "--out", out],
-                 ["curve", "--data", tmp_path / "data", "--eval-dir", tmp_path / "eval",
-                  "--annotations", tmp_path / "ann.tsv", "--out", out],
-                 ["synth", "--out", out]):
+    for argv in every_command_argv(tmp_path, out):
         assert run(argv + ["--variant", "bogus"]) == 2, argv[0]
         err = capsys.readouterr().err
         assert [line for line in err.splitlines() if line.startswith("error ")] == [

@@ -15,7 +15,6 @@ from hypothesis.extra import numpy as hnp
 
 from stancegraph.config import GraphConfig
 from stancegraph.errors import ConfigError, EmptyChannel, RecordError, ShapeError
-import stancegraph.graphs as graphs
 from stancegraph.graphs import (
     CHECKPOINT,
     GRAPH,
@@ -39,7 +38,8 @@ from stancegraph.graphs import (
 )
 from stancegraph.model import EmbeddingState, load_checkpoint, save_checkpoint
 
-from conftest import counts_from, random_bipartite, random_user_graph, write_graph_container
+from conftest import (INDEX_MAX, NATIVE_CSR_DTYPES, counts_from, csr_dtypes, random_bipartite,
+                      random_user_graph, write_graph_container)
 import reference
 from reference import neighbors
 
@@ -575,17 +575,59 @@ def test_container_arrays_are_read_straight_into_their_own_buffers(tmp_path):
     assert np.array_equal(arrays[2], mat.data) and np.array_equal(arrays[1], mat.indices)
 
 
-def test_container_writes_in_slices_with_the_same_bytes(tmp_path, monkeypatch):
-    # int32 indices are converted to "<i8" one slice at a time; a slice
-    # size that splits every array must give the whole-array bytes.
+def test_container_converts_an_array_outside_its_layout_dtype(tmp_path):
+    # int64 indices are written as the layout's int32, with the same bytes.
     mat = sp.random(7, 9, density=0.5, format="csr", random_state=np.random.default_rng(5))
     assert mat.indices.dtype == np.int32
-    save_matrix_coo(mat, tmp_path / "whole.coo")
-    monkeypatch.setattr(graphs, "WRITE_SLICE", 3)
-    save_matrix_coo(mat, tmp_path / "sliced.coo")
-    write_graph_container(tmp_path / "want.coo", mat.shape, mat.indptr, mat.indices, mat.data)
-    assert (tmp_path / "sliced.coo").read_bytes() == (tmp_path / "want.coo").read_bytes()
-    assert (tmp_path / "whole.coo").read_bytes() == (tmp_path / "want.coo").read_bytes()
+    arrays = [mat.indptr, mat.indices, mat.data]
+    write_container(tmp_path / "wide.coo", GRAPH, (*mat.shape, mat.nnz),
+                    [a.astype(np.int64) for a in arrays[:2]] + arrays[2:])
+    write_graph_container(tmp_path / "want.coo", mat.shape, *arrays)
+    assert (tmp_path / "wide.coo").read_bytes() == (tmp_path / "want.coo").read_bytes()
+
+
+@pytest.mark.parametrize("top_k", [0, 2])
+def test_every_graph_build_writes_holds_the_stored_dtypes(tmp_path, top_k):
+    # The graphs are saved from their own arrays and loaded as read: no
+    # conversion on either side.
+    rng = np.random.default_rng(71)
+    T = rng.integers(0, 3, size=(12, 6)) * (rng.random((12, 6)) < 0.5)
+    T[:, 0] += 1
+    mention = np.triu(rng.integers(0, 2, size=(12, 12)), 1)
+    counts = counts_from(T, T_retweet=T[::-1], mention=mention, reply=mention.T)
+    cfg = GraphConfig(pathsim_top_k=top_k)
+    built = {
+        "bipartite": build_interaction_graph(counts).R,
+        "social": build_social_graph(counts, cfg).W,
+        "pathsim": sparsify(compute_pathsim(counts, cfg), cfg.pathsim_min_weight, top_k).W,
+    }
+    for name, mat in built.items():
+        assert mat.nnz, name
+        assert csr_dtypes(mat) == NATIVE_CSR_DTYPES, name
+        path = tmp_path / f"{name}.coo"
+        save_matrix_coo(mat, path)
+        back = load_matrix_coo(path)
+        assert csr_dtypes(back) == NATIVE_CSR_DTYPES, name
+        assert path.stat().st_size == 34 + 4 * (mat.shape[0] + 1) + 12 * mat.nnz, name
+        save_matrix_coo(back, tmp_path / "again.coo")
+        assert (tmp_path / "again.coo").read_bytes() == path.read_bytes(), name
+
+
+def test_save_matrix_coo_refuses_a_shape_beyond_int32(tmp_path):
+    # The index arrays are int32, so a wider matrix would be stored wrapped.
+    with pytest.raises(ShapeError, match="does not fit int32 indices"):
+        save_matrix_coo(sp.csr_matrix((2, INDEX_MAX + 1)), tmp_path / "wide.coo")
+    assert not (tmp_path / "wide.coo").exists()
+    save_matrix_coo(sp.csr_matrix((2, INDEX_MAX)), tmp_path / "widest.coo")
+    assert load_matrix_coo(tmp_path / "widest.coo").shape == (2, INDEX_MAX)
+
+
+@pytest.mark.parametrize("shape", [(2, INDEX_MAX + 1), (2, 2**64 - 1)])
+def test_matrix_loader_refuses_a_column_count_beyond_int32(tmp_path, shape):
+    path = tmp_path / "wide.coo"
+    write_graph_container(path, shape, [0, 1, 1], [5], [1.0])
+    with pytest.raises(RecordError, match=f"shape 2 x {shape[1]} out of range"):
+        load_matrix_coo(path)
 
 
 def test_uniform_weights_match_binarized_adjacency():
@@ -707,7 +749,8 @@ def test_matrix_loader_rejects_bad_container(tmp_path):
         "old text format": b"2 3 3\n0 0 0.5\n0 2 0.5\n1 1 1\n",
         "empty file": b"",
         "bad magic": b"SGEMB\x00" + good[6:],
-        "bad version": good[:6] + (2).to_bytes(4, "little") + good[10:],
+        "earlier version": good[:6] + (GRAPH.version - 1).to_bytes(4, "little") + good[10:],
+        "later version": good[:6] + (GRAPH.version + 1).to_bytes(4, "little") + good[10:],
         "truncated header": good[:20],
         "truncated arrays": good[:-8],
         "trailing bytes": good + b"\x00",

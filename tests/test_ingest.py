@@ -15,7 +15,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stancegraph import ingest
+from stancegraph.config import SynthConfig
 from stancegraph.errors import DegenerateHashtag, EmptyCorpus, RecordError, ShapeError
+from stancegraph.evaluate import synth_generate
 from stancegraph.graphs import GRAPH, to_scipy
 from stancegraph.ingest import (
     COUNT_MATRICES,
@@ -30,7 +32,7 @@ from stancegraph.ingest import (
     save_counts,
 )
 
-from conftest import count_matrix, counts_from, dense
+from conftest import INDEX_MAX, NATIVE_CSR_DTYPES, count_matrix, counts_from, csr_dtypes, dense
 from reference import csr_from_counts
 
 
@@ -589,6 +591,10 @@ def b64(values, dtype: str) -> str:
     return base64.b64encode(np.asarray(values, dtype).tobytes()).decode("ascii")
 
 
+# The stored dtype of each CSR array.
+INDPTR, INDICES, DATA = ingest.CSR_DTYPES
+
+
 def test_counts_file_is_csr_columns(tmp_path):
     counts = small_counts(np.random.default_rng(3))
     path = tmp_path / "counts.json"
@@ -597,16 +603,53 @@ def test_counts_file_is_csr_columns(tmp_path):
     assert set(payload) == {"users", "hashtags", *COUNT_MATRICES}
     for name in COUNT_MATRICES:
         mat = getattr(counts, name)
-        assert payload[name] == {"indptr": b64(mat.indptr, "<i8"),
-                                 "indices": b64(mat.indices, "<i8"),
-                                 "data": b64(mat.data, "<f8")}
+        assert payload[name] == {"indptr": b64(mat.indptr, INDPTR),
+                                 "indices": b64(mat.indices, INDICES),
+                                 "data": b64(mat.data, DATA)}
         column = payload[name]["indices"]
-        assert np.array_equal(np.frombuffer(base64.b64decode(column), "<i8"), mat.indices)
+        assert np.array_equal(np.frombuffer(base64.b64decode(column), INDICES), mat.indices)
 
 
 def test_counts_and_graph_files_share_the_array_dtypes():
-    assert ingest.CSR_DTYPES == ("<i8", "<i8", "<f8")
-    assert GRAPH.layout(3, 4, 5) == [("<i8", 4), ("<i8", 5), ("<f8", 5)]
+    assert ingest.CSR_DTYPES == ("<i4", "<i4", "<f8")
+    assert GRAPH.layout(3, 4, 5) == [("<i4", 4), ("<i4", 5), ("<f8", 5)]
+
+
+def test_count_matrices_hold_the_stored_dtypes_in_memory(tmp_path):
+    # Extracted, synthesized and loaded matrices all hold CSR_DTYPES, so a
+    # save writes their buffers as they are and a load keeps what it read.
+    corpus = make_corpus([tweet_line("t1", "ana", text="#a #b"),
+                          tweet_line("t2", "bob", text="#b", kind="retweet")],
+                         follows=["ana\tbob", "bob\tana"])
+    synth = synth_generate(SynthConfig(n_users=20, n_hashtags=10, n_neutral=2,
+                                       interactions_per_user=4, annotated_per_camp=2),
+                           np.random.default_rng(0)).counts
+    path = tmp_path / "counts.json"
+    save_counts(synth, path)
+    for counts in (extract_interactions(corpus), synth, load_counts(path)):
+        for name in COUNT_MATRICES + ("T",):
+            assert csr_dtypes(getattr(counts, name)) == NATIVE_CSR_DTYPES, name
+
+
+def test_count_matrices_refuse_a_shape_beyond_int32():
+    with pytest.raises(ShapeError, match="does not fit int32 indices"):
+        ingest._unit_counts([0], [INDEX_MAX], (1, INDEX_MAX + 1))
+    widest = ingest._unit_counts([0], [INDEX_MAX - 1], (1, INDEX_MAX))
+    assert widest.indices.tolist() == [INDEX_MAX - 1]
+
+
+def test_counts_file_with_int64_indices_is_refused(tmp_path):
+    # A counts.json written while indices were stored as "<i8": each index
+    # column decodes to twice its items, so indptr has the wrong length.
+    payload = counts_payload(tmp_path)
+    for name in COUNT_MATRICES:
+        for key, dtype in (("indptr", INDPTR), ("indices", INDICES)):
+            values = np.frombuffer(base64.b64decode(payload[name][key]), dtype)
+            payload[name][key] = b64(values, "<i8")
+    path = tmp_path / "old.json"
+    path.write_text(compact(payload), encoding="utf-8")
+    with pytest.raises(RecordError, match="T_tweet: array lengths do not match the shape$"):
+        load_counts(path)
 
 
 def test_counts_roundtrip_is_byte_exact(tmp_path):
@@ -648,7 +691,7 @@ def test_counts_file_with_empty_matrices(tmp_path):
     save_counts(counts, path)
     text = path.read_text(encoding="utf-8")
     assert text == compact(json.loads(text))
-    assert f'"mention":{{"indptr":"{b64([0, 0, 0, 0], "<i8")}","indices":"","data":""}}' in text
+    assert f'"mention":{{"indptr":"{b64([0, 0, 0, 0], INDPTR)}","indices":"","data":""}}' in text
     loaded = load_counts(path)
     assert loaded.T_tweet.shape == (3, 2)
     assert len(loaded.T.data) == 0 and len(loaded.mutual_follow.data) == 0
@@ -679,7 +722,7 @@ def nnz(payload: dict, name: str) -> int:
 
 
 def indptr(payload: dict, name: str) -> list[int]:
-    return np.frombuffer(base64.b64decode(payload[name]["indptr"]), "<i8").tolist()
+    return np.frombuffer(base64.b64decode(payload[name]["indptr"]), INDPTR).tolist()
 
 
 def without(payload: dict, key: str) -> dict:
@@ -712,9 +755,9 @@ def list_format(payload: dict) -> dict:
     lambda p: corrupt(p, "T_tweet", "indices", [[0]] * nnz(p, "T_tweet")),
     lambda p: corrupt(p, "T_tweet", "indices", 0.5),
     lambda p: corrupt(p, "T_tweet", "indices", True),
-    lambda p: corrupt(p, "T_tweet", "indices", b64([3] * nnz(p, "T_tweet"), "<i8")),
-    lambda p: corrupt(p, "mention", "indptr", b64([0, 0, 0, 0], "<i8")),
-    lambda p: corrupt(p, "mention", "indptr", b64([1] + indptr(p, "mention")[1:], "<i8")),
+    lambda p: corrupt(p, "T_tweet", "indices", b64([3] * nnz(p, "T_tweet"), INDICES)),
+    lambda p: corrupt(p, "mention", "indptr", b64([0, 0, 0, 0], INDPTR)),
+    lambda p: corrupt(p, "mention", "indptr", b64([1] + indptr(p, "mention")[1:], INDPTR)),
     lambda p: corrupt(p, "mention", "data", b64([-1.0] * nnz(p, "mention"), "<f8")),
     lambda p: corrupt(p, "mention", "data", "1"),
     lambda p: corrupt(p, "mention", "data", b64([np.nan] * nnz(p, "mention"), "<f8")),
@@ -757,10 +800,12 @@ def test_load_counts_refuses_json_the_decoder_cannot_hold(tmp_path, text):
     (lambda p: corrupt(p, "T_tweet", "data", "AAAA!AAAAAA="), "invalid base64"),
     (lambda p: corrupt(p, "T_tweet", "data", "AAAAAAAAAAA"), "invalid base64"),
     (lambda p: corrupt(p, "T_tweet", "data", "AAAAAAAA\nAAA="), "invalid base64"),
-    (lambda p: corrupt(p, "mention", "indptr", base64.b64encode(bytes(12)).decode()),
+    (lambda p: corrupt(p, "mention", "indptr", base64.b64encode(bytes(10)).decode()),
+     "10 bytes is not a whole number of 4-byte items"),
+    (lambda p: corrupt(p, "mention", "data", base64.b64encode(bytes(12)).decode()),
      "12 bytes is not a whole number of 8-byte items"),
 ], ids=["list-format", "null", "number", "non-ascii", "bad-character", "missing-padding",
-        "line-break", "ragged-bytes"])
+        "line-break", "ragged-bytes", "ragged-data-bytes"])
 def test_load_counts_refuses_a_column_that_is_not_base64_items(tmp_path, edit, reason):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(edit(counts_payload(tmp_path)), ensure_ascii=False),
@@ -785,8 +830,8 @@ def test_load_counts_rejects_truncated_and_non_utf8(tmp_path):
 def test_load_counts_inconsistent_matrices_raise_shape_error(tmp_path):
     payload = counts_payload(tmp_path)
     # An asymmetric mutual-follow matrix parses but fails validate().
-    payload["mutual_follow"] = {"indptr": b64([0, 1, 1, 1, 1], "<i8"),
-                                "indices": b64([1], "<i8"), "data": b64([1.0], "<f8")}
+    payload["mutual_follow"] = {"indptr": b64([0, 1, 1, 1, 1], INDPTR),
+                                "indices": b64([1], INDICES), "data": b64([1.0], DATA)}
     path = tmp_path / "asym.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(ShapeError):

@@ -7,7 +7,8 @@ import json
 import sys
 from pathlib import Path
 
-HASHES = {"counts.json": "aa", "pathsim.coo": "bb"}
+OUTPUTS = {"counts.json": {"bytes": 100, "sha256": "aa"},
+           "pathsim.coo": {"bytes": 300, "sha256": "bb"}}
 
 
 def load(name: str, path: Path):
@@ -24,10 +25,12 @@ mscale = load("mscale", ROOT / "tools" / "mscale.py")
 
 def record(tree: str, run: int, stage: str, wall_s: float, peak_rss_mb: float, rc: int = 0,
            outputs: dict | None = None, scaled_s: float | None = None) -> dict:
+    outputs = dict(OUTPUTS) if outputs is None else outputs
     return {"tree": tree, "run": run, "stage": stage, "wall_s": wall_s,
             "scaled_s": wall_s if scaled_s is None else scaled_s,
-            "peak_rss_mb": peak_rss_mb, "rc": rc,
-            "outputs": dict(HASHES) if outputs is None else outputs}
+            "peak_rss_mb": peak_rss_mb,
+            "output_bytes": sum(out["bytes"] for out in outputs.values()), "rc": rc,
+            "outputs": outputs}
 
 
 def three_pairs(stage: str = "build", change_rss=(270.0, 280.0, 275.0)) -> list[dict]:
@@ -95,7 +98,8 @@ def test_summary_keeps_stages_apart_in_pipeline_order():
 
 def test_different_bytes_or_a_failed_run_are_not_identical():
     records = three_pairs()
-    records[3] = dict(records[3], outputs={"counts.json": "aa", "pathsim.coo": "cc"})
+    records[3] = dict(records[3], outputs=dict(OUTPUTS, **{"pathsim.coo": {"bytes": 300,
+                                                                           "sha256": "cc"}}))
     assert mscale.summary(records)["build"]["outputs_identical"] is False
 
     records = three_pairs()
@@ -104,6 +108,22 @@ def test_different_bytes_or_a_failed_run_are_not_identical():
     assert got["failed"] == 1
     assert got["change"]["runs"] == 2
     assert got["change"]["peak_rss_mb"]["median"] == 277.5  # the failed run is left out
+    assert got["outputs_identical"] is False
+
+
+def test_summary_gives_each_trees_total_output_bytes():
+    # A format change shows as a change in the bytes written, with the
+    # hashes different and the totals compared like the other metrics.
+    records = three_pairs()
+    smaller = {"counts.json": {"bytes": 75, "sha256": "dd"},
+               "pathsim.coo": {"bytes": 225, "sha256": "ee"}}
+    for r in records:
+        if r["tree"] == "change":
+            r.update(outputs=smaller, output_bytes=300)
+    got = mscale.summary(records)["build"]
+    assert got["parent"]["output_bytes"] == {"median": 400, "q1": 400, "q3": 400}
+    assert got["change"]["output_bytes"] == {"median": 300, "q1": 300, "q3": 300}
+    assert got["output_bytes_delta_pct"] == -25.0
     assert got["outputs_identical"] is False
 
 
@@ -123,6 +143,14 @@ def test_one_small_run_records_every_stage(tmp_path, capsys):
     assert [(r["tree"], r["stage"], r["rc"]) for r in result["records"]] == [
         ("change", stage, 0) for stage in stages]
     ingest, synth, build, train, train_channels, eval_channels, curve = result["records"]
+    for r in result["records"]:
+        assert all(out["bytes"] > 0 and len(out["sha256"]) == 64
+                   for out in r["outputs"].values()), r["stage"]
+        assert r["output_bytes"] == sum(out["bytes"] for out in r["outputs"].values())
+    # A graph file is its 34-byte header, then int32 indptr and indices and
+    # float64 data; the bipartite graph holds every (user, hashtag) pair once.
+    assert (build["outputs"]["bipartite.coo"]["bytes"] - 34 - 4 * 41) % 12 == 0
+    assert result["summary"]["build"]["change"]["output_bytes"]["median"] == build["output_bytes"]
     assert set(ingest["outputs"]) == {"counts.json"}
     assert ingest["outputs"]["counts.json"] != synth["outputs"]["counts.json"]
     assert result["size"]["corpus_tweets"] == 25 * 40 and result["size"]["corpus_seed"] == 7

@@ -24,19 +24,19 @@ so does which of them goes first. Each stage records its wall time, that
 time scaled to the reference host speed by perfbench/run.py's HostClock
 (the factor the benchmark applies to its stage times, from a probe loop
 timed in a thread of this process), its peak RSS (`ru_maxrss` from
-`wait4`) and the sha256 of every file it wrote, whole. perfbench/run.py's
-sha256 reads a file 1 MiB at a time, because on Linux a child's
-`ru_maxrss` is at least the peak RSS its parent had reached when it
-started the child (the kernel keeps that mark across vfork and exec):
-reading an 87 MB graph whole would raise every later stage's reading to
-this tool's own peak.
+`wait4`), and the byte size and the sha256 of every file it wrote, whole,
+with the total size. perfbench/run.py's sha256 reads a file 1 MiB at a
+time, because on Linux a child's `ru_maxrss` is at least the peak RSS its
+parent had reached when it started the child (the kernel keeps that mark
+across vfork and exec): reading a 65 MB graph whole would raise every
+later stage's reading to this tool's own peak.
 
 This is not a benchmark harness: the committed workloads are
 perfbench/run.py's. It records the sizes those workloads do not reach,
 and its summary is marked not claimed. The summary gives, per stage and
-tree, the median and quartiles of the raw and the scaled wall time and
-of peak RSS, the change's delta against the parent, and whether both
-trees wrote the same bytes.
+tree, the median and quartiles of the raw and the scaled wall time, of
+peak RSS and of the total bytes written, the change's delta against the
+parent, and whether both trees wrote the same bytes.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ STAGES = {
 
 def run_stage(tree: Path, argv: list[str], run: Path, out_dir: str, clock) -> dict:
     """One stage process: wall time, the wall time scaled by the host clock's
-    factor over it, peak RSS and the hashes of its outputs."""
+    factor over it, peak RSS, and the size and hash of each of its outputs."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     log = run / "stage.log"
     with open(log, "wb") as out:
@@ -157,11 +157,13 @@ def run_stage(tree: Path, argv: list[str], run: Path, out_dir: str, clock) -> di
     rc = os.waitstatus_to_exitcode(status)
     if rc != 0:
         sys.stderr.write(log.read_text(encoding="utf-8", errors="replace"))
-    outputs = {path.name: sha256(path)
+    outputs = {path.name: {"bytes": path.stat().st_size, "sha256": sha256(path)}
                for path in (sorted((run / out_dir).glob("*")) if rc == 0 else ())}
     # ru_maxrss is in KiB on Linux.
     return {"wall_s": round(wall, 4), "scaled_s": round(wall * clock.factor(t0, t1), 4),
-            "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 1), "rc": rc, "outputs": outputs}
+            "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 1),
+            "output_bytes": sum(out["bytes"] for out in outputs.values()), "rc": rc,
+            "outputs": outputs}
 
 
 def spread(values: list[float]) -> dict:
@@ -170,7 +172,7 @@ def spread(values: list[float]) -> dict:
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
-METRICS = ("wall_s", "scaled_s", "peak_rss_mb")
+METRICS = ("wall_s", "scaled_s", "peak_rss_mb", "output_bytes")
 
 
 def summary(records: list[dict]) -> dict:
@@ -228,7 +230,8 @@ def main(argv: list[str] | None = None) -> int:
                     records.append({"tree": tree, "run": k, "stage": stage, **result})
                     print(f"run {k} {tree} {stage}: {result['wall_s']:.3f} s "
                           f"({result['scaled_s']:.3f} s scaled), "
-                          f"{result['peak_rss_mb']:.1f} MB peak RSS, exit {result['rc']}",
+                          f"{result['peak_rss_mb']:.1f} MB peak RSS, "
+                          f"{result['output_bytes']} bytes written, exit {result['rc']}",
                           flush=True)
                     if result["rc"] != 0:
                         break
