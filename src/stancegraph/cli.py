@@ -342,11 +342,12 @@ def _fail(exc: Exception, code: int) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command in ("build", "train", "eval"):
-        # These commands build, load or train on graphs, and graphs.py
-        # imports scipy.sparse on first use. Imported here, before the
-        # freeze, its objects are frozen with the others; imported after
-        # it, every later collection would scan them.
+    if args.command in ("train", "eval"):
+        # These commands load graphs and train on them, and graphs.py
+        # imports scipy.sparse on first use (build works on NumPy CSR
+        # arrays alone). Imported here, before the freeze, its objects are
+        # frozen with the others; imported after it, every later
+        # collection would scan them.
         import scipy.sparse  # noqa: F401
     # Move the objects the imports left tracked into the permanent
     # generation: the full collections during the run and the one at

@@ -218,8 +218,8 @@ def graph_without_edges(graph: BipartiteGraph, removed: np.ndarray) -> Bipartite
     removed = np.asarray(removed, dtype=np.int64).reshape(-1, 2)
     keys = _flat_keys(graph.R)
     gone = _is_member(np.unique(removed[:, 0] * graph.n_hashtags + removed[:, 1]), keys)
-    return BipartiteGraph(R=row_normalize(_kept(graph.R, ~gone),
-                                          rows=np.unique(keys[gone] // graph.n_hashtags)))
+    R = row_normalize(_kept(graph.R, ~gone), rows=np.unique(keys[gone] // graph.n_hashtags))
+    return BipartiteGraph(R=to_scipy(R))
 
 
 def null_model(
@@ -230,7 +230,7 @@ def null_model(
         raise ConfigError("interaction count cannot be negative")
     flat = rng.integers(0, n_users * n_hashtags, size=n_interactions)
     T = _unit_counts(flat // n_hashtags, flat % n_hashtags, (n_users, n_hashtags))
-    return BipartiteGraph(R=row_normalize(to_scipy(T)))
+    return BipartiteGraph(R=to_scipy(row_normalize(T)))
 
 
 def _stances(values: np.ndarray, annotations: StanceAnnotation, index: dict[str, int],

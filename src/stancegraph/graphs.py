@@ -4,10 +4,14 @@ Builds the weighted user-hashtag bipartite graph, the social user graph,
 and meta-path similarity user graphs, and normalizes each into the
 symmetric propagation operator used by the embedding model.
 
-This is the one module that needs scipy.sparse. Each function that calls
-it imports it, so a process that builds no graph (ingest, synth, curve)
-never pays for the import; cli.main imports it up front for the commands
-that do.
+A graph holds a canonical float64 CSR matrix of one of two kinds. The
+graphs that `build` constructs hold NumPy CSR arrays (ingest.CSRArrays),
+and everything `build` calls works on the arrays alone, so `build` runs
+without scipy. The graphs that the loaders return hold scipy CSR matrices,
+as do the propagation operators: scipy.sparse is imported by the functions
+that need it (to_scipy, build_adjacency, the normalization), so a process
+that trains on no graph (ingest, synth, build, curve) never pays for the
+import; cli.main imports it up front for train and eval.
 """
 
 from __future__ import annotations
@@ -22,7 +26,19 @@ import numpy as np
 
 from .config import GraphConfig
 from .errors import EmptyChannel, EmptyCorpus, RecordError, ShapeError
-from .ingest import CSR_DTYPES, CSRArrays, InteractionCounts, check_index_range, checked_csr
+from .ingest import (
+    CSR_DTYPES,
+    CSRArrays,
+    InteractionCounts,
+    _flat_keys,
+    _from_keys,
+    _row_indices,
+    _summed_entries,
+    _transposed,
+    check_index_range,
+    checked_csr,
+    is_symmetric,
+)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -30,6 +46,10 @@ if TYPE_CHECKING:
 LOGGER = logging.getLogger(__name__)
 
 ROW_SUM_TOL = 1e-9
+
+# Cap on the products, and on the dense cells, of one row block of the
+# PathSim products C = M1 @ M2.T and M2 @ M1.T (pathsim_scores).
+PATHSIM_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -106,15 +126,16 @@ class BipartiteGraph:
     """Weighted user-hashtag graph. R rows are usage distributions: row i
     holds user i's interaction counts divided by the user's total.
 
-    The graph owns the matrix it is given: a float64 CSR matrix is kept as
-    it is, not copied, and is put in canonical form (sorted column indices,
-    duplicates summed) in place. Any other matrix is converted first."""
+    R is a canonical float64 CSR matrix: NumPy CSR arrays, as `build`
+    makes them, or a scipy matrix, as the loaders and the evaluation make
+    them. The graph owns the matrix it is given and keeps it as it is,
+    unless it is a scipy matrix of another format, dtype or order, which
+    is converted (see _canonical)."""
 
-    R: sp.csr_matrix
+    R: CSRArrays | sp.csr_matrix
 
     def __post_init__(self):
-        self.R = self.R.tocsr().astype(np.float64, copy=False)
-        self.R.sum_duplicates()
+        self.R = _canonical(self.R)
         n, m = self.R.shape
         if n < 1 or m < 1:
             raise EmptyCorpus("bipartite graph needs at least one user and one hashtag")
@@ -131,11 +152,10 @@ class BipartiteGraph:
 
     def edges(self) -> np.ndarray:
         """All (user, hashtag) pairs with positive weight, row-major order."""
-        coo = self.R.tocoo()
-        return np.column_stack([coo.row, coo.col]).astype(np.int64)
+        return np.column_stack([_row_indices(self.R, np.int64), self.R.indices.astype(np.int64)])
 
     def validate_row_stochastic(self) -> None:
-        sums = np.asarray(self.R.sum(axis=1)).ravel()
+        sums = _row_sums(self.R)
         active = sums > 0
         if active.any() and np.abs(sums[active] - 1.0).max() > ROW_SUM_TOL:
             raise ShapeError("rows with edges must sum to 1")
@@ -145,15 +165,14 @@ class BipartiteGraph:
 class UserGraph:
     """Symmetric nonnegative user-user graph with zero diagonal.
 
-    Like BipartiteGraph, it owns the matrix it is given: a float64 CSR
-    matrix is kept, not copied, and made canonical in place."""
+    Like BipartiteGraph, it holds a canonical float64 CSR matrix of either
+    kind, the one it is given unless that is converted."""
 
-    W: sp.csr_matrix
+    W: CSRArrays | sp.csr_matrix
     kind: str = "user"
 
     def __post_init__(self):
-        self.W = self.W.tocsr().astype(np.float64, copy=False)
-        self.W.sum_duplicates()
+        self.W = _canonical(self.W)
         n, m = self.W.shape
         if n != m:
             raise ShapeError(f"user graph must be square, got {self.W.shape}")
@@ -176,48 +195,74 @@ class NormalizedAdjacency:
         return self.matrix.shape[0]
 
 
-def to_scipy(mat: CSRArrays) -> sp.csr_matrix:
-    """The scipy CSR matrix over mat's own arrays, not a copy of them."""
+def _canonical(mat):
+    """mat as a float64 CSR matrix in canonical form (sorted column
+    indices, no repeats). CSRArrays, which the package builds canonical
+    and float64, are returned as they are, and so is a scipy float64 CSR
+    matrix already in that form; any other scipy matrix is converted, or
+    copied, first. The input is never changed."""
+    if isinstance(mat, CSRArrays):
+        return mat
+    csr = mat.tocsr().astype(np.float64, copy=False)
+    if not csr.has_canonical_format:
+        csr = csr.copy()
+        csr.sum_duplicates()
+    return csr
+
+
+def to_scipy(mat) -> sp.csr_matrix:
+    """The scipy CSR matrix over the arrays of mat (CSRArrays or a scipy
+    CSR matrix), not a copy of them."""
     import scipy.sparse as sp
 
     return sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
 
 
-def row_normalize(M: sp.spmatrix, rows: np.ndarray | None = None) -> sp.csr_matrix:
-    """Scale rows to sum to 1; empty rows stay zero.
+def _row_sums(M) -> np.ndarray:
+    """The sum of each row of the CSR matrix M, added as scipy's
+    M.sum(axis=1) adds it: one np.add.reduceat over the stored values of
+    the nonempty rows."""
+    sums = np.zeros(M.shape[0])
+    nonempty = np.flatnonzero(np.diff(M.indptr))
+    if len(nonempty):
+        sums[nonempty] = np.add.reduceat(M.data, M.indptr[nonempty])
+    return sums
+
+
+def row_normalize(M, rows: np.ndarray | None = None) -> CSRArrays:
+    """The canonical CSR matrix M (CSRArrays or scipy) with its rows scaled
+    to sum to 1; empty rows stay zero.
 
     With `rows`, only those rows are rescaled and every other row keeps its
-    weights bit for bit.
+    weights bit for bit. A value that scales to 0 is dropped. Each value
+    is the product of its row's scale and its weight, as scipy's
+    diags(scale) @ M computes it, so the two agree bit for bit.
     """
-    import scipy.sparse as sp
-
-    M = M.tocsr().astype(np.float64)
-    rowsum = np.asarray(M.sum(axis=1)).ravel()
+    rowsum = _row_sums(M)
     scale = np.divide(1.0, rowsum, out=np.zeros_like(rowsum), where=rowsum > 0)
     if rows is not None:
         untouched = np.ones(M.shape[0], dtype=bool)
         untouched[rows] = False
         scale[untouched] = 1.0
-    out = sp.csr_matrix(sp.diags(scale) @ M)
-    out.sort_indices()
-    return out
+    data = np.repeat(scale, np.diff(M.indptr)) * M.data
+    return _kept(CSRArrays(M.indptr, M.indices, data, M.shape), data != 0)
 
 
 def build_interaction_graph(counts: InteractionCounts) -> BipartiteGraph:
     """Row-normalize the usage counts T into edge weights."""
-    graph = BipartiteGraph(R=row_normalize(to_scipy(counts.T)))
+    graph = BipartiteGraph(R=row_normalize(counts.T))
     graph.validate_row_stochastic()
     return graph
 
 
 def binarize(graph: BipartiteGraph) -> BipartiteGraph:
     """Replace every positive weight with 1 (unweighted-graph reduction)."""
-    R = graph.R.copy()
+    R = to_scipy(graph.R).copy()
     R.data = np.ones_like(R.data)
     return BipartiteGraph(R=R)
 
 
-def _symmetric_normalize(A: sp.csr_matrix) -> NormalizedAdjacency:
+def _symmetric_normalize(A) -> NormalizedAdjacency:
     """D^-1/2 A D^-1/2 of the canonical CSR matrix A, in A's sparsity
     pattern; ShapeError if A has a diagonal entry. The degrees are summed
     in storage order, and the factor dinv[r] * dinv[c] is computed
@@ -225,7 +270,7 @@ def _symmetric_normalize(A: sp.csr_matrix) -> NormalizedAdjacency:
     symmetric result."""
     import scipy.sparse as sp
 
-    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    rows = _row_indices(A)
     if (rows == A.indices).any():
         raise ShapeError("graph has diagonal entries")
     deg = np.bincount(rows, weights=A.data, minlength=A.shape[0])
@@ -244,11 +289,22 @@ def build_adjacency(graph: BipartiteGraph) -> NormalizedAdjacency:
     """
     import scipy.sparse as sp
 
-    return _symmetric_normalize(sp.bmat([[None, graph.R], [graph.R.T, None]], format="csr"))
+    R = to_scipy(graph.R)
+    return _symmetric_normalize(sp.bmat([[None, R], [R.T, None]], format="csr"))
 
 
 def normalize_user_graph(graph: UserGraph) -> NormalizedAdjacency:
     return _symmetric_normalize(graph.W)
+
+
+def _sum(mats) -> CSRArrays:
+    """The entrywise sum of CSR matrices of one shape, as scipy's `+` gives
+    it (ingest._summed_entries)."""
+    return _from_keys(*_summed_entries(mats), mats[0].shape)
+
+
+def _scaled(c: float, M: CSRArrays) -> CSRArrays:
+    return CSRArrays(M.indptr, M.indices, c * M.data, M.shape)
 
 
 def build_social_graph(counts: InteractionCounts, cfg: GraphConfig) -> UserGraph:
@@ -256,54 +312,149 @@ def build_social_graph(counts: InteractionCounts, cfg: GraphConfig) -> UserGraph
     social_c_* keys, into one symmetric user graph."""
     if cfg.social_c_follow == cfg.social_c_mention == cfg.social_c_reply == 0.0:
         raise EmptyChannel("all social coefficients are zero")
-    mention, reply = to_scipy(counts.mention), to_scipy(counts.reply)
-    W = (
-        cfg.social_c_follow * to_scipy(counts.mutual_follow)
-        + cfg.social_c_mention * (mention + mention.T)
-        + cfg.social_c_reply * (reply + reply.T)
-    )
+    mention, reply = counts.mention, counts.reply
+    W = _sum([
+        _scaled(cfg.social_c_follow, counts.mutual_follow),
+        _scaled(cfg.social_c_mention, _sum([mention, _transposed(mention)])),
+        _scaled(cfg.social_c_reply, _sum([reply, _transposed(reply)])),
+    ])
     return UserGraph(W=_symmetrized(W), kind="social")
 
 
-def _symmetrized(W: sp.csr_matrix) -> sp.csr_matrix:
-    """(W + W.T) * 0.5 without its diagonal, halved in place: the sum is the
-    only new matrix."""
-    W = W + W.T
-    W.data *= 0.5
-    on_diagonal = np.repeat(np.arange(W.shape[0], dtype=W.indices.dtype),
-                            np.diff(W.indptr)) == W.indices
-    W.data[on_diagonal] = 0.0
-    W.eliminate_zeros()
-    return W
+def _symmetrized(W: CSRArrays) -> CSRArrays:
+    """(W + W.T) * 0.5 without its diagonal; values that come to 0 are
+    dropped."""
+    keys, data = _summed_entries([W, _transposed(W)])
+    data *= 0.5
+    n = W.shape[0]
+    keep = (data != 0) & (keys // n != keys % n)
+    return _from_keys(keys[keep], data[keep], W.shape)
 
 
-def pathsim_scores(M1: sp.csr_matrix, M2: sp.csr_matrix) -> sp.csr_matrix:
-    """Meta-path similarity before symmetrization.
+def pathsim_scores(M1, M2) -> CSRArrays:
+    """Meta-path similarity in its symmetric form: (S + S.T) / 2 without
+    the diagonal, where s(i, j) = 2*C[i, j] / (C[i, i] + C[j, j]) with
+    C = M1 @ M2.T, and pairs whose diagonal mass is zero get similarity 0.
 
-    s(i, j) = 2*C[i, j] / (C[i, i] + C[j, j]) with C = M1 @ M2.T; pairs
-    whose diagonal mass is zero get similarity 0. The product's own data
-    array is rescaled, so C is the only matrix built.
+    M1 and M2 are canonical CSR matrices (CSRArrays or scipy) of
+    nonnegative counts. C and D = M2 @ M1.T, whose row i holds C's column
+    i, are built a row block at a time as dense arrays (_product_rows),
+    and each block gives its rows of the result in CSR order
+    (_symmetric_rows), so S, its transpose and their sum are never held.
+    D is C itself when M1 is M2. Every value is computed as scipy computes
+    it from the product, so the two agree bit for bit.
     """
     if M1.shape != M2.shape:
         raise ShapeError(f"relation shapes differ: {M1.shape} vs {M2.shape}")
-    C = M1 @ M2.T
-    diag = C.diagonal()
-    den = np.repeat(diag, np.diff(C.indptr))  # C[i, i] for each entry of row i
-    den += diag[C.indices]
-    C.data *= 2.0
-    np.divide(C.data, den, out=C.data, where=den > 0)
-    C.data[den <= 0] = 0.0
-    C.eliminate_zeros()
-    C.sort_indices()
-    return C
+    n, m = M1.shape
+    # C[i, i]: the products of M1's and M2's shared entries, summed per row.
+    keys1, keys2 = _flat_keys(M1), _flat_keys(M2)
+    shared, at1, at2 = np.intersect1d(keys1, keys2, assume_unique=True, return_indices=True)
+    diag = _summed_at(shared // m, M1.data[at1] * M2.data[at2], n)
+    M2T = _transposed(M2)
+    M1T = None if M2 is M1 else _transposed(M1)
+    # Products up to each row boundary, over the blocks of C and of D.
+    bounds = _products_before_rows(M1, M2T)
+    if M1T is not None:
+        bounds += _products_before_rows(M2, M1T)
+    max_rows = max(1, PATHSIM_BLOCK // max(n, 1))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indices, data = [np.empty(0, np.int32)], [np.empty(0)]
+    lo = 0
+    while lo < n:
+        fits = np.searchsorted(bounds, bounds[lo] + PATHSIM_BLOCK, side="right") - 1
+        hi = max(lo + 1, min(fits, lo + max_rows))
+        C = _product_rows(M1, M2T, lo, hi)
+        D = None if M1T is None else _product_rows(M2, M1T, lo, hi)
+        indptr[lo + 1:hi + 1], cols, scores = _symmetric_rows(C, D, diag, lo)
+        indices.append(cols.astype(np.int32))
+        data.append(scores)
+        lo = hi
+    np.cumsum(indptr, out=indptr)
+    check_index_range((n, n), int(indptr[-1]))
+    # One list of chunks is freed before the other is joined.
+    indices = np.concatenate(indices)
+    data = np.concatenate(data)
+    return CSRArrays(indptr.astype(np.int32), indices, data, (n, n))
+
+
+def _symmetric_rows(C: np.ndarray, D: np.ndarray | None, diag: np.ndarray, lo: int):
+    """Rows lo:lo + len(C) of (S + S.T) / 2 without the diagonal, from the
+    same rows of C and of D (None when D is C, and then the rows are
+    S's): the entries per row, and the columns and values in CSR order.
+
+    s(i, j) is computed only where C[i, j] or D[i, j] is nonzero and i or
+    j has diagonal mass; every other pair scores 0. It is 2*C[i, j] /
+    (C[i, i] + C[j, j]), and (S + S.T) / 2 is (s(i, j) + s(j, i)) * 0.5,
+    as scipy computes them; a value that underflows to 0 is dropped."""
+    b, n = C.shape
+    has_mass = diag > 0
+    stored = C != 0
+    if D is not None:
+        stored |= D != 0
+    stored &= has_mass[lo:lo + b, None] | has_mass
+    stored[np.arange(b), np.arange(lo, lo + b)] = False
+    per_row = np.count_nonzero(stored, axis=1)
+    cells = np.flatnonzero(stored)
+    cols = cells - np.repeat(np.arange(b) * n, per_row)
+    den = np.repeat(diag[lo:lo + b], per_row) + diag[cols]
+    scores = C.ravel()[cells]
+    scores *= 2.0
+    scores /= den
+    if D is not None:
+        transpose_scores = D.ravel()[cells]
+        transpose_scores *= 2.0
+        transpose_scores /= den
+        scores += transpose_scores
+        scores *= 0.5
+    kept = scores != 0
+    if not kept.all():
+        per_row = np.bincount(np.repeat(np.arange(b), per_row)[kept], minlength=b)
+        cols, scores = cols[kept], scores[kept]
+    return per_row, cols, scores
+
+
+def _products_before_rows(A, BT) -> np.ndarray:
+    """For each row boundary i, the number of products A[r, k] * B[j, k]
+    that rows 0:i of A @ BT.T are summed from."""
+    per_entry = np.diff(BT.indptr)[A.indices]
+    return np.concatenate([[0], np.cumsum(per_entry)])[A.indptr]
+
+
+def _product_rows(A, BT, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of A @ BT.T as a dense array, where BT is the CSR matrix
+    of B's transpose: one np.bincount over the products A[i, k] * B[j, k]
+    of the block's entries. They are listed by row i, then by hashtag k
+    ascending, so each value is summed from 0.0 in ascending k, as scipy's
+    CSR product sums it."""
+    n = BT.shape[1]
+    start, stop = A.indptr[lo], A.indptr[hi]
+    tags = A.indices[start:stop]
+    first = BT.indptr[tags].astype(np.int64)
+    count = BT.indptr[tags + 1] - first
+    # Position in BT of each product: its entry's first, plus its rank.
+    at = np.repeat(first - (np.cumsum(count) - count), count)
+    at += np.arange(len(at))
+    row_start = np.repeat(np.arange(hi - lo) * n, np.diff(A.indptr[lo:hi + 1]))
+    cells = np.repeat(row_start, count)
+    cells += BT.indices[at]
+    products = np.repeat(A.data[start:stop], count)
+    products *= BT.data[at]
+    return _summed_at(cells, products, (hi - lo) * n).reshape(hi - lo, n)
+
+
+def _summed_at(cells: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """A float64 array of `size` zeros with each value added at its cell,
+    in order: np.bincount, which gives int64 zeros for no values."""
+    return np.bincount(cells, weights=values, minlength=size).astype(np.float64, copy=False)
 
 
 def compute_pathsim(counts: InteractionCounts, cfg: GraphConfig) -> UserGraph:
     """PathSim user graph for the user -> hashtag -> user meta-path whose
     relations pathsim_left and pathsim_right name."""
     left, right = cfg.pathsim_left, cfg.pathsim_right
-    S = pathsim_scores(to_scipy(counts.relation(left)), to_scipy(counts.relation(right)))
-    return UserGraph(W=_symmetrized(S), kind=f"pathsim:{left}-{right}")
+    S = pathsim_scores(counts.relation(left), counts.relation(right))
+    return UserGraph(W=S, kind=f"pathsim:{left}-{right}")
 
 
 def sparsify(graph: UserGraph, min_weight: float, top_k: int) -> UserGraph:
@@ -313,7 +464,7 @@ def sparsify(graph: UserGraph, min_weight: float, top_k: int) -> UserGraph:
     W = _kept(graph.W, graph.W.data >= min_weight)
     if top_k:
         n = W.shape[0]
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(W.indptr))
+        rows = _row_indices(W, np.int64)
         cols = W.indices.astype(np.int64)
         # Rank each edge within its row, strongest first; ties break toward
         # the smaller neighbor index.
@@ -326,14 +477,15 @@ def sparsify(graph: UserGraph, min_weight: float, top_k: int) -> UserGraph:
     return UserGraph(W=W, kind=graph.kind)
 
 
-def _kept(W: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:
-    """The entries of the canonical CSR matrix W where `keep` is true. Each
-    row's new extent comes from the running count of kept entries."""
-    import scipy.sparse as sp
-
+def _kept(W, keep: np.ndarray) -> CSRArrays:
+    """The entries of the canonical CSR matrix W (CSRArrays or scipy) where
+    `keep` is true: W's own arrays if it is true everywhere. Each row's new
+    extent comes from the running count of kept entries."""
+    if keep.all():
+        return CSRArrays(W.indptr, W.indices, W.data, W.shape)
     kept_before = np.zeros(W.nnz + 1, dtype=W.indptr.dtype)
     np.cumsum(keep, out=kept_before[1:])
-    return sp.csr_matrix((W.data[keep], W.indices[keep], kept_before[W.indptr]), shape=W.shape)
+    return CSRArrays(kept_before[W.indptr], W.indices[keep], W.data[keep], W.shape)
 
 
 def _is_member(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -351,20 +503,15 @@ def propagate_once(adj: NormalizedAdjacency, H: np.ndarray) -> np.ndarray:
     return adj.matrix @ H
 
 
-def save_matrix_coo(mat: sp.spmatrix, path) -> None:
+def save_matrix_coo(mat, path) -> None:
     """Write `mat` as a GRAPH container (the `.coo` file names predate it).
 
-    Duplicates are summed and column indices sorted before writing, so
-    equal matrices give equal bytes and save -> load -> save is exact. A
-    float64 CSR matrix already in that form is written from its own arrays;
-    any other is converted or copied first, never changed in place.
+    mat is CSRArrays or a scipy matrix; _canonical puts it in canonical
+    form (repeats summed, column indices sorted), so equal matrices give
+    equal bytes and save -> load -> save is exact. The arrays are written
+    as they are, and the input is never changed.
     """
-    import scipy.sparse as sp
-
-    csr = sp.csr_matrix(mat, dtype=np.float64)
-    if not csr.has_canonical_format:
-        csr = csr.copy()
-        csr.sum_duplicates()
+    csr = _canonical(mat)
     check_index_range(csr.shape, csr.nnz)
     write_container(path, GRAPH, (*csr.shape, csr.nnz), [csr.indptr, csr.indices, csr.data])
 
@@ -391,4 +538,12 @@ def load_bipartite(path) -> BipartiteGraph:
 
 
 def load_user_graph(path, kind: str = "user") -> UserGraph:
-    return UserGraph(W=_load_weights(path), kind=kind)
+    """The user graph in `path`. Besides the matrix loader's refusals, a
+    graph that is not symmetric, or that has a diagonal entry, raises
+    RecordError: the user operator's transpose is taken to be itself."""
+    graph = UserGraph(W=_load_weights(path), kind=kind)
+    if not is_symmetric(graph.W):
+        raise RecordError(f"{path}: user graph is not symmetric")
+    if (_row_indices(graph.W) == graph.W.indices).any():
+        raise RecordError(f"{path}: user graph has diagonal entries")
+    return graph

@@ -272,6 +272,10 @@ class CSRArrays:
     data: np.ndarray
     shape: tuple[int, int]
 
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
 
 # A CSR matrix's arrays and their dtypes, in memory, in counts.json and in
 # the graph files (graphs.GRAPH).
@@ -300,6 +304,28 @@ def _flat_keys(mat) -> np.ndarray:
     keys = np.repeat(np.arange(n, dtype=np.int64) * m, np.diff(mat.indptr))
     keys += mat.indices
     return keys
+
+
+def _row_indices(mat, dtype=np.intp) -> np.ndarray:
+    """The row of each stored entry of a CSR matrix, in storage order."""
+    return np.repeat(np.arange(mat.shape[0], dtype=dtype), np.diff(mat.indptr))
+
+
+def _transposed(mat) -> CSRArrays:
+    """The CSR arrays of a canonical CSR matrix's transpose: the entries in
+    column order, which a stable sort of the column indices gives, so that
+    rows stay ascending within each column."""
+    n, m = mat.shape
+    # A stable sort of the column indices, by NumPy's radix sort of 16-bit
+    # digits, least significant first.
+    order = np.argsort(mat.indices.astype(np.uint16), kind="stable")
+    if m > 1 << 16:
+        high = (mat.indices >> 16).astype(np.uint16)
+        order = order[np.argsort(high[order], kind="stable")]
+    indptr = np.zeros(m + 1, dtype=mat.indptr.dtype)
+    np.cumsum(np.bincount(mat.indices, minlength=m), out=indptr[1:])
+    return CSRArrays(indptr, _row_indices(mat, mat.indices.dtype)[order], mat.data[order],
+                     (m, n))
 
 
 def _sorted_within_rows(indptr, indices) -> bool:
@@ -403,19 +429,14 @@ def is_symmetric(M: CSRArrays) -> bool:
     abs(M - M.T).sum() == 0: repeated entries are summed, a stored zero
     counts as absent and a non-finite value as asymmetric. M is not
     changed; a copy in canonical form is made only if it holds repeats,
-    unsorted indices or stored zeros. The transpose's arrays are then
-    those of M's entries in column order, which a stable sort of the
-    column indices gives, and are compared with M's."""
+    unsorted indices or stored zeros. The arrays of its transpose are then
+    compared with its own."""
     if not (_sorted_within_rows(M.indptr, M.indices) and M.data.all()):
         M = _from_keys(*_summed_entries((M,)), M.shape)
     if not np.isfinite(M.data).all():
         return False
-    n = M.shape[0]
-    if not np.array_equal(np.bincount(M.indices, minlength=n), np.diff(M.indptr)):
-        return False
-    order = np.argsort(M.indices, kind="stable")
-    rows = np.repeat(np.arange(n, dtype=M.indices.dtype), np.diff(M.indptr))
-    return np.array_equal(rows[order], M.indices) and np.array_equal(M.data[order], M.data)
+    T = _transposed(M)
+    return all(np.array_equal(getattr(T, name), getattr(M, name)) for name in CSR_COLUMNS)
 
 
 def extract_interactions(corpus: Corpus) -> InteractionCounts:

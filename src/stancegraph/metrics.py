@@ -2,15 +2,10 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from .errors import ConfigError
-from .graphs import _is_member
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+from .graphs import _is_member, to_scipy
 
 # The cutoff of every ranking metric the pipeline reports or stops on.
 EVAL_K = 20
@@ -22,19 +17,19 @@ BLOCK_ENTRIES = 1 << 15
 def ranking_metrics(
     final_users: np.ndarray,
     final_hashtags: np.ndarray,
-    exclude: sp.csr_matrix,
+    exclude,
     val_pairs: np.ndarray,
     k: int = EVAL_K,
 ) -> tuple[float, float, int]:
     """Mean recall@k and NDCG@k over the users that have validation pairs.
 
-    Row u of the CSR matrix `exclude` stores the hashtags removed from u's
-    candidate pool (their training positives); users whose pool is empty
-    are skipped. val_pairs holds (user, hashtag) rows; duplicates count
-    once. Users are ranked in blocks with the rules of `top_k_items` in
-    tests/reference.py, and the sums run in the order of its
-    `recall_at_k`/`ndcg_at_k`, so on equal scores the result equals a
-    per-user loop over those three functions bit for bit.
+    Row u of the CSR matrix `exclude` (CSRArrays or scipy) stores the
+    hashtags removed from u's candidate pool (their training positives);
+    users whose pool is empty are skipped. val_pairs holds (user, hashtag)
+    rows; duplicates count once. Users are ranked in blocks with the rules
+    of `top_k_items` in tests/reference.py, and the sums run in the order
+    of its `recall_at_k`/`ndcg_at_k`, so on equal scores the result equals
+    a per-user loop over those three functions bit for bit.
     """
     if k < 1:
         raise ConfigError("k must be positive")
@@ -50,7 +45,7 @@ def ranking_metrics(
     discount = np.array([1.0 / np.log2(pos + 1) for pos in range(1, k + 1)])
     ideal_dcg = np.cumsum(discount)
 
-    excluded = exclude[users]
+    excluded = to_scipy(exclude)[users]
     recalls = []
     ndcgs = []
     block_rows = max(1, BLOCK_ENTRIES // m)

@@ -144,9 +144,18 @@ def csr_from_counts(counter: dict[tuple[int, int], float], shape) -> CSRArrays:
     return CSRArrays(M.indptr, M.indices, M.data, M.shape)
 
 
-# The COO pipeline that graphs.build_social_graph, pathsim_scores,
+# The scipy COO pipeline that graphs.build_social_graph, pathsim_scores,
 # compute_pathsim and sparsify replaced: each step converts to COO or copies,
 # and builds a new CSR matrix.
+
+def symmetrized(W: sp.spmatrix) -> sp.csr_matrix:
+    """(W + W.T) / 2 without the diagonal."""
+    W = (W + W.T) * 0.5
+    W = sp.csr_matrix(W)
+    W.setdiag(0.0)
+    W.eliminate_zeros()
+    return W
+
 
 def build_social_graph(counts: InteractionCounts, cfg: GraphConfig) -> UserGraph:
     mention, reply = to_scipy(counts.mention), to_scipy(counts.reply)
@@ -155,14 +164,11 @@ def build_social_graph(counts: InteractionCounts, cfg: GraphConfig) -> UserGraph
         + cfg.social_c_mention * (mention + mention.T)
         + cfg.social_c_reply * (reply + reply.T)
     )
-    W = (W + W.T) * 0.5
-    W = sp.csr_matrix(W)
-    W.setdiag(0.0)
-    W.eliminate_zeros()
-    return UserGraph(W=W, kind="social")
+    return UserGraph(W=symmetrized(W), kind="social")
 
 
 def pathsim_scores(M1: sp.csr_matrix, M2: sp.csr_matrix) -> sp.csr_matrix:
+    """(S + S.T) / 2 without the diagonal, S the scores of C = M1 @ M2.T."""
     if M1.shape != M2.shape:
         raise ShapeError(f"relation shapes differ: {M1.shape} vs {M2.shape}")
     product = M1 @ M2.T
@@ -173,17 +179,13 @@ def pathsim_scores(M1: sp.csr_matrix, M2: sp.csr_matrix) -> sp.csr_matrix:
         data = np.where(den > 0, 2.0 * C.data / np.where(den > 0, den, 1.0), 0.0)
     out = sp.csr_matrix((data, (C.row, C.col)), shape=C.shape)
     out.eliminate_zeros()
-    return out
+    return symmetrized(out)
 
 
 def compute_pathsim(counts: InteractionCounts, cfg: GraphConfig) -> UserGraph:
     S = pathsim_scores(to_scipy(counts.relation(cfg.pathsim_left)),
                        to_scipy(counts.relation(cfg.pathsim_right)))
-    W = (S + S.T) * 0.5
-    W = sp.csr_matrix(W)
-    W.setdiag(0.0)
-    W.eliminate_zeros()
-    return UserGraph(W=W, kind=f"pathsim:{cfg.pathsim_left}-{cfg.pathsim_right}")
+    return UserGraph(W=S, kind=f"pathsim:{cfg.pathsim_left}-{cfg.pathsim_right}")
 
 
 def sparsify(graph: UserGraph, min_weight: float, top_k: int) -> UserGraph:

@@ -190,7 +190,7 @@ def test_accept_3_pathsim_matches_instance_enumeration(capfd):
             def draw():
                 return (rng.random((n, m)) < 0.5) * rng.integers(0, 4, size=(n, m))
             counts = counts_from(T_tweet=draw(), T_retweet=draw(), T_reply=draw())
-            got = compute_pathsim(counts, spec).W.toarray()
+            got = dense(compute_pathsim(counts, spec).W)
             want = enumerated_pathsim(
                 dense(counts.relation(spec.pathsim_left)),
                 dense(counts.relation(spec.pathsim_right)),

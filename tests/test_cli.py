@@ -123,8 +123,8 @@ atexit.register(lambda: print(json.dumps(
 
 
 @pytest.mark.parametrize("command, sparse", [
-    ("ingest", False), ("synth", False), ("curve", False),
-    ("build", True), ("train", True), ("eval", True),
+    ("ingest", False), ("synth", False), ("curve", False), ("build", False),
+    ("train", True), ("eval", True),
 ])
 def test_only_graph_commands_load_scipy_and_before_the_freeze(tmp_path, command, sparse):
     raw, data, eval_dir = synth_build_eval(tmp_path)
@@ -418,6 +418,40 @@ def test_dataset_in_an_earlier_layout_exits_3_naming_the_refusal(tmp_path, capsy
     errors = [line for line in err.splitlines() if line.startswith("error ")]
     assert len(errors) == 1 and "Traceback" not in err
     assert re.fullmatch(f"error kind=RecordError exit=3: .*{message}", errors[0]), errors
+
+
+def upper_triangle(path):
+    mat = load_matrix_coo(path)
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    keep = rows < mat.indices
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[keep], minlength=mat.shape[0]))])
+    write_graph_container(path, mat.shape, indptr, mat.indices[keep], mat.data[keep])
+
+
+def with_loop(path):
+    mat = load_matrix_coo(path).tolil()
+    mat[0, 0] = 1.0
+    mat = mat.tocsr()
+    write_graph_container(path, mat.shape, mat.indptr, mat.indices, mat.data)
+
+
+@pytest.mark.parametrize("graph, flag", [("social", "--use-social"),
+                                         ("pathsim", "--use-pathsim")])
+@pytest.mark.parametrize("damage, message", [
+    (upper_triangle, "user graph is not symmetric"),
+    (with_loop, "user graph has diagonal entries"),
+], ids=["upper-triangle", "diagonal"])
+def test_train_on_a_user_graph_that_is_not_symmetric_or_has_a_loop_exits_3(
+        tmp_path, capsys, graph, flag, damage, message):
+    _, data = synth_and_build(tmp_path)
+    path = data / f"{graph}.coo"
+    damage(path)
+    capsys.readouterr()
+    assert run(["train", "--data", data, "--out", tmp_path / "model", "--max-epochs", "1",
+                flag]) == 3
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error ")]
+    assert errors == [f"error kind=RecordError exit=3: {path}: {message}"]
 
 
 def cut_propagated(keep):

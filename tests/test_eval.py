@@ -51,13 +51,14 @@ from stancegraph.evaluate import (
     with_usage,
     write_report,
 )
-from stancegraph.graphs import BipartiteGraph, binarize, build_adjacency, build_interaction_graph
+from stancegraph.graphs import (BipartiteGraph, binarize, build_adjacency, build_interaction_graph,
+                               to_scipy)
 from stancegraph.ingest import InteractionCounts, save_counts
 from stancegraph.metrics import ranking_metrics
 from stancegraph.model import ChannelSet, ModelConfig, build_operators, forward
 from stancegraph.train import TrainConfig, train
 
-from conftest import counts_from, random_bipartite, random_user_graph
+from conftest import counts_from, dense, random_bipartite, random_user_graph
 from reference import (
     classify_stance,
     csr_from_counts,
@@ -407,7 +408,8 @@ def annotated_world(n_users=100, n_tags=10, n_annotated=4, seed=0):
     )
     from stancegraph.graphs import build_interaction_graph
 
-    return build_interaction_graph(counts), ann, tags
+    # as `eval` loads it: scipy-backed
+    return BipartiteGraph(R=to_scipy(build_interaction_graph(counts).R)), ann, tags
 
 
 def test_holdout_selects_ceiling_fraction():
@@ -469,7 +471,7 @@ def holdout_reference(graph, annotations, hashtags, fraction, rng):
     holdout_users = tuple(sorted(eligible[k] for k in chosen))
     hidden = {}
     for u in holdout_users:
-        row = graph.R[u].tocoo()
+        row = to_scipy(graph.R)[u].tocoo()
         hidden[u] = {int(j): float(w) for j, w in zip(row.col, row.data)
                      if int(j) in annotated_cols}
     return holdout_users, hidden, len(eligible)
@@ -689,7 +691,7 @@ def test_synth_camps_are_balanced():
 
 def test_synth_disconnected_blocks_without_leakage():
     data, cfg = small_synth(p_in=1.0, p_out=0.0, n_neutral=0)
-    R = build_interaction_graph(data.counts).R.toarray()
+    R = dense(build_interaction_graph(data.counts).R)
     half_tags = (cfg.n_hashtags - cfg.n_neutral) // 2
     for u, camp in enumerate(data.planted):
         own = slice(0, half_tags) if camp == "POS" else slice(half_tags, None)
@@ -708,8 +710,8 @@ def test_synth_annotations_cover_both_camps_with_usage():
 def test_synth_deterministic_output(tmp_path):
     a, _ = small_synth(seed=9)
     b, _ = small_synth(seed=9)
-    assert np.array_equal(build_interaction_graph(a.counts).R.toarray(),
-                          build_interaction_graph(b.counts).R.toarray())
+    assert np.array_equal(dense(build_interaction_graph(a.counts).R),
+                          dense(build_interaction_graph(b.counts).R))
     assert a.planted == b.planted
     pa, pb = tmp_path / "a.tsv", tmp_path / "b.tsv"
     save_annotations(a.annotations, pa)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from stancegraph import graphs
 from stancegraph.config import GraphConfig
 from stancegraph.errors import ConfigError, EmptyChannel, RecordError, ShapeError
 from stancegraph.graphs import (
@@ -34,12 +36,13 @@ from stancegraph.graphs import (
     read_container,
     save_matrix_coo,
     sparsify,
+    to_scipy,
     write_container,
 )
 from stancegraph.model import EmbeddingState, load_checkpoint, save_checkpoint
 
-from conftest import (INDEX_MAX, NATIVE_CSR_DTYPES, counts_from, csr_dtypes, random_bipartite,
-                      random_user_graph, write_graph_container)
+from conftest import (INDEX_MAX, NATIVE_CSR_DTYPES, counts_from, csr_dtypes, dense,
+                      random_bipartite, random_user_graph, write_graph_container)
 import reference
 from reference import neighbors
 
@@ -83,8 +86,8 @@ def brute_force_pathsim(M1: np.ndarray, M2: np.ndarray) -> np.ndarray:
 def test_interaction_weights_are_row_shares():
     counts = counts_from([[2, 1, 1], [0, 7, 0]])
     g = build_interaction_graph(counts)
-    assert np.allclose(g.R.toarray()[0], [0.5, 0.25, 0.25])
-    assert np.allclose(g.R.toarray()[1], [0.0, 1.0, 0.0])
+    assert np.allclose(dense(g.R)[0], [0.5, 0.25, 0.25])
+    assert np.allclose(dense(g.R)[1], [0.0, 1.0, 0.0])
     g.validate_row_stochastic()
 
 
@@ -92,7 +95,7 @@ def test_interaction_graph_keeps_isolated_users():
     counts = counts_from([[0, 0], [3, 1]])
     g = build_interaction_graph(counts)
     assert g.n_users == 2
-    assert g.R[0].nnz == 0
+    assert g.R.indptr[1] == 0
     assert neighbors(g, 0).size == 0
 
 
@@ -165,7 +168,7 @@ def test_social_mutual_follow_pair():
     mutual = np.zeros((3, 3))
     mutual[0, 1] = mutual[1, 0] = 1
     counts = counts_from(np.ones((3, 1)), mutual=mutual)
-    W = build_social_graph(counts, social(1, 0, 0)).W.toarray()
+    W = dense(build_social_graph(counts, social(1, 0, 0)).W)
     assert W[0, 1] == 1.0 and W[1, 0] == 1.0
     assert W.sum() == 2.0
 
@@ -175,7 +178,7 @@ def test_social_mentions_symmetrize_to_full_count():
     mention = np.zeros((2, 2))
     mention[0, 1] = 3
     counts = counts_from(np.ones((2, 1)), mention=mention)
-    W = build_social_graph(counts, social(0, 1, 0)).W.toarray()
+    W = dense(build_social_graph(counts, social(0, 1, 0)).W)
     assert W[0, 1] == 3.0 and W[1, 0] == 3.0
 
 
@@ -183,7 +186,7 @@ def test_social_self_reply_dropped():
     reply = np.zeros((2, 2))
     reply[0, 0] = 5
     counts = counts_from(np.ones((2, 1)), reply=reply)
-    W = build_social_graph(counts, social(0, 0, 1)).W.toarray()
+    W = dense(build_social_graph(counts, social(0, 0, 1)).W)
     assert W.sum() == 0.0
 
 
@@ -208,9 +211,9 @@ def test_social_graph_is_symmetric_zero_diagonal():
             reply=rng.integers(0, 3, size=(n, n)),
             mutual=np.zeros((n, n)),
         )
-        W = build_social_graph(counts, GraphConfig()).W
-        assert abs(W - W.T).max() <= 1e-12
-        assert W.diagonal().sum() == 0.0
+        W = dense(build_social_graph(counts, GraphConfig()).W)
+        assert np.abs(W - W.T).max() <= 1e-12
+        assert np.diag(W).sum() == 0.0
 
 
 # pathsim --------------------------------------------------------------------
@@ -221,13 +224,13 @@ def test_pathsim_equal_diagonal_gives_one():
     # C = M M^T has equal diagonal here, so the cross score saturates
     C = C_like @ C_like.T
     assert C[0, 0] == C[1, 1]
-    assert s.toarray()[0, 1] == pytest.approx(2 * C[0, 1] / (C[0, 0] + C[1, 1]))
+    assert dense(s)[0, 1] == pytest.approx(2 * C[0, 1] / (C[0, 0] + C[1, 1]))
 
 
 def test_pathsim_three_user_example():
     M = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     counts = counts_from(M)
-    W = compute_pathsim(counts, metapath("tweet", "tweet")).W.toarray()
+    W = dense(compute_pathsim(counts, metapath("tweet", "tweet")).W)
     assert W[0, 1] == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert W[0, 2] == 0.0
     assert W[1, 2] == pytest.approx(2.0 / 3.0, abs=1e-12)
@@ -237,7 +240,7 @@ def test_pathsim_zero_diagonal_pair_scores_zero():
     # users 0 and 1 have no left-relation activity at all
     M1 = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
     M2 = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    s = pathsim_scores(sp.csr_matrix(M1), sp.csr_matrix(M2)).toarray()
+    s = dense(pathsim_scores(sp.csr_matrix(M1), sp.csr_matrix(M2)))
     assert s[0, 1] == 0.0
 
 
@@ -249,7 +252,7 @@ def test_pathsim_matches_instance_enumeration():
         M1 = rng.integers(0, 3, size=(n, m)).astype(np.float64)
         M2 = rng.integers(0, 3, size=(n, m)).astype(np.float64)
         counts = counts_from(M1, T_retweet=M2)
-        got = compute_pathsim(counts, metapath("tweet", "retweet")).W.toarray()
+        got = dense(compute_pathsim(counts, metapath("tweet", "retweet")).W)
         want = brute_force_pathsim(M1, M2)
         assert np.abs(got - want).max() <= 1e-12
 
@@ -264,11 +267,11 @@ def test_pathsim_output_range_and_symmetry():
         m = int(rng.integers(1, 6))
         M = rng.integers(0, 4, size=(n, m))
         counts = counts_from(M, T_retweet=rng.integers(0, 4, size=(n, m)))
-        W_sym = compute_pathsim(counts, metapath("tweet", "tweet")).W.toarray()
+        W_sym = dense(compute_pathsim(counts, metapath("tweet", "tweet")).W)
         assert np.array_equal(W_sym, W_sym.T)
         assert W_sym.min() >= 0.0 and W_sym.max() <= 1.0 + 1e-12
         assert np.diag(W_sym).sum() == 0.0
-        W_mixed = compute_pathsim(counts, GraphConfig()).W.toarray()
+        W_mixed = dense(compute_pathsim(counts, GraphConfig()).W)
         assert np.array_equal(W_mixed, W_mixed.T)
         assert W_mixed.min() >= 0.0
         assert np.diag(W_mixed).sum() == 0.0
@@ -291,7 +294,7 @@ def star_graph() -> UserGraph:
 def test_sparsify_zero_threshold_is_identity():
     g = star_graph()
     out = sparsify(g, min_weight=0.0, top_k=0)
-    assert np.array_equal(out.W.toarray(), g.W.toarray())
+    assert np.array_equal(dense(out.W), dense(g.W))
 
 
 def test_sparsify_threshold_above_max_empties():
@@ -300,14 +303,14 @@ def test_sparsify_threshold_above_max_empties():
 
 
 def test_sparsify_drops_edges_below_threshold():
-    out = sparsify(star_graph(), min_weight=0.3, top_k=0).W.toarray()
+    out = dense(sparsify(star_graph(), min_weight=0.3, top_k=0).W)
     assert out[0, 1] == 0.9 and out[0, 2] == 0.5 and out[0, 3] == 0.0
 
 
 def test_sparsify_top_k_unions_both_endpoints():
     # hub keeps its strongest edge; every leaf keeps its only edge, so the
     # union preserves all three despite top_k=1
-    out = sparsify(star_graph(), min_weight=0.0, top_k=1).W.toarray()
+    out = dense(sparsify(star_graph(), min_weight=0.0, top_k=1).W)
     assert out[0, 1] == 0.9 and out[0, 2] == 0.5 and out[0, 3] == 0.1
 
 
@@ -315,8 +318,8 @@ def test_sparsify_result_is_symmetric():
     rng = np.random.default_rng(31)
     for _ in range(10):
         g = random_user_graph(rng, int(rng.integers(2, 8)))
-        out = sparsify(g, min_weight=0.2, top_k=2)
-        assert abs(out.W - out.W.T).max() <= 1e-12
+        out = dense(sparsify(g, min_weight=0.2, top_k=2).W)
+        assert np.abs(out - out.T).max() <= 1e-12
 
 
 def sparsify_top_k_reference(W: sp.csr_matrix, top_k: int) -> sp.csr_matrix:
@@ -349,7 +352,7 @@ def test_sparsify_top_k_equals_per_row_reference(data):
     top_k = data.draw(st.integers(1, n + 1), label="top_k")
     got = sparsify(UserGraph(W=sp.csr_matrix(W)), min_weight=min_weight, top_k=top_k).W
     thresholded = sparsify(UserGraph(W=sp.csr_matrix(W)), min_weight=min_weight, top_k=0).W
-    want = sparsify_top_k_reference(thresholded, top_k)
+    want = sparsify_top_k_reference(to_scipy(thresholded), top_k)
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
@@ -463,14 +466,14 @@ def assert_same_csr(got: sp.csr_matrix, want: sp.csr_matrix) -> None:
 
 @st.composite
 def relation_pairs(draw):
-    """Two small integer count matrices with empty rows, trailing empty
-    rows and users whose two relations share no hashtag (zero diagonal
-    mass in C = M1 @ M2.T)."""
+    """Two small count matrices, integer or fractional, with empty rows,
+    trailing empty rows and users whose two relations share no hashtag
+    (zero diagonal mass in C = M1 @ M2.T)."""
     n = draw(st.integers(1, 9), label="n")
     m = draw(st.integers(1, 6), label="m")
-    counts = st.sampled_from([0, 0, 0, 1, 2, 5])
-    M1 = draw(hnp.arrays(np.int64, (n, m), elements=counts)).astype(np.float64)
-    M2 = draw(hnp.arrays(np.int64, (n, m), elements=counts)).astype(np.float64)
+    counts = st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.0, 5.0, 0.5, 1 / 3, 2.75])
+    M1 = draw(hnp.arrays(np.float64, (n, m), elements=counts))
+    M2 = draw(hnp.arrays(np.float64, (n, m), elements=counts))
     tail = draw(st.integers(0, n), label="trailing empty rows")
     M1[n - tail:] = M2[n - tail:] = 0.0
     for i in draw(st.lists(st.integers(0, n - 1), max_size=n), label="disjoint rows"):
@@ -506,6 +509,72 @@ def test_social_graph_equals_coo_reference(pair, coefficients):
     cfg = social(*coefficients)
     assert_same_csr(build_social_graph(counts, cfg).W,
                     reference.build_social_graph(counts, cfg).W)
+
+
+RELATIONS = ("tweet", "retweet", "reply")
+
+
+@settings(max_examples=300, deadline=None)
+@given(relation_pairs(), st.booleans(), st.sampled_from(RELATIONS), st.sampled_from(RELATIONS),
+       st.sampled_from([1, 7, 60, graphs.PATHSIM_BLOCK]), st.sampled_from([0.0, 0.3]),
+       st.integers(0, 3))
+def test_numpy_build_equals_scipy_coo_reference_in_any_blocks(pair, empty_reply, left, right,
+                                                              block, min_weight, top_k):
+    # The build on CSR arrays against the scipy pipeline, bit for bit, with
+    # the PathSim products split into row blocks as small as one row, a
+    # relation that may be empty, and left equal to right or not.
+    M1, M2 = pair
+    counts = counts_from(M2, T_retweet=M1, T_reply=0 * M1 if empty_reply else M1 + M2,
+                         mention=M1 @ M1.T, reply=M2 @ M1.T)
+    cfg = GraphConfig(pathsim_left=left, pathsim_right=right, social_c_mention=0.5)
+    with mock.patch.object(graphs, "PATHSIM_BLOCK", block):
+        assert_same_csr(pathsim_scores(counts.relation(left), counts.relation(right)),
+                        reference.pathsim_scores(to_scipy(counts.relation(left)),
+                                                 to_scipy(counts.relation(right))))
+        got, want = compute_pathsim(counts, cfg), reference.compute_pathsim(counts, cfg)
+    assert_same_csr(got.W, want.W)
+    assert got.kind == want.kind
+    assert_same_csr(sparsify(got, min_weight, top_k).W,
+                    reference.sparsify(want, min_weight, top_k).W)
+    assert_same_csr(build_social_graph(counts, cfg).W,
+                    reference.build_social_graph(counts, cfg).W)
+
+
+def test_pathsim_drops_a_score_that_underflows():
+    # C[0, 1] = 1e-310 is stored, but 2 * C[0, 1] / (C[0, 0] + C[1, 1])
+    # rounds to 0, so the pair gets no edge, as in the scipy pipeline.
+    M1 = np.array([[1e-155, 1e10, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
+    M2 = np.array([[0.0, 1e10, 0.0], [1e-155, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    got = pathsim_scores(sp.csr_matrix(M1), sp.csr_matrix(M2))
+    want = reference.pathsim_scores(sp.csr_matrix(M1), sp.csr_matrix(M2))
+    assert (M1 @ M2.T)[0, 1] > 0 and dense(got)[0, 1] == 0.0
+    assert_same_csr(got, want)
+    assert got.nnz == 4
+
+
+def test_pathsim_blocks_are_bounded_and_cover_every_row():
+    rng = np.random.default_rng(5)
+    M1, M2 = (rng.random((30, 8)) < 0.5) * 1.0, (rng.random((30, 8)) < 0.5) * 2.0
+    counts = counts_from(M1, T_retweet=M2)
+    spans = []
+    product_rows = graphs._product_rows
+
+    def recording(A, BT, lo, hi):
+        spans.append((lo, hi))
+        return product_rows(A, BT, lo, hi)
+
+    with mock.patch.object(graphs, "PATHSIM_BLOCK", 64), \
+            mock.patch.object(graphs, "_product_rows", recording):
+        got = compute_pathsim(counts, GraphConfig()).W
+    want = reference.compute_pathsim(counts, GraphConfig()).W
+    assert_same_csr(got, want)
+    # C's and D's blocks alternate over the same rows; each holds at most
+    # 64 // 30 = 2 rows and the rows run 0..30 without a gap.
+    assert spans[::2] == spans[1::2]
+    starts = [lo for lo, _ in spans[::2]]
+    assert starts == sorted(starts) and starts[0] == 0 and spans[-1][1] == 30
+    assert all(1 <= hi - lo <= 2 for lo, hi in spans)
+    assert all(a[1] == b[0] for a, b in zip(spans[::2], spans[2::2]))
 
 
 def test_graphs_keep_the_float64_csr_they_are_given():
@@ -771,6 +840,30 @@ def test_graph_loaders_reject_negative_weights(tmp_path):
         load_bipartite(path)
     with pytest.raises(RecordError):
         load_user_graph(path)
+
+
+def test_user_graph_loader_refuses_an_asymmetric_graph(tmp_path):
+    # The upper triangle of a symmetric graph: the user operator would be
+    # taken to be its own transpose.
+    path = tmp_path / "upper.coo"
+    write_graph_container(path, (3, 3), [0, 2, 3, 3], [1, 2, 2], [0.5, 1.0, 2.0])
+    assert load_matrix_coo(path).nnz == 3
+    load_bipartite(path)
+    with pytest.raises(RecordError, match=f"{path}: user graph is not symmetric"):
+        load_user_graph(path)
+    # A symmetric graph whose mirrored weights differ is refused too.
+    write_graph_container(path, (2, 2), [0, 1, 2], [1, 0], [0.5, 0.25])
+    with pytest.raises(RecordError, match="not symmetric"):
+        load_user_graph(path)
+
+
+def test_user_graph_loader_refuses_a_diagonal_entry(tmp_path):
+    path = tmp_path / "loop.coo"
+    write_graph_container(path, (2, 2), [0, 2, 3], [0, 1, 0], [1.0, 0.5, 0.5])
+    with pytest.raises(RecordError, match=f"{path}: user graph has diagonal entries"):
+        load_user_graph(path)
+    write_graph_container(path, (2, 2), [0, 1, 2], [1, 0], [0.5, 0.5])
+    assert load_user_graph(path).W.nnz == 2
 
 
 def corrupted(blob: bytes, data) -> bytes:

@@ -536,6 +536,23 @@ def test_symmetry_check_gives_the_verdict_of_the_difference_sum(n, data):
         assert np.array_equal(got, was, equal_nan=True)
 
 
+@pytest.mark.parametrize("width", [1, 7, 1 << 16, (1 << 16) + 5, 3 << 17])
+def test_transpose_equals_scipys(width):
+    # Widths past 2^16 take the second 16-bit radix pass.
+    rng = np.random.default_rng(width)
+    cols = rng.choice(width, size=min(width, 40), replace=False)
+    cols[: len(cols) // 2] = cols[0]  # one column shared by many rows
+    M = sp.csr_matrix((rng.random(len(cols)) + 0.5, (rng.integers(0, 9, len(cols)), cols)),
+                      shape=(9, width))
+    M.sum_duplicates()
+    got = ingest._transposed(CSRArrays(M.indptr, M.indices, M.data, M.shape))
+    want = M.T.tocsr()
+    want.sort_indices()
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 def test_extract_index_order_is_lexicographic():
     corpus = make_corpus([
         tweet_line("t1", "zed", text="#beta"),

@@ -13,6 +13,7 @@ from stancegraph import train as train_module
 from stancegraph.errors import ConfigError, NumericsError
 from stancegraph.evaluate import graph_without_edges, kfold_split
 from stancegraph.graphs import BipartiteGraph
+from stancegraph.ingest import CSRArrays
 from stancegraph.model import (
     ChannelSet,
     ModelConfig,
@@ -352,6 +353,19 @@ def two_block_setup(seed=0):
     edges = graph.edges()
     val_pairs = kfold_split(edges, folds=4, rng=rng)[0]
     return graph_without_edges(graph, val_pairs), val_pairs
+
+
+def test_train_on_a_graph_of_csr_arrays_equals_train_on_its_scipy_form():
+    # A graph may hold CSR arrays (as `build` makes them) or a scipy matrix
+    # (as the loaders and graph_without_edges make them).
+    graph, val = two_block_setup()
+    R = graph.R
+    arrays = BipartiteGraph(R=CSRArrays(R.indptr, R.indices, R.data, R.shape))
+    cfg, tcfg = ModelConfig(dim=4, n_layers=2), TrainConfig(max_epochs=3)
+    got, got_history, _ = train(arrays, None, cfg, tcfg, val, seed=3)
+    want, want_history, _ = train(graph, None, cfg, tcfg, val, seed=3)
+    assert np.array_equal(got.users, want.users) and np.array_equal(got.hashtags, want.hashtags)
+    assert got_history == want_history
 
 
 def test_train_zero_epochs_returns_initial_state():
