@@ -17,10 +17,9 @@ import; cli.main imports it up front for train and eval.
 from __future__ import annotations
 
 import logging
-import os
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .config import GraphConfig
 from .errors import EmptyChannel, EmptyCorpus, RecordError, ShapeError
 from .ingest import (
     CSR_DTYPES,
+    Container,
     CSRArrays,
     InteractionCounts,
     _flat_keys,
@@ -38,6 +38,8 @@ from .ingest import (
     check_index_range,
     checked_csr,
     is_symmetric,
+    read_container,
+    write_container,
 )
 
 if TYPE_CHECKING:
@@ -52,73 +54,10 @@ ROW_SUM_TOL = 1e-9
 PATHSIM_BLOCK = 1 << 17
 
 
-@dataclass(frozen=True)
-class Container:
-    """One kind of binary file: magic bytes, a little-endian struct header
-    whose first field is the format version, then the arrays that `layout`
-    sizes from the other header fields, each as little-endian bytes."""
-
-    name: str
-    magic: bytes
-    header: struct.Struct
-    version: int
-    layout: Callable[..., list[tuple[str, int]]]  # header fields -> [(dtype, count)]
-
-
-# Header: version, rows, cols, nnz. Arrays: indptr, indices, data, in the
-# dtypes counts.json stores them in.
+# Header: version, rows, cols, nnz. Arrays: indptr, indices, data, in
+# CSR_DTYPES, as counts.json stores its matrices.
 GRAPH = Container("graph file", b"SGCSR\x00", struct.Struct("<IQQQ"), 2,
                   lambda n, m, nnz: list(zip(CSR_DTYPES, (n + 1, nnz, nnz))))
-# Header: version, users, hashtags, dim, seed, id bytes. Arrays: user rows,
-# hashtag rows, then the ids as a UTF-8 JSON block [users, hashtags].
-CHECKPOINT = Container("checkpoint", b"SGEMB\x00", struct.Struct("<IQQQqQ"), 2,
-                       lambda n, m, d, seed, id_bytes: [("<f8", n * d), ("<f8", m * d),
-                                                        ("u1", id_bytes)])
-
-
-def write_container(path, kind: Container, fields: tuple, arrays) -> None:
-    """Write `kind`'s magic, its header with `fields` after the version, and
-    `arrays` in the dtypes of its layout. Each array goes out in one write,
-    straight from its buffer when it is contiguous and in its layout dtype;
-    a zero-length array writes nothing."""
-    with open(path, "wb") as fh:
-        fh.write(kind.magic + kind.header.pack(kind.version, *fields))
-        for (dtype, _), arr in zip(kind.layout(*fields), arrays):
-            fh.write(np.ascontiguousarray(arr, dtype=dtype))
-
-
-def read_container(path, kind: Container) -> tuple[tuple, list[np.ndarray]]:
-    """The header fields after the version, and the arrays, of a file that
-    write_container wrote. A wrong magic or version, a file cut inside its
-    header and a size other than the one the header implies raise
-    RecordError. The size is computed in Python ints and compared with the
-    file's, so no header value can overflow it or cause an allocation
-    before it matches. Each array is then read from the file straight into
-    its own native-order array; nothing else holds the file's bytes."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        offset = len(kind.magic) + kind.header.size
-        head = fh.read(offset)
-        if head[: len(kind.magic)] != kind.magic:
-            raise RecordError(f"{path}: not a {kind.name} (bad magic)")
-        if len(head) < offset:
-            raise RecordError(f"{path}: truncated {kind.name} header")
-        version, *fields = kind.header.unpack_from(head, len(kind.magic))
-        if version != kind.version:
-            raise RecordError(f"{path}: unsupported {kind.name} version {version}")
-        layout = [(np.dtype(dtype), count) for dtype, count in kind.layout(*fields)]
-        need = offset + sum(dtype.itemsize * count for dtype, count in layout)
-        if size != need:
-            raise RecordError(f"{path}: size {size} does not match header ({need})")
-        arrays = []
-        for dtype, count in layout:
-            arr = np.empty(count, dtype)
-            if fh.readinto(arr) != arr.nbytes:
-                raise RecordError(f"{path}: file shrank while it was read")
-            if not dtype.isnative:
-                arr = arr.byteswap(inplace=True).view(dtype.newbyteorder("="))
-            arrays.append(arr)
-    return tuple(fields), arrays
 
 
 @dataclass
@@ -318,17 +257,10 @@ def build_social_graph(counts: InteractionCounts, cfg: GraphConfig) -> UserGraph
         _scaled(cfg.social_c_mention, _sum([mention, _transposed(mention)])),
         _scaled(cfg.social_c_reply, _sum([reply, _transposed(reply)])),
     ])
-    return UserGraph(W=_symmetrized(W), kind="social")
-
-
-def _symmetrized(W: CSRArrays) -> CSRArrays:
-    """(W + W.T) * 0.5 without its diagonal; values that come to 0 are
-    dropped."""
-    keys, data = _summed_entries([W, _transposed(W)])
-    data *= 0.5
-    n = W.shape[0]
-    keep = (data != 0) & (keys // n != keys % n)
-    return _from_keys(keys[keep], data[keep], W.shape)
+    # W is symmetric bit for bit, as each term is and the sum adds the terms
+    # of (i, j) and (j, i) in one order, so only the diagonal of self-mentions
+    # and self-replies is dropped.
+    return UserGraph(W=_kept(W, _row_indices(W) != W.indices), kind="social")
 
 
 def pathsim_scores(M1, M2) -> CSRArrays:

@@ -3,20 +3,24 @@
 Input is a JSON-lines tweet corpus plus tab-separated follow edges and an
 optional list of news-outlet account ids. Output is an InteractionCounts
 bundle: the user-hashtag count matrices and the user-user relation matrices
-everything downstream is built from.
+everything downstream is built from. The binary container that counts.json,
+the graph files and the checkpoints share is read and written here too.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import logging
+import os
 import re
+import struct
 import sys
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import cached_property, partial
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -264,8 +268,8 @@ class CSRArrays:
     indices[indptr[i]:indptr[i + 1]] with the values at the same slice of
     data. The count matrices are canonical (column indices strictly
     increase within a row) with int32 indices and float64 data, the form
-    counts.json stores; graphs.to_scipy wraps them without a copy, as scipy
-    keeps that index dtype."""
+    the counts and graph files store; graphs.to_scipy wraps them without a
+    copy, as scipy keeps that index dtype."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -277,8 +281,8 @@ class CSRArrays:
         return len(self.data)
 
 
-# A CSR matrix's arrays and their dtypes, in memory, in counts.json and in
-# the graph files (graphs.GRAPH).
+# A CSR matrix's arrays and their dtypes, in memory, in counts.json (COUNTS)
+# and in the graph files (graphs.GRAPH).
 CSR_COLUMNS = ("indptr", "indices", "data")
 CSR_DTYPES = ("<i4", "<i4", "<f8")
 
@@ -530,79 +534,129 @@ def checked_csr(indptr, indices, data, shape, source) -> CSRArrays:
     return _csr_arrays(indptr, indices, data, shape)
 
 
-def _column_array(value, dtype: str, source: str) -> np.ndarray:
-    """The writable native-order array that a base64 column of `dtype`
-    items holds; RecordError unless value is an ASCII base64 string of a
-    whole number of items."""
-    if not isinstance(value, str):
-        raise RecordError(f"{source}: bad matrix columns (not a base64 string)")
+def id_block(users: list[str], hashtags: list[str]) -> np.ndarray:
+    """The ids of a file's rows as its bytes store them: the compact UTF-8
+    JSON [users, hashtags]."""
+    text = json.dumps([users, hashtags], ensure_ascii=False, separators=(",", ":"))
+    return np.frombuffer(text.encode("utf-8"), np.uint8)
+
+
+def checked_id_block(block: np.ndarray, lengths: tuple[int, int], source) -> tuple[list, list]:
+    """The user and hashtag ids in the bytes `block` of a file. RecordError
+    unless they are id_block's JSON of as many ids as `lengths` gives
+    (users, hashtags), each one that checked_ids passes and none repeated
+    within its list; `source` names the file in the error message."""
+    raw = block.tobytes()
     try:
-        raw = base64.b64decode(value, validate=True)
-    except ValueError as exc:  # binascii.Error, or a non-ASCII string
-        raise RecordError(f"{source}: bad matrix columns (invalid base64)") from exc
-    dtype = np.dtype(dtype)
-    if len(raw) % dtype.itemsize:
-        raise RecordError(f"{source}: bad matrix columns ({len(raw)} bytes is not a whole "
-                          f"number of {dtype.itemsize}-byte items)")
-    return np.frombuffer(raw, dtype).astype(dtype.newbyteorder("="))
+        users, hashtags = json.loads(raw.decode("utf-8"))
+    except (ValueError, TypeError, RecursionError) as exc:
+        raise RecordError(f"{source}: bad id block ({exc})") from exc
+    checked_ids(users, source)
+    checked_ids(hashtags, source)
+    if (len(users), len(hashtags)) != lengths:
+        raise RecordError(f"{source}: id counts do not match the header")
+    if id_block(users, hashtags).tobytes() != raw:
+        raise RecordError(f"{source}: id block is not canonical JSON")
+    for what, ids in (("user id", users), ("hashtag", hashtags)):
+        if len(set(ids)) != len(ids):
+            repeated = Counter(ids).most_common(1)[0][0]
+            raise RecordError(f"{source}: repeated {what} {repeated!r}")
+    return users, hashtags
 
 
-def _from_columns(columns, shape, source: str) -> CSRArrays:
-    if not isinstance(columns, dict) or set(columns) != set(CSR_COLUMNS):
-        raise RecordError(f"{source}: bad matrix columns")
-    mat = checked_csr(*(_column_array(columns[key], dtype, f"{source} {key}")
-                        for key, dtype in zip(CSR_COLUMNS, CSR_DTYPES)), shape, source)
-    if (mat.data < 0).any():
-        raise RecordError(f"{source}: negative count")
-    return mat
+@dataclass(frozen=True)
+class Container:
+    """One kind of binary file: magic bytes, a little-endian struct header
+    whose first field is the format version, then the arrays that `layout`
+    sizes from the other header fields, each as little-endian bytes."""
+
+    name: str
+    magic: bytes
+    header: struct.Struct
+    version: int
+    layout: Callable[..., list[tuple[str, int]]]  # header fields -> [(dtype, count)]
+
+
+# Header: version, users, hashtags, id bytes, then each count matrix's nnz
+# in COUNT_MATRICES order. Arrays: each matrix's indptr, indices and data in
+# CSR_DTYPES, in that order, then the ids as id_block's JSON.
+COUNTS = Container("counts file", b"SGCNT\x00", struct.Struct("<I9Q"), 1,
+                   lambda n, m, id_bytes, *nnz: [
+                       item for k in nnz for item in zip(CSR_DTYPES, (n + 1, k, k))
+                   ] + [("u1", id_bytes)])
+
+
+def write_container(path, kind: Container, fields: tuple, arrays) -> None:
+    """Write `kind`'s magic, its header with `fields` after the version, and
+    `arrays` in the dtypes of its layout. Each array goes out in one write,
+    straight from its buffer when it is contiguous and in its layout dtype;
+    a zero-length array writes nothing."""
+    with open(path, "wb") as fh:
+        fh.write(kind.magic + kind.header.pack(kind.version, *fields))
+        for (dtype, _), arr in zip(kind.layout(*fields), arrays):
+            fh.write(np.ascontiguousarray(arr, dtype=dtype))
+
+
+def read_container(path, kind: Container) -> tuple[tuple, list[np.ndarray]]:
+    """The header fields after the version, and the arrays, of a file that
+    write_container wrote. A wrong magic or version, a file cut inside its
+    header and a size other than the one the header implies raise
+    RecordError. The size is computed in Python ints and compared with the
+    file's, so no header value can overflow it or cause an allocation
+    before it matches. Each array is then read from the file straight into
+    its own native-order array; nothing else holds the file's bytes."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        offset = len(kind.magic) + kind.header.size
+        head = fh.read(offset)
+        if head[: len(kind.magic)] != kind.magic:
+            raise RecordError(f"{path}: not a {kind.name} (bad magic)")
+        if len(head) < offset:
+            raise RecordError(f"{path}: truncated {kind.name} header")
+        version, *fields = kind.header.unpack_from(head, len(kind.magic))
+        if version != kind.version:
+            raise RecordError(f"{path}: unsupported {kind.name} version {version}")
+        layout = [(np.dtype(dtype), count) for dtype, count in kind.layout(*fields)]
+        need = offset + sum(dtype.itemsize * count for dtype, count in layout)
+        if size != need:
+            raise RecordError(f"{path}: size {size} does not match header ({need})")
+        arrays = []
+        for dtype, count in layout:
+            arr = np.empty(count, dtype)
+            if fh.readinto(arr) != arr.nbytes:
+                raise RecordError(f"{path}: file shrank while it was read")
+            if not dtype.isnative:
+                arr = arr.byteswap(inplace=True).view(dtype.newbyteorder("="))
+            arrays.append(arr)
+    return tuple(fields), arrays
 
 
 def save_counts(counts: InteractionCounts, path) -> None:
-    """JSON with the id lists and each count matrix as CSR columns
-    {"indptr", "indices", "data"}, each the base64 of its array's bytes in
-    CSR_DTYPES; T is not stored, being the sum of the three per-kind
-    matrices. Each array is encoded and written on its own, so no more
-    than one is ever held as base64 bytes."""
-    dumps = partial(json.dumps, ensure_ascii=False, separators=(",", ":"))
-    with open(path, "wb") as fh:
-        fh.write(f'{{"users":{dumps(counts.users)},"hashtags":{dumps(counts.hashtags)}'
-                 .encode("utf-8"))
-        for name in COUNT_MATRICES:
-            mat = getattr(counts, name)
-            fh.write(f',"{name}":'.encode("ascii"))
-            arrays = (mat.indptr, mat.indices, mat.data)
-            for sep, key, arr, dtype in zip(("{", ",", ","), CSR_COLUMNS, arrays, CSR_DTYPES):
-                fh.write(f'{sep}"{key}":"'.encode("ascii"))
-                fh.write(base64.b64encode(np.ascontiguousarray(arr, dtype)))
-                fh.write(b'"')
-            fh.write(b"}")
-        fh.write(b"}\n")
+    """Write the count matrices and the ids of their rows and columns as one
+    COUNTS container; T is not stored, being the sum of the three per-kind
+    matrices."""
+    mats = [getattr(counts, name) for name in COUNT_MATRICES]
+    ids = id_block(counts.users, counts.hashtags)
+    fields = (len(counts.users), len(counts.hashtags), len(ids), *(mat.nnz for mat in mats))
+    write_container(path, COUNTS, fields,
+                    [arr for mat in mats for arr in (mat.indptr, mat.indices, mat.data)] + [ids])
 
 
 def load_counts(path) -> InteractionCounts:
-    """Read save_counts' file. Undecodable JSON, a missing key, an id list
-    that checked_ids refuses, bad matrix columns and negative or non-finite
+    """Read save_counts' file. Besides read_container's refusals, ids that
+    checked_id_block refuses, arrays that checked_csr refuses and negative
     counts raise RecordError; matrices that disagree with each other raise
     ShapeError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # undecodable, too many digits, too deep
-        raise RecordError(f"{path}: not a counts file ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise RecordError(f"{path}: not a counts file")
-    missing = [k for k in ("users", "hashtags") + COUNT_MATRICES if k not in payload]
-    if missing:
-        raise RecordError(f"{path}: missing key {missing[0]!r}")
-    users = checked_ids(payload["users"], path)
-    tags = checked_ids(payload["hashtags"], path)
-    n, m = len(users), len(tags)
-    # Each matrix's base64 text is dropped once its arrays are decoded.
-    mats = {
-        name: _from_columns(payload.pop(name), (n, m) if name.startswith("T_") else (n, n),
-                            f"{path} {name}")
-        for name in COUNT_MATRICES
-    }
-    counts = InteractionCounts(users=users, hashtags=tags, **mats)
+    (n, m, *_), arrays = read_container(path, COUNTS)
+    users, hashtags = checked_id_block(arrays.pop(), (n, m), path)
+    mats = {}
+    for k, name in enumerate(COUNT_MATRICES):
+        source = f"{path} {name}"
+        mat = checked_csr(*arrays[3 * k:3 * k + 3], (n, m) if name.startswith("T_") else (n, n),
+                          source)
+        if (mat.data < 0).any():
+            raise RecordError(f"{source}: negative count")
+        mats[name] = mat
+    counts = InteractionCounts(users=users, hashtags=hashtags, **mats)
     counts.validate()
     return counts

@@ -7,8 +7,8 @@ across channels, and affinity is an inner product.
 
 from __future__ import annotations
 
-import json
 import logging
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,16 +16,20 @@ import numpy as np
 from .config import ModelConfig
 from .errors import DegenerateHashtag, RecordError, ShapeError
 from .graphs import (
-    CHECKPOINT,
     BipartiteGraph,
     NormalizedAdjacency,
     UserGraph,
     build_adjacency,
     normalize_user_graph,
+)
+from .ingest import (
+    Container,
+    checked_id_block,
+    id_block,
+    normalize_hashtag,
     read_container,
     write_container,
 )
-from .ingest import checked_ids, normalize_hashtag
 
 LOGGER = logging.getLogger(__name__)
 
@@ -35,6 +39,12 @@ DENSE_POLY_BYTES = 1 << 27
 # Columns of the dense polynomial built per Horner step; bounds the two
 # block buffers to n_users * 64 floats each.
 POLY_BLOCK_COLUMNS = 64
+
+# Header: version, users, hashtags, dim, seed, id bytes. Arrays: user rows,
+# hashtag rows, then the ids as ingest.id_block's JSON [users, hashtags].
+CHECKPOINT = Container("checkpoint", b"SGEMB\x00", struct.Struct("<IQQQqQ"), 2,
+                       lambda n, m, d, seed, id_bytes: [("<f8", n * d), ("<f8", m * d),
+                                                        ("u1", id_bytes)])
 
 
 @dataclass
@@ -292,36 +302,21 @@ def save_checkpoint(path, state: EmbeddingState, users: list[str], hashtags: lis
         raise ShapeError("user and hashtag embedding widths differ")
     if len(users) != n or len(hashtags) != m:
         raise ShapeError("id lists do not match embedding shapes")
-    ids = _id_block(users, hashtags)
+    ids = id_block(users, hashtags)
     write_container(path, CHECKPOINT, (n, m, d, state.seed, len(ids)),
-                    [state.users, state.hashtags, np.frombuffer(ids, np.uint8)])
-
-
-def _id_block(users: list[str], hashtags: list[str]) -> bytes:
-    return json.dumps([users, hashtags], ensure_ascii=False, separators=(",", ":")).encode()
+                    [state.users, state.hashtags, ids])
 
 
 def load_checkpoint(path) -> tuple[EmbeddingState, list[str], list[str]]:
     """Read save_checkpoint's file. Besides read_container's refusals, a
-    dimension below 1 or too large for an array, a non-finite value, ids
-    that checked_ids refuses, and an id block that is not the canonical
-    JSON [users, hashtags] of the header's lengths raise RecordError."""
+    dimension below 1 or too large for an array, a non-finite value, and
+    ids that ingest.checked_id_block refuses raise RecordError."""
     (n, m, d, seed, _), (users, tags, block) = read_container(path, CHECKPOINT)
     # With no rows the file size does not bound d, so numpy's limit must.
     if not 1 <= d <= np.iinfo(np.intp).max // 8:
         raise RecordError(f"{path}: embedding dimension {d} out of range")
     if not (np.isfinite(users).all() and np.isfinite(tags).all()):
         raise RecordError(f"{path}: non-finite embedding value")
-    raw = block.tobytes()
-    try:
-        user_ids, tag_ids = json.loads(raw.decode("utf-8"))
-    except (ValueError, TypeError, RecursionError) as exc:
-        raise RecordError(f"{path}: bad id block ({exc})") from exc
-    checked_ids(user_ids, path)
-    checked_ids(tag_ids, path)
-    if (len(user_ids), len(tag_ids)) != (n, m):
-        raise RecordError(f"{path}: id counts do not match the header")
-    if _id_block(user_ids, tag_ids) != raw:
-        raise RecordError(f"{path}: id block is not canonical JSON")
+    user_ids, tag_ids = checked_id_block(block, (n, m), path)
     state = EmbeddingState(users=users.reshape(n, d), hashtags=tags.reshape(m, d), seed=seed)
     return state, user_ids, tag_ids

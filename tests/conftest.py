@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import base64
+import json
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import scipy.sparse as sp
+from hypothesis import strategies as st
 
+from stancegraph.errors import RecordError, ShapeError
 from stancegraph.graphs import GRAPH, BipartiteGraph, UserGraph, to_scipy
-from stancegraph.ingest import CSR_DTYPES, CSRArrays, InteractionCounts
+from stancegraph.ingest import COUNT_MATRICES, CSR_DTYPES, CSRArrays, InteractionCounts
 
 
 # CSR_DTYPES as the native-order dtypes of arrays in memory, and the largest
@@ -83,3 +91,76 @@ def write_graph_container(path, shape, indptr, indices, data) -> None:
         fh.write(b"SGCSR\x00" + GRAPH.header.pack(GRAPH.version, n, m, len(indices)))
         for values, dtype in zip((indptr, indices, data), CSR_DTYPES):
             fh.write(np.asarray(values, dtype=dtype).tobytes())
+
+
+def json_ids(users, hashtags) -> bytes:
+    """The id block of a checkpoint or counts file: the compact UTF-8 JSON
+    [users, hashtags]."""
+    return json.dumps([users, hashtags], ensure_ascii=False, separators=(",", ":")).encode()
+
+
+def counts_container(shape, mats, ids: bytes, nnz=None) -> bytes:
+    """The bytes of a counts file built straight from the documented layout
+    (the magic, the header "<I9Q": version 1, users, hashtags, id bytes and
+    each matrix's nnz, then the six matrices' indptr, indices and data in
+    CSR_DTYPES and the id block), with no canonicalizing or checking, so
+    tests can build malformed ones. `mats` holds each matrix's three arrays
+    in COUNT_MATRICES order; an array given as bytes is written as it is.
+    `nnz` replaces the header's entry counts, which default to the lengths
+    of the `indices` arrays."""
+    if nnz is None:
+        nnz = [len(indices) for _, indices, _ in mats]
+    blob = b"SGCNT\x00" + struct.pack("<I9Q", 1, *shape, len(ids), *nnz)
+    for mat in mats:
+        for values, dtype in zip(mat, CSR_DTYPES):
+            blob += values if isinstance(values, bytes) else np.asarray(values, dtype).tobytes()
+    return blob + ids
+
+
+def count_arrays(counts: InteractionCounts) -> list[list[np.ndarray]]:
+    """Copies of each count matrix's indptr, indices and data, in
+    COUNT_MATRICES order: counts_container's `mats`."""
+    return [[a.copy() for a in (mat.indptr, mat.indices, mat.data)]
+            for mat in (getattr(counts, name) for name in COUNT_MATRICES)]
+
+
+def json_counts_payload(counts: InteractionCounts, index_dtype: str = "<i4") -> dict:
+    """counts.json as a JSON document of base64 columns, the layout earlier
+    versions wrote: the id lists, then each matrix as {"indptr", "indices",
+    "data"}, each the base64 of the array's little-endian bytes, the index
+    arrays in `index_dtype`."""
+    payload = {"users": counts.users, "hashtags": counts.hashtags}
+    for name, mat in zip(COUNT_MATRICES, count_arrays(counts)):
+        payload[name] = {key: base64.b64encode(np.asarray(arr, dtype).tobytes()).decode("ascii")
+                         for key, arr, dtype in zip(("indptr", "indices", "data"), mat,
+                                                    (index_dtype, index_dtype, "<f8"))}
+    return payload
+
+
+def corrupted(blob: bytes, data) -> bytes:
+    """`blob` cut short or with one byte replaced, as hypothesis draws."""
+    if data.draw(st.booleans(), label="truncate"):
+        return blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+    pos = data.draw(st.integers(0, len(blob) - 1), label="position")
+    value = data.draw(st.integers(0, 255).filter(lambda b: b != blob[pos]), label="byte")
+    return blob[:pos] + bytes([value]) + blob[pos + 1:]
+
+
+def load_corrupted(write_valid, load, save, data):
+    """What `load` makes of the file that write_valid(path) writes, cut
+    short or with one byte replaced as hypothesis draws: None when it is
+    refused with a RecordError or ShapeError. A file it accepts must be
+    written back byte for byte by save(path, loaded). Every write goes to
+    a new file: truncating an existing one can be slow."""
+    with tempfile.TemporaryDirectory() as tmp:
+        valid, path, again = (Path(tmp) / name for name in ("valid", "corrupt", "again"))
+        write_valid(valid)
+        blob = corrupted(valid.read_bytes(), data)
+        path.write_bytes(blob)
+        try:
+            loaded = load(path)
+        except (RecordError, ShapeError):
+            return None
+        save(again, loaded)
+        assert again.read_bytes() == blob
+        return loaded

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ast
-import base64
 import dataclasses
 import gc
 import importlib
@@ -39,11 +38,11 @@ from stancegraph.evaluate import (
     run_protocol,
     with_usage,
 )
-from stancegraph.ingest import load_counts
+from stancegraph.ingest import load_counts, save_counts
 from stancegraph.graphs import load_matrix_coo
 from stancegraph.model import init_embeddings, load_checkpoint
 
-from conftest import write_graph_container
+from conftest import json_counts_payload, write_graph_container
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -328,6 +327,12 @@ def truncate_counts(data):
     path.write_bytes(path.read_bytes()[: len(path.read_bytes()) // 2])
 
 
+def repeated_user(data):
+    path = data / "counts.json"
+    counts = load_counts(path)
+    save_counts(dataclasses.replace(counts, users=counts.users[:1] * 2 + counts.users[2:]), path)
+
+
 def old_text_bipartite(data):
     coo = load_matrix_coo(data / "bipartite.coo").tocoo()
     lines = [f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n"]
@@ -353,12 +358,13 @@ def truncate_bipartite(data):
 
 @pytest.mark.parametrize("damage", [
     truncate_counts,
+    repeated_user,
     old_text_bipartite,
     lambda data: rewrite_bipartite(data, column=lambda m: m),
     lambda data: rewrite_bipartite(data, value=float("nan")),
     truncate_bipartite,
-], ids=["truncated-counts", "old-text-bipartite", "column-out-of-range", "nan-weight",
-        "truncated-bipartite"])
+], ids=["truncated-counts", "repeated-user", "old-text-bipartite", "column-out-of-range",
+        "nan-weight", "truncated-bipartite"])
 def test_malformed_dataset_file_exits_3(tmp_path, capsys, damage):
     _, data = synth_and_build(tmp_path)
     damage(data)
@@ -387,24 +393,27 @@ def wide_bipartite(data):
     write_graph_container(path, (mat.shape[0], 2**31), mat.indptr, mat.indices, mat.data)
 
 
-def int64_counts(data):
-    """counts.json as it was written with "<i8" index columns."""
+def json_counts(data, index_dtype="<i4"):
+    """counts.json as a JSON document of base64 columns, with index columns
+    in `index_dtype`: "<i4" until it became a binary container, "<i8"
+    before that."""
     path = data / "counts.json"
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    for columns in payload.values():
-        if isinstance(columns, dict):
-            for key in ("indptr", "indices"):
-                values = np.frombuffer(base64.b64decode(columns[key]), "<i4").astype("<i8")
-                columns[key] = base64.b64encode(values.tobytes()).decode("ascii")
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    payload = json_counts_payload(load_counts(path), index_dtype)
+    path.write_text(json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n",
+                    encoding="utf-8")
 
 
 @pytest.mark.parametrize("command, damage, message", [
     ("train", version_1_bipartite, r"bipartite\.coo: unsupported graph file version 1"),
     ("train", wide_bipartite, r"bipartite\.coo: shape 40 x 2147483648 out of range"),
-    ("train", int64_counts, r"counts\.json T_tweet: array lengths do not match the shape"),
-    ("build", int64_counts, r"counts\.json T_tweet: array lengths do not match the shape"),
-], ids=["version-1-graph", "columns-beyond-int32", "int64-counts", "int64-counts-build"])
+    ("train", lambda data: json_counts(data, "<i8"),
+     r"counts\.json: not a counts file \(bad magic\)"),
+    ("build", lambda data: json_counts(data, "<i8"),
+     r"counts\.json: not a counts file \(bad magic\)"),
+    ("train", json_counts, r"counts\.json: not a counts file \(bad magic\)"),
+    ("build", json_counts, r"counts\.json: not a counts file \(bad magic\)"),
+], ids=["version-1-graph", "columns-beyond-int32", "int64-counts", "int64-counts-build",
+        "json-counts", "json-counts-build"])
 def test_dataset_in_an_earlier_layout_exits_3_naming_the_refusal(tmp_path, capsys, command,
                                                                  damage, message):
     _, data = synth_and_build(tmp_path)
@@ -1020,8 +1029,8 @@ def test_ingest_refuses_a_null_tweet_id(tmp_path, capsys):
 def test_build_refuses_a_counts_file_with_number_lists(tmp_path, capsys):
     # counts.json as written before its arrays became base64 columns
     raw, _ = synth_and_build(tmp_path)
-    payload = json.loads((raw / "counts.json").read_text(encoding="utf-8"))
     counts = load_counts(raw / "counts.json")
+    payload = {"users": counts.users, "hashtags": counts.hashtags}
     for name in ("T_tweet", "T_retweet", "T_reply", "mention", "reply", "mutual_follow"):
         mat = getattr(counts, name)
         payload[name] = {"indptr": mat.indptr.tolist(), "indices": mat.indices.tolist(),
@@ -1034,7 +1043,7 @@ def test_build_refuses_a_counts_file_with_number_lists(tmp_path, capsys):
     err = capsys.readouterr().err
     lines = [line for line in err.splitlines() if line.startswith("error ")]
     assert len(lines) == 1 and lines[0].startswith("error kind=RecordError exit=3: ")
-    assert "T_tweet indptr: bad matrix columns (not a base64 string)" in lines[0]
+    assert lines[0].endswith("old.json: not a counts file (bad magic)")
     assert "Traceback" not in err and not out.exists()
 
 

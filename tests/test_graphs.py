@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import tempfile
+import re
 import tracemalloc
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,7 +17,6 @@ from stancegraph import graphs
 from stancegraph.config import GraphConfig
 from stancegraph.errors import ConfigError, EmptyChannel, RecordError, ShapeError
 from stancegraph.graphs import (
-    CHECKPOINT,
     GRAPH,
     BipartiteGraph,
     UserGraph,
@@ -33,16 +31,16 @@ from stancegraph.graphs import (
     normalize_user_graph,
     pathsim_scores,
     propagate_once,
-    read_container,
     save_matrix_coo,
     sparsify,
     to_scipy,
-    write_container,
 )
-from stancegraph.model import EmbeddingState, load_checkpoint, save_checkpoint
+from stancegraph.ingest import COUNTS, load_counts, read_container, save_counts, write_container
+from stancegraph.model import CHECKPOINT, EmbeddingState, load_checkpoint, save_checkpoint
 
 from conftest import (INDEX_MAX, NATIVE_CSR_DTYPES, counts_from, csr_dtypes, dense,
-                      random_bipartite, random_user_graph, write_graph_container)
+                      load_corrupted, random_bipartite, random_user_graph,
+                      write_graph_container)
 import reference
 from reference import neighbors
 
@@ -809,27 +807,54 @@ def test_matrix_loader_rejects_bad_arrays(tmp_path, arrays):
         load_matrix_coo(path)
 
 
-def test_matrix_loader_rejects_bad_container(tmp_path):
-    path = tmp_path / "m.coo"
-    write_graph_container(path, (2, 3), [0, 2, 3], [0, 2, 1], [0.5, 0.5, 1.0])
-    good = path.read_bytes()
-    assert load_matrix_coo(path).nnz == 3
-    cases = {
-        "old text format": b"2 3 3\n0 0 0.5\n0 2 0.5\n1 1 1\n",
-        "empty file": b"",
-        "bad magic": b"SGEMB\x00" + good[6:],
-        "earlier version": good[:6] + (GRAPH.version - 1).to_bytes(4, "little") + good[10:],
-        "later version": good[:6] + (GRAPH.version + 1).to_bytes(4, "little") + good[10:],
-        "truncated header": good[:20],
-        "truncated arrays": good[:-8],
-        "trailing bytes": good + b"\x00",
-    }
-    for k, (name, blob) in enumerate(cases.items()):
-        bad = tmp_path / f"bad{k}.coo"
-        bad.write_bytes(blob)
-        with pytest.raises(RecordError):
-            load_matrix_coo(bad)
-            pytest.fail(name)
+# One valid file of each container kind, and its loader.
+CONTAINER_FILES = {
+    GRAPH: (lambda path: save_matrix_coo(sp.csr_matrix(np.array([[0.5, 0.0], [0.0, 2.0]])),
+                                         path), load_matrix_coo),
+    CHECKPOINT: (lambda path: save_checkpoint(
+        path, EmbeddingState(users=np.ones((2, 3)), hashtags=np.zeros((1, 3)), seed=4),
+        ["u0", "u1"], ["h0"]), load_checkpoint),
+    COUNTS: (lambda path: save_counts(counts_from(np.eye(3, 2), mention=np.eye(3)[::-1]), path),
+             load_counts),
+}
+
+
+def damaged(kind, blob: bytes, case: str) -> tuple[bytes, str]:
+    """`blob`, a valid file of `kind`, damaged as `case` says, and the
+    refusal its loader gives, as a pattern."""
+    at = len(kind.magic)  # where the version starts
+    other = {GRAPH: CHECKPOINT, CHECKPOINT: COUNTS, COUNTS: GRAPH}[kind].magic
+
+    def with_version(version):
+        return (blob[:at] + version.to_bytes(4, "little") + blob[at + 4:],
+                f"unsupported {kind.name} version {version}")
+
+    def with_size(damaged_blob):
+        return damaged_blob, rf"size {len(damaged_blob)} does not match header \({len(blob)}\)"
+
+    return {
+        "bad-magic": (other + blob[at:], rf"not a {kind.name} \(bad magic\)"),
+        "earlier-version": with_version(kind.version - 1),
+        "later-version": with_version(kind.version + 1),
+        "header-cut-short": (blob[:at + kind.header.size - 1], f"truncated {kind.name} header"),
+        "size-short": with_size(blob[:-1]),
+        "size-long": with_size(blob + b"\x00"),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["bad-magic", "earlier-version", "later-version",
+                                  "header-cut-short", "size-short", "size-long"])
+@pytest.mark.parametrize("kind", [GRAPH, CHECKPOINT, COUNTS],
+                         ids=["graph", "checkpoint", "counts"])
+def test_container_loaders_refuse_a_damaged_file(tmp_path, kind, case):
+    write, load = CONTAINER_FILES[kind]
+    write(tmp_path / "valid")
+    load(tmp_path / "valid")
+    blob, refusal = damaged(kind, (tmp_path / "valid").read_bytes(), case)
+    path = tmp_path / "bad"
+    path.write_bytes(blob)
+    with pytest.raises(RecordError, match=f"^{re.escape(str(path))}: {refusal}$"):
+        load(path)
 
 
 def test_graph_loaders_reject_negative_weights(tmp_path):
@@ -866,15 +891,6 @@ def test_user_graph_loader_refuses_a_diagonal_entry(tmp_path):
     assert load_user_graph(path).W.nnz == 2
 
 
-def corrupted(blob: bytes, data) -> bytes:
-    """`blob` cut short or with one byte replaced, as hypothesis draws."""
-    if data.draw(st.booleans(), label="truncate"):
-        return blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
-    pos = data.draw(st.integers(0, len(blob) - 1), label="position")
-    value = data.draw(st.integers(0, 255).filter(lambda b: b != blob[pos]), label="byte")
-    return blob[:pos] + bytes([value]) + blob[pos + 1:]
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     dense=st.integers(0, 4).flatmap(lambda n: st.integers(1, 4).flatmap(lambda m: hnp.arrays(
@@ -882,21 +898,10 @@ def corrupted(blob: bytes, data) -> bytes:
     data=st.data(),
 )
 def test_matrix_loader_fuzz_returns_checked_matrix_or_record_error(dense, data):
-    # Every write goes to a new file: truncating an existing one can be slow.
-    with tempfile.TemporaryDirectory() as tmp:
-        valid = Path(tmp) / "valid.coo"
-        save_matrix_coo(sp.csr_matrix(dense), valid)
-        blob = corrupted(valid.read_bytes(), data)
-        path = Path(tmp) / "corrupt.coo"
-        path.write_bytes(blob)
-        try:
-            mat = load_matrix_coo(path)
-        except (RecordError, ShapeError):
-            return
+    mat = load_corrupted(lambda path: save_matrix_coo(sp.csr_matrix(dense), path),
+                         load_matrix_coo, lambda path, mat: save_matrix_coo(mat, path), data)
+    if mat is not None:
         assert_canonical_finite(mat)
-        again = Path(tmp) / "again.coo"
-        save_matrix_coo(mat, again)
-        assert again.read_bytes() == blob
 
 
 @settings(max_examples=300, deadline=None)
@@ -907,18 +912,10 @@ def test_checkpoint_loader_fuzz_returns_checked_state_or_record_error(shape, see
     rng = np.random.default_rng(abs(seed))
     state = EmbeddingState(users=rng.standard_normal((n, d)),
                            hashtags=rng.standard_normal((m, d)), seed=seed)
-    with tempfile.TemporaryDirectory() as tmp:
-        valid = Path(tmp) / "valid.bin"
-        save_checkpoint(valid, state, [f"u{i}" for i in range(n)], [f"más{j}" for j in range(m)])
-        blob = corrupted(valid.read_bytes(), data)
-        path = Path(tmp) / "corrupt.bin"
-        path.write_bytes(blob)
-        try:
-            back, users, tags = load_checkpoint(path)
-        except (RecordError, ShapeError):
-            return
+    users, tags = [f"u{i}" for i in range(n)], [f"más{j}" for j in range(m)]
+    loaded = load_corrupted(lambda path: save_checkpoint(path, state, users, tags),
+                            load_checkpoint, lambda path, got: save_checkpoint(path, *got), data)
+    if loaded is not None:
+        back, users, tags = loaded
         assert (len(back.users), len(back.hashtags)) == (len(users), len(tags))
         assert np.isfinite(back.users).all() and np.isfinite(back.hashtags).all()
-        again = Path(tmp) / "again.bin"
-        save_checkpoint(again, back, users, tags)
-        assert again.read_bytes() == blob

@@ -13,14 +13,14 @@ import scipy.sparse as sp
 from stancegraph import model
 from stancegraph.errors import ConfigError, RecordError, ShapeError
 from stancegraph.graphs import (
-    CHECKPOINT,
     BipartiteGraph,
     UserGraph,
     build_adjacency,
     normalize_user_graph,
-    write_container,
 )
+from stancegraph.ingest import write_container
 from stancegraph.model import (
+    CHECKPOINT,
     ChannelSet,
     ModelConfig,
     build_operators,
@@ -410,30 +410,6 @@ def test_checkpoint_roundtrip(tmp_path):
     assert back_users == users and back_tags == tags
 
 
-def test_checkpoint_corrupt_magic(tmp_path):
-    cfg = ModelConfig(dim=2)
-    state = init_embeddings(2, 2, cfg, seed=0)
-    path = tmp_path / "ck.bin"
-    save_checkpoint(path, state, ["a", "b"], ["x", "y"])
-    raw = bytearray(path.read_bytes())
-    raw[0] ^= 0xFF
-    path.write_bytes(bytes(raw))
-    with pytest.raises(RecordError):
-        load_checkpoint(path)
-
-
-def test_checkpoint_cut_inside_header(tmp_path):
-    cfg = ModelConfig(dim=2)
-    state = init_embeddings(2, 2, cfg, seed=0)
-    path = tmp_path / "ck.bin"
-    save_checkpoint(path, state, ["a", "b"], ["x", "y"])
-    raw = path.read_bytes()
-    for size in (10, 6 + 43):  # magic is 6 bytes, the header after it 44
-        path.write_bytes(raw[:size])
-        with pytest.raises(RecordError):
-            load_checkpoint(path)
-
-
 @pytest.mark.parametrize("ids", [b"[" * 100_000, b"[" + b"1" * 5000 + b"]", b"\xff"],
                          ids=["nested-too-deep", "integer-too-long", "not-utf-8"])
 def test_checkpoint_id_block_the_decoder_cannot_hold(tmp_path, ids):
@@ -445,12 +421,13 @@ def test_checkpoint_id_block_the_decoder_cannot_hold(tmp_path, ids):
         load_checkpoint(path)
 
 
-def test_checkpoint_truncated(tmp_path):
-    cfg = ModelConfig(dim=2)
-    state = init_embeddings(2, 2, cfg, seed=0)
+@pytest.mark.parametrize("users, tags, repeated", [
+    (["a", "a"], ["x", "y"], "user id 'a'"),
+    (["a", "b"], ["y", "y"], "hashtag 'y'"),
+], ids=["user", "hashtag"])
+def test_checkpoint_refuses_a_repeated_id(tmp_path, users, tags, repeated):
+    # Before, it loaded, and the two rows were looked up under one id.
     path = tmp_path / "ck.bin"
-    save_checkpoint(path, state, ["a", "b"], ["x", "y"])
-    raw = path.read_bytes()
-    path.write_bytes(raw[: len(raw) - 8])
-    with pytest.raises(RecordError):
+    save_checkpoint(path, init_embeddings(2, 2, ModelConfig(dim=2), seed=0), users, tags)
+    with pytest.raises(RecordError, match=f"^{path}: repeated {repeated}$"):
         load_checkpoint(path)
