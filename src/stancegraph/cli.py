@@ -27,6 +27,7 @@ from .errors import (
     RecordError,
     ShapeError,
     StanceGraphError,
+    open_text,
 )
 from .evaluate import (
     VARIANTS,
@@ -162,7 +163,7 @@ def _load_annotation_arg(args, counts):
 
 def cmd_ingest(args, cfg: RunConfig) -> int:
     with contextlib.ExitStack() as stack:
-        lines = [stack.enter_context(open(path, "r", encoding="utf-8")) if path else ()
+        lines = [stack.enter_context(open_text(path, strict=cfg.strict_parse)) if path else ()
                  for path in (args.tweets, args.follows, args.outlets)]
         corpus = parse_corpus(*lines, strict=cfg.strict_parse)
     corpus = apply_filters(corpus, cfg)
@@ -278,8 +279,8 @@ def cmd_curve(args, cfg: RunConfig) -> int:
     uidx = {u: i for i, u in enumerate(counts.users)}
     hidx = {h: j for j, h in enumerate(counts.hashtags)}
     hidden: dict[int, dict[int, float]] = {}
-    with open(eval_dir / "hidden.tsv", "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
+    with open_text(eval_dir / "hidden.tsv", strict=True) as lines:
+        for line_no, line in enumerate(lines, 1):
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 3:
                 raise RecordError("expected 'user<TAB>hashtag<TAB>weight'", line_no)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, open_text
 
 STAGE_INDEX = {
     "ingest": 0,
@@ -244,8 +244,8 @@ def _coerce(name: str, raw: str):
 def parse_config_file(path) -> dict:
     """key=value lines; '#' starts a comment; unknown keys are errors."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
+    with open_text(path, ConfigError, strict=True) as lines:
+        for line_no, line in enumerate(lines, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -1,8 +1,20 @@
 """Exception types shared across the package.
 
 Every domain error derives from StanceGraphError so callers can catch one
-base class; the CLI maps subclasses to distinct exit codes.
+base class; the CLI maps subclasses to distinct exit codes. Every text
+input is read through open_text, so bytes that are not UTF-8 raise one of
+them too.
 """
+
+import contextlib
+import logging
+import re
+
+LOGGER = logging.getLogger(__name__)
+
+# What open_text's decoding ("surrogateescape") puts in place of each byte
+# that is not UTF-8; decoding valid UTF-8 never gives one of these.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 class StanceGraphError(Exception):
@@ -56,3 +68,25 @@ class EmptyEvaluation(StanceGraphError):
 
 class BoundsError(StanceGraphError):
     """A requested size exceeds what the data provides."""
+
+
+@contextlib.contextmanager
+def open_text(path, error=RecordError, *, strict: bool):
+    """Open the UTF-8 text file at `path` and give its lines, as open()
+    splits them in text mode. A line holding bytes that are not UTF-8
+    raises error(message), the message naming the file and the line; when
+    not `strict`, it is logged and given as an empty line instead, which
+    every reader skips."""
+
+    def checked(fh):
+        for line_no, line in enumerate(fh, 1):
+            if not line.isascii() and _UNDECODABLE.search(line):
+                exc = error(f"{path}: line {line_no} is not UTF-8 text")
+                if strict:
+                    raise exc
+                LOGGER.warning("skipping %s", exc)
+                line = ""
+            yield line
+
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        yield checked(fh)

@@ -27,9 +27,10 @@ from .errors import (
     EmptyEvaluation,
     RecordError,
     ShapeError,
+    open_text,
 )
-from .graphs import BipartiteGraph, _is_member, _kept, binarize, row_normalize, to_scipy
-from .ingest import InteractionCounts, _flat_keys, _unit_counts, normalize_hashtag
+from .graphs import BipartiteGraph, _is_member, _kept, binarize, row_normalize
+from .ingest import InteractionCounts, _flat_keys, _row_indices, _unit_counts, normalize_hashtag
 from .metrics import EVAL_K, ranking_metrics
 from .model import ChannelSet, EmbeddingState, PropagationOutput
 from .train import train
@@ -86,8 +87,8 @@ def parse_annotations(lines) -> StanceAnnotation:
 
 
 def load_annotations(path) -> StanceAnnotation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_annotations(fh)
+    with open_text(path, strict=True) as lines:
+        return parse_annotations(lines)
 
 
 def bundled_annotations(name: str) -> StanceAnnotation:
@@ -151,7 +152,7 @@ def holdout_split(
     tags = annotations.tags()
     annotated = np.array([h in tags for h in hashtags], dtype=bool)
     R = graph.R
-    rows = np.repeat(np.arange(graph.n_users, dtype=np.int64), np.diff(R.indptr))
+    rows = _row_indices(R, np.int64)
     on_annotated = annotated[R.indices]
     eligible = np.unique(rows[on_annotated])
     if not len(eligible):
@@ -219,7 +220,7 @@ def graph_without_edges(graph: BipartiteGraph, removed: np.ndarray) -> Bipartite
     keys = _flat_keys(graph.R)
     gone = _is_member(np.unique(removed[:, 0] * graph.n_hashtags + removed[:, 1]), keys)
     R = row_normalize(_kept(graph.R, ~gone), rows=np.unique(keys[gone] // graph.n_hashtags))
-    return BipartiteGraph(R=to_scipy(R))
+    return BipartiteGraph(R=R)
 
 
 def null_model(
@@ -230,7 +231,7 @@ def null_model(
         raise ConfigError("interaction count cannot be negative")
     flat = rng.integers(0, n_users * n_hashtags, size=n_interactions)
     T = _unit_counts(flat // n_hashtags, flat % n_hashtags, (n_users, n_hashtags))
-    return BipartiteGraph(R=to_scipy(row_normalize(T)))
+    return BipartiteGraph(R=row_normalize(T))
 
 
 def _stances(values: np.ndarray, annotations: StanceAnnotation, index: dict[str, int],

@@ -5,12 +5,13 @@ and meta-path similarity user graphs, and normalizes each into the
 symmetric propagation operator used by the embedding model.
 
 A graph holds a canonical float64 CSR matrix of one of two kinds. The
-graphs that `build` constructs hold NumPy CSR arrays (ingest.CSRArrays),
-and everything `build` calls works on the arrays alone, so `build` runs
-without scipy. The graphs that the loaders return hold scipy CSR matrices,
-as do the propagation operators: scipy.sparse is imported by the functions
-that need it (to_scipy, build_adjacency, the normalization), so a process
-that trains on no graph (ingest, synth, build, curve) never pays for the
+graphs that `build` constructs, and those the evaluation derives from a
+loaded graph, hold NumPy CSR arrays (ingest.CSRArrays), and everything
+`build` calls works on the arrays alone, so `build` runs without scipy.
+The graphs that the loaders return hold scipy CSR matrices, as do the
+propagation operators: scipy.sparse is imported by the functions that
+need it (to_scipy, build_adjacency, the normalization), so a process that
+trains on no graph (ingest, synth, build, curve) never pays for the
 import; cli.main imports it up front for train and eval.
 """
 
@@ -31,9 +32,8 @@ from .ingest import (
     CSRArrays,
     InteractionCounts,
     _flat_keys,
-    _from_keys,
     _row_indices,
-    _summed_entries,
+    _sum,
     _transposed,
     check_index_range,
     checked_csr,
@@ -65,11 +65,11 @@ class BipartiteGraph:
     """Weighted user-hashtag graph. R rows are usage distributions: row i
     holds user i's interaction counts divided by the user's total.
 
-    R is a canonical float64 CSR matrix: NumPy CSR arrays, as `build`
-    makes them, or a scipy matrix, as the loaders and the evaluation make
-    them. The graph owns the matrix it is given and keeps it as it is,
-    unless it is a scipy matrix of another format, dtype or order, which
-    is converted (see _canonical)."""
+    R is a canonical float64 CSR matrix: NumPy CSR arrays, as `build` and
+    the evaluation make them, or a scipy matrix, as the loaders make them.
+    The graph owns the matrix it is given and keeps it as it is, unless it
+    is a scipy matrix of another format, dtype or order, which is
+    converted (see _canonical)."""
 
     R: CSRArrays | sp.csr_matrix
 
@@ -196,9 +196,8 @@ def build_interaction_graph(counts: InteractionCounts) -> BipartiteGraph:
 
 def binarize(graph: BipartiteGraph) -> BipartiteGraph:
     """Replace every positive weight with 1 (unweighted-graph reduction)."""
-    R = to_scipy(graph.R).copy()
-    R.data = np.ones_like(R.data)
-    return BipartiteGraph(R=R)
+    R = graph.R
+    return BipartiteGraph(R=CSRArrays(R.indptr, R.indices, np.ones_like(R.data), R.shape))
 
 
 def _symmetric_normalize(A) -> NormalizedAdjacency:
@@ -234,12 +233,6 @@ def build_adjacency(graph: BipartiteGraph) -> NormalizedAdjacency:
 
 def normalize_user_graph(graph: UserGraph) -> NormalizedAdjacency:
     return _symmetric_normalize(graph.W)
-
-
-def _sum(mats) -> CSRArrays:
-    """The entrywise sum of CSR matrices of one shape, as scipy's `+` gives
-    it (ingest._summed_entries)."""
-    return _from_keys(*_summed_entries(mats), mats[0].shape)
 
 
 def _scaled(c: float, M: CSRArrays) -> CSRArrays:
@@ -361,12 +354,8 @@ def _product_rows(A, BT, lo: int, hi: int) -> np.ndarray:
     CSR product sums it."""
     n = BT.shape[1]
     start, stop = A.indptr[lo], A.indptr[hi]
-    tags = A.indices[start:stop]
-    first = BT.indptr[tags].astype(np.int64)
-    count = BT.indptr[tags + 1] - first
-    # Position in BT of each product: its entry's first, plus its rank.
-    at = np.repeat(first - (np.cumsum(count) - count), count)
-    at += np.arange(len(at))
+    # The entries of BT's row k, for each entry (i, k) of the block in turn.
+    count, at = _row_positions(BT.indptr, A.indices[start:stop])
     row_start = np.repeat(np.arange(hi - lo) * n, np.diff(A.indptr[lo:hi + 1]))
     cells = np.repeat(row_start, count)
     cells += BT.indices[at]
@@ -395,18 +384,45 @@ def sparsify(graph: UserGraph, min_weight: float, top_k: int) -> UserGraph:
     endpoint keeps it, so the result stays symmetric."""
     W = _kept(graph.W, graph.W.data >= min_weight)
     if top_k:
-        n = W.shape[0]
-        rows = _row_indices(W, np.int64)
-        cols = W.indices.astype(np.int64)
-        # Rank each edge within its row, strongest first; ties break toward
-        # the smaller neighbor index.
-        order = np.lexsort((cols, -W.data, rows))
-        rank = np.empty(W.nnz, dtype=np.int64)
-        rank[order] = np.arange(W.nnz) - W.indptr[rows[order]]
-        keys = rows * n + cols  # row-major, hence sorted
-        top = rank < top_k
-        W = _kept(W, top | _is_member(keys[top], cols * n + rows))
+        # Each row's strongest edges; ties break toward the smaller neighbor.
+        keep = _row_ranks(W) < top_k
+        # Each stored mirror (j, i) of a kept edge (i, j) is kept too, found
+        # among the keys of all edges, which are row-major, hence sorted.
+        mirrors = W.indices[keep].astype(np.int64)
+        mirrors *= W.shape[0]
+        mirrors += _row_indices(W)[keep]
+        keys = _flat_keys(W)
+        keep[np.searchsorted(keys, mirrors[_is_member(keys, mirrors)])] = True
+        W = _kept(W, keep)
     return UserGraph(W=W, kind=graph.kind)
+
+
+def _row_ranks(M) -> np.ndarray:
+    """The rank of each stored entry of the CSR matrix M within its row, in
+    storage order: 0 for the row's largest value, with equal values ranked
+    in storage order, so that in a canonical row the smaller column ranks
+    first. One stable sort (np.lexsort) on the row, then the negated
+    value; the rows are already in order, so the entry sorted to a
+    position lies in the same row as the one stored there."""
+    rows = _row_indices(M, M.indices.dtype)
+    order = np.lexsort((-M.data, rows))
+    position = np.arange(M.nnz)
+    position -= M.indptr[rows]
+    rank = np.empty_like(position)
+    rank[order] = position
+    return rank
+
+
+def _row_positions(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For the CSR matrix with row pointers indptr, the entry count of each
+    of `rows` (a row may repeat), and the array positions of their entries,
+    row after row in the order given."""
+    first = indptr[rows].astype(np.int64)
+    count = indptr[rows + 1] - first
+    # Each entry's position is its row's first, plus its rank in the row.
+    at = np.repeat(first - (np.cumsum(count) - count), count)
+    at += np.arange(len(at))
+    return count, at
 
 
 def _kept(W, keep: np.ndarray) -> CSRArrays:

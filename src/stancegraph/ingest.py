@@ -301,18 +301,18 @@ def _csr_arrays(indptr, indices, data, shape) -> CSRArrays:
                      data, tuple(shape))
 
 
-def _flat_keys(mat) -> np.ndarray:
-    """Row-major int64 keys row * width + column of a CSR matrix's entries,
-    in storage order; sorted and unique when the matrix is canonical."""
-    n, m = mat.shape
-    keys = np.repeat(np.arange(n, dtype=np.int64) * m, np.diff(mat.indptr))
-    keys += mat.indices
-    return keys
-
-
 def _row_indices(mat, dtype=np.intp) -> np.ndarray:
     """The row of each stored entry of a CSR matrix, in storage order."""
     return np.repeat(np.arange(mat.shape[0], dtype=dtype), np.diff(mat.indptr))
+
+
+def _flat_keys(mat) -> np.ndarray:
+    """Row-major int64 keys row * width + column of a CSR matrix's entries,
+    in storage order; sorted and unique when the matrix is canonical."""
+    keys = _row_indices(mat, np.int64)
+    keys *= mat.shape[1]
+    keys += mat.indices
+    return keys
 
 
 def _transposed(mat) -> CSRArrays:
@@ -368,18 +368,17 @@ def _unit_counts(rows, cols, shape) -> CSRArrays:
     return _from_keys(keys[starts], counts, shape)
 
 
-def _summed_entries(mats) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted row-major keys and values of the entrywise sum of CSR
-    matrices of one shape, as scipy's `+` gives it: repeats of an entry are
-    added in the order of `mats` and of their storage, and sums equal to
-    zero are dropped."""
+def _sum(mats) -> CSRArrays:
+    """The entrywise sum of CSR matrices of one shape, as scipy's `+` gives
+    it: repeats of an entry are added in the order of `mats` and of their
+    storage, and sums equal to zero are dropped."""
     keys = np.concatenate([_flat_keys(mat) for mat in mats])
     data = np.concatenate([mat.data for mat in mats]).astype(np.float64, copy=False)
     if not (keys[1:] > keys[:-1]).all():
         keys, inverse = np.unique(keys, return_inverse=True)
         data = np.bincount(inverse, weights=data, minlength=len(keys))
     nonzero = data != 0
-    return keys[nonzero], data[nonzero]
+    return _from_keys(keys[nonzero], data[nonzero], mats[0].shape)
 
 
 @dataclass(frozen=True)
@@ -403,8 +402,7 @@ class InteractionCounts:
 
     @cached_property
     def T(self) -> CSRArrays:
-        parts = (self.T_tweet, self.T_retweet, self.T_reply)
-        return _from_keys(*_summed_entries(parts), self.T_tweet.shape)
+        return _sum((self.T_tweet, self.T_retweet, self.T_reply))
 
     def relation(self, name: str) -> CSRArrays:
         table = {"tweet": self.T_tweet, "retweet": self.T_retweet, "reply": self.T_reply}
@@ -436,7 +434,7 @@ def is_symmetric(M: CSRArrays) -> bool:
     unsorted indices or stored zeros. The arrays of its transpose are then
     compared with its own."""
     if not (_sorted_within_rows(M.indptr, M.indices) and M.data.all()):
-        M = _from_keys(*_summed_entries((M,)), M.shape)
+        M = _sum((M,))
     if not np.isfinite(M.data).all():
         return False
     T = _transposed(M)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .graphs import _is_member, to_scipy
+from .graphs import _is_member, _row_positions, _row_ranks
+from .ingest import CSRArrays
 
 # The cutoff of every ranking metric the pipeline reports or stops on.
 EVAL_K = 20
@@ -23,9 +24,9 @@ def ranking_metrics(
 ) -> tuple[float, float, int]:
     """Mean recall@k and NDCG@k over the users that have validation pairs.
 
-    Row u of the CSR matrix `exclude` (CSRArrays or scipy) stores the
-    hashtags removed from u's candidate pool (their training positives);
-    users whose pool is empty are skipped. val_pairs holds (user, hashtag)
+    Row u of the CSR matrix `exclude` lists the hashtags removed from u's
+    candidate pool (their training positives); users whose pool is empty
+    are skipped. val_pairs holds (user, hashtag)
     rows; duplicates count once. Users are ranked in blocks with the rules
     of `top_k_items` in tests/reference.py, and the sums run in the order
     of its `recall_at_k`/`ndcg_at_k`, so on equal scores the result equals
@@ -45,7 +46,6 @@ def ranking_metrics(
     discount = np.array([1.0 / np.log2(pos + 1) for pos in range(1, k + 1)])
     ideal_dcg = np.cumsum(discount)
 
-    excluded = to_scipy(exclude)[users]
     recalls = []
     ndcgs = []
     block_rows = max(1, BLOCK_ENTRIES // m)
@@ -53,23 +53,22 @@ def ranking_metrics(
         block = users[lo:lo + block_rows]
         b = len(block)
         scores = (final_users[block] @ final_hashtags.T).astype(np.float64, copy=False)
-        indptr = excluded.indptr[lo:lo + b + 1]
-        scores[np.repeat(np.arange(b), np.diff(indptr)),
-               excluded.indices[indptr[0]:indptr[-1]]] = -np.inf
+        n_excluded, at = _row_positions(exclude.indptr, block)
+        scores[np.repeat(np.arange(b), n_excluded), exclude.indices[at]] = -np.inf
         scores[~np.isfinite(scores)] = -np.inf
 
-        # Every candidate at or above the k-th best score, then sorted by
-        # score descending with ties in ascending hashtag index (lexsort is
-        # stable and nonzero lists columns in order); the first k stay.
+        # Every candidate at or above the k-th best score, ranked within its
+        # user's row by score, ties in ascending hashtag index (nonzero lists
+        # columns in order); the first k stay.
         candidate = scores > -np.inf
         if k < m:
             kth = np.partition(scores, m - k, axis=1)[:, m - k]
             candidate &= scores >= kth[:, None]
         rows, cols = np.nonzero(candidate)
-        order = np.lexsort((-scores[rows, cols], rows))
-        rows, cols = rows[order], cols[order]
-        n_candidates = np.bincount(rows, minlength=b)
-        pos = np.arange(len(rows)) - (np.cumsum(n_candidates) - n_candidates)[rows]
+        n_candidates = np.count_nonzero(candidate, axis=1)
+        indptr = np.zeros(b + 1, dtype=np.int64)
+        np.cumsum(n_candidates, out=indptr[1:])
+        pos = _row_ranks(CSRArrays(indptr, cols, scores[rows, cols], (b, m)))
         top = pos < k
         rows, cols, pos = rows[top], cols[top], pos[top]
         n_top = np.minimum(n_candidates, k)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ModelConfig
-from .errors import DegenerateHashtag, RecordError, ShapeError
+from .errors import DegenerateHashtag, RecordError, ShapeError, open_text
 from .graphs import (
     BipartiteGraph,
     NormalizedAdjacency,
@@ -131,8 +131,8 @@ def load_pretrained_vectors(path, hashtags: list[str], dim: int) -> dict[int, np
     index = {h: j for j, h in enumerate(hashtags)}
     out: dict[int, np.ndarray] = {}
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
+    with open_text(path, strict=True) as lines:
+        for line_no, line in enumerate(lines, 1):
             parts = line.split()
             if not parts:
                 continue

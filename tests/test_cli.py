@@ -525,6 +525,89 @@ def test_curve_names_the_repeated_hidden_line(tmp_path, capsys):
         f"error kind=RecordError exit=3: line {len(lines) + 1}: repeated hidden edge")
 
 
+def not_utf8(path, lines):
+    """Write `lines` to `path`, line 2 ending in a byte that is not UTF-8."""
+    data = [line.encode("utf-8") for line in lines]
+    data[1] += b"\xff"
+    path.write_bytes(b"\n".join(data) + b"\n")
+
+
+INGEST_LINES = {
+    "tweets": [json.dumps({"tweet_id": f"t{i}", "user_id": f"u{i}", "kind": "original",
+                           "timestamp": "2022-09-04T12:00:00+00:00", "text": "#uno"})
+               for i in (1, 2, 3)],
+    # u1 and u3 follow each other only through line 2.
+    "follows": ["u1\tu3", "u3\tu1", "u2\tu1"],
+    "outlets": ["o1", "o2", "o3"],
+}
+
+
+def ingest_with_bad(tmp_path, bad):
+    """ingest's argv on INGEST_LINES' files, the one named `bad` not UTF-8."""
+    argv = ["ingest", "--out", tmp_path / "counts.json"]
+    for name, lines in INGEST_LINES.items():
+        path = tmp_path / name
+        if name == bad:
+            not_utf8(path, lines)
+        else:
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv += [f"--{name}", path]
+    return argv
+
+
+def not_utf8_input(reader, tmp_path):
+    """The argv of a command whose `reader` input has a line 2 that is not
+    UTF-8, and that file's path."""
+    if reader in INGEST_LINES:
+        return ingest_with_bad(tmp_path, reader), tmp_path / reader
+    if reader == "config":
+        path = tmp_path / "run.cfg"
+        not_utf8(path, ["seed=1", "dim=4", "n_users=40"])
+        return ["synth", "--out", tmp_path / "raw", "--config", path], path
+    if reader == "hidden.tsv":
+        raw, data, eval_dir = synth_build_eval(tmp_path)
+        path = eval_dir / "hidden.tsv"
+        not_utf8(path, path.read_text(encoding="utf-8").splitlines())
+        return ["curve", "--data", data, "--eval-dir", eval_dir,
+                "--annotations", raw / "annotations.tsv", "--out", tmp_path / "curve.csv"], path
+    raw, data = synth_and_build(tmp_path)
+    if reader == "annotations":
+        path = tmp_path / "annotations.tsv"
+        not_utf8(path, (raw / "annotations.tsv").read_text(encoding="utf-8").splitlines())
+        return ["eval", "--data", data, "--annotations", path, "--out", tmp_path / "eval"], path
+    path = tmp_path / "vectors.txt"
+    write_vectors(path, ["ht00001", "ht00002", "ht00003"], 4)
+    not_utf8(path, path.read_text(encoding="utf-8").splitlines())
+    return ["train", "--data", data, "--out", tmp_path / "model", "--max-epochs", "1",
+            "--dim", "4", "--pretrained", path], path
+
+
+@pytest.mark.parametrize("reader", ["tweets", "follows", "outlets", "annotations", "pretrained",
+                                    "hidden.tsv", "config"])
+def test_text_input_that_is_not_utf8_exits_with_one_error_line(tmp_path, capsys, reader):
+    argv, path = not_utf8_input(reader, tmp_path)
+    capsys.readouterr()
+    code = run(argv)
+    err = capsys.readouterr().err
+    kind, want = ("ConfigError", 2) if reader == "config" else ("RecordError", 3)
+    assert code == want
+    assert [line for line in err.splitlines() if line.startswith("error ")] == [
+        f"error kind={kind} exit={want}: {path}: line 2 is not UTF-8 text"]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad, users, mutual_follows", [
+    ("tweets", ["u1", "u3"], 2), ("follows", ["u1", "u2", "u3"], 0),
+    ("outlets", ["u1", "u2", "u3"], 2)], ids=["tweets", "follows", "outlets"])
+def test_ingest_without_strict_parsing_skips_a_line_that_is_not_utf8(tmp_path, caplog, bad,
+                                                                     users, mutual_follows):
+    argv = ingest_with_bad(tmp_path, bad)
+    assert run(argv + ["--no-strict-parse"]) == 0
+    counts = load_counts(tmp_path / "counts.json")
+    assert counts.users == users and counts.mutual_follow.nnz == mutual_follows
+    assert f"skipping {tmp_path / bad}: line 2 is not UTF-8 text" in caplog.text
+
+
 def test_train_on_unbuilt_dataset_exits_4(tmp_path, capsys):
     # synth writes counts.json but no graph files; train does not derive them
     raw, _ = synth_and_build(tmp_path)

@@ -423,15 +423,16 @@ def test_holdout_hides_annotated_edges_with_original_weights():
     graph, ann, tags = annotated_world()
     split = holdout_split(graph, ann, tags, fraction=0.05, rng=np.random.default_rng(2))
     annotated_cols = {j for j, t in enumerate(tags) if t in ann.tags()}
+    before, after = dense(graph.R), dense(split.train_graph.R)
     for u in split.holdout_users:
         assert split.hidden[u], "holdout user lost no edges"
         for j, w in split.hidden[u].items():
             assert j in annotated_cols
-            assert w == graph.R[u, j]  # pre-split weight preserved
-            assert split.train_graph.R[u, j] == 0.0
+            assert w == before[u, j]  # pre-split weight preserved
+            assert after[u, j] == 0.0
         # non-annotated edges survive and the row is renormalized
-        kept = split.train_graph.R[u]
-        if kept.nnz:
+        kept = after[u]
+        if kept.any():
             assert abs(kept.sum() - 1.0) <= 1e-9
 
 
@@ -439,8 +440,8 @@ def test_holdout_keeps_other_users_untouched():
     graph, ann, tags = annotated_world()
     split = holdout_split(graph, ann, tags, fraction=0.05, rng=np.random.default_rng(3))
     untouched = sorted(set(range(graph.n_users)) - set(split.holdout_users))
-    sub_before = graph.R[untouched].toarray()
-    sub_after = split.train_graph.R[untouched].toarray()
+    sub_before = dense(graph.R)[untouched]
+    sub_after = dense(split.train_graph.R)[untouched]
     assert np.array_equal(sub_before, sub_after)
 
 
@@ -575,10 +576,10 @@ def test_validation_edges_leave_an_edge_to_train_on():
 def test_graph_without_edges_renormalizes():
     R = np.array([[0.5, 0.5], [1.0, 0.0]])
     g = BipartiteGraph(R=sp.csr_matrix(R))
-    out = graph_without_edges(g, np.array([[0, 1]]))
-    assert out.R[0, 0] == 1.0
-    assert out.R[0, 1] == 0.0
-    assert out.R[1, 0] == 1.0
+    out = dense(graph_without_edges(g, np.array([[0, 1]])).R)
+    assert out[0, 0] == 1.0
+    assert out[0, 1] == 0.0
+    assert out[1, 0] == 1.0
 
 
 def test_graph_without_edges_rescales_only_rows_that_lost_an_edge():
@@ -587,7 +588,7 @@ def test_graph_without_edges_rescales_only_rows_that_lost_an_edge():
     R = np.array([[0.1, 0.2, 0.7, 0.0], [0.5, 0.5, 0.0, 0.0]])
     g = BipartiteGraph(R=sp.csr_matrix(R))
     out = graph_without_edges(g, np.array([[0, 3], [1, 0]]))
-    assert out.R.toarray().tolist() == [[0.1, 0.2, 0.7, 0.0], [0.0, 1.0, 0.0, 0.0]]
+    assert dense(out.R).tolist() == [[0.1, 0.2, 0.7, 0.0], [0.0, 1.0, 0.0, 0.0]]
 
 
 # null model -----------------------------------------------------------------
@@ -599,7 +600,7 @@ def test_null_zero_interactions_is_empty():
 
 def test_null_single_cell_accumulates_to_unit_weight():
     g = null_model(1, 1, 5, np.random.default_rng(0))
-    assert g.R.toarray().tolist() == [[1.0]]
+    assert dense(g.R).tolist() == [[1.0]]
 
 
 def test_null_per_cell_counts_match_uniform_sampling():
@@ -609,7 +610,7 @@ def test_null_per_cell_counts_match_uniform_sampling():
     cells = np.zeros((seeds, m))
     for s in range(seeds):
         g = null_model(1, m, n_draws, np.random.default_rng(s))
-        cells[s] = g.R.toarray()[0] * n_draws
+        cells[s] = dense(g.R)[0] * n_draws
     mean = cells.mean(axis=0)
     p = 1.0 / m
     expect = n_draws * p
@@ -667,7 +668,7 @@ def test_lightgcn_baseline_trains_on_binary_graph():
 def test_binarize_idempotent_reduction():
     rng = np.random.default_rng(41)
     g = random_bipartite(rng, 4, 4)
-    assert np.array_equal(binarize(binarize(g)).R.toarray(), binarize(g).R.toarray())
+    assert np.array_equal(dense(binarize(binarize(g)).R), dense(binarize(g).R))
 
 
 # synthetic generator --------------------------------------------------------

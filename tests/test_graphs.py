@@ -35,7 +35,8 @@ from stancegraph.graphs import (
     sparsify,
     to_scipy,
 )
-from stancegraph.ingest import COUNTS, load_counts, read_container, save_counts, write_container
+from stancegraph.ingest import (COUNTS, CSRArrays, load_counts, read_container, save_counts,
+                               write_container)
 from stancegraph.model import CHECKPOINT, EmbeddingState, load_checkpoint, save_checkpoint
 
 from conftest import (INDEX_MAX, NATIVE_CSR_DTYPES, counts_from, csr_dtypes, dense,
@@ -355,6 +356,49 @@ def test_sparsify_top_k_equals_per_row_reference(data):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+# the per-row primitives -----------------------------------------------------
+
+@st.composite
+def csr_rows(draw):
+    """CSR arrays of up to 7 rows, empty ones included, in int32 or int64
+    indices, with values from a set of four, so most rows hold ties."""
+    dtype = draw(st.sampled_from([np.int32, np.int64]), label="dtype")
+    values = st.sampled_from([0.5, 1.0, 2.0, 3.0])
+    rows = draw(st.lists(st.lists(values, max_size=6), min_size=1, max_size=7), label="rows")
+    indptr = np.cumsum([0] + [len(row) for row in rows]).astype(dtype)
+    data = np.array([v for row in rows for v in row], dtype=np.float64)
+    width = max(map(len, rows), default=0)
+    indices = np.concatenate([np.arange(len(row)) for row in rows] + [[]]).astype(dtype)
+    return CSRArrays(indptr, indices, data, (len(rows), width)), rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(csr_rows())
+def test_row_ranks_equal_per_row_sort(case):
+    M, rows = case
+    want = []
+    for row in rows:
+        # Largest first; equal values in storage order.
+        order = sorted(range(len(row)), key=lambda p: (-row[p], p))
+        rank = [0] * len(row)
+        for r, p in enumerate(order):
+            rank[p] = r
+        want += rank
+    assert graphs._row_ranks(M).tolist() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(csr_rows(), st.data())
+def test_row_positions_equal_per_row_ranges(case, data):
+    M, rows = case
+    # Rows may repeat, as the hashtags of a PathSim block do.
+    picked = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=10), label="picked")
+    picked = np.array(picked, dtype=data.draw(st.sampled_from([np.int32, np.int64])))
+    count, at = graphs._row_positions(M.indptr, picked)
+    assert count.tolist() == [len(rows[r]) for r in picked]
+    assert at.tolist() == [p for r in picked for p in range(M.indptr[r], M.indptr[r + 1])]
+
+
 # user graph normalization ---------------------------------------------------
 
 def test_normalize_single_edge_is_unit():
@@ -440,7 +484,7 @@ def test_binarize_levels_weights():
     # observed edges become weight 1 with no row renormalization
     counts = counts_from([[3, 1, 0], [0, 0, 2]])
     g = binarize(build_interaction_graph(counts))
-    assert np.array_equal(g.R.toarray(), [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    assert np.array_equal(dense(g.R), [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
 
 def test_binarize_idempotent():
@@ -448,7 +492,7 @@ def test_binarize_idempotent():
     g = random_bipartite(rng, 5, 4)
     once = binarize(g)
     twice = binarize(once)
-    assert np.array_equal(once.R.toarray(), twice.R.toarray())
+    assert np.array_equal(dense(once.R), dense(twice.R))
 
 
 # the in-place pipeline against the COO reference ----------------------------

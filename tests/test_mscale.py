@@ -139,10 +139,12 @@ def test_one_small_run_records_every_stage(tmp_path, capsys):
                         "--interactions-per-user", "5", "--out", str(out)]) == 0
     result = json.loads(out.read_text(encoding="utf-8"))
     assert result["claimed"] is False
-    stages = ["ingest", "synth", "build", "train", "train-channels", "eval-channels", "curve"]
+    stages = ["ingest", "synth", "build", "build-top-k", "train", "train-channels",
+              "eval-channels", "curve"]
     assert [(r["tree"], r["stage"], r["rc"]) for r in result["records"]] == [
         ("change", stage, 0) for stage in stages]
-    ingest, synth, build, train, train_channels, eval_channels, curve = result["records"]
+    ingest, synth, build, build_top_k, train, train_channels, eval_channels, curve = (
+        result["records"])
     for r in result["records"]:
         assert all(out["bytes"] > 0 and len(out["sha256"]) == 64
                    for out in r["outputs"].values()), r["stage"]
@@ -158,6 +160,10 @@ def test_one_small_run_records_every_stage(tmp_path, capsys):
     assert set(build["outputs"]) == {"bipartite.coo", "counts.json", "pathsim.coo", "social.coo"}
     # build copies the counts file it read.
     assert synth["outputs"]["counts.json"] == build["outputs"]["counts.json"]
+    # With 40 users no one has more than 39 PathSim neighbours, so the cap of
+    # 50 keeps every one: the capped build writes the same files.
+    assert mscale.STAGES["build-top-k"][0](tmp_path, [])[-2:] == ["--pathsim-top-k", "50"]
+    assert build_top_k["outputs"] == build["outputs"]
     assert set(train["outputs"]) == set(train_channels["outputs"]) == {
         "checkpoint.bin", "history.csv"}
     # The channels change what is trained.

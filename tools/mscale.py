@@ -1,12 +1,15 @@
 """Record wall time and peak RSS of CLI stages at M scale, for this tree and
 optionally a parent tree.
 
-The stages are ingest of a perfbench/corpus.py corpus, synth, build, a
-1-epoch train without and with the social and PathSim channels, a 2-fold,
-1-epoch eval with both channels, and curve on that eval's output. Every
-stage after ingest reads synth's dataset. The corpus has --n-users users,
---n-hashtags hashtags and 25 tweets per user, from seed 7: at the default
-size, CorpusSpec(n_users=4000, n_hashtags=1000, n_tweets=100000).
+The stages are ingest of a perfbench/corpus.py corpus, synth, build, build
+with each user's PathSim neighbours capped at the 50 strongest
+(--pathsim-top-k 50), a 1-epoch train without and with the social and
+PathSim channels, a 2-fold, 1-epoch eval with both channels, and curve on
+that eval's output. Every stage after ingest reads synth's dataset, and
+those after build-top-k read the uncapped build's. The corpus has
+--n-users users, --n-hashtags hashtags and 25 tweets per user, from seed
+7: at the default size, CorpusSpec(n_users=4000, n_hashtags=1000,
+n_tweets=100000).
 
 Usage:
   python3 tools/mscale.py [--parent DIR] [--runs 3] [--n-users 4000] \
@@ -102,6 +105,15 @@ def _build(run: Path, size: list[str]) -> list[str]:
     return ["build", "--counts", str(run / "synth" / "counts.json"), "--out", str(run / "data")]
 
 
+# The PathSim neighbour cap whose cost build-top-k records.
+PATHSIM_TOP_K = 50
+
+
+def _build_top_k(run: Path, size: list[str]) -> list[str]:
+    return ["build", "--counts", str(run / "synth" / "counts.json"),
+            "--out", str(run / "data-top-k"), "--pathsim-top-k", str(PATHSIM_TOP_K)]
+
+
 ONE_EPOCH = ["--seed", str(SEED), "--max-epochs", "1"]
 CHANNELS = ["--use-social", "--use-pathsim"]
 
@@ -135,6 +147,7 @@ STAGES = {
     "ingest": (_ingest, "ingest"),
     "synth": (_synth, "synth"),
     "build": (_build, "data"),
+    "build-top-k": (_build_top_k, "data-top-k"),
     "train": (_train, "model"),
     "train-channels": (_train_channels, "model-channels"),
     "eval-channels": (_eval_channels, "eval-channels"),
