@@ -50,6 +50,7 @@ from .graphs import (
     compute_pathsim,
     load_bipartite,
     load_user_graph,
+    normalize_user_graph,
     save_matrix_coo,
     sparsify,
 )
@@ -61,7 +62,7 @@ from .ingest import (
     save_counts,
 )
 from .metrics import EVAL_K
-from .model import ChannelSet, load_checkpoint, load_pretrained_vectors, save_checkpoint
+from .model import load_checkpoint, load_pretrained_vectors, save_checkpoint, user_channels
 from .train import save_history, train
 
 LOGGER = logging.getLogger(__name__)
@@ -128,26 +129,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _normalized_user_graph(data: Path, kind: str, n_users: int):
+    """<kind>.coo normalized; the loaded graph is dropped on return."""
+    graph = load_user_graph(data / f"{kind}.coo", kind=kind)
+    if graph.n_users != n_users:
+        raise ShapeError(f"{kind}.coo does not match counts.json")
+    return normalize_user_graph(graph)
+
+
 def _load_dataset(data_dir, cfg: RunConfig, pretrained_path=None):
     """Counts plus the graphs `build` wrote, and the pretrained hashtag
     vectors when a file is given. `use_social`/`use_pathsim` choose the
-    user graphs loaded; a missing graph file is a missing input (exit 4),
-    never rebuilt here."""
+    user graphs loaded, which only the user operator built for `n_layers`
+    outlives; a missing graph file is a missing input (exit 4), never
+    rebuilt here."""
     data = Path(data_dir)
     counts = load_counts(data / "counts.json")
     graph = load_bipartite(data / "bipartite.coo")
     if graph.n_users != len(counts.users) or graph.n_hashtags != len(counts.hashtags):
         raise ShapeError("bipartite.coo does not match counts.json")
-    social = load_user_graph(data / "social.coo", kind="social") if cfg.use_social else None
-    pathsim = load_user_graph(data / "pathsim.coo", kind="pathsim") if cfg.use_pathsim else None
+    ops = [_normalized_user_graph(data, kind, graph.n_users)
+           for kind, used in (("social", cfg.use_social), ("pathsim", cfg.use_pathsim)) if used]
     pretrained = None
     if pretrained_path is not None:
         pretrained = load_pretrained_vectors(pretrained_path, counts.hashtags, cfg.dim)
-    channels = ChannelSet(social=social, pathsim=pathsim, pretrained=pretrained)
-    return counts, graph, channels
+    return counts, graph, user_channels(ops, cfg.n_layers, pretrained)
 
 
-def _load_annotation_arg(args, counts):
+def _load_annotation_arg(args):
     if getattr(args, "annotations", None) and getattr(args, "bundled", None):
         raise ConfigError("give either --annotations or --bundled, not both")
     if getattr(args, "annotations", None):
@@ -158,7 +167,7 @@ def _load_annotation_arg(args, counts):
         raise ConfigError("an annotation set is required (--annotations or --bundled)")
     if not ann.tags():
         raise ConfigError("annotation set has no hashtags")
-    return with_usage(ann, counts)
+    return ann
 
 
 def cmd_ingest(args, cfg: RunConfig) -> int:
@@ -246,9 +255,10 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         LOGGER.warning("variant %s uses no side channels; ignoring %s",
                        cfg.variant, ", ".join(ignored))
         cfg, pretrained = dataclasses.replace(cfg, use_social=False, use_pathsim=False), None
+    # Annotations first: a bad file is refused before the user operator is built.
+    annotations = _load_annotation_arg(args)
     counts, graph, channels = _load_dataset(args.data, cfg, pretrained)
-    annotations = _load_annotation_arg(args, counts)
-    result = run_protocol(graph, channels, annotations, counts.hashtags, cfg,
+    result = run_protocol(graph, channels, with_usage(annotations, counts), counts.hashtags, cfg,
                           stage_seed(cfg.seed, "eval"),
                           null_interactions=int(counts.T.data.sum()))
     out = Path(args.out)
@@ -270,7 +280,7 @@ def cmd_curve(args, cfg: RunConfig) -> int:
     """The effort curve from the fold-0 embeddings an eval run wrote, so
     it always reads the variant, graph and channels that eval used."""
     counts = load_counts(Path(args.data) / "counts.json")
-    annotations = _load_annotation_arg(args, counts)
+    annotations = with_usage(_load_annotation_arg(args), counts)
     eval_dir = Path(args.eval_dir)
     emb, user_ids, tag_ids = load_checkpoint(eval_dir / "propagated.bin")
     if user_ids != counts.users or tag_ids != counts.hashtags:

@@ -281,10 +281,11 @@ class CSRArrays:
         return len(self.data)
 
 
-# A CSR matrix's arrays and their dtypes, in memory, in counts.json (COUNTS)
-# and in the graph files (graphs.GRAPH).
-CSR_COLUMNS = ("indptr", "indices", "data")
+# The dtypes of a CSR matrix's indptr, indices and data, in memory, in
+# counts.json (COUNTS) and in the graph files (graphs.GRAPH).
 CSR_DTYPES = ("<i4", "<i4", "<f8")
+# Entries of a transpose that is_symmetric gathers and compares at a time.
+SYMMETRY_SLICE = 1 << 18
 
 
 def check_index_range(shape, nnz: int) -> None:
@@ -315,17 +316,21 @@ def _flat_keys(mat) -> np.ndarray:
     return keys
 
 
-def _transposed(mat) -> CSRArrays:
-    """The CSR arrays of a canonical CSR matrix's transpose: the entries in
-    column order, which a stable sort of the column indices gives, so that
-    rows stay ascending within each column."""
-    n, m = mat.shape
-    # A stable sort of the column indices, by NumPy's radix sort of 16-bit
-    # digits, least significant first.
+def _column_order(mat) -> np.ndarray:
+    """A stable sort of a CSR matrix's column indices, by NumPy's radix
+    sort of 16-bit digits, least significant first."""
     order = np.argsort(mat.indices.astype(np.uint16), kind="stable")
-    if m > 1 << 16:
+    if mat.shape[1] > 1 << 16:
         high = (mat.indices >> 16).astype(np.uint16)
         order = order[np.argsort(high[order], kind="stable")]
+    return order
+
+
+def _transposed(mat) -> CSRArrays:
+    """The CSR arrays of a canonical CSR matrix's transpose: the entries in
+    _column_order, so that rows stay ascending within each column."""
+    n, m = mat.shape
+    order = _column_order(mat)
     indptr = np.zeros(m + 1, dtype=mat.indptr.dtype)
     np.cumsum(np.bincount(mat.indices, minlength=m), out=indptr[1:])
     return CSRArrays(indptr, _row_indices(mat, mat.indices.dtype)[order], mat.data[order],
@@ -431,14 +436,22 @@ def is_symmetric(M: CSRArrays) -> bool:
     abs(M - M.T).sum() == 0: repeated entries are summed, a stored zero
     counts as absent and a non-finite value as asymmetric. M is not
     changed; a copy in canonical form is made only if it holds repeats,
-    unsorted indices or stored zeros. The arrays of its transpose are then
-    compared with its own."""
+    unsorted indices or stored zeros. Then the transpose, M's entries in
+    _column_order, is compared with M a slice at a time: each entry must
+    lie in the row that M's column index at its position names, and hold
+    M's value there. The row pointers then match too, since each row holds
+    as many entries as its column."""
     if not (_sorted_within_rows(M.indptr, M.indices) and M.data.all()):
         M = _sum((M,))
     if not np.isfinite(M.data).all():
         return False
-    T = _transposed(M)
-    return all(np.array_equal(getattr(T, name), getattr(M, name)) for name in CSR_COLUMNS)
+    order = _column_order(M)
+    for lo in range(0, M.nnz, SYMMETRY_SLICE):
+        at, rows, values = (a[lo:lo + SYMMETRY_SLICE] for a in (order, M.indices, M.data))
+        if not ((M.indptr[rows] <= at).all() and (at < M.indptr[rows + 1]).all()
+                and np.array_equal(M.data[at], values)):
+            return False
+    return True
 
 
 def extract_interactions(corpus: Corpus) -> InteractionCounts:

@@ -9,19 +9,13 @@ from __future__ import annotations
 
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ModelConfig
-from .errors import DegenerateHashtag, RecordError, ShapeError, open_text
-from .graphs import (
-    BipartiteGraph,
-    NormalizedAdjacency,
-    UserGraph,
-    build_adjacency,
-    normalize_user_graph,
-)
+from .errors import ConfigError, DegenerateHashtag, RecordError, ShapeError, open_text
+from .graphs import BipartiteGraph, NormalizedAdjacency, build_adjacency
 from .ingest import (
     Container,
     checked_id_block,
@@ -67,30 +61,16 @@ class EmbeddingState:
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """Optional side channels next to the bipartite graph. A channel is on
-    when it is given: every user graph here joins the user average, and
-    pretrained vectors, when present, pin their hashtag rows.
+    """Optional side channels next to the bipartite graph: the user graphs'
+    summed layer-average polynomial for `n_layers` (build_user_operator),
+    or None, and pretrained vectors, which pin their hashtag rows when
+    present. The user graphs do not depend on the training fold, so a
+    process builds the operator once and keeps no graph."""
 
-    The channel graphs do not depend on the training fold, so the user
-    operator of each layer count is built once per (frozen) set and reused.
-    """
-
-    social: UserGraph | None = None
-    pathsim: UserGraph | None = None
+    users: np.ndarray | UserChannelSum | None
+    n_user_channels: int
+    n_layers: int
     pretrained: dict[int, np.ndarray] | None = None
-    # n_layers -> build_user_operator of the given graphs.
-    _users: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def user_graphs(self) -> tuple[UserGraph, ...]:
-        """The given user graphs, social first."""
-        return tuple(g for g in (self.social, self.pathsim) if g is not None)
-
-    def user_operator(self, cfg: ModelConfig):
-        """Memoized build_user_operator of the given graphs; there must be
-        at least one."""
-        if cfg.n_layers not in self._users:
-            self._users[cfg.n_layers] = build_user_operator(self.user_graphs(), cfg.n_layers)
-        return self._users[cfg.n_layers]
 
 
 def init_embeddings(
@@ -184,31 +164,12 @@ class UserChannelSum:
     def T(self) -> "UserChannelSum":
         return self
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.ops[0].size,) * 2
+
     def __matmul__(self, X: np.ndarray) -> np.ndarray:
         return sum(layer_averaged_propagate(op, X, self.n_layers) for op in self.ops)
-
-
-def dense_user_polynomial(ops: list[NormalizedAdjacency], n_layers: int) -> np.ndarray:
-    """The sum of the layer-average polynomials of the normalized user
-    graphs `ops` as one dense (n_users, n_users) array P, so that P @ X
-    equals UserChannelSum(ops, n_layers) @ X up to rounding.
-
-    `ops` is emptied, largest graph first, so that the memory held stays
-    near P plus one dense adjacency A: the largest graph is densified into
-    A and its sparse form dropped before P is allocated, and each later
-    graph is densified into the same A.
-    """
-    ops.sort(key=lambda op: op.matrix.nnz)
-    n = ops[0].size
-    A = ops.pop().matrix.toarray()
-    P = np.zeros((n, n))
-    blocks = np.empty((2, n, POLY_BLOCK_COLUMNS))
-    _add_horner_polynomial(P, A, n_layers, blocks)
-    while ops:
-        A.fill(0.0)
-        ops.pop().matrix.toarray(out=A)
-        _add_horner_polynomial(P, A, n_layers, blocks)
-    return P
 
 
 def _add_horner_polynomial(P: np.ndarray, A: np.ndarray, n_layers: int,
@@ -232,46 +193,62 @@ def _add_horner_polynomial(P: np.ndarray, A: np.ndarray, n_layers: int,
         P[:, start:stop] += H
 
 
-def build_user_operator(graphs: tuple[UserGraph, ...], n_layers: int):
-    """The summed layer-average polynomial of the user graphs: a dense
-    array up to DENSE_POLY_BYTES, else the sparse UserChannelSum. Either
-    answers `@` and `.T`; on the dense path no normalized graph outlives
-    the build."""
-    ops = [normalize_user_graph(g) for g in graphs]
-    n = graphs[0].n_users
-    if n * n * 8 <= DENSE_POLY_BYTES:
-        return dense_user_polynomial(ops, n_layers)
-    return UserChannelSum(tuple(ops), n_layers)
+def build_user_operator(ops: list[NormalizedAdjacency], n_layers: int):
+    """The sum of the layer-average polynomials of the normalized user
+    graphs `ops`: above DENSE_POLY_BYTES the sparse UserChannelSum, else
+    one dense (n_users, n_users) array P, so that P @ X equals
+    UserChannelSum(ops, n_layers) @ X up to rounding. Either answers `@`,
+    `.T` and `.shape`.
+
+    The dense build empties `ops`, largest graph first, so that no
+    normalized graph outlives it and the memory held stays near P plus one
+    dense adjacency A: the largest graph is densified into A and its sparse
+    form dropped before P is allocated, and each later graph is densified
+    into the same A.
+    """
+    n = ops[0].size
+    if n * n * 8 > DENSE_POLY_BYTES:
+        return UserChannelSum(tuple(ops), n_layers)
+    ops.sort(key=lambda op: op.matrix.nnz)
+    A = ops.pop().matrix.toarray()
+    P = np.zeros((n, n))
+    blocks = np.empty((2, n, POLY_BLOCK_COLUMNS))
+    _add_horner_polynomial(P, A, n_layers, blocks)
+    while ops:
+        A.fill(0.0)
+        ops.pop().matrix.toarray(out=A)
+        _add_horner_polynomial(P, A, n_layers, blocks)
+    return P
+
+
+def user_channels(ops: list[NormalizedAdjacency], n_layers: int, pretrained) -> ChannelSet:
+    """The ChannelSet of the pretrained vectors and of build_user_operator
+    of the normalized user graphs `ops`, if any, for `n_layers`."""
+    n_user_channels = len(ops)  # the dense build empties ops
+    users = build_user_operator(ops, n_layers) if ops else None
+    return ChannelSet(users, n_user_channels, n_layers, pretrained)
 
 
 @dataclass
 class ChannelOperators:
-    """Propagation operators for every given channel.
-
-    `users` is the user channels' summed layer-average polynomial, fixed
-    for the n_layers given to build_operators (see build_user_operator), or
-    None without user channels.
-    """
+    """The fold's bipartite operator beside the ChannelSet's user operator or None."""
 
     bipartite: NormalizedAdjacency
     n_users: int
-    n_channels: int = 1  # the bipartite channel plus the user channels
-    users: np.ndarray | UserChannelSum | None = None
+    n_channels: int  # the bipartite channel plus the user channels
+    users: np.ndarray | UserChannelSum | None
 
 
-def build_operators(
-    graph: BipartiteGraph, channels: ChannelSet | None, cfg: ModelConfig
-) -> ChannelOperators:
-    graphs = channels.user_graphs() if channels is not None else ()
-    for g in graphs:
-        if g.n_users != graph.n_users:
-            raise ShapeError(f"{g.kind} graph size does not match user count")
-    return ChannelOperators(
-        bipartite=build_adjacency(graph),
-        n_users=graph.n_users,
-        n_channels=1 + len(graphs),
-        users=channels.user_operator(cfg) if graphs else None,
-    )
+def build_operators(graph: BipartiteGraph, channels: ChannelSet | None,
+                    cfg: ModelConfig) -> ChannelOperators:
+    channels = channels or ChannelSet(None, 0, cfg.n_layers)
+    if channels.n_layers != cfg.n_layers:
+        raise ConfigError(f"user channels built for n_layers={channels.n_layers}, "
+                          f"not {cfg.n_layers}")
+    if channels.users is not None and channels.users.shape[0] != graph.n_users:
+        raise ShapeError("user channel size does not match user count")
+    return ChannelOperators(build_adjacency(graph), graph.n_users,
+                            1 + channels.n_user_channels, channels.users)
 
 
 @dataclass

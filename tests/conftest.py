@@ -13,8 +13,9 @@ import scipy.sparse as sp
 from hypothesis import strategies as st
 
 from stancegraph.errors import RecordError, ShapeError
-from stancegraph.graphs import GRAPH, BipartiteGraph, UserGraph, to_scipy
+from stancegraph.graphs import GRAPH, BipartiteGraph, UserGraph, normalize_user_graph, to_scipy
 from stancegraph.ingest import COUNT_MATRICES, CSR_DTYPES, CSRArrays, InteractionCounts
+from stancegraph.model import ChannelSet, user_channels
 
 
 # CSR_DTYPES as the native-order dtypes of arrays in memory, and the largest
@@ -80,6 +81,15 @@ def random_user_graph(rng: np.random.Generator, n: int, density: float = 0.4, ki
     W = np.triu((rng.random((n, n)) < density) * rng.random((n, n)), k=1)
     W = W + W.T
     return UserGraph(W=sp.csr_matrix(W), kind=kind)
+
+
+def channel_set(n_layers: int, social: UserGraph | None = None,
+                pathsim: UserGraph | None = None, pretrained=None) -> ChannelSet:
+    """The ChannelSet that cli._load_dataset builds from the given user
+    graphs: the user operator of their normalized forms, social first,
+    for n_layers."""
+    return user_channels([normalize_user_graph(g) for g in (social, pathsim) if g is not None],
+                         n_layers, pretrained)
 
 
 def write_graph_container(path, shape, indptr, indices, data) -> None:

@@ -37,7 +37,6 @@ from stancegraph.graphs import (
 from stancegraph.metrics import ranking_metrics
 from stancegraph.evaluate import stance_metrics
 from stancegraph.model import (
-    ChannelSet,
     ModelConfig,
     build_operators,
     forward,
@@ -46,7 +45,7 @@ from stancegraph.model import (
 )
 from stancegraph.train import grad_e0, sample_epoch
 
-from conftest import counts_from, dense, random_bipartite, random_user_graph
+from conftest import channel_set, counts_from, dense, random_bipartite, random_user_graph
 from reference import evaluate_loss, ndcg_at_k, recall_at_k, score_all
 
 
@@ -85,8 +84,8 @@ def test_accept_1_gradients_match_finite_differences(capfd):
                 d = int(rng.integers(1, 4))
                 K = int(rng.integers(0, 4))
                 g = random_bipartite(rng, n, m)
-                channels = ChannelSet(
-                    social=random_user_graph(rng, n) if use_social else None,
+                channels = channel_set(
+                    K, social=random_user_graph(rng, n) if use_social else None,
                     pathsim=random_user_graph(rng, n, kind="pathsim") if use_pathsim else None,
                 )
                 cfg = ModelConfig(dim=d, n_layers=K)

@@ -13,11 +13,13 @@ import re
 import struct
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from stancegraph import cli
 from stancegraph.cli import _load_dataset, _write_pairs, main
 from stancegraph.config import (
     CorpusFilterConfig,
@@ -39,7 +41,7 @@ from stancegraph.evaluate import (
     with_usage,
 )
 from stancegraph.ingest import load_counts, save_counts
-from stancegraph.graphs import load_matrix_coo
+from stancegraph.graphs import load_matrix_coo, load_user_graph
 from stancegraph.model import init_embeddings, load_checkpoint
 
 from conftest import json_counts_payload, write_graph_container
@@ -461,6 +463,64 @@ def test_train_on_a_user_graph_that_is_not_symmetric_or_has_a_loop_exits_3(
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("error ")]
     assert errors == [f"error kind=RecordError exit=3: {path}: {message}"]
+
+
+@pytest.mark.parametrize("graph, flag", [("social", "--use-social"),
+                                         ("pathsim", "--use-pathsim")])
+def test_user_graph_of_another_size_exits_5_naming_its_file(tmp_path, capsys, graph, flag):
+    _, data = synth_and_build(tmp_path)
+    path = data / f"{graph}.coo"
+    mat = load_matrix_coo(path)
+    n = mat.shape[0]
+    # One more user, with no edges.
+    write_graph_container(path, (n + 1, n + 1), np.append(mat.indptr, mat.indptr[-1]),
+                          mat.indices, mat.data)
+    capsys.readouterr()
+    assert run(["train", "--data", data, "--out", tmp_path / "model", "--max-epochs", "1",
+                flag]) == 5
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error ")] == [
+        f"error kind=ShapeError exit=5: {graph}.coo does not match counts.json"]
+    assert "Traceback" not in err
+
+
+def test_no_loaded_user_graph_outlives_the_dataset_load(tmp_path, monkeypatch):
+    _, data = synth_and_build(tmp_path)
+    loaded, alive_at_load = [], []
+
+    def load(path, kind):
+        alive_at_load.append([ref() is not None for ref in loaded])
+        graph = load_user_graph(path, kind=kind)
+        loaded.append(weakref.ref(graph))
+        return graph
+
+    monkeypatch.setattr(cli, "load_user_graph", load)
+    cfg = resolve(None, {"use_social": True, "use_pathsim": True, "n_layers": 2})
+    _, _, channels = _load_dataset(data, cfg)
+    # The social graph is gone before the PathSim graph is loaded, and
+    # neither outlives the load.
+    assert alive_at_load == [[], [False]]
+    assert [ref() for ref in loaded] == [None, None]
+    assert isinstance(channels.users, np.ndarray)
+    assert (channels.n_user_channels, channels.n_layers) == (2, 2)
+
+
+def test_eval_refuses_a_bad_annotation_file_before_loading_a_user_graph(tmp_path, capsys,
+                                                                      monkeypatch):
+    # The user operator is built while the dataset loads, so the annotation
+    # file is read first: refusing it costs no graph load and no build.
+    _, data = synth_and_build(tmp_path)
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("ht00001\tPOS\nht00002\tBOGUS\n", encoding="utf-8")
+    loaded = []
+    monkeypatch.setattr(cli, "load_user_graph",
+                        lambda path, kind: loaded.append(kind) or load_user_graph(path, kind))
+    capsys.readouterr()
+    assert run(["eval", "--data", data, "--annotations", bad, "--out", tmp_path / "eval",
+                "--use-social", "--use-pathsim"]) == 3
+    assert [line for line in capsys.readouterr().err.splitlines() if line.startswith("error ")] == [
+        "error kind=RecordError exit=3: line 2: unknown stance class 'BOGUS'"]
+    assert loaded == []
 
 
 def cut_propagated(keep):

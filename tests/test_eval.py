@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -14,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from stancegraph import evaluate, metrics, model
+from stancegraph import cli, evaluate, graphs, metrics, model
+from stancegraph import train as train_module
 from stancegraph.config import VARIANT_NAMES, EvalConfig, RunConfig
 from stancegraph.errors import (
     BoundsError,
@@ -55,10 +57,10 @@ from stancegraph.graphs import (BipartiteGraph, binarize, build_adjacency, build
                                to_scipy)
 from stancegraph.ingest import InteractionCounts, save_counts
 from stancegraph.metrics import ranking_metrics
-from stancegraph.model import ChannelSet, ModelConfig, build_operators, forward
+from stancegraph.model import ModelConfig, build_operators, forward
 from stancegraph.train import TrainConfig, train
 
-from conftest import counts_from, dense, random_bipartite, random_user_graph
+from conftest import channel_set, counts_from, dense, random_bipartite, random_user_graph
 from reference import (
     classify_stance,
     csr_from_counts,
@@ -837,28 +839,32 @@ def protocol_fixture(variant="wlgcn", seed=0):
     )
 
 
-def test_protocol_builds_user_polynomial_once():
-    # Each fold trains on its own graph, but the channel graphs are the
-    # same, so the polynomial and the normalized user graphs are built once;
-    # the fold's bipartite operator is built once, by train, and its final
+def test_protocol_builds_no_user_operator_and_one_adjacency_per_fold():
+    # The channels come with their user operator built, so the protocol
+    # normalizes no user graph and builds no polynomial, in any module.
+    # Each fold's bipartite operator is built once, by train, and its final
     # embeddings come from train too.
     data, _ = small_synth(seed=1)
     rng = np.random.default_rng(7)
-    channels = ChannelSet(social=random_user_graph(rng, 40),
-                          pathsim=random_user_graph(rng, 40, kind="pathsim"))
-    builds, normalized, adjacency = mock.Mock(wraps=model.dense_user_polynomial), \
-        mock.Mock(wraps=model.normalize_user_graph), mock.Mock(wraps=model.build_adjacency)
-    with mock.patch.object(model, "dense_user_polynomial", builds), \
-            mock.patch.object(model, "normalize_user_graph", normalized), \
-            mock.patch.object(model, "build_adjacency", adjacency):
+    cfg = protocol_cfg(holdout_fraction=0.1, folds=2)
+    channels = channel_set(cfg.n_layers, random_user_graph(rng, 40),
+                           random_user_graph(rng, 40, kind="pathsim"))
+    calls = {}
+    with contextlib.ExitStack() as stack:
+        for module in (cli, evaluate, graphs, model, train_module):
+            for name in ("normalize_user_graph", "user_channels", "build_user_operator",
+                         "build_adjacency"):
+                if hasattr(module, name):
+                    counted = calls.setdefault(name, mock.Mock(wraps=getattr(module, name)))
+                    stack.enter_context(mock.patch.object(module, name, counted))
         res = run_protocol(
             build_interaction_graph(data.counts), channels, data.annotations, data.counts.hashtags,
-            protocol_cfg(holdout_fraction=0.1, folds=2), 0,
+            cfg, 0,
         )
     assert len(res.report.folds) == 2
-    assert builds.call_count == 1
-    assert normalized.call_count == 2
-    assert adjacency.call_count == 2
+    assert {name: mock_.call_count for name, mock_ in calls.items()} == {
+        "normalize_user_graph": 0, "user_channels": 0, "build_user_operator": 0,
+        "build_adjacency": 2}
 
 
 def test_protocol_produces_reasonable_report():

@@ -537,6 +537,27 @@ def test_symmetry_check_gives_the_verdict_of_the_difference_sum(n, data):
         assert np.array_equal(got, was, equal_nan=True)
 
 
+@pytest.mark.parametrize("slice_size", [1, 3, 1 << 18])
+def test_symmetry_check_in_slices_gives_the_whole_verdict(monkeypatch, slice_size):
+    # Slices of one or three entries cut across rows and mirror pairs, so
+    # an asymmetry found only in a later slice must still be reported.
+    monkeypatch.setattr(ingest, "SYMMETRY_SLICE", slice_size)
+    rng = np.random.default_rng(slice_size)
+    verdicts = set()
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        W = np.triu((rng.random((n, n)) < 0.5) * rng.integers(1, 4, (n, n)), 1).astype(float)
+        W = W + W.T
+        if rng.random() < 0.5:  # drop one entry, or add 1 to it, on one side only
+            i, j = rng.integers(0, n, 2)
+            W[i, j] = 0.0 if W[i, j] and rng.random() < 0.5 else W[i, j] + 1.0
+        M = sp.csr_matrix(W)
+        want = not abs(M - M.T).sum() != 0.0
+        verdicts.add(want)
+        assert ingest.is_symmetric(CSRArrays(M.indptr, M.indices, M.data, M.shape)) == want
+    assert verdicts == {True, False}
+
+
 @pytest.mark.parametrize("width", [1, 7, 1 << 16, (1 << 16) + 5, 3 << 17])
 def test_transpose_equals_scipys(width):
     # Widths past 2^16 take the second 16-bit radix pass.

@@ -21,7 +21,6 @@ from stancegraph.graphs import (
 from stancegraph.ingest import write_container
 from stancegraph.model import (
     CHECKPOINT,
-    ChannelSet,
     ModelConfig,
     build_operators,
     forward,
@@ -33,9 +32,9 @@ from stancegraph.model import (
     EmbeddingState,
 )
 
-from stancegraph.train import grad_e0
+from stancegraph.train import TrainConfig, grad_e0, train
 
-from conftest import random_bipartite, random_user_graph
+from conftest import channel_set, random_bipartite, random_user_graph
 from reference import affinity, propagate, score_all
 
 
@@ -230,7 +229,7 @@ def test_forward_with_social_channel_averages_users():
     g = random_bipartite(rng, 4, 3)
     social = random_user_graph(rng, 4)
     cfg = ModelConfig(dim=2, n_layers=1)
-    ops = build_operators(g, ChannelSet(social=social), cfg)
+    ops = build_operators(g, channel_set(1, social), cfg)
     state = init_embeddings(4, 3, cfg, seed=1)
     out = forward(state.stacked(), ops, cfg)
     bip = layer_averaged_propagate(ops.bipartite, state.stacked(), 1)
@@ -243,20 +242,19 @@ def test_forward_with_social_channel_averages_users():
 CHANNEL_COMBOS = [(True, False), (False, True), (True, True)]
 
 
-def chosen(channels, use_social, use_pathsim):
-    """A fresh ChannelSet with the chosen graphs of `channels`."""
-    return ChannelSet(social=channels.social if use_social else None,
-                      pathsim=channels.pathsim if use_pathsim else None)
+def chosen(social, pathsim, use_social, use_pathsim):
+    """The (social, pathsim) pair with the graphs not chosen set to None."""
+    return social if use_social else None, pathsim if use_pathsim else None
 
 
-def sparse_channel_oracle(g, channels, cfg, X):
-    """Forward's user side and the user-channel pull-back of X, from the
-    sparse layer_averaged_propagate of each normalized user graph."""
+def sparse_channel_oracle(g, graphs, cfg, X):
+    """Forward's user side of X, from the sparse layer_averaged_propagate
+    of each given normalized user graph."""
     n = g.n_users
     bip = layer_averaged_propagate(build_adjacency(g), X, cfg.n_layers)
     parts = [layer_averaged_propagate(normalize_user_graph(graph), X[:n], cfg.n_layers)
-             for graph in channels.user_graphs()]
-    return (bip[:n] + sum(parts)) / (1 + len(parts)), parts
+             for graph in graphs if graph is not None]
+    return (bip[:n] + sum(parts)) / (1 + len(parts))
 
 
 @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
@@ -266,21 +264,20 @@ def test_dense_user_polynomial_matches_sparse_oracle(use_social, use_pathsim, n_
     rng = np.random.default_rng(1000 + 8 * n_layers + 2 * use_social + use_pathsim)
     n, m, d = 70, 9, 3
     g = random_bipartite(rng, n, m)
-    channels = chosen(ChannelSet(social=random_user_graph(rng, n, density=0.1),
-                                 pathsim=random_user_graph(rng, n, density=0.6, kind="pathsim")),
-                      use_social, use_pathsim)
+    graphs = chosen(random_user_graph(rng, n, density=0.1),
+                    random_user_graph(rng, n, density=0.6, kind="pathsim"),
+                    use_social, use_pathsim)
     cfg = ModelConfig(dim=d, n_layers=n_layers)
-    ops = build_operators(g, channels, cfg)
+    ops = build_operators(g, channel_set(n_layers, *graphs), cfg)
     assert isinstance(ops.users, np.ndarray)
     X = rng.standard_normal((n + m, d))
     out = forward(X, ops, cfg)
-    want_users, _ = sparse_channel_oracle(g, channels, cfg, X)
-    assert np.abs(out.final_users - want_users).max() <= 1e-12
+    assert np.abs(out.final_users - sparse_channel_oracle(g, graphs, cfg, X)).max() <= 1e-12
 
     # The gradient against the sparse path, whose pull-back is the oracle's
     # layer_averaged_propagate of each channel.
     with mock.patch.object(model, "DENSE_POLY_BYTES", 0):
-        sparse_ops = build_operators(g, chosen(channels, True, True), cfg)
+        sparse_ops = build_operators(g, channel_set(n_layers, *graphs), cfg)
     triples = np.column_stack([rng.integers(0, n, 200), rng.integers(0, m, 200),
                                rng.integers(0, m, 200)])
     got = grad_e0(triples, out, ops, cfg, X, 0.01)
@@ -296,10 +293,10 @@ def test_horner_polynomial_equals_sparse_sum_of_identity(use_social, use_pathsim
     # may differ in the last bits of entries below 1 in size.
     rng = np.random.default_rng(2000 + 8 * n_layers + 2 * use_social + use_pathsim)
     n = 2 * model.POLY_BLOCK_COLUMNS + 5
-    graphs = chosen(ChannelSet(social=random_user_graph(rng, n, density=0.1),
-                               pathsim=random_user_graph(rng, n, density=0.6, kind="pathsim")),
-                    use_social, use_pathsim).user_graphs()
-    P = model.build_user_operator(graphs, n_layers)
+    graphs = [graph for graph in chosen(random_user_graph(rng, n, density=0.1),
+                                        random_user_graph(rng, n, density=0.6, kind="pathsim"),
+                                        use_social, use_pathsim) if graph is not None]
+    P = model.build_user_operator([normalize_user_graph(g) for g in graphs], n_layers)
     assert isinstance(P, np.ndarray) and P.shape == (n, n)
     sparse = model.UserChannelSum(tuple(normalize_user_graph(g) for g in graphs), n_layers)
     assert np.abs(P - sparse @ np.eye(n)).max() <= 1e-13
@@ -308,18 +305,11 @@ def test_horner_polynomial_equals_sparse_sum_of_identity(use_social, use_pathsim
 def test_no_normalized_user_graph_outlives_the_dense_build():
     rng = np.random.default_rng(77)
     n = 30
-    channels = ChannelSet(social=random_user_graph(rng, n, density=0.1),
-                          pathsim=random_user_graph(rng, n, density=0.6, kind="pathsim"))
-    alive = []
-
-    def normalize(graph):
-        adj = normalize_user_graph(graph)
-        alive.extend((weakref.ref(adj), weakref.ref(adj.matrix)))
-        return adj
-
-    with mock.patch.object(model, "normalize_user_graph", normalize):
-        ops = build_operators(random_bipartite(rng, n, 5), channels, ModelConfig(dim=2))
-    assert isinstance(ops.users, np.ndarray) and len(alive) == 4
+    ops = [normalize_user_graph(random_user_graph(rng, n, density=0.1)),
+           normalize_user_graph(random_user_graph(rng, n, density=0.6, kind="pathsim"))]
+    alive = [weakref.ref(obj) for op in ops for obj in (op, op.matrix)]
+    P = model.build_user_operator(ops, 3)
+    assert isinstance(P, np.ndarray) and ops == [] and len(alive) == 4
     assert [ref() for ref in alive] == [None] * 4
 
 
@@ -328,54 +318,44 @@ def test_user_channels_above_byte_cap_stay_sparse(use_social, use_pathsim):
     rng = np.random.default_rng(4242)
     n, m = 8, 5
     g = random_bipartite(rng, n, m)
-    channels = chosen(ChannelSet(social=random_user_graph(rng, n),
-                                 pathsim=random_user_graph(rng, n, kind="pathsim")),
-                      use_social, use_pathsim)
+    graphs = chosen(random_user_graph(rng, n), random_user_graph(rng, n, kind="pathsim"),
+                    use_social, use_pathsim)
     cfg = ModelConfig(dim=2, n_layers=2)
     # One byte under the 8 * n * n bytes the polynomial would take.
-    normalized = mock.Mock(wraps=model.normalize_user_graph)
-    with mock.patch.object(model, "DENSE_POLY_BYTES", 8 * n * n - 1), \
-            mock.patch.object(model, "normalize_user_graph", normalized):
-        ops = build_operators(g, channels, cfg)
-        # The memo keeps the sparse form too: a second fold normalizes nothing.
-        assert build_operators(g, channels, cfg).users is ops.users
+    with mock.patch.object(model, "DENSE_POLY_BYTES", 8 * n * n - 1):
+        ops = build_operators(g, channel_set(2, *graphs), cfg)
     assert isinstance(ops.users, model.UserChannelSum) and ops.users.T is ops.users
-    assert len(ops.users.ops) == normalized.call_count == use_social + use_pathsim
+    assert len(ops.users.ops) == use_social + use_pathsim and ops.users.shape == (n, n)
     X = rng.standard_normal((n + m, 2))
     out = forward(X, ops, cfg)
     # The layer-by-layer path: the oracle's parts, summed in channel order.
-    want_users, _ = sparse_channel_oracle(g, channels, cfg, X)
-    assert np.array_equal(out.final_users, want_users)
+    assert np.array_equal(out.final_users, sparse_channel_oracle(g, graphs, cfg, X))
     bip = layer_averaged_propagate(build_adjacency(g), X, 2)
     assert np.array_equal(out.final_hashtags, bip[n:])
     with mock.patch.object(model, "DENSE_POLY_BYTES", 8 * n * n):
-        dense = build_operators(g, chosen(channels, True, True), cfg).users
+        dense = channel_set(2, *graphs).users
     assert isinstance(dense, np.ndarray)
 
 
-def test_user_polynomial_memo_follows_shape_and_graphs():
+def test_channels_built_for_another_n_layers_are_refused():
     rng = np.random.default_rng(515)
     n = 6
     g = random_bipartite(rng, n, 4)
-    channels = ChannelSet(social=random_user_graph(rng, n),
-                          pathsim=random_user_graph(rng, n, kind="pathsim"))
-    cfg = ModelConfig(dim=2, n_layers=2)
-    first = build_operators(g, channels, cfg).users
-    assert build_operators(random_bipartite(rng, n, 4), channels, cfg).users is first
-    assert build_operators(g, channels, ModelConfig(dim=3, n_layers=2)).users is first
-    assert build_operators(g, channels, ModelConfig(dim=2, n_layers=1)).users is not first
+    channels = channel_set(2, random_user_graph(rng, n), random_user_graph(rng, n, kind="pathsim"))
     with pytest.raises(dataclasses.FrozenInstanceError):
-        channels.pathsim = None
-    without_pathsim = dataclasses.replace(channels, pathsim=None)
-    assert build_operators(g, without_pathsim, cfg).users is not first
-    rebuilt_channels = dataclasses.replace(channels, social=random_user_graph(rng, n))
-    rebuilt = build_operators(g, rebuilt_channels, cfg).users
-    assert rebuilt is not first
-    assert build_operators(g, channels, cfg).users is first
-    X = rng.standard_normal((n, 2))
-    want = sum(layer_averaged_propagate(normalize_user_graph(graph), X, 2)
-               for graph in rebuilt_channels.user_graphs())
-    assert np.abs(rebuilt @ X - want).max() <= 1e-12
+        channels.n_layers = 1
+    # The operator is used as built, whatever the embedding width.
+    ops = build_operators(g, channels, ModelConfig(dim=3, n_layers=2))
+    assert ops.users is channels.users and ops.n_channels == 3
+    for n_layers in (1, 3):
+        with pytest.raises(ConfigError, match=f"built for n_layers=2, not {n_layers}$"):
+            build_operators(g, channels, ModelConfig(dim=2, n_layers=n_layers))
+    # Pretrained vectors alone record the n_layers they were loaded for too,
+    # and train refuses a mismatch before its first epoch.
+    for given in (channels, channel_set(2, pretrained={0: np.zeros(2)})):
+        with pytest.raises(ConfigError, match="built for n_layers=2, not 1$"):
+            train(g, given, ModelConfig(dim=2, n_layers=1), TrainConfig(max_epochs=0),
+                  np.zeros((0, 2)), seed=0)
 
 
 def test_forward_channel_size_mismatch_rejected():
@@ -383,8 +363,13 @@ def test_forward_channel_size_mismatch_rejected():
     g = random_bipartite(rng, 3, 3)
     social = random_user_graph(rng, 4)
     cfg = ModelConfig()
-    with pytest.raises(ShapeError):
-        build_operators(g, ChannelSet(social=social), cfg)
+    # The dense operator and, above the byte cap, the sparse one.
+    for cap in (model.DENSE_POLY_BYTES, 0):
+        with mock.patch.object(model, "DENSE_POLY_BYTES", cap):
+            channels = channel_set(cfg.n_layers, social)
+        assert isinstance(channels.users, np.ndarray) == bool(cap)
+        with pytest.raises(ShapeError, match="user channel size does not match user count"):
+            build_operators(g, channels, cfg)
 
 
 def test_model_config_validation():

@@ -15,7 +15,6 @@ from stancegraph.evaluate import graph_without_edges, kfold_split
 from stancegraph.graphs import BipartiteGraph
 from stancegraph.ingest import CSRArrays
 from stancegraph.model import (
-    ChannelSet,
     ModelConfig,
     PropagationOutput,
     build_operators,
@@ -34,7 +33,7 @@ from stancegraph.train import (
     train,
 )
 
-from conftest import random_bipartite, random_user_graph
+from conftest import channel_set, random_bipartite, random_user_graph
 from reference import evaluate_loss, neighbors
 
 
@@ -184,7 +183,7 @@ def test_grad_scatter_is_bit_identical_to_add_at():
     rng = np.random.default_rng(31)
     n, m = 6, 5
     g = random_bipartite(rng, n, m)
-    for channels in (None, ChannelSet(social=random_user_graph(rng, n))):
+    for channels in (None, channel_set(2, social=random_user_graph(rng, n))):
         cfg = ModelConfig(dim=4, n_layers=2)
         ops = build_operators(g, channels, cfg)
         e0 = rng.standard_normal((n + m, 4))
@@ -208,8 +207,8 @@ def test_grad_matches_finite_differences_all_channel_combos():
                 d = int(rng.integers(1, 4))
                 K = int(rng.integers(0, 4))
                 g = random_bipartite(rng, n, m)
-                channels = ChannelSet(
-                    social=random_user_graph(rng, n) if use_social else None,
+                channels = channel_set(
+                    K, social=random_user_graph(rng, n) if use_social else None,
                     pathsim=random_user_graph(rng, n, kind="pathsim") if use_pathsim else None,
                 )
                 cfg = ModelConfig(dim=d, n_layers=K)
@@ -235,7 +234,7 @@ def test_grad_pulls_back_through_user_poly_transpose():
     n, m = 5, 4
     g = random_bipartite(rng, n, m)
     cfg = ModelConfig(dim=2, n_layers=2)
-    ops = build_operators(g, ChannelSet(social=random_user_graph(rng, n)), cfg)
+    ops = build_operators(g, channel_set(2, social=random_user_graph(rng, n)), cfg)
     assert isinstance(ops.users, np.ndarray)
     ops.users = rng.standard_normal((n, n))
     triples = sample_epoch(g, rng)
@@ -425,7 +424,7 @@ def test_train_deterministic_under_seed():
 def test_train_returns_forward_output_of_its_state(max_epochs, with_social):
     # Callers score this output instead of propagating the state again.
     graph, val = two_block_setup()
-    channels = ChannelSet(social=random_user_graph(np.random.default_rng(9), graph.n_users)) \
+    channels = channel_set(2, social=random_user_graph(np.random.default_rng(9), graph.n_users)) \
         if with_social else None
     cfg = ModelConfig(dim=4, n_layers=2)
     tcfg = TrainConfig(learning_rate=0.05, max_epochs=max_epochs, patience=2)
