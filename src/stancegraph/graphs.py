@@ -67,14 +67,11 @@ class BipartiteGraph:
 
     R is a canonical float64 CSR matrix: NumPy CSR arrays, as `build` and
     the evaluation make them, or a scipy matrix, as the loaders make them.
-    The graph owns the matrix it is given and keeps it as it is, unless it
-    is a scipy matrix of another format, dtype or order, which is
-    converted (see _canonical)."""
+    The graph owns the matrix it is given and keeps it as it is."""
 
     R: CSRArrays | sp.csr_matrix
 
     def __post_init__(self):
-        self.R = _canonical(self.R)
         n, m = self.R.shape
         if n < 1 or m < 1:
             raise EmptyCorpus("bipartite graph needs at least one user and one hashtag")
@@ -104,14 +101,13 @@ class BipartiteGraph:
 class UserGraph:
     """Symmetric nonnegative user-user graph with zero diagonal.
 
-    Like BipartiteGraph, it holds a canonical float64 CSR matrix of either
-    kind, the one it is given unless that is converted."""
+    Like BipartiteGraph, it holds the canonical float64 CSR matrix of
+    either kind that it is given."""
 
     W: CSRArrays | sp.csr_matrix
     kind: str = "user"
 
     def __post_init__(self):
-        self.W = _canonical(self.W)
         n, m = self.W.shape
         if n != m:
             raise ShapeError(f"user graph must be square, got {self.W.shape}")
@@ -132,21 +128,6 @@ class NormalizedAdjacency:
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
-
-
-def _canonical(mat):
-    """mat as a float64 CSR matrix in canonical form (sorted column
-    indices, no repeats). CSRArrays, which the package builds canonical
-    and float64, are returned as they are, and so is a scipy float64 CSR
-    matrix already in that form; any other scipy matrix is converted, or
-    copied, first. The input is never changed."""
-    if isinstance(mat, CSRArrays):
-        return mat
-    csr = mat.tocsr().astype(np.float64, copy=False)
-    if not csr.has_canonical_format:
-        csr = csr.copy()
-        csr.sum_duplicates()
-    return csr
 
 
 def to_scipy(mat) -> sp.csr_matrix:
@@ -202,20 +183,20 @@ def binarize(graph: BipartiteGraph) -> BipartiteGraph:
 
 def _symmetric_normalize(A) -> NormalizedAdjacency:
     """D^-1/2 A D^-1/2 of the canonical CSR matrix A, in A's sparsity
-    pattern; ShapeError if A has a diagonal entry. The degrees are summed
-    in storage order, and the factor dinv[r] * dinv[c] is computed
-    identically for (r, c) and (c, r), so a symmetric A gives an exactly
-    symmetric result."""
+    pattern. A holds no diagonal entry: load_user_graph refuses one,
+    build_social_graph drops it, PathSim makes none and the bipartite block
+    matrix has none. The degrees are summed in storage order, and the
+    factor dinv[r] * dinv[c] is computed identically for (r, c) and (c, r),
+    so a symmetric A gives an exactly symmetric result."""
     import scipy.sparse as sp
 
-    rows = _row_indices(A)
-    if (rows == A.indices).any():
-        raise ShapeError("graph has diagonal entries")
-    deg = np.bincount(rows, weights=A.data, minlength=A.shape[0])
+    deg = np.bincount(_row_indices(A), weights=A.data, minlength=A.shape[0])
     with np.errstate(divide="ignore"):
         dinv = np.power(deg, -0.5)
     dinv[np.isinf(dinv)] = 0.0
-    data = dinv[rows] * dinv[A.indices] * A.data
+    data = np.repeat(dinv, np.diff(A.indptr))
+    data *= dinv[A.indices]
+    data *= A.data
     return NormalizedAdjacency(sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape))
 
 
@@ -452,46 +433,38 @@ def propagate_once(adj: NormalizedAdjacency, H: np.ndarray) -> np.ndarray:
 
 
 def save_matrix_coo(mat, path) -> None:
-    """Write `mat` as a GRAPH container (the `.coo` file names predate it).
-
-    mat is CSRArrays or a scipy matrix; _canonical puts it in canonical
-    form (repeats summed, column indices sorted), so equal matrices give
-    equal bytes and save -> load -> save is exact. The arrays are written
-    as they are, and the input is never changed.
-    """
-    csr = _canonical(mat)
-    check_index_range(csr.shape, csr.nnz)
-    write_container(path, GRAPH, (*csr.shape, csr.nnz), [csr.indptr, csr.indices, csr.data])
+    """Write the canonical CSR matrix `mat` (CSRArrays or scipy) as a GRAPH
+    container (the `.coo` file names predate it). Its arrays are written
+    as they are, so equal matrices give equal bytes and save -> load ->
+    save is exact."""
+    check_index_range(mat.shape, mat.nnz)
+    write_container(path, GRAPH, (*mat.shape, mat.nnz), [mat.indptr, mat.indices, mat.data])
 
 
 def load_matrix_coo(path) -> sp.csr_matrix:
     """Read save_matrix_coo's file. Besides read_container's refusals, a
-    row or column count beyond the int32 indices and arrays that are not
-    a canonical CSR matrix with finite values raise RecordError."""
+    row or column count beyond the int32 indices and arrays that
+    checked_csr refuses raise RecordError."""
     (n, m, _), (indptr, indices, data) = read_container(path, GRAPH)
     if max(n, m) > np.iinfo(np.int32).max:
         raise RecordError(f"{path}: shape {n} x {m} out of range")
     return to_scipy(checked_csr(indptr, indices, data, (n, m), path))
 
 
-def _load_weights(path) -> sp.csr_matrix:
-    mat = load_matrix_coo(path)
-    if mat.nnz and mat.data.min() < 0:
-        raise RecordError(f"{path}: negative edge weight")
-    return mat
-
-
 def load_bipartite(path) -> BipartiteGraph:
-    return BipartiteGraph(R=_load_weights(path))
+    return BipartiteGraph(R=load_matrix_coo(path))
 
 
 def load_user_graph(path, kind: str = "user") -> UserGraph:
     """The user graph in `path`. Besides the matrix loader's refusals, a
-    graph that is not symmetric, or that has a diagonal entry, raises
-    RecordError: the user operator's transpose is taken to be itself."""
-    graph = UserGraph(W=_load_weights(path), kind=kind)
-    if not is_symmetric(graph.W):
+    graph that is not square, not symmetric or that has a diagonal entry
+    raises RecordError: the user operator's transpose is taken to be
+    itself."""
+    W = load_matrix_coo(path)
+    if W.shape[0] != W.shape[1]:
+        raise RecordError(f"{path}: user graph is not square")
+    if not is_symmetric(W):
         raise RecordError(f"{path}: user graph is not symmetric")
-    if (_row_indices(graph.W) == graph.W.indices).any():
+    if (_row_indices(W) == W.indices).any():
         raise RecordError(f"{path}: user graph has diagonal entries")
-    return graph
+    return UserGraph(W=W, kind=kind)

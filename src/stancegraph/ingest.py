@@ -528,7 +528,8 @@ def checked_csr(indptr, indices, data, shape, source) -> CSRArrays:
 
     indptr must run from 0 to nnz without decreasing, column indices must
     lie in range and strictly increase within each row, and every value
-    must be finite. `source` names the file in the error message.
+    must be finite and nonnegative. `source` names the file in the error
+    message.
     """
     n, m = shape
     nnz = len(indices)
@@ -542,6 +543,8 @@ def checked_csr(indptr, indices, data, shape, source) -> CSRArrays:
         raise RecordError(f"{source}: column indices not sorted and unique within a row")
     if not np.isfinite(data).all():
         raise RecordError(f"{source}: non-finite value")
+    if (data < 0).any():
+        raise RecordError(f"{source}: negative value")
     return _csr_arrays(indptr, indices, data, shape)
 
 
@@ -655,19 +658,16 @@ def save_counts(counts: InteractionCounts, path) -> None:
 
 def load_counts(path) -> InteractionCounts:
     """Read save_counts' file. Besides read_container's refusals, ids that
-    checked_id_block refuses, arrays that checked_csr refuses and negative
-    counts raise RecordError; matrices that disagree with each other raise
-    ShapeError."""
+    checked_id_block refuses, arrays that checked_csr refuses and matrices
+    that validate() refuses raise RecordError."""
     (n, m, *_), arrays = read_container(path, COUNTS)
     users, hashtags = checked_id_block(arrays.pop(), (n, m), path)
-    mats = {}
-    for k, name in enumerate(COUNT_MATRICES):
-        source = f"{path} {name}"
-        mat = checked_csr(*arrays[3 * k:3 * k + 3], (n, m) if name.startswith("T_") else (n, n),
-                          source)
-        if (mat.data < 0).any():
-            raise RecordError(f"{source}: negative count")
-        mats[name] = mat
+    mats = {name: checked_csr(*arrays[3 * k:3 * k + 3],
+                              (n, m) if name.startswith("T_") else (n, n), f"{path} {name}")
+            for k, name in enumerate(COUNT_MATRICES)}
     counts = InteractionCounts(users=users, hashtags=hashtags, **mats)
-    counts.validate()
+    try:
+        counts.validate()
+    except ShapeError as exc:
+        raise RecordError(f"{path}: {exc}") from exc
     return counts

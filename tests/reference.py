@@ -188,6 +188,21 @@ def compute_pathsim(counts: InteractionCounts, cfg: GraphConfig) -> UserGraph:
     return UserGraph(W=S, kind=f"pathsim:{cfg.pathsim_left}-{cfg.pathsim_right}")
 
 
+def symmetric_normalize(A) -> NormalizedAdjacency:
+    """D^-1/2 A D^-1/2 of the canonical CSR matrix A as graphs computed it
+    before: an intp row index per entry, the diagonal refused, the degrees
+    summed in storage order and each value dinv[r] * dinv[c] * a."""
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    if (rows == A.indices).any():
+        raise ShapeError("graph has diagonal entries")
+    deg = np.bincount(rows, weights=A.data, minlength=A.shape[0])
+    with np.errstate(divide="ignore"):
+        dinv = np.power(deg, -0.5)
+    dinv[np.isinf(dinv)] = 0.0
+    data = dinv[rows] * dinv[A.indices] * A.data
+    return NormalizedAdjacency(sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape))
+
+
 def sparsify(graph: UserGraph, min_weight: float, top_k: int) -> UserGraph:
     W = graph.W.tocoo()
     keep = W.data >= min_weight

@@ -40,7 +40,7 @@ from stancegraph.evaluate import (
     run_protocol,
     with_usage,
 )
-from stancegraph.ingest import load_counts, save_counts
+from stancegraph.ingest import CSRArrays, load_counts, save_counts
 from stancegraph.graphs import load_matrix_coo, load_user_graph
 from stancegraph.model import init_embeddings, load_checkpoint
 
@@ -446,12 +446,19 @@ def with_loop(path):
     write_graph_container(path, mat.shape, mat.indptr, mat.indices, mat.data)
 
 
+def one_column_wider(path):
+    mat = load_matrix_coo(path)
+    write_graph_container(path, (mat.shape[0], mat.shape[1] + 1), mat.indptr, mat.indices,
+                          mat.data)
+
+
 @pytest.mark.parametrize("graph, flag", [("social", "--use-social"),
                                          ("pathsim", "--use-pathsim")])
 @pytest.mark.parametrize("damage, message", [
     (upper_triangle, "user graph is not symmetric"),
     (with_loop, "user graph has diagonal entries"),
-], ids=["upper-triangle", "diagonal"])
+    (one_column_wider, "user graph is not square"),
+], ids=["upper-triangle", "diagonal", "not-square"])
 def test_train_on_a_user_graph_that_is_not_symmetric_or_has_a_loop_exits_3(
         tmp_path, capsys, graph, flag, damage, message):
     _, data = synth_and_build(tmp_path)
@@ -460,6 +467,70 @@ def test_train_on_a_user_graph_that_is_not_symmetric_or_has_a_loop_exits_3(
     capsys.readouterr()
     assert run(["train", "--data", data, "--out", tmp_path / "model", "--max-epochs", "1",
                 flag]) == 3
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error ")]
+    assert errors == [f"error kind=RecordError exit=3: {path}: {message}"]
+
+
+def negated_first_value(path):
+    mat = load_matrix_coo(path)
+    data = mat.data.copy()
+    data[0] = -data[0]
+    write_graph_container(path, mat.shape, mat.indptr, mat.indices, data)
+    return path
+
+
+def negated_first_count(path):
+    counts = load_counts(path)
+    T = counts.T_tweet
+    data = T.data.copy()
+    data[0] = -data[0]
+    save_counts(dataclasses.replace(counts, T_tweet=CSRArrays(T.indptr, T.indices, data, T.shape)),
+                path)
+    return f"{path} T_tweet"
+
+
+@pytest.mark.parametrize("file, damage", [
+    ("counts.json", negated_first_count),
+    ("bipartite.coo", negated_first_value),
+    ("social.coo", negated_first_value),
+    ("pathsim.coo", negated_first_value),
+], ids=["counts", "bipartite", "social", "pathsim"])
+def test_a_negative_value_in_a_dataset_file_exits_3_naming_it(tmp_path, capsys, file, damage):
+    _, data = synth_and_build(tmp_path)
+    source = damage(data / file)
+    capsys.readouterr()
+    assert run(["train", "--data", data, "--out", tmp_path / "model", "--max-epochs", "1",
+                "--use-social", "--use-pathsim"]) == 3
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error ")]
+    assert errors == [f"error kind=RecordError exit=3: {source}: negative value"]
+
+
+def asymmetric_follow(counts):
+    # User 0 follows user 1 mutually, but user 1 does not follow user 0.
+    n = len(counts.users)
+    one_way = CSRArrays(np.array([0] + [1] * n, dtype=np.int32), np.array([1], dtype=np.int32),
+                        np.array([1.0]), (n, n))
+    return dataclasses.replace(counts, mutual_follow=one_way)
+
+
+def overflowing_counts(counts):
+    T = counts.T_tweet
+    huge = CSRArrays(T.indptr, T.indices, np.full(T.nnz, 1e308), T.shape)
+    return dataclasses.replace(counts, T_tweet=huge, T_retweet=huge)
+
+
+@pytest.mark.parametrize("damage, message", [
+    (asymmetric_follow, "mutual_follow is not symmetric"),
+    (overflowing_counts, "T_tweet + T_retweet + T_reply overflows"),
+], ids=["asymmetric-follow", "overflow"])
+def test_build_on_inconsistent_counts_exits_3_naming_the_file(tmp_path, capsys, damage, message):
+    raw, _ = synth_and_build(tmp_path)
+    path = raw / "counts.json"
+    save_counts(damage(load_counts(path)), path)
+    capsys.readouterr()
+    assert run(["build", "--counts", path, "--out", tmp_path / "again"]) == 3
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("error ")]
     assert errors == [f"error kind=RecordError exit=3: {path}: {message}"]

@@ -422,10 +422,40 @@ def test_normalize_empty_graph_is_zero_operator():
     assert A.nnz == 0
 
 
-def test_normalize_rejects_self_loops():
-    W = np.eye(2)
-    with pytest.raises(ShapeError):
-        normalize_user_graph(UserGraph(W=sp.csr_matrix(W)))
+@st.composite
+def weights_with_isolated_nodes(draw, shape):
+    """A dense nonnegative array of `shape` whose nonzero values are drawn
+    floats, with whole rows and columns left empty."""
+    values = st.floats(1e-3, 1e3) | st.sampled_from([0.0, 0.0, 1.0])
+    W = draw(hnp.arrays(np.float64, shape, elements=values))
+    W[draw(hnp.arrays(bool, shape[0]))] = 0.0
+    W[:, draw(hnp.arrays(bool, shape[1]))] = 0.0
+    return W
+
+
+def assert_same_operator(got, want) -> None:
+    assert got.matrix.indices.dtype == np.int32
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got.matrix, name), getattr(want.matrix, name)), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 9))
+def test_normalize_user_graph_gives_the_reference_bits(data, n):
+    W = np.triu(data.draw(weights_with_isolated_nodes((n, n))), k=1)
+    W = sp.csr_matrix(W + W.T)
+    assert W.indices.dtype == np.int32
+    assert_same_operator(normalize_user_graph(UserGraph(W=W)), reference.symmetric_normalize(W))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 7), m=st.integers(1, 7))
+def test_build_adjacency_gives_the_reference_bits(data, n, m):
+    R = sp.csr_matrix(data.draw(weights_with_isolated_nodes((n, m))))
+    assert R.indices.dtype == np.int32
+    block = sp.bmat([[None, R], [R.T, None]], format="csr")
+    assert_same_operator(build_adjacency(BipartiteGraph(R=R)),
+                         reference.symmetric_normalize(block))
 
 
 def test_normalize_matches_dense_oracle():
@@ -625,22 +655,6 @@ def test_graphs_keep_the_float64_csr_they_are_given():
     assert UserGraph(W=W).W is W
     R = random_bipartite(np.random.default_rng(8), 4, 3).R
     assert BipartiteGraph(R=R).R is R
-    # Any other matrix is converted, and the input is left as it was.
-    ints = sp.csr_matrix(np.array([[0, 2], [2, 0]]))
-    graph = UserGraph(W=ints)
-    assert graph.W is not ints and graph.W.dtype == np.float64
-    assert ints.dtype == np.int64
-
-
-def test_save_matrix_coo_leaves_a_non_canonical_input_as_it_was(tmp_path):
-    messy = sp.csr_matrix((np.array([1.0, 2.0, 4.0]), np.array([3, 0, 3]), np.array([0, 3, 3])),
-                          shape=(2, 4))
-    before = [a.copy() for a in (messy.indptr, messy.indices, messy.data)]
-    save_matrix_coo(messy, tmp_path / "m.coo")
-    for a, b in zip((messy.indptr, messy.indices, messy.data), before):
-        assert np.array_equal(a, b)
-    back = load_matrix_coo(tmp_path / "m.coo")
-    assert np.array_equal(back.toarray(), messy.toarray())
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (3, 4)])
@@ -757,7 +771,7 @@ def test_uniform_weights_match_binarized_adjacency():
 
 def test_matrix_coo_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(53)
-    mat = sp.csr_matrix(rng.standard_normal((4, 5)) * (rng.random((4, 5)) < 0.6))
+    mat = sp.csr_matrix(np.abs(rng.standard_normal((4, 5))) * (rng.random((4, 5)) < 0.6))
     path = tmp_path / "m.coo"
     save_matrix_coo(mat, path)
     back = load_matrix_coo(path)
@@ -785,7 +799,7 @@ def assert_canonical_finite(mat: sp.csr_matrix) -> None:
     assert (np.diff(mat.indptr) >= 0).all()
     assert ((mat.indices >= 0) & (mat.indices < m)).all()
     assert mat.has_canonical_format
-    assert np.isfinite(mat.data).all()
+    assert np.isfinite(mat.data).all() and (mat.data >= 0).all()
 
 
 def explicit_zeros_matrix() -> sp.csr_matrix:
@@ -813,10 +827,10 @@ def test_matrix_file_roundtrip_is_byte_exact(tmp_path, mat):
 
 
 def test_matrix_file_is_canonical_documented_layout(tmp_path):
-    # Duplicates and unsorted columns are summed and sorted before writing.
-    messy = sp.coo_matrix((np.array([1.0, 2.0, 0.5, 4.0]),
-                           (np.array([1, 0, 1, 1]), np.array([3, 2, 0, 3]))), shape=(2, 4))
-    save_matrix_coo(messy, tmp_path / "got.coo")
+    # The canonical arrays given are written as they are.
+    mat = sp.csr_matrix((np.array([2.0, 0.5, 5.0]), np.array([2, 0, 3]), np.array([0, 1, 3])),
+                        shape=(2, 4))
+    save_matrix_coo(mat, tmp_path / "got.coo")
     write_graph_container(tmp_path / "want.coo", (2, 4), [0, 1, 3], [2, 0, 3], [2.0, 0.5, 5.0])
     assert (tmp_path / "got.coo").read_bytes() == (tmp_path / "want.coo").read_bytes()
 
@@ -904,11 +918,9 @@ def test_container_loaders_refuse_a_damaged_file(tmp_path, kind, case):
 def test_graph_loaders_reject_negative_weights(tmp_path):
     path = tmp_path / "neg.coo"
     write_graph_container(path, (2, 2), [0, 1, 2], [1, 0], [-0.5, -0.5])
-    assert load_matrix_coo(path).nnz == 2
-    with pytest.raises(RecordError):
-        load_bipartite(path)
-    with pytest.raises(RecordError):
-        load_user_graph(path)
+    for load in (load_matrix_coo, load_bipartite, load_user_graph):
+        with pytest.raises(RecordError, match=f"^{re.escape(str(path))}: negative value$"):
+            load(path)
 
 
 def test_user_graph_loader_refuses_an_asymmetric_graph(tmp_path):
@@ -923,6 +935,14 @@ def test_user_graph_loader_refuses_an_asymmetric_graph(tmp_path):
     # A symmetric graph whose mirrored weights differ is refused too.
     write_graph_container(path, (2, 2), [0, 1, 2], [1, 0], [0.5, 0.25])
     with pytest.raises(RecordError, match="not symmetric"):
+        load_user_graph(path)
+
+
+def test_user_graph_loader_refuses_a_graph_that_is_not_square(tmp_path):
+    path = tmp_path / "wide.coo"
+    write_graph_container(path, (2, 3), [0, 1, 2], [1, 0], [0.5, 0.5])
+    load_bipartite(path)
+    with pytest.raises(RecordError, match=f"^{re.escape(str(path))}: user graph is not square$"):
         load_user_graph(path)
 
 

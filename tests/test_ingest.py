@@ -5,6 +5,7 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -833,14 +834,27 @@ def test_load_counts_rejects_truncated_and_non_utf8(tmp_path):
             load_counts(bad_path)
 
 
-def test_load_counts_inconsistent_matrices_raise_shape_error(tmp_path):
-    # An asymmetric mutual-follow matrix parses but fails validate().
-    counts = small_counts(np.random.default_rng(9))
+def asymmetric_follow(counts, path):
     mats = count_arrays(counts)
     mats[COUNT_MATRICES.index("mutual_follow")] = [[0, 1, 1, 1, 1], [1], [1.0]]
-    path = tmp_path / "asym.json"
     path.write_bytes(counts_container((4, 3), mats, json_ids(counts.users, counts.hashtags)))
-    with pytest.raises(ShapeError):
+
+
+def overflowing_sum(counts, path):
+    huge = count_matrix([[1e308, 0.0, 0.0]] + [[0.0] * 3] * 3)
+    save_counts(dataclasses.replace(counts, T_tweet=huge, T_retweet=huge), path)
+
+
+@pytest.mark.parametrize("damage, message", [
+    (asymmetric_follow, "mutual_follow is not symmetric"),
+    (overflowing_sum, "T_tweet + T_retweet + T_reply overflows"),
+], ids=["asymmetric-follow", "overflow"])
+def test_load_counts_refuses_inconsistent_matrices_naming_the_file(tmp_path, damage, message):
+    # Each matrix passes checked_csr on its own, but together they fail
+    # validate(), whose ShapeError the loader turns into a RecordError.
+    path = tmp_path / "counts.json"
+    damage(small_counts(np.random.default_rng(9)), path)
+    with pytest.raises(RecordError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
         load_counts(path)
 
 
