@@ -214,7 +214,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     val_pairs = validation_edges(graph.edges(), cfg.val_fraction, stage_rng(cfg.seed, "train"))
     train_graph = graph_without_edges(graph, val_pairs)
     t0 = time.perf_counter()
-    state, history, _ = train(train_graph, channels, cfg, cfg, val_pairs,
+    state, history, _ = train(train_graph, channels, cfg, val_pairs,
                               seed=stage_seed(cfg.seed, "train"))
     train_s = time.perf_counter() - t0
     out = Path(args.out)
@@ -289,7 +289,7 @@ def cmd_curve(args, cfg: RunConfig) -> int:
     uidx = {u: i for i, u in enumerate(counts.users)}
     hidx = {h: j for j, h in enumerate(counts.hashtags)}
     hidden: dict[int, dict[int, float]] = {}
-    with open_text(eval_dir / "hidden.tsv", strict=True) as lines:
+    with open_text(eval_dir / "hidden.tsv", strict=True, named=True) as lines:
         for line_no, line in enumerate(lines, 1):
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 3:

@@ -1,9 +1,8 @@
 """Run configuration: defaults, key=value files, per-stage seeds.
 
-Every tunable is declared once here, with its default: each stage config
-holds its stage's keys, and RunConfig inherits them all. A config file
-overrides defaults, command line flags override the file, and unknown keys
-are rejected so typos fail loudly.
+Every tunable is declared once here, with its default, as a field of
+RunConfig. A config file overrides defaults, command line flags override
+the file, and unknown keys are rejected so typos fail loudly.
 """
 
 from __future__ import annotations
@@ -25,6 +24,12 @@ STAGE_INDEX = {
     "synth": 5,
 }
 
+# The relations a user -> hashtag -> user meta-path can take at either end.
+META_PATH_RELATIONS = ("tweet", "retweet", "reply")
+
+# The evaluated models: the weighted model and its baselines, which
+# evaluate.VARIANTS defines under these names.
+VARIANT_NAMES = ("wlgcn", "mf", "lightgcn", "null")
 
 # The values a key of each annotated type takes, and their name. A float key
 # takes an int too, and NumPy's float64, which is a float; no NumPy integer
@@ -33,10 +38,10 @@ _TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
           "bool": ((bool,), "a boolean"), "str": ((str,), "a string")}
 
 
-def _check_types(cfg, cls) -> None:
-    """Refuse a key of `cls` whose value has the wrong type, or a float key
-    whose value is not finite: range checks such as `x < 0` let nan through."""
-    for name, kind in cls.__annotations__.items():
+def _check_types(cfg: RunConfig) -> None:
+    """Refuse a key whose value has the wrong type, or a float key whose
+    value is not finite: range checks such as `x < 0` let nan through."""
+    for name, kind in RunConfig.__annotations__.items():
         value = getattr(cfg, name)
         types, expected = _TYPES[kind]
         if not isinstance(value, types) or isinstance(value, bool) != (kind == "bool"):
@@ -47,56 +52,24 @@ def _check_types(cfg, cls) -> None:
 
 
 @dataclass(frozen=True)
-class CorpusFilterConfig:
-    """Thresholds for dropping bot-like or out-of-scope accounts."""
+class RunConfig:
+    """Every key of a run, in groups by the stage that reads them. Building
+    one checks every key's type, then every range."""
 
+    # ingest: thresholds for dropping bot-like or out-of-scope accounts
     max_outlets_followed: int = 10
     max_avg_daily_tweets: float = 3.0
     location_allowlist: str = ""  # comma-separated; empty disables the filter
-
-    def __post_init__(self):
-        _check_types(self, CorpusFilterConfig)
-
-
-@dataclass(frozen=True)
-class ModelConfig:
+    # the model, which train and eval fit
     dim: int = 16
     n_layers: int = 3
-
-    def __post_init__(self):
-        _check_types(self, ModelConfig)
-        if self.dim < 1:
-            raise ConfigError("dim must be at least 1")
-        if self.n_layers < 0:
-            raise ConfigError("n_layers must be nonnegative")
-
-
-@dataclass(frozen=True)
-class TrainConfig:
+    # train's optimizer and early stopping
     learning_rate: float = 1e-3
     lambda_reg: float = 1e-4
     batch_size: int = 1024
     max_epochs: int = 1000
     patience: int = 50
-
-    def __post_init__(self):
-        _check_types(self, TrainConfig)
-        # learning_rate 0 is allowed: it freezes the parameters, which is
-        # useful for no-op checks.
-        if self.learning_rate < 0 or self.lambda_reg < 0:
-            raise ConfigError("learning_rate and lambda_reg must be nonnegative")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be positive")
-        if self.max_epochs < 0:
-            raise ConfigError("max_epochs must be nonnegative")
-        if self.patience < 1:
-            raise ConfigError("patience must be at least 1")
-
-
-@dataclass(frozen=True)
-class SynthConfig:
-    """Two-camp synthetic corpus with planted stances."""
-
+    # synth: a two-camp corpus with planted stances
     n_users: int = 200
     n_hashtags: int = 100
     n_neutral: int = 10
@@ -107,9 +80,46 @@ class SynthConfig:
     social_base_rate: float = 0.02
     annotated_per_camp: int = 15
     retweet_rate: float = 0.5
+    # build: how the social relations weigh into one user graph, and which
+    # meta-path PathSim follows and how its graph is sparsified
+    social_c_follow: float = 1.0
+    social_c_mention: float = 1.0
+    social_c_reply: float = 1.0
+    pathsim_left: str = "retweet"
+    pathsim_right: str = "tweet"
+    pathsim_min_weight: float = 0.01
+    pathsim_top_k: int = 0  # 0 disables the per-node cap
+    # eval's protocol: a user holdout, then k-fold edge cross-validation
+    holdout_fraction: float = 0.05
+    folds: int = 5
+    binary_stance: bool = False  # drop the NEUTRAL class
+    # the CLI's own keys
+    seed: int = 0
+    strict_parse: bool = True
+    # which user graphs train and eval load
+    use_social: bool = False
+    use_pathsim: bool = False
+    # share of the edges train holds out for early stopping
+    val_fraction: float = 0.2
+    variant: str = "wlgcn"
+    x_max: int = 5
 
     def __post_init__(self):
-        _check_types(self, SynthConfig)
+        _check_types(self)
+        if self.dim < 1:
+            raise ConfigError("dim must be at least 1")
+        if self.n_layers < 0:
+            raise ConfigError("n_layers must be nonnegative")
+        # learning_rate 0 is allowed: it freezes the parameters, which is
+        # useful for no-op checks.
+        if self.learning_rate < 0 or self.lambda_reg < 0:
+            raise ConfigError("learning_rate and lambda_reg must be nonnegative")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be positive")
+        if self.max_epochs < 0:
+            raise ConfigError("max_epochs must be nonnegative")
+        if self.patience < 1:
+            raise ConfigError("patience must be at least 1")
         if self.n_users < 2:
             raise ConfigError("need at least two users")
         if not (0 <= self.p_out < self.p_in <= 1):
@@ -131,27 +141,6 @@ class SynthConfig:
             raise ConfigError("bad social edge rates")
         if not (0 <= self.retweet_rate <= 1):
             raise ConfigError("retweet_rate must be a probability")
-
-
-# The relations a user -> hashtag -> user meta-path can take at either end.
-META_PATH_RELATIONS = ("tweet", "retweet", "reply")
-
-
-@dataclass(frozen=True)
-class GraphConfig:
-    """How build weighs the social relations into one user graph, and which
-    meta-path PathSim follows and how its graph is sparsified."""
-
-    social_c_follow: float = 1.0
-    social_c_mention: float = 1.0
-    social_c_reply: float = 1.0
-    pathsim_left: str = "retweet"
-    pathsim_right: str = "tweet"
-    pathsim_min_weight: float = 0.01
-    pathsim_top_k: int = 0  # 0 disables the per-node cap
-
-    def __post_init__(self):
-        _check_types(self, GraphConfig)
         if min(self.social_c_follow, self.social_c_mention, self.social_c_reply) < 0:
             raise ConfigError("social coefficients must be nonnegative")
         for name in (self.pathsim_left, self.pathsim_right):
@@ -161,63 +150,18 @@ class GraphConfig:
             raise ConfigError("pathsim_min_weight must be nonnegative")
         if self.pathsim_top_k < 0:
             raise ConfigError("pathsim_top_k must be nonnegative (0 disables the cap)")
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    """The evaluation protocol: a user holdout, then k-fold edge
-    cross-validation."""
-
-    holdout_fraction: float = 0.05
-    folds: int = 5
-    binary_stance: bool = False  # drop the NEUTRAL class
-
-    def __post_init__(self):
-        _check_types(self, EvalConfig)
         if not (0 < self.holdout_fraction <= 1):
             raise ConfigError("holdout fraction must be in (0, 1]")
         if self.folds < 2:
             raise ConfigError("need at least 2 folds")
-
-
-# The evaluated models: the weighted model and its baselines, which
-# evaluate.VARIANTS defines under these names.
-VARIANT_NAMES = ("wlgcn", "mf", "lightgcn", "null")
-
-
-@dataclass(frozen=True)
-class RunConfig(EvalConfig, GraphConfig, SynthConfig, TrainConfig, ModelConfig,
-                CorpusFilterConfig):
-    """Every key of a run: the stage configs' fields, inherited in reverse
-    MRO order (filters, model, training, synthetic corpus, graphs,
-    evaluation protocol), then the keys below, which only the CLI reads.
-    Building one runs every range check."""
-
-    seed: int = 0
-    strict_parse: bool = True
-    # which user graphs train and eval load
-    use_social: bool = False
-    use_pathsim: bool = False
-    # share of the edges train holds out for early stopping
-    val_fraction: float = 0.2
-    variant: str = "wlgcn"
-    x_max: int = 5
-
-    def __post_init__(self):
-        # A dataclass __post_init__ does not chain: call each base's check.
-        CorpusFilterConfig.__post_init__(self)
-        ModelConfig.__post_init__(self)
-        TrainConfig.__post_init__(self)
-        SynthConfig.__post_init__(self)
-        GraphConfig.__post_init__(self)
-        EvalConfig.__post_init__(self)
-        _check_types(self, RunConfig)
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         if not (0 < self.val_fraction <= 0.5):
             raise ConfigError("val_fraction must be in (0, 0.5]")
         if self.variant not in VARIANT_NAMES:
             raise ConfigError(f"unknown model variant {self.variant!r}")
+        if self.x_max < 1:
+            raise ConfigError("x_max must be at least 1")
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
@@ -275,17 +219,16 @@ def config_lines(cfg: RunConfig) -> list[str]:
     return [f"{f.name}={getattr(cfg, f.name)}" for f in dataclasses.fields(RunConfig)]
 
 
-def stage_seed(seed: int, stage: str) -> int:
-    """Stable derived seed for a pipeline stage."""
+def _stage_sequence(seed: int, stage: str) -> np.random.SeedSequence:
     if stage not in STAGE_INDEX:
         raise ConfigError(f"unknown stage {stage!r}")
-    ss = np.random.SeedSequence(seed, spawn_key=(STAGE_INDEX[stage],))
-    return int(ss.generate_state(1)[0])
+    return np.random.SeedSequence(seed, spawn_key=(STAGE_INDEX[stage],))
+
+
+def stage_seed(seed: int, stage: str) -> int:
+    """Stable derived seed for a pipeline stage."""
+    return int(_stage_sequence(seed, stage).generate_state(1)[0])
 
 
 def stage_rng(seed: int, stage: str) -> np.random.Generator:
-    if stage not in STAGE_INDEX:
-        raise ConfigError(f"unknown stage {stage!r}")
-    return np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(STAGE_INDEX[stage],))
-    )
+    return np.random.default_rng(_stage_sequence(seed, stage))

@@ -71,12 +71,14 @@ class BoundsError(StanceGraphError):
 
 
 @contextlib.contextmanager
-def open_text(path, error=RecordError, *, strict: bool):
+def open_text(path, error=RecordError, *, strict: bool, named: bool = False):
     """Open the UTF-8 text file at `path` and give its lines, as open()
     splits them in text mode. A line holding bytes that are not UTF-8
     raises error(message), the message naming the file and the line; when
     not `strict`, it is logged and given as an empty line instead, which
-    every reader skips."""
+    every reader skips. With `named`, a RecordError that the reader raises
+    for a line, 'line N: message', is raised again as '<path>: line N:
+    message'."""
 
     def checked(fh):
         for line_no, line in enumerate(fh, 1):
@@ -89,4 +91,9 @@ def open_text(path, error=RecordError, *, strict: bool):
             yield line
 
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        yield checked(fh)
+        try:
+            yield checked(fh)
+        except RecordError as exc:
+            if not named or exc.line_no is None:
+                raise
+            raise RecordError(f"{path}: {exc}") from exc

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import ModelConfig, RunConfig, SynthConfig
+from .config import RunConfig
 from .errors import (
     BoundsError,
     ConfigError,
@@ -87,7 +87,7 @@ def parse_annotations(lines) -> StanceAnnotation:
 
 
 def load_annotations(path) -> StanceAnnotation:
-    with open_text(path, strict=True) as lines:
+    with open_text(path, strict=True, named=True) as lines:
         return parse_annotations(lines)
 
 
@@ -339,11 +339,12 @@ def write_report(report: EvalReport, report_path, folds_path) -> None:
 @dataclass(frozen=True)
 class Variant:
     """One evaluated model: the graph it trains on, given the fold graph, a
-    null-model draw count and rng, and its model config. Only a variant
-    with `channels` sees the side channels and pretrained vectors."""
+    null-model draw count and rng, and the config it trains with, given the
+    run's. Only a variant with `channels` sees the side channels and
+    pretrained vectors."""
 
     graph: Callable[[BipartiteGraph, int, np.random.Generator], BipartiteGraph]
-    model: Callable[[ModelConfig], ModelConfig] = lambda cfg: cfg
+    model: Callable[[RunConfig], RunConfig] = lambda cfg: cfg
     channels: bool = False
 
 
@@ -391,7 +392,7 @@ def run_protocol(
     `cfg.seed` by the caller.
     """
     spec = VARIANTS[cfg.variant]
-    model_cfg = spec.model(cfg)
+    fold_cfg = spec.model(cfg)
     fold_channels = channels if spec.channels else None
     holdout_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     kfold_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
@@ -415,8 +416,7 @@ def run_protocol(
         null_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3, f)))
         n_draws = null_interactions or max(int(fold_graph.R.nnz), 1)
         variant_graph = spec.graph(fold_graph, n_draws, null_rng)
-        state, history, out = train(variant_graph, fold_channels, model_cfg, cfg, val_pairs,
-                                    fold_seed)
+        state, history, out = train(variant_graph, fold_channels, fold_cfg, val_pairs, fold_seed)
         if f == 0:
             fold0 = (state, out, history)
 
@@ -510,7 +510,7 @@ class SynthData:
     planted: list[str]  # per-user true camp, index-aligned with counts.users
 
 
-def synth_generate(cfg: SynthConfig, rng: np.random.Generator) -> SynthData:
+def synth_generate(cfg: RunConfig, rng: np.random.Generator) -> SynthData:
     """Generate a two-camp corpus.
 
     Users draw own-camp hashtags with probability p_in, other-camp with

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import GraphConfig
+from .config import RunConfig
 from .errors import EmptyChannel, EmptyCorpus, RecordError, ShapeError
 from .ingest import (
     CSR_DTYPES,
@@ -220,7 +220,7 @@ def _scaled(c: float, M: CSRArrays) -> CSRArrays:
     return CSRArrays(M.indptr, M.indices, c * M.data, M.shape)
 
 
-def build_social_graph(counts: InteractionCounts, cfg: GraphConfig) -> UserGraph:
+def build_social_graph(counts: InteractionCounts, cfg: RunConfig) -> UserGraph:
     """Combine mutual-follow, mention, and reply relations, weighted by the
     social_c_* keys, into one symmetric user graph."""
     if cfg.social_c_follow == cfg.social_c_mention == cfg.social_c_reply == 0.0:
@@ -351,7 +351,7 @@ def _summed_at(cells: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(cells, weights=values, minlength=size).astype(np.float64, copy=False)
 
 
-def compute_pathsim(counts: InteractionCounts, cfg: GraphConfig) -> UserGraph:
+def compute_pathsim(counts: InteractionCounts, cfg: RunConfig) -> UserGraph:
     """PathSim user graph for the user -> hashtag -> user meta-path whose
     relations pathsim_left and pathsim_right name."""
     left, right = cfg.pathsim_left, cfg.pathsim_right

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import CorpusFilterConfig
+from .config import RunConfig
 from .errors import DegenerateHashtag, EmptyCorpus, RecordError, ShapeError
 
 LOGGER = logging.getLogger(__name__)
@@ -217,7 +217,7 @@ def parse_corpus(tweet_lines, follow_lines=(), outlet_lines=(), *, strict: bool)
     return Corpus(tweets=list(by_id.values()), follows=follows, outlets=outlets, locations=locations)
 
 
-def apply_filters(corpus: Corpus, cfg: CorpusFilterConfig) -> Corpus:
+def apply_filters(corpus: Corpus, cfg: RunConfig) -> Corpus:
     """Drop users that exceed rate or outlet thresholds, or sit outside the
     location allowlist when one is set (comma-separated; "" disables it).
     Tweets of dropped users are removed; follow edges touching them are

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ModelConfig
+from .config import RunConfig
 from .errors import ConfigError, DegenerateHashtag, RecordError, ShapeError, open_text
 from .graphs import BipartiteGraph, NormalizedAdjacency, build_adjacency
 from .ingest import (
@@ -76,7 +76,7 @@ class ChannelSet:
 def init_embeddings(
     n_users: int,
     n_hashtags: int,
-    cfg: ModelConfig,
+    cfg: RunConfig,
     seed: int,
     pretrained: dict[int, np.ndarray] | None = None,
 ) -> EmbeddingState:
@@ -111,7 +111,7 @@ def load_pretrained_vectors(path, hashtags: list[str], dim: int) -> dict[int, np
     index = {h: j for j, h in enumerate(hashtags)}
     out: dict[int, np.ndarray] = {}
     seen: set[str] = set()
-    with open_text(path, strict=True) as lines:
+    with open_text(path, strict=True, named=True) as lines:
         for line_no, line in enumerate(lines, 1):
             parts = line.split()
             if not parts:
@@ -240,7 +240,7 @@ class ChannelOperators:
 
 
 def build_operators(graph: BipartiteGraph, channels: ChannelSet | None,
-                    cfg: ModelConfig) -> ChannelOperators:
+                    cfg: RunConfig) -> ChannelOperators:
     channels = channels or ChannelSet(None, 0, cfg.n_layers)
     if channels.n_layers != cfg.n_layers:
         raise ConfigError(f"user channels built for n_layers={channels.n_layers}, "
@@ -257,7 +257,7 @@ class PropagationOutput:
     final_hashtags: np.ndarray
 
 
-def forward(stacked: np.ndarray, ops: ChannelOperators, cfg: ModelConfig) -> PropagationOutput:
+def forward(stacked: np.ndarray, ops: ChannelOperators, cfg: RunConfig) -> PropagationOutput:
     """Run every channel and average the user sides.
 
     Hashtag embeddings come from the bipartite channel alone; user-user

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ModelConfig, TrainConfig
+from .config import RunConfig
 from .errors import ConfigError, NumericsError
 from .graphs import BipartiteGraph, _is_member
 from .ingest import _flat_keys
@@ -174,7 +174,7 @@ def grad_e0(
     triples: np.ndarray,
     out: PropagationOutput,
     ops: ChannelOperators,
-    cfg: ModelConfig,
+    cfg: RunConfig,
     e0_stacked: np.ndarray,
     lambda_reg: float,
     scores: PairScores | None = None,
@@ -233,8 +233,7 @@ def save_history(rows: list[HistoryRow], path) -> None:
 def train(
     graph: BipartiteGraph,
     channels: ChannelSet | None,
-    model_cfg: ModelConfig,
-    train_cfg: TrainConfig,
+    cfg: RunConfig,
     val_edges: np.ndarray,
     seed: int,
 ) -> tuple[EmbeddingState, list[HistoryRow], PropagationOutput]:
@@ -245,12 +244,12 @@ def train(
     history, and the forward output of that checkpoint.
     """
     val_edges = np.asarray(val_edges, dtype=np.int64).reshape(-1, 2)
-    if val_edges.shape[0] == 0 and train_cfg.max_epochs > 0:
+    if val_edges.shape[0] == 0 and cfg.max_epochs > 0:
         raise ConfigError("training needs validation edges for early stopping")
-    ops = build_operators(graph, channels, model_cfg)
+    ops = build_operators(graph, channels, cfg)
     n, m = graph.n_users, graph.n_hashtags
     pretrained = channels.pretrained if channels is not None else None
-    state = init_embeddings(n, m, model_cfg, seed, pretrained)
+    state = init_embeddings(n, m, cfg, seed, pretrained)
     params = state.stacked()
     adam = AdamState.for_shape(params.shape)
     rng = np.random.default_rng(seed)
@@ -263,22 +262,22 @@ def train(
     history: list[HistoryRow] = []
     out = None  # forward(params), while no step has changed params since
 
-    for epoch in range(1, train_cfg.max_epochs + 1):
+    for epoch in range(1, cfg.max_epochs + 1):
         triples = sample_epoch(graph, rng)
         bpr_sum = 0.0
-        for start in range(0, triples.shape[0], train_cfg.batch_size):
-            batch = triples[start:start + train_cfg.batch_size]
+        for start in range(0, triples.shape[0], cfg.batch_size):
+            batch = triples[start:start + cfg.batch_size]
             if out is None:
-                out = forward(params, ops, model_cfg)
+                out = forward(params, ops, cfg)
             scores = pair_scores(batch, out)
             bpr_sum += bpr_loss(batch, out, params, 0.0, scores)
-            grad = grad_e0(batch, out, ops, model_cfg, params, train_cfg.lambda_reg, scores)
-            adam_step(adam, params, grad, train_cfg.learning_rate)
+            grad = grad_e0(batch, out, ops, cfg, params, cfg.lambda_reg, scores)
+            adam_step(adam, params, grad, cfg.learning_rate)
             out = None
-        reg = train_cfg.lambda_reg * float(np.sum(params * params))
+        reg = cfg.lambda_reg * float(np.sum(params * params))
         epoch_loss = bpr_sum / triples.shape[0] + reg
 
-        out = forward(params, ops, model_cfg)
+        out = forward(params, ops, cfg)
         recall, ndcg, _ = ranking_metrics(out.final_users, out.final_hashtags, graph.R, val_edges)
         if recall > best_recall:
             best_recall = recall
@@ -292,7 +291,7 @@ def train(
         LOGGER.debug(
             "epoch %d loss %.6f recall %.4f ndcg %.4f", epoch, epoch_loss, recall, ndcg
         )
-        if evals_since_best >= train_cfg.patience:
+        if evals_since_best >= cfg.patience:
             LOGGER.info(
                 "early stop at epoch %d; best recall %.4f from epoch %d",
                 epoch, best_recall, best_epoch,
@@ -300,5 +299,5 @@ def train(
             break
 
     if best_out is None:  # no epoch improved on the initialization
-        best_out = forward(best_params, ops, model_cfg)
+        best_out = forward(best_params, ops, cfg)
     return EmbeddingState.from_stacked(best_params, n, seed), history, best_out

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 
 from stancegraph.errors import ConfigError, EmptyEvaluation, ShapeError
 from stancegraph.evaluate import CLASS_ORDER, StanceAnnotation
-from stancegraph.config import GraphConfig
+from stancegraph.config import RunConfig
 from stancegraph.graphs import (
     BipartiteGraph,
     NormalizedAdjacency,
@@ -20,7 +20,7 @@ from stancegraph.graphs import (
     to_scipy,
 )
 from stancegraph.ingest import CSRArrays, InteractionCounts
-from stancegraph.model import ModelConfig, forward
+from stancegraph.model import forward
 from stancegraph.train import bpr_loss
 
 LOGGER = logging.getLogger(__name__)
@@ -52,7 +52,7 @@ def score_all(final_users: np.ndarray, final_hashtags: np.ndarray, u: int) -> np
     return final_hashtags @ final_users[u]
 
 
-def evaluate_loss(e0_stacked: np.ndarray, triples: np.ndarray, ops, cfg: ModelConfig,
+def evaluate_loss(e0_stacked: np.ndarray, triples: np.ndarray, ops, cfg: RunConfig,
                   lambda_reg: float) -> float:
     """Full forward pass plus loss; the function finite differences probe."""
     out = forward(e0_stacked, ops, cfg)
@@ -157,7 +157,7 @@ def symmetrized(W: sp.spmatrix) -> sp.csr_matrix:
     return W
 
 
-def build_social_graph(counts: InteractionCounts, cfg: GraphConfig) -> UserGraph:
+def build_social_graph(counts: InteractionCounts, cfg: RunConfig) -> UserGraph:
     mention, reply = to_scipy(counts.mention), to_scipy(counts.reply)
     W = (
         cfg.social_c_follow * to_scipy(counts.mutual_follow)
@@ -182,7 +182,7 @@ def pathsim_scores(M1: sp.csr_matrix, M2: sp.csr_matrix) -> sp.csr_matrix:
     return symmetrized(out)
 
 
-def compute_pathsim(counts: InteractionCounts, cfg: GraphConfig) -> UserGraph:
+def compute_pathsim(counts: InteractionCounts, cfg: RunConfig) -> UserGraph:
     S = pathsim_scores(to_scipy(counts.relation(cfg.pathsim_left)),
                        to_scipy(counts.relation(cfg.pathsim_right)))
     return UserGraph(W=S, kind=f"pathsim:{cfg.pathsim_left}-{cfg.pathsim_right}")

@@ -16,11 +16,10 @@ import numpy as np
 import pytest
 
 from stancegraph.cli import main
-from stancegraph.config import GraphConfig, RunConfig
+from stancegraph.config import RunConfig
 from stancegraph.errors import ConfigError
 from stancegraph.evaluate import (
     EVAL_K,
-    SynthConfig,
     annotation_curve,
     bundled_annotations,
     graph_without_edges,
@@ -37,7 +36,6 @@ from stancegraph.graphs import (
 from stancegraph.metrics import ranking_metrics
 from stancegraph.evaluate import stance_metrics
 from stancegraph.model import (
-    ModelConfig,
     build_operators,
     forward,
     init_embeddings,
@@ -88,7 +86,7 @@ def test_accept_1_gradients_match_finite_differences(capfd):
                     K, social=random_user_graph(rng, n) if use_social else None,
                     pathsim=random_user_graph(rng, n, kind="pathsim") if use_pathsim else None,
                 )
-                cfg = ModelConfig(dim=d, n_layers=K)
+                cfg = RunConfig(dim=d, n_layers=K)
                 ops = build_operators(g, channels, cfg)
                 try:
                     triples = sample_epoch(g, rng)
@@ -173,12 +171,12 @@ def enumerated_pathsim(L: np.ndarray, R: np.ndarray) -> np.ndarray:
 def test_accept_3_pathsim_matches_instance_enumeration(capfd):
     rng = np.random.default_rng(33)
     specs = [
-        GraphConfig(pathsim_left="retweet", pathsim_right="tweet"),
-        GraphConfig(pathsim_left="tweet", pathsim_right="tweet"),
-        GraphConfig(pathsim_left="retweet", pathsim_right="retweet"),
-        GraphConfig(pathsim_left="tweet", pathsim_right="retweet"),
-        GraphConfig(pathsim_left="reply", pathsim_right="reply"),
-        GraphConfig(pathsim_left="reply", pathsim_right="tweet"),
+        RunConfig(pathsim_left="retweet", pathsim_right="tweet"),
+        RunConfig(pathsim_left="tweet", pathsim_right="tweet"),
+        RunConfig(pathsim_left="retweet", pathsim_right="retweet"),
+        RunConfig(pathsim_left="tweet", pathsim_right="retweet"),
+        RunConfig(pathsim_left="reply", pathsim_right="reply"),
+        RunConfig(pathsim_left="reply", pathsim_right="tweet"),
     ]
     cases = 0
     worst = 0.0
@@ -212,7 +210,7 @@ def test_accept_4a_zero_layer_scores_are_raw_inner_products(capfd):
         n = int(rng.integers(2, 7))
         m = int(rng.integers(2, 7))
         g = random_bipartite(rng, n, m)
-        cfg = ModelConfig(dim=int(rng.integers(1, 5)), n_layers=0)
+        cfg = RunConfig(dim=int(rng.integers(1, 5)), n_layers=0)
         state = init_embeddings(n, m, cfg, seed=trial)
         out = forward(state.stacked(), build_operators(g, None, cfg), cfg)
         ok = ok and np.array_equal(out.final_users, state.users)
@@ -305,7 +303,7 @@ def synth_runs():
     runs = []
     for s in range(N_SEEDS):
         rng = np.random.default_rng(np.random.SeedSequence(s, spawn_key=(5,)))
-        data = synth_generate(SynthConfig(), rng)
+        data = synth_generate(RunConfig(), rng)
         volume = int(data.counts.T.data.sum())
         graph = build_interaction_graph(data.counts)
         common = dict(holdout_fraction=0.05, folds=2)
@@ -331,7 +329,7 @@ def test_accept_5a_holdout_stance_accuracy(capfd, synth_runs):
 ORACLE_TIE_DRAWS = 10
 
 
-def generator_oracle_recall(data, res, cfg: SynthConfig, seed: int) -> float:
+def generator_oracle_recall(data, res, cfg: RunConfig, seed: int) -> float:
     """Fold-0 recall@20 of the generator's own best ranking.
 
     Scores hashtag j for user u by p(j | planted camp of u), the probability
@@ -381,7 +379,7 @@ def test_accept_5b_recall_margin_over_null(capfd, synth_runs):
     real = float(np.mean([r["real"].report.folds[0].recall for r in runs]))
     null = float(np.mean([r["null"].report.folds[0].recall for r in runs]))
     oracle = float(np.mean([
-        generator_oracle_recall(r["data"], r["real"], SynthConfig(), s)
+        generator_oracle_recall(r["data"], r["real"], RunConfig(), s)
         for s, r in enumerate(runs)
     ]))
     closed = (real - null) / (oracle - null)
@@ -420,7 +418,7 @@ def test_accept_5_runtime_under_two_minutes(capfd, synth_runs):
 
 def test_accept_6_accuracy_grows_with_annotation_effort(capfd, synth_runs):
     runs, _ = synth_runs
-    cfg = ModelConfig()
+    cfg = RunConfig()
     curves = []
     for r in runs:
         data, res = r["data"], r["real"]

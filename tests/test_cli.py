@@ -22,13 +22,7 @@ import pytest
 from stancegraph import cli
 from stancegraph.cli import _load_dataset, _write_pairs, main
 from stancegraph.config import (
-    CorpusFilterConfig,
-    EvalConfig,
-    GraphConfig,
-    ModelConfig,
     RunConfig,
-    SynthConfig,
-    TrainConfig,
     parse_config_file,
     resolve,
     stage_seed,
@@ -284,7 +278,8 @@ def test_degenerate_annotation_hashtag_exits_3(tmp_path, capsys, command):
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if line.startswith("error ")]
     assert code == 3
-    assert len(errors) == 1 and errors[0].startswith("error kind=RecordError exit=3: line 1: ")
+    assert len(errors) == 1 and errors[0].startswith(
+        f"error kind=RecordError exit=3: {bad}: line 1: ")
     assert "Traceback" not in err
 
 
@@ -308,7 +303,8 @@ def test_curve_without_x_exits_2(tmp_path, capsys):
                 "--annotations", raw / "annotations.tsv",
                 "--out", tmp_path / "curve.csv", "--x-max", "0"])
     assert code == 2
-    assert "error kind=BoundsError exit=2: no x given" in capsys.readouterr().err
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error ")]
+    assert errors == ["error kind=ConfigError exit=2: x_max must be at least 1"]
     assert not (tmp_path / "curve.csv").exists()
 
 
@@ -590,7 +586,7 @@ def test_eval_refuses_a_bad_annotation_file_before_loading_a_user_graph(tmp_path
     assert run(["eval", "--data", data, "--annotations", bad, "--out", tmp_path / "eval",
                 "--use-social", "--use-pathsim"]) == 3
     assert [line for line in capsys.readouterr().err.splitlines() if line.startswith("error ")] == [
-        "error kind=RecordError exit=3: line 2: unknown stance class 'BOGUS'"]
+        f"error kind=RecordError exit=3: {bad}: line 2: unknown stance class 'BOGUS'"]
     assert loaded == []
 
 
@@ -653,7 +649,7 @@ def test_curve_names_the_repeated_hidden_line(tmp_path, capsys):
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error ")]
     assert len(errors) == 1
     assert errors[0].startswith(
-        f"error kind=RecordError exit=3: line {len(lines) + 1}: repeated hidden edge")
+        f"error kind=RecordError exit=3: {path}: line {len(lines) + 1}: repeated hidden edge")
 
 
 def not_utf8(path, lines):
@@ -778,8 +774,38 @@ def test_malformed_pretrained_vectors_exit_3(tmp_path, capsys, bad_line):
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if line.startswith("error ")]
     assert code == 3
-    assert len(errors) == 1 and errors[0].startswith("error kind=RecordError exit=3: line 3: ")
+    assert len(errors) == 1 and errors[0].startswith(
+        f"error kind=RecordError exit=3: {vectors}: line 3: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["annotations", "pretrained", "hidden"])
+def test_a_malformed_text_line_exits_3_naming_its_file(tmp_path, capsys, case):
+    # Before, the message named the line but not the file.
+    if case == "hidden":
+        raw, data, eval_dir = synth_build_eval(tmp_path)
+        bad = eval_dir / "hidden.tsv"
+        user, tag, _ = bad.read_text(encoding="utf-8").splitlines()[0].split("\t")
+        bad.write_text(f"{user}\t{tag}\tabc\n", encoding="utf-8")
+        argv = ["curve", "--data", data, "--eval-dir", eval_dir,
+                "--annotations", raw / "annotations.tsv", "--out", tmp_path / "curve.csv"]
+        message = "line 1: hidden edge weight 'abc' is not finite and >= 0"
+    else:
+        raw, data = synth_and_build(tmp_path)
+        argv = ["eval", "--data", data, "--out", tmp_path / "eval"]
+        if case == "annotations":
+            bad = tmp_path / "A.tsv"
+            bad.write_text("ht00001\tPOS\nht00002\tNEG\n#\tPOS\n", encoding="utf-8")
+            argv += ["--annotations", bad]
+        else:
+            bad = tmp_path / "V.txt"
+            write_vectors(bad, ["ht00001", "ht00002"], 16, " ".join(["#"] + ["0.5"] * 16))
+            argv += ["--annotations", raw / "annotations.tsv", "--pretrained", bad]
+        message = "line 3: hashtag '#' normalizes to empty"
+    capsys.readouterr()
+    assert run(argv) == 3
+    assert [line for line in capsys.readouterr().err.splitlines() if line.startswith("error ")] == [
+        f"error kind=RecordError exit=3: {bad}: {message}"]
 
 
 def test_train_zero_epochs_pins_pretrained_rows(tmp_path):
@@ -792,7 +818,7 @@ def test_train_zero_epochs_pins_pretrained_rows(tmp_path):
     state, _, tags = load_checkpoint(out / "checkpoint.bin")
     for tag, vec in want.items():
         assert np.array_equal(state.hashtags[tags.index(tag)], vec)
-    init = init_embeddings(40, 20, ModelConfig(dim=4), stage_seed(0, "train"))
+    init = init_embeddings(40, 20, RunConfig(dim=4), stage_seed(0, "train"))
     pinned = [tags.index(tag) for tag in want]
     assert np.array_equal(np.delete(state.hashtags, pinned, axis=0),
                           np.delete(init.hashtags, pinned, axis=0))
@@ -849,18 +875,80 @@ def test_removed_config_key_exits_2(tmp_path, capsys, key):
     assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
-def test_run_config_declares_no_stage_key_again():
-    # A stage field declared again in RunConfig would silently override
-    # the stage config's default; a key in two stage configs would be two
-    # declarations of one default.
-    stages = (ModelConfig, TrainConfig, SynthConfig, CorpusFilterConfig, GraphConfig, EvalConfig)
-    own = set(inspect.get_annotations(RunConfig))
-    declared = [set(inspect.get_annotations(stage)) for stage in stages] + [own]
-    for stage, keys in zip(stages, declared):
-        assert keys == {f.name for f in dataclasses.fields(stage)}, stage.__name__
-        assert keys <= {f.name for f in dataclasses.fields(RunConfig)}, stage.__name__
-    assert sum(map(len, declared)) == len(set().union(*declared)) == 37
-    assert len(own) == 7 and len(dataclasses.fields(RunConfig)) == 37
+def test_each_config_key_is_declared_once():
+    # A class body that annotates a name twice gives one field, with the
+    # later default, and no error: only the source shows the repeat.
+    module = SRC / "stancegraph" / "config.py"
+    classes = [node for node in ast.parse(module.read_text(encoding="utf-8")).body
+               if isinstance(node, ast.ClassDef)]
+    assert [node.name for node in classes] == ["RunConfig"]
+    declared = [stmt.target.id for stmt in classes[0].body if isinstance(stmt, ast.AnnAssign)]
+    assert len(declared) == len(set(declared)) == 37
+    assert declared == [f.name for f in dataclasses.fields(RunConfig)]
+
+
+# The resolved config of a run with no flag, as every command prints it, in
+# RunConfig's field order.
+DEFAULT_CONFIG_LINES = [
+    "max_outlets_followed=10",
+    "max_avg_daily_tweets=3.0",
+    "location_allowlist=",
+    "dim=16",
+    "n_layers=3",
+    "learning_rate=0.001",
+    "lambda_reg=0.0001",
+    "batch_size=1024",
+    "max_epochs=1000",
+    "patience=50",
+    "n_users=200",
+    "n_hashtags=100",
+    "n_neutral=10",
+    "p_in=0.8",
+    "p_out=0.1",
+    "interactions_per_user=20",
+    "homophily=5.0",
+    "social_base_rate=0.02",
+    "annotated_per_camp=15",
+    "retweet_rate=0.5",
+    "social_c_follow=1.0",
+    "social_c_mention=1.0",
+    "social_c_reply=1.0",
+    "pathsim_left=retweet",
+    "pathsim_right=tweet",
+    "pathsim_min_weight=0.01",
+    "pathsim_top_k=0",
+    "holdout_fraction=0.05",
+    "folds=5",
+    "binary_stance=False",
+    "seed=0",
+    "strict_parse=True",
+    "use_social=False",
+    "use_pathsim=False",
+    "val_fraction=0.2",
+    "variant=wlgcn",
+    "x_max=5",
+]
+
+
+def test_default_config_lines_and_help_keep_the_field_order(tmp_path, capsys):
+    assert run(["build", "--counts", tmp_path / "counts.json", "--out", tmp_path / "data"]) == 4
+    assert [line.removeprefix("[config] ") for line in capsys.readouterr().out.splitlines()
+            if line.startswith("[config] ")] == DEFAULT_CONFIG_LINES
+    with pytest.raises(SystemExit):
+        run(["build", "--help"])
+    options = [line.split()[0].rstrip(",") for line in capsys.readouterr().out.splitlines()
+               if line.startswith("  -")]
+    keys = [line.split("=", 1)[0] for line in DEFAULT_CONFIG_LINES]
+    assert options == ["-h", "--counts", "--out", "--config",
+                       *("--" + key.replace("_", "-") for key in keys)]
+
+
+def test_a_wrong_type_is_refused_before_any_range():
+    # Every key's type is checked first, then the ranges in field order.
+    with pytest.raises(ConfigError, match="^learning_rate: expected a finite number, got nan$"):
+        RunConfig(dim=0, learning_rate=float("nan"))
+    with pytest.raises(ConfigError, match="^dim must be at least 1$"):
+        RunConfig(dim=0, folds=1)
 
 
 # Names the package gives a config key's value in a signature, besides the
@@ -880,8 +968,8 @@ KEY_ALIASES = {
 
 def package_signatures():
     """(qualified name, callable) for every function and class of the
-    package and every method those classes define, except the config
-    dataclasses of config.py, which are where the defaults belong."""
+    package and every method those classes define, except config.py's
+    RunConfig, which is where the defaults belong."""
     for path in sorted((SRC / "stancegraph").glob("*.py")):
         module = importlib.import_module(f"stancegraph.{path.stem}")
         for name, obj in vars(module).items():
@@ -1020,11 +1108,6 @@ def test_every_float_key_refuses_a_non_finite_value(tmp_path, capsys, key, value
     assert not out.exists()
 
 
-# The stage config that declares each key, RunConfig for its own seven.
-KEY_OWNERS = {name: cls for cls in RunConfig.__mro__ if dataclasses.is_dataclass(cls)
-              for name in cls.__annotations__}
-
-
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
                          ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("key", FLOAT_KEYS)
@@ -1036,8 +1119,6 @@ def test_every_float_key_refuses_a_non_finite_value_from_python(key, value):
         RunConfig(**{key: value})
     with pytest.raises(ConfigError, match=message):
         resolve(overrides={key: value})
-    with pytest.raises(ConfigError, match=message):
-        KEY_OWNERS[key](**{key: value})
 
 
 # Values of the wrong type for each key type, with the name the message
@@ -1062,8 +1143,6 @@ def test_every_key_refuses_a_value_of_the_wrong_type_from_python(key, value):
     message = f"^{re.escape(f'{key}: expected {expected}, got {value!r}')}$"
     with pytest.raises(ConfigError, match=message):
         RunConfig(**{key: value})
-    with pytest.raises(ConfigError, match=message):
-        KEY_OWNERS[key](**{key: value})
     if not isinstance(value, str):  # a string takes the file and flag path
         with pytest.raises(ConfigError, match=message):
             resolve(overrides={key: value})
@@ -1096,6 +1175,17 @@ def test_a_negative_seed_exits_2_on_every_command(tmp_path, command):
     assert [line for line in proc.stderr.splitlines() if line.startswith("error ")] == [
         "error kind=ConfigError exit=2: seed must be nonnegative"]
     assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", range(6),
+                         ids=["build", "train", "eval", "ingest", "curve", "synth"])
+def test_x_max_below_1_exits_2_on_every_command(tmp_path, capsys, command):
+    # Before, only curve refused it, in annotation_curve, and train ran.
+    out = tmp_path / "out"
+    assert run(every_command_argv(tmp_path, out)[command] + ["--x-max", "0"]) == 2
+    assert [line for line in capsys.readouterr().err.splitlines() if line.startswith("error ")] == [
+        "error kind=ConfigError exit=2: x_max must be at least 1"]
     assert not out.exists()
 
 
@@ -1268,7 +1358,7 @@ def test_train_zero_epochs_checkpoint_is_initialization(tmp_path):
                 "--max-epochs", "0", "--seed", "0", "--dim", "8"]) == 0
     state, users, tags = load_checkpoint(out / "checkpoint.bin")
     assert len(users) == 40 and len(tags) == 20
-    init = init_embeddings(40, 20, ModelConfig(dim=8), stage_seed(0, "train"))
+    init = init_embeddings(40, 20, RunConfig(dim=8), stage_seed(0, "train"))
     assert np.array_equal(state.users, init.users)
     assert np.array_equal(state.hashtags, init.hashtags)
     history = (out / "history.csv").read_text(encoding="utf-8").strip().splitlines()

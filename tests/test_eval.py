@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import itertools
 import math
 from unittest import mock
@@ -17,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 
 from stancegraph import cli, evaluate, graphs, metrics, model
 from stancegraph import train as train_module
-from stancegraph.config import VARIANT_NAMES, EvalConfig, RunConfig
+from stancegraph.config import VARIANT_NAMES, RunConfig
 from stancegraph.errors import (
     BoundsError,
     ConfigError,
@@ -45,7 +44,6 @@ from stancegraph.evaluate import (
     save_annotations,
     stance_metrics,
     synth_generate,
-    SynthConfig,
     true_stances,
     held_out_count,
     validation_edges,
@@ -57,8 +55,8 @@ from stancegraph.graphs import (BipartiteGraph, binarize, build_adjacency, build
                                to_scipy)
 from stancegraph.ingest import InteractionCounts, save_counts
 from stancegraph.metrics import ranking_metrics
-from stancegraph.model import ModelConfig, build_operators, forward
-from stancegraph.train import TrainConfig, train
+from stancegraph.model import build_operators, forward
+from stancegraph.train import train
 
 from conftest import channel_set, counts_from, dense, random_bipartite, random_user_graph
 from reference import (
@@ -72,12 +70,12 @@ from reference import (
     top_k_items,
 )
 
-QUICK_TRAIN = TrainConfig(max_epochs=3, patience=5)
+QUICK_TRAIN = dict(max_epochs=3, patience=5)
 
 
 def protocol_cfg(**keys) -> RunConfig:
     """A run config with dim 8 and QUICK_TRAIN's training keys."""
-    return RunConfig(dim=8, **dataclasses.asdict(QUICK_TRAIN), **keys)
+    return RunConfig(dim=8, **QUICK_TRAIN, **keys)
 
 
 def class_size(ann: StanceAnnotation, cls: str) -> int:
@@ -531,7 +529,7 @@ def test_kfold_is_a_partition():
 def test_kfold_rejects_bad_configs():
     edges = np.array([[0, 0], [1, 1]])
     with pytest.raises(ConfigError, match="need at least 2 folds"):
-        EvalConfig(folds=1)
+        RunConfig(folds=1)
     with pytest.raises(ConfigError, match="2 edges cannot fill 3 folds"):
         kfold_split(edges, folds=3, rng=np.random.default_rng(0))
 
@@ -634,11 +632,11 @@ def test_mf_baseline_scores_are_raw_inner_products():
     val_pairs = kfold_split(edges, folds=4, rng=rng)[0]
     fold_graph = graph_without_edges(g, val_pairs)
     mf = VARIANTS["mf"]
-    cfg = mf.model(ModelConfig(dim=3, n_layers=3))
-    assert cfg == ModelConfig(dim=3, n_layers=0) and not mf.channels
+    cfg = mf.model(RunConfig(dim=3, n_layers=3, **QUICK_TRAIN))
+    assert cfg == RunConfig(dim=3, n_layers=0, **QUICK_TRAIN) and not mf.channels
     mf_graph = mf.graph(fold_graph, 1, rng)
     assert mf_graph is fold_graph
-    state, _, _ = train(mf_graph, None, cfg, QUICK_TRAIN, val_pairs, seed=0)
+    state, _, _ = train(mf_graph, None, cfg, val_pairs, seed=0)
     out = forward(state.stacked(), build_operators(fold_graph, None, cfg), cfg)
     assert np.array_equal(out.final_users, state.users)
     assert np.array_equal(out.final_hashtags, state.hashtags)
@@ -656,12 +654,11 @@ def test_lightgcn_baseline_trains_on_binary_graph():
     val_pairs = kfold_split(edges, folds=4, rng=rng)[0]
     fold_graph = graph_without_edges(g, val_pairs)
     lightgcn = VARIANTS["lightgcn"]
-    cfg = lightgcn.model(ModelConfig(dim=3))
-    assert cfg == ModelConfig(dim=3) and not lightgcn.channels
-    state_b, _, _ = train(lightgcn.graph(fold_graph, 1, rng), None, cfg, QUICK_TRAIN,
-                          val_pairs, seed=5)
+    cfg = lightgcn.model(RunConfig(dim=3, **QUICK_TRAIN))
+    assert cfg == RunConfig(dim=3, **QUICK_TRAIN) and not lightgcn.channels
+    state_b, _, _ = train(lightgcn.graph(fold_graph, 1, rng), None, cfg, val_pairs, seed=5)
 
-    state_ref, _, _ = train(binarize(fold_graph), None, ModelConfig(dim=3), QUICK_TRAIN,
+    state_ref, _, _ = train(binarize(fold_graph), None, RunConfig(dim=3, **QUICK_TRAIN),
                             val_pairs, seed=5)
     assert np.array_equal(state_b.users, state_ref.users)
     assert np.array_equal(state_b.hashtags, state_ref.hashtags)
@@ -680,7 +677,7 @@ SMALL = dict(n_users=40, n_hashtags=20, n_neutral=4, interactions_per_user=10,
 
 
 def small_synth(seed=0, **kw):
-    cfg = SynthConfig(**dict(SMALL, **kw))
+    cfg = RunConfig(**dict(SMALL, **kw))
     return synth_generate(cfg, np.random.default_rng(seed)), cfg
 
 
@@ -724,11 +721,11 @@ def test_synth_deterministic_output(tmp_path):
 
 def test_synth_validates_probabilities():
     with pytest.raises(ConfigError):
-        SynthConfig(p_in=0.1, p_out=0.2)
+        RunConfig(p_in=0.1, p_out=0.2)
     with pytest.raises(ConfigError):
-        SynthConfig(p_in=0.7, p_out=0.4)  # leaves no mass for neutral tags
+        RunConfig(p_in=0.7, p_out=0.4)  # leaves no mass for neutral tags
     with pytest.raises(ConfigError):
-        SynthConfig(n_neutral=0, p_in=0.8, p_out=0.1)  # must sum to 1 here
+        RunConfig(n_neutral=0, p_in=0.8, p_out=0.1)  # must sum to 1 here
 
 
 def test_synth_counts_match_interaction_budget():
@@ -808,7 +805,7 @@ def synth_reference(cfg, rng):
 ], ids=["default", "benchmark", "no-neutral", "p-out-0", "retweet-0", "retweet-1",
         "social-0", "social-1", "homophily-0", "odd-users", "two-users", "pools-of-one"])
 def test_synth_generate_equals_scalar_loop_reference(kw, tmp_path):
-    cfg = SynthConfig(**kw)
+    cfg = RunConfig(**kw)
     for seed in range(5):
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
         got, want = synth_generate(cfg, rng_got), synth_reference(cfg, rng_want)
@@ -978,11 +975,10 @@ def curve_setup():
         build_interaction_graph(data.counts), data.annotations, data.counts.hashtags, 0.1,
         np.random.default_rng(0),
     )
-    mc = ModelConfig(dim=8)
     edges = split.train_graph.edges()
     val_pairs = kfold_split(edges, folds=2, rng=np.random.default_rng(1))[0]
     fold_graph = graph_without_edges(split.train_graph, val_pairs)
-    _, _, out = train(fold_graph, None, mc, QUICK_TRAIN, val_pairs, seed=0)
+    _, _, out = train(fold_graph, None, protocol_cfg(), val_pairs, seed=0)
     return out, data, split, cfg
 
 

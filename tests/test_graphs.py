@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from stancegraph import graphs
-from stancegraph.config import GraphConfig
+from stancegraph.config import RunConfig
 from stancegraph.errors import ConfigError, EmptyChannel, RecordError, ShapeError
 from stancegraph.graphs import (
     GRAPH,
@@ -155,12 +155,12 @@ def test_adjacency_exactly_symmetric():
 
 # social graph ---------------------------------------------------------------
 
-def social(follow, mention, reply) -> GraphConfig:
-    return GraphConfig(social_c_follow=follow, social_c_mention=mention, social_c_reply=reply)
+def social(follow, mention, reply) -> RunConfig:
+    return RunConfig(social_c_follow=follow, social_c_mention=mention, social_c_reply=reply)
 
 
-def metapath(left, right) -> GraphConfig:
-    return GraphConfig(pathsim_left=left, pathsim_right=right)
+def metapath(left, right) -> RunConfig:
+    return RunConfig(pathsim_left=left, pathsim_right=right)
 
 
 def test_social_mutual_follow_pair():
@@ -210,7 +210,7 @@ def test_social_graph_is_symmetric_zero_diagonal():
             reply=rng.integers(0, 3, size=(n, n)),
             mutual=np.zeros((n, n)),
         )
-        W = dense(build_social_graph(counts, GraphConfig()).W)
+        W = dense(build_social_graph(counts, RunConfig()).W)
         assert np.abs(W - W.T).max() <= 1e-12
         assert np.diag(W).sum() == 0.0
 
@@ -270,7 +270,7 @@ def test_pathsim_output_range_and_symmetry():
         assert np.array_equal(W_sym, W_sym.T)
         assert W_sym.min() >= 0.0 and W_sym.max() <= 1.0 + 1e-12
         assert np.diag(W_sym).sum() == 0.0
-        W_mixed = dense(compute_pathsim(counts, GraphConfig()).W)
+        W_mixed = dense(compute_pathsim(counts, RunConfig()).W)
         assert np.array_equal(W_mixed, W_mixed.T)
         assert W_mixed.min() >= 0.0
         assert np.diag(W_mixed).sum() == 0.0
@@ -561,7 +561,7 @@ def test_pathsim_pipeline_equals_coo_reference(pair, min_weight, top_k, same_rel
     assert_same_csr(pathsim_scores(sp.csr_matrix(M1), sp.csr_matrix(M2)),
                     reference.pathsim_scores(sp.csr_matrix(M1), sp.csr_matrix(M2)))
     counts = counts_from(M2, T_retweet=M1)
-    spec = metapath("tweet", "tweet") if same_relation else GraphConfig()
+    spec = metapath("tweet", "tweet") if same_relation else RunConfig()
     got, want = compute_pathsim(counts, spec), reference.compute_pathsim(counts, spec)
     assert_same_csr(got.W, want.W)
     assert got.kind == want.kind
@@ -598,7 +598,7 @@ def test_numpy_build_equals_scipy_coo_reference_in_any_blocks(pair, empty_reply,
     M1, M2 = pair
     counts = counts_from(M2, T_retweet=M1, T_reply=0 * M1 if empty_reply else M1 + M2,
                          mention=M1 @ M1.T, reply=M2 @ M1.T)
-    cfg = GraphConfig(pathsim_left=left, pathsim_right=right, social_c_mention=0.5)
+    cfg = RunConfig(pathsim_left=left, pathsim_right=right, social_c_mention=0.5)
     with mock.patch.object(graphs, "PATHSIM_BLOCK", block):
         assert_same_csr(pathsim_scores(counts.relation(left), counts.relation(right)),
                         reference.pathsim_scores(to_scipy(counts.relation(left)),
@@ -637,8 +637,8 @@ def test_pathsim_blocks_are_bounded_and_cover_every_row():
 
     with mock.patch.object(graphs, "PATHSIM_BLOCK", 64), \
             mock.patch.object(graphs, "_product_rows", recording):
-        got = compute_pathsim(counts, GraphConfig()).W
-    want = reference.compute_pathsim(counts, GraphConfig()).W
+        got = compute_pathsim(counts, RunConfig()).W
+    want = reference.compute_pathsim(counts, RunConfig()).W
     assert_same_csr(got, want)
     # C's and D's blocks alternate over the same rows; each holds at most
     # 64 // 30 = 2 rows and the rows run 0..30 without a gap.
@@ -720,7 +720,7 @@ def test_every_graph_build_writes_holds_the_stored_dtypes(tmp_path, top_k):
     T[:, 0] += 1
     mention = np.triu(rng.integers(0, 2, size=(12, 12)), 1)
     counts = counts_from(T, T_retweet=T[::-1], mention=mention, reply=mention.T)
-    cfg = GraphConfig(pathsim_top_k=top_k)
+    cfg = RunConfig(pathsim_top_k=top_k)
     built = {
         "bipartite": build_interaction_graph(counts).R,
         "social": build_social_graph(counts, cfg).W,

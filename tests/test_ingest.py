@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stancegraph import ingest
-from stancegraph.config import SynthConfig
+from stancegraph.config import RunConfig
 from stancegraph.errors import DegenerateHashtag, EmptyCorpus, RecordError, ShapeError
 from stancegraph.evaluate import synth_generate
 from stancegraph.graphs import GRAPH, to_scipy
@@ -23,7 +23,6 @@ from stancegraph.ingest import (
     COUNTS,
     CSRArrays,
     Corpus,
-    CorpusFilterConfig,
     apply_filters,
     extract_interactions,
     load_counts,
@@ -302,7 +301,7 @@ def test_filter_rate_over_span():
         for i in range(10)
     ]
     lines.append(tweet_line("k1", "casual"))
-    out = apply_filters(make_corpus(lines), CorpusFilterConfig(max_avg_daily_tweets=3.0))
+    out = apply_filters(make_corpus(lines), RunConfig(max_avg_daily_tweets=3.0))
     users = {t.user_id for t in out.tweets}
     assert users == {"casual"}
 
@@ -312,7 +311,7 @@ def test_filter_single_day_span_clamps_to_one():
         tweet_line("t1", "alice", ts="2022-09-04T10:00:00+00:00"),
         tweet_line("t2", "alice", ts="2022-09-04T11:00:00+00:00"),
     ]
-    out = apply_filters(make_corpus(lines), CorpusFilterConfig(max_avg_daily_tweets=3.0))
+    out = apply_filters(make_corpus(lines), RunConfig(max_avg_daily_tweets=3.0))
     assert len(out.tweets) == 2
 
 
@@ -327,7 +326,7 @@ def test_filter_is_monotone_in_rate_limit():
     corpus = make_corpus(lines)
     kept_prev: set | None = None
     for limit in (8.0, 4.0, 2.0, 1.0):
-        out = apply_filters(corpus, CorpusFilterConfig(max_avg_daily_tweets=limit))
+        out = apply_filters(corpus, RunConfig(max_avg_daily_tweets=limit))
         kept = {t.user_id for t in out.tweets}
         if kept_prev is not None:
             assert kept <= kept_prev
@@ -340,7 +339,7 @@ def test_filter_outlet_follow_limit():
     lines = [tweet_line("t1", "newsjunkie"), tweet_line("t2", "casual")]
     out = apply_filters(
         make_corpus(lines, follows=follows, outlets=outlets),
-        CorpusFilterConfig(max_outlets_followed=10),
+        RunConfig(max_outlets_followed=10),
     )
     assert {t.user_id for t in out.tweets} == {"casual"}
 
@@ -353,7 +352,7 @@ def test_filter_location_allowlist_folds_accents():
     ]
     out = apply_filters(
         make_corpus(lines),
-        CorpusFilterConfig(location_allowlist="santiago"),
+        RunConfig(location_allowlist="santiago"),
     )
     assert {t.user_id for t in out.tweets} == {"stgo"}
 
@@ -651,7 +650,7 @@ def test_count_matrices_hold_the_stored_dtypes_in_memory(tmp_path):
     corpus = make_corpus([tweet_line("t1", "ana", text="#a #b"),
                           tweet_line("t2", "bob", text="#b", kind="retweet")],
                          follows=["ana\tbob", "bob\tana"])
-    synth = synth_generate(SynthConfig(n_users=20, n_hashtags=10, n_neutral=2,
+    synth = synth_generate(RunConfig(n_users=20, n_hashtags=10, n_neutral=2,
                                        interactions_per_user=4, annotated_per_camp=2),
                            np.random.default_rng(0)).counts
     path = tmp_path / "counts.json"

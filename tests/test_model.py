@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 import weakref
 from unittest import mock
 
@@ -11,6 +12,7 @@ import pytest
 import scipy.sparse as sp
 
 from stancegraph import model
+from stancegraph.config import RunConfig
 from stancegraph.errors import ConfigError, RecordError, ShapeError
 from stancegraph.graphs import (
     BipartiteGraph,
@@ -21,7 +23,6 @@ from stancegraph.graphs import (
 from stancegraph.ingest import write_container
 from stancegraph.model import (
     CHECKPOINT,
-    ModelConfig,
     build_operators,
     forward,
     init_embeddings,
@@ -32,7 +33,7 @@ from stancegraph.model import (
     EmbeddingState,
 )
 
-from stancegraph.train import TrainConfig, grad_e0, train
+from stancegraph.train import grad_e0, train
 
 from conftest import channel_set, random_bipartite, random_user_graph
 from reference import affinity, propagate, score_all
@@ -46,7 +47,7 @@ def swap_adjacency():
 # initialization -------------------------------------------------------------
 
 def test_init_is_deterministic():
-    cfg = ModelConfig(dim=8)
+    cfg = RunConfig(dim=8)
     a = init_embeddings(5, 4, cfg, seed=99)
     b = init_embeddings(5, 4, cfg, seed=99)
     assert np.array_equal(a.users, b.users)
@@ -54,7 +55,7 @@ def test_init_is_deterministic():
 
 
 def test_init_different_seeds_differ():
-    cfg = ModelConfig(dim=8)
+    cfg = RunConfig(dim=8)
     a = init_embeddings(5, 4, cfg, seed=1)
     b = init_embeddings(5, 4, cfg, seed=2)
     assert not np.array_equal(a.users, b.users)
@@ -62,7 +63,7 @@ def test_init_different_seeds_differ():
 
 def test_init_xavier_bound():
     # d=4, N=2: user entries live in [-1, 1] since sqrt(6/(2+4)) = 1
-    cfg = ModelConfig(dim=4)
+    cfg = RunConfig(dim=4)
     state = init_embeddings(2, 50, cfg, seed=0)
     assert np.abs(state.users).max() <= 1.0
     bound_ht = np.sqrt(6.0 / (50 + 4))
@@ -70,7 +71,7 @@ def test_init_xavier_bound():
 
 
 def test_init_pretrained_rows_copied_exactly():
-    cfg = ModelConfig(dim=3)
+    cfg = RunConfig(dim=3)
     v = np.array([0.25, -1.5, 3.0])
     state = init_embeddings(4, 6, cfg, seed=0, pretrained={2: v})
     assert np.array_equal(state.hashtags[2], v)
@@ -79,7 +80,7 @@ def test_init_pretrained_rows_copied_exactly():
 
 
 def test_init_pretrained_dim_mismatch():
-    cfg = ModelConfig(dim=3)
+    cfg = RunConfig(dim=3)
     with pytest.raises(ShapeError):
         init_embeddings(4, 6, cfg, seed=0, pretrained={0: np.zeros(2)})
 
@@ -99,7 +100,7 @@ def test_load_pretrained_vectors(tmp_path):
 def test_load_pretrained_vectors_rejects_malformed_line(tmp_path, line):
     path = tmp_path / "vec.tsv"
     path.write_text(f"apruebo 0.5 1.5\n{line}\n", encoding="utf-8")
-    with pytest.raises(RecordError, match="^line 2: "):
+    with pytest.raises(RecordError, match=f"^{re.escape(str(path))}: line 2: "):
         load_pretrained_vectors(path, ["apruebo", "rechazo"], dim=2)
 
 
@@ -108,12 +109,13 @@ def test_load_pretrained_vectors_refuses_a_repeated_hashtag(tmp_path, tag):
     # whether or not the corpus has the hashtag
     path = tmp_path / "vec.tsv"
     path.write_text(f"{tag} 1 1\napruebo 0.5 1.5\n#{tag.upper()} 2 2\n", encoding="utf-8")
-    with pytest.raises(RecordError, match=f"^line 3: repeated hashtag '{tag}'$"):
+    with pytest.raises(RecordError,
+                       match=f"^{re.escape(str(path))}: line 3: repeated hashtag '{tag}'$"):
         load_pretrained_vectors(path, ["apruebo", "rechazo"], dim=2)
 
 
 def test_stacked_roundtrip():
-    cfg = ModelConfig(dim=2)
+    cfg = RunConfig(dim=2)
     state = init_embeddings(3, 2, cfg, seed=4)
     back = EmbeddingState.from_stacked(state.stacked(), n_users=3, seed=4)
     assert np.array_equal(back.users, state.users)
@@ -215,7 +217,7 @@ def test_score_all_zero_user():
 def test_forward_without_user_channels_uses_bipartite_only():
     rng = np.random.default_rng(79)
     g = random_bipartite(rng, 4, 3)
-    cfg = ModelConfig(dim=2, n_layers=2)
+    cfg = RunConfig(dim=2, n_layers=2)
     ops = build_operators(g, None, cfg)
     state = init_embeddings(4, 3, cfg, seed=0)
     out = forward(state.stacked(), ops, cfg)
@@ -228,7 +230,7 @@ def test_forward_with_social_channel_averages_users():
     rng = np.random.default_rng(83)
     g = random_bipartite(rng, 4, 3)
     social = random_user_graph(rng, 4)
-    cfg = ModelConfig(dim=2, n_layers=1)
+    cfg = RunConfig(dim=2, n_layers=1)
     ops = build_operators(g, channel_set(1, social), cfg)
     state = init_embeddings(4, 3, cfg, seed=1)
     out = forward(state.stacked(), ops, cfg)
@@ -267,7 +269,7 @@ def test_dense_user_polynomial_matches_sparse_oracle(use_social, use_pathsim, n_
     graphs = chosen(random_user_graph(rng, n, density=0.1),
                     random_user_graph(rng, n, density=0.6, kind="pathsim"),
                     use_social, use_pathsim)
-    cfg = ModelConfig(dim=d, n_layers=n_layers)
+    cfg = RunConfig(dim=d, n_layers=n_layers)
     ops = build_operators(g, channel_set(n_layers, *graphs), cfg)
     assert isinstance(ops.users, np.ndarray)
     X = rng.standard_normal((n + m, d))
@@ -320,7 +322,7 @@ def test_user_channels_above_byte_cap_stay_sparse(use_social, use_pathsim):
     g = random_bipartite(rng, n, m)
     graphs = chosen(random_user_graph(rng, n), random_user_graph(rng, n, kind="pathsim"),
                     use_social, use_pathsim)
-    cfg = ModelConfig(dim=2, n_layers=2)
+    cfg = RunConfig(dim=2, n_layers=2)
     # One byte under the 8 * n * n bytes the polynomial would take.
     with mock.patch.object(model, "DENSE_POLY_BYTES", 8 * n * n - 1):
         ops = build_operators(g, channel_set(2, *graphs), cfg)
@@ -345,24 +347,23 @@ def test_channels_built_for_another_n_layers_are_refused():
     with pytest.raises(dataclasses.FrozenInstanceError):
         channels.n_layers = 1
     # The operator is used as built, whatever the embedding width.
-    ops = build_operators(g, channels, ModelConfig(dim=3, n_layers=2))
+    ops = build_operators(g, channels, RunConfig(dim=3, n_layers=2))
     assert ops.users is channels.users and ops.n_channels == 3
     for n_layers in (1, 3):
         with pytest.raises(ConfigError, match=f"built for n_layers=2, not {n_layers}$"):
-            build_operators(g, channels, ModelConfig(dim=2, n_layers=n_layers))
+            build_operators(g, channels, RunConfig(dim=2, n_layers=n_layers))
     # Pretrained vectors alone record the n_layers they were loaded for too,
     # and train refuses a mismatch before its first epoch.
     for given in (channels, channel_set(2, pretrained={0: np.zeros(2)})):
         with pytest.raises(ConfigError, match="built for n_layers=2, not 1$"):
-            train(g, given, ModelConfig(dim=2, n_layers=1), TrainConfig(max_epochs=0),
-                  np.zeros((0, 2)), seed=0)
+            train(g, given, RunConfig(dim=2, n_layers=1, max_epochs=0), np.zeros((0, 2)), seed=0)
 
 
 def test_forward_channel_size_mismatch_rejected():
     rng = np.random.default_rng(97)
     g = random_bipartite(rng, 3, 3)
     social = random_user_graph(rng, 4)
-    cfg = ModelConfig()
+    cfg = RunConfig()
     # The dense operator and, above the byte cap, the sparse one.
     for cap in (model.DENSE_POLY_BYTES, 0):
         with mock.patch.object(model, "DENSE_POLY_BYTES", cap):
@@ -374,15 +375,15 @@ def test_forward_channel_size_mismatch_rejected():
 
 def test_model_config_validation():
     with pytest.raises(ConfigError):
-        ModelConfig(dim=0)
+        RunConfig(dim=0)
     with pytest.raises(ConfigError):
-        ModelConfig(n_layers=-1)
+        RunConfig(n_layers=-1)
 
 
 # checkpoints ----------------------------------------------------------------
 
 def test_checkpoint_roundtrip(tmp_path):
-    cfg = ModelConfig(dim=3)
+    cfg = RunConfig(dim=3)
     state = init_embeddings(4, 2, cfg, seed=42)
     users = [f"u{i}" for i in range(4)]
     tags = ["alpha", "beta"]
@@ -413,6 +414,6 @@ def test_checkpoint_id_block_the_decoder_cannot_hold(tmp_path, ids):
 def test_checkpoint_refuses_a_repeated_id(tmp_path, users, tags, repeated):
     # Before, it loaded, and the two rows were looked up under one id.
     path = tmp_path / "ck.bin"
-    save_checkpoint(path, init_embeddings(2, 2, ModelConfig(dim=2), seed=0), users, tags)
+    save_checkpoint(path, init_embeddings(2, 2, RunConfig(dim=2), seed=0), users, tags)
     with pytest.raises(RecordError, match=f"^{path}: repeated {repeated}$"):
         load_checkpoint(path)

@@ -10,12 +10,12 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from stancegraph import train as train_module
+from stancegraph.config import RunConfig
 from stancegraph.errors import ConfigError, NumericsError
 from stancegraph.evaluate import graph_without_edges, kfold_split
 from stancegraph.graphs import BipartiteGraph
 from stancegraph.ingest import CSRArrays
 from stancegraph.model import (
-    ModelConfig,
     PropagationOutput,
     build_operators,
     forward,
@@ -24,7 +24,6 @@ from stancegraph.model import (
 )
 from stancegraph.train import (
     AdamState,
-    TrainConfig,
     adam_step,
     bpr_loss,
     grad_e0,
@@ -94,7 +93,7 @@ def test_loss_empty_batch_is_regularizer():
 def test_loss_invariant_under_triple_order():
     rng = np.random.default_rng(101)
     g = random_bipartite(rng, 5, 6)
-    cfg = ModelConfig(dim=3, n_layers=2)
+    cfg = RunConfig(dim=3, n_layers=2)
     ops = build_operators(g, None, cfg)
     e0 = rng.standard_normal((11, 3))
     out = forward(e0, ops, cfg)
@@ -111,7 +110,7 @@ def test_grad_mf_reduction_matches_hand_formula():
     # K=0, single channel: the pull-back is the identity, so the gradient
     # is the textbook pairwise one
     g = BipartiteGraph(R=sp.csr_matrix(np.array([[0.6, 0.4, 0.0]])))
-    cfg = ModelConfig(dim=2, n_layers=0)
+    cfg = RunConfig(dim=2, n_layers=0)
     ops = build_operators(g, None, cfg)
     rng = np.random.default_rng(5)
     e0 = rng.standard_normal((4, 2))
@@ -131,7 +130,7 @@ def test_grad_mf_reduction_matches_hand_formula():
 def test_grad_empty_batch_is_regularizer_derivative():
     rng = np.random.default_rng(7)
     g = random_bipartite(rng, 3, 3)
-    cfg = ModelConfig(dim=2, n_layers=2)
+    cfg = RunConfig(dim=2, n_layers=2)
     ops = build_operators(g, None, cfg)
     e0 = rng.standard_normal((6, 2))
     out = forward(e0, ops, cfg)
@@ -184,7 +183,7 @@ def test_grad_scatter_is_bit_identical_to_add_at():
     n, m = 6, 5
     g = random_bipartite(rng, n, m)
     for channels in (None, channel_set(2, social=random_user_graph(rng, n))):
-        cfg = ModelConfig(dim=4, n_layers=2)
+        cfg = RunConfig(dim=4, n_layers=2)
         ops = build_operators(g, channels, cfg)
         e0 = rng.standard_normal((n + m, 4))
         out = forward(e0, ops, cfg)
@@ -211,7 +210,7 @@ def test_grad_matches_finite_differences_all_channel_combos():
                     K, social=random_user_graph(rng, n) if use_social else None,
                     pathsim=random_user_graph(rng, n, kind="pathsim") if use_pathsim else None,
                 )
-                cfg = ModelConfig(dim=d, n_layers=K)
+                cfg = RunConfig(dim=d, n_layers=K)
                 ops = build_operators(g, channels, cfg)
                 try:
                     triples = sample_epoch(g, rng)
@@ -233,7 +232,7 @@ def test_grad_pulls_back_through_user_poly_transpose():
     rng = np.random.default_rng(404)
     n, m = 5, 4
     g = random_bipartite(rng, n, m)
-    cfg = ModelConfig(dim=2, n_layers=2)
+    cfg = RunConfig(dim=2, n_layers=2)
     ops = build_operators(g, channel_set(2, social=random_user_graph(rng, n)), cfg)
     assert isinstance(ops.users, np.ndarray)
     ops.users = rng.standard_normal((n, n))
@@ -360,18 +359,17 @@ def test_train_on_a_graph_of_csr_arrays_equals_train_on_its_scipy_form():
     graph, val = two_block_setup()
     R = graph.R
     arrays = BipartiteGraph(R=CSRArrays(R.indptr, R.indices, R.data, R.shape))
-    cfg, tcfg = ModelConfig(dim=4, n_layers=2), TrainConfig(max_epochs=3)
-    got, got_history, _ = train(arrays, None, cfg, tcfg, val, seed=3)
-    want, want_history, _ = train(graph, None, cfg, tcfg, val, seed=3)
+    cfg = RunConfig(dim=4, n_layers=2, max_epochs=3)
+    got, got_history, _ = train(arrays, None, cfg, val, seed=3)
+    want, want_history, _ = train(graph, None, cfg, val, seed=3)
     assert np.array_equal(got.users, want.users) and np.array_equal(got.hashtags, want.hashtags)
     assert got_history == want_history
 
 
 def test_train_zero_epochs_returns_initial_state():
     graph, val = two_block_setup()
-    cfg = ModelConfig(dim=4, n_layers=1)
-    tcfg = TrainConfig(max_epochs=0)
-    state, history, _ = train(graph, None, cfg, tcfg, val, seed=3)
+    cfg = RunConfig(dim=4, n_layers=1, max_epochs=0)
+    state, history, _ = train(graph, None, cfg, val, seed=3)
     init = init_embeddings(graph.n_users, graph.n_hashtags, cfg, 3)
     assert history == []
     assert np.array_equal(state.users, init.users)
@@ -381,15 +379,14 @@ def test_train_zero_epochs_returns_initial_state():
 def test_train_requires_validation_edges():
     graph, _ = two_block_setup()
     with pytest.raises(ConfigError):
-        train(graph, None, ModelConfig(dim=2), TrainConfig(max_epochs=5),
-              np.zeros((0, 2), dtype=np.int64), seed=0)
+        train(graph, None, RunConfig(dim=2, max_epochs=5), np.zeros((0, 2), dtype=np.int64),
+              seed=0)
 
 
 def test_train_zero_learning_rate_freezes_params():
     graph, val = two_block_setup()
-    cfg = ModelConfig(dim=4, n_layers=1)
-    tcfg = TrainConfig(learning_rate=0.0, max_epochs=4, patience=10)
-    state, history, _ = train(graph, None, cfg, tcfg, val, seed=3)
+    cfg = RunConfig(dim=4, n_layers=1, learning_rate=0.0, max_epochs=4, patience=10)
+    state, history, _ = train(graph, None, cfg, val, seed=3)
     init = init_embeddings(graph.n_users, graph.n_hashtags, cfg, 3)
     assert np.array_equal(state.users, init.users)
     assert np.array_equal(state.hashtags, init.hashtags)
@@ -398,24 +395,22 @@ def test_train_zero_learning_rate_freezes_params():
 
 def test_train_patience_one_stops_after_two_evaluations():
     graph, val = two_block_setup()
-    cfg = ModelConfig(dim=4, n_layers=1)
     # frozen parameters keep validation recall constant forever
-    tcfg = TrainConfig(learning_rate=0.0, max_epochs=100, patience=1)
-    _, history, _ = train(graph, None, cfg, tcfg, val, seed=3)
+    cfg = RunConfig(dim=4, n_layers=1, learning_rate=0.0, max_epochs=100, patience=1)
+    _, history, _ = train(graph, None, cfg, val, seed=3)
     assert len(history) == 2
 
 
 def test_train_deterministic_under_seed():
     graph, val = two_block_setup()
-    cfg = ModelConfig(dim=4, n_layers=2)
-    tcfg = TrainConfig(max_epochs=6, patience=10)
-    state_a, hist_a, _ = train(graph, None, cfg, tcfg, val, seed=11)
-    state_b, hist_b, _ = train(graph, None, cfg, tcfg, val, seed=11)
+    cfg = RunConfig(dim=4, n_layers=2, max_epochs=6, patience=10)
+    state_a, hist_a, _ = train(graph, None, cfg, val, seed=11)
+    state_b, hist_b, _ = train(graph, None, cfg, val, seed=11)
     assert np.array_equal(state_a.users, state_b.users)
     assert np.array_equal(state_a.hashtags, state_b.hashtags)
     assert [h.loss for h in hist_a] == [h.loss for h in hist_b]
 
-    state_c, _, _ = train(graph, None, cfg, tcfg, val, seed=12)
+    state_c, _, _ = train(graph, None, cfg, val, seed=12)
     assert not np.array_equal(state_a.users, state_c.users)
 
 
@@ -426,9 +421,8 @@ def test_train_returns_forward_output_of_its_state(max_epochs, with_social):
     graph, val = two_block_setup()
     channels = channel_set(2, social=random_user_graph(np.random.default_rng(9), graph.n_users)) \
         if with_social else None
-    cfg = ModelConfig(dim=4, n_layers=2)
-    tcfg = TrainConfig(learning_rate=0.05, max_epochs=max_epochs, patience=2)
-    state, _, out = train(graph, channels, cfg, tcfg, val, seed=5)
+    cfg = RunConfig(dim=4, n_layers=2, learning_rate=0.05, max_epochs=max_epochs, patience=2)
+    state, _, out = train(graph, channels, cfg, val, seed=5)
     want = forward(state.stacked(), build_operators(graph, channels, cfg), cfg)
     assert np.array_equal(out.final_users, want.final_users)
     assert np.array_equal(out.final_hashtags, want.final_hashtags)
@@ -448,8 +442,9 @@ def test_train_propagates_once_per_step_and_once_more(monkeypatch, max_epochs):
             return _original(*args)
         monkeypatch.setattr(train_module, name, counted)
     graph, val = two_block_setup()
-    tcfg = TrainConfig(learning_rate=0.05, max_epochs=max_epochs, patience=10, batch_size=4)
-    _, history, _ = train(graph, None, ModelConfig(dim=4, n_layers=1), tcfg, val, seed=5)
+    cfg = RunConfig(dim=4, n_layers=1, learning_rate=0.05, max_epochs=max_epochs, patience=10,
+                    batch_size=4)
+    _, history, _ = train(graph, None, cfg, val, seed=5)
     assert len(history) == max_epochs
     assert calls["adam_step"] == max_epochs * -(-graph.R.nnz // 4)
     assert calls["forward"] == calls["adam_step"] + 1
@@ -457,16 +452,15 @@ def test_train_propagates_once_per_step_and_once_more(monkeypatch, max_epochs):
 
 def test_train_loss_decreases_on_planted_graph():
     graph, val = two_block_setup()
-    cfg = ModelConfig(dim=8, n_layers=2)
-    tcfg = TrainConfig(learning_rate=0.05, max_epochs=40, patience=100)
-    _, history, _ = train(graph, None, cfg, tcfg, val, seed=0)
+    cfg = RunConfig(dim=8, n_layers=2, learning_rate=0.05, max_epochs=40, patience=100)
+    _, history, _ = train(graph, None, cfg, val, seed=0)
     assert history[-1].loss < history[0].loss
 
 
 def test_train_config_validation():
     with pytest.raises(ConfigError):
-        TrainConfig(learning_rate=-0.1)
+        RunConfig(learning_rate=-0.1)
     with pytest.raises(ConfigError):
-        TrainConfig(patience=0)
+        RunConfig(patience=0)
     with pytest.raises(ConfigError):
-        TrainConfig(batch_size=0)
+        RunConfig(batch_size=0)
