@@ -26,7 +26,6 @@ from .errors import (
     EmptyEligibleSet,
     EmptyEvaluation,
     RecordError,
-    ShapeError,
     open_text,
 )
 from .graphs import BipartiteGraph, _is_member, _kept, binarize, row_normalize
@@ -111,9 +110,8 @@ def with_usage(annotations: StanceAnnotation, counts: InteractionCounts) -> Stan
 
 
 def stance_metrics(predicted: list[str], truth: list[str]) -> tuple[float, float]:
-    """Accuracy and RMSE under the NEG=0, NEUTRAL=0.5, POS=1 embedding."""
-    if len(predicted) != len(truth):
-        raise ShapeError("prediction and truth lengths differ")
+    """Accuracy and RMSE under the NEG=0, NEUTRAL=0.5, POS=1 embedding, of
+    predictions and truths for one list of users."""
     if not predicted:
         raise EmptyEvaluation("no users to evaluate")
     correct = sum(1 for p, t in zip(predicted, truth) if p == t)
@@ -145,10 +143,9 @@ def holdout_split(
 
     Eligible users have at least one annotated edge; ceil(fraction * count)
     of them are selected. Hidden weights keep their pre-split values; the
-    remaining rows of selected users are renormalized.
+    remaining rows of selected users are renormalized. `hashtags` names
+    the graph's columns.
     """
-    if len(hashtags) != graph.n_hashtags:
-        raise ShapeError("hashtag list does not match graph width")
     tags = annotations.tags()
     annotated = np.array([h in tags for h in hashtags], dtype=bool)
     R = graph.R
@@ -227,8 +224,6 @@ def null_model(
     n_users: int, n_hashtags: int, n_interactions: int, rng: np.random.Generator
 ) -> BipartiteGraph:
     """Uniform random interactions with replacement, row-normalized."""
-    if n_interactions < 0:
-        raise ConfigError("interaction count cannot be negative")
     flat = rng.integers(0, n_users * n_hashtags, size=n_interactions)
     T = _unit_counts(flat // n_hashtags, flat % n_hashtags, (n_users, n_hashtags))
     return BipartiteGraph(R=row_normalize(T))
@@ -475,9 +470,8 @@ def annotation_curve(
     `hidden` maps each holdout user to their hidden edge weights by hashtag
     column. Ground truth is fixed at the full two-class annotation; users
     with no hidden POS or NEG usage are skipped. NEUTRAL never participates.
+    POS and NEG hashtags are ranked by `annotations.usage` (with_usage).
     """
-    if not annotations.usage:
-        raise ConfigError("annotation usage counts are required for the effort curve")
     ranked: dict[str, tuple[str, ...]] = {}
     for cls in ("POS", "NEG"):
         tags = annotations.by_class.get(cls, ())
@@ -485,9 +479,6 @@ def annotation_curve(
             raise ConfigError(f"annotation set has no {cls} hashtags")
         ranked[cls] = tuple(sorted(tags, key=lambda t: (-annotations.usage.get(t, 0.0), t)))
     max_x = min(len(tags) for tags in ranked.values())
-    x_values = [int(x) for x in x_values]
-    if not x_values:
-        raise BoundsError(f"no x given; x must be in [1, {max_x}]")
 
     users, truths = true_stances(hidden, StanceAnnotation(by_class=ranked), hashtags)
     if not users:
@@ -576,7 +567,6 @@ def synth_generate(cfg: RunConfig, rng: np.random.Generator) -> SynthData:
         mutual_follow=_unit_counts(np.concatenate([f_rows, f_cols]),
                                    np.concatenate([f_cols, f_rows]), (n, n)),
     )
-    counts.validate()
 
     annotations = StanceAnnotation(
         by_class={

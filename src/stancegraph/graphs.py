@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import RunConfig
-from .errors import EmptyChannel, EmptyCorpus, RecordError, ShapeError
+from .errors import EmptyChannel, EmptyCorpus, RecordError
 from .ingest import (
     CSR_DTYPES,
     Container,
@@ -47,8 +47,6 @@ if TYPE_CHECKING:
 
 LOGGER = logging.getLogger(__name__)
 
-ROW_SUM_TOL = 1e-9
-
 # Cap on the products, and on the dense cells, of one row block of the
 # PathSim products C = M1 @ M2.T and M2 @ M1.T (pathsim_scores).
 PATHSIM_BLOCK = 1 << 17
@@ -65,9 +63,10 @@ class BipartiteGraph:
     """Weighted user-hashtag graph. R rows are usage distributions: row i
     holds user i's interaction counts divided by the user's total.
 
-    R is a canonical float64 CSR matrix: NumPy CSR arrays, as `build` and
-    the evaluation make them, or a scipy matrix, as the loaders make them.
-    The graph owns the matrix it is given and keeps it as it is."""
+    R is a canonical float64 CSR matrix with positive values: NumPy CSR
+    arrays, as `build` and the evaluation make them, or a scipy matrix, as
+    the loaders make them. The graph owns the matrix it is given and keeps
+    it as it is."""
 
     R: CSRArrays | sp.csr_matrix
 
@@ -75,8 +74,6 @@ class BipartiteGraph:
         n, m = self.R.shape
         if n < 1 or m < 1:
             raise EmptyCorpus("bipartite graph needs at least one user and one hashtag")
-        if self.R.nnz and self.R.data.min() < 0:
-            raise ShapeError("negative interaction weight")
 
     @property
     def n_users(self) -> int:
@@ -90,29 +87,17 @@ class BipartiteGraph:
         """All (user, hashtag) pairs with positive weight, row-major order."""
         return np.column_stack([_row_indices(self.R, np.int64), self.R.indices.astype(np.int64)])
 
-    def validate_row_stochastic(self) -> None:
-        sums = _row_sums(self.R)
-        active = sums > 0
-        if active.any() and np.abs(sums[active] - 1.0).max() > ROW_SUM_TOL:
-            raise ShapeError("rows with edges must sum to 1")
-
 
 @dataclass
 class UserGraph:
-    """Symmetric nonnegative user-user graph with zero diagonal.
+    """Symmetric user-user graph with positive weights and zero diagonal.
 
     Like BipartiteGraph, it holds the canonical float64 CSR matrix of
-    either kind that it is given."""
+    either kind that it is given: load_user_graph refuses a file that is
+    not such a matrix, and the social and PathSim builders make one."""
 
     W: CSRArrays | sp.csr_matrix
     kind: str = "user"
-
-    def __post_init__(self):
-        n, m = self.W.shape
-        if n != m:
-            raise ShapeError(f"user graph must be square, got {self.W.shape}")
-        if self.W.nnz and self.W.data.min() < 0:
-            raise ShapeError("negative edge weight in user graph")
 
     @property
     def n_users(self) -> int:
@@ -170,9 +155,7 @@ def row_normalize(M, rows: np.ndarray | None = None) -> CSRArrays:
 
 def build_interaction_graph(counts: InteractionCounts) -> BipartiteGraph:
     """Row-normalize the usage counts T into edge weights."""
-    graph = BipartiteGraph(R=row_normalize(counts.T))
-    graph.validate_row_stochastic()
-    return graph
+    return BipartiteGraph(R=row_normalize(counts.T))
 
 
 def binarize(graph: BipartiteGraph) -> BipartiteGraph:
@@ -242,16 +225,14 @@ def pathsim_scores(M1, M2) -> CSRArrays:
     the diagonal, where s(i, j) = 2*C[i, j] / (C[i, i] + C[j, j]) with
     C = M1 @ M2.T, and pairs whose diagonal mass is zero get similarity 0.
 
-    M1 and M2 are canonical CSR matrices (CSRArrays or scipy) of
-    nonnegative counts. C and D = M2 @ M1.T, whose row i holds C's column
-    i, are built a row block at a time as dense arrays (_product_rows),
-    and each block gives its rows of the result in CSR order
-    (_symmetric_rows), so S, its transpose and their sum are never held.
-    D is C itself when M1 is M2. Every value is computed as scipy computes
+    M1 and M2 are canonical CSR matrices (CSRArrays or scipy) of counts,
+    of one shape. C and D = M2 @ M1.T, whose row i holds C's column i, are
+    built a row block at a time as dense arrays (_product_rows), and each
+    block gives its rows of the result in CSR order (_symmetric_rows), so
+    S, its transpose and their sum are never held. D is C itself when M1
+    is M2. Every value is computed as scipy computes
     it from the product, so the two agree bit for bit.
     """
-    if M1.shape != M2.shape:
-        raise ShapeError(f"relation shapes differ: {M1.shape} vs {M2.shape}")
     n, m = M1.shape
     # C[i, i]: the products of M1's and M2's shared entries, summed per row.
     keys1, keys2 = _flat_keys(M1), _flat_keys(M2)
@@ -427,8 +408,6 @@ def _is_member(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 
 def propagate_once(adj: NormalizedAdjacency, H: np.ndarray) -> np.ndarray:
-    if H.shape[0] != adj.size:
-        raise ShapeError(f"operator size {adj.size} does not match input rows {H.shape[0]}")
     return adj.matrix @ H
 
 

@@ -410,41 +410,18 @@ class InteractionCounts:
         return _sum((self.T_tweet, self.T_retweet, self.T_reply))
 
     def relation(self, name: str) -> CSRArrays:
-        table = {"tweet": self.T_tweet, "retweet": self.T_retweet, "reply": self.T_reply}
-        if name not in table:
-            raise KeyError(f"unknown relation {name!r}")
-        return table[name]
-
-    def validate(self) -> None:
-        n, m = len(self.users), len(self.hashtags)
-        for mat in (self.T_tweet, self.T_retweet, self.T_reply):
-            if mat.shape != (n, m):
-                raise ShapeError(f"hashtag count matrix is {mat.shape}, want {(n, m)}")
-        for mat in (self.mention, self.reply, self.mutual_follow):
-            if mat.shape != (n, n):
-                raise ShapeError(f"user relation matrix is {mat.shape}, want {(n, n)}")
-        if not np.isfinite(self.T.data).all():
-            raise ShapeError("T_tweet + T_retweet + T_reply overflows")
-        if not (self.T.data >= 0).all():
-            raise ShapeError("negative interaction count")
-        if not is_symmetric(self.mutual_follow):
-            raise ShapeError("mutual_follow is not symmetric")
+        """T_tweet, T_retweet or T_reply, for the meta-path relation `name`."""
+        return getattr(self, f"T_{name}")
 
 
-def is_symmetric(M: CSRArrays) -> bool:
-    """Whether the square matrix M equals its transpose, by the verdict of
-    abs(M - M.T).sum() == 0: repeated entries are summed, a stored zero
-    counts as absent and a non-finite value as asymmetric. M is not
-    changed; a copy in canonical form is made only if it holds repeats,
-    unsorted indices or stored zeros. Then the transpose, M's entries in
+def is_symmetric(M) -> bool:
+    """Whether the square CSR matrix M equals its transpose. M is canonical
+    with finite, positive values, as checked_csr passes it, so the verdict
+    is that of abs(M - M.T).sum() == 0. The transpose, M's entries in
     _column_order, is compared with M a slice at a time: each entry must
     lie in the row that M's column index at its position names, and hold
     M's value there. The row pointers then match too, since each row holds
     as many entries as its column."""
-    if not (_sorted_within_rows(M.indptr, M.indices) and M.data.all()):
-        M = _sum((M,))
-    if not np.isfinite(M.data).all():
-        return False
     order = _column_order(M)
     for lo in range(0, M.nnz, SYMMETRY_SLICE):
         at, rows, values = (a[lo:lo + SYMMETRY_SLICE] for a in (order, M.indices, M.data))
@@ -492,7 +469,7 @@ def extract_interactions(corpus: Corpus) -> InteractionCounts:
             mutual[1].append(uidx[b])
 
     n, m = len(users), len(tags)
-    counts = InteractionCounts(
+    return InteractionCounts(
         users=users,
         hashtags=tags,
         T_tweet=_unit_counts(*by_kind["original"], (n, m)),
@@ -502,8 +479,6 @@ def extract_interactions(corpus: Corpus) -> InteractionCounts:
         reply=_unit_counts(*reply_edges, (n, n)),
         mutual_follow=_unit_counts(*mutual, (n, n)),
     )
-    counts.validate()
-    return counts
 
 
 COUNT_MATRICES = ("T_tweet", "T_retweet", "T_reply", "mention", "reply", "mutual_follow")
@@ -528,8 +503,8 @@ def checked_csr(indptr, indices, data, shape, source) -> CSRArrays:
 
     indptr must run from 0 to nnz without decreasing, column indices must
     lie in range and strictly increase within each row, and every value
-    must be finite and nonnegative. `source` names the file in the error
-    message.
+    must be finite and positive, so that no zero is stored. `source` names
+    the file in the error message.
     """
     n, m = shape
     nnz = len(indices)
@@ -543,8 +518,8 @@ def checked_csr(indptr, indices, data, shape, source) -> CSRArrays:
         raise RecordError(f"{source}: column indices not sorted and unique within a row")
     if not np.isfinite(data).all():
         raise RecordError(f"{source}: non-finite value")
-    if (data < 0).any():
-        raise RecordError(f"{source}: negative value")
+    if not (data > 0).all():
+        raise RecordError(f"{source}: value not positive")
     return _csr_arrays(indptr, indices, data, shape)
 
 
@@ -658,16 +633,16 @@ def save_counts(counts: InteractionCounts, path) -> None:
 
 def load_counts(path) -> InteractionCounts:
     """Read save_counts' file. Besides read_container's refusals, ids that
-    checked_id_block refuses, arrays that checked_csr refuses and matrices
-    that validate() refuses raise RecordError."""
+    checked_id_block refuses, arrays that checked_csr refuses, a sum T that
+    overflows and an asymmetric mutual_follow raise RecordError."""
     (n, m, *_), arrays = read_container(path, COUNTS)
     users, hashtags = checked_id_block(arrays.pop(), (n, m), path)
     mats = {name: checked_csr(*arrays[3 * k:3 * k + 3],
                               (n, m) if name.startswith("T_") else (n, n), f"{path} {name}")
             for k, name in enumerate(COUNT_MATRICES)}
     counts = InteractionCounts(users=users, hashtags=hashtags, **mats)
-    try:
-        counts.validate()
-    except ShapeError as exc:
-        raise RecordError(f"{path}: {exc}") from exc
+    if not np.isfinite(counts.T.data).all():
+        raise RecordError(f"{path}: T_tweet + T_retweet + T_reply overflows")
+    if not is_symmetric(counts.mutual_follow):
+        raise RecordError(f"{path}: mutual_follow is not symmetric")
     return counts

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .errors import ConfigError, DegenerateHashtag, RecordError, ShapeError, open_text
+from .errors import DegenerateHashtag, RecordError, open_text
 from .graphs import BipartiteGraph, NormalizedAdjacency, build_adjacency
 from .ingest import (
     Container,
@@ -62,14 +62,13 @@ class EmbeddingState:
 @dataclass(frozen=True)
 class ChannelSet:
     """Optional side channels next to the bipartite graph: the user graphs'
-    summed layer-average polynomial for `n_layers` (build_user_operator),
+    summed layer-average polynomial for the run's n_layers (user_channels),
     or None, and pretrained vectors, which pin their hashtag rows when
     present. The user graphs do not depend on the training fold, so a
     process builds the operator once and keeps no graph."""
 
     users: np.ndarray | UserChannelSum | None
     n_user_channels: int
-    n_layers: int
     pretrained: dict[int, np.ndarray] | None = None
 
 
@@ -82,8 +81,9 @@ def init_embeddings(
 ) -> EmbeddingState:
     """Xavier-uniform initialization; bounds depend on each side's count.
 
-    Pretrained hashtag vectors overwrite their rows after the draw, so the
-    random stream is independent of which rows are pinned.
+    Pretrained hashtag vectors (load_pretrained_vectors) overwrite their
+    rows after the draw, so the random stream is independent of which rows
+    are pinned.
     """
     rng = np.random.default_rng(seed)
     bound_u = np.sqrt(6.0 / (n_users + cfg.dim))
@@ -91,13 +91,6 @@ def init_embeddings(
     bound_h = np.sqrt(6.0 / (n_hashtags + cfg.dim))
     hashtags = rng.uniform(-bound_h, bound_h, size=(n_hashtags, cfg.dim))
     for idx, vec in (pretrained or {}).items():
-        vec = np.asarray(vec, dtype=np.float64)
-        if not (0 <= idx < n_hashtags):
-            raise ShapeError(f"pretrained row {idx} out of range")
-        if vec.shape != (cfg.dim,):
-            raise ShapeError(
-                f"pretrained vector for row {idx} has shape {vec.shape}, want ({cfg.dim},)"
-            )
         hashtags[idx] = vec
     return EmbeddingState(users=users, hashtags=hashtags, seed=seed)
 
@@ -141,8 +134,6 @@ def load_pretrained_vectors(path, hashtags: list[str], dim: int) -> dict[int, np
 
 def layer_averaged_propagate(adj: NormalizedAdjacency, X: np.ndarray, n_layers: int) -> np.ndarray:
     """The mean of the layer outputs X, A X, .., A^K X with K = n_layers."""
-    if X.shape[0] != adj.size:
-        raise ShapeError(f"embedding rows {X.shape[0]} do not match operator size {adj.size}")
     acc = X.copy()
     H = X
     for _ in range(n_layers):
@@ -226,7 +217,7 @@ def user_channels(ops: list[NormalizedAdjacency], n_layers: int, pretrained) -> 
     of the normalized user graphs `ops`, if any, for `n_layers`."""
     n_user_channels = len(ops)  # the dense build empties ops
     users = build_user_operator(ops, n_layers) if ops else None
-    return ChannelSet(users, n_user_channels, n_layers, pretrained)
+    return ChannelSet(users, n_user_channels, pretrained)
 
 
 @dataclass
@@ -239,14 +230,10 @@ class ChannelOperators:
     users: np.ndarray | UserChannelSum | None
 
 
-def build_operators(graph: BipartiteGraph, channels: ChannelSet | None,
-                    cfg: RunConfig) -> ChannelOperators:
-    channels = channels or ChannelSet(None, 0, cfg.n_layers)
-    if channels.n_layers != cfg.n_layers:
-        raise ConfigError(f"user channels built for n_layers={channels.n_layers}, "
-                          f"not {cfg.n_layers}")
-    if channels.users is not None and channels.users.shape[0] != graph.n_users:
-        raise ShapeError("user channel size does not match user count")
+def build_operators(graph: BipartiteGraph, channels: ChannelSet | None) -> ChannelOperators:
+    """The fold graph's operator beside `channels`' user operator, which
+    user_channels built for the run's n_layers over the same users."""
+    channels = channels or ChannelSet(None, 0)
     return ChannelOperators(build_adjacency(graph), graph.n_users,
                             1 + channels.n_user_channels, channels.users)
 
@@ -275,10 +262,6 @@ def save_checkpoint(path, state: EmbeddingState, users: list[str], hashtags: lis
     container."""
     n, d = state.users.shape
     m = state.hashtags.shape[0]
-    if state.hashtags.shape[1] != d:
-        raise ShapeError("user and hashtag embedding widths differ")
-    if len(users) != n or len(hashtags) != m:
-        raise ShapeError("id lists do not match embedding shapes")
     ids = id_block(users, hashtags)
     write_container(path, CHECKPOINT, (n, m, d, state.seed, len(ids)),
                     [state.users, state.hashtags, ids])

@@ -176,10 +176,10 @@ def grad_e0(
     ops: ChannelOperators,
     cfg: RunConfig,
     e0_stacked: np.ndarray,
-    lambda_reg: float,
     scores: PairScores | None = None,
 ) -> np.ndarray:
-    """Exact loss gradient with respect to the initial embeddings.
+    """Exact loss gradient with respect to the initial embeddings, with the
+    L2 weight cfg.lambda_reg.
 
     The final embeddings are a fixed linear operator applied to E0, so the
     pull-back applies its adjoint to the cotangent matrix. The bipartite
@@ -209,7 +209,7 @@ def grad_e0(
     )
     if ops.users is not None:
         grad[:n] += ops.users.T @ g_users
-    grad += 2.0 * lambda_reg * e0_stacked
+    grad += 2.0 * cfg.lambda_reg * e0_stacked
     return grad
 
 
@@ -244,9 +244,7 @@ def train(
     history, and the forward output of that checkpoint.
     """
     val_edges = np.asarray(val_edges, dtype=np.int64).reshape(-1, 2)
-    if val_edges.shape[0] == 0 and cfg.max_epochs > 0:
-        raise ConfigError("training needs validation edges for early stopping")
-    ops = build_operators(graph, channels, cfg)
+    ops = build_operators(graph, channels)
     n, m = graph.n_users, graph.n_hashtags
     pretrained = channels.pretrained if channels is not None else None
     state = init_embeddings(n, m, cfg, seed, pretrained)
@@ -271,7 +269,7 @@ def train(
                 out = forward(params, ops, cfg)
             scores = pair_scores(batch, out)
             bpr_sum += bpr_loss(batch, out, params, 0.0, scores)
-            grad = grad_e0(batch, out, ops, cfg, params, cfg.lambda_reg, scores)
+            grad = grad_e0(batch, out, ops, cfg, params, scores)
             adam_step(adam, params, grad, cfg.learning_rate)
             out = None
         reg = cfg.lambda_reg * float(np.sum(params * params))

@@ -31,6 +31,15 @@ def neighbors(graph: BipartiteGraph, u: int) -> np.ndarray:
     return graph.R.indices[graph.R.indptr[u]:graph.R.indptr[u + 1]]
 
 
+def assert_row_stochastic(graph: BipartiteGraph) -> None:
+    """AssertionError unless every row of the graph that holds an edge sums
+    to 1 within 1e-9; raised, not asserted, so that it holds under -O."""
+    sums = np.asarray(to_scipy(graph.R).sum(axis=1)).ravel()
+    active = sums > 0
+    if active.any() and np.abs(sums[active] - 1.0).max() > 1e-9:
+        raise AssertionError("rows with edges must sum to 1")
+
+
 def propagate(adj: NormalizedAdjacency, E0: np.ndarray, n_layers: int) -> list[np.ndarray]:
     """All layer outputs H^0 .. H^K of repeated operator application."""
     if E0.shape[0] != adj.size:

@@ -10,6 +10,7 @@ import importlib.util
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -87,7 +88,7 @@ def test_accept_1_gradients_match_finite_differences(capfd):
                     pathsim=random_user_graph(rng, n, kind="pathsim") if use_pathsim else None,
                 )
                 cfg = RunConfig(dim=d, n_layers=K)
-                ops = build_operators(g, channels, cfg)
+                ops = build_operators(g, channels)
                 try:
                     triples = sample_epoch(g, rng)
                 except ConfigError:
@@ -95,7 +96,7 @@ def test_accept_1_gradients_match_finite_differences(capfd):
                 e0 = 0.5 * rng.standard_normal((n + m, d))
                 lam = float(rng.choice([0.0, 0.01, 0.1]))
                 out = forward(e0, ops, cfg)
-                analytic = grad_e0(triples, out, ops, cfg, e0, lam)
+                analytic = grad_e0(triples, out, ops, replace(cfg, lambda_reg=lam), e0)
                 numeric = central_difference_grad(e0, triples, ops, cfg, lam)
                 gap = np.abs(analytic - numeric)
                 allowed = np.maximum(1e-5 * np.abs(numeric), 1e-8)
@@ -212,7 +213,7 @@ def test_accept_4a_zero_layer_scores_are_raw_inner_products(capfd):
         g = random_bipartite(rng, n, m)
         cfg = RunConfig(dim=int(rng.integers(1, 5)), n_layers=0)
         state = init_embeddings(n, m, cfg, seed=trial)
-        out = forward(state.stacked(), build_operators(g, None, cfg), cfg)
+        out = forward(state.stacked(), build_operators(g, None), cfg)
         ok = ok and np.array_equal(out.final_users, state.users)
         ok = ok and np.array_equal(out.final_hashtags, state.hashtags)
         for u in range(n):
@@ -423,7 +424,7 @@ def test_accept_6_accuracy_grows_with_annotation_effort(capfd, synth_runs):
     for r in runs:
         data, res = r["data"], r["real"]
         fold_graph = graph_without_edges(res.split.train_graph, res.fold0_val)
-        out = forward(res.state.stacked(), build_operators(fold_graph, None, cfg), cfg)
+        out = forward(res.state.stacked(), build_operators(fold_graph, None), cfg)
         x_full = min(len(data.annotations.by_class["POS"]),
                      len(data.annotations.by_class["NEG"]))
         curve = annotation_curve(out.final_users, out.final_hashtags,

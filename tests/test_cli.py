@@ -468,39 +468,43 @@ def test_train_on_a_user_graph_that_is_not_symmetric_or_has_a_loop_exits_3(
     assert errors == [f"error kind=RecordError exit=3: {path}: {message}"]
 
 
-def negated_first_value(path):
+def first_value_changed(path, change):
     mat = load_matrix_coo(path)
     data = mat.data.copy()
-    data[0] = -data[0]
+    data[0] = change(data[0])
     write_graph_container(path, mat.shape, mat.indptr, mat.indices, data)
     return path
 
 
-def negated_first_count(path):
+def first_count_changed(path, change):
     counts = load_counts(path)
     T = counts.T_tweet
     data = T.data.copy()
-    data[0] = -data[0]
+    data[0] = change(data[0])
     save_counts(dataclasses.replace(counts, T_tweet=CSRArrays(T.indptr, T.indices, data, T.shape)),
                 path)
     return f"{path} T_tweet"
 
 
+@pytest.mark.parametrize("change", [lambda x: -x, lambda x: 0.0], ids=["negative", "zero"])
 @pytest.mark.parametrize("file, damage", [
-    ("counts.json", negated_first_count),
-    ("bipartite.coo", negated_first_value),
-    ("social.coo", negated_first_value),
-    ("pathsim.coo", negated_first_value),
+    ("counts.json", first_count_changed),
+    ("bipartite.coo", first_value_changed),
+    ("social.coo", first_value_changed),
+    ("pathsim.coo", first_value_changed),
 ], ids=["counts", "bipartite", "social", "pathsim"])
-def test_a_negative_value_in_a_dataset_file_exits_3_naming_it(tmp_path, capsys, file, damage):
+def test_a_value_not_positive_in_a_dataset_file_exits_3_naming_it(tmp_path, capsys, file,
+                                                                   damage, change):
+    # A stored zero is refused as a negative value is, so every matrix the
+    # pipeline reads is canonical with positive values.
     _, data = synth_and_build(tmp_path)
-    source = damage(data / file)
+    source = damage(data / file, change)
     capsys.readouterr()
     assert run(["train", "--data", data, "--out", tmp_path / "model", "--max-epochs", "1",
                 "--use-social", "--use-pathsim"]) == 3
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("error ")]
-    assert errors == [f"error kind=RecordError exit=3: {source}: negative value"]
+    assert errors == [f"error kind=RecordError exit=3: {source}: value not positive"]
 
 
 def asymmetric_follow(counts):
@@ -569,7 +573,7 @@ def test_no_loaded_user_graph_outlives_the_dataset_load(tmp_path, monkeypatch):
     assert alive_at_load == [[], [False]]
     assert [ref() for ref in loaded] == [None, None]
     assert isinstance(channels.users, np.ndarray)
-    assert (channels.n_user_channels, channels.n_layers) == (2, 2)
+    assert channels.n_user_channels == 2
 
 
 def test_eval_refuses_a_bad_annotation_file_before_loading_a_user_graph(tmp_path, capsys,

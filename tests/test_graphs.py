@@ -43,7 +43,7 @@ from conftest import (INDEX_MAX, NATIVE_CSR_DTYPES, counts_from, csr_dtypes, den
                       load_corrupted, random_bipartite, random_user_graph,
                       write_graph_container)
 import reference
-from reference import neighbors
+from reference import assert_row_stochastic, neighbors
 
 
 def dense_sym_normalize(A: np.ndarray) -> np.ndarray:
@@ -87,7 +87,7 @@ def test_interaction_weights_are_row_shares():
     g = build_interaction_graph(counts)
     assert np.allclose(dense(g.R)[0], [0.5, 0.25, 0.25])
     assert np.allclose(dense(g.R)[1], [0.0, 1.0, 0.0])
-    g.validate_row_stochastic()
+    assert_row_stochastic(g)
 
 
 def test_interaction_graph_keeps_isolated_users():
@@ -96,17 +96,6 @@ def test_interaction_graph_keeps_isolated_users():
     assert g.n_users == 2
     assert g.R.indptr[1] == 0
     assert neighbors(g, 0).size == 0
-
-
-def test_row_stochastic_validation_rejects_bad_rows():
-    g = BipartiteGraph(R=sp.csr_matrix(np.array([[0.5, 0.4]])))
-    with pytest.raises(ShapeError):
-        g.validate_row_stochastic()
-
-
-def test_negative_weight_rejected():
-    with pytest.raises(ShapeError):
-        BipartiteGraph(R=sp.csr_matrix(np.array([[-0.1, 1.1]])))
 
 
 # adjacency normalization ----------------------------------------------------
@@ -502,12 +491,6 @@ def test_propagate_once_is_linear():
     assert np.abs(lhs - rhs).max() <= 1e-10
 
 
-def test_propagate_once_shape_mismatch():
-    adj = normalize_user_graph(UserGraph(W=sp.csr_matrix((3, 3))))
-    with pytest.raises(ShapeError):
-        propagate_once(adj, np.zeros((4, 2)))
-
-
 # binarize and serialization -------------------------------------------------
 
 def test_binarize_levels_weights():
@@ -799,22 +782,14 @@ def assert_canonical_finite(mat: sp.csr_matrix) -> None:
     assert (np.diff(mat.indptr) >= 0).all()
     assert ((mat.indices >= 0) & (mat.indices < m)).all()
     assert mat.has_canonical_format
-    assert np.isfinite(mat.data).all() and (mat.data >= 0).all()
-
-
-def explicit_zeros_matrix() -> sp.csr_matrix:
-    mat = sp.csr_matrix((np.array([0.0, 2.5, 0.0]), np.array([0, 2, 1]), np.array([0, 2, 2, 3])),
-                        shape=(3, 4))
-    assert mat.nnz == 3
-    return mat
+    assert np.isfinite(mat.data).all() and (mat.data > 0).all()
 
 
 @pytest.mark.parametrize("mat", [
     sp.random(6, 5, density=0.5, format="csr", random_state=np.random.default_rng(61)),
     sp.csr_matrix((3, 4)),
     sp.csr_matrix((0, 0)),
-    explicit_zeros_matrix(),
-], ids=["random", "empty", "no-rows", "explicit-zeros"])
+], ids=["random", "empty", "no-rows"])
 def test_matrix_file_roundtrip_is_byte_exact(tmp_path, mat):
     first, second = tmp_path / "a.coo", tmp_path / "b.coo"
     save_matrix_coo(mat, first)
@@ -855,8 +830,9 @@ def malformed(**change):
     malformed(indices=[1, 1, 1]),
     malformed(data=[0.5, np.nan, 1.0]),
     malformed(data=[0.5, np.inf, 1.0]),
+    malformed(data=[0.0, 2.5, 0.0]),
 ], ids=["indptr-start", "indptr-decreasing", "indptr-end", "column-too-large",
-        "column-negative", "columns-unsorted", "column-repeated", "nan", "inf"])
+        "column-negative", "columns-unsorted", "column-repeated", "nan", "inf", "explicit-zeros"])
 def test_matrix_loader_rejects_bad_arrays(tmp_path, arrays):
     path = tmp_path / "bad.coo"
     write_graph_container(path, arrays["shape"], arrays["indptr"], arrays["indices"],
@@ -919,7 +895,7 @@ def test_graph_loaders_reject_negative_weights(tmp_path):
     path = tmp_path / "neg.coo"
     write_graph_container(path, (2, 2), [0, 1, 2], [1, 0], [-0.5, -0.5])
     for load in (load_matrix_coo, load_bipartite, load_user_graph):
-        with pytest.raises(RecordError, match=f"^{re.escape(str(path))}: negative value$"):
+        with pytest.raises(RecordError, match=f"^{re.escape(str(path))}: value not positive$"):
             load(path)
 
 

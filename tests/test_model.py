@@ -33,7 +33,7 @@ from stancegraph.model import (
     EmbeddingState,
 )
 
-from stancegraph.train import grad_e0, train
+from stancegraph.train import grad_e0
 
 from conftest import channel_set, random_bipartite, random_user_graph
 from reference import affinity, propagate, score_all
@@ -77,12 +77,6 @@ def test_init_pretrained_rows_copied_exactly():
     assert np.array_equal(state.hashtags[2], v)
     # untouched rows still follow the Xavier draw
     assert np.abs(state.hashtags[[0, 1, 3, 4, 5]]).max() <= np.sqrt(6.0 / (6 + 3))
-
-
-def test_init_pretrained_dim_mismatch():
-    cfg = RunConfig(dim=3)
-    with pytest.raises(ShapeError):
-        init_embeddings(4, 6, cfg, seed=0, pretrained={0: np.zeros(2)})
 
 
 def test_load_pretrained_vectors(tmp_path):
@@ -218,7 +212,7 @@ def test_forward_without_user_channels_uses_bipartite_only():
     rng = np.random.default_rng(79)
     g = random_bipartite(rng, 4, 3)
     cfg = RunConfig(dim=2, n_layers=2)
-    ops = build_operators(g, None, cfg)
+    ops = build_operators(g, None)
     state = init_embeddings(4, 3, cfg, seed=0)
     out = forward(state.stacked(), ops, cfg)
     full = layer_averaged_propagate(ops.bipartite, state.stacked(), 2)
@@ -231,7 +225,7 @@ def test_forward_with_social_channel_averages_users():
     g = random_bipartite(rng, 4, 3)
     social = random_user_graph(rng, 4)
     cfg = RunConfig(dim=2, n_layers=1)
-    ops = build_operators(g, channel_set(1, social), cfg)
+    ops = build_operators(g, channel_set(1, social))
     state = init_embeddings(4, 3, cfg, seed=1)
     out = forward(state.stacked(), ops, cfg)
     bip = layer_averaged_propagate(ops.bipartite, state.stacked(), 1)
@@ -270,7 +264,7 @@ def test_dense_user_polynomial_matches_sparse_oracle(use_social, use_pathsim, n_
                     random_user_graph(rng, n, density=0.6, kind="pathsim"),
                     use_social, use_pathsim)
     cfg = RunConfig(dim=d, n_layers=n_layers)
-    ops = build_operators(g, channel_set(n_layers, *graphs), cfg)
+    ops = build_operators(g, channel_set(n_layers, *graphs))
     assert isinstance(ops.users, np.ndarray)
     X = rng.standard_normal((n + m, d))
     out = forward(X, ops, cfg)
@@ -279,11 +273,12 @@ def test_dense_user_polynomial_matches_sparse_oracle(use_social, use_pathsim, n_
     # The gradient against the sparse path, whose pull-back is the oracle's
     # layer_averaged_propagate of each channel.
     with mock.patch.object(model, "DENSE_POLY_BYTES", 0):
-        sparse_ops = build_operators(g, channel_set(n_layers, *graphs), cfg)
+        sparse_ops = build_operators(g, channel_set(n_layers, *graphs))
     triples = np.column_stack([rng.integers(0, n, 200), rng.integers(0, m, 200),
                                rng.integers(0, m, 200)])
-    got = grad_e0(triples, out, ops, cfg, X, 0.01)
-    want = grad_e0(triples, out, sparse_ops, cfg, X, 0.01)
+    cfg = dataclasses.replace(cfg, lambda_reg=0.01)
+    got = grad_e0(triples, out, ops, cfg, X)
+    want = grad_e0(triples, out, sparse_ops, cfg, X)
     assert np.abs(got - want).max() <= 1e-12
 
 
@@ -325,7 +320,7 @@ def test_user_channels_above_byte_cap_stay_sparse(use_social, use_pathsim):
     cfg = RunConfig(dim=2, n_layers=2)
     # One byte under the 8 * n * n bytes the polynomial would take.
     with mock.patch.object(model, "DENSE_POLY_BYTES", 8 * n * n - 1):
-        ops = build_operators(g, channel_set(2, *graphs), cfg)
+        ops = build_operators(g, channel_set(2, *graphs))
     assert isinstance(ops.users, model.UserChannelSum) and ops.users.T is ops.users
     assert len(ops.users.ops) == use_social + use_pathsim and ops.users.shape == (n, n)
     X = rng.standard_normal((n + m, 2))
@@ -339,38 +334,15 @@ def test_user_channels_above_byte_cap_stay_sparse(use_social, use_pathsim):
     assert isinstance(dense, np.ndarray)
 
 
-def test_channels_built_for_another_n_layers_are_refused():
+def test_channels_are_frozen_and_used_as_built():
     rng = np.random.default_rng(515)
     n = 6
     g = random_bipartite(rng, n, 4)
     channels = channel_set(2, random_user_graph(rng, n), random_user_graph(rng, n, kind="pathsim"))
     with pytest.raises(dataclasses.FrozenInstanceError):
-        channels.n_layers = 1
-    # The operator is used as built, whatever the embedding width.
-    ops = build_operators(g, channels, RunConfig(dim=3, n_layers=2))
+        channels.users = None
+    ops = build_operators(g, channels)
     assert ops.users is channels.users and ops.n_channels == 3
-    for n_layers in (1, 3):
-        with pytest.raises(ConfigError, match=f"built for n_layers=2, not {n_layers}$"):
-            build_operators(g, channels, RunConfig(dim=2, n_layers=n_layers))
-    # Pretrained vectors alone record the n_layers they were loaded for too,
-    # and train refuses a mismatch before its first epoch.
-    for given in (channels, channel_set(2, pretrained={0: np.zeros(2)})):
-        with pytest.raises(ConfigError, match="built for n_layers=2, not 1$"):
-            train(g, given, RunConfig(dim=2, n_layers=1, max_epochs=0), np.zeros((0, 2)), seed=0)
-
-
-def test_forward_channel_size_mismatch_rejected():
-    rng = np.random.default_rng(97)
-    g = random_bipartite(rng, 3, 3)
-    social = random_user_graph(rng, 4)
-    cfg = RunConfig()
-    # The dense operator and, above the byte cap, the sparse one.
-    for cap in (model.DENSE_POLY_BYTES, 0):
-        with mock.patch.object(model, "DENSE_POLY_BYTES", cap):
-            channels = channel_set(cfg.n_layers, social)
-        assert isinstance(channels.users, np.ndarray) == bool(cap)
-        with pytest.raises(ShapeError, match="user channel size does not match user count"):
-            build_operators(g, channels, cfg)
 
 
 def test_model_config_validation():

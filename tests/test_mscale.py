@@ -133,12 +133,15 @@ def test_one_tree_has_no_delta():
     assert got["change"]["runs"] == 3
 
 
-def test_one_small_run_records_every_stage(tmp_path, capsys):
+def test_one_small_run_records_every_stage(tmp_path, capsys, monkeypatch):
+    # The stages inherit the allocator setting, and the result records it.
+    monkeypatch.setenv("MALLOC_MMAP_THRESHOLD_", "131072")
     out = tmp_path / "m.json"
     assert mscale.main(["--runs", "1", "--n-users", "40", "--n-hashtags", "60",
                         "--interactions-per-user", "5", "--out", str(out)]) == 0
     result = json.loads(out.read_text(encoding="utf-8"))
     assert result["claimed"] is False
+    assert result["malloc_mmap_threshold"] == "131072"
     stages = ["ingest", "synth", "build", "build-top-k", "train", "train-channels",
               "eval-channels", "curve"]
     assert [(r["tree"], r["stage"], r["rc"]) for r in result["records"]] == [

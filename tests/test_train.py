@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,7 +95,7 @@ def test_loss_invariant_under_triple_order():
     rng = np.random.default_rng(101)
     g = random_bipartite(rng, 5, 6)
     cfg = RunConfig(dim=3, n_layers=2)
-    ops = build_operators(g, None, cfg)
+    ops = build_operators(g, None)
     e0 = rng.standard_normal((11, 3))
     out = forward(e0, ops, cfg)
     triples = sample_epoch(g, rng)
@@ -111,12 +112,12 @@ def test_grad_mf_reduction_matches_hand_formula():
     # is the textbook pairwise one
     g = BipartiteGraph(R=sp.csr_matrix(np.array([[0.6, 0.4, 0.0]])))
     cfg = RunConfig(dim=2, n_layers=0)
-    ops = build_operators(g, None, cfg)
+    ops = build_operators(g, None)
     rng = np.random.default_rng(5)
     e0 = rng.standard_normal((4, 2))
     triples = np.array([[0, 0, 2]])
     out = forward(e0, ops, cfg)
-    got = grad_e0(triples, out, ops, cfg, e0, 0.0)
+    got = grad_e0(triples, out, ops, replace(cfg, lambda_reg=0.0), e0)
 
     e_u, e_i, e_j = e0[0], e0[1], e0[3]
     s = 1.0 / (1.0 + math.exp(float(e_u @ (e_i - e_j))))
@@ -131,10 +132,11 @@ def test_grad_empty_batch_is_regularizer_derivative():
     rng = np.random.default_rng(7)
     g = random_bipartite(rng, 3, 3)
     cfg = RunConfig(dim=2, n_layers=2)
-    ops = build_operators(g, None, cfg)
+    ops = build_operators(g, None)
     e0 = rng.standard_normal((6, 2))
     out = forward(e0, ops, cfg)
-    got = grad_e0(np.zeros((0, 3), dtype=np.int64), out, ops, cfg, e0, 0.05)
+    got = grad_e0(np.zeros((0, 3), dtype=np.int64), out, ops, replace(cfg, lambda_reg=0.05),
+                  e0)
     assert np.abs(got - 2 * 0.05 * e0).max() <= 1e-15
 
 
@@ -184,14 +186,14 @@ def test_grad_scatter_is_bit_identical_to_add_at():
     g = random_bipartite(rng, n, m)
     for channels in (None, channel_set(2, social=random_user_graph(rng, n))):
         cfg = RunConfig(dim=4, n_layers=2)
-        ops = build_operators(g, channels, cfg)
+        ops = build_operators(g, channels)
         e0 = rng.standard_normal((n + m, 4))
         out = forward(e0, ops, cfg)
         for size in (1, 7, 300):
             triples = np.column_stack([
                 rng.integers(0, n, size), rng.integers(0, m, size), rng.integers(0, m, size),
             ])
-            got = grad_e0(triples, out, ops, cfg, e0, 0.01)
+            got = grad_e0(triples, out, ops, replace(cfg, lambda_reg=0.01), e0)
             assert np.array_equal(got, add_at_grad(triples, out, ops, cfg, e0, 0.01))
 
 
@@ -211,7 +213,7 @@ def test_grad_matches_finite_differences_all_channel_combos():
                     pathsim=random_user_graph(rng, n, kind="pathsim") if use_pathsim else None,
                 )
                 cfg = RunConfig(dim=d, n_layers=K)
-                ops = build_operators(g, channels, cfg)
+                ops = build_operators(g, channels)
                 try:
                     triples = sample_epoch(g, rng)
                 except ConfigError:
@@ -219,7 +221,7 @@ def test_grad_matches_finite_differences_all_channel_combos():
                 e0 = 0.5 * rng.standard_normal((n + m, d))
                 lam = float(rng.choice([0.0, 0.01, 0.1]))
                 out = forward(e0, ops, cfg)
-                analytic = grad_e0(triples, out, ops, cfg, e0, lam)
+                analytic = grad_e0(triples, out, ops, replace(cfg, lambda_reg=lam), e0)
                 numeric = finite_difference_grad(e0, triples, ops, cfg, lam)
                 assert_grad_close(analytic, numeric)
                 checked += 1
@@ -233,12 +235,12 @@ def test_grad_pulls_back_through_user_poly_transpose():
     n, m = 5, 4
     g = random_bipartite(rng, n, m)
     cfg = RunConfig(dim=2, n_layers=2)
-    ops = build_operators(g, channel_set(2, social=random_user_graph(rng, n)), cfg)
+    ops = build_operators(g, channel_set(2, social=random_user_graph(rng, n)))
     assert isinstance(ops.users, np.ndarray)
     ops.users = rng.standard_normal((n, n))
     triples = sample_epoch(g, rng)
     e0 = 0.5 * rng.standard_normal((n + m, 2))
-    analytic = grad_e0(triples, forward(e0, ops, cfg), ops, cfg, e0, 0.01)
+    analytic = grad_e0(triples, forward(e0, ops, cfg), ops, replace(cfg, lambda_reg=0.01), e0)
     assert_grad_close(analytic, finite_difference_grad(e0, triples, ops, cfg, 0.01))
 
 
@@ -376,13 +378,6 @@ def test_train_zero_epochs_returns_initial_state():
     assert np.array_equal(state.hashtags, init.hashtags)
 
 
-def test_train_requires_validation_edges():
-    graph, _ = two_block_setup()
-    with pytest.raises(ConfigError):
-        train(graph, None, RunConfig(dim=2, max_epochs=5), np.zeros((0, 2), dtype=np.int64),
-              seed=0)
-
-
 def test_train_zero_learning_rate_freezes_params():
     graph, val = two_block_setup()
     cfg = RunConfig(dim=4, n_layers=1, learning_rate=0.0, max_epochs=4, patience=10)
@@ -423,7 +418,7 @@ def test_train_returns_forward_output_of_its_state(max_epochs, with_social):
         if with_social else None
     cfg = RunConfig(dim=4, n_layers=2, learning_rate=0.05, max_epochs=max_epochs, patience=2)
     state, _, out = train(graph, channels, cfg, val, seed=5)
-    want = forward(state.stacked(), build_operators(graph, channels, cfg), cfg)
+    want = forward(state.stacked(), build_operators(graph, channels), cfg)
     assert np.array_equal(out.final_users, want.final_users)
     assert np.array_equal(out.final_hashtags, want.final_hashtags)
 

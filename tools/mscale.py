@@ -39,7 +39,10 @@ perfbench/run.py's. It records the sizes those workloads do not reach,
 and its summary is marked not claimed. The summary gives, per stage and
 tree, the median and quartiles of the raw and the scaled wall time, of
 peak RSS and of the total bytes written, the change's delta against the
-parent, and whether both trees wrote the same bytes.
+parent, and whether both trees wrote the same bytes. The result also
+records the MALLOC_MMAP_THRESHOLD_ that the stages inherited, or null for
+glibc's dynamic default: under that default a stage's peak can move by
+~20 MB with no code change.
 """
 
 from __future__ import annotations
@@ -256,6 +259,7 @@ def main(argv: list[str] | None = None) -> int:
         "size": {"n_users": args.n_users, "n_hashtags": args.n_hashtags,
                  "interactions_per_user": args.interactions_per_user,
                  "corpus_tweets": TWEETS_PER_USER * args.n_users, "corpus_seed": CORPUS_SEED},
+        "malloc_mmap_threshold": os.environ.get("MALLOC_MMAP_THRESHOLD_"),
         "summary": summary(records),
         "records": records,
     }
