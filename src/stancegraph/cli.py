@@ -137,7 +137,7 @@ def _normalized_user_graph(data: Path, kind: str, n_users: int):
     return normalize_user_graph(graph)
 
 
-def _load_dataset(data_dir, cfg: RunConfig, pretrained_path=None):
+def _load_dataset(data_dir, cfg: RunConfig, pretrained_path):
     """Counts plus the graphs `build` wrote, and the pretrained hashtag
     vectors when a file is given. `use_social`/`use_pathsim` choose the
     user graphs loaded, which only the user operator built for `n_layers`
@@ -157,11 +157,11 @@ def _load_dataset(data_dir, cfg: RunConfig, pretrained_path=None):
 
 
 def _load_annotation_arg(args):
-    if getattr(args, "annotations", None) and getattr(args, "bundled", None):
+    if args.annotations and args.bundled:
         raise ConfigError("give either --annotations or --bundled, not both")
-    if getattr(args, "annotations", None):
+    if args.annotations:
         ann = load_annotations(args.annotations)
-    elif getattr(args, "bundled", None):
+    elif args.bundled:
         ann = bundled_annotations(args.bundled)
     else:
         raise ConfigError("an annotation set is required (--annotations or --bundled)")
@@ -237,10 +237,9 @@ def _write_hidden(split: HoldoutSplit, users, hashtags, path) -> None:
 
 
 def _write_pairs(pairs: np.ndarray, users, hashtags, path) -> None:
-    """The (user, hashtag) rows of `pairs` as id lines, by user then hashtag index."""
-    rows = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].tolist()
+    """The (user, hashtag) rows of `pairs` as id lines, in their order."""
     with open(path, "w", encoding="utf-8") as fh:
-        for u, j in rows:
+        for u, j in pairs.tolist():
             fh.write(f"{users[u]}\t{hashtags[j]}\n")
 
 
@@ -258,9 +257,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     # Annotations first: a bad file is refused before the user operator is built.
     annotations = _load_annotation_arg(args)
     counts, graph, channels = _load_dataset(args.data, cfg, pretrained)
-    result = run_protocol(graph, channels, with_usage(annotations, counts), counts.hashtags, cfg,
-                          stage_seed(cfg.seed, "eval"),
-                          null_interactions=int(counts.T.data.sum()))
+    result = run_protocol(graph, channels, annotations, counts, cfg, stage_seed(cfg.seed, "eval"))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_report(result.report, out / "report.txt", out / "folds.csv")

@@ -38,10 +38,6 @@ class RecordError(StanceGraphError):
         self.line_no = line_no
 
 
-class DegenerateHashtag(StanceGraphError):
-    """Hashtag normalization produced an empty string."""
-
-
 class EmptyCorpus(StanceGraphError):
     """No tweets survived parsing or filtering."""
 

@@ -22,7 +22,6 @@ from .config import RunConfig
 from .errors import (
     BoundsError,
     ConfigError,
-    DegenerateHashtag,
     EmptyEligibleSet,
     EmptyEvaluation,
     RecordError,
@@ -71,10 +70,7 @@ def parse_annotations(lines) -> StanceAnnotation:
         tag, cls = parts[0].strip(), parts[1].strip().upper()
         if cls not in CLASS_ORDER:
             raise RecordError(f"unknown stance class {parts[1]!r}", line_no)
-        try:
-            tag = normalize_hashtag(tag)
-        except DegenerateHashtag as exc:
-            raise RecordError(str(exc), line_no) from exc
+        tag = normalize_hashtag(tag, line_no)
         if tag not in by_class[cls]:
             by_class[cls].append(tag)
     listed = [t for tags in by_class.values() for t in tags]  # unique within a class
@@ -175,7 +171,6 @@ def holdout_split(
 
 def kfold_split(edges: np.ndarray, folds: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Random edge partition into validation folds, in edge order; each fold trains on the rest."""
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.shape[0] < folds:
         raise ConfigError(f"{edges.shape[0]} edges cannot fill {folds} folds")
     perm = rng.permutation(edges.shape[0])
@@ -199,7 +194,6 @@ def validation_edges(
     """The first held_out_count(fraction, n) of a random permutation of the
     n edges, in edge order. At fraction 0.2 this is kfold_split's fold 0
     for 5 folds under the same generator state."""
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     n = edges.shape[0]
     count = held_out_count(fraction, n)
     if count >= n:
@@ -213,7 +207,6 @@ def graph_without_edges(graph: BipartiteGraph, removed: np.ndarray) -> Bipartite
     Only rows that lost an edge are rescaled to sum to 1 again; rows left
     empty stay zero.
     """
-    removed = np.asarray(removed, dtype=np.int64).reshape(-1, 2)
     keys = _flat_keys(graph.R)
     gone = _is_member(np.unique(removed[:, 0] * graph.n_hashtags + removed[:, 1]), keys)
     R = row_normalize(_kept(graph.R, ~gone), rows=np.unique(keys[gone] // graph.n_hashtags))
@@ -362,17 +355,16 @@ class ProtocolResult:
     propagated: EmbeddingState  # first fold's final embeddings
     split: HoldoutSplit
     fold0_val: np.ndarray  # first fold's validation edges
-    fold0_history: list = field(default_factory=list)
+    fold0_history: list
 
 
 def run_protocol(
     graph: BipartiteGraph,
     channels: ChannelSet | None,
     annotations: StanceAnnotation,
-    hashtags: list[str],
+    counts: InteractionCounts,
     cfg: RunConfig,
     seed: int,
-    null_interactions: int | None = None,
 ) -> ProtocolResult:
     """Full two-level evaluation.
 
@@ -383,12 +375,15 @@ def run_protocol(
     are fixed per split; `cfg.binary_stance` drops the NEUTRAL class, so users
     with NEUTRAL-only hidden usage are not scored. Returns the averaged
     report plus the first fold's model, its final embeddings and the split,
-    for downstream artifacts. `seed` is the eval stage's seed, derived from
-    `cfg.seed` by the caller.
+    for downstream artifacts. `graph` is that of `counts`, and the null
+    variant draws their interaction volume. `seed` is the eval stage's
+    seed, derived from `cfg.seed` by the caller.
     """
+    hashtags = counts.hashtags
     spec = VARIANTS[cfg.variant]
     fold_cfg = spec.model(cfg)
     fold_channels = channels if spec.channels else None
+    n_draws = int(counts.T.data.sum())
     holdout_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     kfold_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
 
@@ -409,7 +404,6 @@ def run_protocol(
             np.random.SeedSequence(seed, spawn_key=(2, f)).generate_state(1)[0]
         )
         null_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3, f)))
-        n_draws = null_interactions or max(int(fold_graph.R.nnz), 1)
         variant_graph = spec.graph(fold_graph, n_draws, null_rng)
         state, history, out = train(variant_graph, fold_channels, fold_cfg, val_pairs, fold_seed)
         if f == 0:

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .config import RunConfig
-from .errors import DegenerateHashtag, EmptyCorpus, RecordError, ShapeError
+from .errors import EmptyCorpus, RecordError, ShapeError
 
 LOGGER = logging.getLogger(__name__)
 
@@ -48,13 +48,13 @@ def _fold_chars(s: str) -> str:
     return s.casefold()
 
 
-def normalize_hashtag(raw: str) -> str:
+def normalize_hashtag(raw: str, line_no: int) -> str:
     """Canonicalize a hashtag string.
 
     Leading '#' characters are removed, the text is compatibility-decomposed
     with combining marks stripped, and the result is casefolded. Folding is
     iterated to a fixpoint because casefolding can reintroduce decomposable
-    characters. Raises DegenerateHashtag when nothing is left.
+    characters. Raises RecordError for line `line_no` when nothing is left.
     """
     s = raw.strip().lstrip("#")
     prev = None
@@ -62,7 +62,7 @@ def normalize_hashtag(raw: str) -> str:
         prev = s
         s = _fold_chars(s)
     if not s:
-        raise DegenerateHashtag(f"hashtag {raw!r} normalizes to empty")
+        raise RecordError(f"hashtag {raw!r} normalizes to empty", line_no)
     return s
 
 
@@ -147,10 +147,7 @@ def _parse_tweet_line(line: str, line_no: int, normalized: dict[str, str],
     for raw in raw_tags:
         tag = normalized.get(raw)
         if tag is None:
-            try:
-                tag = normalized[raw] = normalize_hashtag(raw)
-            except DegenerateHashtag as exc:
-                raise RecordError(str(exc), line_no) from exc
+            tag = normalized[raw] = normalize_hashtag(raw, line_no)
         tags.append(tag)
 
     fresh = [x for x in (user_id, *tags) if x not in checked]

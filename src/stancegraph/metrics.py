@@ -26,7 +26,7 @@ def ranking_metrics(
 
     Row u of the CSR matrix `exclude` lists the hashtags removed from u's
     candidate pool (their training positives); users whose pool is empty
-    are skipped. val_pairs holds (user, hashtag)
+    are skipped. val_pairs is an int64 (E, 2) array of (user, hashtag)
     rows; duplicates count once. Users are ranked in blocks with the rules
     of `top_k_items` in tests/reference.py, and the sums run in the order
     of its `recall_at_k`/`ndcg_at_k`, so on equal scores the result equals
@@ -35,8 +35,7 @@ def ranking_metrics(
     if k < 1:
         raise ConfigError("k must be positive")
     m = final_hashtags.shape[0]
-    pairs = np.asarray(val_pairs, dtype=np.int64).reshape(-1, 2)
-    keys = np.unique(pairs[:, 0] * m + pairs[:, 1])
+    keys = np.unique(val_pairs[:, 0] * m + val_pairs[:, 1])
     users, n_relevant = np.unique(keys // m, return_counts=True)
     keep = np.diff(exclude.indptr)[users] < m
     users, n_relevant = users[keep], n_relevant[keep]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .errors import DegenerateHashtag, RecordError, open_text
+from .errors import RecordError, open_text
 from .graphs import BipartiteGraph, NormalizedAdjacency, build_adjacency
 from .ingest import (
     Container,
@@ -77,7 +77,7 @@ def init_embeddings(
     n_hashtags: int,
     cfg: RunConfig,
     seed: int,
-    pretrained: dict[int, np.ndarray] | None = None,
+    pretrained: dict[int, np.ndarray] | None,
 ) -> EmbeddingState:
     """Xavier-uniform initialization; bounds depend on each side's count.
 
@@ -109,10 +109,7 @@ def load_pretrained_vectors(path, hashtags: list[str], dim: int) -> dict[int, np
             parts = line.split()
             if not parts:
                 continue
-            try:
-                tag = normalize_hashtag(parts[0])
-            except DegenerateHashtag as exc:
-                raise RecordError(str(exc), line_no) from exc
+            tag = normalize_hashtag(parts[0], line_no)
             if tag in seen:
                 raise RecordError(f"repeated hashtag {tag!r}", line_no)
             seen.add(tag)
@@ -155,10 +152,6 @@ class UserChannelSum:
     def T(self) -> "UserChannelSum":
         return self
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.ops[0].size,) * 2
-
     def __matmul__(self, X: np.ndarray) -> np.ndarray:
         return sum(layer_averaged_propagate(op, X, self.n_layers) for op in self.ops)
 
@@ -188,8 +181,8 @@ def build_user_operator(ops: list[NormalizedAdjacency], n_layers: int):
     """The sum of the layer-average polynomials of the normalized user
     graphs `ops`: above DENSE_POLY_BYTES the sparse UserChannelSum, else
     one dense (n_users, n_users) array P, so that P @ X equals
-    UserChannelSum(ops, n_layers) @ X up to rounding. Either answers `@`,
-    `.T` and `.shape`.
+    UserChannelSum(ops, n_layers) @ X up to rounding. Either answers `@`
+    and `.T`.
 
     The dense build empties `ops`, largest graph first, so that no
     normalized graph outlives it and the memory held stays near P plus one

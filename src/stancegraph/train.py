@@ -34,14 +34,17 @@ from .model import (
 LOGGER = logging.getLogger(__name__)
 
 
+# Adam's moment decay rates and denominator offset.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @staticmethod
     def for_shape(shape) -> "AdamState":
@@ -53,11 +56,11 @@ def adam_step(adam: AdamState, params: np.ndarray, grad: np.ndarray, lr: float) 
     if not np.isfinite(grad).all():
         raise NumericsError("non-finite gradient")
     adam.t += 1
-    adam.m = adam.beta1 * adam.m + (1.0 - adam.beta1) * grad
-    adam.v = adam.beta2 * adam.v + (1.0 - adam.beta2) * grad * grad
-    m_hat = adam.m / (1.0 - adam.beta1 ** adam.t)
-    v_hat = adam.v / (1.0 - adam.beta2 ** adam.t)
-    params -= lr * m_hat / (np.sqrt(v_hat) + adam.eps)
+    adam.m = ADAM_BETA1 * adam.m + (1.0 - ADAM_BETA1) * grad
+    adam.v = ADAM_BETA2 * adam.v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = adam.m / (1.0 - ADAM_BETA1 ** adam.t)
+    v_hat = adam.v / (1.0 - ADAM_BETA2 ** adam.t)
+    params -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def sample_epoch(graph: BipartiteGraph, rng: np.random.Generator) -> np.ndarray:
@@ -116,23 +119,9 @@ def pair_scores(triples: np.ndarray, out: PropagationOutput) -> PairScores:
     return PairScores(eu, diff, np.einsum("nd,nd->n", eu, diff))
 
 
-def bpr_loss(
-    triples: np.ndarray,
-    out: PropagationOutput,
-    e0_stacked: np.ndarray,
-    lambda_reg: float,
-    scores: PairScores | None = None,
-) -> float:
-    """Sum of -log sigmoid(positive - negative) plus L2 on E0.
-
-    `scores`, when given, must be pair_scores(triples, out).
-    """
-    reg = lambda_reg * float(np.sum(e0_stacked * e0_stacked))
-    if triples.shape[0] == 0:
-        return reg
-    if scores is None:
-        scores = pair_scores(triples, out)
-    return float(np.logaddexp(0.0, -scores.gaps).sum() + reg)
+def bpr_loss(scores: PairScores) -> float:
+    """Sum of -log sigmoid(positive - negative) over one batch's pairs."""
+    return float(np.logaddexp(0.0, -scores.gaps).sum())
 
 
 def _scatter_rows(index: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
@@ -172,38 +161,30 @@ def sigmoid_of_negated(gaps: np.ndarray) -> np.ndarray:
 
 def grad_e0(
     triples: np.ndarray,
-    out: PropagationOutput,
+    scores: PairScores,
     ops: ChannelOperators,
     cfg: RunConfig,
     e0_stacked: np.ndarray,
-    scores: PairScores | None = None,
 ) -> np.ndarray:
-    """Exact loss gradient with respect to the initial embeddings, with the
-    L2 weight cfg.lambda_reg.
+    """Exact gradient of the batch's BPR loss plus cfg.lambda_reg times
+    the squared L2 norm of E0, with respect to E0; `scores` is the
+    batch's pair_scores.
 
     The final embeddings are a fixed linear operator applied to E0, so the
     pull-back applies its adjoint to the cotangent matrix. The bipartite
     operator is symmetric and is its own adjoint; the user operator is
     pulled back through its transpose, the exact adjoint of the product
-    forward computed. `scores`, when given, must be
-    pair_scores(triples, out).
+    forward computed.
     """
     n = ops.n_users
-    n_items = e0_stacked.shape[0] - n
-    g_users = np.zeros((n, e0_stacked.shape[1]))
-    g_items = np.zeros((n_items, e0_stacked.shape[1]))
-    if triples.shape[0] > 0:
-        u, i, j = triples[:, 0], triples[:, 1], triples[:, 2]
-        if scores is None:
-            scores = pair_scores(triples, out)
-        eu, diff = scores.users, scores.diff
-        s = sigmoid_of_negated(scores.gaps)[:, None]
-        g_users = _scatter_rows(u, -s * diff, n)
-        # One scatter for both item sides keeps np.add.at's order: every i
-        # term, then every j term.
-        g_items = _scatter_rows(np.concatenate([i, j]), np.concatenate([-s * eu, s * eu]),
-                                n_items)
-    g_users /= ops.n_channels
+    u, i, j = triples[:, 0], triples[:, 1], triples[:, 2]
+    eu, diff = scores.users, scores.diff
+    s = sigmoid_of_negated(scores.gaps)[:, None]
+    g_users = _scatter_rows(u, -s * diff, n) / ops.n_channels
+    # One scatter for both item sides keeps np.add.at's order: every i
+    # term, then every j term.
+    g_items = _scatter_rows(np.concatenate([i, j]), np.concatenate([-s * eu, s * eu]),
+                            e0_stacked.shape[0] - n)
     grad = layer_averaged_propagate(
         ops.bipartite, np.concatenate([g_users, g_items], axis=0), cfg.n_layers
     )
@@ -243,7 +224,6 @@ def train(
     Returns the best checkpoint by validation recall@EVAL_K, the per-epoch
     history, and the forward output of that checkpoint.
     """
-    val_edges = np.asarray(val_edges, dtype=np.int64).reshape(-1, 2)
     ops = build_operators(graph, channels)
     n, m = graph.n_users, graph.n_hashtags
     pretrained = channels.pretrained if channels is not None else None
@@ -268,8 +248,8 @@ def train(
             if out is None:
                 out = forward(params, ops, cfg)
             scores = pair_scores(batch, out)
-            bpr_sum += bpr_loss(batch, out, params, 0.0, scores)
-            grad = grad_e0(batch, out, ops, cfg, params, scores)
+            bpr_sum += bpr_loss(scores)
+            grad = grad_e0(batch, scores, ops, cfg, params)
             adam_step(adam, params, grad, cfg.learning_rate)
             out = None
         reg = cfg.lambda_reg * float(np.sum(params * params))
@@ -296,6 +276,6 @@ def train(
             )
             break
 
-    if best_out is None:  # no epoch improved on the initialization
+    if best_out is None:  # max_epochs 0: no epoch ran
         best_out = forward(best_params, ops, cfg)
     return EmbeddingState.from_stacked(best_params, n, seed), history, best_out

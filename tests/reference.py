@@ -21,7 +21,6 @@ from stancegraph.graphs import (
 )
 from stancegraph.ingest import CSRArrays, InteractionCounts
 from stancegraph.model import forward
-from stancegraph.train import bpr_loss
 
 LOGGER = logging.getLogger(__name__)
 
@@ -63,9 +62,14 @@ def score_all(final_users: np.ndarray, final_hashtags: np.ndarray, u: int) -> np
 
 def evaluate_loss(e0_stacked: np.ndarray, triples: np.ndarray, ops, cfg: RunConfig,
                   lambda_reg: float) -> float:
-    """Full forward pass plus loss; the function finite differences probe."""
+    """Full forward pass, then the sum of -log sigmoid(positive - negative)
+    over the triples plus lambda_reg times the squared norm of E0: the
+    function finite differences probe."""
     out = forward(e0_stacked, ops, cfg)
-    return bpr_loss(triples, out, e0_stacked, lambda_reg)
+    u, i, j = triples[:, 0], triples[:, 1], triples[:, 2]
+    gaps = np.einsum("nd,nd->n", out.final_users[u],
+                     out.final_hashtags[i] - out.final_hashtags[j])
+    return float(np.logaddexp(0.0, -gaps).sum()) + lambda_reg * float(np.sum(e0_stacked ** 2))
 
 
 def recall_at_k(top_items, relevant) -> float:

@@ -42,7 +42,7 @@ from stancegraph.model import (
     init_embeddings,
     layer_averaged_propagate,
 )
-from stancegraph.train import grad_e0, sample_epoch
+from stancegraph.train import grad_e0, pair_scores, sample_epoch
 
 from conftest import channel_set, counts_from, dense, random_bipartite, random_user_graph
 from reference import evaluate_loss, ndcg_at_k, recall_at_k, score_all
@@ -96,7 +96,8 @@ def test_accept_1_gradients_match_finite_differences(capfd):
                 e0 = 0.5 * rng.standard_normal((n + m, d))
                 lam = float(rng.choice([0.0, 0.01, 0.1]))
                 out = forward(e0, ops, cfg)
-                analytic = grad_e0(triples, out, ops, replace(cfg, lambda_reg=lam), e0)
+                analytic = grad_e0(triples, pair_scores(triples, out), ops,
+                                   replace(cfg, lambda_reg=lam), e0)
                 numeric = central_difference_grad(e0, triples, ops, cfg, lam)
                 gap = np.abs(analytic - numeric)
                 allowed = np.maximum(1e-5 * np.abs(numeric), 1e-8)
@@ -212,7 +213,7 @@ def test_accept_4a_zero_layer_scores_are_raw_inner_products(capfd):
         m = int(rng.integers(2, 7))
         g = random_bipartite(rng, n, m)
         cfg = RunConfig(dim=int(rng.integers(1, 5)), n_layers=0)
-        state = init_embeddings(n, m, cfg, seed=trial)
+        state = init_embeddings(n, m, cfg, seed=trial, pretrained=None)
         out = forward(state.stacked(), build_operators(g, None), cfg)
         ok = ok and np.array_equal(out.final_users, state.users)
         ok = ok and np.array_equal(out.final_hashtags, state.hashtags)
@@ -305,14 +306,12 @@ def synth_runs():
     for s in range(N_SEEDS):
         rng = np.random.default_rng(np.random.SeedSequence(s, spawn_key=(5,)))
         data = synth_generate(RunConfig(), rng)
-        volume = int(data.counts.T.data.sum())
         graph = build_interaction_graph(data.counts)
         common = dict(holdout_fraction=0.05, folds=2)
-        real = run_protocol(graph, None, data.annotations, data.counts.hashtags,
+        real = run_protocol(graph, None, data.annotations, data.counts,
                             RunConfig(variant="wlgcn", **common), s)
-        null = run_protocol(graph, None, data.annotations, data.counts.hashtags,
-                            RunConfig(variant="null", **common), s,
-                            null_interactions=volume)
+        null = run_protocol(graph, None, data.annotations, data.counts,
+                            RunConfig(variant="null", **common), s)
         runs.append({"data": data, "real": real, "null": null})
     return runs, time.perf_counter() - start
 

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from stancegraph import cli
-from stancegraph.cli import _load_dataset, _write_pairs, main
+from stancegraph.cli import _load_dataset, main
 from stancegraph.config import (
     RunConfig,
     parse_config_file,
@@ -567,7 +567,7 @@ def test_no_loaded_user_graph_outlives_the_dataset_load(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "load_user_graph", load)
     cfg = resolve(None, {"use_social": True, "use_pathsim": True, "n_layers": 2})
-    _, _, channels = _load_dataset(data, cfg)
+    _, _, channels = _load_dataset(data, cfg, None)
     # The social graph is gone before the PathSim graph is loaded, and
     # neither outlives the load.
     assert alive_at_load == [[], [False]]
@@ -822,7 +822,7 @@ def test_train_zero_epochs_pins_pretrained_rows(tmp_path):
     state, _, tags = load_checkpoint(out / "checkpoint.bin")
     for tag, vec in want.items():
         assert np.array_equal(state.hashtags[tags.index(tag)], vec)
-    init = init_embeddings(40, 20, RunConfig(dim=4), stage_seed(0, "train"))
+    init = init_embeddings(40, 20, RunConfig(dim=4), stage_seed(0, "train"), None)
     pinned = [tags.index(tag) for tag in want]
     assert np.array_equal(np.delete(state.hashtags, pinned, axis=0),
                           np.delete(init.hashtags, pinned, axis=0))
@@ -1362,7 +1362,7 @@ def test_train_zero_epochs_checkpoint_is_initialization(tmp_path):
                 "--max-epochs", "0", "--seed", "0", "--dim", "8"]) == 0
     state, users, tags = load_checkpoint(out / "checkpoint.bin")
     assert len(users) == 40 and len(tags) == 20
-    init = init_embeddings(40, 20, RunConfig(dim=8), stage_seed(0, "train"))
+    init = init_embeddings(40, 20, RunConfig(dim=8), stage_seed(0, "train"), None)
     assert np.array_equal(state.users, init.users)
     assert np.array_equal(state.hashtags, init.hashtags)
     history = (out / "history.csv").read_text(encoding="utf-8").strip().splitlines()
@@ -1384,13 +1384,16 @@ def test_train_writes_history(tmp_path, capsys):
                         last), last
 
 
-def test_val_pairs_are_written_in_sorted_tuple_order(tmp_path):
-    rng = np.random.default_rng(4)
-    pairs = rng.integers(0, 12, size=(300, 2))  # unsorted, with repeats
-    users, hashtags = [f"u{i}" for i in range(12)], [f"h{j}" for j in range(12)]
-    _write_pairs(pairs, users, hashtags, tmp_path / "val.tsv")
-    want = "".join(f"{users[u]}\t{hashtags[j]}\n" for u, j in sorted(map(tuple, pairs.tolist())))
-    assert (tmp_path / "val.tsv").read_text(encoding="utf-8") == want
+def test_eval_writes_val_pairs_in_index_order(tmp_path):
+    # The fold keeps the graph's row-major edge order, so eval writes it
+    # as it is: strictly increasing in (user index, hashtag index).
+    raw, data, eval_dir = synth_build_eval(tmp_path)
+    counts = load_counts(data / "counts.json")
+    uidx = {u: i for i, u in enumerate(counts.users)}
+    hidx = {h: j for j, h in enumerate(counts.hashtags)}
+    lines = (eval_dir / "val.tsv").read_text(encoding="utf-8").splitlines()
+    keys = [(uidx[u], hidx[h]) for u, h in (line.split("\t") for line in lines)]
+    assert len(keys) > 1 and all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_eval_and_curve_pipeline(tmp_path):
@@ -1437,10 +1440,9 @@ def test_curve_reads_the_model_eval_evaluated(tmp_path, variant, channel_flags):
     cfg = resolve(None, {"seed": 3, "dim": 8, "max_epochs": 5, "folds": 2,
                          "holdout_fraction": 0.3, "variant": variant,
                          "use_social": bool(channel_flags), "use_pathsim": bool(channel_flags)})
-    counts, graph, channels = _load_dataset(data, cfg)
+    counts, graph, channels = _load_dataset(data, cfg, None)
     annotations = with_usage(load_annotations(annotations_path), counts)
-    res = run_protocol(graph, channels, annotations, counts.hashtags, cfg, stage_seed(3, "eval"),
-                       null_interactions=int(counts.T.data.sum()))
+    res = run_protocol(graph, channels, annotations, counts, cfg, stage_seed(3, "eval"))
     want = annotation_curve(res.propagated.users, res.propagated.hashtags, counts.hashtags,
                             res.split.hidden, annotations, range(1, 6))
     assert curve_path.read_text(encoding="utf-8") == "x,accuracy\n" + "".join(

@@ -829,7 +829,7 @@ def test_variant_table_holds_exactly_the_configured_names():
 def protocol_fixture(variant="wlgcn", seed=0):
     data, _ = small_synth(seed=1)
     return run_protocol(
-        build_interaction_graph(data.counts), None, data.annotations, data.counts.hashtags,
+        build_interaction_graph(data.counts), None, data.annotations, data.counts,
         protocol_cfg(holdout_fraction=0.1, folds=2, variant=variant), seed,
     )
 
@@ -853,7 +853,7 @@ def test_protocol_builds_no_user_operator_and_one_adjacency_per_fold():
                     counted = calls.setdefault(name, mock.Mock(wraps=getattr(module, name)))
                     stack.enter_context(mock.patch.object(module, name, counted))
         res = run_protocol(
-            build_interaction_graph(data.counts), channels, data.annotations, data.counts.hashtags,
+            build_interaction_graph(data.counts), channels, data.annotations, data.counts,
             cfg, 0,
         )
     assert len(res.report.folds) == 2
@@ -907,7 +907,7 @@ def test_protocol_binary_stance_skips_neutral_only_users(binary):
                                                 "NEUTRAL": tuple(tags[20:25])}), data.counts)
     scorer = mock.Mock(wraps=evaluate.predicted_stances)
     with mock.patch.object(evaluate, "predicted_stances", scorer):
-        res = run_protocol(build_interaction_graph(data.counts), None, ann, tags,
+        res = run_protocol(build_interaction_graph(data.counts), None, ann, data.counts,
                            protocol_cfg(holdout_fraction=0.5, folds=2, binary_stance=binary),
                            0)
     neutral_only = {u for u in res.split.holdout_users
@@ -937,7 +937,7 @@ def test_null_recall_within_sanity_bound_of_chance():
     recalls, chances = [], []
     for seed in range(10):
         res = run_protocol(
-            build_interaction_graph(data.counts), None, data.annotations, data.counts.hashtags,
+            build_interaction_graph(data.counts), None, data.annotations, data.counts,
             protocol_cfg(holdout_fraction=0.1, folds=2, variant="null"), seed,
         )
         recalls.append(res.report.recall)

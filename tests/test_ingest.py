@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from stancegraph import ingest
 from stancegraph.config import RunConfig
-from stancegraph.errors import DegenerateHashtag, EmptyCorpus, RecordError, ShapeError
+from stancegraph.errors import EmptyCorpus, RecordError, ShapeError
 from stancegraph.evaluate import synth_generate
 from stancegraph.graphs import GRAPH, to_scipy
 from stancegraph.ingest import (
@@ -57,32 +57,32 @@ def tweet_line(tid, uid, ts="2022-09-04T12:00:00+00:00", text="", kind="original
 # hashtag normalization ------------------------------------------------------
 
 def test_normalize_strips_hash_and_case():
-    assert normalize_hashtag("#Apruebo") == "apruebo"
+    assert normalize_hashtag("#Apruebo", 1) == "apruebo"
 
 
 def test_normalize_removes_accents():
-    assert normalize_hashtag("Más") == "mas"
-    assert normalize_hashtag("#RECHAZO") == "rechazo"
-    assert normalize_hashtag("Ñuñoa") == "nunoa"
+    assert normalize_hashtag("Más", 1) == "mas"
+    assert normalize_hashtag("#RECHAZO", 1) == "rechazo"
+    assert normalize_hashtag("Ñuñoa", 1) == "nunoa"
 
 
 def test_normalize_is_idempotent():
     tricky = ["#Apruebo", "Más", "ﬁn", "Straße", "İstanbul", "CAFÉ", "ApruEbo2022", "ñandú"]
     for raw in tricky:
-        once = normalize_hashtag(raw)
-        assert normalize_hashtag(once) == once
+        once = normalize_hashtag(raw, 1)
+        assert normalize_hashtag(once, 1) == once
 
 
 def test_normalize_is_case_insensitive():
     for raw in ["Apruebo", "VíaChile", "straße", "İzmir"]:
-        assert normalize_hashtag(raw.upper()) == normalize_hashtag(raw.lower())
+        assert normalize_hashtag(raw.upper(), 1) == normalize_hashtag(raw.lower(), 1)
 
 
 def test_normalize_empty_result_raises():
-    with pytest.raises(DegenerateHashtag):
-        normalize_hashtag("#")
-    with pytest.raises(DegenerateHashtag):
-        normalize_hashtag("   ")
+    with pytest.raises(RecordError, match=r"^line 3: hashtag '#' normalizes to empty$"):
+        normalize_hashtag("#", 3)
+    with pytest.raises(RecordError, match=r"^line 1: hashtag '   ' normalizes to empty$"):
+        normalize_hashtag("   ", 1)
 
 
 # corpus parsing -------------------------------------------------------------

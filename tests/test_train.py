@@ -28,6 +28,7 @@ from stancegraph.train import (
     adam_step,
     bpr_loss,
     grad_e0,
+    pair_scores,
     sample_epoch,
     sigmoid_of_negated,
     train,
@@ -70,7 +71,7 @@ def assert_grad_close(analytic, numeric, rel=1e-5, floor=1e-8):
 def test_loss_equal_scores_is_ln2():
     out = single_pair_output([1.0], [2.0], [2.0])
     triples = np.array([[0, 0, 1]])
-    loss = bpr_loss(triples, out, np.zeros((3, 1)), 0.0)
+    loss = bpr_loss(pair_scores(triples, out))
     assert loss == pytest.approx(math.log(2.0), abs=1e-15)
 
 
@@ -78,17 +79,10 @@ def test_loss_large_margin_is_tiny():
     # score gap of +20: loss is -log sigmoid(20)
     out = single_pair_output([4.0], [5.0], [0.0])
     triples = np.array([[0, 0, 1]])
-    loss = bpr_loss(triples, out, np.zeros((3, 1)), 0.0)
+    loss = bpr_loss(pair_scores(triples, out))
     want = float(np.log1p(np.exp(-20.0)))
     assert loss == pytest.approx(want, rel=1e-12)
     assert loss == pytest.approx(2.06e-9, abs=5e-12)
-
-
-def test_loss_empty_batch_is_regularizer():
-    out = single_pair_output([0.0], [0.0], [0.0])
-    e0 = np.array([[1.0], [1.0], [-1.0], [1.0]])
-    loss = bpr_loss(np.zeros((0, 3), dtype=np.int64), out, e0, 1.0)
-    assert loss == 4.0
 
 
 def test_loss_invariant_under_triple_order():
@@ -99,10 +93,10 @@ def test_loss_invariant_under_triple_order():
     e0 = rng.standard_normal((11, 3))
     out = forward(e0, ops, cfg)
     triples = sample_epoch(g, rng)
-    base = bpr_loss(triples, out, e0, 0.01)
+    base = bpr_loss(pair_scores(triples, out))
     for _ in range(5):
         shuffled = triples[rng.permutation(triples.shape[0])]
-        assert abs(bpr_loss(shuffled, out, e0, 0.01) - base) <= 1e-10
+        assert abs(bpr_loss(pair_scores(shuffled, out)) - base) <= 1e-10
 
 
 # gradients ------------------------------------------------------------------
@@ -117,7 +111,7 @@ def test_grad_mf_reduction_matches_hand_formula():
     e0 = rng.standard_normal((4, 2))
     triples = np.array([[0, 0, 2]])
     out = forward(e0, ops, cfg)
-    got = grad_e0(triples, out, ops, replace(cfg, lambda_reg=0.0), e0)
+    got = grad_e0(triples, pair_scores(triples, out), ops, replace(cfg, lambda_reg=0.0), e0)
 
     e_u, e_i, e_j = e0[0], e0[1], e0[3]
     s = 1.0 / (1.0 + math.exp(float(e_u @ (e_i - e_j))))
@@ -135,8 +129,8 @@ def test_grad_empty_batch_is_regularizer_derivative():
     ops = build_operators(g, None)
     e0 = rng.standard_normal((6, 2))
     out = forward(e0, ops, cfg)
-    got = grad_e0(np.zeros((0, 3), dtype=np.int64), out, ops, replace(cfg, lambda_reg=0.05),
-                  e0)
+    empty = np.zeros((0, 3), dtype=np.int64)
+    got = grad_e0(empty, pair_scores(empty, out), ops, replace(cfg, lambda_reg=0.05), e0)
     assert np.abs(got - 2 * 0.05 * e0).max() <= 1e-15
 
 
@@ -193,7 +187,8 @@ def test_grad_scatter_is_bit_identical_to_add_at():
             triples = np.column_stack([
                 rng.integers(0, n, size), rng.integers(0, m, size), rng.integers(0, m, size),
             ])
-            got = grad_e0(triples, out, ops, replace(cfg, lambda_reg=0.01), e0)
+            got = grad_e0(triples, pair_scores(triples, out), ops,
+                          replace(cfg, lambda_reg=0.01), e0)
             assert np.array_equal(got, add_at_grad(triples, out, ops, cfg, e0, 0.01))
 
 
@@ -221,7 +216,8 @@ def test_grad_matches_finite_differences_all_channel_combos():
                 e0 = 0.5 * rng.standard_normal((n + m, d))
                 lam = float(rng.choice([0.0, 0.01, 0.1]))
                 out = forward(e0, ops, cfg)
-                analytic = grad_e0(triples, out, ops, replace(cfg, lambda_reg=lam), e0)
+                analytic = grad_e0(triples, pair_scores(triples, out), ops,
+                                   replace(cfg, lambda_reg=lam), e0)
                 numeric = finite_difference_grad(e0, triples, ops, cfg, lam)
                 assert_grad_close(analytic, numeric)
                 checked += 1
@@ -240,7 +236,8 @@ def test_grad_pulls_back_through_user_poly_transpose():
     ops.users = rng.standard_normal((n, n))
     triples = sample_epoch(g, rng)
     e0 = 0.5 * rng.standard_normal((n + m, 2))
-    analytic = grad_e0(triples, forward(e0, ops, cfg), ops, replace(cfg, lambda_reg=0.01), e0)
+    scores = pair_scores(triples, forward(e0, ops, cfg))
+    analytic = grad_e0(triples, scores, ops, replace(cfg, lambda_reg=0.01), e0)
     assert_grad_close(analytic, finite_difference_grad(e0, triples, ops, cfg, 0.01))
 
 
@@ -372,7 +369,7 @@ def test_train_zero_epochs_returns_initial_state():
     graph, val = two_block_setup()
     cfg = RunConfig(dim=4, n_layers=1, max_epochs=0)
     state, history, _ = train(graph, None, cfg, val, seed=3)
-    init = init_embeddings(graph.n_users, graph.n_hashtags, cfg, 3)
+    init = init_embeddings(graph.n_users, graph.n_hashtags, cfg, 3, None)
     assert history == []
     assert np.array_equal(state.users, init.users)
     assert np.array_equal(state.hashtags, init.hashtags)
@@ -382,7 +379,7 @@ def test_train_zero_learning_rate_freezes_params():
     graph, val = two_block_setup()
     cfg = RunConfig(dim=4, n_layers=1, learning_rate=0.0, max_epochs=4, patience=10)
     state, history, _ = train(graph, None, cfg, val, seed=3)
-    init = init_embeddings(graph.n_users, graph.n_hashtags, cfg, 3)
+    init = init_embeddings(graph.n_users, graph.n_hashtags, cfg, 3, None)
     assert np.array_equal(state.users, init.users)
     assert np.array_equal(state.hashtags, init.hashtags)
     assert len(history) == 4
@@ -443,6 +440,22 @@ def test_train_propagates_once_per_step_and_once_more(monkeypatch, max_epochs):
     assert len(history) == max_epochs
     assert calls["adam_step"] == max_epochs * -(-graph.R.nnz // 4)
     assert calls["forward"] == calls["adam_step"] + 1
+
+
+def test_epoch_loss_is_mean_bpr_plus_l2():
+    # At learning rate 0 the parameters stay E0 through the epoch, so its
+    # loss is the reference BPR sum over the epoch's triples, per triple,
+    # plus the L2 term once.
+    graph, val = two_block_setup()
+    cfg = RunConfig(dim=4, n_layers=2, learning_rate=0.0, max_epochs=1, lambda_reg=0.05,
+                    batch_size=5)
+    _, history, _ = train(graph, None, cfg, val, seed=3)
+    e0 = init_embeddings(graph.n_users, graph.n_hashtags, cfg, 3, None).stacked()
+    triples = sample_epoch(graph, np.random.default_rng(3))
+    assert triples.shape[0] > cfg.batch_size
+    bpr = evaluate_loss(e0, triples, build_operators(graph, None), cfg, 0.0)
+    want = bpr / triples.shape[0] + cfg.lambda_reg * float(np.sum(e0 ** 2))
+    assert history[0].loss == pytest.approx(want, rel=1e-12)
 
 
 def test_train_loss_decreases_on_planted_graph():

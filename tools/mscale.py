@@ -170,7 +170,9 @@ def run_stage(tree: Path, argv: list[str], run: Path, out_dir: str, clock) -> di
         _, status, usage = os.wait4(proc.pid, 0)
         t1 = time.perf_counter()
     wall = t1 - t0
-    rc = os.waitstatus_to_exitcode(status)
+    # wait4 reaped the child, so Popen must be told, or it warns that the
+    # child is still running when it is collected.
+    rc = proc.returncode = os.waitstatus_to_exitcode(status)
     if rc != 0:
         sys.stderr.write(log.read_text(encoding="utf-8", errors="replace"))
     outputs = {path.name: {"bytes": path.stat().st_size, "sha256": sha256(path)}
