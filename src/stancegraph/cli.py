@@ -21,14 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, config_lines, resolve, stage_rng, stage_seed
-from .errors import (
-    BoundsError,
-    ConfigError,
-    RecordError,
-    ShapeError,
-    StanceGraphError,
-    open_text,
-)
+from .errors import ConfigError, RecordError, StanceGraphError, open_text
 from .evaluate import (
     VARIANTS,
     HoldoutSplit,
@@ -133,7 +126,7 @@ def _normalized_user_graph(data: Path, kind: str, n_users: int):
     """<kind>.coo normalized; the loaded graph is dropped on return."""
     graph = load_user_graph(data / f"{kind}.coo", kind=kind)
     if graph.n_users != n_users:
-        raise ShapeError(f"{kind}.coo does not match counts.json")
+        raise StanceGraphError(f"{kind}.coo does not match counts.json")
     return normalize_user_graph(graph)
 
 
@@ -147,7 +140,7 @@ def _load_dataset(data_dir, cfg: RunConfig, pretrained_path):
     counts = load_counts(data / "counts.json")
     graph = load_bipartite(data / "bipartite.coo")
     if graph.n_users != len(counts.users) or graph.n_hashtags != len(counts.hashtags):
-        raise ShapeError("bipartite.coo does not match counts.json")
+        raise StanceGraphError("bipartite.coo does not match counts.json")
     ops = [_normalized_user_graph(data, kind, graph.n_users)
            for kind, used in (("social", cfg.use_social), ("pathsim", cfg.use_pathsim)) if used]
     pretrained = None
@@ -281,12 +274,12 @@ def cmd_curve(args, cfg: RunConfig) -> int:
     eval_dir = Path(args.eval_dir)
     emb, user_ids, tag_ids = load_checkpoint(eval_dir / "propagated.bin")
     if user_ids != counts.users or tag_ids != counts.hashtags:
-        raise ShapeError("propagated embedding index does not match the dataset")
+        raise StanceGraphError("propagated embedding index does not match the dataset")
 
     uidx = {u: i for i, u in enumerate(counts.users)}
     hidx = {h: j for j, h in enumerate(counts.hashtags)}
     hidden: dict[int, dict[int, float]] = {}
-    with open_text(eval_dir / "hidden.tsv", strict=True, named=True) as lines:
+    with open_text(eval_dir / "hidden.tsv", strict=True) as lines:
         for line_no, line in enumerate(lines, 1):
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 3:
@@ -378,14 +371,10 @@ def main(argv=None) -> int:
         for line in config_lines(cfg):
             print(f"[config] {line}")
         return COMMANDS[args.command](args, cfg)
-    except (ConfigError, BoundsError) as exc:
-        return _fail(exc, 2)
-    except RecordError as exc:
-        return _fail(exc, 3)
+    except StanceGraphError as exc:
+        return _fail(exc, exc.exit_code)
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         return _fail(exc, 4)
-    except StanceGraphError as exc:
-        return _fail(exc, 5)
 
 
 if __name__ == "__main__":

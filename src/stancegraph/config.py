@@ -194,11 +194,11 @@ def parse_config_file(path) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected key=value")
+                raise ConfigError("expected key=value", line_no)
             key, _, raw = line.partition("=")
             key = key.strip()
             if key not in _FIELDS:
-                raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+                raise ConfigError(f"unknown key {key!r}", line_no)
             values[key] = _coerce(key, raw)
     return values
 

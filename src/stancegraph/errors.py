@@ -1,12 +1,14 @@
 """Exception types shared across the package.
 
-Every domain error derives from StanceGraphError so callers can catch one
-base class; the CLI maps subclasses to distinct exit codes. Every text
-input is read through open_text, so bytes that are not UTF-8 raise one of
-them too.
+One class per exit code of the command line: ConfigError (2) for a bad
+configuration, RecordError (3) for a malformed input record, and their
+base StanceGraphError (5), raised directly, for every other domain error.
+Every text input is read through open_text, so bytes that are not UTF-8
+raise one of them too.
 """
 
 import contextlib
+import inspect
 import logging
 import re
 
@@ -18,18 +20,12 @@ _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 class StanceGraphError(Exception):
-    """Base class for all errors raised by this package."""
+    """A domain error, and the base class of the package's others.
 
-
-class ConfigError(StanceGraphError):
-    """A configuration value or combination of values is invalid."""
-
-
-class RecordError(StanceGraphError):
-    """An input record could not be parsed.
-
-    Carries the 1-based line number of the offending record when known.
+    Carries the 1-based line number of the offending line when known.
     """
+
+    exit_code = 5
 
     def __init__(self, message: str, line_no: int | None = None):
         if line_no is not None:
@@ -38,43 +34,28 @@ class RecordError(StanceGraphError):
         self.line_no = line_no
 
 
-class EmptyCorpus(StanceGraphError):
-    """No tweets survived parsing or filtering."""
+class ConfigError(StanceGraphError):
+    """A configuration value or combination of values is invalid."""
+
+    exit_code = 2
 
 
-class ShapeError(StanceGraphError):
-    """Matrix or vector dimensions do not line up."""
+class RecordError(StanceGraphError):
+    """An input record could not be parsed."""
 
-
-class EmptyChannel(StanceGraphError):
-    """A graph channel was requested but has no mass (e.g. all-zero weights)."""
-
-
-class NumericsError(StanceGraphError):
-    """A non-finite value appeared where finite numbers are required."""
-
-
-class EmptyEligibleSet(StanceGraphError):
-    """No users qualify for the requested split."""
-
-
-class EmptyEvaluation(StanceGraphError):
-    """An evaluation was requested over an empty set of predictions."""
-
-
-class BoundsError(StanceGraphError):
-    """A requested size exceeds what the data provides."""
+    exit_code = 3
 
 
 @contextlib.contextmanager
-def open_text(path, error=RecordError, *, strict: bool, named: bool = False):
+def open_text(path, error=RecordError, *, strict: bool):
     """Open the UTF-8 text file at `path` and give its lines, as open()
     splits them in text mode. A line holding bytes that are not UTF-8
     raises error(message), the message naming the file and the line; when
     not `strict`, it is logged and given as an empty line instead, which
-    every reader skips. With `named`, a RecordError that the reader raises
-    for a line, 'line N: message', is raised again as '<path>: line N:
-    message'."""
+    every reader skips. An error for a line, 'line N: message', that the
+    reader raises while it reads them (after their first and before their
+    end) is raised again as '<path>: line N: message'; of several files
+    held open at once, only the one being read names itself."""
 
     def checked(fh):
         for line_no, line in enumerate(fh, 1):
@@ -87,9 +68,10 @@ def open_text(path, error=RecordError, *, strict: bool, named: bool = False):
             yield line
 
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        lines = checked(fh)
         try:
-            yield checked(fh)
-        except RecordError as exc:
-            if not named or exc.line_no is None:
+            yield lines
+        except StanceGraphError as exc:
+            if exc.line_no is None or inspect.getgeneratorstate(lines) != inspect.GEN_SUSPENDED:
                 raise
-            raise RecordError(f"{path}: {exc}") from exc
+            raise type(exc)(f"{path}: {exc}") from exc

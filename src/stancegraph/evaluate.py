@@ -19,14 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .config import RunConfig
-from .errors import (
-    BoundsError,
-    ConfigError,
-    EmptyEligibleSet,
-    EmptyEvaluation,
-    RecordError,
-    open_text,
-)
+from .errors import ConfigError, RecordError, StanceGraphError, open_text
 from .graphs import BipartiteGraph, _is_member, _kept, binarize, row_normalize
 from .ingest import InteractionCounts, _flat_keys, _row_indices, _unit_counts, normalize_hashtag
 from .metrics import EVAL_K, ranking_metrics
@@ -82,7 +75,7 @@ def parse_annotations(lines) -> StanceAnnotation:
 
 
 def load_annotations(path) -> StanceAnnotation:
-    with open_text(path, strict=True, named=True) as lines:
+    with open_text(path, strict=True) as lines:
         return parse_annotations(lines)
 
 
@@ -109,7 +102,7 @@ def stance_metrics(predicted: list[str], truth: list[str]) -> tuple[float, float
     """Accuracy and RMSE under the NEG=0, NEUTRAL=0.5, POS=1 embedding, of
     predictions and truths for one list of users."""
     if not predicted:
-        raise EmptyEvaluation("no users to evaluate")
+        raise StanceGraphError("no users to evaluate")
     correct = sum(1 for p, t in zip(predicted, truth) if p == t)
     sq = [
         (STANCE_NUMERIC[p] - STANCE_NUMERIC[t]) ** 2
@@ -137,10 +130,10 @@ def holdout_split(
 ) -> HoldoutSplit:
     """Hide all annotated-hashtag edges of a random user fraction.
 
-    Eligible users have at least one annotated edge; ceil(fraction * count)
-    of them are selected. Hidden weights keep their pre-split values; the
-    remaining rows of selected users are renormalized. `hashtags` names
-    the graph's columns.
+    Eligible users have at least one annotated edge;
+    held_out_count(fraction, count) of them are selected. Hidden weights
+    keep their pre-split values; the remaining rows of selected users are
+    renormalized. `hashtags` names the graph's columns.
     """
     tags = annotations.tags()
     annotated = np.array([h in tags for h in hashtags], dtype=bool)
@@ -149,8 +142,8 @@ def holdout_split(
     on_annotated = annotated[R.indices]
     eligible = np.unique(rows[on_annotated])
     if not len(eligible):
-        raise EmptyEligibleSet("no user interacts with an annotated hashtag")
-    n_hold = int(np.ceil(fraction * len(eligible)))
+        raise StanceGraphError("no user interacts with an annotated hashtag")
+    n_hold = held_out_count(fraction, len(eligible))
     chosen = rng.choice(len(eligible), size=n_hold, replace=False)
     holdout_users = tuple(int(u) for u in np.sort(eligible[chosen]))
 
@@ -181,8 +174,8 @@ def held_out_count(fraction: float, n: int) -> int:
     """ceil(fraction * n), taken in exact arithmetic on the fraction's
     decimal form (its shortest repr): 0.07 of 100 edges is 7, where the
     float product 7.000000000000001 would round up to 8."""
-    # Imported here: only train holds edges out, and fractions pulls in
-    # decimal, which no other stage process needs.
+    # Imported here: fractions pulls in decimal, which only the train and
+    # eval stage processes, the two that hold a share out, need.
     from fractions import Fraction
 
     return math.ceil(Fraction(repr(float(fraction))) * n)
@@ -240,7 +233,7 @@ def _stances(values: np.ndarray, annotations: StanceAnnotation, index: dict[str,
         elif tags:
             LOGGER.warning("class %s has no scored hashtags; excluded", cls)
     if not classes:
-        raise EmptyEvaluation("no class has a scored hashtag")
+        raise StanceGraphError("no class has a scored hashtag")
     best = np.full(len(values), -np.inf)
     label = np.empty(len(values), dtype=object)
     for cls, columns, divisor in classes:
@@ -328,8 +321,8 @@ def write_report(report: EvalReport, report_path, folds_path) -> None:
 class Variant:
     """One evaluated model: the graph it trains on, given the fold graph, a
     null-model draw count and rng, and the config it trains with, given the
-    run's. Only a variant with `channels` sees the side channels and
-    pretrained vectors."""
+    run's. Only a variant with `channels` is given the side channels and
+    pretrained vectors: cmd_eval loads none for the others."""
 
     graph: Callable[[BipartiteGraph, int, np.random.Generator], BipartiteGraph]
     model: Callable[[RunConfig], RunConfig] = lambda cfg: cfg
@@ -360,7 +353,7 @@ class ProtocolResult:
 
 def run_protocol(
     graph: BipartiteGraph,
-    channels: ChannelSet | None,
+    channels: ChannelSet,
     annotations: StanceAnnotation,
     counts: InteractionCounts,
     cfg: RunConfig,
@@ -376,13 +369,13 @@ def run_protocol(
     with NEUTRAL-only hidden usage are not scored. Returns the averaged
     report plus the first fold's model, its final embeddings and the split,
     for downstream artifacts. `graph` is that of `counts`, and the null
-    variant draws their interaction volume. `seed` is the eval stage's
-    seed, derived from `cfg.seed` by the caller.
+    variant draws their interaction volume. Every fold trains with
+    `channels`; cmd_eval gives a variant without `channels` an empty set.
+    `seed` is the eval stage's seed, derived from `cfg.seed` by the caller.
     """
     hashtags = counts.hashtags
     spec = VARIANTS[cfg.variant]
     fold_cfg = spec.model(cfg)
-    fold_channels = channels if spec.channels else None
     n_draws = int(counts.T.data.sum())
     holdout_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     kfold_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
@@ -405,7 +398,7 @@ def run_protocol(
         )
         null_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3, f)))
         variant_graph = spec.graph(fold_graph, n_draws, null_rng)
-        state, history, out = train(variant_graph, fold_channels, fold_cfg, val_pairs, fold_seed)
+        state, history, out = train(variant_graph, channels, fold_cfg, val_pairs, fold_seed)
         if f == 0:
             fold0 = (state, out, history)
 
@@ -476,12 +469,12 @@ def annotation_curve(
 
     users, truths = true_stances(hidden, StanceAnnotation(by_class=ranked), hashtags)
     if not users:
-        raise EmptyEvaluation("no holdout user has POS or NEG usage")
+        raise StanceGraphError("no holdout user has POS or NEG usage")
 
     curve = []
     for x in x_values:
         if x < 1 or x > max_x:
-            raise BoundsError(f"x={x} outside [1, {max_x}]")
+            raise ConfigError(f"x={x} outside [1, {max_x}]")
         top_x = StanceAnnotation(by_class={cls: tags[:x] for cls, tags in ranked.items()})
         predicted = predicted_stances(final_users, final_hashtags, users, top_x, hashtags)
         curve.append((x, stance_metrics(predicted, truths)[0]))

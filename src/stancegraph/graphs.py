@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import RunConfig
-from .errors import EmptyChannel, EmptyCorpus, RecordError
+from .errors import RecordError, StanceGraphError
 from .ingest import (
     CSR_DTYPES,
     Container,
@@ -73,7 +73,7 @@ class BipartiteGraph:
     def __post_init__(self):
         n, m = self.R.shape
         if n < 1 or m < 1:
-            raise EmptyCorpus("bipartite graph needs at least one user and one hashtag")
+            raise StanceGraphError("bipartite graph needs at least one user and one hashtag")
 
     @property
     def n_users(self) -> int:
@@ -207,7 +207,7 @@ def build_social_graph(counts: InteractionCounts, cfg: RunConfig) -> UserGraph:
     """Combine mutual-follow, mention, and reply relations, weighted by the
     social_c_* keys, into one symmetric user graph."""
     if cfg.social_c_follow == cfg.social_c_mention == cfg.social_c_reply == 0.0:
-        raise EmptyChannel("all social coefficients are zero")
+        raise StanceGraphError("all social coefficients are zero")
     mention, reply = counts.mention, counts.reply
     W = _sum([
         _scaled(cfg.social_c_follow, counts.mutual_follow),

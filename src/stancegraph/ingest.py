@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .config import RunConfig
-from .errors import EmptyCorpus, RecordError, ShapeError
+from .errors import RecordError, StanceGraphError
 
 LOGGER = logging.getLogger(__name__)
 
@@ -286,10 +286,10 @@ SYMMETRY_SLICE = 1 << 18
 
 
 def check_index_range(shape, nnz: int) -> None:
-    """ShapeError unless a `shape` matrix with `nnz` entries fits int32 indices."""
+    """StanceGraphError unless a `shape` matrix with `nnz` entries fits int32 indices."""
     if max(*shape, nnz) > np.iinfo(np.int32).max:
-        raise ShapeError(f"a {shape[0]} x {shape[1]} matrix with {nnz} entries "
-                         "does not fit int32 indices")
+        raise StanceGraphError(f"a {shape[0]} x {shape[1]} matrix with {nnz} entries "
+                               "does not fit int32 indices")
 
 
 def _csr_arrays(indptr, indices, data, shape) -> CSRArrays:
@@ -434,11 +434,11 @@ def extract_interactions(corpus: Corpus) -> InteractionCounts:
     Each usage or relation is one (row, column) pair in a flat index list;
     _unit_counts sums the repeats."""
     if not corpus.tweets:
-        raise EmptyCorpus("no tweets to extract interactions from")
+        raise StanceGraphError("no tweets to extract interactions from")
     users = sorted({t.user_id for t in corpus.tweets})
     tags = sorted({h for t in corpus.tweets for h in t.hashtags})
     if not tags:
-        raise EmptyCorpus("no hashtags in corpus")
+        raise StanceGraphError("no hashtags in corpus")
     uidx = {u: i for i, u in enumerate(users)}
     hidx = {h: j for j, h in enumerate(tags)}
 

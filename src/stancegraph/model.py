@@ -104,7 +104,7 @@ def load_pretrained_vectors(path, hashtags: list[str], dim: int) -> dict[int, np
     index = {h: j for j, h in enumerate(hashtags)}
     out: dict[int, np.ndarray] = {}
     seen: set[str] = set()
-    with open_text(path, strict=True, named=True) as lines:
+    with open_text(path, strict=True) as lines:
         for line_no, line in enumerate(lines, 1):
             parts = line.split()
             if not parts:
@@ -223,10 +223,9 @@ class ChannelOperators:
     users: np.ndarray | UserChannelSum | None
 
 
-def build_operators(graph: BipartiteGraph, channels: ChannelSet | None) -> ChannelOperators:
+def build_operators(graph: BipartiteGraph, channels: ChannelSet) -> ChannelOperators:
     """The fold graph's operator beside `channels`' user operator, which
     user_channels built for the run's n_layers over the same users."""
-    channels = channels or ChannelSet(None, 0)
     return ChannelOperators(build_adjacency(graph), graph.n_users,
                             1 + channels.n_user_channels, channels.users)
 

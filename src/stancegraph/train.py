@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, StanceGraphError
 from .graphs import BipartiteGraph, _is_member
 from .ingest import _flat_keys
 from .metrics import EVAL_K, ranking_metrics
@@ -54,7 +54,7 @@ class AdamState:
 def adam_step(adam: AdamState, params: np.ndarray, grad: np.ndarray, lr: float) -> None:
     """One bias-corrected Adam update, applied to params in place."""
     if not np.isfinite(grad).all():
-        raise NumericsError("non-finite gradient")
+        raise StanceGraphError("non-finite gradient")
     adam.t += 1
     adam.m = ADAM_BETA1 * adam.m + (1.0 - ADAM_BETA1) * grad
     adam.v = ADAM_BETA2 * adam.v + (1.0 - ADAM_BETA2) * grad * grad
@@ -213,7 +213,7 @@ def save_history(rows: list[HistoryRow], path) -> None:
 
 def train(
     graph: BipartiteGraph,
-    channels: ChannelSet | None,
+    channels: ChannelSet,
     cfg: RunConfig,
     val_edges: np.ndarray,
     seed: int,
@@ -226,8 +226,7 @@ def train(
     """
     ops = build_operators(graph, channels)
     n, m = graph.n_users, graph.n_hashtags
-    pretrained = channels.pretrained if channels is not None else None
-    state = init_embeddings(n, m, cfg, seed, pretrained)
+    state = init_embeddings(n, m, cfg, seed, channels.pretrained)
     params = state.stacked()
     adam = AdamState.for_shape(params.shape)
     rng = np.random.default_rng(seed)

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 from hypothesis import strategies as st
 
-from stancegraph.errors import RecordError, ShapeError
+from stancegraph.errors import StanceGraphError
 from stancegraph.graphs import GRAPH, BipartiteGraph, UserGraph, normalize_user_graph, to_scipy
 from stancegraph.ingest import COUNT_MATRICES, CSR_DTYPES, CSRArrays, InteractionCounts
 from stancegraph.model import ChannelSet, user_channels
@@ -81,6 +81,11 @@ def random_user_graph(rng: np.random.Generator, n: int, density: float = 0.4, ki
     W = np.triu((rng.random((n, n)) < density) * rng.random((n, n)), k=1)
     W = W + W.T
     return UserGraph(W=sp.csr_matrix(W), kind=kind)
+
+
+# No side channels: what cli._load_dataset gives when no user graph or
+# pretrained vectors are used.
+NO_CHANNELS = ChannelSet(None, 0)
 
 
 def channel_set(n_layers: int, social: UserGraph | None = None,
@@ -159,7 +164,8 @@ def corrupted(blob: bytes, data) -> bytes:
 def load_corrupted(write_valid, load, save, data):
     """What `load` makes of the file that write_valid(path) writes, cut
     short or with one byte replaced as hypothesis draws: None when it is
-    refused with a RecordError or ShapeError. A file it accepts must be
+    refused with an error of exit code 3 (RecordError) or 5 (a bare
+    StanceGraphError, such as a shape beyond int32 indices). A file it accepts must be
     written back byte for byte by save(path, loaded). Every write goes to
     a new file: truncating an existing one can be slow."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -169,7 +175,9 @@ def load_corrupted(write_valid, load, save, data):
         path.write_bytes(blob)
         try:
             loaded = load(path)
-        except (RecordError, ShapeError):
+        except StanceGraphError as exc:
+            if exc.exit_code not in (3, 5):
+                raise
             return None
         save(again, loaded)
         assert again.read_bytes() == blob

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from stancegraph.errors import ConfigError, EmptyEvaluation, ShapeError
+from stancegraph.errors import ConfigError, StanceGraphError
 from stancegraph.evaluate import CLASS_ORDER, StanceAnnotation
 from stancegraph.config import RunConfig
 from stancegraph.graphs import (
@@ -42,7 +42,8 @@ def assert_row_stochastic(graph: BipartiteGraph) -> None:
 def propagate(adj: NormalizedAdjacency, E0: np.ndarray, n_layers: int) -> list[np.ndarray]:
     """All layer outputs H^0 .. H^K of repeated operator application."""
     if E0.shape[0] != adj.size:
-        raise ShapeError(f"embedding rows {E0.shape[0]} do not match operator size {adj.size}")
+        raise StanceGraphError(
+            f"embedding rows {E0.shape[0]} do not match operator size {adj.size}")
     layers = [E0]
     H = E0
     for _ in range(n_layers):
@@ -126,7 +127,7 @@ def classify_stance(affinities: dict[str, float], annotations: StanceAnnotation)
         if mean >= best_mean:
             best_cls, best_mean = cls, mean
     if best_cls is None:
-        raise EmptyEvaluation("no class has a scored hashtag")
+        raise StanceGraphError("no class has a scored hashtag")
     return best_cls
 
 
@@ -143,7 +144,7 @@ def ground_truth_stance(hidden_weights: dict[str, float], annotations: StanceAnn
         if mean >= best_mean:
             best_cls, best_mean = cls, mean
     if best_cls is None:
-        raise EmptyEvaluation("annotation set has no classes")
+        raise StanceGraphError("annotation set has no classes")
     return best_cls
 
 
@@ -183,7 +184,7 @@ def build_social_graph(counts: InteractionCounts, cfg: RunConfig) -> UserGraph:
 def pathsim_scores(M1: sp.csr_matrix, M2: sp.csr_matrix) -> sp.csr_matrix:
     """(S + S.T) / 2 without the diagonal, S the scores of C = M1 @ M2.T."""
     if M1.shape != M2.shape:
-        raise ShapeError(f"relation shapes differ: {M1.shape} vs {M2.shape}")
+        raise StanceGraphError(f"relation shapes differ: {M1.shape} vs {M2.shape}")
     product = M1 @ M2.T
     diag = product.diagonal()
     C = product.tocoo()
@@ -207,7 +208,7 @@ def symmetric_normalize(A) -> NormalizedAdjacency:
     summed in storage order and each value dinv[r] * dinv[c] * a."""
     rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
     if (rows == A.indices).any():
-        raise ShapeError("graph has diagonal entries")
+        raise StanceGraphError("graph has diagonal entries")
     deg = np.bincount(rows, weights=A.data, minlength=A.shape[0])
     with np.errstate(divide="ignore"):
         dinv = np.power(deg, -0.5)

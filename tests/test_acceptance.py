@@ -44,7 +44,8 @@ from stancegraph.model import (
 )
 from stancegraph.train import grad_e0, pair_scores, sample_epoch
 
-from conftest import channel_set, counts_from, dense, random_bipartite, random_user_graph
+from conftest import (NO_CHANNELS, channel_set, counts_from, dense, random_bipartite,
+                      random_user_graph)
 from reference import evaluate_loss, ndcg_at_k, recall_at_k, score_all
 
 
@@ -214,7 +215,7 @@ def test_accept_4a_zero_layer_scores_are_raw_inner_products(capfd):
         g = random_bipartite(rng, n, m)
         cfg = RunConfig(dim=int(rng.integers(1, 5)), n_layers=0)
         state = init_embeddings(n, m, cfg, seed=trial, pretrained=None)
-        out = forward(state.stacked(), build_operators(g, None), cfg)
+        out = forward(state.stacked(), build_operators(g, NO_CHANNELS), cfg)
         ok = ok and np.array_equal(out.final_users, state.users)
         ok = ok and np.array_equal(out.final_hashtags, state.hashtags)
         for u in range(n):
@@ -308,9 +309,9 @@ def synth_runs():
         data = synth_generate(RunConfig(), rng)
         graph = build_interaction_graph(data.counts)
         common = dict(holdout_fraction=0.05, folds=2)
-        real = run_protocol(graph, None, data.annotations, data.counts,
+        real = run_protocol(graph, NO_CHANNELS, data.annotations, data.counts,
                             RunConfig(variant="wlgcn", **common), s)
-        null = run_protocol(graph, None, data.annotations, data.counts,
+        null = run_protocol(graph, NO_CHANNELS, data.annotations, data.counts,
                             RunConfig(variant="null", **common), s)
         runs.append({"data": data, "real": real, "null": null})
     return runs, time.perf_counter() - start
@@ -423,7 +424,7 @@ def test_accept_6_accuracy_grows_with_annotation_effort(capfd, synth_runs):
     for r in runs:
         data, res = r["data"], r["real"]
         fold_graph = graph_without_edges(res.split.train_graph, res.fold0_val)
-        out = forward(res.state.stacked(), build_operators(fold_graph, None), cfg)
+        out = forward(res.state.stacked(), build_operators(fold_graph, NO_CHANNELS), cfg)
         x_full = min(len(data.annotations.by_class["POS"]),
                      len(data.annotations.by_class["NEG"]))
         curve = annotation_curve(out.final_users, out.final_hashtags,

@@ -9,6 +9,7 @@ import importlib
 import inspect
 import json
 import os
+import pkgutil
 import re
 import struct
 import subprocess
@@ -19,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import stancegraph
 from stancegraph import cli
 from stancegraph.cli import _load_dataset, main
 from stancegraph.config import (
@@ -216,6 +218,18 @@ def test_every_package_definition_is_used_by_the_pipeline():
     assert sorted(q for q, name in defined.items() if name not in used) == []
 
 
+def test_one_error_class_per_exit_code():
+    # A new refusal reuses one of these three; cli.main maps each to its code.
+    found = {}
+    for info in pkgutil.iter_modules(stancegraph.__path__):
+        module = importlib.import_module(f"stancegraph.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__.startswith("stancegraph")):
+                found[obj.__name__] = obj.exit_code
+    assert found == {"StanceGraphError": 5, "ConfigError": 2, "RecordError": 3}
+
+
 # exit codes -----------------------------------------------------------------
 
 def test_help_exits_zero(capsys):
@@ -293,7 +307,7 @@ def test_bounds_error_exits_2(tmp_path, capsys):
                 "--annotations", tmp_path / "raw" / "annotations.tsv",
                 "--out", tmp_path / "curve.csv", "--x-max", "99"])
     assert code == 2
-    assert "kind=BoundsError" in capsys.readouterr().err
+    assert "kind=ConfigError" in capsys.readouterr().err
 
 
 def test_curve_without_x_exits_2(tmp_path, capsys):
@@ -551,7 +565,7 @@ def test_user_graph_of_another_size_exits_5_naming_its_file(tmp_path, capsys, gr
                 flag]) == 5
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if line.startswith("error ")] == [
-        f"error kind=ShapeError exit=5: {graph}.coo does not match counts.json"]
+        f"error kind=StanceGraphError exit=5: {graph}.coo does not match counts.json"]
     assert "Traceback" not in err
 
 
@@ -725,6 +739,37 @@ def test_text_input_that_is_not_utf8_exits_with_one_error_line(tmp_path, capsys,
     assert [line for line in err.splitlines() if line.startswith("error ")] == [
         f"error kind={kind} exit={want}: {path}: line 2 is not UTF-8 text"]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad, line, message", [
+    ("tweets", json.dumps({"tweet_id": "t4", "user_id": "u4", "kind": "original",
+                           "timestamp": "2022-09-04T12:00:00+00:00", "text": "",
+                           "hashtags": ["#"]}), "hashtag '#' normalizes to empty"),
+    ("follows", "u4", "expected 'follower<TAB>followee'")], ids=["tweets", "follows"])
+def test_a_malformed_ingest_line_names_only_its_file(tmp_path, capsys, bad, line, message):
+    # ingest holds its three files open at once; before, no line error named one.
+    argv = ["ingest", "--out", tmp_path / "counts.json"]
+    for name, lines in INGEST_LINES.items():
+        path = tmp_path / name
+        path.write_text("\n".join(lines + [line] if name == bad else lines) + "\n",
+                        encoding="utf-8")
+        argv += [f"--{name}", path]
+    capsys.readouterr()
+    assert run(argv) == 3
+    assert [line for line in capsys.readouterr().err.splitlines() if line.startswith("error ")] == [
+        f"error kind=RecordError exit=3: {tmp_path / bad}: line 4: {message}"]
+    assert not (tmp_path / "counts.json").exists()
+
+
+@pytest.mark.parametrize("line, message", [("dim", "expected key=value"),
+                                           ("k=2", "unknown key 'k'")])
+def test_a_malformed_config_line_names_its_file(tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed=1\n{line}\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["synth", "--out", tmp_path / "raw", "--config", cfg]) == 2
+    assert [line for line in capsys.readouterr().err.splitlines() if line.startswith("error ")] == [
+        f"error kind=ConfigError exit=2: {cfg}: line 2: {message}"]
 
 
 @pytest.mark.parametrize("bad, users, mutual_follows", [
@@ -1221,7 +1266,7 @@ def test_build_with_every_social_coefficient_zero_exits_5(tmp_path, capsys):
     out = tmp_path / "no-social"
     assert run(["build", "--counts", raw / "counts.json", "--out", out, "--social-c-follow", "0",
                 "--social-c-mention", "0", "--social-c-reply", "0"]) == 5
-    assert ("error kind=EmptyChannel exit=5: all social coefficients are zero"
+    assert ("error kind=StanceGraphError exit=5: all social coefficients are zero"
             in capsys.readouterr().err)
     assert not out.exists()
 
@@ -1309,7 +1354,7 @@ def test_ingest_refuses_hashtags_that_are_not_a_list(tmp_path, capsys):
     assert run(["ingest", "--tweets", tweets, "--out", out]) == 3
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if line.startswith("error ")] == [
-        "error kind=RecordError exit=3: line 2: hashtags must be a list of strings"]
+        f"error kind=RecordError exit=3: {tweets}: line 2: hashtags must be a list of strings"]
     assert "Traceback" not in err and not out.exists()
     # Without strict parsing the record is skipped with a warning.
     assert run(["ingest", "--tweets", tweets, "--out", out, "--no-strict-parse"]) == 0
@@ -1328,7 +1373,7 @@ def test_ingest_refuses_a_null_tweet_id(tmp_path, capsys):
     assert run(["ingest", "--tweets", tweets, "--out", out]) == 3
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if line.startswith("error ")] == [
-        "error kind=RecordError exit=3: line 2: tweet_id must be a string or an integer"]
+        f"error kind=RecordError exit=3: {tweets}: line 2: tweet_id must be a string or an integer"]
     assert "Traceback" not in err and not out.exists()
     assert run(["ingest", "--tweets", tweets, "--out", out, "--no-strict-parse"]) == 0
     assert load_counts(out).users == ["u1"]

@@ -17,13 +17,7 @@ from hypothesis.extra import numpy as hnp
 from stancegraph import cli, evaluate, graphs, metrics, model
 from stancegraph import train as train_module
 from stancegraph.config import VARIANT_NAMES, RunConfig
-from stancegraph.errors import (
-    BoundsError,
-    ConfigError,
-    EmptyEligibleSet,
-    EmptyEvaluation,
-    RecordError,
-)
+from stancegraph.errors import ConfigError, RecordError, StanceGraphError
 from stancegraph.evaluate import (
     CLASS_ORDER,
     STANCE_NUMERIC,
@@ -57,7 +51,8 @@ from stancegraph.metrics import ranking_metrics
 from stancegraph.model import build_operators, forward
 from stancegraph.train import train
 
-from conftest import channel_set, counts_from, dense, random_bipartite, random_user_graph
+from conftest import (NO_CHANNELS, channel_set, counts_from, dense, random_bipartite,
+                      random_user_graph)
 from reference import (
     assert_row_stochastic,
     classify_stance,
@@ -155,7 +150,7 @@ def test_classify_excludes_unscored_class(caplog):
 
 
 def test_classify_no_scored_class_raises():
-    with pytest.raises(EmptyEvaluation):
+    with pytest.raises(StanceGraphError, match="^no class has a scored hashtag$"):
         classify_stance({}, three_class_annotation())
 
 
@@ -211,7 +206,7 @@ def test_stance_metrics_hand_cases():
 
 
 def test_stance_metrics_errors():
-    with pytest.raises(EmptyEvaluation):
+    with pytest.raises(StanceGraphError, match="^no users to evaluate$"):
         stance_metrics([], [])
 
 
@@ -279,7 +274,7 @@ def test_array_scorer_equals_per_user_reference(case):
     if scoreable:
         assert predicted_stances(final_users, final_hashtags, users, ann, hashtags) == want_pred
     else:
-        with pytest.raises(EmptyEvaluation):
+        with pytest.raises(StanceGraphError, match="^no class has a scored hashtag$"):
             predicted_stances(final_users, final_hashtags, users, ann, hashtags)
 
 
@@ -454,8 +449,17 @@ def test_holdout_deterministic_under_seed():
 def test_holdout_no_eligible_users():
     graph = BipartiteGraph(R=sp.csr_matrix(np.array([[1.0]])))
     ann = parse_annotations(["unused\tPOS"])
-    with pytest.raises(EmptyEligibleSet):
+    with pytest.raises(StanceGraphError, match="^no user interacts with an annotated hashtag$"):
         holdout_split(graph, ann, ["other"], 0.05, np.random.default_rng(0))
+
+
+def test_holdout_holds_out_the_exact_decimal_share():
+    # 0.07 of 100 eligible users is 7, as validation_edges counts a share;
+    # ceil of the float product 7.000000000000001 would hold out 8.
+    graph = BipartiteGraph(R=sp.csr_matrix(np.ones((100, 1))))
+    split = holdout_split(graph, parse_annotations(["tag\tPOS"]), ["tag"], 0.07,
+                          np.random.default_rng(0))
+    assert (split.n_eligible, len(split.holdout_users)) == (100, 7)
 
 
 def holdout_reference(graph, annotations, hashtags, fraction, rng):
@@ -464,8 +468,8 @@ def holdout_reference(graph, annotations, hashtags, fraction, rng):
     eligible = [u for u in range(graph.n_users)
                 if any(int(j) in annotated_cols for j in neighbors(graph, u))]
     if not eligible:
-        raise EmptyEligibleSet("no eligible user")
-    chosen = rng.choice(len(eligible), size=int(np.ceil(fraction * len(eligible))),
+        raise StanceGraphError("no eligible user")
+    chosen = rng.choice(len(eligible), size=held_out_count(fraction, len(eligible)),
                         replace=False)
     holdout_users = tuple(sorted(eligible[k] for k in chosen))
     hidden = {}
@@ -490,8 +494,9 @@ def test_holdout_split_equals_set_scan_reference(data):
     rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
     try:
         want = holdout_reference(graph, ann, hashtags, fraction, rng_want)
-    except EmptyEligibleSet:
-        with pytest.raises(EmptyEligibleSet):
+    except StanceGraphError:
+        with pytest.raises(StanceGraphError,
+                           match="^no user interacts with an annotated hashtag$"):
             holdout_split(graph, ann, hashtags, fraction, rng_got)
         return
     got = holdout_split(graph, ann, hashtags, fraction, rng_got)
@@ -634,8 +639,8 @@ def test_mf_baseline_scores_are_raw_inner_products():
     assert cfg == RunConfig(dim=3, n_layers=0, **QUICK_TRAIN) and not mf.channels
     mf_graph = mf.graph(fold_graph, 1, rng)
     assert mf_graph is fold_graph
-    state, _, _ = train(mf_graph, None, cfg, val_pairs, seed=0)
-    out = forward(state.stacked(), build_operators(fold_graph, None), cfg)
+    state, _, _ = train(mf_graph, NO_CHANNELS, cfg, val_pairs, seed=0)
+    out = forward(state.stacked(), build_operators(fold_graph, NO_CHANNELS), cfg)
     assert np.array_equal(out.final_users, state.users)
     assert np.array_equal(out.final_hashtags, state.hashtags)
     for u in range(6):
@@ -654,9 +659,9 @@ def test_lightgcn_baseline_trains_on_binary_graph():
     lightgcn = VARIANTS["lightgcn"]
     cfg = lightgcn.model(RunConfig(dim=3, **QUICK_TRAIN))
     assert cfg == RunConfig(dim=3, **QUICK_TRAIN) and not lightgcn.channels
-    state_b, _, _ = train(lightgcn.graph(fold_graph, 1, rng), None, cfg, val_pairs, seed=5)
+    state_b, _, _ = train(lightgcn.graph(fold_graph, 1, rng), NO_CHANNELS, cfg, val_pairs, seed=5)
 
-    state_ref, _, _ = train(binarize(fold_graph), None, RunConfig(dim=3, **QUICK_TRAIN),
+    state_ref, _, _ = train(binarize(fold_graph), NO_CHANNELS, RunConfig(dim=3, **QUICK_TRAIN),
                             val_pairs, seed=5)
     assert np.array_equal(state_b.users, state_ref.users)
     assert np.array_equal(state_b.hashtags, state_ref.hashtags)
@@ -829,7 +834,7 @@ def test_variant_table_holds_exactly_the_configured_names():
 def protocol_fixture(variant="wlgcn", seed=0):
     data, _ = small_synth(seed=1)
     return run_protocol(
-        build_interaction_graph(data.counts), None, data.annotations, data.counts,
+        build_interaction_graph(data.counts), NO_CHANNELS, data.annotations, data.counts,
         protocol_cfg(holdout_fraction=0.1, folds=2, variant=variant), seed,
     )
 
@@ -907,7 +912,7 @@ def test_protocol_binary_stance_skips_neutral_only_users(binary):
                                                 "NEUTRAL": tuple(tags[20:25])}), data.counts)
     scorer = mock.Mock(wraps=evaluate.predicted_stances)
     with mock.patch.object(evaluate, "predicted_stances", scorer):
-        res = run_protocol(build_interaction_graph(data.counts), None, ann, data.counts,
+        res = run_protocol(build_interaction_graph(data.counts), NO_CHANNELS, ann, data.counts,
                            protocol_cfg(holdout_fraction=0.5, folds=2, binary_stance=binary),
                            0)
     neutral_only = {u for u in res.split.holdout_users
@@ -937,7 +942,7 @@ def test_null_recall_within_sanity_bound_of_chance():
     recalls, chances = [], []
     for seed in range(10):
         res = run_protocol(
-            build_interaction_graph(data.counts), None, data.annotations, data.counts,
+            build_interaction_graph(data.counts), NO_CHANNELS, data.annotations, data.counts,
             protocol_cfg(holdout_fraction=0.1, folds=2, variant="null"), seed,
         )
         recalls.append(res.report.recall)
@@ -976,7 +981,7 @@ def curve_setup():
     edges = split.train_graph.edges()
     val_pairs = kfold_split(edges, folds=2, rng=np.random.default_rng(1))[0]
     fold_graph = graph_without_edges(split.train_graph, val_pairs)
-    _, _, out = train(fold_graph, None, protocol_cfg(), val_pairs, seed=0)
+    _, _, out = train(fold_graph, NO_CHANNELS, protocol_cfg(), val_pairs, seed=0)
     return out, data, split, cfg
 
 
@@ -1027,9 +1032,10 @@ def test_curve_reproducible():
 def test_curve_rejects_out_of_range_x():
     out, data, split, cfg = curve_setup()
     tags = data.counts.hashtags
-    with pytest.raises(BoundsError):
+    with pytest.raises(ConfigError,
+                       match=rf"^x={cfg.annotated_per_camp + 1} outside \[1, \d+\]$"):
         annotation_curve(out.final_users, out.final_hashtags, tags, split.hidden,
                          data.annotations, [cfg.annotated_per_camp + 1])
-    with pytest.raises(BoundsError):
+    with pytest.raises(ConfigError, match=r"^x=0 outside \[1, \d+\]$"):
         annotation_curve(out.final_users, out.final_hashtags, tags, split.hidden,
                          data.annotations, [0])

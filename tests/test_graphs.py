@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from stancegraph import graphs
 from stancegraph.config import RunConfig
-from stancegraph.errors import ConfigError, EmptyChannel, RecordError, ShapeError
+from stancegraph.errors import ConfigError, RecordError, StanceGraphError
 from stancegraph.graphs import (
     GRAPH,
     BipartiteGraph,
@@ -180,7 +180,7 @@ def test_social_self_reply_dropped():
 
 def test_social_all_zero_coefficients_rejected():
     counts = counts_from(np.ones((2, 1)))
-    with pytest.raises(EmptyChannel):
+    with pytest.raises(StanceGraphError, match="^all social coefficients are zero$"):
         build_social_graph(counts, social(0, 0, 0))
 
 
@@ -723,7 +723,7 @@ def test_every_graph_build_writes_holds_the_stored_dtypes(tmp_path, top_k):
 
 def test_save_matrix_coo_refuses_a_shape_beyond_int32(tmp_path):
     # The index arrays are int32, so a wider matrix would be stored wrapped.
-    with pytest.raises(ShapeError, match="does not fit int32 indices"):
+    with pytest.raises(StanceGraphError, match="does not fit int32 indices"):
         save_matrix_coo(sp.csr_matrix((2, INDEX_MAX + 1)), tmp_path / "wide.coo")
     assert not (tmp_path / "wide.coo").exists()
     save_matrix_coo(sp.csr_matrix((2, INDEX_MAX)), tmp_path / "widest.coo")

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from stancegraph import ingest
 from stancegraph.config import RunConfig
-from stancegraph.errors import EmptyCorpus, RecordError, ShapeError
+from stancegraph.errors import RecordError, StanceGraphError
 from stancegraph.evaluate import synth_generate
 from stancegraph.graphs import GRAPH, to_scipy
 from stancegraph.ingest import (
@@ -594,11 +594,11 @@ def test_extract_index_order_is_lexicographic():
 
 
 def test_extract_empty_corpus_raises():
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(StanceGraphError, match="^no tweets to extract interactions from$"):
         extract_interactions(Corpus(tweets=(), follows=set(), outlets=frozenset(), locations={}))
     # tweets without any hashtag leave nothing to count either
     corpus = make_corpus([tweet_line("t1", "alice", text="sin etiquetas")])
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(StanceGraphError, match="^no hashtags in corpus$"):
         extract_interactions(corpus)
 
 
@@ -669,7 +669,7 @@ def test_count_matrices_hold_the_stored_dtypes_in_memory(tmp_path):
 
 
 def test_count_matrices_refuse_a_shape_beyond_int32():
-    with pytest.raises(ShapeError, match="does not fit int32 indices"):
+    with pytest.raises(StanceGraphError, match="does not fit int32 indices"):
         ingest._unit_counts([0], [INDEX_MAX], (1, INDEX_MAX + 1))
     widest = ingest._unit_counts([0], [INDEX_MAX - 1], (1, INDEX_MAX))
     assert widest.indices.tolist() == [INDEX_MAX - 1]

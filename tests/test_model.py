@@ -13,7 +13,7 @@ import scipy.sparse as sp
 
 from stancegraph import model
 from stancegraph.config import RunConfig
-from stancegraph.errors import ConfigError, RecordError, ShapeError
+from stancegraph.errors import ConfigError, RecordError, StanceGraphError
 from stancegraph.graphs import (
     BipartiteGraph,
     UserGraph,
@@ -35,7 +35,7 @@ from stancegraph.model import (
 
 from stancegraph.train import grad_e0, pair_scores
 
-from conftest import channel_set, random_bipartite, random_user_graph
+from conftest import NO_CHANNELS, channel_set, random_bipartite, random_user_graph
 from reference import affinity, propagate, score_all
 
 
@@ -171,7 +171,7 @@ def test_propagation_linear_in_e0():
 
 def test_propagate_shape_mismatch():
     adj = swap_adjacency()
-    with pytest.raises(ShapeError):
+    with pytest.raises(StanceGraphError, match="^embedding rows 5 do not match operator size "):
         propagate(adj, np.zeros((5, 2)), 1)
 
 
@@ -212,7 +212,7 @@ def test_forward_without_user_channels_uses_bipartite_only():
     rng = np.random.default_rng(79)
     g = random_bipartite(rng, 4, 3)
     cfg = RunConfig(dim=2, n_layers=2)
-    ops = build_operators(g, None)
+    ops = build_operators(g, NO_CHANNELS)
     state = init_embeddings(4, 3, cfg, seed=0, pretrained=None)
     out = forward(state.stacked(), ops, cfg)
     full = layer_averaged_propagate(ops.bipartite, state.stacked(), 2)

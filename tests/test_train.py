@@ -12,7 +12,7 @@ from scipy.special import expit
 
 from stancegraph import train as train_module
 from stancegraph.config import RunConfig
-from stancegraph.errors import ConfigError, NumericsError
+from stancegraph.errors import ConfigError, StanceGraphError
 from stancegraph.evaluate import graph_without_edges, kfold_split
 from stancegraph.graphs import BipartiteGraph
 from stancegraph.ingest import CSRArrays
@@ -34,7 +34,7 @@ from stancegraph.train import (
     train,
 )
 
-from conftest import channel_set, random_bipartite, random_user_graph
+from conftest import NO_CHANNELS, channel_set, random_bipartite, random_user_graph
 from reference import evaluate_loss, neighbors
 
 
@@ -89,7 +89,7 @@ def test_loss_invariant_under_triple_order():
     rng = np.random.default_rng(101)
     g = random_bipartite(rng, 5, 6)
     cfg = RunConfig(dim=3, n_layers=2)
-    ops = build_operators(g, None)
+    ops = build_operators(g, NO_CHANNELS)
     e0 = rng.standard_normal((11, 3))
     out = forward(e0, ops, cfg)
     triples = sample_epoch(g, rng)
@@ -106,7 +106,7 @@ def test_grad_mf_reduction_matches_hand_formula():
     # is the textbook pairwise one
     g = BipartiteGraph(R=sp.csr_matrix(np.array([[0.6, 0.4, 0.0]])))
     cfg = RunConfig(dim=2, n_layers=0)
-    ops = build_operators(g, None)
+    ops = build_operators(g, NO_CHANNELS)
     rng = np.random.default_rng(5)
     e0 = rng.standard_normal((4, 2))
     triples = np.array([[0, 0, 2]])
@@ -126,7 +126,7 @@ def test_grad_empty_batch_is_regularizer_derivative():
     rng = np.random.default_rng(7)
     g = random_bipartite(rng, 3, 3)
     cfg = RunConfig(dim=2, n_layers=2)
-    ops = build_operators(g, None)
+    ops = build_operators(g, NO_CHANNELS)
     e0 = rng.standard_normal((6, 2))
     out = forward(e0, ops, cfg)
     empty = np.zeros((0, 3), dtype=np.int64)
@@ -178,7 +178,7 @@ def test_grad_scatter_is_bit_identical_to_add_at():
     rng = np.random.default_rng(31)
     n, m = 6, 5
     g = random_bipartite(rng, n, m)
-    for channels in (None, channel_set(2, social=random_user_graph(rng, n))):
+    for channels in (NO_CHANNELS, channel_set(2, social=random_user_graph(rng, n))):
         cfg = RunConfig(dim=4, n_layers=2)
         ops = build_operators(g, channels)
         e0 = rng.standard_normal((n + m, 4))
@@ -281,7 +281,7 @@ def test_adam_two_steps_match_scalar_reference():
 def test_adam_rejects_nonfinite_gradient():
     params = np.zeros((1, 1))
     adam = AdamState.for_shape(params.shape)
-    with pytest.raises(NumericsError):
+    with pytest.raises(StanceGraphError, match="^non-finite gradient$"):
         adam_step(adam, params, np.array([[np.nan]]), lr=0.1)
 
 
@@ -359,8 +359,8 @@ def test_train_on_a_graph_of_csr_arrays_equals_train_on_its_scipy_form():
     R = graph.R
     arrays = BipartiteGraph(R=CSRArrays(R.indptr, R.indices, R.data, R.shape))
     cfg = RunConfig(dim=4, n_layers=2, max_epochs=3)
-    got, got_history, _ = train(arrays, None, cfg, val, seed=3)
-    want, want_history, _ = train(graph, None, cfg, val, seed=3)
+    got, got_history, _ = train(arrays, NO_CHANNELS, cfg, val, seed=3)
+    want, want_history, _ = train(graph, NO_CHANNELS, cfg, val, seed=3)
     assert np.array_equal(got.users, want.users) and np.array_equal(got.hashtags, want.hashtags)
     assert got_history == want_history
 
@@ -368,7 +368,7 @@ def test_train_on_a_graph_of_csr_arrays_equals_train_on_its_scipy_form():
 def test_train_zero_epochs_returns_initial_state():
     graph, val = two_block_setup()
     cfg = RunConfig(dim=4, n_layers=1, max_epochs=0)
-    state, history, _ = train(graph, None, cfg, val, seed=3)
+    state, history, _ = train(graph, NO_CHANNELS, cfg, val, seed=3)
     init = init_embeddings(graph.n_users, graph.n_hashtags, cfg, 3, None)
     assert history == []
     assert np.array_equal(state.users, init.users)
@@ -378,7 +378,7 @@ def test_train_zero_epochs_returns_initial_state():
 def test_train_zero_learning_rate_freezes_params():
     graph, val = two_block_setup()
     cfg = RunConfig(dim=4, n_layers=1, learning_rate=0.0, max_epochs=4, patience=10)
-    state, history, _ = train(graph, None, cfg, val, seed=3)
+    state, history, _ = train(graph, NO_CHANNELS, cfg, val, seed=3)
     init = init_embeddings(graph.n_users, graph.n_hashtags, cfg, 3, None)
     assert np.array_equal(state.users, init.users)
     assert np.array_equal(state.hashtags, init.hashtags)
@@ -389,20 +389,20 @@ def test_train_patience_one_stops_after_two_evaluations():
     graph, val = two_block_setup()
     # frozen parameters keep validation recall constant forever
     cfg = RunConfig(dim=4, n_layers=1, learning_rate=0.0, max_epochs=100, patience=1)
-    _, history, _ = train(graph, None, cfg, val, seed=3)
+    _, history, _ = train(graph, NO_CHANNELS, cfg, val, seed=3)
     assert len(history) == 2
 
 
 def test_train_deterministic_under_seed():
     graph, val = two_block_setup()
     cfg = RunConfig(dim=4, n_layers=2, max_epochs=6, patience=10)
-    state_a, hist_a, _ = train(graph, None, cfg, val, seed=11)
-    state_b, hist_b, _ = train(graph, None, cfg, val, seed=11)
+    state_a, hist_a, _ = train(graph, NO_CHANNELS, cfg, val, seed=11)
+    state_b, hist_b, _ = train(graph, NO_CHANNELS, cfg, val, seed=11)
     assert np.array_equal(state_a.users, state_b.users)
     assert np.array_equal(state_a.hashtags, state_b.hashtags)
     assert [h.loss for h in hist_a] == [h.loss for h in hist_b]
 
-    state_c, _, _ = train(graph, None, cfg, val, seed=12)
+    state_c, _, _ = train(graph, NO_CHANNELS, cfg, val, seed=12)
     assert not np.array_equal(state_a.users, state_c.users)
 
 
@@ -412,7 +412,7 @@ def test_train_returns_forward_output_of_its_state(max_epochs, with_social):
     # Callers score this output instead of propagating the state again.
     graph, val = two_block_setup()
     channels = channel_set(2, social=random_user_graph(np.random.default_rng(9), graph.n_users)) \
-        if with_social else None
+        if with_social else NO_CHANNELS
     cfg = RunConfig(dim=4, n_layers=2, learning_rate=0.05, max_epochs=max_epochs, patience=2)
     state, _, out = train(graph, channels, cfg, val, seed=5)
     want = forward(state.stacked(), build_operators(graph, channels), cfg)
@@ -436,7 +436,7 @@ def test_train_propagates_once_per_step_and_once_more(monkeypatch, max_epochs):
     graph, val = two_block_setup()
     cfg = RunConfig(dim=4, n_layers=1, learning_rate=0.05, max_epochs=max_epochs, patience=10,
                     batch_size=4)
-    _, history, _ = train(graph, None, cfg, val, seed=5)
+    _, history, _ = train(graph, NO_CHANNELS, cfg, val, seed=5)
     assert len(history) == max_epochs
     assert calls["adam_step"] == max_epochs * -(-graph.R.nnz // 4)
     assert calls["forward"] == calls["adam_step"] + 1
@@ -449,11 +449,11 @@ def test_epoch_loss_is_mean_bpr_plus_l2():
     graph, val = two_block_setup()
     cfg = RunConfig(dim=4, n_layers=2, learning_rate=0.0, max_epochs=1, lambda_reg=0.05,
                     batch_size=5)
-    _, history, _ = train(graph, None, cfg, val, seed=3)
+    _, history, _ = train(graph, NO_CHANNELS, cfg, val, seed=3)
     e0 = init_embeddings(graph.n_users, graph.n_hashtags, cfg, 3, None).stacked()
     triples = sample_epoch(graph, np.random.default_rng(3))
     assert triples.shape[0] > cfg.batch_size
-    bpr = evaluate_loss(e0, triples, build_operators(graph, None), cfg, 0.0)
+    bpr = evaluate_loss(e0, triples, build_operators(graph, NO_CHANNELS), cfg, 0.0)
     want = bpr / triples.shape[0] + cfg.lambda_reg * float(np.sum(e0 ** 2))
     assert history[0].loss == pytest.approx(want, rel=1e-12)
 
@@ -461,7 +461,7 @@ def test_epoch_loss_is_mean_bpr_plus_l2():
 def test_train_loss_decreases_on_planted_graph():
     graph, val = two_block_setup()
     cfg = RunConfig(dim=8, n_layers=2, learning_rate=0.05, max_epochs=40, patience=100)
-    _, history, _ = train(graph, None, cfg, val, seed=0)
+    _, history, _ = train(graph, NO_CHANNELS, cfg, val, seed=0)
     assert history[-1].loss < history[0].loss
 
 
