@@ -8,7 +8,7 @@ raise one of them too.
 """
 
 import contextlib
-import inspect
+import contextvars
 import logging
 import re
 
@@ -46,6 +46,27 @@ class RecordError(StanceGraphError):
     exit_code = 3
 
 
+# The open file whose line a reader holds: open_text sets it as it gives each
+# line and clears it at the end of the file, so that an error for that line,
+# raised or skipped, names the file.
+_READING = contextvars.ContextVar("_READING", default=None)
+
+
+def _named(exc: StanceGraphError) -> StanceGraphError:
+    """exc as '<path>: line N: message', of the same class, when it is an
+    error for a line of the file being read; else exc itself."""
+    fh = _READING.get()
+    if fh is None or exc.line_no is None:
+        return exc
+    return type(exc)(f"{fh.name}: {exc}")
+
+
+def skip_line(exc: StanceGraphError) -> None:
+    """Log that the line a reader refused with exc is skipped; a reader
+    that is not strict calls this instead of raising exc."""
+    LOGGER.warning("skipping %s", _named(exc))
+
+
 @contextlib.contextmanager
 def open_text(path, error=RecordError, *, strict: bool):
     """Open the UTF-8 text file at `path` and give its lines, as open()
@@ -53,8 +74,8 @@ def open_text(path, error=RecordError, *, strict: bool):
     raises error(message), the message naming the file and the line; when
     not `strict`, it is logged and given as an empty line instead, which
     every reader skips. An error for a line, 'line N: message', that the
-    reader raises while it reads them (after their first and before their
-    end) is raised again as '<path>: line N: message'; of several files
+    reader raises or skips while it reads them (after their first and
+    before their end) reads '<path>: line N: message'; of several files
     held open at once, only the one being read names itself."""
 
     def checked(fh):
@@ -65,13 +86,17 @@ def open_text(path, error=RecordError, *, strict: bool):
                     raise exc
                 LOGGER.warning("skipping %s", exc)
                 line = ""
+            _READING.set(fh)
             yield line
+        _READING.set(None)
 
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        lines = checked(fh)
         try:
-            yield lines
+            yield checked(fh)
         except StanceGraphError as exc:
-            if exc.line_no is None or inspect.getgeneratorstate(lines) != inspect.GEN_SUSPENDED:
+            if exc.line_no is None or _READING.get() is not fh:
                 raise
-            raise type(exc)(f"{path}: {exc}") from exc
+            raise _named(exc) from exc
+        finally:
+            if _READING.get() is fh:
+                _READING.set(None)

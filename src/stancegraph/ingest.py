@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .config import RunConfig
-from .errors import RecordError, StanceGraphError
+from .errors import RecordError, StanceGraphError, skip_line
 
 LOGGER = logging.getLogger(__name__)
 
@@ -190,7 +190,7 @@ def parse_corpus(tweet_lines, follow_lines=(), outlet_lines=(), *, strict: bool)
         except RecordError as exc:
             if strict:
                 raise
-            LOGGER.warning("skipping tweet record: %s", exc)
+            skip_line(exc)
             continue
         if record.tweet_id in by_id:
             LOGGER.warning("duplicate tweet_id %s; keeping last record", record.tweet_id)
@@ -204,9 +204,10 @@ def parse_corpus(tweet_lines, follow_lines=(), outlet_lines=(), *, strict: bool)
             continue
         parts = line.rstrip("\n").split("\t")
         if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
+            exc = RecordError("expected 'follower<TAB>followee'", line_no)
             if strict:
-                raise RecordError("expected 'follower<TAB>followee'", line_no)
-            LOGGER.warning("skipping follow edge on line %d", line_no)
+                raise exc
+            skip_line(exc)
             continue
         follows.add((parts[0].strip(), parts[1].strip()))
 

@@ -68,7 +68,7 @@ def sample_epoch(graph: BipartiteGraph, rng: np.random.Generator) -> np.ndarray:
 
     Negatives are drawn uniformly and redrawn while they collide with the
     user's observed hashtags. Users connected to every hashtag cannot be
-    sampled and are skipped.
+    sampled and are skipped (train warns of them once).
     """
     pairs = graph.edges()
     if pairs.shape[0] == 0:
@@ -79,10 +79,6 @@ def sample_epoch(graph: BipartiteGraph, rng: np.random.Generator) -> np.ndarray:
     degree = np.diff(graph.R.indptr)
     saturated = degree >= m
     if saturated.any():
-        LOGGER.warning(
-            "%d users interact with every hashtag; skipping their triples",
-            int(saturated.sum()),
-        )
         pairs = pairs[~saturated[pairs[:, 0]]]
         if pairs.shape[0] == 0:
             raise ConfigError("no sampleable edges remain")
@@ -230,6 +226,10 @@ def train(
     params = state.stacked()
     adam = AdamState.for_shape(params.shape)
     rng = np.random.default_rng(seed)
+    n_saturated = np.count_nonzero(np.diff(graph.R.indptr) >= m)
+    if n_saturated:
+        LOGGER.warning("%d users interact with every hashtag; skipping their triples",
+                       n_saturated)
 
     best_params = params.copy()
     best_out = None

@@ -761,6 +761,24 @@ def test_a_malformed_ingest_line_names_only_its_file(tmp_path, capsys, bad, line
     assert not (tmp_path / "counts.json").exists()
 
 
+def test_ingest_without_strict_parsing_names_the_file_of_each_skipped_line(tmp_path, caplog):
+    # Before, the warnings read 'skipping tweet record: line 3: …' and
+    # 'skipping follow edge on line 2'.
+    tweets, follows = tmp_path / "tweets.jsonl", tmp_path / "follows.tsv"
+    bad_tweet = json.dumps({"tweet_id": "t3", "user_id": "u3", "kind": "original",
+                            "timestamp": "2022-09-04T12:00:00+00:00", "text": "",
+                            "hashtags": ["#"]})
+    tweets.write_text("\n".join(INGEST_LINES["tweets"][:2] + [bad_tweet]) + "\n",
+                      encoding="utf-8")
+    follows.write_text("u1\tu2\nu4\n", encoding="utf-8")
+    assert run(["ingest", "--tweets", tweets, "--follows", follows, "--out",
+                tmp_path / "counts.json", "--no-strict-parse"]) == 0
+    assert [rec.getMessage() for rec in caplog.records if rec.levelname == "WARNING"] == [
+        f"skipping {tweets}: line 3: hashtag '#' normalizes to empty",
+        f"skipping {follows}: line 2: expected 'follower<TAB>followee'"]
+    assert load_counts(tmp_path / "counts.json").users == ["u1", "u2"]
+
+
 @pytest.mark.parametrize("line, message", [("dim", "expected key=value"),
                                            ("k=2", "unknown key 'k'")])
 def test_a_malformed_config_line_names_its_file(tmp_path, capsys, line, message):

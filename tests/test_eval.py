@@ -362,8 +362,27 @@ def ranking_cases(draw):
     return users, hashtags, exclude, np.array(pairs, dtype=np.int64).reshape(-1, 2), k, block_entries
 
 
+def ranking_case(users, hashtags, excluded, pairs, k, block_entries):
+    return (np.array(users, dtype=float), np.array(hashtags, dtype=float),
+            sp.csr_matrix(np.array(excluded, dtype=bool)), np.array(pairs, dtype=np.int64), k,
+            block_entries)
+
+
 @settings(max_examples=300, deadline=None)
 @given(ranking_cases())
+# The k-th score, 1, is shared by three hashtags, so at least two of them lie
+# outside a row's k top slots: the pair at the smaller column is a hit, the
+# one at the larger a miss.
+@example(ranking_case([[1], [1]], [[3], [1], [1], [1]], [[0] * 4] * 2, [[0, 1], [1, 3]], 2, 8))
+# Every score equal, one row per block: every pair ties and its whole row is
+# counted.
+@example(ranking_case([[1], [1]], [[1]] * 5, [[0] * 5] * 2,
+                      [[0, 0], [0, 2], [0, 4], [1, 3], [1, 1]], 3, 5))
+# k above the number of hashtags, and rows with fewer finite scores than k.
+@example(ranking_case([[1], [2]], [[1], [-1], [np.inf]], [[0, 0, 0], [1, 0, 0]],
+                      [[0, 1], [0, 2], [1, 1], [1, 0]], 5, 9))
+@example(ranking_case([[1], [1]], [[2], [1], [0], [-1]], [[1, 1, 0, 0], [0, 0, 0, 0]],
+                      [[0, 2], [0, 3], [1, 3]], 3, 8))
 def test_batched_ranking_metrics_equal_per_user_reference(case):
     users, hashtags, exclude, pairs, k, block_entries = case
     with np.errstate(invalid="ignore"), mock.patch.object(metrics, "BLOCK_ENTRIES", block_entries):

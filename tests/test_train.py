@@ -312,15 +312,26 @@ def test_sample_negatives_avoid_neighbors():
             assert int(j) not in neigh
 
 
-def test_sample_saturated_user_skipped(caplog):
+def test_sample_saturated_user_skipped():
     # first user interacts with every hashtag, so no negative exists
     R = np.array([[0.5, 0.5], [1.0, 0.0]])
     g = BipartiteGraph(R=sp.csr_matrix(R))
-    with caplog.at_level("WARNING"):
-        triples = sample_epoch(g, np.random.default_rng(0))
+    triples = sample_epoch(g, np.random.default_rng(0))
     assert (triples[:, 0] == 0).sum() == 0
     assert triples.shape == (1, 3)
-    assert any("skip" in rec.message.lower() for rec in caplog.records)
+
+
+def test_train_warns_of_saturated_users_once(caplog):
+    # User 0 interacts with every hashtag. Before, each epoch's sample_epoch
+    # logged the warning, three times here.
+    R = np.array([[1, 1, 1, 1], [1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]], dtype=float)
+    graph = BipartiteGraph(R=sp.csr_matrix(R))
+    cfg = RunConfig(dim=2, n_layers=1, max_epochs=3, patience=10)
+    with caplog.at_level("WARNING"):
+        _, history, _ = train(graph, NO_CHANNELS, cfg, np.array([[1, 2]]), seed=0)
+    assert len(history) == 3
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "1 users interact with every hashtag; skipping their triples"]
 
 
 def test_sample_deterministic_under_seed():
